@@ -9,7 +9,7 @@
 //   bench_chaos ... --out=fail.chaos --trace-out=fail.jsonl
 //   bench_chaos ... --bundle-out=fail.json   flight-recorder bundle on failure
 //   bench_chaos ... --raftstat               cluster DebugStatus at exit
-//   bench_chaos --seed=1 --corpus=25 --reconfig   membership-churn corpus
+//   bench_chaos --seed=1 --corpus=25 --reconfig   add the membership nemesis
 //
 // Determinism contract: identical seeds produce byte-identical schedule
 // text and checker reports across runs (asserted by chaos_test and the
@@ -50,9 +50,9 @@ struct ChaosArgs {
   /// --raftstat: print cluster-wide DebugStatus after every failing run
   /// and at exit for the last run.
   bool raftstat = false;
-  /// --reconfig: logless reconfiguration mode — enables the membership
-  /// nemesis in generated schedules and enable_logless_reconfig on the
-  /// cluster, so the Config Safety invariant gets real work.
+  /// --reconfig: enables the membership nemesis (remove/re-add,
+  /// demote/promote through the live leader) in generated schedules, so
+  /// the Config Safety invariant gets real work.
   bool reconfig = false;
 };
 
@@ -95,17 +95,16 @@ bool ParseChaosArgs(int argc, char** argv, ChaosArgs* args) {
   return true;
 }
 
-chaos::ChaosOptions RunnerOptions(bool reconfig) {
+chaos::ChaosOptions RunnerOptions() {
   chaos::ChaosOptions options;
   options.cluster.topology.db_regions = 3;
   options.cluster.topology.logtailers_per_db = 2;
   options.cluster.topology.learners = 1;
-  options.cluster.raft.enable_logless_reconfig = reconfig;
   return options;
 }
 
 int RunChaos(const ChaosArgs& args) {
-  const chaos::ChaosOptions runner_options = RunnerOptions(args.reconfig);
+  const chaos::ChaosOptions runner_options = RunnerOptions();
   chaos::NemesisOptions nemesis_options;
   nemesis_options.reconfig_faults = args.reconfig;
   nemesis_options.duration_micros = args.duration_ms * 1'000;

@@ -135,7 +135,7 @@ struct RotateBody {
 };
 
 struct MetadataBody {
-  /// Mirrors wire EntryType (kNoOp / kConfigChange).
+  /// Mirrors wire EntryType (kNoOp).
   uint8_t entry_type = 0;
   std::string payload;
 

@@ -376,8 +376,7 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
       gtids_in_log_.Add(gtid_body.gtid);
       return Status::OK();
     }
-    case EntryType::kNoOp:
-    case EntryType::kConfigChange: {
+    case EntryType::kNoOp: {
       MetadataBody body;
       body.entry_type = static_cast<uint8_t>(entry.type);
       body.payload = entry.payload;
@@ -435,8 +434,7 @@ Result<LogEntry> BinlogManager::ReadEntry(uint64_t index) const {
     case EntryType::kTransaction:
       MYRAFT_RETURN_NOT_OK(ValidateTransactionPayload(raw, opid));
       return LogEntry::Make(opid, EntryType::kTransaction, raw.ToString());
-    case EntryType::kNoOp:
-    case EntryType::kConfigChange: {
+    case EntryType::kNoOp: {
       Slice in = raw;
       auto event = BinlogEvent::DecodeFrom(&in);
       if (!event.ok()) return event.status();

@@ -124,8 +124,6 @@ void InvariantChecker::ObserveConfigs(sim::ClusterHarness& cluster) {
     if (!node->up()) continue;
     const MembershipConfig& committed =
         node->server()->consensus()->committed_config();
-    // Legacy rings never version their configs; nothing to audit.
-    if (committed.config_term == 0 && committed.config_version == 0) continue;
     const ConfigId config_id{committed.config_term,
                              committed.config_version};
     ObservedConfig observed;

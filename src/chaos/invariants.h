@@ -80,7 +80,7 @@ class InvariantChecker {
   /// ObserveRoles. Snapshots every live node's COMMITTED config and
   /// flags (a) one identity with two different memberships, ever, and
   /// (b) two identities installed simultaneously whose voter sets admit
-  /// disjoint majorities. Legacy (unversioned) configs are skipped.
+  /// disjoint majorities.
   void ObserveConfigs(sim::ClusterHarness& cluster);
 
   /// Full audit; call only at a quiescent window, after the runner has

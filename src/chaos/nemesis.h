@@ -45,9 +45,7 @@ struct NemesisOptions {
   /// Include membership-churn faults (§15: remove/re-add a member,
   /// demote/promote voter ↔ learner, driven through the live leader while
   /// other faults are in flight). Off by default for the same historical
-  /// byte-identity reason as clock_faults. Only meaningful on rings with
-  /// enable_logless_reconfig (the legacy log path rejects overlapping
-  /// changes, so most steps would no-op).
+  /// byte-identity reason as clock_faults.
   bool reconfig_faults = false;
 };
 

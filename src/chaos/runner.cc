@@ -333,7 +333,7 @@ void ChaosRunner::ApplyStep(const FaultStep& step, InvariantChecker* checker,
       Status s;
       if (subcmd == "remove") {
         if (active.Find(id) == nullptr) break;
-        s = cluster_->RemoveMemberViaLeader(id);
+        s = cluster_->admin()->RemoveMember(id).status;
       } else if (subcmd == "add") {
         if (active.Find(id) != nullptr) break;
         const MemberInfo* info = cluster_->config().Find(id);
@@ -341,11 +341,13 @@ void ChaosRunner::ApplyStep(const FaultStep& step, InvariantChecker* checker,
       } else if (subcmd == "demote") {
         const MemberInfo* member = active.Find(id);
         if (member == nullptr || !member->is_voter()) break;
-        s = cluster_->SwapMemberTypeViaLeader(id, RaftMemberType::kNonVoter);
+        s = cluster_->admin()
+                ->SwapMemberType(id, RaftMemberType::kNonVoter)
+                .status;
       } else if (subcmd == "promote") {
         const MemberInfo* member = active.Find(id);
         if (member == nullptr || member->is_voter()) break;
-        s = cluster_->SwapMemberTypeViaLeader(id, RaftMemberType::kVoter);
+        s = cluster_->admin()->SwapMemberType(id, RaftMemberType::kVoter).status;
       } else {
         break;
       }

@@ -65,7 +65,7 @@ class FlexiRaftQuorumEngine final : public raft::QuorumEngine {
   /// Resolve the mode this evaluation runs under: the config's
   /// quorum_spec override when present ("majority", "single-region",
   /// "multi:<K>"), else the engine's configured mode. Making the rule
-  /// part of the config turns data-quorum changes into ordinary logless
+  /// part of the config turns data-quorum changes into ordinary
   /// config-version bumps, so every member switches rules at the same
   /// config identity instead of via out-of-band engine reconfiguration.
   /// Unparsable specs resolve to vanilla majority — the one quorum that

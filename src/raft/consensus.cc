@@ -116,11 +116,9 @@ Status RaftConsensus::Bootstrap(const MembershipConfig& config) {
   }
   meta_ = ConsensusMetadata{};
   meta_.config = config;
-  if (options_.enable_logless_reconfig && meta_.config.config_term == 0 &&
-      meta_.config.config_version == 0) {
-    // Seed the logless identity so (0,0) stays reserved for "no config
-    // reported" on the wire. Legacy-path bootstraps keep (0,0) and an
-    // unversioned on-disk encoding.
+  if (meta_.config.config_term == 0 && meta_.config.config_version == 0) {
+    // Seed the config identity so (0,0) stays reserved for "no config
+    // reported" on the wire.
     meta_.config.config_version = 1;
   }
   meta_.committed_config = meta_.config;  // a bootstrap config is committed
@@ -173,16 +171,6 @@ Status RaftConsensus::Start() {
     vote_embargo_until_micros_ = clock_->NowMicros() +
                                  options_.lease_duration_micros +
                                  options_.lease_drift_margin_micros;
-  }
-  if (!options_.enable_logless_reconfig &&
-      !(meta_.committed_config == meta_.config)) {
-    // Legacy log path: a membership change was in flight at shutdown (the
-    // active config runs ahead of the committed one). Re-locate its
-    // kConfigChange entry to restore pending_config_index_ — and fall
-    // back to the committed config when a torn crash lost the suffix that
-    // carried it. (Logless pendingness needs no log entry; the identity
-    // comparison in has_pending_config_change covers it.)
-    RollbackConfigForTruncation();
   }
   ResetElectionTimer();
   started_ = true;
@@ -379,13 +367,6 @@ Result<OpId> RaftConsensus::Replicate(EntryType type, std::string payload,
   if (is_quiesced_for_transfer() && type == EntryType::kTransaction) {
     return Status::ServiceUnavailable("quiesced for leadership transfer");
   }
-  if (type == EntryType::kConfigChange && has_pending_config_change()) {
-    // Guard EVERY entry point, not just AddMember/RemoveMember: a direct
-    // Replicate(kConfigChange) used to stack a second uncommitted config
-    // on top of a pending one, leaving the truncation rollback pointing
-    // at the intermediate config instead of the last durable one.
-    return Status::IllegalState("another membership change is in flight");
-  }
   const OpId opid{meta_.current_term, log_->LastOpId().index + 1};
   const LogEntry entry = LogEntry::Make(opid, type, std::move(payload));
   MYRAFT_RETURN_NOT_OK(AppendToLocalLog(entry));
@@ -403,13 +384,6 @@ Result<OpId> RaftConsensus::Replicate(EntryType type, std::string payload,
   replicate_time_micros_[opid.index] = clock_->NowMicros();
   if (options_.tracer != nullptr && trace_ctx.valid()) {
     replicate_trace_ctx_[opid.index] = trace_ctx;
-  }
-
-  if (type == EntryType::kConfigChange) {
-    auto config = DecodeMembershipConfig(entry.payload);
-    if (!config.ok()) return config.status();
-    pending_config_index_ = opid.index;
-    MYRAFT_RETURN_NOT_OK(ApplyConfig(*config, /*from_log=*/true));
   }
 
   last_commit_completer_.clear();  // a self-append commit has no straggler
@@ -556,10 +530,8 @@ void RaftConsensus::RunGroupSync() {
     response.trace_span_id = follower_ack_span_id_;
     response.lease_granted_micros = follower_ack_lease_echo_;
     follower_ack_lease_echo_ = 0;
-    if (options_.enable_logless_reconfig) {
-      response.config_term = meta_.config.config_term;
-      response.config_version = meta_.config.config_version;
-    }
+    response.config_term = meta_.config.config_term;
+    response.config_version = meta_.config.config_version;
     outbox_->Send(std::move(response));
   }
 }
@@ -706,7 +678,7 @@ void RaftConsensus::SendMarkerOnlyHeartbeat(const MemberId& peer_id,
   request.commit_marker = commit_marker_;
   request.prev = OpId{prev_term, peer->match_index};
   StampLease(&request);
-  StampConfig(&request);
+  StampConfig(peer, &request);
   m_.marker_only_heartbeats->Increment();
   peer->last_rpc_sent_micros = clock_->NowMicros();
   peer->last_sent_commit_index =
@@ -767,7 +739,7 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     request.commit_marker = commit_marker_;
     request.prev = OpId{prev_term, peer.next_index - 1};
     StampLease(&request);
-    StampConfig(&request);
+    StampConfig(&peer, &request);
 
     InflightBatch batch;
     batch.first_index = peer.next_index;
@@ -852,7 +824,7 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     return;
   }
   StampLease(&request);
-  StampConfig(&request);
+  StampConfig(&peer, &request);
   m_.heartbeats_sent->Increment();
   peer.last_rpc_sent_micros = clock_->NowMicros();
   peer.last_sent_commit_index =
@@ -918,11 +890,6 @@ void RaftConsensus::SetCommitMarker(OpId new_marker) {
                            : last_commit_completer_.c_str()));
       it = replicate_trace_ctx_.erase(it);
     }
-  }
-  if (pending_config_index_ != 0 &&
-      pending_config_index_ <= new_marker.index) {
-    pending_config_index_ = 0;  // membership change committed
-    MarkConfigCommitted();
   }
   listener_->OnCommitAdvanced(commit_marker_);
   // Leases-off linearizable reads wait on their no-op barrier (§13.2).
@@ -1204,16 +1171,14 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   last_leader_contact_micros_ = clock_->NowMicros();
   response.term = meta_.current_term;
 
-  // Logless reconfiguration: adopt a newer config carried by the leader
-  // BEFORE any log checks — config propagation is deliberately decoupled
-  // from log replication, so membership heals even while the log is
-  // rewinding or unavailable. The response echoes the installed identity
-  // either way; that echo is what drives the leader's install quorum.
+  // Adopt a newer config carried by the leader BEFORE any log checks —
+  // config propagation is deliberately decoupled from log replication, so
+  // membership heals even while the log is rewinding or unavailable. The
+  // response echoes the installed identity either way; that echo drives
+  // the leader's install quorum and tells it to stop attaching the config.
   MaybeInstallConfig(request);
-  if (options_.enable_logless_reconfig) {
-    response.config_term = meta_.config.config_term;
-    response.config_version = meta_.config.config_version;
-  }
+  response.config_term = meta_.config.config_term;
+  response.config_version = meta_.config.config_version;
 
   // Log-matching check on the preceding entry.
   if (request.prev.index > 0) {
@@ -1251,14 +1216,6 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       }
       cache_.TruncateAfter(entry.id.index - 1);
       last_synced_index_ = std::min(last_synced_index_, entry.id.index - 1);
-      if (!options_.enable_logless_reconfig) {
-        // The truncated suffix may have carried the kConfigChange entry
-        // (or entries) behind the active config — including one applied
-        // before a restart, when pending_config_index_ is no longer set.
-        // Re-derive the config from what survives instead of guessing
-        // from in-memory state.
-        RollbackConfigForTruncation();
-      }
       listener_->OnSuffixTruncated(log_->LastOpId());
     }
     if (!entry.VerifyChecksum()) {
@@ -1275,14 +1232,6 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       break;
     }
     appended = true;
-    if (entry.type == EntryType::kConfigChange) {
-      auto config = DecodeMembershipConfig(entry.payload);
-      if (config.ok()) {
-        pending_config_index_ = entry.id.index;
-        Status cs = ApplyConfig(*config, /*from_log=*/true);
-        if (!cs.ok()) MYRAFT_LOG(Error) << "apply config failed: " << cs;
-      }
-    }
   }
   // The commit marker may only advance over the prefix this request
   // verified: prev for an empty request, the batch tail otherwise. Our own
@@ -1407,6 +1356,11 @@ void RaftConsensus::HandleAppendEntriesResponse(
   PeerStatus& peer = it->second;
   const uint64_t now = clock_->NowMicros();
   peer.last_response_micros = now;
+  // Even a log-matching rejection acks the config install (the echo
+  // reflects the follower's installed config, not its log): this is what
+  // lets a reconfig commit while the rejecting follower's log is still
+  // rewinding or healing.
+  RecordConfigEcho(response, &peer);
 
   if (response.success) {
     // Retire every in-flight batch the follower's tail now covers. Acks
@@ -1448,16 +1402,6 @@ void RaftConsensus::HandleAppendEntriesResponse(
     peer.next_index =
         std::max(peer.next_index, response.last_received.index + 1);
     RecordLeaseGrant(response, &peer);
-    // Logless reconfig: fold the echoed installed-config identity into the
-    // peer state (monotone — a reordered older echo must not regress it)
-    // and re-check the pending config's install quorum.
-    if (response.config_term > peer.acked_config_term ||
-        (response.config_term == peer.acked_config_term &&
-         response.config_version > peer.acked_config_version)) {
-      peer.acked_config_term = response.config_term;
-      peer.acked_config_version = response.config_version;
-      MaybeCommitConfig();
-    }
     last_commit_completer_ = response.from;  // straggler if the marker moves
     AdvanceCommitMarker();
     // A current-term success doubles as leadership confirmation for the
@@ -1485,17 +1429,6 @@ void RaftConsensus::HandleAppendEntriesResponse(
       SendAppendEntriesTo(response.from, /*allow_empty=*/false);
     }
   } else {
-    // Even a log-matching rejection acks the config install (the echo
-    // reflects the follower's installed config, not its log): this is
-    // what lets a reconfig commit while the rejecting follower's log is
-    // still rewinding or healing.
-    if (response.config_term > peer.acked_config_term ||
-        (response.config_term == peer.acked_config_term &&
-         response.config_version > peer.acked_config_version)) {
-      peer.acked_config_term = response.config_term;
-      peer.acked_config_version = response.config_version;
-      MaybeCommitConfig();
-    }
     const uint64_t hint = response.last_received.index;
     // Stale rejection guard, keyed on WHICH request was refused (the echoed
     // prev), not on the tail hint: an in-order ack can overtake a reordered
@@ -1628,10 +1561,8 @@ void RaftConsensus::RequestVotes() {
     request.pre_vote = election_->mode == ElectionMode::kPreVote;
     request.mock_election = election_->mode == ElectionMode::kMockElection;
     request.leader_cursor_snapshot = election_->cursor_snapshot;
-    if (options_.enable_logless_reconfig) {
-      request.config_term = meta_.config.config_term;
-      request.config_version = meta_.config.config_version;
-    }
+    request.config_term = meta_.config.config_term;
+    request.config_version = meta_.config.config_version;
     outbox_->Send(std::move(request));
   }
 }
@@ -1692,19 +1623,18 @@ VoteResponse RaftConsensus::EvaluateVote(const VoteRequest& request) {
   }
   // A member we know to have been removed (or demoted to learner) cannot
   // take leadership; it may still believe it is a voter if it never
-  // received the config-change entry.
+  // installed the config that changed it.
   const MemberInfo* candidate_info = meta_.config.Find(request.candidate);
   if (candidate_info == nullptr || !candidate_info->is_voter()) {
     response.reason = "candidate-not-a-voter";
     return response;
   }
-  // Logless reconfig: deny candidates campaigning on a superseded config.
-  // A leader elected on an old member set could assemble quorums disjoint
-  // from the new config's — the config analogue of the stale-log check.
-  if (options_.enable_logless_reconfig &&
-      (meta_.config.config_term > request.config_term ||
-       (meta_.config.config_term == request.config_term &&
-        meta_.config.config_version > request.config_version))) {
+  // Deny candidates campaigning on a superseded config. A leader elected
+  // on an old member set could assemble quorums disjoint from the new
+  // config's — the config analogue of the stale-log check.
+  if (meta_.config.config_term > request.config_term ||
+      (meta_.config.config_term == request.config_term &&
+       meta_.config.config_version > request.config_version)) {
     response.reason = "stale-config";
     return response;
   }
@@ -1949,26 +1879,23 @@ void RaftConsensus::BecomeLeader() {
   meta_.last_known_leader = options_.self;
   meta_.last_leader_region = options_.region;
   meta_.last_leader_term = meta_.current_term;
+  // Schultz et al.: a new leader rebases the config identity onto its own
+  // term, persisted with the leadership record. The term dominates the
+  // (term, version) ordering, so any uncommitted config a deposed leader
+  // is still propagating is superseded everywhere our heartbeats reach,
+  // and the rebased config re-commits through a fresh install quorum.
+  const bool rebased = meta_.config.config_term != meta_.current_term;
+  if (rebased) {
+    meta_.config.config_term = meta_.current_term;
+    config_payload_.clear();
+  }
   Status s = PersistMeta();
   if (!s.ok()) MYRAFT_LOG(Error) << "persist on becoming leader: " << s;
 
   RefreshPeers();
   transfer_.reset();
-
-  if (options_.enable_logless_reconfig &&
-      meta_.config.config_term != meta_.current_term) {
-    // Logless reconfig (Schultz et al.): a new leader rebases the config
-    // identity onto its own term. The term dominates the (term, version)
-    // ordering, so any uncommitted config a deposed leader is still
-    // propagating is superseded everywhere our heartbeats reach, and the
-    // rebased config re-commits through a fresh install quorum.
-    MembershipConfig rebased = meta_.config;
-    rebased.config_term = meta_.current_term;
-    Status cs = ApplyConfig(rebased, /*from_log=*/false);
-    if (!cs.ok()) {
-      MYRAFT_LOG(Error) << options_.self
-                        << ": config term rebase failed: " << cs;
-    }
+  if (rebased) {
+    listener_->OnMembershipChanged(meta_.config);
     MaybeCommitConfig();  // single-voter rings commit immediately
   }
 
@@ -2159,30 +2086,16 @@ int CountVotingChanges(const MembershipConfig& from,
 
 Status RaftConsensus::AddMember(const MemberInfo& member) {
   if (role_ != RaftRole::kLeader) return Status::IllegalState("not leader");
-  if (!options_.enable_logless_reconfig && pending_config_index_ != 0) {
-    return Status::IllegalState("another membership change is in flight");
-  }
   if (meta_.config.Contains(member.id)) {
     return Status::AlreadyPresent("member already in config: " + member.id);
   }
   MembershipConfig new_config = meta_.config;
   new_config.members.push_back(member);
-  if (options_.enable_logless_reconfig) {
-    return ProposeConfig(std::move(new_config), /*force=*/false);
-  }
-  new_config.config_index = log_->LastOpId().index + 1;
-  std::string payload;
-  EncodeMembershipConfig(new_config, &payload);
-  auto opid = Replicate(EntryType::kConfigChange, std::move(payload));
-  if (!opid.ok()) return opid.status();
-  return Status::OK();
+  return ProposeConfig(std::move(new_config), /*force=*/false);
 }
 
 Status RaftConsensus::RemoveMember(const MemberId& member) {
   if (role_ != RaftRole::kLeader) return Status::IllegalState("not leader");
-  if (!options_.enable_logless_reconfig && pending_config_index_ != 0) {
-    return Status::IllegalState("another membership change is in flight");
-  }
   if (member == options_.self) {
     return Status::InvalidArgument("leader cannot remove itself");
   }
@@ -2194,23 +2107,12 @@ Status RaftConsensus::RemoveMember(const MemberId& member) {
       std::remove_if(new_config.members.begin(), new_config.members.end(),
                      [&](const MemberInfo& m) { return m.id == member; }),
       new_config.members.end());
-  if (options_.enable_logless_reconfig) {
-    return ProposeConfig(std::move(new_config), /*force=*/false);
-  }
-  new_config.config_index = log_->LastOpId().index + 1;
-  std::string payload;
-  EncodeMembershipConfig(new_config, &payload);
-  auto opid = Replicate(EntryType::kConfigChange, std::move(payload));
-  if (!opid.ok()) return opid.status();
-  return Status::OK();
+  return ProposeConfig(std::move(new_config), /*force=*/false);
 }
 
 Status RaftConsensus::SetMemberType(const MemberId& member,
                                     RaftMemberType type) {
   if (role_ != RaftRole::kLeader) return Status::IllegalState("not leader");
-  if (!options_.enable_logless_reconfig && pending_config_index_ != 0) {
-    return Status::IllegalState("another membership change is in flight");
-  }
   if (member == options_.self && type == RaftMemberType::kNonVoter) {
     return Status::InvalidArgument("leader cannot demote itself");
   }
@@ -2227,23 +2129,11 @@ Status RaftConsensus::SetMemberType(const MemberId& member,
   }
   if (info->type == type) return Status::OK();  // idempotent no-op
   info->type = type;
-  if (options_.enable_logless_reconfig) {
-    return ProposeConfig(std::move(new_config), /*force=*/false);
-  }
-  new_config.config_index = log_->LastOpId().index + 1;
-  std::string payload;
-  EncodeMembershipConfig(new_config, &payload);
-  auto opid = Replicate(EntryType::kConfigChange, std::move(payload));
-  if (!opid.ok()) return opid.status();
-  return Status::OK();
+  return ProposeConfig(std::move(new_config), /*force=*/false);
 }
 
 Status RaftConsensus::SetQuorumSpec(const std::string& quorum_spec) {
   if (role_ != RaftRole::kLeader) return Status::IllegalState("not leader");
-  if (!options_.enable_logless_reconfig) {
-    return Status::NotSupported(
-        "quorum-spec changes require enable_logless_reconfig");
-  }
   if (meta_.config.quorum_spec == quorum_spec) return Status::OK();
   MembershipConfig new_config = meta_.config;
   new_config.quorum_spec = quorum_spec;
@@ -2252,10 +2142,6 @@ Status RaftConsensus::SetQuorumSpec(const std::string& quorum_spec) {
 
 Status RaftConsensus::ForceReplaceConfig(MembershipConfig new_config) {
   if (role_ != RaftRole::kLeader) return Status::IllegalState("not leader");
-  if (!options_.enable_logless_reconfig) {
-    return Status::NotSupported(
-        "forced reconfig requires enable_logless_reconfig");
-  }
   if (!new_config.Contains(options_.self)) {
     return Status::InvalidArgument("forced config must include self");
   }
@@ -2296,9 +2182,8 @@ Status RaftConsensus::ProposeConfig(MembershipConfig new_config, bool force) {
   // at a later term no matter how many bumps it racked up.
   new_config.config_term = meta_.current_term;
   new_config.config_version = meta_.config.config_version + 1;
-  new_config.config_index = 0;  // logless configs carry no log position
   const MembershipConfig old_config = meta_.config;
-  MYRAFT_RETURN_NOT_OK(ApplyConfig(new_config, /*from_log=*/false));
+  MYRAFT_RETURN_NOT_OK(ApplyConfig(new_config));
   MaybeCommitConfig();  // single-voter (or self-sufficient) quorums: now
   // Push the new config out immediately — the install quorum is gated on
   // echoes, and waiting a heartbeat interval would stall every reconfig.
@@ -2321,14 +2206,14 @@ Status RaftConsensus::ProposeConfig(MembershipConfig new_config, bool force) {
     farewell.commit_marker = commit_marker_;
     farewell.prev = kZeroOpId;  // log matching is irrelevant to the config
     StampLease(&farewell);
-    StampConfig(&farewell);
+    StampConfig(/*peer=*/nullptr, &farewell);  // not a peer: always stamped
     outbox_->Send(std::move(farewell));
   }
   return Status::OK();
 }
 
 void RaftConsensus::MaybeCommitConfig() {
-  if (!options_.enable_logless_reconfig || role_ != RaftRole::kLeader) return;
+  if (role_ != RaftRole::kLeader) return;
   if (meta_.committed_config.SameIdAs(meta_.config)) return;  // none pending
   // Logless commit rule (Schultz et al.): the pending config is committed
   // once a quorum of the NEW config has installed it. Log state plays no
@@ -2342,14 +2227,10 @@ void RaftConsensus::MaybeCommitConfig() {
       installed.insert(peer_id);
     }
   }
-  if (quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
-                                       installed)) {
-    MarkConfigCommitted();
+  if (!quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
+                                        installed)) {
+    return;
   }
-}
-
-void RaftConsensus::MarkConfigCommitted() {
-  if (meta_.committed_config == meta_.config) return;
   meta_.committed_config = meta_.config;
   Status s = PersistMeta();
   if (!s.ok()) {
@@ -2361,44 +2242,11 @@ void RaftConsensus::MarkConfigCommitted() {
                    << meta_.config.ToString();
 }
 
-void RaftConsensus::RollbackConfigForTruncation() {
-  // The log suffix that carried the active config may be gone (divergent
-  // -suffix overwrite, torn crash). Re-derive the config from what
-  // survives: the highest remaining uncommitted kConfigChange entry, else
-  // the last committed config. The historical single previous_config_
-  // rollback slot got stacked changes wrong — truncating a suffix with
-  // two uncommitted config entries rolled back to the intermediate
-  // config, not the last durable one.
-  pending_config_index_ = 0;
-  MembershipConfig target = meta_.committed_config;
-  const uint64_t last = log_->LastOpId().index;
-  for (uint64_t index = last; index > commit_marker_.index && index > 0;
-       --index) {
-    auto cached = cache_.Get(index);
-    LogEntry entry;
-    if (cached.ok()) {
-      entry = std::move(*cached);
-    } else {
-      auto batch = log_->ReadBatch(index, 1, UINT64_MAX);
-      if (!batch.ok() || batch->empty()) continue;
-      entry = std::move(batch->front());
-    }
-    if (entry.type != EntryType::kConfigChange) continue;
-    auto config = DecodeMembershipConfig(entry.payload);
-    if (!config.ok()) continue;
-    target = std::move(*config);
-    if (!(target == meta_.committed_config)) pending_config_index_ = index;
-    break;
-  }
-  if (target == meta_.config) return;  // active config survived; done
-  Status s = ApplyConfig(target, /*from_log=*/true);
-  if (!s.ok()) {
-    MYRAFT_LOG(Error) << options_.self << ": config rollback failed: " << s;
-  }
-}
-
 void RaftConsensus::MaybeInstallConfig(const AppendEntriesRequest& request) {
-  if (!options_.enable_logless_reconfig || request.config_payload.empty()) {
+  // The leader keeps stamping until our echo reaches it; a stamp of the
+  // config we already hold needs no decode.
+  if (request.config_payload.empty() ||
+      request.config_payload == config_payload_) {
     return;
   }
   auto config = DecodeMembershipConfig(request.config_payload);
@@ -2411,27 +2259,46 @@ void RaftConsensus::MaybeInstallConfig(const AppendEntriesRequest& request) {
   // Install is decoupled from the log: no log-matching gate, no entry.
   // Adopting the newer config is what makes this node count towards the
   // NEW config's install quorum (via the response echo).
-  Status s = ApplyConfig(*config, /*from_log=*/false);
+  Status s = ApplyConfig(*config);
   if (!s.ok()) {
     MYRAFT_LOG(Error) << options_.self << ": config install failed: " << s;
+    return;
+  }
+  config_payload_ = request.config_payload;
+}
+
+void RaftConsensus::StampConfig(const PeerStatus* peer,
+                                AppendEntriesRequest* request) {
+  // Stamp until echoed (DESIGN.md §15.1): encoding the member list into
+  // every heartbeat, then sizing and decoding it again downstream, was the
+  // largest host cost of heartbeat-bound runs. Any request can carry the
+  // install, so it stays decoupled from the log; a peer whose latest
+  // response echoed the active identity has it installed.
+  if (peer != nullptr && peer->config_echoed) return;
+  if (config_payload_.empty()) {
+    EncodeMembershipConfig(meta_.config, &config_payload_);
+  }
+  request->config_payload = config_payload_;
+}
+
+void RaftConsensus::RecordConfigEcho(const AppendEntriesResponse& response,
+                                     PeerStatus* peer) {
+  peer->config_echoed = response.config_term == meta_.config.config_term &&
+                        response.config_version == meta_.config.config_version;
+  // The install quorum counts the highest identity ever echoed: a
+  // reordered older echo must not regress it.
+  if (response.config_term > peer->acked_config_term ||
+      (response.config_term == peer->acked_config_term &&
+       response.config_version > peer->acked_config_version)) {
+    peer->acked_config_term = response.config_term;
+    peer->acked_config_version = response.config_version;
+    MaybeCommitConfig();
   }
 }
 
-void RaftConsensus::StampConfig(AppendEntriesRequest* request) {
-  // Same wire-compat discipline as StampLease (§13.6): the config payload
-  // is a trailing group pre-reconfig decoders reject, so it only goes on
-  // the wire when logless reconfig is on — which requires a fully
-  // upgraded cluster. Configs are a few dozen bytes; carrying the full
-  // encoding on every AppendEntries keeps install decoupled from any
-  // particular batch.
-  if (role_ != RaftRole::kLeader || !options_.enable_logless_reconfig) return;
-  request->config_payload.clear();
-  EncodeMembershipConfig(meta_.config, &request->config_payload);
-}
-
-Status RaftConsensus::ApplyConfig(const MembershipConfig& config,
-                                  bool from_log) {
+Status RaftConsensus::ApplyConfig(const MembershipConfig& config) {
   meta_.config = config;
+  config_payload_.clear();
   MYRAFT_RETURN_NOT_OK(PersistMeta());
   if (role_ == RaftRole::kLeader) RefreshPeers();
   // Role may change if our own voter/learner status changed.
@@ -2456,12 +2323,14 @@ Status RaftConsensus::ApplyConfig(const MembershipConfig& config,
 
 void RaftConsensus::RefreshPeers() {
   // Keep progress for surviving peers, add new ones, drop removed ones.
+  // Nobody has echoed the new config yet, so every peer gets it stamped.
   std::map<MemberId, PeerStatus> new_peers;
   for (const auto& member : meta_.config.members) {
     if (member.id == options_.self) continue;
     auto it = peers_.find(member.id);
     if (it != peers_.end()) {
       new_peers[member.id] = it->second;
+      new_peers[member.id].config_echoed = false;
     } else {
       PeerStatus peer;
       peer.next_index = log_->LastOpId().index + 1;

@@ -11,8 +11,9 @@
 //  * pre-vote, leader stickiness, and Mock Elections (§4.3) ahead of
 //    graceful TransferLeadership;
 //  * witnesses (voting logtailers) and learners (non-voting replicas);
-//  * single-server membership changes with config-takes-effect-on-append
-//    semantics (§2.2);
+//  * single-server membership changes (§2.2), logless: the config is
+//    versioned consensus state installed via AppendEntries and committed
+//    on an install quorum of the new config (DESIGN.md §15);
 //  * an election-quorum override used by Quorum Fixer (§5.3);
 //  * a compressed in-memory entry cache with disk fallback for laggards.
 
@@ -162,19 +163,6 @@ struct RaftOptions {
   /// margin/duration in relative rate.
   uint64_t lease_drift_margin_micros = 100'000;
 
-  /// Logless dynamic reconfiguration (Schultz et al.; DESIGN.md §15):
-  /// the membership config lives in versioned consensus metadata
-  /// (config_term, config_version) instead of the replicated log. Changes
-  /// install via AppendEntries (decoupled from log replication — they
-  /// proceed while the log is unavailable or healing) and commit once a
-  /// quorum of the NEW config acks the install. Elections additionally
-  /// check the candidate's config identity ("stale-config" denials).
-  /// Off by default: the config fields ride the wire as trailing groups
-  /// that pre-reconfig decoders reject, so enabling this requires a
-  /// fully upgraded cluster (same discipline as leases, §13.6). With it
-  /// off, membership changes use the legacy log-entry path.
-  bool enable_logless_reconfig = false;
-
   /// FAULT INJECTION (chaos checker self-test only): commit quorums count
   /// a peer's last *received* index instead of min(received, durable).
   /// This re-introduces the durability bug fixed in the durable-index
@@ -280,11 +268,15 @@ class RaftConsensus {
     /// none): echoed send timestamp + lease duration − drift margin,
     /// monotone max over acks (§13).
     uint64_t lease_expiry_micros = 0;
-    /// Logless reconfig: identity of the config this peer last reported
-    /// installed (echoed in AppendEntries responses). Drives the
+    /// Highest config identity this peer has reported installed (echoed
+    /// in AppendEntries responses, monotone max). Drives the
     /// config-install quorum that commits a pending config.
     uint64_t acked_config_term = 0;
     uint64_t acked_config_version = 0;
+    /// Whether this peer's most recent response echoed the active config
+    /// identity. While false, every AppendEntries to it carries the
+    /// config; a new config (RefreshPeers) clears it for every peer.
+    bool config_echoed = false;
   };
 
   /// Point-in-time snapshot of the registry-backed "raft.*" counters.
@@ -421,19 +413,16 @@ class RaftConsensus {
   /// TimeoutNow. Progress/failure surfaces via listener callbacks.
   Status TransferLeadership(const MemberId& target);
 
-  /// Single-server membership changes (§2.2). One at a time. With
-  /// `enable_logless_reconfig` these go through the logless path
-  /// (config-version bump, install-quorum commit); otherwise they append
-  /// a kConfigChange log entry.
+  /// Single-server membership changes (§2.2). One at a time, each a
+  /// config-version bump that commits on the new config's install quorum.
   Status AddMember(const MemberInfo& member);
   Status RemoveMember(const MemberId& member);
   /// Voter ↔ learner (witness) swap as a single config change.
   Status SetMemberType(const MemberId& member, RaftMemberType type);
   /// Data-quorum rule change ("" = engine default, "majority",
-  /// "single-region", "multi:<K>") as a config-version bump. Logless
-  /// path only.
+  /// "single-region", "multi:<K>") as a config-version bump.
   Status SetQuorumSpec(const std::string& quorum_spec);
-  /// Quorum Fixer (§5.3) force path, logless only: replaces the entire
+  /// Quorum Fixer (§5.3) force path: replaces the entire
   /// member set in ONE config bump, bypassing the committed-config and
   /// single-change preconditions. This is how a shattered quorum is
   /// repaired — with the data quorum dead, no log entry (and no chain of
@@ -469,9 +458,7 @@ class RaftConsensus {
     return meta_.last_known_leader;
   }
   bool has_pending_config_change() const {
-    return pending_config_index_ != 0 ||
-           (options_.enable_logless_reconfig &&
-            !meta_.committed_config.SameIdAs(meta_.config));
+    return !meta_.committed_config.SameIdAs(meta_.config);
   }
   const RaftOptions& options() const { return options_; }
   std::optional<MemberId> transfer_target() const {
@@ -633,32 +620,31 @@ class RaftConsensus {
   void ReportMockOutcome(const MemberId& report_to, bool success);
 
   // Config plumbing.
-  Status ApplyConfig(const MembershipConfig& config, bool from_log);
+  Status ApplyConfig(const MembershipConfig& config);
   void RefreshPeers();
   Status PersistMeta();
-  /// Logless path: stamp (config_term = current term, config_version + 1)
+  /// Stamp (config_term = current term, config_version + 1)
   /// on `new_config`, apply it locally as pending, and broadcast. With
   /// `force` unset, enforces the reconfig preconditions: leader, current
   /// config committed, a current-term entry committed, and at most one
   /// voting-membership change vs the current config.
   Status ProposeConfig(MembershipConfig new_config, bool force);
-  /// Commit check for a pending logless config: installed on a quorum of
-  /// the NEW config (per-peer acked config ids + self)?
+  /// Commit check for a pending config: installed on a quorum of the NEW
+  /// config (per-peer acked config ids + self)? If so, persist it as
+  /// committed.
   void MaybeCommitConfig();
-  /// Mark the active config committed and persist (both paths).
-  void MarkConfigCommitted();
-  /// Legacy-path truncation rollback: when the log suffix that carried
-  /// the active config is gone (divergent-suffix overwrite or torn
-  /// crash), re-derive the config from what survives — the highest
-  /// remaining kConfigChange entry, else the last committed config.
-  /// Replaces the single previous_config_ rollback slot.
-  void RollbackConfigForTruncation();
-  /// Follower-side install of a config carried on AppendEntries
-  /// (logless): adopt it iff its identity is newer than ours.
+  /// Follower-side install of a config carried on AppendEntries: adopt it
+  /// iff its identity is newer than ours.
   void MaybeInstallConfig(const AppendEntriesRequest& request);
-  /// Attach the active config to an outbound AppendEntries (all three
-  /// leader send paths), logless mode only — the StampLease analogue.
-  void StampConfig(AppendEntriesRequest* request);
+  /// Attach the active config to an outbound AppendEntries unless `peer`'s
+  /// latest response already echoed its identity (every leader send path —
+  /// the StampLease analogue). `peer` is null for a farewell to a removed
+  /// member, which always carries it.
+  void StampConfig(const PeerStatus* peer, AppendEntriesRequest* request);
+  /// Fold a response's config echo into the peer state: the install-quorum
+  /// maximum, and whether the next request still needs the config.
+  void RecordConfigEcho(const AppendEntriesResponse& response,
+                        PeerStatus* peer);
 
   uint64_t ElectionTimeoutMicros() const;
   void ResetElectionTimer();
@@ -745,10 +731,10 @@ class RaftConsensus {
 
   uint64_t last_leader_contact_micros_ = 0;
   uint64_t election_timeout_micros_ = 0;  // current randomized timeout
-  /// Legacy log path only: index of the uncommitted kConfigChange entry
-  /// whose config is active (0 = none pending). Logless pendingness is
-  /// derived from committed_config vs config identity instead.
-  uint64_t pending_config_index_ = 0;
+  /// Encoding of meta_.config, filled on first use and cleared whenever
+  /// the config changes: the leader stamps it without re-encoding, and a
+  /// follower skips decoding a stamp of the config it already holds.
+  std::string config_payload_;
 
   /// Durable (fsynced) tail of the local log; trails log_->LastOpId()
   /// between Append and Sync.

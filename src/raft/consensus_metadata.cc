@@ -31,8 +31,8 @@ Result<ConsensusMetadata> ConsensusMetadataStore::Load() const {
       !GetLengthPrefixed(&in, &config)) {
     return Status::Corruption("cmeta: truncated");
   }
-  // Optional trailing committed-config blob; absent (the legacy format)
-  // means the active config is itself committed.
+  // Optional trailing committed-config blob; absent means the active
+  // config is itself committed.
   Slice committed;
   const bool has_committed = !in.empty();
   if (has_committed &&

@@ -29,13 +29,9 @@ struct ConsensusMetadata {
   MemberId last_voted_for;
   RegionId last_voted_region;
   MembershipConfig config;
-  /// The last config known to be committed (installed on a config quorum,
-  /// or — on the legacy log path — whose kConfigChange entry the commit
-  /// marker covered). `config` may run ahead of this while a change is
-  /// pending; on truncation or restart the node falls back here instead
-  /// of to a single in-memory rollback slot. Persisted only when it
-  /// differs from `config`, so steady-state files stay byte-identical to
-  /// the pre-reconfig format.
+  /// The last config known to be committed (installed on an install
+  /// quorum of that config). `config` runs ahead of this while a change is
+  /// pending. Persisted only when it differs from `config`.
   MembershipConfig committed_config;
 
   bool operator==(const ConsensusMetadata&) const = default;

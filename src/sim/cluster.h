@@ -155,32 +155,6 @@ class ClusterHarness {
   }
   Status Restart(const MemberId& id) { return shard_->Restart(id); }
 
-  // --- Control plane ---------------------------------------------------------------
-  //
-  // Deprecated forwarding shims: the *ViaLeader vocabulary moved to
-  // ShardAdmin (`admin()`), which additionally reports the leader that
-  // executed and the config identity produced. These keep the historical
-  // Status-only signatures alive for existing callers.
-
-  /// Deprecated: use admin()->AddMember().
-  Status AddNewMember(const MemberInfo& member,
-                      PrepareDiskFn prepare_disk = nullptr) {
-    return admin_->AddMember(member, std::move(prepare_disk)).status;
-  }
-  /// Deprecated: use admin()->RemoveMember().
-  Status RemoveMemberViaLeader(const MemberId& member) {
-    return admin_->RemoveMember(member).status;
-  }
-  /// Deprecated: use admin()->SwapMemberType().
-  Status SwapMemberTypeViaLeader(const MemberId& member,
-                                 RaftMemberType type) {
-    return admin_->SwapMemberType(member, type).status;
-  }
-  /// Deprecated: use admin()->SetQuorumSpec().
-  Status SetQuorumSpecViaLeader(const std::string& spec) {
-    return admin_->SetQuorumSpec(spec).status;
-  }
-
   /// Executes `disruption` and measures the client-observed write
   /// unavailability: the longest window during which probe writes
   /// (issued every `probe_interval`) fail.

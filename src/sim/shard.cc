@@ -308,12 +308,11 @@ Status Shard::ProvisionMember(const MemberInfo& member,
 // --- ShardAdmin --------------------------------------------------------------------
 
 std::string AdminResult::ToString() const {
-  return StringPrintf("%s leader=%s config=(%llu,%llu) index=%llu",
+  return StringPrintf("%s leader=%s config=(%llu,%llu)",
                       status.ToString().c_str(),
                       leader.empty() ? "?" : leader.c_str(),
                       (unsigned long long)config_term,
-                      (unsigned long long)config_version,
-                      (unsigned long long)config_index);
+                      (unsigned long long)config_version);
 }
 
 AdminResult ShardAdmin::Execute(
@@ -332,7 +331,6 @@ AdminResult ShardAdmin::Execute(
   const MembershipConfig& config = leader->consensus()->config();
   result.config_term = config.config_term;
   result.config_version = config.config_version;
-  result.config_index = config.config_index;
   return result;
 }
 

@@ -183,15 +183,13 @@ class Shard {
 };
 
 /// Rich control-plane result: what happened, who executed it, and the
-/// config identity the change produced (logless rings report
-/// (config_term, config_version); log-based rings report config_index).
+/// config identity (config_term, config_version) the change produced.
 struct AdminResult {
   Status status;
   /// Leader that executed (or refused) the operation.
   MemberId leader;
   uint64_t config_term = 0;
   uint64_t config_version = 0;
-  uint64_t config_index = 0;
 
   bool ok() const { return status.ok(); }
   std::string ToString() const;
@@ -199,8 +197,7 @@ struct AdminResult {
 
 /// Control-plane facade over one shard: every operation resolves the
 /// current leader, executes through it, and reports the resulting config
-/// identity. Replaces the scattered *ViaLeader methods ClusterHarness
-/// used to carry (which survive as deprecated forwarding shims).
+/// identity.
 class ShardAdmin {
  public:
   explicit ShardAdmin(Shard* shard) : shard_(shard) {}
@@ -216,7 +213,7 @@ class ShardAdmin {
   /// Voting-status change (voter ↔ witness/learner swaps).
   AdminResult SwapMemberType(const MemberId& member, RaftMemberType type);
   /// Quorum-rule override ("majority", "single-region", "multi:<K>";
-  /// "" reverts to the engine default). Logless rings only.
+  /// "" reverts to the engine default).
   AdminResult SetQuorumSpec(const std::string& spec);
   /// Graceful leadership handoff (§4.3 mock election + TimeoutNow). The
   /// transfer completes asynchronously; the result carries the config

@@ -96,55 +96,52 @@ QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
   MYRAFT_LOG(Info) << "quorum fixer: " << best << " promoted at term "
                    << chosen->term();
 
-  // Step 5 (logless rings only): rebuild the membership so the ring
-  // stands on its own feet. The override got a leader elected, but
-  // ordinary log commits still count against the OLD voter set — which is
-  // dead, so nothing would ever commit and the next election would need
-  // the override again. A forced config bump demoting every dead voter
-  // fixes that, and it can proceed precisely because logless config
-  // commit is an install-quorum check decoupled from log commit. All dead
-  // voters go in ONE bump: a chain of single-member demotions would each
-  // wait on a commit that can never happen.
-  if (chosen->options().enable_logless_reconfig) {
-    std::set<MemberId> up_ids;
-    for (const MemberId& id : cluster->ids()) {
-      if (cluster->node(id)->up()) up_ids.insert(id);
+  // Step 5: rebuild the membership so the ring stands on its own feet.
+  // The override got a leader elected, but ordinary log commits still
+  // count against the OLD voter set — which is dead, so nothing would
+  // ever commit and the next election would need the override again. A
+  // forced config bump demoting every dead voter fixes that, and it can
+  // proceed precisely because config commit is an install-quorum check
+  // decoupled from log commit. All dead voters go in ONE bump: a chain of
+  // single-member demotions would each wait on a commit that can never
+  // happen.
+  std::set<MemberId> up_ids;
+  for (const MemberId& id : cluster->ids()) {
+    if (cluster->node(id)->up()) up_ids.insert(id);
+  }
+  MembershipConfig repaired = chosen->config();
+  int excised = 0;
+  for (auto& member : repaired.members) {
+    if (!member.is_voter() || up_ids.count(member.id) > 0) continue;
+    member.type = RaftMemberType::kNonVoter;
+    ++excised;
+  }
+  if (excised > 0) {
+    // Dead regions can no longer form majorities; pin the repaired ring
+    // to plain majority so the surviving voters ARE the quorum. The
+    // operator re-widens the spec once the ring is healthy again.
+    repaired.quorum_spec = "majority";
+    Status forced = chosen->ForceReplaceConfig(repaired);
+    if (!forced.ok()) {
+      report.status = forced.WithPrefix("forcing survivor config");
+      return report;
     }
-    MembershipConfig repaired = chosen->config();
-    int excised = 0;
-    for (auto& member : repaired.members) {
-      if (!member.is_voter() || up_ids.count(member.id) > 0) continue;
-      member.type = RaftMemberType::kNonVoter;
-      ++excised;
+    report.forced_reconfig = true;
+    report.voters_excised = excised;
+    const uint64_t config_deadline =
+        loop->now() + options.election_timeout_micros;
+    while (loop->now() < config_deadline &&
+           chosen->has_pending_config_change()) {
+      loop->RunFor(50'000);
     }
-    if (excised > 0) {
-      // Dead regions can no longer form majorities; pin the repaired ring
-      // to plain majority so the surviving voters ARE the quorum. The
-      // operator re-widens the spec once the ring is healthy again.
-      repaired.quorum_spec = "majority";
-      Status forced = chosen->ForceReplaceConfig(repaired);
-      if (!forced.ok()) {
-        report.status = forced.WithPrefix("forcing survivor config");
-        return report;
-      }
-      report.forced_reconfig = true;
-      report.voters_excised = excised;
-      const uint64_t config_deadline =
-          loop->now() + options.election_timeout_micros;
-      while (loop->now() < config_deadline &&
-             chosen->has_pending_config_change()) {
-        loop->RunFor(50'000);
-      }
-      if (chosen->has_pending_config_change()) {
-        report.status =
-            Status::TimedOut("forced survivor config did not commit");
-        return report;
-      }
-      MYRAFT_LOG(Info) << "quorum fixer: demoted " << excised
-                       << " dead voter(s) via forced config "
-                       << chosen->config().config_term << "."
-                       << chosen->config().config_version;
+    if (chosen->has_pending_config_change()) {
+      report.status = Status::TimedOut("forced survivor config did not commit");
+      return report;
     }
+    MYRAFT_LOG(Info) << "quorum fixer: demoted " << excised
+                     << " dead voter(s) via forced config "
+                     << chosen->config().config_term << "."
+                     << chosen->config().config_version;
   }
   report.status = Status::OK();
   return report;

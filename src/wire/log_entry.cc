@@ -13,8 +13,6 @@ std::string_view EntryTypeToString(EntryType type) {
       return "txn";
     case EntryType::kRotate:
       return "rotate";
-    case EntryType::kConfigChange:
-      return "config";
   }
   return "?";
 }
@@ -54,7 +52,7 @@ Result<LogEntry> LogEntry::DecodeFrom(Slice* input) {
   if (input->empty()) return Status::Corruption("log entry: missing type");
   const uint8_t type = static_cast<uint8_t>((*input)[0]);
   input->RemovePrefix(1);
-  if (type > static_cast<uint8_t>(EntryType::kConfigChange)) {
+  if (type > static_cast<uint8_t>(EntryType::kRotate)) {
     return Status::Corruption("log entry: bad type");
   }
   e.type = static_cast<EntryType>(type);
@@ -70,7 +68,6 @@ Result<LogEntry> LogEntry::DecodeFrom(Slice* input) {
 }
 
 void EncodeMembershipConfig(const MembershipConfig& config, std::string* dst) {
-  PutVarint64(dst, config.config_index);
   PutVarint64(dst, config.members.size());
   for (const auto& m : config.members) {
     PutLengthPrefixed(dst, m.id);
@@ -78,21 +75,15 @@ void EncodeMembershipConfig(const MembershipConfig& config, std::string* dst) {
     dst->push_back(static_cast<char>(m.kind));
     dst->push_back(static_cast<char>(m.type));
   }
-  // Logless identity group, absent when unused so legacy configs encode
-  // byte-identically (old decoders reject trailing bytes as corruption).
-  if (config.config_term != 0 || config.config_version != 0 ||
-      !config.quorum_spec.empty()) {
-    PutVarint64(dst, config.config_term);
-    PutVarint64(dst, config.config_version);
-    PutLengthPrefixed(dst, config.quorum_spec);
-  }
+  PutVarint64(dst, config.config_term);
+  PutVarint64(dst, config.config_version);
+  PutLengthPrefixed(dst, config.quorum_spec);
 }
 
 Result<MembershipConfig> DecodeMembershipConfig(Slice input) {
   MembershipConfig config;
   uint64_t count;
-  if (!GetVarint64(&input, &config.config_index) ||
-      !GetVarint64(&input, &count)) {
+  if (!GetVarint64(&input, &count)) {
     return Status::Corruption("config: truncated header");
   }
   for (uint64_t i = 0; i < count; ++i) {
@@ -112,15 +103,13 @@ Result<MembershipConfig> DecodeMembershipConfig(Slice input) {
     m.type = static_cast<RaftMemberType>(type);
     config.members.push_back(std::move(m));
   }
-  if (!input.empty()) {
-    Slice spec;
-    if (!GetVarint64(&input, &config.config_term) ||
-        !GetVarint64(&input, &config.config_version) ||
-        !GetLengthPrefixed(&input, &spec)) {
-      return Status::Corruption("config: truncated identity group");
-    }
-    config.quorum_spec = spec.ToString();
+  Slice spec;
+  if (!GetVarint64(&input, &config.config_term) ||
+      !GetVarint64(&input, &config.config_version) ||
+      !GetLengthPrefixed(&input, &spec)) {
+    return Status::Corruption("config: truncated identity group");
   }
+  config.quorum_spec = spec.ToString();
   if (!input.empty()) return Status::Corruption("config: trailing bytes");
   return config;
 }

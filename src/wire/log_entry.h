@@ -23,8 +23,6 @@ enum class EntryType : uint8_t {
   kTransaction = 1,
   /// A replicated binlog rotate event (§A.1).
   kRotate = 2,
-  /// A membership change (AddMember / RemoveMember).
-  kConfigChange = 3,
 };
 
 std::string_view EntryTypeToString(EntryType type);
@@ -65,7 +63,8 @@ struct LogEntry {
   size_t ByteSize() const { return payload_bytes().size() + 32; }
 };
 
-/// Payload codec for kConfigChange entries.
+/// Membership config codec: consensus metadata and the AppendEntries
+/// `config_payload`.
 void EncodeMembershipConfig(const MembershipConfig& config, std::string* dst);
 Result<MembershipConfig> DecodeMembershipConfig(Slice input);
 

@@ -113,7 +113,7 @@ Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
       return Truncated("append-entries lease");
     }
   }
-  if (!in.empty()) {  // optional trailing config (absent = logless off)
+  if (!in.empty()) {  // optional trailing config (absent = not attached)
     Slice config;
     if (!GetLengthPrefixed(&in, &config)) {
       return Truncated("append-entries config");
@@ -182,7 +182,7 @@ Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
       return Truncated("append-response lease echo");
     }
   }
-  if (!in.empty()) {  // optional trailing config ack (absent = logless off)
+  if (!in.empty()) {  // optional trailing config ack (absent = none)
     if (!GetVarint64(&in, &resp.config_term) ||
         !GetVarint64(&in, &resp.config_version)) {
       return Truncated("append-response config ack");
@@ -205,8 +205,7 @@ void VoteRequest::EncodeTo(std::string* dst) const {
   if (mock_election) flags |= 2;
   dst->push_back(static_cast<char>(flags));
   PutOpId(dst, leader_cursor_snapshot);
-  // Optional trailing config identity (logless reconfig): absent when
-  // off, so logless-off traffic stays pre-reconfig-decodable.
+  // Optional trailing config identity, absent when (0,0).
   if (config_term != 0 || config_version != 0) {
     PutVarint64(dst, config_term);
     PutVarint64(dst, config_version);
@@ -228,7 +227,7 @@ Result<VoteRequest> VoteRequest::DecodeFrom(Slice in) {
   if (!GetOpId(&in, &req.leader_cursor_snapshot)) {
     return Truncated("vote-request snapshot");
   }
-  if (!in.empty()) {  // optional trailing config identity (logless)
+  if (!in.empty()) {  // optional trailing config identity
     if (!GetVarint64(&in, &req.config_term) ||
         !GetVarint64(&in, &req.config_version)) {
       return Truncated("vote-request config identity");

@@ -64,13 +64,13 @@ struct AppendEntriesRequest {
   /// fallback instead of the echo.
   uint64_t lease_duration_micros = 0;
   uint64_t lease_sent_micros = 0;
-  /// Logless reconfiguration (DESIGN.md §15): the leader's current
-  /// MembershipConfig, encoded with EncodeMembershipConfig, carried on
-  /// every AppendEntries so config propagation is decoupled from log
-  /// replication. A third optional trailing group after the lease pair;
-  /// absent (empty) when `enable_logless_reconfig` is off, so
-  /// logless-off traffic stays byte-identical to the pre-reconfig
-  /// format (same fully-upgraded-cluster discipline as leases, §13.6).
+  /// Membership reconfiguration (DESIGN.md §15): the leader's current
+  /// MembershipConfig, encoded with EncodeMembershipConfig. Any
+  /// AppendEntries can carry it, so config propagation is decoupled from
+  /// log replication; the leader attaches it until the destination's
+  /// latest response echoes the config's identity, and always on
+  /// farewells to removed members. A third optional trailing group after
+  /// the lease pair, absent (empty) when not attached.
   std::string config_payload;
 
   bool operator==(const AppendEntriesRequest&) const = default;
@@ -111,11 +111,11 @@ struct AppendEntriesResponse {
   /// Optional trailing varint, same compatibility scheme as the request:
   /// absent when zero, so leases-off traffic stays pre-lease-decodable.
   uint64_t lease_granted_micros = 0;
-  /// Logless reconfiguration: the (config_term, config_version) identity
-  /// of the follower's installed config after processing the request —
-  /// the leader's per-peer config-ack state that drives the install
-  /// (config-commit) quorum. Optional trailing varint pair, present only
-  /// when the follower runs with logless reconfig enabled.
+  /// The (config_term, config_version) identity of the follower's
+  /// installed config after processing the request. It drives the
+  /// leader's install (config-commit) quorum and tells it whether the
+  /// next request must carry the config again. Optional trailing varint
+  /// pair; every follower sets it except on an undecompressable batch.
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 
@@ -140,10 +140,10 @@ struct VoteRequest {
   /// Voting rules additionally reject lagging same-region voters.
   bool mock_election = false;
   OpId leader_cursor_snapshot;
-  /// Logless reconfiguration: the candidate's config identity. Voters
-  /// deny candidates whose config is older than their own ("stale-
-  /// config") so a leader cannot be elected on a superseded member set.
-  /// Optional trailing varint pair, absent when logless reconfig is off.
+  /// The candidate's config identity. Voters deny candidates whose config
+  /// is older than their own ("stale-config") so a leader cannot be
+  /// elected on a superseded member set. Optional trailing varint pair;
+  /// candidates always set it (a bootstrapped config is never (0,0)).
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 

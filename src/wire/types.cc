@@ -94,13 +94,9 @@ MembershipConfig::VotersByRegion() const {
 }
 
 std::string MembershipConfig::ToString() const {
-  std::string out;
-  if (config_term != 0 || config_version != 0) {
-    out = StringPrintf("config@%llu.%llu{", (unsigned long long)config_term,
-                       (unsigned long long)config_version);
-  } else {
-    out = StringPrintf("config@%llu{", (unsigned long long)config_index);
-  }
+  std::string out =
+      StringPrintf("config@%llu.%llu{", (unsigned long long)config_term,
+                   (unsigned long long)config_version);
   for (size_t i = 0; i < members.size(); ++i) {
     const auto& m = members[i];
     if (i) out += ", ";

@@ -90,20 +90,14 @@ struct MemberInfo {
 /// intersection is implicitly achieved by allowing only one membership
 /// change at a time").
 ///
-/// Two ways a config can be identified, depending on the reconfig path:
-///  * log-based (legacy): `config_index` is the log index of the
-///    kConfigChange entry that created it; version/term stay 0.
-///  * logless (Schultz et al.): the config is versioned consensus STATE,
-///    identified by (config_term, config_version) and ordered
-///    lexicographically with the term dominating — a new leader rewrites
-///    config_term to its own term, superseding any uncommitted config a
-///    deposed leader may still be propagating. `config_index` is 0.
+/// The config is versioned consensus STATE, not a log entry (Schultz et
+/// al.): it is identified by (config_term, config_version), ordered
+/// lexicographically with the term dominating — a new leader rewrites
+/// config_term to its own term, superseding any uncommitted config a
+/// deposed leader may still be propagating.
 struct MembershipConfig {
   std::vector<MemberInfo> members;
-  /// Log index at which this config was appended (0 for the bootstrap
-  /// config and for every logless config).
-  uint64_t config_index = 0;
-  /// Logless config identity: bumped by one on every config change.
+  /// Config identity: bumped by one on every config change.
   uint64_t config_version = 0;
   /// Term of the leader that (re)issued this config.
   uint64_t config_term = 0;
@@ -115,8 +109,8 @@ struct MembershipConfig {
 
   bool operator==(const MembershipConfig&) const = default;
 
-  /// Lexicographic (config_term, config_version) comparison — the logless
-  /// "which config supersedes which" rule.
+  /// Lexicographic (config_term, config_version) comparison — the "which
+  /// config supersedes which" rule.
   bool IdIsNewerThan(const MembershipConfig& other) const {
     if (config_term != other.config_term) {
       return config_term > other.config_term;

@@ -107,11 +107,11 @@ TEST(BackupTest, NewMemberJoinsFromBackupAfterPurge) {
   // horizon and catches the tail from the leader.
   MemberInfo member{"dbrestored", "region1", MemberKind::kMySql,
                     RaftMemberType::kNonVoter};
-  ASSERT_TRUE(cluster
-                  .AddNewMember(member,
-                                [&archive](Env* env, const std::string& dir) {
-                                  return RestoreDataDir(*archive, env, dir);
-                                })
+  ASSERT_TRUE(cluster.admin()
+                  ->AddMember(member,
+                              [&archive](Env* env, const std::string& dir) {
+                                return RestoreDataDir(*archive, env, dir);
+                              })
                   .ok());
   ASSERT_TRUE(cluster.SyncWrite("post-join", "v").status.ok());
   cluster.loop()->RunFor(5 * kSecond);

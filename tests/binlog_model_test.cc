@@ -65,15 +65,10 @@ TEST_P(BinlogModelTest, RandomOpsMatchReferenceModel) {
       return std::make_pair(LogEntry::Make(opid, EntryType::kRotate, ""),
                             std::optional<Gtid>());
     }
-    MembershipConfig config;
-    config.config_index = index;
-    config.members.push_back(
-        MemberInfo{"m" + std::to_string(rng.Uniform(5)), "r0",
-                   MemberKind::kMySql, RaftMemberType::kVoter});
-    std::string payload;
-    EncodeMembershipConfig(config, &payload);
+    // A metadata entry with a payload: the MetadataBody round trip.
     return std::make_pair(
-        LogEntry::Make(opid, EntryType::kConfigChange, std::move(payload)),
+        LogEntry::Make(opid, EntryType::kNoOp,
+                       "m" + std::to_string(rng.Uniform(5))),
         std::optional<Gtid>());
   };
 

@@ -398,18 +398,11 @@ TEST(ChaosLeaseTest, GeneratedClockFaultCorpusStaysClean) {
 
 // --- Membership nemesis + Config Safety (§15) -------------------------
 //
-// Reconfig schedules run with logless reconfiguration on; the checker's
-// ConfigSafety invariant audits every quiescent window for config
-// identity uniqueness and for pairs of live configs whose voter sets
-// admit disjoint majorities. Leader-side rejections of racing changes
-// are legal (counted as skipped steps) — configs that both commit and
-// conflict are not.
-
-ChaosOptions ReconfigOptions() {
-  ChaosOptions options = PaperTopologyOptions();
-  options.cluster.raft.enable_logless_reconfig = true;
-  return options;
-}
+// The checker's ConfigSafety invariant audits every quiescent window for
+// config identity uniqueness and for pairs of live configs whose voter
+// sets admit disjoint majorities. Leader-side rejections of racing
+// changes are legal (counted as skipped steps) — configs that both commit
+// and conflict are not.
 
 TEST(ChaosScheduleTest, ReconfigStepsRoundTrip) {
   // The membership family uses the two-token step shape (subcmd +
@@ -446,7 +439,7 @@ TEST(ChaosReconfigTest, ReconfigAcrossFailoverKeepsConfigSafety) {
       Step(2'000'000, FaultAction::kHealAll, {}),
       Step(2'600'000, FaultAction::kReconfig, {"add", "lt1a"}),
   };
-  ChaosRunner runner(ReconfigOptions(), FlexiEngine());
+  ChaosRunner runner(PaperTopologyOptions(), FlexiEngine());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -470,7 +463,7 @@ TEST(ChaosReconfigTest, ConcurrentChangeStormStaysSafe) {
       Step(1'500'000, FaultAction::kReconfig, {"promote", "lt2a"}),
       Step(2'600'000, FaultAction::kReconfig, {"add", "lt1b"}),
   };
-  ChaosRunner runner(ReconfigOptions(), FlexiEngine());
+  ChaosRunner runner(PaperTopologyOptions(), FlexiEngine());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -478,13 +471,13 @@ TEST(ChaosReconfigTest, ConcurrentChangeStormStaysSafe) {
 
 TEST(ChaosReconfigTest, GeneratedMembershipCorpusKeepsConfigSafety) {
   // End-to-end nemesis coverage: a generated schedule with the
-  // membership family enabled, run with logless reconfiguration on.
+  // membership family enabled.
   // Pins the generator's reconfig step shapes (remove always paired
   // with a later re-add; demote with a heal-gated promote) through the
   // runner and the ConfigSafety audit.
   NemesisOptions nemesis;
   nemesis.reconfig_faults = true;
-  const ChaosOptions options = ReconfigOptions();
+  const ChaosOptions options = PaperTopologyOptions();
   const Schedule schedule = GenerateSchedule(
       37, TopologyMemberIds(options.cluster), nemesis);
   const bool has_reconfig_step = std::any_of(

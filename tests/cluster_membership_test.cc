@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "flexiraft/flexiraft.h"
-#include "raft_test_harness.h"
 #include "sim/cluster.h"
-#include "wire/log_entry.h"
 
 namespace myraft::sim {
 namespace {
@@ -27,19 +25,28 @@ TEST(ClusterMembershipTest, NewDatabaseJoinsCatchesUpAndServes) {
   options.topology.logtailers_per_db = 2;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
-  ASSERT_FALSE(cluster.WaitForPrimary(30 * kSecond).empty());
+  const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
+  ASSERT_FALSE(primary.empty());
 
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(cluster.SyncWrite("k" + std::to_string(i), "v").status.ok());
   }
   cluster.loop()->RunFor(2 * kSecond);
+  raft::RaftConsensus* leader = cluster.node(primary)->server()->consensus();
+  const uint64_t version_before = leader->config().config_version;
 
   // Automation provisions and adds a new non-voting replica first (the
   // usual safe order), in a follower region.
   MemberInfo learner{"dbnew", "region1", MemberKind::kMySql,
                      RaftMemberType::kNonVoter};
-  ASSERT_TRUE(cluster.AddNewMember(learner).ok());
+  ASSERT_TRUE(cluster.admin()->AddMember(learner).ok());
   cluster.loop()->RunFor(5 * kSecond);
+
+  // The change rode the versioned-config channel, not the log: identity
+  // bumped, install quorum reached, pending window closed.
+  EXPECT_GT(leader->config().config_version, version_before);
+  EXPECT_FALSE(leader->has_pending_config_change());
+  EXPECT_TRUE(leader->committed_config().SameIdAs(leader->config()));
 
   // The new member caught up from index 1 and applied everything.
   SimNode* joined = cluster.node("dbnew");
@@ -75,7 +82,7 @@ TEST(ClusterMembershipTest, AddedLogtailerJoinsTheVoterQuorum) {
   const RegionId home = cluster.node(primary)->region();
   MemberInfo witness{"ltnew", home, MemberKind::kLogtailer,
                      RaftMemberType::kVoter};
-  ASSERT_TRUE(cluster.AddNewMember(witness).ok());
+  ASSERT_TRUE(cluster.admin()->AddMember(witness).ok());
   cluster.loop()->RunFor(5 * kSecond);
 
   MemberId old_logtailer;
@@ -106,7 +113,7 @@ TEST(ClusterMembershipTest, RemoveMemberShrinksTheRing) {
   ASSERT_TRUE(cluster.SyncWrite("a", "1").status.ok());
   cluster.loop()->RunFor(2 * kSecond);
 
-  ASSERT_TRUE(cluster.RemoveMemberViaLeader("learner0").ok());
+  ASSERT_TRUE(cluster.admin()->RemoveMember("learner0").ok());
   cluster.loop()->RunFor(3 * kSecond);
   for (const MemberId& id : cluster.ids()) {
     if (id == "learner0") continue;
@@ -122,8 +129,7 @@ TEST(ClusterMembershipTest, RemoveMemberShrinksTheRing) {
 }
 
 // ---------------------------------------------------------------------------
-// Logless reconfiguration (§15): config-as-state changes that commit via the
-// install quorum, never the log.
+// Reconfiguration races and swaps (§15).
 
 /// First logtailer in `cluster`'s config outside `region` ("" if none).
 MemberId LogtailerOutsideRegion(ClusterHarness& cluster,
@@ -136,49 +142,11 @@ MemberId LogtailerOutsideRegion(ClusterHarness& cluster,
   return "";
 }
 
-TEST(ClusterMembershipTest, LoglessAddMemberCommitsViaConfigQuorum) {
-  ClusterOptions options;
-  options.seed = 64;
-  options.topology.db_regions = 3;
-  options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
-  ClusterHarness cluster(options, FlexiEngine());
-  ASSERT_TRUE(cluster.Bootstrap().ok());
-  const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
-  ASSERT_FALSE(primary.empty());
-  ASSERT_TRUE(cluster.SyncWrite("a", "1").status.ok());
-  cluster.loop()->RunFor(2 * kSecond);
-
-  raft::RaftConsensus* leader = cluster.node(primary)->server()->consensus();
-  const uint64_t version_before = leader->config().config_version;
-
-  MemberInfo learner{"dbnew", "region1", MemberKind::kMySql,
-                     RaftMemberType::kNonVoter};
-  ASSERT_TRUE(cluster.AddNewMember(learner).ok());
-  cluster.loop()->RunFor(5 * kSecond);
-
-  // The change rode the versioned-config channel, not the log: identity
-  // bumped, install quorum reached, pending window closed.
-  EXPECT_GT(leader->config().config_version, version_before);
-  EXPECT_FALSE(leader->has_pending_config_change());
-  EXPECT_TRUE(
-      leader->committed_config().SameIdAs(leader->config()));
-  for (const MemberId& id : cluster.ids()) {
-    EXPECT_TRUE(cluster.node(id)->server()->consensus()->config().Contains(
-        "dbnew"))
-        << id;
-  }
-  ASSERT_TRUE(cluster.SyncWrite("post-add", "v").status.ok());
-  cluster.loop()->RunFor(2 * kSecond);
-  EXPECT_TRUE(cluster.CheckReplicaConsistency());
-}
-
 TEST(ClusterMembershipTest, LoglessConcurrentChangeIsRefused) {
   ClusterOptions options;
   options.seed = 65;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -199,21 +167,20 @@ TEST(ClusterMembershipTest, LoglessConcurrentChangeIsRefused) {
 
   // First change opens the pending window (the install quorum can't have
   // echoed yet — the loop hasn't run); the second must be refused.
-  ASSERT_TRUE(cluster
-                  .SwapMemberTypeViaLeader(targets[0],
-                                           RaftMemberType::kNonVoter)
+  ASSERT_TRUE(cluster.admin()
+                  ->SwapMemberType(targets[0], RaftMemberType::kNonVoter)
                   .ok());
-  Status second =
-      cluster.SwapMemberTypeViaLeader(targets[1], RaftMemberType::kNonVoter);
+  Status second = cluster.admin()
+                      ->SwapMemberType(targets[1], RaftMemberType::kNonVoter)
+                      .status;
   EXPECT_TRUE(second.IsIllegalState()) << second;
 
   // Once the first change commits, the second goes through.
   cluster.loop()->RunFor(5 * kSecond);
   raft::RaftConsensus* leader = cluster.node(primary)->server()->consensus();
   EXPECT_FALSE(leader->has_pending_config_change());
-  ASSERT_TRUE(cluster
-                  .SwapMemberTypeViaLeader(targets[1],
-                                           RaftMemberType::kNonVoter)
+  ASSERT_TRUE(cluster.admin()
+                  ->SwapMemberType(targets[1], RaftMemberType::kNonVoter)
                   .ok());
   cluster.loop()->RunFor(5 * kSecond);
   EXPECT_FALSE(leader->has_pending_config_change());
@@ -225,7 +192,6 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
   options.seed = 66;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -238,9 +204,9 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
   ASSERT_FALSE(target.empty());
 
   // Voter -> witness: every node converges on the demoted type.
-  ASSERT_TRUE(
-      cluster.SwapMemberTypeViaLeader(target, RaftMemberType::kNonVoter)
-          .ok());
+  ASSERT_TRUE(cluster.admin()
+                  ->SwapMemberType(target, RaftMemberType::kNonVoter)
+                  .ok());
   cluster.loop()->RunFor(5 * kSecond);
   for (const MemberId& id : cluster.ids()) {
     const MemberInfo* info =
@@ -251,7 +217,7 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
 
   // Witness -> voter: and back.
   ASSERT_TRUE(
-      cluster.SwapMemberTypeViaLeader(target, RaftMemberType::kVoter).ok());
+      cluster.admin()->SwapMemberType(target, RaftMemberType::kVoter).ok());
   cluster.loop()->RunFor(5 * kSecond);
   for (const MemberId& id : cluster.ids()) {
     const MemberInfo* info =
@@ -268,7 +234,6 @@ TEST(ClusterMembershipTest, RemovedVoterInstallsFarewellAndParks) {
   options.seed = 67;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -279,7 +244,7 @@ TEST(ClusterMembershipTest, RemovedVoterInstallsFarewellAndParks) {
   const MemberId removed =
       LogtailerOutsideRegion(cluster, cluster.node(primary)->region());
   ASSERT_FALSE(removed.empty());
-  ASSERT_TRUE(cluster.RemoveMemberViaLeader(removed).ok());
+  ASSERT_TRUE(cluster.admin()->RemoveMember(removed).ok());
 
   // Long enough for many election timeouts: a removed node that never
   // learned of its removal would campaign here and inflate terms.
@@ -307,7 +272,6 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
   options.seed = 68;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.enable_logless_reconfig = true;
   ClusterHarness cluster(options, FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
@@ -337,7 +301,9 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
   // change may land on either side of the handoff or be refused — what
   // must hold is that the ring converges on one leader and one config.
   Status racing =
-      cluster.SwapMemberTypeViaLeader(demote_target, RaftMemberType::kNonVoter);
+      cluster.admin()
+          ->SwapMemberType(demote_target, RaftMemberType::kNonVoter)
+          .status;
   EXPECT_TRUE(racing.ok() || racing.IsIllegalState() ||
               racing.IsServiceUnavailable())
       << racing;
@@ -355,172 +321,6 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
   }
   ASSERT_TRUE(cluster.SyncWrite("post-race", "v").status.ok());
   EXPECT_TRUE(cluster.CheckReplicaConsistency());
-}
-
-// ---------------------------------------------------------------------------
-// Legacy log-path regressions (§15 bug crop): truncation rollback with
-// stacked uncommitted config entries, and the Replicate(kConfigChange)
-// guard. Hand-driven through the raft_test harness so message timing is
-// exact.
-
-using raft_test::RaftTestCluster;
-
-raft::MajorityQuorumEngine* Majority() {
-  static auto* engine = new raft::MajorityQuorumEngine();
-  return engine;
-}
-
-LogEntry ConfigEntry(uint64_t term, uint64_t index,
-                     const MembershipConfig& config) {
-  std::string payload;
-  EncodeMembershipConfig(config, &payload);
-  return LogEntry::Make({term, index}, EntryType::kConfigChange,
-                        std::move(payload));
-}
-
-AppendEntriesRequest Append(const MemberId& leader, const MemberId& dest,
-                            uint64_t term, OpId prev,
-                            std::vector<LogEntry> entries) {
-  AppendEntriesRequest request;
-  request.leader = leader;
-  request.dest = dest;
-  request.term = term;
-  request.prev = prev;
-  request.commit_marker = kZeroOpId;  // nothing committed: all stacked
-  request.entries = std::move(entries);
-  return request;
-}
-
-/// Three passive nodes (election timers effectively off) so a test can act
-/// as the leader and drive one follower with hand-crafted batches.
-raft::RaftOptions PassiveOptions() {
-  raft::RaftOptions options;
-  options.heartbeat_interval_micros = 1'000'000'000'000;  // never campaign
-  return options;
-}
-
-TEST(ClusterMembershipTest, StackedUncommittedConfigsRollBackToCommitted) {
-  RaftTestCluster nodes(69);
-  nodes.AddMemberSpec("f", "r0");
-  nodes.AddMemberSpec("ldr", "r0");
-  nodes.AddMemberSpec("x", "r1");
-  nodes.StartAll(Majority(), PassiveOptions());
-  raft::RaftConsensus* f = nodes.node("f")->consensus();
-  const MembershipConfig base = nodes.config();
-
-  // Term-2 leader stacks TWO uncommitted config entries in one batch:
-  // base+d at index 2, then base+d+e at index 3.
-  MembershipConfig with_d = base;
-  with_d.members.push_back({"d", "r1", MemberKind::kMySql,
-                            RaftMemberType::kVoter});
-  with_d.config_index = 2;
-  MembershipConfig with_de = with_d;
-  with_de.members.push_back({"e", "r2", MemberKind::kMySql,
-                             RaftMemberType::kVoter});
-  with_de.config_index = 3;
-  nodes.node("f")->Deliver(Message(Append(
-      "ldr", "f", 2, kZeroOpId,
-      {LogEntry::Make({2, 1}, EntryType::kNoOp, ""),
-       ConfigEntry(2, 2, with_d), ConfigEntry(2, 3, with_de)})));
-  ASSERT_TRUE(f->config().Contains("d"));
-  ASSERT_TRUE(f->config().Contains("e"));
-  ASSERT_FALSE(f->committed_config().Contains("d"));
-  ASSERT_TRUE(f->has_pending_config_change());
-
-  // A term-3 leader overwrites the whole divergent suffix. The historical
-  // single-slot rollback restored the INTERMEDIATE config (base+d); the
-  // correct target is the last committed config.
-  nodes.node("f")->Deliver(Message(
-      Append("x", "f", 3, {2, 1},
-             {LogEntry::Make({3, 2}, EntryType::kNoOp, "")})));
-  EXPECT_FALSE(f->config().Contains("d"));
-  EXPECT_FALSE(f->config().Contains("e"));
-  EXPECT_FALSE(f->has_pending_config_change());
-
-  // Crash/restart re-derives the same answer from disk: a rejoined
-  // follower must not come back acting on the truncated config.
-  nodes.Crash("f");
-  nodes.Restart("f");
-  f = nodes.node("f")->consensus();
-  EXPECT_FALSE(f->config().Contains("d"));
-  EXPECT_FALSE(f->config().Contains("e"));
-  EXPECT_FALSE(f->has_pending_config_change());
-}
-
-TEST(ClusterMembershipTest, PartialTruncationKeepsSurvivingConfigEntry) {
-  RaftTestCluster nodes(70);
-  nodes.AddMemberSpec("f", "r0");
-  nodes.AddMemberSpec("ldr", "r0");
-  nodes.AddMemberSpec("x", "r1");
-  nodes.StartAll(Majority(), PassiveOptions());
-  raft::RaftConsensus* f = nodes.node("f")->consensus();
-  const MembershipConfig base = nodes.config();
-
-  MembershipConfig with_d = base;
-  with_d.members.push_back({"d", "r1", MemberKind::kMySql,
-                            RaftMemberType::kVoter});
-  with_d.config_index = 2;
-  MembershipConfig with_de = with_d;
-  with_de.members.push_back({"e", "r2", MemberKind::kMySql,
-                             RaftMemberType::kVoter});
-  with_de.config_index = 3;
-  nodes.node("f")->Deliver(Message(Append(
-      "ldr", "f", 2, kZeroOpId,
-      {LogEntry::Make({2, 1}, EntryType::kNoOp, ""),
-       ConfigEntry(2, 2, with_d), ConfigEntry(2, 3, with_de)})));
-  ASSERT_TRUE(f->config().Contains("e"));
-
-  // Truncate only index 3: the surviving config entry at index 2 is the
-  // rollback target, and it is still pending (uncommitted).
-  nodes.node("f")->Deliver(Message(
-      Append("x", "f", 3, {2, 2},
-             {LogEntry::Make({3, 3}, EntryType::kNoOp, "")})));
-  EXPECT_TRUE(f->config().Contains("d"));
-  EXPECT_FALSE(f->config().Contains("e"));
-  EXPECT_TRUE(f->has_pending_config_change());
-}
-
-TEST(ClusterMembershipTest, DirectReplicateConfigChangeWhilePendingIsRejected) {
-  RaftTestCluster nodes(71);
-  nodes.AddMemberSpec("a", "r0");
-  nodes.AddMemberSpec("b", "r0");
-  nodes.AddMemberSpec("c", "r1");
-  nodes.StartAll(Majority());
-  const MemberId leader_id = nodes.WaitForLeader(30 * kSecond);
-  ASSERT_FALSE(leader_id.empty());
-  raft::RaftConsensus* leader = nodes.node(leader_id)->consensus();
-  ASSERT_TRUE(
-      nodes.WaitForCommit(leader_id, leader->last_logged(), 10 * kSecond));
-
-  // Open the legacy pending window with a real AddMember, then hit the
-  // raw entry point before the loop can commit it. Pre-guard, the direct
-  // Replicate stacked a second uncommitted config on top of the pending
-  // one and broke the truncation rollback.
-  ASSERT_TRUE(leader
-                  ->AddMember({"d", "r2", MemberKind::kMySql,
-                               RaftMemberType::kVoter})
-                  .ok());
-  ASSERT_TRUE(leader->has_pending_config_change());
-  MembershipConfig stacked = leader->config();
-  stacked.members.push_back({"e", "r2", MemberKind::kMySql,
-                             RaftMemberType::kVoter});
-  std::string payload;
-  EncodeMembershipConfig(stacked, &payload);
-  auto direct =
-      leader->Replicate(EntryType::kConfigChange, std::move(payload));
-  ASSERT_FALSE(direct.ok());
-  EXPECT_TRUE(direct.status().IsIllegalState()) << direct.status();
-
-  // The legitimate change still commits cleanly on every voter.
-  const uint64_t deadline = nodes.loop()->now() + 30 * kSecond;
-  while (nodes.loop()->now() < deadline &&
-         leader->has_pending_config_change()) {
-    nodes.loop()->RunFor(100'000);
-  }
-  EXPECT_FALSE(leader->has_pending_config_change());
-  for (const MemberId& id : {MemberId("a"), MemberId("b"), MemberId("c")}) {
-    EXPECT_TRUE(nodes.node(id)->consensus()->config().Contains("d")) << id;
-  }
 }
 
 }  // namespace

@@ -149,7 +149,8 @@ TEST(ConsensusMetadataTest, SaveLoadRoundTrip) {
   meta.voted_for = "db1";
   meta.last_known_leader = "db0";
   meta.last_leader_region = "r0";
-  meta.config.config_index = 7;
+  meta.config.config_term = 3;
+  meta.config.config_version = 7;
   meta.config.members.push_back(
       MemberInfo{"db0", "r0", MemberKind::kMySql, RaftMemberType::kVoter});
   meta.config.members.push_back(MemberInfo{"lt0", "r0", MemberKind::kLogtailer,

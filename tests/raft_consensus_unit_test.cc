@@ -177,7 +177,8 @@ class ConsensusUnitTest : public ::testing::Test {
     ASSERT_TRUE(consensus_->Bootstrap(config).ok());
   }
 
-  /// Durable ack of the leader's whole log from `peer`, echoing
+  /// Durable ack of the leader's whole log from `peer`, echoing the
+  /// leader's active config identity (the peer installed it) and
   /// `lease_echo_micros` (0 = no echo, e.g. a pre-lease follower).
   void AckAll(const MemberId& peer, uint64_t lease_echo_micros) {
     AppendEntriesResponse ack;
@@ -188,7 +189,36 @@ class ConsensusUnitTest : public ::testing::Test {
     ack.last_received = consensus_->last_logged();
     ack.last_durable_index = ack.last_received.index;
     ack.lease_granted_micros = lease_echo_micros;
+    ack.config_term = consensus_->config().config_term;
+    ack.config_version = consensus_->config().config_version;
     consensus_->HandleMessage(Message(ack));
+  }
+
+  /// A vote request to `a` stamped with `voter`'s own config identity, so
+  /// the rules after the stale-config check (stale log, leader
+  /// stickiness, the restart embargo) decide the outcome.
+  static VoteRequest MakeVote(const RaftConsensus& voter,
+                              const MemberId& candidate, uint64_t term,
+                              OpId last_log, const RegionId& region) {
+    VoteRequest request;
+    request.candidate = candidate;
+    request.dest = "a";
+    request.term = term;
+    request.last_log = last_log;
+    request.candidate_region = region;
+    request.config_term = voter.config().config_term;
+    request.config_version = voter.config().config_version;
+    return request;
+  }
+
+  /// The most recent AppendEntries the leader sent to `peer`.
+  AppendEntriesRequest LastAppendTo(const MemberId& peer) const {
+    AppendEntriesRequest last;
+    for (const auto& request : outbox_.OfType<AppendEntriesRequest>()) {
+      if (request.dest == peer) last = request;
+    }
+    EXPECT_EQ(last.dest, peer) << "nothing sent to " << peer;
+    return last;
   }
 
   /// Heartbeats all peers and returns the send timestamp the requests
@@ -374,12 +404,7 @@ TEST_F(ConsensusUnitTest, VoteDeniedToStaleLogAndPersisted) {
 
   // Candidate with an empty log at a higher term: term adopted, vote
   // denied on the log check.
-  VoteRequest request;
-  request.candidate = "c";
-  request.dest = "a";
-  request.term = 5;
-  request.last_log = kZeroOpId;
-  request.candidate_region = "r1";
+  VoteRequest request = MakeVote(*consensus_, "c", 5, kZeroOpId, "r1");
   consensus_->HandleMessage(Message(request));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
@@ -419,11 +444,7 @@ TEST_F(ConsensusUnitTest, PreVoteDoesNotDisturbState) {
       Message(MakeAppend(3, kZeroOpId, {E(3, 1, "x")})));
   outbox_.sent.clear();
 
-  VoteRequest pre;
-  pre.candidate = "c";
-  pre.dest = "a";
-  pre.term = 4;
-  pre.last_log = {3, 1};
+  VoteRequest pre = MakeVote(*consensus_, "c", 4, {3, 1}, "r1");
   pre.pre_vote = true;
   consensus_->HandleMessage(Message(pre));
   auto response = outbox_.Last<VoteResponse>();
@@ -533,26 +554,37 @@ TEST_F(ConsensusUnitTest, QuiescedLeaderRejectsTransactionsOnly) {
 
 TEST_F(ConsensusUnitTest, ConfigChangeGatingAndCommit) {
   BecomeLeader();
-  MemberInfo member{"d", "r1", MemberKind::kMySql, RaftMemberType::kVoter};
-  ASSERT_TRUE(consensus_->AddMember(member).ok());
+  const MemberInfo d{"d", "r1", MemberKind::kMySql, RaftMemberType::kVoter};
+  // The election rebased the config onto term 1; until an install quorum
+  // echoes it, that rebase is the change in flight.
+  EXPECT_TRUE(consensus_->has_pending_config_change());
+  EXPECT_TRUE(consensus_->AddMember(d).IsIllegalState());
+
+  // b echoes the rebased config without acking the no-op: the config
+  // commits, but a reconfig still waits for a current-term log commit.
+  AppendEntriesResponse echo;
+  echo.from = "b";
+  echo.dest = "a";
+  echo.term = consensus_->term();
+  echo.success = true;
+  echo.config_term = consensus_->config().config_term;
+  echo.config_version = consensus_->config().config_version;
+  consensus_->HandleMessage(Message(echo));
+  EXPECT_FALSE(consensus_->has_pending_config_change());
+  EXPECT_TRUE(consensus_->AddMember(d).IsServiceUnavailable());
+
+  AckAll("b", 0);  // commits the leadership no-op
+  ASSERT_TRUE(consensus_->AddMember(d).ok());
   EXPECT_TRUE(consensus_->has_pending_config_change());
   EXPECT_TRUE(consensus_->AddMember(MemberInfo{"e", "r1", MemberKind::kMySql,
                                                RaftMemberType::kVoter})
                   .IsIllegalState());
-  EXPECT_TRUE(consensus_->config().Contains("d"));  // effective on append
+  EXPECT_TRUE(consensus_->config().Contains("d"));  // active on the leader
 
-  // Commit the config entry: now 4 voters, majority = 3.
-  const OpId config_opid = consensus_->last_logged();
-  for (const MemberId& peer : {"b", "c"}) {
-    AppendEntriesResponse ack;
-    ack.from = peer;
-    ack.dest = "a";
-    ack.term = consensus_->term();
-    ack.success = true;
-    ack.last_received = config_opid;
-    ack.last_durable_index = config_opid.index;
-    consensus_->HandleMessage(Message(ack));
-  }
+  // Commit on the NEW config's install quorum: 4 voters, majority = 3.
+  AckAll("b", 0);
+  EXPECT_TRUE(consensus_->has_pending_config_change());
+  AckAll("c", 0);
   EXPECT_FALSE(consensus_->has_pending_config_change());
   // The new peer is being replicated to.
   EXPECT_TRUE(consensus_->peers().count("d") > 0);
@@ -560,6 +592,80 @@ TEST_F(ConsensusUnitTest, ConfigChangeGatingAndCommit) {
   // And can be removed again.
   ASSERT_TRUE(consensus_->RemoveMember("d").ok());
   EXPECT_FALSE(consensus_->config().Contains("d"));
+}
+
+TEST_F(ConsensusUnitTest, ConfigStampedUntilPeerEchoesIt) {
+  BecomeLeader();
+  ASSERT_TRUE(consensus_->Replicate(EntryType::kNoOp, "x").ok());
+  // No peer has answered yet: every request carries the config.
+  EXPECT_FALSE(LastAppendTo("b").config_payload.empty());
+  EXPECT_FALSE(LastAppendTo("c").config_payload.empty());
+
+  // Once b's latest response echoes the active identity, batches and
+  // heartbeats to b go bare; c has not echoed and still gets it.
+  AckAll("b", 0);
+  outbox_.sent.clear();
+  ASSERT_TRUE(consensus_->Replicate(EntryType::kNoOp, "y").ok());
+  EXPECT_TRUE(LastAppendTo("b").config_payload.empty());
+  EXPECT_FALSE(LastAppendTo("c").config_payload.empty());
+  AckAll("b", 0);
+  AckAll("c", 0);
+  clock_.AdvanceMicros(600'000);  // > heartbeat interval
+  outbox_.sent.clear();
+  consensus_->Tick();
+  for (const char* peer : {"b", "c"}) {
+    const AppendEntriesRequest heartbeat = LastAppendTo(peer);
+    EXPECT_TRUE(heartbeat.IsHeartbeat()) << peer;
+    EXPECT_TRUE(heartbeat.config_payload.empty()) << peer;
+  }
+
+  // A new config is stamped to every peer until each echoes it.
+  const MembershipConfig before = consensus_->config();
+  outbox_.sent.clear();
+  ASSERT_TRUE(consensus_
+                  ->AddMember({"d", "r1", MemberKind::kMySql,
+                               RaftMemberType::kVoter})
+                  .ok());
+  for (const char* peer : {"b", "c", "d"}) {
+    auto sent = DecodeMembershipConfig(LastAppendTo(peer).config_payload);
+    ASSERT_TRUE(sent.ok()) << peer;
+    EXPECT_TRUE(sent->SameIdAs(consensus_->config())) << peer;
+  }
+  AckAll("b", 0);
+  clock_.AdvanceMicros(600'000);
+  outbox_.sent.clear();
+  consensus_->Tick();
+  EXPECT_TRUE(LastAppendTo("b").config_payload.empty());
+  EXPECT_FALSE(LastAppendTo("c").config_payload.empty());
+
+  // An echo of an older identity (a follower whose config went backwards)
+  // re-arms stamping.
+  AppendEntriesResponse stale;
+  stale.from = "b";
+  stale.dest = "a";
+  stale.term = consensus_->term();
+  stale.success = true;
+  stale.last_received = consensus_->last_logged();
+  stale.last_durable_index = stale.last_received.index;
+  stale.config_term = before.config_term;
+  stale.config_version = before.config_version;
+  consensus_->HandleMessage(Message(stale));
+  clock_.AdvanceMicros(600'000);
+  outbox_.sent.clear();
+  consensus_->Tick();
+  EXPECT_FALSE(LastAppendTo("b").config_payload.empty());
+
+  // The farewell to a removed member carries the config that drops it,
+  // even though that member had echoed the previous one.
+  AckAll("b", 0);
+  AckAll("c", 0);
+  AckAll("d", 0);
+  ASSERT_FALSE(consensus_->has_pending_config_change());
+  outbox_.sent.clear();
+  ASSERT_TRUE(consensus_->RemoveMember("c").ok());
+  auto farewell = DecodeMembershipConfig(LastAppendTo("c").config_payload);
+  ASSERT_TRUE(farewell.ok());
+  EXPECT_FALSE(farewell->Contains("c"));
 }
 
 TEST_F(ConsensusUnitTest, LearnerIgnoresElectionMachinery) {
@@ -959,12 +1065,8 @@ TEST_F(ConsensusUnitTest, RestartEmbargoesVotesThroughGrantWindow) {
   ASSERT_TRUE(restarted.Start().ok());
   outbox_.sent.clear();
 
-  VoteRequest pre;
-  pre.candidate = "c";
-  pre.dest = "a";
-  pre.term = restarted.term() + 1;
-  pre.last_log = restarted.last_logged();
-  pre.candidate_region = "r1";
+  VoteRequest pre = MakeVote(restarted, "c", restarted.term() + 1,
+                             restarted.last_logged(), "r1");
   pre.pre_vote = true;
   restarted.HandleMessage(Message(pre));
   auto response = outbox_.Last<VoteResponse>();
@@ -994,13 +1096,8 @@ TEST_F(ConsensusUnitTest, FirstBootSkipsVoteEmbargo) {
   // granted a lease — an echo requires leader contact, which persists a
   // term bump first. No embargo, or every new cluster would stall.
   EnableLeases();
-  VoteRequest request;
-  request.candidate = "b";
-  request.dest = "a";
-  request.term = 1;
-  request.last_log = kZeroOpId;
-  request.candidate_region = "r0";
-  consensus_->HandleMessage(Message(request));
+  consensus_->HandleMessage(
+      Message(MakeVote(*consensus_, "b", 1, kZeroOpId, "r0")));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_TRUE(response.granted);
 }

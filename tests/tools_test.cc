@@ -119,15 +119,13 @@ TEST(QuorumFixerTest, RestoresShatteredQuorum) {
 }
 
 TEST(QuorumFixerTest, LoglessRepairExcisesDeadVotersInOneForcedBump) {
-  // §15 pinned schedule: on a logless-reconfig ring the fixer does not
-  // stop at restoring a leader — step 5 rebuilds the membership itself,
-  // demoting every dead voter in ONE forced config bump (the force path
+  // §15 pinned schedule: the fixer does not stop at restoring a leader —
+  // step 5 rebuilds the membership itself, demoting every dead voter in
+  // ONE forced config bump (the force path
   // exists precisely because the single-change rule cannot be satisfied
   // when the old quorum is dead) and pinning quorum_spec to "majority"
   // so the survivors alone form every future quorum.
-  sim::ClusterOptions cluster_options = RaftClusterOptions(34);
-  cluster_options.raft.enable_logless_reconfig = true;
-  sim::ClusterHarness cluster(cluster_options, FlexiEngine());
+  sim::ClusterHarness cluster(RaftClusterOptions(34), FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());

@@ -22,7 +22,7 @@ MembershipConfig PaperTopology() {
   // Primary region has 1 mysql + 2 logtailers; two remote regions each a
   // follower + 2 logtailers; plus one learner.
   MembershipConfig config;
-  config.config_index = 1;
+  config.config_version = 1;
   auto add = [&](const char* id, const char* region, MemberKind kind,
                  RaftMemberType type) {
     config.members.push_back(MemberInfo{id, region, kind, type});
@@ -85,7 +85,7 @@ TEST(MembershipTest, ConfigCodecRejectsTruncation) {
 }
 
 TEST(MembershipTest, VersionedConfigCodecRoundTrip) {
-  // Logless identity group (§15): (config_term, config_version) and the
+  // Identity group (§15): (config_term, config_version) and the
   // quorum-spec override survive the codec.
   auto config = PaperTopology();
   config.config_term = 7;
@@ -99,25 +99,6 @@ TEST(MembershipTest, VersionedConfigCodecRoundTrip) {
   EXPECT_EQ(decoded->config_term, 7u);
   EXPECT_EQ(decoded->config_version, 42u);
   EXPECT_EQ(decoded->quorum_spec, "multi:2");
-}
-
-TEST(MembershipTest, UnversionedConfigEncodesPreReconfigCompatible) {
-  // A legacy (identity-less) config must encode byte-identically to the
-  // pre-reconfig format: old decoders reject trailing bytes, so the
-  // identity group must be absent, not zero-filled.
-  const auto legacy = PaperTopology();
-  std::string legacy_buf;
-  EncodeMembershipConfig(legacy, &legacy_buf);
-  auto versioned = legacy;
-  versioned.config_version = 1;
-  std::string versioned_buf;
-  EncodeMembershipConfig(versioned, &versioned_buf);
-  EXPECT_LT(legacy_buf.size(), versioned_buf.size());
-  auto decoded = DecodeMembershipConfig(legacy_buf);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->config_term, 0u);
-  EXPECT_EQ(decoded->config_version, 0u);
-  EXPECT_TRUE(decoded->quorum_spec.empty());
 }
 
 TEST(MembershipTest, ConfigIdentityOrderingTermDominates) {
@@ -164,9 +145,13 @@ TEST(LogEntryTest, RoundTrip) {
 TEST(LogEntryTest, DecodeRejectsBadType) {
   std::string buf;
   LogEntry::Make({1, 1}, EntryType::kNoOp, "x").EncodeTo(&buf);
-  buf[2] = 99;  // type byte follows the two single-byte varints
-  Slice in(buf);
-  EXPECT_FALSE(LogEntry::DecodeFrom(&in).ok());
+  // The type byte follows the two single-byte varints. 3 was the retired
+  // config-change entry type: configs never ride the log.
+  for (const char type : {char{3}, char{99}}) {
+    buf[2] = type;
+    Slice in(buf);
+    EXPECT_FALSE(LogEntry::DecodeFrom(&in).ok()) << int{type};
+  }
 }
 
 AppendEntriesRequest MakeAppendRequest() {
@@ -266,8 +251,8 @@ TEST(MessagesTest, AppendEntriesConfigPayloadRoundTrip) {
   auto inner = DecodeMembershipConfig(decoded->config_payload);
   ASSERT_TRUE(inner.ok());
   EXPECT_EQ(*inner, PaperTopology());
-  // Without the config the encoding shrinks back to the pre-reconfig
-  // shape, which pre-reconfig decoders (rejecting trailing bytes) accept.
+  // Without the config (the peer already echoed it) the trailing groups
+  // drop out again.
   req.config_payload.clear();
   std::string plain;
   req.EncodeTo(&plain);
@@ -292,7 +277,7 @@ TEST(MessagesTest, AppendResponseConfigAckRoundTrip) {
   auto decoded = AppendEntriesResponse::DecodeFrom(buf);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(*decoded, resp);
-  // No ack → the trailing group vanishes (logless-off byte identity).
+  // No ack (an undecompressable batch) → the trailing group vanishes.
   resp.config_term = 0;
   resp.config_version = 0;
   std::string plain;
