@@ -60,6 +60,8 @@ const MetricInfo kCatalog[] = {
      "Client reads routed to a follower replica"},
     {"proxy.reads_routed_leader", "counter", "proxy",
      "Client reads routed to the leader"},
+    {"proxy.reconstitute_wait_us", "histogram", "proxy",
+     "Time a PROXY_OP waits at the final relay until forwarded or degraded"},
     {"proxy.reconstitutions", "counter", "proxy",
      "Relay payloads reconstituted from the local log"},
     {"proxy.relayed_requests", "counter", "proxy",
@@ -76,6 +78,8 @@ const MetricInfo kCatalog[] = {
      "Replication reads that bypassed the cache to the binlog"},
     {"raft.commit_advance_latency_us", "histogram", "raft",
      "Append-to-commit latency per entry"},
+    {"raft.duplicate_entries_received", "counter", "raft",
+     "Entries a follower received that its log already held"},
     {"raft.effective_window_batches", "histogram", "raft",
      "Adaptive replication window (batches) at dispatch time"},
     {"raft.elections_started", "counter", "raft",

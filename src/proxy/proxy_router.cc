@@ -1,5 +1,8 @@
 #include "proxy/proxy_router.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -158,7 +161,15 @@ void ProxyRouter::RouteResponse(AppendEntriesResponse response) {
 
 bool ProxyRouter::HandleInbound(const Message& message) {
   if (auto* request = std::get_if<AppendEntriesRequest>(&message)) {
-    if (request->route.empty()) return false;
+    if (request->route.empty()) {
+      // For the local consensus, which appends these entries before the
+      // loop runs anything else, so a zero-delay drain sees them: this is
+      // how parked PROXY_OPs wake.
+      if (!request->entries.empty() && !relay_queues_.empty()) {
+        ScheduleDrain();
+      }
+      return false;
+    }
     if (request->route.front() != self_) {
       // Misrouted; drop.
       return true;
@@ -191,8 +202,7 @@ bool ProxyRouter::HandleInbound(const Message& message) {
       lower_send_(std::move(out));
       return true;
     }
-    ReconstituteAndForward(std::move(hop),
-                           loop_->now() + options_.reconstitute_wait_micros);
+    EnqueueProxyOp(std::move(hop));
     return true;
   }
 
@@ -225,58 +235,92 @@ Result<LogEntry> ProxyRouter::LookupEntry(const LogEntry& proxy_entry) const {
   return entry;
 }
 
-void ProxyRouter::ReconstituteAndForward(AppendEntriesRequest request,
-                                         uint64_t deadline_micros) {
-  // Try to restore every payload from our local log/cache.
-  bool all_present = true;
-  AppendEntriesRequest full = request;
-  for (LogEntry& entry : full.entries) {
-    auto local = LookupEntry(entry);
-    if (!local.ok()) {
-      all_present = false;
-      break;
-    }
-    entry = std::move(*local);
+bool ProxyRouter::RestorePayloads(PendingProxyOp* op) const {
+  std::vector<LogEntry>& entries = op->request.entries;
+  for (; op->restored < entries.size(); ++op->restored) {
+    auto local = LookupEntry(entries[op->restored]);
+    if (!local.ok()) return false;
+    entries[op->restored] = std::move(*local);
   }
+  return true;
+}
 
-  if (all_present) {
-    reconstitutions_->Increment();
-    if (options_.tracer != nullptr) {
-      options_.tracer->Instant(
-          "proxy", "reconstituted", full.trace_id,
-          StringPrintf("dest=%s n=%zu", full.dest.c_str(),
-                       full.entries.size()));
+void ProxyRouter::EnqueueProxyOp(AppendEntriesRequest request) {
+  const uint64_t now = loop_->now();
+  std::deque<PendingProxyOp>& queue = relay_queues_[request.dest];
+  queue.push_back(PendingProxyOp{std::move(request), 0, now,
+                                 now + options_.reconstitute_wait_micros});
+  // Behind an earlier op this one must wait its turn: that head is still
+  // missing entries, or a drain is already scheduled for it.
+  if (queue.size() == 1) DrainQueues();
+}
+
+void ProxyRouter::DrainQueue(std::deque<PendingProxyOp>* queue) {
+  const uint64_t now = loop_->now();
+  while (!queue->empty()) {
+    PendingProxyOp& head = queue->front();
+    AppendEntriesRequest& request = head.request;
+    if (RestorePayloads(&head)) {
+      reconstitutions_->Increment();
+      if (options_.tracer != nullptr) {
+        options_.tracer->Instant(
+            "proxy", "reconstituted", request.trace_id,
+            StringPrintf("dest=%s n=%zu", request.dest.c_str(),
+                         request.entries.size()));
+      }
+      request.proxy_payload_omitted = false;
+    } else if (now >= head.deadline_micros) {
+      // §4.2.1: degrade to a simple heartbeat so the downstream follower
+      // still learns the term and commit marker; the leader will retry.
+      degraded_to_heartbeat_->Increment();
+      if (options_.tracer != nullptr) {
+        options_.tracer->Instant(
+            "proxy", "degraded_to_heartbeat", request.trace_id,
+            StringPrintf("dest=%s n=%zu", request.dest.c_str(),
+                         request.entries.size()));
+      }
+      request.entries.clear();
+      request.proxy_payload_omitted = false;
+    } else {
+      return;  // the head waits; everything behind it waits too
     }
-    full.proxy_payload_omitted = false;
-    lower_send_(std::move(full));
-    return;
+    reconstitute_wait_us_->Record(now - head.queued_micros);
+    lower_send_(std::move(request));
+    queue->pop_front();
   }
+}
 
-  if (loop_->now() >= deadline_micros) {
-    // §4.2.1: degrade to a simple heartbeat so the downstream follower
-    // still learns the term and commit marker; the leader will retry.
-    degraded_to_heartbeat_->Increment();
-    if (options_.tracer != nullptr) {
-      options_.tracer->Instant(
-          "proxy", "degraded_to_heartbeat", request.trace_id,
-          StringPrintf("dest=%s n=%zu", request.dest.c_str(),
-                       request.entries.size()));
-    }
-    AppendEntriesRequest heartbeat = std::move(request);
-    heartbeat.entries.clear();
-    heartbeat.proxy_payload_omitted = false;
-    lower_send_(std::move(heartbeat));
-    return;
+void ProxyRouter::DrainQueues() {
+  for (auto it = relay_queues_.begin(); it != relay_queues_.end();) {
+    DrainQueue(&it->second);
+    it = it->second.empty() ? relay_queues_.erase(it) : std::next(it);
   }
+  ArmDegradeTimer();
+}
 
-  // The entry is probably in flight to us; poll until the deadline. The
-  // router may be destroyed (process crash) before the poll fires.
-  loop_->Schedule(options_.reconstitute_poll_micros,
-                  [this, alive = alive_, request = std::move(request),
-                   deadline_micros]() {
-                    if (!*alive) return;
-                    ReconstituteAndForward(request, deadline_micros);
-                  });
+void ProxyRouter::ScheduleDrain() {
+  if (drain_scheduled_) return;
+  drain_scheduled_ = true;
+  // The router may be destroyed (process crash) before this fires.
+  loop_->Schedule(0, [this, alive = alive_]() {
+    if (!*alive) return;
+    drain_scheduled_ = false;
+    DrainQueues();
+  });
+}
+
+void ProxyRouter::ArmDegradeTimer() {
+  if (degrade_timer_armed_ || relay_queues_.empty()) return;
+  uint64_t deadline = UINT64_MAX;
+  for (const auto& [dest, queue] : relay_queues_) {
+    deadline = std::min(deadline, queue.front().deadline_micros);
+  }
+  degrade_timer_armed_ = true;
+  loop_->Schedule(deadline - loop_->now(), [this, alive = alive_]() {
+    if (!*alive) return;
+    degrade_timer_armed_ = false;
+    DrainQueues();
+  });
 }
 
 ProxyRouter::Stats ProxyRouter::stats() const {

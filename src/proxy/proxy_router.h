@@ -7,9 +7,11 @@
 //    addressed through a relay in that region, with payloads stripped
 //    (PROXY_OP: "request metadata but no payload");
 //  * the final relay hop reconstitutes each entry from its own log-entry
-//    cache (falling back to its log); if an entry has not arrived yet it
-//    waits a configurable period, then degrades the message to a simple
-//    heartbeat;
+//    cache (falling back to its log). It forwards PROXY_OPs to each
+//    destination strictly in arrival order: one whose entries have not
+//    arrived yet parks at the head of that destination's queue, wakes
+//    when the relay's own replication stream appends, and degrades to a
+//    simple heartbeat once it has waited a configurable period;
 //  * responses are relayed back upstream through the same tree;
 //  * votes are never proxied (§4.2.1);
 //  * unhealthy relays are detected via recent-traffic health checks and
@@ -18,6 +20,7 @@
 #ifndef MYRAFT_PROXY_PROXY_ROUTER_H_
 #define MYRAFT_PROXY_PROXY_ROUTER_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,10 +33,12 @@ namespace myraft::proxy {
 
 struct ProxyOptions {
   bool enabled = true;
-  /// How long a relay waits for a missing entry before degrading the
-  /// message to a heartbeat.
+  /// How long a PROXY_OP may wait at the final relay for its entries to
+  /// reach the relay's own log before it is degraded to a heartbeat. The
+  /// relay does not poll: it retries the head of each destination's queue
+  /// whenever its own replication stream appends, and once at this
+  /// deadline.
   uint64_t reconstitute_wait_micros = 100'000;
-  uint64_t reconstitute_poll_micros = 10'000;
   /// A relay with no traffic for this long is considered unhealthy and
   /// routed around.
   uint64_t relay_unhealthy_after_micros = 3'000'000;
@@ -89,11 +94,13 @@ class ProxyRouter final : public raft::RaftOutbox {
     reads_routed_follower_ =
         registry->GetCounter("proxy.reads_routed_follower");
     reads_routed_leader_ = registry->GetCounter("proxy.reads_routed_leader");
+    reconstitute_wait_us_ =
+        registry->GetHistogram("proxy.reconstitute_wait_us");
   }
 
   ~ProxyRouter() {
-    // Scheduled reconstitution polls may outlive the router (process
-    // crash); they check this guard before touching it.
+    // Scheduled relay drains and degrade timers may outlive the router
+    // (process crash); they check this guard before touching it.
     *alive_ = false;
   }
 
@@ -107,8 +114,11 @@ class ProxyRouter final : public raft::RaftOutbox {
   void Send(Message message) override;
 
   /// Inbound hook. Returns true if the message was consumed by the proxy
-  /// layer (relayed / reconstituted); false if the host should hand it to
-  /// the local consensus.
+  /// layer (relayed / queued for reconstitution); false if the host
+  /// should hand it to the local consensus. The host must do that before
+  /// the event loop runs anything else: an AppendEntries with entries
+  /// handed back while PROXY_OPs wait schedules a zero-delay drain of the
+  /// relay queues, which counts on those entries being appended by then.
   bool HandleInbound(const Message& message);
 
   /// Host calls this for every message received from `from` so relay
@@ -145,9 +155,28 @@ class ProxyRouter final : public raft::RaftOutbox {
 
   void RouteRequest(AppendEntriesRequest request);
   void RouteResponse(AppendEntriesResponse response);
-  /// Final hop: restore payloads and deliver to the downstream member.
-  void ReconstituteAndForward(AppendEntriesRequest request,
-                              uint64_t deadline_micros);
+  /// A PROXY_OP parked at the final hop until its payloads are local.
+  struct PendingProxyOp {
+    AppendEntriesRequest request;
+    size_t restored = 0;  // entries [0, restored) already carry payloads
+    uint64_t queued_micros = 0;
+    uint64_t deadline_micros = 0;
+  };
+  /// Final hop: queues the PROXY_OP behind any earlier one for the same
+  /// destination and forwards what the queue order allows.
+  void EnqueueProxyOp(AppendEntriesRequest request);
+  /// Forwards from the head of `queue` while the head reconstitutes in
+  /// full or has passed its deadline (then as a heartbeat).
+  void DrainQueue(std::deque<PendingProxyOp>* queue);
+  /// Drains every queue, drops empty ones and re-arms the degrade timer.
+  void DrainQueues();
+  void ScheduleDrain();
+  /// Arms the single degrade timer at the earliest head deadline unless
+  /// one is armed. Every op waits the same period, so an armed timer is
+  /// never later than any head.
+  void ArmDegradeTimer();
+  /// Restores payloads from the local log; false while any is missing.
+  bool RestorePayloads(PendingProxyOp* op) const;
   Result<LogEntry> LookupEntry(const LogEntry& proxy_entry) const;
 
   MemberId self_;
@@ -159,6 +188,11 @@ class ProxyRouter final : public raft::RaftOutbox {
 
   std::map<MemberId, uint64_t> last_traffic_micros_;
   uint64_t created_micros_;
+  /// Final-hop PROXY_OPs per destination, in arrival order; no empty
+  /// queues are kept.
+  std::map<MemberId, std::deque<PendingProxyOp>> relay_queues_;
+  bool drain_scheduled_ = false;
+  bool degrade_timer_armed_ = false;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::unique_ptr<metrics::MetricRegistry> owned_metrics_;
@@ -172,6 +206,9 @@ class ProxyRouter final : public raft::RaftOutbox {
   metrics::Counter* bytes_relayed_;
   metrics::Counter* reads_routed_follower_;
   metrics::Counter* reads_routed_leader_;
+  /// Time each final-hop PROXY_OP spends queued, until forwarded in full
+  /// or degraded to a heartbeat.
+  metrics::HistogramMetric* reconstitute_wait_us_;
 };
 
 }  // namespace myraft::proxy

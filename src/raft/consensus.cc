@@ -52,6 +52,8 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.heartbeats_sent = metrics_->GetCounter("raft.heartbeats_sent");
   m_.entries_replicated = metrics_->GetCounter("raft.entries_replicated");
   m_.append_rejections = metrics_->GetCounter("raft.append_rejections");
+  m_.duplicate_entries_received =
+      metrics_->GetCounter("raft.duplicate_entries_received");
   m_.cache_fallback_reads =
       metrics_->GetCounter("raft.cache_fallback_reads");
   m_.step_downs = metrics_->GetCounter("raft.step_downs");
@@ -91,6 +93,7 @@ RaftConsensus::Stats RaftConsensus::stats() const {
   s.heartbeats_sent = m_.heartbeats_sent->value();
   s.entries_replicated = m_.entries_replicated->value();
   s.append_rejections = m_.append_rejections->value();
+  s.duplicate_entries_received = m_.duplicate_entries_received->value();
   s.cache_fallback_reads = m_.cache_fallback_reads->value();
   s.step_downs = m_.step_downs->value();
   s.auto_step_downs = m_.auto_step_downs->value();
@@ -1205,7 +1208,10 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   for (const LogEntry& entry : request.entries) {
     auto local = log_->OpIdAt(entry.id.index);
     if (local.ok()) {
-      if (local->term == entry.id.term) continue;  // duplicate
+      if (local->term == entry.id.term) {
+        m_.duplicate_entries_received->Increment();
+        continue;
+      }
       // Conflict: drop our uncommitted suffix (§3.3 demotion step 4 —
       // GTID cleanup happens inside the log abstraction).
       Status s = log_->TruncateAfter(entry.id.index - 1);

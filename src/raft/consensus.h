@@ -288,6 +288,7 @@ class RaftConsensus {
     uint64_t heartbeats_sent = 0;
     uint64_t entries_replicated = 0;
     uint64_t append_rejections = 0;
+    uint64_t duplicate_entries_received = 0;
     uint64_t cache_fallback_reads = 0;
     uint64_t step_downs = 0;
     uint64_t auto_step_downs = 0;
@@ -666,6 +667,9 @@ class RaftConsensus {
     metrics::Counter* heartbeats_sent;
     metrics::Counter* entries_replicated;
     metrics::Counter* append_rejections;
+    /// Follower side: entries received that the log already held (each
+    /// one a wasted send by the leader).
+    metrics::Counter* duplicate_entries_received;
     metrics::Counter* cache_fallback_reads;
     metrics::Counter* step_downs;
     metrics::Counter* auto_step_downs;

@@ -37,7 +37,7 @@ SimNetwork::SimNetwork(EventLoop* loop, NetworkOptions options)
 
 void SimNetwork::RegisterNode(const MemberId& id, const RegionId& region,
                               DeliverFn deliver) {
-  nodes_[id] = Node{region, std::move(deliver)};
+  nodes_[id] = Node{region, std::move(deliver), next_link_id_++, {}};
 }
 
 void SimNetwork::UnregisterNode(const MemberId& id) { nodes_.erase(id); }
@@ -142,6 +142,30 @@ uint64_t SimNetwork::SampleLatency(const RegionId& from, const RegionId& to) {
   return latency;
 }
 
+uint64_t SimNetwork::FifoArrival(Node* from, uint32_t dest_link_id,
+                                 uint64_t arrival_micros) {
+  LinkTail* slot = nullptr;
+  LinkTail* expired = nullptr;
+  for (LinkTail& tail : from->link_tails) {
+    if (tail.dest_link_id == dest_link_id) {
+      slot = &tail;
+      break;
+    }
+    if (expired == nullptr && tail.arrival_micros <= loop_->now()) {
+      expired = &tail;
+    }
+  }
+  if (slot == nullptr) slot = expired;
+  if (slot == nullptr) {
+    from->link_tails.push_back(LinkTail{dest_link_id, 0});
+    slot = &from->link_tails.back();
+  }
+  // An expired slot's arrival is in the past, so the clamp is a no-op.
+  arrival_micros = std::max(arrival_micros, slot->arrival_micros);
+  *slot = LinkTail{dest_link_id, arrival_micros};
+  return arrival_micros;
+}
+
 void SimNetwork::CountDrop(metrics::Counter* reason_counter) {
   ++dropped_;
   if (m_dropped_ != nullptr) m_dropped_->Increment();
@@ -196,19 +220,24 @@ void SimNetwork::Send(const MemberId& from, Message message) {
   if (delay_it != extra_delay_.end()) latency += delay_it->second;
   delay_it = extra_delay_.find(dest);
   if (delay_it != extra_delay_.end()) latency += delay_it->second;
+  // FIFO link: never arrive before the previous message on this link.
+  const uint64_t now = loop_->now();
+  uint64_t arrival =
+      FifoArrival(&from_it->second, dest_it->second.link_id, now + latency);
   if (!replication_lag_.empty()) {
+    // Host backlog, not transit: past the clamp, so the control plane on
+    // the same link overtakes lagged data appends.
     auto lag_it = replication_lag_.find(dest);
     if (lag_it != replication_lag_.end()) {
       const auto* request = std::get_if<AppendEntriesRequest>(&message);
       if (request != nullptr && !request->entries.empty()) {
-        latency += lag_it->second;
+        arrival += lag_it->second;
       }
     }
   }
   if (options_.chaos_jitter_micros > 0) {
-    // Per-message uniform jitter: with a spread wider than the base
-    // latency this reorders messages on the same link.
-    latency += loop_->rng()->Uniform(options_.chaos_jitter_micros);
+    // The reordering fault: per-message jitter outside the FIFO order.
+    arrival += loop_->rng()->Uniform(options_.chaos_jitter_micros);
   }
 
   if (options_.duplicate_rate > 0 &&
@@ -220,7 +249,7 @@ void SimNetwork::Send(const MemberId& from, Message message) {
     }
     ScheduleDelivery(from, dest, dup_latency, message);
   }
-  ScheduleDelivery(from, dest, latency, std::move(message));
+  ScheduleDelivery(from, dest, arrival - now, std::move(message));
 }
 
 uint64_t SimNetwork::CrossRegionBytes() const {

@@ -1,6 +1,7 @@
 // Simulated multi-region network: per-region-pair latency distributions,
-// crash/partition/loss injection, and byte accounting per region pair
-// (the measurement behind the Proxying bandwidth experiment, §4.2).
+// FIFO links, crash/partition/loss/reorder injection, and byte accounting
+// per region pair (the measurement behind the Proxying bandwidth
+// experiment, §4.2).
 
 #ifndef MYRAFT_SIM_NETWORK_H_
 #define MYRAFT_SIM_NETWORK_H_
@@ -9,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "sim/event_loop.h"
 #include "util/metrics.h"
@@ -16,6 +18,8 @@
 
 namespace myraft::sim {
 
+/// One-way latency of a link. The jitter varies each message's transit
+/// time but never reorders a link: links are FIFO (see SimNetwork::Send).
 struct LatencyModel {
   uint64_t base_micros = 0;
   uint64_t jitter_micros = 0;  // uniform extra in [0, jitter)
@@ -30,10 +34,12 @@ struct NetworkOptions {
   /// Probability each message is dropped (applied after partitions).
   double loss_rate = 0.0;
   /// Probability each delivered message is delivered twice (the duplicate
-  /// takes an independently sampled latency, so it may arrive first).
+  /// takes an independently sampled latency outside the link's FIFO order,
+  /// so it may arrive first).
   double duplicate_rate = 0.0;
-  /// Extra uniform delay in [0, chaos_jitter_micros) added per message on
-  /// top of the latency model. Large values reorder messages aggressively.
+  /// Extra uniform delay in [0, chaos_jitter_micros) added per message
+  /// after the FIFO clamp. This is the network's reordering fault: large
+  /// values reorder messages on one link aggressively.
   uint64_t chaos_jitter_micros = 0;
   /// Optional registry for net.* fault counters (drops by reason,
   /// duplicates). Without it drops are only visible via
@@ -81,8 +87,8 @@ class SimNetwork {
   void SetRegionPartitioned(const RegionId& region, bool partitioned);
   void SetLossRate(double rate) { options_.loss_rate = rate; }
   void SetDuplicateRate(double rate) { options_.duplicate_rate = rate; }
-  /// Per-message uniform extra delay (reorders aggressively when larger
-  /// than the base latency spread).
+  /// Per-message uniform extra delay outside the FIFO order (reorders
+  /// messages on a link once it exceeds their send spacing).
   void SetChaosJitter(uint64_t micros) { options_.chaos_jitter_micros = micros; }
   /// Heals every link/region/one-way fault and resets loss, duplication
   /// and jitter rates (node up/down state is not touched).
@@ -93,12 +99,17 @@ class SimNetwork {
   /// Extra delay applied only to data-carrying AppendEntries destined to
   /// `id` (models a host whose replication apply/disk path is backlogged
   /// while its control plane — votes, heartbeats, acks — stays fast).
+  /// It is a host backlog, not transit: it is added after the FIFO clamp,
+  /// so heartbeats overtake the lagged appends.
   void SetNodeReplicationLag(const MemberId& id, uint64_t extra_micros);
 
   // --- Sending ---------------------------------------------------------------
 
-  /// Queues delivery of `message` from `from` to MessageDest(message)
-  /// after the modelled latency. Drops silently on faults.
+  /// Queues delivery of `message` from `from` to its next hop after the
+  /// modelled latency. Each (from, next hop) link is FIFO, as TCP is: the
+  /// arrival is max(now + latency, the link's previous arrival). Only the
+  /// chaos faults (jitter, duplicates) and replication lag reorder a link.
+  /// Drops silently on faults.
   void Send(const MemberId& from, Message message);
 
   // --- Accounting -----------------------------------------------------------
@@ -125,12 +136,28 @@ class SimNetwork {
   void ResetStats();
 
  private:
+  /// Latest arrival scheduled on one outbound link, keyed by the next
+  /// hop's link id.
+  struct LinkTail {
+    uint32_t dest_link_id;
+    uint64_t arrival_micros;
+  };
+
   struct Node {
     RegionId region;
     DeliverFn deliver;
+    uint32_t link_id;
+    /// FIFO state of this node's outbound links. A slot whose arrival has
+    /// passed no longer constrains anything and is reused, so the vector
+    /// holds only links with traffic in flight.
+    std::vector<LinkTail> link_tails;
   };
 
   uint64_t SampleLatency(const RegionId& from, const RegionId& to);
+  /// Clamps `arrival_micros` to the link's previous arrival and records it
+  /// as the new tail.
+  uint64_t FifoArrival(Node* from, uint32_t dest_link_id,
+                       uint64_t arrival_micros);
   bool LinkCutBetween(const MemberId& a, const MemberId& b) const;
   /// Bumps dropped_ plus net.dropped and the given per-reason counter.
   void CountDrop(metrics::Counter* reason_counter);
@@ -140,6 +167,9 @@ class SimNetwork {
   EventLoop* loop_;
   NetworkOptions options_;
   std::map<MemberId, Node> nodes_;
+  /// Every registration gets a fresh link id, so a restarted node starts
+  /// on new connections and stale tails toward it simply expire.
+  uint32_t next_link_id_ = 0;
   std::set<MemberId> down_;
   std::set<std::pair<MemberId, MemberId>> cut_links_;  // normalised pairs
   std::set<std::pair<MemberId, MemberId>> one_way_cuts_;  // (from, to)

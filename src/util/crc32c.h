@@ -13,8 +13,13 @@
 
 namespace myraft::crc32c {
 
-/// Extends `init_crc` with `data` (software, table-driven).
+/// Extends `init_crc` with `data`. Runs on the SSE4.2 crc32 instruction
+/// when the CPU has it (chosen once, at first use), else on the table.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The table-driven software path Extend falls back to. Same values;
+/// exposed so tests can check the two paths against each other.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 inline uint32_t Value(const Slice& s) { return Value(s.data(), s.size()); }

@@ -6,7 +6,11 @@
 
 namespace myraft {
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
+Histogram::Histogram() = default;
+
+void Histogram::EnsureBuckets() {
+  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
+}
 
 int Histogram::BucketFor(uint64_t value) {
   if (value < kSubBuckets) return static_cast<int>(value);
@@ -34,6 +38,7 @@ void Histogram::Add(uint64_t value) {
   max_ = std::max(max_, value);
   sum_ += static_cast<double>(value);
   sum_squares_ += static_cast<double>(value) * static_cast<double>(value);
+  EnsureBuckets();
   ++buckets_[BucketFor(value)];
 }
 
@@ -43,6 +48,8 @@ void Histogram::Merge(const Histogram& other) {
   max_ = std::max(max_, other.max_);
   sum_ += other.sum_;
   sum_squares_ += other.sum_squares_;
+  if (other.buckets_.empty()) return;
+  EnsureBuckets();
   for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 
@@ -55,10 +62,11 @@ Histogram Histogram::Delta(const Histogram& earlier) const {
   delta.sum_squares_ = sum_squares_ >= earlier.sum_squares_
                            ? sum_squares_ - earlier.sum_squares_
                            : 0;
+  if (buckets_.empty()) return delta;
+  delta.EnsureBuckets();
   for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t n = buckets_[i] >= earlier.buckets_[i]
-                           ? buckets_[i] - earlier.buckets_[i]
-                           : 0;
+    const uint64_t before = earlier.buckets_.empty() ? 0 : earlier.buckets_[i];
+    const uint64_t n = buckets_[i] >= before ? buckets_[i] - before : 0;
     delta.buckets_[i] = n;
     if (n > 0) {
       delta.min_ = std::min(delta.min_, BucketLowerBound(i));
@@ -100,7 +108,7 @@ double Histogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
   const double threshold = static_cast<double>(count_) * (p / 100.0);
   uint64_t cumulative = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
+  for (int i = 0; i < static_cast<int>(buckets_.size()); ++i) {
     if (buckets_[i] == 0) continue;
     cumulative += buckets_[i];
     if (static_cast<double>(cumulative) >= threshold) {
@@ -129,7 +137,7 @@ double Histogram::Percentile(double p) const {
 
 std::vector<std::pair<uint64_t, uint64_t>> Histogram::NonEmptyBuckets() const {
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (int i = 0; i < kNumBuckets; ++i) {
+  for (int i = 0; i < static_cast<int>(buckets_.size()); ++i) {
     if (buckets_[i] != 0) out.emplace_back(BucketLowerBound(i), buckets_[i]);
   }
   return out;

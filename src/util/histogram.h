@@ -58,11 +58,18 @@ class Histogram {
   static uint64_t BucketLowerBound(int bucket);
 
  private:
+  /// Allocates the buckets on first use.
+  void EnsureBuckets();
+
   uint64_t count_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
   double sum_ = 0;
   double sum_squares_ = 0;
+  /// kNumBuckets counters (5 KiB), or empty until the first sample: most
+  /// registered histograms stay empty on most nodes (leader-only raft
+  /// series on followers, relay waits off the relay), and a fleet
+  /// process holds thousands of registries.
   std::vector<uint64_t> buckets_;
 };
 

@@ -320,6 +320,68 @@ TEST(ProxyClusterTest, MissingEntryDegradesToHeartbeatThenRecovers) {
   }
 }
 
+TEST(ProxyClusterTest, FaultFreeReplicationSendsEachEntryOnce) {
+  // No faults, proxying on, pipelined batches crossing 15 ms WAN links
+  // with 2 ms latency jitter: the leader must ship each entry to each
+  // follower about once. Links that reorder batches, or a relay that lets
+  // a later PROXY_OP overtake an earlier one, turn every overtaken batch
+  // into a rejection and a window rewind (the rewind storm).
+  static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
+  ProxyCluster proxy_cluster(2024, ProxyOptions{});
+  proxy_cluster.AddPaperTopology();
+  proxy_cluster.Start(&engine);
+  RaftTestCluster* cluster = proxy_cluster.cluster();
+  ASSERT_FALSE(cluster->WaitForLeader(10 * kSecond).empty());
+  cluster->loop()->RunFor(2 * kSecond);  // settle any witness handoff
+  const MemberId leader_id = cluster->CurrentLeader();
+  ASSERT_FALSE(leader_id.empty());
+  raft::RaftConsensus* leader = cluster->node(leader_id)->consensus();
+
+  auto sum_stats = [&](auto field) {
+    uint64_t total = 0;
+    for (const MemberId& id : cluster->ids()) {
+      total += cluster->node(id)->consensus()->stats().*field;
+    }
+    return total;
+  };
+  using Stats = raft::RaftConsensus::Stats;
+  const uint64_t replicated_before =
+      leader->stats().entries_replicated;
+  const uint64_t rewinds_before = sum_stats(&Stats::window_rewinds);
+  const uint64_t rejections_before = sum_stats(&Stats::append_rejections);
+  const uint64_t duplicates_before =
+      sum_stats(&Stats::duplicate_entries_received);
+  const uint64_t first_index = leader->last_logged().index + 1;
+
+  constexpr int kWrites = 300;
+  OpId last;
+  for (int i = 0; i < kWrites; ++i) {
+    auto opid = leader->Replicate(
+        EntryType::kNoOp, std::string(300, static_cast<char>('a' + i % 26)));
+    ASSERT_TRUE(opid.ok());
+    last = *opid;
+    cluster->loop()->RunFor(1'000);  // ~15 batches in flight per WAN link
+  }
+  ASSERT_TRUE(cluster->WaitForCommit(leader_id, last, 5 * kSecond));
+  cluster->loop()->RunFor(2 * kSecond);
+  for (const MemberId& id : cluster->ids()) {
+    ASSERT_EQ(cluster->node(id)->consensus()->last_logged(), last) << id;
+  }
+  ASSERT_EQ(cluster->CurrentLeader(), leader_id);
+
+  const uint64_t committed = last.index - first_index + 1;
+  const uint64_t followers = cluster->ids().size() - 1;
+  const uint64_t replicated =
+      leader->stats().entries_replicated - replicated_before;
+  EXPECT_LE(replicated * 10, committed * followers * 11)
+      << "shipped " << replicated << " entries for " << committed
+      << " committed x " << followers << " followers";
+  EXPECT_EQ(sum_stats(&Stats::window_rewinds) - rewinds_before, 0u);
+  EXPECT_EQ(sum_stats(&Stats::append_rejections) - rejections_before, 0u);
+  EXPECT_EQ(sum_stats(&Stats::duplicate_entries_received) - duplicates_before,
+            0u);
+}
+
 TEST(ProxyRouterTest, ResponsesRelayUpstreamThroughOwnRegion) {
   // §4.2.1: "the response from the downstream follower will then be
   // proxied back upstream" — a logtailer's response to a remote leader
@@ -391,94 +453,171 @@ TEST(ProxyRouterTest, ResponsesRelayUpstreamThroughOwnRegion) {
   EXPECT_EQ(relay.stats().relayed_responses, 1u);
 }
 
-TEST(ProxyRouterTest, MissingEntryWaitsThenDegradesToHeartbeat) {
-  // Deterministic final-hop behaviour: a PROXY_OP referencing an entry the
-  // relay does not have waits reconstitute_wait_micros, then degrades to a
-  // heartbeat (§4.2.1); if the entry shows up during the wait it is
-  // reconstituted instead.
-  sim::EventLoop loop(1);
-  std::vector<Message> sent;
-  ProxyOptions options;
-  options.reconstitute_wait_micros = 50'000;
-  options.reconstitute_poll_micros = 5'000;
-  ProxyRouter router("relay", "r1", options, &loop,
-                     [&](Message m) { sent.push_back(std::move(m)); });
+/// A final-hop relay ("relay", region r1) with its own consensus, fed by
+/// hand: PROXY_OPs for "lt1a" and the relay's own replication stream
+/// both enter through HandleInbound, as they do from the network.
+class RelayFinalHopTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kTerm = 3;
 
-  auto env = NewMemEnv();
-  raft::ConsensusMetadataStore meta(env.get(), "/m");
-  raft::MemLog log;
-  static raft::MajorityQuorumEngine quorum;
-  Random rng(9);
-  struct NullOutbox : raft::RaftOutbox {
-    void Send(Message) override {}
-  } null_outbox;
-  raft::StateMachineListener listener;
-  raft::RaftOptions raft_options;
-  raft_options.self = "relay";
-  raft_options.region = "r1";
-  raft::RaftConsensus consensus(raft_options, &log, &quorum, &meta,
-                                loop.clock(), &rng, &null_outbox, &listener);
-  MembershipConfig config;
-  config.members = {
-      {"leader", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
-      {"relay", "r1", MemberKind::kMySql, RaftMemberType::kVoter},
-      {"lt1a", "r1", MemberKind::kLogtailer, RaftMemberType::kVoter},
-  };
-  ASSERT_TRUE(consensus.Bootstrap(config).ok());
-  router.BindConsensus(&consensus);
+  RelayFinalHopTest()
+      : loop_(1),
+        env_(NewMemEnv()),
+        meta_(env_.get(), "/m"),
+        rng_(9) {
+    options_.reconstitute_wait_micros = 50'000;
+    options_.metrics = &metrics_;
+    router_ = std::make_unique<ProxyRouter>(
+        "relay", "r1", options_, &loop_,
+        [this](Message m) { sent_.push_back(std::move(m)); });
+    raft::RaftOptions raft_options;
+    raft_options.self = "relay";
+    raft_options.region = "r1";
+    consensus_ = std::make_unique<raft::RaftConsensus>(
+        raft_options, &log_, &quorum_, &meta_, loop_.clock(), &rng_,
+        &null_outbox_, &listener_);
+    MembershipConfig config;
+    config.members = {
+        {"leader", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
+        {"relay", "r1", MemberKind::kMySql, RaftMemberType::kVoter},
+        {"lt1a", "r1", MemberKind::kLogtailer, RaftMemberType::kVoter},
+    };
+    EXPECT_TRUE(consensus_->Bootstrap(config).ok());
+    router_->BindConsensus(consensus_.get());
+  }
 
-  const LogEntry real =
-      LogEntry::Make({3, 9}, EntryType::kTransaction, std::string(400, 'd'));
+  static LogEntry Entry(uint64_t index) {
+    return LogEntry::Make(
+        {kTerm, index}, EntryType::kTransaction,
+        std::string(100 + index, static_cast<char>('a' + index)));
+  }
 
-  auto make_proxy_op = [&]() {
+  /// PROXY_OP for lt1a carrying the stripped stamp of entry `index`.
+  static AppendEntriesRequest ProxyOp(uint64_t index) {
     AppendEntriesRequest proxied;
     proxied.leader = "leader";
     proxied.dest = "lt1a";
     proxied.route = {"relay"};
-    proxied.term = 3;
-    proxied.prev = {3, 8};
+    proxied.term = kTerm;
+    proxied.prev = {kTerm, index - 1};
     proxied.proxy_payload_omitted = true;
-    LogEntry stripped = real;
+    LogEntry stripped = Entry(index);
     stripped.payload.clear();
     proxied.entries.push_back(stripped);
     return proxied;
-  };
-
-  // Case 1: entry never arrives -> degrade after the wait.
-  EXPECT_TRUE(router.HandleInbound(Message(make_proxy_op())));
-  loop.RunFor(200'000);
-  ASSERT_EQ(sent.size(), 1u);
-  {
-    const auto& out = std::get<AppendEntriesRequest>(sent[0]);
-    EXPECT_TRUE(out.entries.empty());  // heartbeat
-    EXPECT_EQ(out.dest, "lt1a");
-    EXPECT_FALSE(out.proxy_payload_omitted);
   }
-  EXPECT_EQ(router.stats().degraded_to_heartbeat, 1u);
+
+  /// The leader's AppendEntries to the relay itself for [first, last],
+  /// delivered the way a host does: router first, then consensus.
+  void DeliverOwnAppend(uint64_t first, uint64_t last) {
+    AppendEntriesRequest own;
+    own.leader = "leader";
+    own.dest = "relay";
+    own.term = kTerm;
+    own.prev = {first > 1 ? kTerm : 0, first - 1};
+    for (uint64_t i = first; i <= last; ++i) own.entries.push_back(Entry(i));
+    const Message message(own);
+    if (!router_->HandleInbound(message)) consensus_->HandleMessage(message);
+  }
+
+  const AppendEntriesRequest& SentRequest(size_t i) const {
+    return std::get<AppendEntriesRequest>(sent_.at(i));
+  }
+
+  uint64_t WaitCount() const {
+    return metrics_.GetHistogram("proxy.reconstitute_wait_us")
+        ->snapshot()
+        .count();
+  }
+
+  sim::EventLoop loop_;
+  std::unique_ptr<Env> env_;
+  raft::ConsensusMetadataStore meta_;
+  raft::MemLog log_;
+  raft::MajorityQuorumEngine quorum_;
+  Random rng_;
+  struct NullOutbox : raft::RaftOutbox {
+    void Send(Message) override {}
+  } null_outbox_;
+  raft::StateMachineListener listener_;
+  mutable metrics::MetricRegistry metrics_;
+  ProxyOptions options_;
+  std::unique_ptr<raft::RaftConsensus> consensus_;
+  std::unique_ptr<ProxyRouter> router_;
+  std::vector<Message> sent_;
+};
+
+TEST_F(RelayFinalHopTest, MissingEntryWaitsThenDegradesToHeartbeat) {
+  // A PROXY_OP referencing an entry the relay does not have waits
+  // reconstitute_wait_micros, then degrades to a heartbeat (§4.2.1); if
+  // the relay's own replication stream delivers the entry during the wait
+  // it is reconstituted at that instant instead.
+
+  // Case 1: entry never arrives -> degrade at the deadline, not before.
+  EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(9))));
+  loop_.RunFor(49'999);
+  EXPECT_TRUE(sent_.empty());
+  loop_.RunFor(1);
+  ASSERT_EQ(sent_.size(), 1u);
+  EXPECT_TRUE(SentRequest(0).entries.empty());  // heartbeat
+  EXPECT_EQ(SentRequest(0).dest, "lt1a");
+  EXPECT_FALSE(SentRequest(0).proxy_payload_omitted);
+  EXPECT_EQ(router_->stats().degraded_to_heartbeat, 1u);
 
   // Case 2: entry arrives mid-wait -> reconstituted in full.
-  sent.clear();
-  EXPECT_TRUE(router.HandleInbound(Message(make_proxy_op())));
-  loop.Schedule(20'000, [&]() {
-    // Simulate the relay's own replication stream catching up. MemLog
-    // needs indexes 1..9; only 9 matters for the lookup, but appends are
-    // contiguous.
-    for (uint64_t i = 1; i <= 8; ++i) {
-      ASSERT_TRUE(
-          log.Append(LogEntry::Make({3, i}, EntryType::kNoOp, "")).ok());
-    }
-    ASSERT_TRUE(log.Append(real).ok());
-  });
-  loop.RunFor(200'000);
-  ASSERT_EQ(sent.size(), 1u);
-  {
-    const auto& out = std::get<AppendEntriesRequest>(sent[0]);
-    ASSERT_EQ(out.entries.size(), 1u);
-    EXPECT_EQ(out.entries[0], real);
-    EXPECT_FALSE(out.proxy_payload_omitted);
-  }
-  EXPECT_EQ(router.stats().reconstitutions, 1u);
-  EXPECT_EQ(router.stats().degraded_to_heartbeat, 1u);  // unchanged
+  sent_.clear();
+  EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(9))));
+  loop_.Schedule(20'000, [&]() { DeliverOwnAppend(1, 9); });
+  loop_.RunFor(20'000);
+  ASSERT_EQ(sent_.size(), 1u);
+  ASSERT_EQ(SentRequest(0).entries.size(), 1u);
+  EXPECT_EQ(SentRequest(0).entries[0], Entry(9));
+  EXPECT_FALSE(SentRequest(0).proxy_payload_omitted);
+  EXPECT_EQ(router_->stats().reconstitutions, 1u);
+  loop_.RunFor(200'000);
+  EXPECT_EQ(sent_.size(), 1u);
+  EXPECT_EQ(router_->stats().degraded_to_heartbeat, 1u);  // unchanged
+  const Histogram waits =
+      metrics_.GetHistogram("proxy.reconstitute_wait_us")->snapshot();
+  EXPECT_EQ(waits.count(), 2u);
+  EXPECT_EQ(waits.max(), 50'000u);
+  EXPECT_EQ(waits.min(), 20'000u);
+}
+
+TEST_F(RelayFinalHopTest, ProxyOpsLeaveInArrivalOrder) {
+  // The relay has entries 1..8. PROXY_OP A needs entry 9 (missing); B,
+  // for the same destination, needs entry 8 (present). B must not
+  // overtake A: nothing leaves until the relay's own append of 9 arrives
+  // through the inbound path, and then A goes, then B, at that instant.
+  DeliverOwnAppend(1, 8);
+  EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(9))));   // A
+  EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(8))));   // B
+  loop_.RunFor(10'000);
+  EXPECT_TRUE(sent_.empty());
+  DeliverOwnAppend(9, 9);
+  EXPECT_TRUE(sent_.empty());  // the drain runs after the host's append
+  loop_.RunFor(0);
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_EQ(SentRequest(0).entries.at(0), Entry(9));
+  EXPECT_EQ(SentRequest(1).entries.at(0), Entry(8));
+  EXPECT_EQ(router_->stats().reconstitutions, 2u);
+  EXPECT_EQ(WaitCount(), 2u);
+
+  // The degrade path still fires at the head's deadline, and releases
+  // the present op queued behind it in the same instant.
+  sent_.clear();
+  loop_.RunFor(1'000);
+  EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(20))));  // never comes
+  loop_.RunFor(1'000);
+  EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(9))));
+  loop_.RunFor(48'999);
+  EXPECT_TRUE(sent_.empty());
+  loop_.RunFor(1);
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_TRUE(SentRequest(0).entries.empty());  // degraded head
+  EXPECT_EQ(SentRequest(0).prev.index, 19u);
+  EXPECT_EQ(SentRequest(1).entries.at(0), Entry(9));
+  EXPECT_EQ(router_->stats().degraded_to_heartbeat, 1u);
 }
 
 }  // namespace

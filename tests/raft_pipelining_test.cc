@@ -2,8 +2,8 @@
 // (streaming, duplicate suppression, stall accounting), out-of-order and
 // stale response handling, rewind-cancels-suffix, timeout recovery, wire
 // compression, and the LogCache catch-up read-ahead buffer. Cluster-level
-// convergence under heavy jitter/loss (natural reordering) rides on the
-// sim network.
+// convergence under heavy chaos jitter and loss (reordering as a fault)
+// rides on the sim network.
 
 #include <gtest/gtest.h>
 
@@ -428,11 +428,13 @@ TEST(LogCacheReadahead, MainCacheWinsAndTruncateCoversBuffer) {
 
 TEST(PipeliningClusterTest, ConvergesUnderJitterLossAndLaggedFollower) {
   using namespace myraft::raft_test;
-  // Heavy jitter makes in-flight batches and their acks arrive out of
-  // order; loss exercises the timeout-rewind path.
+  // Heavy chaos jitter makes in-flight batches and their acks arrive out
+  // of order (latency-model jitter cannot: links are FIFO); loss
+  // exercises the timeout-rewind path.
   sim::NetworkOptions net;
-  net.same_region = {150, 2'000};
-  net.cross_region = {5'000, 10'000};
+  net.same_region = {150, 0};
+  net.cross_region = {5'000, 0};
+  net.chaos_jitter_micros = 10'000;
   net.loss_rate = 0.03;
   RaftTestCluster cluster(1234, net);
   cluster.AddMemberSpec("a", "r0");

@@ -96,6 +96,10 @@ class NetworkTest : public ::testing::Test {
                             [this, id = id](const MemberId& from,
                                             const Message& m) {
                               deliveries_.push_back({id, from});
+                              if (const auto* request =
+                                      std::get_if<AppendEntriesRequest>(&m)) {
+                                delivered_terms_.push_back(request->term);
+                              }
                             });
     }
   }
@@ -103,6 +107,27 @@ class NetworkTest : public ::testing::Test {
   EventLoop loop_;
   SimNetwork network_;
   std::vector<std::pair<MemberId, MemberId>> deliveries_;  // (to, from)
+  std::vector<uint64_t> delivered_terms_;  // AppendEntries only
+
+  /// Sends `n` heartbeats a -> c (cross-region, 2 ms latency jitter),
+  /// numbered by term, 100 us apart, and returns how many arrived after a
+  /// later-numbered one.
+  size_t SendNumberedAndCountInversions(int n) {
+    delivered_terms_.clear();
+    for (int i = 1; i <= n; ++i) {
+      auto request = std::get<AppendEntriesRequest>(MakeHeartbeat("a", "c"));
+      request.term = static_cast<uint64_t>(i);
+      network_.Send("a", Message(request));
+      loop_.RunFor(100);
+    }
+    loop_.RunFor(200'000);
+    EXPECT_EQ(delivered_terms_.size(), static_cast<size_t>(n));
+    size_t inversions = 0;
+    for (size_t i = 1; i < delivered_terms_.size(); ++i) {
+      if (delivered_terms_[i] < delivered_terms_[i - 1]) ++inversions;
+    }
+    return inversions;
+  }
 };
 
 TEST_F(NetworkTest, SameRegionFasterThanCrossRegion) {
@@ -185,6 +210,21 @@ TEST_F(NetworkTest, ReplicationLagDelaysOnlyDataAppends) {
   EXPECT_TRUE(deliveries_.empty());
   loop_.RunFor(500'000);
   EXPECT_EQ(deliveries_.size(), 1u);
+}
+
+TEST_F(NetworkTest, LatencyJitterNeverReordersALink) {
+  // Links are FIFO, as TCP is: the 2 ms cross-region latency jitter
+  // would reorder messages sent 100 us apart if arrivals were drawn
+  // independently, but each one waits for its predecessor instead.
+  EXPECT_EQ(SendNumberedAndCountInversions(200), 0u);
+}
+
+TEST_F(NetworkTest, ChaosJitterStillReordersALink) {
+  // Reordering is a fault: the chaos jitter sits outside the FIFO order.
+  network_.SetChaosJitter(20'000);
+  EXPECT_GT(SendNumberedAndCountInversions(200), 10u);
+  network_.HealAllFaults();
+  EXPECT_EQ(SendNumberedAndCountInversions(200), 0u);
 }
 
 TEST_F(NetworkTest, RoutedMessageDeliversToNextHop) {

@@ -162,6 +162,19 @@ TEST(HistogramDeltaTest, DeltaIsTheWindowBetweenSnapshots) {
   EXPECT_DOUBLE_EQ(empty.Percentile(50), 0.0);
 }
 
+TEST(HistogramDeltaTest, DeltaAgainstNeverSampledSnapshot) {
+  // Buckets are allocated on the first sample, so the sampler's first
+  // window diffs against a histogram that has none yet.
+  Histogram never_sampled;
+  Histogram later;
+  for (int i = 0; i < 10; ++i) later.Add(700);
+  const Histogram window = later.Delta(never_sampled);
+  EXPECT_EQ(window.count(), 10u);
+  EXPECT_DOUBLE_EQ(window.Percentile(50), later.Percentile(50));
+  EXPECT_EQ(never_sampled.Delta(never_sampled).count(), 0u);
+  EXPECT_TRUE(never_sampled.NonEmptyBuckets().empty());
+}
+
 TEST(HistogramDeltaTest, DeltaThenMergeRoundTrips) {
   Histogram earlier;
   Random rng(31);

@@ -113,6 +113,31 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(crc32c::Value(ascending, sizeof(ascending)), 0x46dd794eU);
 }
 
+TEST(Crc32cTest, HardwarePathMatchesTable) {
+  // Extend takes the SSE4.2 path where the CPU has it; it must agree with
+  // the table on every length and alignment (8-byte body plus tail), from
+  // a fresh and from a running CRC.
+  std::string buffer(300 + 8, '\0');
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const char* data = buffer.data() + offset;
+      ASSERT_EQ(crc32c::Extend(0, data, n),
+                crc32c::ExtendPortable(0, data, n))
+          << "offset=" << offset << " n=" << n;
+      ASSERT_EQ(crc32c::Extend(0xdeadbeefU, data, n),
+                crc32c::ExtendPortable(0xdeadbeefU, data, n))
+          << "offset=" << offset << " n=" << n;
+    }
+  }
+  char ascending[32];
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<char>(i);
+  EXPECT_EQ(crc32c::ExtendPortable(0, ascending, sizeof(ascending)),
+            0x46dd794eU);
+}
+
 TEST(Crc32cTest, ExtendEqualsWhole) {
   const std::string data = "hello world, this is crc32c";
   const uint32_t whole = crc32c::Value(data.data(), data.size());
