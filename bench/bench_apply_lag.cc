@@ -1,8 +1,9 @@
 // Pipelined replication + parallel applier benchmark. Two arms:
 //
 //  A) Replication throughput on a slow network (>= 5 ms one-way): the same
-//     open-loop write burst against lock-step (max_inflight_batches = 1)
-//     and pipelined (= 4) leaders, measuring entries committed per second.
+//     open-loop write burst against lock-step (in-flight window pinned at
+//     one batch: floor and adaptive cap both 1) and pipelined (adaptive
+//     window, floor 4) leaders, measuring entries committed per second.
 //     Lock-step is ack-bound at max_entries_per_rpc per RTT; pipelining
 //     should clear >= 2x.
 //
@@ -44,8 +45,7 @@ struct ReplicationResult {
   std::string stages_json;
 };
 
-ReplicationResult RunReplicationArm(size_t inflight_batches, int writes,
-                                    uint64_t seed,
+ReplicationResult RunReplicationArm(bool lockstep, int writes, uint64_t seed,
                                     const std::string& trace_out = "") {
   sim::ClusterOptions options;
   options.seed = seed;
@@ -56,7 +56,10 @@ ReplicationResult RunReplicationArm(size_t inflight_batches, int writes,
   options.network.same_region = {5'000, 500};
   options.network.cross_region = {5'000, 500};
   options.raft.max_entries_per_rpc = 8;
-  options.raft.max_inflight_batches = inflight_batches;
+  options.raft.max_inflight_batches = lockstep ? 1 : 4;
+  // max_inflight_batches is only the adaptive window's floor; lock-step
+  // also needs the cap, or the window grows past one batch.
+  if (lockstep) options.raft.adaptive_window_cap_batches = 1;
   // Observability plane: 100 ms windows so the BENCH json carries the
   // throughput trajectory, not just the end-of-run totals.
   options.obs.sample_interval_micros = 100'000;
@@ -74,8 +77,9 @@ ReplicationResult RunReplicationArm(size_t inflight_batches, int writes,
   const uint64_t base = consensus->commit_marker().index;
   const uint64_t start = cluster.loop()->now();
 
-  // Open-loop submission at 5000/s: fast enough that the wire, not the
-  // submitter, is the bottleneck in both arms.
+  // Open-loop submission at 5000/s: far faster than lock-step can commit,
+  // so the wire bounds that arm. The pipelined arm keeps up with it and is
+  // bounded by the submitter instead (writes / 5000 s plus about one RTT).
   for (int i = 0; i < writes; ++i) {
     cluster.loop()->Schedule(
         static_cast<uint64_t>(i) * 200, [&cluster, i]() {
@@ -91,7 +95,7 @@ ReplicationResult RunReplicationArm(size_t inflight_batches, int writes,
     cluster.loop()->RunFor(10'000);
   }
   MYRAFT_CHECK(consensus->commit_marker().index >= target)
-      << "replication arm did not finish (window=" << inflight_batches << ")";
+      << "replication arm did not finish (lockstep=" << lockstep << ")";
 
   ReplicationResult result;
   result.entries = static_cast<uint64_t>(writes);
@@ -196,14 +200,14 @@ int main(int argc, char** argv) {
   const int writes = args.quick ? 600 : 2000;
   printf("\n--- Arm A: replication throughput, 5 ms one-way links, "
          "%d writes ---\n", writes);
-  ReplicationResult lockstep = RunReplicationArm(1, writes, args.seed);
+  ReplicationResult lockstep = RunReplicationArm(true, writes, args.seed);
   ReplicationResult pipelined =
-      RunReplicationArm(4, writes, args.seed, args.trace_out);
+      RunReplicationArm(false, writes, args.seed, args.trace_out);
   const double speedup =
       lockstep.per_sec > 0 ? pipelined.per_sec / lockstep.per_sec : 0;
   printf("lock-step (window=1): %6.0f entries/s  (%.2f s)\n",
          lockstep.per_sec, lockstep.elapsed_micros / 1e6);
-  printf("pipelined (window=4): %6.0f entries/s  (%.2f s)\n",
+  printf("pipelined (window>=4): %6.0f entries/s  (%.2f s)\n",
          pipelined.per_sec, pipelined.elapsed_micros / 1e6);
   printf("speedup: %.2fx (acceptance: >= 2x)\n", speedup);
 

@@ -6,10 +6,10 @@
 // Figure 5.
 //
 // `--commit-latency` switches to a simulated end-to-end commit-latency
-// run instead (inline vs coalesced group commit, 1 and 8 clients) and
+// run instead (the group-commit sync stage at 1 and 8 clients) and
 // writes BENCH_micro_commit_latency.json; CI gates p50/p99 against the
 // committed baseline in bench/baselines/ (>15% regression fails) and
-// asserts the coalesced 8-client fsync-per-commit ratio stays < 0.5.
+// asserts the 8-client fsync-per-commit ratio stays < 0.5.
 
 #include <benchmark/benchmark.h>
 
@@ -250,14 +250,13 @@ struct CommitLatencyResult {
 /// at one virtual instant) against a fresh cluster and measures the
 /// client-observed commit latency plus the primary's binlog fsyncs per
 /// committed transaction.
-CommitLatencyResult RunCommitLatencyConfig(uint64_t seed, bool coalesced,
-                                           int clients, int writes) {
+CommitLatencyResult RunCommitLatencyConfig(uint64_t seed, int clients,
+                                           int writes) {
   constexpr uint64_t kSecond = 1'000'000;
   sim::ClusterOptions options;
   options.seed = seed;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  options.raft.group_commit_sync = coalesced;
   // Observability plane: 10 ms windows catch the commit-stage latency
   // series across the burst schedule.
   options.obs.sample_interval_micros = 10'000;
@@ -301,18 +300,15 @@ CommitLatencyResult RunCommitLatencyConfig(uint64_t seed, bool coalesced,
 }
 
 int RunCommitLatency(const bench::BenchArgs& args) {
-  bench::PrintHeader("Commit latency: inline vs coalesced group commit",
+  bench::PrintHeader("Commit latency: coalesced group commit",
                      "§3.4 three-stage group commit; §5 Figure 5 latency");
   struct Config {
     const char* name;
-    bool coalesced;
     int clients;
   };
   const Config configs[] = {
-      {"inline_1c", false, 1},
-      {"inline_8c", false, 8},
-      {"coalesced_1c", true, 1},
-      {"coalesced_8c", true, 8},
+      {"coalesced_1c", 1},
+      {"coalesced_8c", 8},
   };
   const int writes = args.quick ? 160 : 800;
 
@@ -322,10 +318,10 @@ int RunCommitLatency(const bench::BenchArgs& args) {
   std::string cluster_internals = "null";
   bool failed = false;
   for (const Config& config : configs) {
-    const CommitLatencyResult result = RunCommitLatencyConfig(
-        args.seed, config.coalesced, config.clients, writes);
+    const CommitLatencyResult result =
+        RunCommitLatencyConfig(args.seed, config.clients, writes);
     if (result.acked < writes) failed = true;
-    bench::PrintPercentileRowMs(config.coalesced ? "coalesced" : "inline",
+    bench::PrintPercentileRowMs("coalesced",
                                 config.clients == 1 ? "1-client" : "8-client",
                                 result.latency);
     printf("  %-22s fsync/commit = %.3f (%d/%d acked)\n", config.name,
@@ -344,10 +340,9 @@ int RunCommitLatency(const bench::BenchArgs& args) {
   }
   summary += "}";
   ratios += "}";
-  // Internals: the before/after fsync amortization at a glance (inline_*
-  // = the per-write seed behaviour, coalesced_* = the group-commit sync
-  // stage) plus the last config's (coalesced_8c) metric snapshot and
-  // sampler time series. The full latency histograms live in the summary.
+  // Internals: the fsync amortization at a glance (1 vs 8 clients) plus
+  // the last config's (coalesced_8c) metric snapshot and sampler time
+  // series. The full latency histograms live in the summary.
   const std::string internals = StringPrintf(
       "{\"fsync_per_commit\":%s,\"cluster\":%s}", ratios.c_str(),
       cluster_internals.c_str());

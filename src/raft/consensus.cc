@@ -140,6 +140,11 @@ Status RaftConsensus::Start() {
         "enable_leader_leases requires enable_pre_vote: lease grants are "
         "promised through pre-vote leader stickiness (DESIGN.md §13.6)");
   }
+  if (!options_.defer) {
+    return Status::InvalidArgument(
+        "RaftOptions::defer is required: it drives the group-commit sync "
+        "stage (DESIGN.md §12.1)");
+  }
   MYRAFT_ASSIGN_OR_RETURN(meta_, meta_store_->Load());
   if (meta_.config.members.empty()) {
     return Status::Uninitialized("no membership config; bootstrap first");
@@ -266,9 +271,8 @@ void RaftConsensus::Tick() {
   // acked-but-unsynced suffix.
   if (!options_.inline_follower_sync &&
       last_synced_index_ < log_->LastOpId().index) {
-    Status s = log_->Sync();
+    Status s = SyncLog();
     if (s.ok()) {
-      last_synced_index_ = log_->LastOpId().index;
       // A leader running deferred sync (chaos mode) can now count its own
       // ack; without this its single-region commits wait a heartbeat.
       if (role_ == RaftRole::kLeader) AdvanceCommitMarker();
@@ -279,8 +283,7 @@ void RaftConsensus::Tick() {
   }
   // Belt-and-braces for the group-commit sync stage: if the deferred sync
   // was dropped (host restart races), the next tick picks the tail up.
-  if (group_sync_active() && !group_sync_scheduled_ &&
-      options_.inline_follower_sync &&
+  if (!group_sync_scheduled_ && options_.inline_follower_sync &&
       last_synced_index_ < log_->LastOpId().index) {
     ScheduleGroupSync();
   }
@@ -373,17 +376,12 @@ Result<OpId> RaftConsensus::Replicate(EntryType type, std::string payload,
   const OpId opid{meta_.current_term, log_->LastOpId().index + 1};
   const LogEntry entry = LogEntry::Make(opid, type, std::move(payload));
   MYRAFT_RETURN_NOT_OK(AppendToLocalLog(entry));
-  if (group_sync_active()) {
-    // Group-commit sync stage (§3.4): every Replicate() arriving before
-    // the deferred sync runs shares one fsync. The entry still ships to
-    // peers immediately; only the leader's own quorum ack waits (gated on
-    // last_synced_index_ in AdvanceCommitMarker), so durability is
-    // unchanged — just amortised.
-    ScheduleGroupSync();
-  } else {
-    MYRAFT_RETURN_NOT_OK(log_->Sync());
-    last_synced_index_ = log_->LastOpId().index;
-  }
+  // Group-commit sync stage (§3.4): every Replicate() arriving before the
+  // deferred sync runs shares one fsync. The entry still ships to peers
+  // immediately; only the leader's own quorum ack waits (gated on
+  // last_synced_index_ in AdvanceCommitMarker), so nothing commits before
+  // the covering sync.
+  ScheduleGroupSync();
   replicate_time_micros_[opid.index] = clock_->NowMicros();
   if (options_.tracer != nullptr && trace_ctx.valid()) {
     replicate_trace_ctx_[opid.index] = trace_ctx;
@@ -491,13 +489,18 @@ void RaftConsensus::ScheduleGroupSync() {
   options_.defer(0, [this]() { RunGroupSync(); });
 }
 
+Status RaftConsensus::SyncLog() {
+  MYRAFT_RETURN_NOT_OK(log_->Sync());
+  last_synced_index_ = log_->LastOpId().index;
+  return Status::OK();
+}
+
 void RaftConsensus::RunGroupSync() {
   group_sync_scheduled_ = false;
   if (!started_) return;
   if (last_synced_index_ < log_->LastOpId().index) {
-    Status s = log_->Sync();
+    Status s = SyncLog();
     if (s.ok()) {
-      last_synced_index_ = log_->LastOpId().index;
       m_.group_syncs->Increment();
     } else {
       MYRAFT_LOG(Error) << options_.self << ": group sync failed: " << s;
@@ -543,8 +546,8 @@ void RaftConsensus::RunGroupSync() {
 
 size_t RaftConsensus::EffectiveWindow(const PeerStatus& peer) const {
   const size_t floor_batches = options_.max_inflight_batches;
-  if (!options_.adaptive_inflight_window || peer.srtt_micros == 0 ||
-      peer.delivery_rate_bps <= 0.0 || peer.avg_batch_bytes <= 0.0) {
+  if (peer.srtt_micros == 0 || peer.delivery_rate_bps <= 0.0 ||
+      peer.avg_batch_bytes <= 0.0) {
     return floor_batches;  // no samples yet: static floor
   }
   // BDP over the smoothed RTT with a 2x gain so the pipe stays full while
@@ -1256,7 +1259,7 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   // reports the still-stale durable index.
   if (options_.inline_follower_sync &&
       (appended || last_synced_index_ < log_->LastOpId().index)) {
-    if (group_sync_active() && !append_failed) {
+    if (!append_failed) {
       // Coalesced follower sync: hold this ack and let one deferred fsync
       // cover every batch that arrives this instant; RunGroupSync sends a
       // single cumulative response in place of the per-batch ones. The
@@ -1289,15 +1292,12 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       }
       return;
     }
-    Status s = log_->Sync();
+    // The rejection below goes out at once, so sync the partial prefix
+    // now: it then reports that prefix durable.
+    Status s = SyncLog();
     if (!s.ok()) {
       MYRAFT_LOG(Error) << options_.self << ": log sync failed: " << s;
-      response.last_received = log_->LastOpId();
-      response.last_durable_index = last_synced_index_;
-      outbox_->Send(std::move(response));
-      return;
     }
-    last_synced_index_ = log_->LastOpId().index;
   }
 
   if (append_failed) {

@@ -60,17 +60,16 @@ struct RaftOptions {
   uint64_t max_bytes_per_rpc = 1 << 20;
 
   /// Replication pipelining: number of AppendEntries batches the leader
-  /// keeps in flight per peer before the first ack (1 = lock-step). The
-  /// paper's throughput numbers (§5, Fig. 5) assume the dissemination
-  /// path is not ack-bound on WAN RTTs. With the adaptive window this is
-  /// the floor the window never shrinks below.
+  /// keeps in flight per peer before the first ack. The paper's
+  /// throughput numbers (§5, Fig. 5) assume the dissemination path is not
+  /// ack-bound on WAN RTTs. This is the floor of the adaptive window, so
+  /// lock-step replication needs this AND adaptive_window_cap_batches at 1.
   size_t max_inflight_batches = 4;
   /// BDP-style adaptive in-flight window: per peer, the window is sized
   /// from measured delivery rate × smoothed RTT (÷ average batch size),
   /// clamped to [max_inflight_batches, adaptive_window_cap_batches] and
   /// always bounded by max_inflight_bytes_per_peer. Until the first RTT
-  /// sample the static floor applies.
-  bool adaptive_inflight_window = true;
+  /// sample the floor applies; a cap at the floor makes the window static.
   size_t adaptive_window_cap_batches = 64;
   /// Byte budget across one peer's in-flight window (payload bytes).
   uint64_t max_inflight_bytes_per_peer = 4ull << 20;
@@ -105,32 +104,26 @@ struct RaftOptions {
   bool enable_auto_step_down = false;
   uint64_t auto_step_down_after_micros = 3'000'000;
 
-  /// Followers fsync appended entries inline before responding (true
-  /// keeps the historical lock-step behaviour, where the reported durable
-  /// index always equals the received index). When false the sync is
-  /// deferred to the next Tick, so acks can genuinely run ahead of the
-  /// durable horizon — the regime where the leader-side
-  /// min(received, durable) quorum rule actually matters and where
-  /// power-loss crashes (sim CrashMode::kLoseUnsynced) can tear an
+  /// Follower ack policy; the log always becomes durable through the
+  /// group-commit sync stage or a Tick. True: hold each ack until the
+  /// group sync covering it completes (one sync and one cumulative ack per
+  /// scheduling instant), so the reported durable index equals the
+  /// received one. False: ack at once and sync the received tail on the
+  /// next Tick, so acks run ahead of the durable horizon — the regime
+  /// where the leader-side min(received, durable) quorum rule matters and
+  /// where power-loss crashes (sim CrashMode::kLoseUnsynced) can tear an
   /// acked-but-unsynced tail.
   bool inline_follower_sync = true;
 
-  /// Group-commit sync stage (the paper's §3.4 three-stage group commit):
-  /// when a defer hook is installed, Replicate() skips its inline fsync
-  /// and schedules one coalescing Sync() that covers every entry appended
-  /// by the time it runs — concurrently arriving writes share a single
-  /// fsync. Durability semantics are unchanged: the leader's own quorum
-  /// ack is gated on last_synced_index, so nothing commits before the
-  /// covering sync completes. Followers in inline-sync mode coalesce the
-  /// same way (one sync + one cumulative ack per scheduling instant);
-  /// deferred-tick follower sync (inline_follower_sync = false) is
-  /// already batched and stays as-is.
-  bool group_commit_sync = true;
-  /// Host-provided deferral hook: run `fn` after `delay_micros` once the
-  /// current call stack unwinds (the sim node schedules it on the event
-  /// loop; delay 0 means "this same instant, after pending events").
-  /// Null disables the group-commit sync stage entirely — every sync
-  /// stays inline, the historical lock-step behaviour.
+  /// Host-provided deferral hook, required (Start() rejects null): run
+  /// `fn` after `delay_micros` once the current call stack unwinds (the
+  /// sim node schedules it on the event loop; delay 0 means "this same
+  /// instant, after pending events"), and drop it once this instance is
+  /// gone. It drives the group-commit sync stage (§3.4): Replicate()
+  /// appends without syncing and schedules one Sync() covering every entry
+  /// appended by the time it runs, so concurrent writes share an fsync.
+  /// The leader's own quorum ack is gated on last_synced_index, so nothing
+  /// commits before that sync completes.
   std::function<void(uint64_t delay_micros, std::function<void()> fn)> defer;
 
   /// LeaseGuard leader leases (DESIGN.md §13): followers piggyback lease
@@ -554,9 +547,9 @@ class RaftConsensus {
   /// ack (follower).
   void ScheduleGroupSync();
   void RunGroupSync();
-  bool group_sync_active() const {
-    return options_.group_commit_sync && options_.defer != nullptr;
-  }
+  /// The one fsync site: syncs the log and, on success, moves the durable
+  /// horizon (last_synced_index_) to the log tail.
+  Status SyncLog();
   /// Adaptive window plumbing.
   size_t EffectiveWindow(const PeerStatus& peer) const;
   void RecordAckSample(PeerStatus* peer, const InflightBatch& batch,
@@ -746,7 +739,7 @@ class RaftConsensus {
   /// Group-commit sync stage: one coalescing sync outstanding at a time.
   bool group_sync_scheduled_ = false;
   /// Follower-side coalesced ack held until the covering sync completes
-  /// (inline-sync mode only): one cumulative response replaces the
+  /// (inline_follower_sync only): one cumulative response replaces the
   /// per-batch ones for every batch that arrived this instant.
   bool follower_ack_pending_ = false;
   MemberId follower_ack_dest_;

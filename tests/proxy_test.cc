@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "flexiraft/flexiraft.h"
+#include "queued_defer.h"
 #include "raft_test_harness.h"
 
 namespace myraft::proxy {
@@ -92,6 +93,8 @@ TEST(ProxyRouterTest, LeaderStripsPayloadForRemoteNonRelayMembers) {
   raft::RaftOptions raft_options;
   raft_options.self = "db0";
   raft_options.region = "r0";
+  raft_test::QueuedDefer defer;  // never drained: nothing is replicated
+  raft_options.defer = defer.Hook();
   raft::RaftConsensus consensus(raft_options, &log, &quorum, &meta,
                                 loop.clock(), &rng, &null_outbox, &listener);
   MembershipConfig config;
@@ -404,6 +407,8 @@ TEST(ProxyRouterTest, ResponsesRelayUpstreamThroughOwnRegion) {
   raft::RaftOptions raft_options;
   raft_options.self = "lt1a";
   raft_options.region = "r1";
+  raft_test::QueuedDefer defer;  // never drained: nothing is replicated
+  raft_options.defer = defer.Hook();
   raft::RaftConsensus consensus(raft_options, &log, &quorum, &meta,
                                 loop.clock(), &rng, &null_outbox, &listener);
   MembershipConfig config;
@@ -473,6 +478,7 @@ class RelayFinalHopTest : public ::testing::Test {
     raft::RaftOptions raft_options;
     raft_options.self = "relay";
     raft_options.region = "r1";
+    raft_options.defer = defer_.Hook();
     consensus_ = std::make_unique<raft::RaftConsensus>(
         raft_options, &log_, &quorum_, &meta_, loop_.clock(), &rng_,
         &null_outbox_, &listener_);
@@ -518,6 +524,7 @@ class RelayFinalHopTest : public ::testing::Test {
     for (uint64_t i = first; i <= last; ++i) own.entries.push_back(Entry(i));
     const Message message(own);
     if (!router_->HandleInbound(message)) consensus_->HandleMessage(message);
+    defer_.Drain();
   }
 
   const AppendEntriesRequest& SentRequest(size_t i) const {
@@ -542,6 +549,7 @@ class RelayFinalHopTest : public ::testing::Test {
   raft::StateMachineListener listener_;
   mutable metrics::MetricRegistry metrics_;
   ProxyOptions options_;
+  raft_test::QueuedDefer defer_;
   std::unique_ptr<raft::RaftConsensus> consensus_;
   std::unique_ptr<ProxyRouter> router_;
   std::vector<Message> sent_;

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "queued_defer.h"
 #include "raft/consensus.h"
 #include "util/logging.h"
 
 namespace myraft::raft {
 namespace {
+
+using raft_test::QueuedDefer;
 
 class CapturingOutbox final : public RaftOutbox {
  public:
@@ -106,6 +109,7 @@ class ConsensusUnitTest : public ::testing::Test {
     options.self = "a";
     options.region = "r0";
     options.enable_pre_vote = false;  // direct elections in unit tests
+    options.defer = defer_.Hook();
     consensus_ = std::make_unique<RaftConsensus>(
         options, &faulty_log_, &quorum_, meta_store_.get(), &clock_, &rng_,
         &outbox_, &listener_);
@@ -118,6 +122,24 @@ class ConsensusUnitTest : public ::testing::Test {
     ASSERT_TRUE(consensus_->Bootstrap(config).ok());
   }
 
+  /// Delivers one inbound message, then runs the work it deferred (the
+  /// group-commit sync and any ack held for it), as a host's loop would.
+  void Deliver(const Message& message) {
+    consensus_->HandleMessage(message);
+    defer_.Drain();
+  }
+
+  void Tick() {
+    consensus_->Tick();
+    defer_.Drain();
+  }
+
+  Result<OpId> Replicate(EntryType type, std::string payload) {
+    auto opid = consensus_->Replicate(type, std::move(payload));
+    defer_.Drain();
+    return opid;
+  }
+
   /// Drives `a` to leadership of term 1 by granting b's vote.
   void BecomeLeader() {
     ASSERT_TRUE(
@@ -127,7 +149,7 @@ class ConsensusUnitTest : public ::testing::Test {
     grant.dest = "a";
     grant.term = consensus_->term();
     grant.granted = true;
-    consensus_->HandleMessage(Message(grant));
+    Deliver(Message(grant));
     ASSERT_EQ(consensus_->role(), RaftRole::kLeader);
     outbox_.sent.clear();
   }
@@ -163,6 +185,7 @@ class ConsensusUnitTest : public ::testing::Test {
     options.enable_leader_leases = true;
     options.lease_duration_micros = duration_micros;
     options.lease_drift_margin_micros = margin_micros;
+    options.defer = defer_.Hook();
     lease_meta_store_ =
         std::make_unique<ConsensusMetadataStore>(env_.get(), "/cmeta-lease");
     consensus_ = std::make_unique<RaftConsensus>(
@@ -191,7 +214,7 @@ class ConsensusUnitTest : public ::testing::Test {
     ack.lease_granted_micros = lease_echo_micros;
     ack.config_term = consensus_->config().config_term;
     ack.config_version = consensus_->config().config_version;
-    consensus_->HandleMessage(Message(ack));
+    Deliver(Message(ack));
   }
 
   /// A vote request to `a` stamped with `voter`'s own config identity, so
@@ -226,7 +249,7 @@ class ConsensusUnitTest : public ::testing::Test {
   uint64_t SendStampedHeartbeats() {
     clock_.AdvanceMicros(600'000);  // > heartbeat interval
     outbox_.sent.clear();
-    consensus_->Tick();
+    Tick();
     const auto request = outbox_.Last<AppendEntriesRequest>();
     EXPECT_EQ(request.lease_sent_micros, clock_.NowMicros());
     return request.lease_sent_micros;
@@ -234,6 +257,7 @@ class ConsensusUnitTest : public ::testing::Test {
 
   ManualClock clock_;
   Random rng_{1};
+  QueuedDefer defer_;
   std::unique_ptr<Env> env_;
   std::unique_ptr<ConsensusMetadataStore> meta_store_;
   std::unique_ptr<ConsensusMetadataStore> lease_meta_store_;
@@ -246,13 +270,11 @@ class ConsensusUnitTest : public ::testing::Test {
 };
 
 TEST_F(ConsensusUnitTest, StaleTermAppendRejected) {
-  consensus_->HandleMessage(
-      Message(MakeAppend(1, kZeroOpId, {E(1, 1, "x")})));
+  Deliver(Message(MakeAppend(1, kZeroOpId, {E(1, 1, "x")})));
   ASSERT_EQ(consensus_->term(), 1u);
   // A lower-term append is rejected with our current term.
   outbox_.sent.clear();
-  consensus_->HandleMessage(
-      Message(MakeAppend(0, kZeroOpId, {E(0, 1, "y")})));
+  Deliver(Message(MakeAppend(0, kZeroOpId, {E(0, 1, "y")})));
   auto response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_FALSE(response.success);
   EXPECT_EQ(response.term, 1u);
@@ -260,9 +282,9 @@ TEST_F(ConsensusUnitTest, StaleTermAppendRejected) {
 
 TEST_F(ConsensusUnitTest, DuplicateAppendIsIdempotent) {
   const auto request = MakeAppend(1, kZeroOpId, {E(1, 1, "x"), E(1, 2, "y")});
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   const int appended_before = listener_.appended;
-  consensus_->HandleMessage(Message(request));  // replayed RPC
+  Deliver(Message(request));  // replayed RPC
   EXPECT_EQ(listener_.appended, appended_before);
   EXPECT_EQ(consensus_->last_logged(), (OpId{1, 2}));
   auto response = outbox_.Last<AppendEntriesResponse>();
@@ -271,19 +293,17 @@ TEST_F(ConsensusUnitTest, DuplicateAppendIsIdempotent) {
 }
 
 TEST_F(ConsensusUnitTest, MissingPrevAsksForRewind) {
-  consensus_->HandleMessage(
-      Message(MakeAppend(1, OpId{1, 5}, {E(1, 6, "future")})));
+  Deliver(Message(MakeAppend(1, OpId{1, 5}, {E(1, 6, "future")})));
   auto response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_FALSE(response.success);
   EXPECT_EQ(response.last_received, kZeroOpId);  // hint: our last
 }
 
 TEST_F(ConsensusUnitTest, ConflictingSuffixTruncatedAndReplaced) {
-  consensus_->HandleMessage(Message(
+  Deliver(Message(
       MakeAppend(1, kZeroOpId, {E(1, 1, "a"), E(1, 2, "old"), E(1, 3, "old")})));
   // New leader at term 2 overwrites indexes 2-3.
-  consensus_->HandleMessage(
-      Message(MakeAppend(2, OpId{1, 1}, {E(2, 2, "new")}, kZeroOpId, "c")));
+  Deliver(Message(MakeAppend(2, OpId{1, 1}, {E(2, 2, "new")}, kZeroOpId, "c")));
   EXPECT_EQ(listener_.truncated, 1);
   EXPECT_EQ(consensus_->last_logged(), (OpId{2, 2}));
   auto entry = log_.Read(2);
@@ -297,7 +317,7 @@ TEST_F(ConsensusUnitTest, MidBatchAppendFailureReportsRealTail) {
   // to the success response, acking entries the follower never wrote; the
   // leader then advanced next_index past them and the ring lost data.
   faulty_log_.fail_append_countdown = 1;  // entry 1 lands, entry 2 fails
-  consensus_->HandleMessage(Message(MakeAppend(
+  Deliver(Message(MakeAppend(
       1, kZeroOpId, {E(1, 1, "a"), E(1, 2, "b"), E(1, 3, "c")})));
   auto response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_FALSE(response.success);
@@ -309,8 +329,7 @@ TEST_F(ConsensusUnitTest, MidBatchAppendFailureReportsRealTail) {
   // The leader rewinds to the hinted tail and retries; once the log
   // heals, the remainder lands and the tail catches up.
   faulty_log_.fail_append_countdown = -1;
-  consensus_->HandleMessage(
-      Message(MakeAppend(1, OpId{1, 1}, {E(1, 2, "b"), E(1, 3, "c")})));
+  Deliver(Message(MakeAppend(1, OpId{1, 1}, {E(1, 2, "b"), E(1, 3, "c")})));
   response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_TRUE(response.success);
   EXPECT_EQ(response.last_received, (OpId{1, 3}));
@@ -323,17 +342,18 @@ TEST_F(ConsensusUnitTest, UnsyncedEntriesNeverReportedDurable) {
   // could count a received-but-unfsynced suffix towards the commit quorum
   // — entries a crash in that window would erase.
   faulty_log_.fail_sync = true;
-  consensus_->HandleMessage(
-      Message(MakeAppend(1, kZeroOpId, {E(1, 1, "a"), E(1, 2, "b")})));
+  Deliver(Message(MakeAppend(1, kZeroOpId, {E(1, 1, "a"), E(1, 2, "b")})));
   auto response = outbox_.Last<AppendEntriesResponse>();
-  EXPECT_FALSE(response.success);  // sync failure is not an ack
+  // The ack held for the failed group sync still goes out as a success:
+  // the entries are in the log and match the leader's. Only its durable
+  // index, which alone counts towards commit, must stay behind.
+  EXPECT_TRUE(response.success);
   EXPECT_EQ(response.last_received, (OpId{1, 2}));  // entries are in the log
   EXPECT_EQ(response.last_durable_index, 0u);       // but none are durable
 
   // Rejections advertise only the synced tail too.
   outbox_.sent.clear();
-  consensus_->HandleMessage(
-      Message(MakeAppend(0, kZeroOpId, {E(0, 1, "stale")})));
+  Deliver(Message(MakeAppend(0, kZeroOpId, {E(0, 1, "stale")})));
   response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_FALSE(response.success);
   EXPECT_EQ(response.last_durable_index, 0u);
@@ -342,7 +362,7 @@ TEST_F(ConsensusUnitTest, UnsyncedEntriesNeverReportedDurable) {
   // and durability catches up to the log.
   faulty_log_.fail_sync = false;
   outbox_.sent.clear();
-  consensus_->HandleMessage(Message(MakeAppend(1, OpId{1, 2}, {})));
+  Deliver(Message(MakeAppend(1, OpId{1, 2}, {})));
   response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_TRUE(response.success);
   EXPECT_EQ(response.last_received, (OpId{1, 2}));
@@ -353,7 +373,7 @@ TEST_F(ConsensusUnitTest, LeaderIgnoresUndurableAcksForCommit) {
   // The leader's match_index must track what followers have fsynced, not
   // what they have merely received.
   BecomeLeader();
-  auto opid = consensus_->Replicate(EntryType::kNoOp, "payload");
+  auto opid = Replicate(EntryType::kNoOp, "payload");
   ASSERT_TRUE(opid.ok());
 
   AppendEntriesResponse ack;
@@ -363,49 +383,47 @@ TEST_F(ConsensusUnitTest, LeaderIgnoresUndurableAcksForCommit) {
   ack.success = true;
   ack.last_received = *opid;
   ack.last_durable_index = 0;  // received, not yet fsynced
-  consensus_->HandleMessage(Message(ack));
+  Deliver(Message(ack));
   EXPECT_FALSE(consensus_->IsCommitted(*opid));
 
   ack.last_durable_index = opid->index;
-  consensus_->HandleMessage(Message(ack));
+  Deliver(Message(ack));
   EXPECT_TRUE(consensus_->IsCommitted(*opid));
 }
 
 TEST_F(ConsensusUnitTest, CorruptEntryFromLeaderRejected) {
   LogEntry bad = E(1, 1, "payload");
   bad.payload[0] = 'X';  // breaks the checksum
-  consensus_->HandleMessage(Message(MakeAppend(1, kZeroOpId, {bad})));
+  Deliver(Message(MakeAppend(1, kZeroOpId, {bad})));
   auto response = outbox_.Last<AppendEntriesResponse>();
   EXPECT_FALSE(response.success);
   EXPECT_EQ(consensus_->last_logged(), kZeroOpId);
 }
 
 TEST_F(ConsensusUnitTest, CommitMarkerNeverExceedsLocalLog) {
-  consensus_->HandleMessage(Message(
+  Deliver(Message(
       MakeAppend(1, kZeroOpId, {E(1, 1, "x")}, /*commit=*/OpId{1, 10})));
   EXPECT_EQ(consensus_->commit_marker(), (OpId{1, 1}));
   EXPECT_EQ(listener_.last_commit, (OpId{1, 1}));
 }
 
 TEST_F(ConsensusUnitTest, CommitMarkerMonotonic) {
-  consensus_->HandleMessage(Message(
+  Deliver(Message(
       MakeAppend(1, kZeroOpId, {E(1, 1, "x"), E(1, 2, "y")}, OpId{1, 2})));
   EXPECT_EQ(consensus_->commit_marker().index, 2u);
   // A heartbeat with an older marker must not regress it.
-  consensus_->HandleMessage(
-      Message(MakeAppend(1, OpId{1, 2}, {}, OpId{1, 1})));
+  Deliver(Message(MakeAppend(1, OpId{1, 2}, {}, OpId{1, 1})));
   EXPECT_EQ(consensus_->commit_marker().index, 2u);
 }
 
 TEST_F(ConsensusUnitTest, VoteDeniedToStaleLogAndPersisted) {
-  consensus_->HandleMessage(
-      Message(MakeAppend(1, kZeroOpId, {E(1, 1, "x")})));
+  Deliver(Message(MakeAppend(1, kZeroOpId, {E(1, 1, "x")})));
   outbox_.sent.clear();
 
   // Candidate with an empty log at a higher term: term adopted, vote
   // denied on the log check.
   VoteRequest request = MakeVote(*consensus_, "c", 5, kZeroOpId, "r1");
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
   EXPECT_EQ(response.reason, "stale-log");
@@ -414,13 +432,13 @@ TEST_F(ConsensusUnitTest, VoteDeniedToStaleLogAndPersisted) {
   // An up-to-date candidate at the same term gets the vote...
   request.candidate = "b";
   request.last_log = {1, 1};
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   response = outbox_.Last<VoteResponse>();
   EXPECT_TRUE(response.granted);
 
   // ...and the vote binds within the term, including across restart.
   request.candidate = "c";
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
   EXPECT_EQ(response.reason, "already-voted");
@@ -428,6 +446,7 @@ TEST_F(ConsensusUnitTest, VoteDeniedToStaleLogAndPersisted) {
   RaftOptions options;
   options.self = "a";
   options.region = "r0";
+  options.defer = defer_.Hook();
   RaftConsensus restarted(options, &log_, &quorum_, meta_store_.get(),
                           &clock_, &rng_, &outbox_, &listener_);
   ASSERT_TRUE(restarted.Start().ok());
@@ -440,13 +459,12 @@ TEST_F(ConsensusUnitTest, VoteDeniedToStaleLogAndPersisted) {
 }
 
 TEST_F(ConsensusUnitTest, PreVoteDoesNotDisturbState) {
-  consensus_->HandleMessage(
-      Message(MakeAppend(3, kZeroOpId, {E(3, 1, "x")})));
+  Deliver(Message(MakeAppend(3, kZeroOpId, {E(3, 1, "x")})));
   outbox_.sent.clear();
 
   VoteRequest pre = MakeVote(*consensus_, "c", 4, {3, 1}, "r1");
   pre.pre_vote = true;
-  consensus_->HandleMessage(Message(pre));
+  Deliver(Message(pre));
   auto response = outbox_.Last<VoteResponse>();
   // Leader "b" is fresh: stickiness denies the pre-vote.
   EXPECT_FALSE(response.granted);
@@ -456,7 +474,7 @@ TEST_F(ConsensusUnitTest, PreVoteDoesNotDisturbState) {
   // Once the leader has been silent past the election timeout, the
   // pre-vote is granted — still without touching the term.
   clock_.AdvanceMicros(10'000'000);
-  consensus_->HandleMessage(Message(pre));
+  Deliver(Message(pre));
   response = outbox_.Last<VoteResponse>();
   EXPECT_TRUE(response.granted);
   EXPECT_EQ(consensus_->term(), 3u);
@@ -464,7 +482,7 @@ TEST_F(ConsensusUnitTest, PreVoteDoesNotDisturbState) {
 
 TEST_F(ConsensusUnitTest, LeaderCommitsViaMajorityAcks) {
   BecomeLeader();
-  auto opid = consensus_->Replicate(EntryType::kNoOp, "payload");
+  auto opid = Replicate(EntryType::kNoOp, "payload");
   ASSERT_TRUE(opid.ok());
   EXPECT_FALSE(consensus_->IsCommitted(*opid));
 
@@ -475,7 +493,7 @@ TEST_F(ConsensusUnitTest, LeaderCommitsViaMajorityAcks) {
   ack.success = true;
   ack.last_received = *opid;
   ack.last_durable_index = opid->index;
-  consensus_->HandleMessage(Message(ack));
+  Deliver(Message(ack));
   EXPECT_TRUE(consensus_->IsCommitted(*opid));  // a + b = 2 of 3
   EXPECT_EQ(listener_.last_commit, *opid);
 }
@@ -487,18 +505,18 @@ TEST_F(ConsensusUnitTest, LeaderStepsDownOnHigherTermResponse) {
   response.dest = "a";
   response.term = consensus_->term() + 3;
   response.success = false;
-  consensus_->HandleMessage(Message(response));
+  Deliver(Message(response));
   EXPECT_EQ(consensus_->role(), RaftRole::kFollower);
   EXPECT_EQ(listener_.lost, 1);
   EXPECT_EQ(consensus_->term(), 4u);
   // Replicate is now rejected.
-  EXPECT_FALSE(consensus_->Replicate(EntryType::kNoOp, "x").ok());
+  EXPECT_FALSE(Replicate(EntryType::kNoOp, "x").ok());
 }
 
 TEST_F(ConsensusUnitTest, LeaderRewindsNextIndexOnFailure) {
   BecomeLeader();
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(consensus_->Replicate(EntryType::kNoOp, "e").ok());
+    ASSERT_TRUE(Replicate(EntryType::kNoOp, "e").ok());
   }
   // b claims it is caught up to index 4 (leader advances next to 5)...
   AppendEntriesResponse ack;
@@ -507,13 +525,13 @@ TEST_F(ConsensusUnitTest, LeaderRewindsNextIndexOnFailure) {
   ack.term = consensus_->term();
   ack.success = true;
   ack.last_received = {1, 4};
-  consensus_->HandleMessage(Message(ack));
+  Deliver(Message(ack));
   // ...then fails a subsequent append, hinting its log really ends at 2.
   AppendEntriesResponse nack = ack;
   nack.success = false;
   nack.last_received = {1, 2};
   outbox_.sent.clear();
-  consensus_->HandleMessage(Message(nack));
+  Deliver(Message(nack));
   auto resend = outbox_.Last<AppendEntriesRequest>();
   EXPECT_EQ(resend.prev.index, 2u);  // rewound to the hint
   ASSERT_FALSE(resend.entries.empty());
@@ -543,13 +561,13 @@ TEST_F(ConsensusUnitTest, QuiescedLeaderRejectsTransactionsOnly) {
   outcome.granted = true;
   outcome.mock_election = true;
   outcome.reason = "mock-outcome";
-  consensus_->HandleMessage(Message(outcome));
+  Deliver(Message(outcome));
   EXPECT_TRUE(consensus_->is_quiesced_for_transfer());
-  EXPECT_TRUE(consensus_->Replicate(EntryType::kTransaction, "txn")
+  EXPECT_TRUE(Replicate(EntryType::kTransaction, "txn")
                   .status()
                   .IsServiceUnavailable());
   // Control entries (no-op/config) still pass.
-  EXPECT_TRUE(consensus_->Replicate(EntryType::kNoOp, "").ok());
+  EXPECT_TRUE(Replicate(EntryType::kNoOp, "").ok());
 }
 
 TEST_F(ConsensusUnitTest, ConfigChangeGatingAndCommit) {
@@ -569,7 +587,7 @@ TEST_F(ConsensusUnitTest, ConfigChangeGatingAndCommit) {
   echo.success = true;
   echo.config_term = consensus_->config().config_term;
   echo.config_version = consensus_->config().config_version;
-  consensus_->HandleMessage(Message(echo));
+  Deliver(Message(echo));
   EXPECT_FALSE(consensus_->has_pending_config_change());
   EXPECT_TRUE(consensus_->AddMember(d).IsServiceUnavailable());
 
@@ -596,7 +614,7 @@ TEST_F(ConsensusUnitTest, ConfigChangeGatingAndCommit) {
 
 TEST_F(ConsensusUnitTest, ConfigStampedUntilPeerEchoesIt) {
   BecomeLeader();
-  ASSERT_TRUE(consensus_->Replicate(EntryType::kNoOp, "x").ok());
+  ASSERT_TRUE(Replicate(EntryType::kNoOp, "x").ok());
   // No peer has answered yet: every request carries the config.
   EXPECT_FALSE(LastAppendTo("b").config_payload.empty());
   EXPECT_FALSE(LastAppendTo("c").config_payload.empty());
@@ -605,14 +623,14 @@ TEST_F(ConsensusUnitTest, ConfigStampedUntilPeerEchoesIt) {
   // heartbeats to b go bare; c has not echoed and still gets it.
   AckAll("b", 0);
   outbox_.sent.clear();
-  ASSERT_TRUE(consensus_->Replicate(EntryType::kNoOp, "y").ok());
+  ASSERT_TRUE(Replicate(EntryType::kNoOp, "y").ok());
   EXPECT_TRUE(LastAppendTo("b").config_payload.empty());
   EXPECT_FALSE(LastAppendTo("c").config_payload.empty());
   AckAll("b", 0);
   AckAll("c", 0);
   clock_.AdvanceMicros(600'000);  // > heartbeat interval
   outbox_.sent.clear();
-  consensus_->Tick();
+  Tick();
   for (const char* peer : {"b", "c"}) {
     const AppendEntriesRequest heartbeat = LastAppendTo(peer);
     EXPECT_TRUE(heartbeat.IsHeartbeat()) << peer;
@@ -634,7 +652,7 @@ TEST_F(ConsensusUnitTest, ConfigStampedUntilPeerEchoesIt) {
   AckAll("b", 0);
   clock_.AdvanceMicros(600'000);
   outbox_.sent.clear();
-  consensus_->Tick();
+  Tick();
   EXPECT_TRUE(LastAppendTo("b").config_payload.empty());
   EXPECT_FALSE(LastAppendTo("c").config_payload.empty());
 
@@ -649,10 +667,10 @@ TEST_F(ConsensusUnitTest, ConfigStampedUntilPeerEchoesIt) {
   stale.last_durable_index = stale.last_received.index;
   stale.config_term = before.config_term;
   stale.config_version = before.config_version;
-  consensus_->HandleMessage(Message(stale));
+  Deliver(Message(stale));
   clock_.AdvanceMicros(600'000);
   outbox_.sent.clear();
-  consensus_->Tick();
+  Tick();
   EXPECT_FALSE(LastAppendTo("b").config_payload.empty());
 
   // The farewell to a removed member carries the config that drops it,
@@ -675,6 +693,7 @@ TEST_F(ConsensusUnitTest, LearnerIgnoresElectionMachinery) {
   RaftOptions options;
   options.self = "a";
   options.region = "r0";
+  options.defer = defer_.Hook();
   CapturingOutbox outbox;
   RecordingListener listener;
   RaftConsensus learner(options, &log_, &quorum_, &store, &clock_, &rng_,
@@ -715,11 +734,11 @@ TEST_F(ConsensusUnitTest, HeartbeatsFlowOnTick) {
     ack.term = consensus_->term();
     ack.success = true;
     ack.last_received = consensus_->last_logged();
-    consensus_->HandleMessage(Message(ack));
+    Deliver(Message(ack));
   }
   outbox_.sent.clear();
   clock_.AdvanceMicros(600'000);  // > 500ms heartbeat interval
-  consensus_->Tick();
+  Tick();
   auto heartbeats = outbox_.OfType<AppendEntriesRequest>();
   ASSERT_EQ(heartbeats.size(), 2u);  // b and c
   for (const auto& hb : heartbeats) {
@@ -732,7 +751,7 @@ TEST_F(ConsensusUnitTest, HeartbeatsFlowOnTick) {
 TEST_F(ConsensusUnitTest, MisaddressedMessagesIgnored) {
   auto request = MakeAppend(1, kZeroOpId, {E(1, 1, "x")});
   request.dest = "someone-else";
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   EXPECT_EQ(consensus_->last_logged(), kZeroOpId);
   EXPECT_TRUE(outbox_.sent.empty());
 }
@@ -742,7 +761,7 @@ TEST_F(ConsensusUnitTest, AutoStepDownDisabledByDefault) {
   // "we currently choose consistency over availability").
   BecomeLeader();
   clock_.AdvanceMicros(60'000'000);
-  consensus_->Tick();
+  Tick();
   EXPECT_EQ(consensus_->role(), RaftRole::kLeader);
   EXPECT_EQ(consensus_->stats().auto_step_downs, 0u);
 }
@@ -762,6 +781,8 @@ TEST(ConsensusAutoStepDownTest, EnabledLeaderDemotesWhenQuorumSilent) {
   options.enable_pre_vote = false;
   options.enable_auto_step_down = true;
   options.auto_step_down_after_micros = 2'000'000;
+  QueuedDefer defer;
+  options.defer = defer.Hook();
   RaftConsensus consensus(options, &log, &quorum, &store, &clock, &rng,
                           &outbox, &listener);
   MembershipConfig config;
@@ -810,7 +831,7 @@ TEST_F(ConsensusUnitTest, VotesDeniedToRemovedCandidates) {
   request.term = 9;
   request.last_log = {8, 100};
   request.candidate_region = "r1";
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_FALSE(response.granted);
   EXPECT_EQ(response.reason, "candidate-not-a-voter");
@@ -822,6 +843,7 @@ TEST_F(ConsensusUnitTest, BootstrapValidation) {
   RaftOptions options;
   options.self = "zz";
   options.region = "r0";
+  options.defer = defer_.Hook();
   CapturingOutbox outbox;
   RecordingListener listener;
   MemLog log;
@@ -912,7 +934,7 @@ TEST_F(ConsensusUnitTest, DeposedLeaseholderRefusesReadsImmediately) {
   higher.dest = "a";
   higher.term = consensus_->term() + 1;
   higher.success = false;
-  consensus_->HandleMessage(Message(higher));
+  Deliver(Message(higher));
   EXPECT_EQ(consensus_->role(), RaftRole::kFollower);
   EXPECT_FALSE(consensus_->HasValidLease());
   RaftConsensus::ReadResult read;
@@ -937,7 +959,7 @@ TEST_F(ConsensusUnitTest, StepDownFailsPendingQuorumReads) {
   higher.dest = "a";
   higher.term = consensus_->term() + 1;
   higher.success = false;
-  consensus_->HandleMessage(Message(higher));
+  Deliver(Message(higher));
   ASSERT_TRUE(done);  // failed, not leaked
   EXPECT_FALSE(status.ok());
 }
@@ -999,7 +1021,7 @@ TEST_F(ConsensusUnitTest, LeasesOffAppendsCarryNoLeaseFields) {
   AckAll("b", 0);  // drain the no-op batch so the tick heartbeats
   clock_.AdvanceMicros(600'000);
   outbox_.sent.clear();
-  consensus_->Tick();
+  Tick();
   const auto request = outbox_.Last<AppendEntriesRequest>();
   EXPECT_EQ(request.lease_sent_micros, 0u);
   EXPECT_EQ(request.lease_duration_micros, 0u);
@@ -1016,10 +1038,10 @@ TEST_F(ConsensusUnitTest, PendingReadsFailAfterDeadline) {
   // Quorum never answers (leader partitioned, auto step down off): the
   // callback must not be parked forever.
   clock_.AdvanceMicros(2'400'000);  // < rpc timeout + election timeout
-  consensus_->Tick();
+  Tick();
   EXPECT_FALSE(done);
   clock_.AdvanceMicros(200'000);  // past the deadline
-  consensus_->Tick();
+  Tick();
   ASSERT_TRUE(done);
   EXPECT_TRUE(read.status.IsTimedOut());
   EXPECT_EQ(consensus_->stats().reads_timed_out, 1u);
@@ -1029,6 +1051,7 @@ TEST_F(ConsensusUnitTest, LeasesRequirePreVote) {
   RaftOptions options;
   options.self = "a";
   options.region = "r0";
+  options.defer = defer_.Hook();
   options.enable_pre_vote = false;
   options.enable_leader_leases = true;
   auto store =
@@ -1044,6 +1067,25 @@ TEST_F(ConsensusUnitTest, LeasesRequirePreVote) {
   EXPECT_TRUE(bad.Bootstrap(config).IsInvalidArgument());
 }
 
+TEST_F(ConsensusUnitTest, StartRequiresDefer) {
+  // A leader's writes become durable only through the group-commit sync
+  // stage, which the host's defer hook drives: without one nothing could
+  // ever commit, so Start() refuses.
+  RaftOptions options;
+  options.self = "a";
+  options.region = "r0";
+  auto store =
+      std::make_unique<ConsensusMetadataStore>(env_.get(), "/cmeta-nodefer");
+  RaftConsensus bad(options, &faulty_log_, &quorum_, store.get(), &clock_,
+                    &rng_, &outbox_, &listener_);
+  MembershipConfig config;
+  config.members = {
+      {"a", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
+  };
+  EXPECT_TRUE(bad.Bootstrap(config).IsInvalidArgument());
+  EXPECT_TRUE(bad.Start().IsInvalidArgument());
+}
+
 TEST_F(ConsensusUnitTest, RestartEmbargoesVotesThroughGrantWindow) {
   EnableLeases();
   BecomeLeader();  // persists term 1; this node may have echoed a grant
@@ -1055,6 +1097,7 @@ TEST_F(ConsensusUnitTest, RestartEmbargoesVotesThroughGrantWindow) {
   RaftOptions options;
   options.self = "a";
   options.region = "r0";
+  options.defer = defer_.Hook();
   options.enable_pre_vote = true;
   options.enable_leader_leases = true;
   options.lease_duration_micros = 1'200'000;
@@ -1096,8 +1139,7 @@ TEST_F(ConsensusUnitTest, FirstBootSkipsVoteEmbargo) {
   // granted a lease — an echo requires leader contact, which persists a
   // term bump first. No embargo, or every new cluster would stall.
   EnableLeases();
-  consensus_->HandleMessage(
-      Message(MakeVote(*consensus_, "b", 1, kZeroOpId, "r0")));
+  Deliver(Message(MakeVote(*consensus_, "b", 1, kZeroOpId, "r0")));
   auto response = outbox_.Last<VoteResponse>();
   EXPECT_TRUE(response.granted);
 }
@@ -1119,7 +1161,7 @@ TEST_F(ConsensusUnitTest, LeadershipTransferRevokesLease) {
   outcome.granted = true;
   outcome.mock_election = true;
   outcome.reason = "mock-outcome";
-  consensus_->HandleMessage(Message(outcome));
+  Deliver(Message(outcome));
   ASSERT_TRUE(consensus_->is_quiesced_for_transfer());
   // The caught-up target triggers TimeoutNow; every grant is revoked
   // first so this (still unaware, not yet deposed) leaseholder can never

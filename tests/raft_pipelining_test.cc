@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "queued_defer.h"
 #include "raft/consensus.h"
 #include "raft/log_cache.h"
 #include "raft_test_harness.h"
@@ -49,6 +50,7 @@ class PipeliningTest : public ::testing::Test {
     options.self = "a";
     options.region = "r0";
     options.enable_pre_vote = false;
+    options.defer = defer_.Hook();
     consensus_ = std::make_unique<RaftConsensus>(
         options, &log_, &quorum_, meta_store_.get(), &clock_, &rng_,
         &outbox_, &listener_);
@@ -66,7 +68,7 @@ class PipeliningTest : public ::testing::Test {
     grant.dest = "a";
     grant.term = consensus_->term();
     grant.granted = true;
-    consensus_->HandleMessage(Message(grant));
+    Deliver(Message(grant));
     ASSERT_EQ(consensus_->role(), RaftRole::kLeader);
     // Commit the leader's no-op so later batches start from a clean base.
     AckFrom("b", log_.LastOpId());
@@ -82,6 +84,18 @@ class PipeliningTest : public ::testing::Test {
     return options;
   }
 
+  /// Delivers one inbound message, then runs the work it deferred (the
+  /// group-commit sync and any ack held for it), as a host's loop would.
+  void Deliver(const Message& message) {
+    consensus_->HandleMessage(message);
+    defer_.Drain();
+  }
+
+  void Tick() {
+    consensus_->Tick();
+    defer_.Drain();
+  }
+
   void AckFrom(const MemberId& from, OpId received) {
     AppendEntriesResponse response;
     response.from = from;
@@ -90,7 +104,7 @@ class PipeliningTest : public ::testing::Test {
     response.success = true;
     response.last_received = received;
     response.last_durable_index = received.index;
-    consensus_->HandleMessage(Message(response));
+    Deliver(Message(response));
   }
 
   void RejectFrom(const MemberId& from, OpId hint,
@@ -105,7 +119,7 @@ class PipeliningTest : public ::testing::Test {
     // A real follower echoes the refused request's prev; its tail hint is
     // the closest stand-in a synthesized rejection has.
     response.request_prev_index = hint.index;
-    consensus_->HandleMessage(Message(response));
+    Deliver(Message(response));
   }
 
   std::vector<OpId> Replicate(int n, const std::string& payload = "x") {
@@ -115,11 +129,13 @@ class PipeliningTest : public ::testing::Test {
       MYRAFT_CHECK(opid.ok());
       out.push_back(*opid);
     }
+    defer_.Drain();  // one group sync covers the burst
     return out;
   }
 
   ManualClock clock_;
   Random rng_{1};
+  raft_test::QueuedDefer defer_;
   std::unique_ptr<Env> env_;
   std::unique_ptr<ConsensusMetadataStore> meta_store_;
   MemLog log_;
@@ -163,7 +179,7 @@ TEST_F(PipeliningTest, NoDuplicateSendWhileBatchOutstanding) {
   EXPECT_GT(bytes_after_send, 0u);
   for (int i = 0; i < 5; ++i) {
     clock_.AdvanceMicros(10'000);  // well under rpc_timeout
-    consensus_->Tick();
+    Tick();
   }
   EXPECT_EQ(outbox_.PayloadBytesTo("b"), bytes_after_send);
 }
@@ -229,7 +245,7 @@ TEST_F(PipeliningTest, OldestBatchTimeoutRewindsWindow) {
   // No response at all: past rpc_timeout the oldest in-flight batch is
   // declared lost, the window is rewound, and the suffix restreams.
   clock_.AdvanceMicros(2'000'000);
-  consensus_->Tick();
+  Tick();
   EXPECT_GE(consensus_->stats().window_rewinds, 1u);
   auto second_wave = outbox_.AppendsTo("b");
   ASSERT_EQ(second_wave.size(), 3u);
@@ -257,7 +273,7 @@ TEST_F(PipeliningTest, StallCountsTransitionsNotAttempts) {
 TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   RaftOptions options = SmallBatchOptions();
   options.max_inflight_batches = 1;
-  options.adaptive_inflight_window = false;
+  options.adaptive_window_cap_batches = 1;  // static one-slot window
   Start(options);
   auto opids = Replicate(2);
   // "c" never acks: its one-slot window is pinned by the bootstrap no-op
@@ -266,7 +282,7 @@ TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   AckFrom("b", opids[1]);  // a+b majority commits both entries
   ASSERT_TRUE(consensus_->IsCommitted(opids[1]));
   clock_.AdvanceMicros(10'000);  // under heartbeat interval & rpc timeout
-  consensus_->Tick();
+  Tick();
   // The marker still reaches c: an entry-less heartbeat anchored at c's
   // acked match point, leaving the in-flight window untouched.
   auto to_c = outbox_.AppendsTo("c");
@@ -280,7 +296,7 @@ TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   // The marker is only re-sent once it advances again: an immediate
   // second tick stays quiet.
   outbox_.sent.clear();
-  consensus_->Tick();
+  Tick();
   EXPECT_TRUE(outbox_.AppendsTo("c").empty());
 }
 
@@ -349,7 +365,7 @@ TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {
   request.prev = consensus_->last_logged();
   request.entries = {wire};
   request.entries_compressed = true;
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
 
   ASSERT_EQ(consensus_->role(), RaftRole::kFollower);
   auto stored = log_.Read(entry.id.index);
@@ -372,7 +388,7 @@ TEST_F(PipeliningTest, CorruptCompressedBatchRejectedNotApplied) {
   request.entries = {wire};
   request.entries_compressed = true;
   outbox_.sent.clear();
-  consensus_->HandleMessage(Message(request));
+  Deliver(Message(request));
   EXPECT_FALSE(log_.HasEntry(wire.id.index));
   bool saw_failure = false;
   for (const auto& m : outbox_.sent) {

@@ -6,6 +6,7 @@
 #ifndef MYRAFT_TESTS_RAFT_TEST_HARNESS_H_
 #define MYRAFT_TESTS_RAFT_TEST_HARNESS_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,6 +40,18 @@ class TestNode : public RaftOutbox, public StateMachineListener {
     options.self = id_;
     options.region = region_;
     options.kind = kind_;
+    // Like sim::Node, deferred work (the group-commit sync) runs on the
+    // event loop and is dropped once the node is down or its consensus has
+    // been rebuilt by Restart: a stale callback must not touch a freed
+    // instance.
+    const uint64_t generation = ++generation_;
+    options.defer = [this, generation](uint64_t delay_micros,
+                                       std::function<void()> fn) {
+      loop_->Schedule(delay_micros,
+                      [this, generation, fn = std::move(fn)]() {
+                        if (up_ && generation_ == generation) fn();
+                      });
+    };
     consensus_ = std::make_unique<RaftConsensus>(
         std::move(options), &log_, quorum, &meta_store_, loop_->clock(),
         loop_->rng(), this, this);
@@ -148,6 +161,7 @@ class TestNode : public RaftOutbox, public StateMachineListener {
   ConsensusMetadataStore meta_store_;
   MemLog log_;
   std::unique_ptr<RaftConsensus> consensus_;
+  uint64_t generation_ = 0;  // bumped per CreateConsensus
 };
 
 class RaftTestCluster {
