@@ -84,7 +84,7 @@ ReplicationResult RunReplicationArm(bool lockstep, int writes, uint64_t seed,
     cluster.loop()->Schedule(
         static_cast<uint64_t>(i) * 200, [&cluster, i]() {
           cluster.ClientWrite("w" + std::to_string(i), "v",
-                              [](const sim::ClusterHarness::ClientWriteResult&) {});
+                              [](const sim::ClientWriteResult&) {});
         });
   }
 
@@ -146,7 +146,7 @@ LagResult RunLagArm(uint32_t workers, uint64_t duration_micros,
     cluster.loop()->Schedule(
         static_cast<uint64_t>(i) * interval, [&cluster, i]() {
           cluster.ClientWrite("r" + std::to_string(i), "v",
-                              [](const sim::ClusterHarness::ClientWriteResult&) {});
+                              [](const sim::ClientWriteResult&) {});
         });
   }
 

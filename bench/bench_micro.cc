@@ -277,7 +277,7 @@ CommitLatencyResult RunCommitLatencyConfig(uint64_t seed, int clients,
       harness.ClientWrite(
           "k" + std::to_string(issued % 97), "v" + std::to_string(issued),
           [&result, &outstanding](
-              const sim::ClusterHarness::ClientWriteResult& r) {
+              const sim::ClientWriteResult& r) {
             --outstanding;
             if (r.status.ok()) {
               result.latency.Add(r.latency_micros);

@@ -1,8 +1,9 @@
 // Read-path latency/throughput on the paper's 5-region topology (§13):
 //
-//   leader_quorum   leases disabled; every linearizable read pays a
-//                   ReadIndex-style quorum round (heartbeat RTT to a
-//                   majority) before serving locally — the baseline.
+//   leader_quorum   leases disabled; every linearizable read waits for a
+//                   commit barrier (a no-op the leader replicates and
+//                   commits, shared by concurrent reads, §13.2) before
+//                   serving locally — the baseline.
 //   leader_lease    LeaseGuard leases on; reads under a valid lease are
 //                   served from local applied state with zero quorum
 //                   round-trips.
@@ -24,7 +25,7 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-// Vanilla-majority quorums: with 5 regions a ReadIndex round must hear
+// Vanilla-majority quorums: with 5 regions a commit barrier must hear
 // from members outside the leader's region, so the baseline pays the
 // cross-region RTT the lease elides. (kSingleRegionDynamic would satisfy
 // the read quorum in-region and mask the contrast this bench measures.)
@@ -37,7 +38,7 @@ const raft::QuorumEngine* ReadBenchEngine() {
 struct ReadModeConfig {
   const char* name;
   bool leases;
-  sim::ClusterHarness::ReadMode mode;
+  sim::ReadMode mode;
   /// Follower mode: where the reading client sits (its reads steer to
   /// the same-region database replica).
   const char* client_region;
@@ -120,14 +121,14 @@ ReadModeResult RunReadMode(uint64_t seed, const ReadModeConfig& config,
     int outstanding = 0;
     for (int c = 0; c < clients && issued < reads; ++c, ++issued) {
       ++outstanding;
-      sim::ClusterHarness::ClientReadOptions read_options;
+      sim::ClientReadOptions read_options;
       read_options.mode = config.mode;
       read_options.min_index = last_index;
       read_options.client_region = config.client_region;
       harness.ClientRead(
           "k" + std::to_string(issued % keys), read_options,
           [&result, &outstanding](
-              const sim::ClusterHarness::ClientReadResult& r) {
+              const sim::ClientReadResult& r) {
             --outstanding;
             if (r.status.ok()) {
               result.latency.Add(r.latency_micros);
@@ -151,11 +152,11 @@ int RunReads(const bench::BenchArgs& args) {
       "Linearizable reads: quorum round vs leader lease vs follower gate",
       "LeaseGuard §13; MyRaft §6.1 5-region topology");
   const ReadModeConfig configs[] = {
-      {"leader_quorum", false, sim::ClusterHarness::ReadMode::kLeader,
+      {"leader_quorum", false, sim::ReadMode::kLeader,
        "region0"},
-      {"leader_lease", true, sim::ClusterHarness::ReadMode::kLeader,
+      {"leader_lease", true, sim::ReadMode::kLeader,
        "region0"},
-      {"follower_gtid", false, sim::ClusterHarness::ReadMode::kFollower,
+      {"follower_gtid", false, sim::ReadMode::kFollower,
        "region1"},
   };
   const int clients = 8;

@@ -61,7 +61,7 @@ bool RaftTrial(uint64_t seed, bool graceful, Histogram* downtime_hist) {
   (void)cluster.SyncWrite("warm", "up");
   cluster.loop()->RunFor(3 * kSecond);
 
-  sim::ClusterHarness::DowntimeResult result;
+  sim::DowntimeResult result;
   if (graceful) {
     MemberId target;
     for (const MemberId& id : cluster.database_ids()) {

@@ -108,7 +108,7 @@ inline Fig5ArmResult RunMyRaftArm(const Fig5Setup& setup) {
                  std::function<void(bool, uint64_t)> done) {
         cluster.ClientWrite(
             key, value,
-            [done](const sim::ClusterHarness::ClientWriteResult& r) {
+            [done](const sim::ClientWriteResult& r) {
               done(r.status.ok(), r.latency_micros);
             });
       });

@@ -141,7 +141,7 @@ void ChaosRunner::IssueWrite(ChaosReport* report) {
   cluster_->ClientWrite(
       key, value,
       [this, report, key,
-       value](const sim::ClusterHarness::ClientWriteResult& result) {
+       value](const sim::ClientWriteResult& result) {
         if (!result.status.ok()) return;
         ++report->writes_acked;
         acked_.push_back(AckedWrite{key, value, result.gtid, result.opid});
@@ -157,9 +157,9 @@ void ChaosRunner::IssueRead(InvariantChecker* checker, ChaosReport* report) {
       acked_[cluster_->loop()->rng()->Uniform(acked_.size())];
   ++report->reads_issued;
   cluster_->ClientRead(
-      w.key, sim::ClusterHarness::ClientReadOptions{},
+      w.key, sim::ClientReadOptions{},
       [checker, report, key = w.key, expected = w.key + "=" + w.value](
-          const sim::ClusterHarness::ClientReadResult& r) {
+          const sim::ClientReadResult& r) {
         // Refusals/timeouts are availability, not staleness; the read
         // path is allowed to say no (invalid lease, no leader), never
         // to answer with old data.

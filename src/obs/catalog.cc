@@ -27,10 +27,6 @@ const MetricInfo kCatalog[] = {
      "Replication reads served from the log cache"},
     {"log_cache.misses", "counter", "raft",
      "Replication reads that fell through to the binlog"},
-    {"log_cache.readahead_hits", "counter", "raft",
-     "Cache misses absorbed by the readahead batch"},
-    {"log_cache.readahead_misses", "counter", "raft",
-     "Readahead batches that missed the requested index"},
     {"log_cache.uncompressed_bytes", "gauge", "raft",
      "Resident bytes held uncompressed in the log cache"},
     {"net.dropped", "counter", "net", "Messages dropped, all causes"},

@@ -433,31 +433,14 @@ Result<std::vector<LogEntry>> RaftConsensus::FetchEntriesFor(
       continue;
     }
     // Cache miss: the follower lags behind the in-memory cache; read the
-    // historical log files through the log abstraction (§3.1). A miss here
-    // predicts misses for the next few batches too (catch-up reads are
-    // sequential), so over-read and stash the surplus in the cache's
-    // readahead buffer.
+    // historical log files through the log abstraction (§3.1) for the rest
+    // of this batch's budget.
     m_.cache_fallback_reads->Increment();
-    const uint64_t want_entries =
-        options_.max_entries_per_rpc - entries.size();
-    const uint64_t want_bytes = options_.max_bytes_per_rpc - bytes;
-    const uint64_t readahead =
-        options_.catchup_readahead_batches > 0
-            ? options_.catchup_readahead_batches
-            : 1;
-    auto batch =
-        log_->ReadBatch(index, want_entries * readahead, want_bytes * readahead);
+    auto batch = log_->ReadBatch(index,
+                                 options_.max_entries_per_rpc - entries.size(),
+                                 options_.max_bytes_per_rpc - bytes);
     if (!batch.ok()) return batch.status();
-    for (auto& e : *batch) {
-      if (entries.size() < options_.max_entries_per_rpc &&
-          bytes < options_.max_bytes_per_rpc && e.id.index == index) {
-        bytes += e.payload.size();
-        entries.push_back(std::move(e));
-        ++index;
-      } else {
-        cache_.PutReadahead(e);  // surplus: serve the next batch from memory
-      }
-    }
+    for (auto& e : *batch) entries.push_back(std::move(e));
     break;  // ReadBatch returned everything it could within budget
   }
   return entries;
@@ -917,16 +900,10 @@ uint64_t RaftConsensus::LeaseDurationMicros() const {
 }
 
 void RaftConsensus::StampLease(AppendEntriesRequest* request) {
-  if (role_ != RaftRole::kLeader) return;
-  // Wire compatibility (§13.6): the lease fields are a trailing varint
-  // group that pre-lease decoders reject as corruption, so they only go
-  // on the wire when leases are enabled — which requires every member to
-  // run a lease-aware binary. With leases off the encoding is
-  // byte-identical to the pre-lease format, and the read path uses the
-  // commit-barrier fallback instead of echoed-timestamp freshness.
-  if (!options_.enable_leader_leases) return;
+  // Leases off: no grant requested (0), so followers echo nothing and
+  // reads use the commit-barrier fallback (§13.2).
+  if (role_ != RaftRole::kLeader || !options_.enable_leader_leases) return;
   request->lease_sent_micros = clock_->NowMicros();
-  request->lease_duration_micros = LeaseDurationMicros();
 }
 
 void RaftConsensus::RecordLeaseGrant(const AppendEntriesResponse& response,
@@ -998,14 +975,14 @@ void RaftConsensus::LinearizableRead(ReadCallback done) {
   read.done = std::move(done);
 
   if (!options_.enable_leader_leases) {
-    // Commit-barrier fallback: with leases off the wire carries no
-    // timestamp echo (pre-lease followers may be in the ring, §13.6), so
-    // leadership is confirmed the strongest way possible — replicate a
-    // no-op and serve when it commits. A committed current-term entry
-    // proves no rival quorum existed through the registration: any later
-    // election quorum intersects the barrier's commit quorum, and a voter
-    // that had already moved to a higher term cannot have acked it. Reads
-    // registered while a barrier is in flight share it.
+    // Commit-barrier fallback: with leases off no grant is requested, so
+    // acks carry no timestamp echo and leadership is confirmed the
+    // strongest way possible — replicate a no-op and serve when it
+    // commits. A committed current-term entry proves no rival quorum
+    // existed through the registration: any later election quorum
+    // intersects the barrier's commit quorum, and a voter that had already
+    // moved to a higher term cannot have acked it. Reads registered while
+    // a barrier is in flight share it.
     if (read_barrier_index_ <= commit_marker_.index) {
       auto noop = Replicate(EntryType::kNoOp, "");
       if (!noop.ok()) {

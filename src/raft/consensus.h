@@ -79,11 +79,6 @@ struct RaftOptions {
   /// caught after inflation on the receiver.
   uint64_t wire_compression_min_bytes = 1024;
 
-  /// Catch-up read-ahead: on a cache-miss fallback read, prefetch up to
-  /// this many extra RPC-sized batches from the historical log into the
-  /// cache's read-ahead buffer (0 disables).
-  size_t catchup_readahead_batches = 4;
-
   bool enable_pre_vote = true;
   /// §4.3: run a mock election before TransferLeadership.
   bool enable_mock_election = true;
@@ -133,14 +128,8 @@ struct RaftOptions {
   /// reads locally with zero quorum round-trips. Off by default; the
   /// read path then falls back to a commit-barrier round (§13.2).
   ///
-  /// Two deployment constraints, both enforced or documented in §13.6:
-  ///  * requires enable_pre_vote — the grant promise is kept by pre-vote
-  ///    leader stickiness, so Start() rejects leases without it;
-  ///  * requires a fully upgraded cluster — the lease fields ride the
-  ///    wire as trailing varint groups that pre-lease decoders reject,
-  ///    so they are only emitted when this flag is on. With it off the
-  ///    encoding is byte-identical to the pre-lease format and old and
-  ///    new binaries interoperate freely.
+  /// Requires enable_pre_vote (§13.6): the grant promise is kept by
+  /// pre-vote leader stickiness, so Start() rejects leases without it.
   bool enable_leader_leases = false;
   /// How long a grant lasts, measured on the leader's clock from the
   /// moment the granting request was SENT (the follower echoes the send

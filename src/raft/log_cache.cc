@@ -16,8 +16,6 @@ LogCache::LogCache(uint64_t capacity_bytes,
   hits_ = registry->GetCounter("log_cache.hits");
   misses_ = registry->GetCounter("log_cache.misses");
   evictions_ = registry->GetCounter("log_cache.evictions");
-  readahead_hits_ = registry->GetCounter("log_cache.readahead_hits");
-  readahead_misses_ = registry->GetCounter("log_cache.readahead_misses");
   compressed_bytes_ = registry->GetGauge("log_cache.compressed_bytes");
   uncompressed_bytes_ = registry->GetGauge("log_cache.uncompressed_bytes");
   // A long-lived registry can outlive the cache instance (sim node
@@ -81,42 +79,13 @@ Result<LogEntry> LogCache::Inflate(const Cached& cached) {
   return entry;
 }
 
-void LogCache::PutReadahead(const LogEntry& entry) {
-  if (entries_.count(entry.id.index) > 0 ||
-      readahead_.count(entry.id.index) > 0) {
-    return;
-  }
-  Cached cached = Compress(entry);
-  // Bounded to a quarter of the main capacity; read-ahead is filled and
-  // consumed in ascending order, so once the budget is full the earliest
-  // prefix is the useful part — just drop the surplus.
-  if (readahead_bytes_ + cached.compressed_payload->size() > capacity_ / 4) {
-    return;
-  }
-  readahead_bytes_ += cached.compressed_payload->size();
-  readahead_[entry.id.index] = std::move(cached);
-}
-
 Result<LogEntry> LogCache::Get(uint64_t index) const {
   auto it = entries_.find(index);
   if (it != entries_.end()) {
     hits_->Increment();
     return Inflate(it->second);
   }
-  auto ra = readahead_.find(index);
-  if (ra != readahead_.end()) {
-    readahead_hits_->Increment();
-    auto entry = Inflate(ra->second);
-    // Sequential catch-up consumption: everything below this index has
-    // already been served, reclaim its budget.
-    for (auto trim = readahead_.begin(); trim != ra;) {
-      readahead_bytes_ -= trim->second.compressed_payload->size();
-      trim = readahead_.erase(trim);
-    }
-    return entry;
-  }
   misses_->Increment();
-  if (!readahead_.empty()) readahead_misses_->Increment();
   return Status::NotFound("log cache miss");
 }
 
@@ -139,10 +108,6 @@ void LogCache::TruncateAfter(uint64_t index) {
     Retire(it->second);
     it = entries_.erase(it);
   }
-  for (auto it = readahead_.upper_bound(index); it != readahead_.end();) {
-    readahead_bytes_ -= it->second.compressed_payload->size();
-    it = readahead_.erase(it);
-  }
 }
 
 void LogCache::EvictBefore(uint64_t index) {
@@ -157,8 +122,6 @@ void LogCache::EvictBefore(uint64_t index) {
 void LogCache::Clear() {
   entries_.clear();
   size_bytes_ = 0;
-  readahead_.clear();
-  readahead_bytes_ = 0;
   compressed_bytes_->Set(0);
   uncompressed_bytes_->Set(0);
 }
@@ -168,8 +131,6 @@ LogCache::Stats LogCache::stats() const {
   s.hits = hits_->value();
   s.misses = misses_->value();
   s.evictions = evictions_->value();
-  s.readahead_hits = readahead_hits_->value();
-  s.readahead_misses = readahead_misses_->value();
   s.compressed_bytes =
       (uint64_t)std::max<int64_t>(0, compressed_bytes_->value());
   s.uncompressed_bytes =

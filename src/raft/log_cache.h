@@ -26,8 +26,6 @@ class LogCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    uint64_t readahead_hits = 0;
-    uint64_t readahead_misses = 0;
     uint64_t compressed_bytes = 0;
     uint64_t uncompressed_bytes = 0;
   };
@@ -40,20 +38,13 @@ class LogCache {
   /// Inserts (compressed); evicts from the head if over capacity.
   void Put(const LogEntry& entry);
 
-  /// Stashes a catch-up read-ahead entry in a side buffer. Kept separate
-  /// from the main map because the main cache evicts lowest-index-first:
-  /// historical catch-up entries would immediately thrash the hot tail.
-  void PutReadahead(const LogEntry& entry);
-
-  /// Returns the decompressed entry or NotFound on a cache miss (the
-  /// read-ahead buffer is consulted after the main map). Fails with
-  /// Corruption if the cached bytes fail checksum on the way out.
+  /// Returns the decompressed entry or NotFound on a cache miss. Fails
+  /// with Corruption if the cached bytes fail checksum on the way out.
   Result<LogEntry> Get(uint64_t index) const;
 
   /// Zero-copy send path: the entry's already-compressed span, without
   /// inflating. The shared buffer stays valid across eviction/truncation
-  /// for as long as the caller holds it. Main map only (read-ahead
-  /// catch-up traffic keeps using Get's inflate path). nullopt on miss.
+  /// for as long as the caller holds it. nullopt on miss.
   struct CompressedEntry {
     OpId id;
     EntryType type = EntryType::kNoOp;
@@ -63,9 +54,7 @@ class LogCache {
   };
   std::optional<CompressedEntry> GetCompressed(uint64_t index) const;
 
-  bool Contains(uint64_t index) const {
-    return entries_.count(index) > 0 || readahead_.count(index) > 0;
-  }
+  bool Contains(uint64_t index) const { return entries_.count(index) > 0; }
 
   /// Drops entries with index > `index` (log truncation).
   void TruncateAfter(uint64_t index);
@@ -96,17 +85,11 @@ class LogCache {
   uint64_t capacity_;
   uint64_t size_bytes_ = 0;
   std::map<uint64_t, Cached> entries_;
-  // Catch-up read-ahead side buffer, bounded to a fraction of capacity.
-  // Mutable: sequential consumption self-trims stale prefix on Get().
-  mutable std::map<uint64_t, Cached> readahead_;
-  mutable uint64_t readahead_bytes_ = 0;
 
   std::unique_ptr<metrics::MetricRegistry> owned_registry_;
   metrics::Counter* hits_;
   metrics::Counter* misses_;
   metrics::Counter* evictions_;
-  metrics::Counter* readahead_hits_;
-  metrics::Counter* readahead_misses_;
   metrics::Gauge* compressed_bytes_;
   metrics::Gauge* uncompressed_bytes_;
 };

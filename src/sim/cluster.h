@@ -68,17 +68,6 @@ struct ClusterOptions {
 
 class ClusterHarness {
  public:
-  // The client/result vocabulary migrated to namespace scope with
-  // SimClient; these aliases keep the historical nested names working.
-  using ClientWriteResult = sim::ClientWriteResult;
-  using ClientCallback = SimClient::ClientCallback;
-  using DowntimeResult = sim::DowntimeResult;
-  using ReadMode = sim::ReadMode;
-  using ClientReadResult = sim::ClientReadResult;
-  using ReadClientCallback = SimClient::ReadClientCallback;
-  using ClientReadOptions = sim::ClientReadOptions;
-  using PrepareDiskFn = Shard::PrepareDiskFn;
-
   ClusterHarness(ClusterOptions options, const raft::QuorumEngine* quorum);
 
   /// Creates all nodes and bootstraps the ring.
@@ -118,7 +107,8 @@ class ClusterHarness {
   /// Write routed to the published primary (or `target` if given), with
   /// modelled client latency + server processing cost.
   void ClientWrite(const std::string& key, const std::string& value,
-                   ClientCallback done, const MemberId& target = "") {
+                   SimClient::ClientCallback done,
+                   const MemberId& target = "") {
     client_->ClientWrite(key, value, std::move(done), target);
   }
   /// Convenience: issue a write and run the loop until it completes.
@@ -131,7 +121,7 @@ class ClusterHarness {
   /// `read_options` (§13): leader lease/quorum reads or steered
   /// follower reads behind the GTID-wait gate.
   void ClientRead(const std::string& key, ClientReadOptions read_options,
-                  ReadClientCallback done) {
+                  SimClient::ReadClientCallback done) {
     client_->ClientRead(key, read_options, std::move(done));
   }
   /// Convenience: issue a read and run the loop until it completes.

@@ -25,7 +25,7 @@ void BackgroundWrite(sim::ClusterHarness* cluster, CommitLedger* ledger,
                                          (unsigned long long)rng->Next());
   cluster->ClientWrite(key, value,
                        [ledger, key, value](
-                           const sim::ClusterHarness::ClientWriteResult& r) {
+                           const sim::ClientWriteResult& r) {
                          if (r.status.ok()) {
                            ledger->committed[key] = value;
                            ++ledger->committed_count;

@@ -64,23 +64,10 @@ void AppendEntriesRequest::EncodeTo(std::string* dst) const {
   dst->push_back(static_cast<char>(flags));
   PutVarint64(dst, entries.size());
   for (const auto& e : entries) e.EncodeTo(dst);
-  // Optional trailing trace context: omitted entirely when untraced so
-  // the encoding stays byte-identical to the pre-tracing format. The
-  // lease group sits after it, and the config group after that, so a
-  // present later group forces every earlier one out (zeros allowed) to
-  // keep the groups positionally unambiguous.
-  const bool has_config = !config_payload.empty();
-  const bool has_lease = lease_duration_micros != 0 ||
-                         lease_sent_micros != 0 || has_config;
-  if (trace_id != 0 || trace_span_id != 0 || has_lease) {
-    PutVarint64(dst, trace_id);
-    PutVarint64(dst, trace_span_id);
-  }
-  if (has_lease) {
-    PutVarint64(dst, lease_duration_micros);
-    PutVarint64(dst, lease_sent_micros);
-  }
-  if (has_config) PutLengthPrefixed(dst, config_payload);
+  PutVarint64(dst, trace_id);
+  PutVarint64(dst, trace_span_id);
+  PutVarint64(dst, lease_sent_micros);
+  PutLengthPrefixed(dst, config_payload);
 }
 
 Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
@@ -101,25 +88,14 @@ Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
     if (!entry.ok()) return entry.status();
     req.entries.push_back(std::move(*entry));
   }
-  if (!in.empty()) {  // optional trailing trace context (absent = untraced)
-    if (!GetVarint64(&in, &req.trace_id) ||
-        !GetVarint64(&in, &req.trace_span_id)) {
-      return Truncated("append-entries trace context");
-    }
+  Slice config;
+  if (!GetVarint64(&in, &req.trace_id) ||
+      !GetVarint64(&in, &req.trace_span_id) ||
+      !GetVarint64(&in, &req.lease_sent_micros) ||
+      !GetLengthPrefixed(&in, &config)) {
+    return Truncated("append-entries trailer");
   }
-  if (!in.empty()) {  // optional trailing lease grant (absent = no lease)
-    if (!GetVarint64(&in, &req.lease_duration_micros) ||
-        !GetVarint64(&in, &req.lease_sent_micros)) {
-      return Truncated("append-entries lease");
-    }
-  }
-  if (!in.empty()) {  // optional trailing config (absent = not attached)
-    Slice config;
-    if (!GetLengthPrefixed(&in, &config)) {
-      return Truncated("append-entries config");
-    }
-    req.config_payload = config.ToString();
-  }
+  req.config_payload = config.ToString();
   if (!in.empty()) return Status::Corruption("wire: trailing bytes");
   return req;
 }
@@ -141,20 +117,11 @@ void AppendEntriesResponse::EncodeTo(std::string* dst) const {
   PutOpId(dst, last_received);
   PutVarint64(dst, last_durable_index);
   PutVarint64(dst, request_prev_index);
-  // Optional trailing groups, as in the request: a present later group
-  // forces every earlier one out so the groups stay positionally
-  // unambiguous.
-  const bool has_config = config_term != 0 || config_version != 0;
-  const bool has_lease = lease_granted_micros != 0 || has_config;
-  if (trace_id != 0 || trace_span_id != 0 || has_lease) {
-    PutVarint64(dst, trace_id);
-    PutVarint64(dst, trace_span_id);
-  }
-  if (has_lease) PutVarint64(dst, lease_granted_micros);
-  if (has_config) {
-    PutVarint64(dst, config_term);
-    PutVarint64(dst, config_version);
-  }
+  PutVarint64(dst, trace_id);
+  PutVarint64(dst, trace_span_id);
+  PutVarint64(dst, lease_granted_micros);
+  PutVarint64(dst, config_term);
+  PutVarint64(dst, config_version);
 }
 
 Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
@@ -168,25 +135,13 @@ Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
   in.RemovePrefix(1);
   if (!GetOpId(&in, &resp.last_received) ||
       !GetVarint64(&in, &resp.last_durable_index) ||
-      !GetVarint64(&in, &resp.request_prev_index)) {
+      !GetVarint64(&in, &resp.request_prev_index) ||
+      !GetVarint64(&in, &resp.trace_id) ||
+      !GetVarint64(&in, &resp.trace_span_id) ||
+      !GetVarint64(&in, &resp.lease_granted_micros) ||
+      !GetVarint64(&in, &resp.config_term) ||
+      !GetVarint64(&in, &resp.config_version)) {
     return Truncated("append-response body");
-  }
-  if (!in.empty()) {  // optional trailing trace context (absent = untraced)
-    if (!GetVarint64(&in, &resp.trace_id) ||
-        !GetVarint64(&in, &resp.trace_span_id)) {
-      return Truncated("append-response trace context");
-    }
-  }
-  if (!in.empty()) {  // optional trailing lease echo (absent = no grant)
-    if (!GetVarint64(&in, &resp.lease_granted_micros)) {
-      return Truncated("append-response lease echo");
-    }
-  }
-  if (!in.empty()) {  // optional trailing config ack (absent = none)
-    if (!GetVarint64(&in, &resp.config_term) ||
-        !GetVarint64(&in, &resp.config_version)) {
-      return Truncated("append-response config ack");
-    }
   }
   if (!in.empty()) return Status::Corruption("wire: trailing bytes");
   return resp;
@@ -205,11 +160,8 @@ void VoteRequest::EncodeTo(std::string* dst) const {
   if (mock_election) flags |= 2;
   dst->push_back(static_cast<char>(flags));
   PutOpId(dst, leader_cursor_snapshot);
-  // Optional trailing config identity, absent when (0,0).
-  if (config_term != 0 || config_version != 0) {
-    PutVarint64(dst, config_term);
-    PutVarint64(dst, config_version);
-  }
+  PutVarint64(dst, config_term);
+  PutVarint64(dst, config_version);
 }
 
 Result<VoteRequest> VoteRequest::DecodeFrom(Slice in) {
@@ -224,14 +176,10 @@ Result<VoteRequest> VoteRequest::DecodeFrom(Slice in) {
   in.RemovePrefix(1);
   req.pre_vote = (flags & 1) != 0;
   req.mock_election = (flags & 2) != 0;
-  if (!GetOpId(&in, &req.leader_cursor_snapshot)) {
-    return Truncated("vote-request snapshot");
-  }
-  if (!in.empty()) {  // optional trailing config identity
-    if (!GetVarint64(&in, &req.config_term) ||
-        !GetVarint64(&in, &req.config_version)) {
-      return Truncated("vote-request config identity");
-    }
+  if (!GetOpId(&in, &req.leader_cursor_snapshot) ||
+      !GetVarint64(&in, &req.config_term) ||
+      !GetVarint64(&in, &req.config_version)) {
+    return Truncated("vote-request body");
   }
   if (!in.empty()) return Status::Corruption("wire: trailing bytes");
   return req;

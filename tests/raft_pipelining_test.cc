@@ -1,15 +1,13 @@
 // Pipelined-replication tests: the bounded in-flight window on the leader
 // (streaming, duplicate suppression, stall accounting), out-of-order and
-// stale response handling, rewind-cancels-suffix, timeout recovery, wire
-// compression, and the LogCache catch-up read-ahead buffer. Cluster-level
-// convergence under heavy chaos jitter and loss (reordering as a fault)
-// rides on the sim network.
+// stale response handling, rewind-cancels-suffix, timeout recovery and wire
+// compression. Cluster-level convergence under heavy chaos jitter and loss
+// (reordering as a fault) rides on the sim network.
 
 #include <gtest/gtest.h>
 
 #include "queued_defer.h"
 #include "raft/consensus.h"
-#include "raft/log_cache.h"
 #include "raft_test_harness.h"
 #include "util/compression.h"
 #include "util/logging.h"
@@ -396,48 +394,6 @@ TEST_F(PipeliningTest, CorruptCompressedBatchRejectedNotApplied) {
     if (r != nullptr && !r->success) saw_failure = true;
   }
   EXPECT_TRUE(saw_failure);
-}
-
-// --- LogCache read-ahead ------------------------------------------------------
-
-LogEntry CacheEntry(uint64_t index, const std::string& payload) {
-  return LogEntry::Make({1, index}, EntryType::kNoOp, payload);
-}
-
-TEST(LogCacheReadahead, SideBufferServesSequentialCatchup) {
-  raft::LogCache cache(1 << 20);
-  for (uint64_t i = 5; i <= 8; ++i) {
-    cache.PutReadahead(CacheEntry(i, "payload-" + std::to_string(i)));
-  }
-  for (uint64_t i = 5; i <= 8; ++i) {
-    auto entry = cache.Get(i);
-    ASSERT_TRUE(entry.ok()) << i;
-    EXPECT_EQ(entry->payload, "payload-" + std::to_string(i));
-  }
-  EXPECT_EQ(cache.stats().readahead_hits, 4u);
-  EXPECT_EQ(cache.stats().hits, 0u);  // none came from the main map
-}
-
-TEST(LogCacheReadahead, MissWithActiveBufferCounts) {
-  raft::LogCache cache(1 << 20);
-  cache.PutReadahead(CacheEntry(5, "x"));
-  EXPECT_FALSE(cache.Get(42).ok());
-  EXPECT_EQ(cache.stats().readahead_misses, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(LogCacheReadahead, MainCacheWinsAndTruncateCoversBuffer) {
-  raft::LogCache cache(1 << 20);
-  cache.Put(CacheEntry(5, "main"));
-  cache.PutReadahead(CacheEntry(5, "stale-readahead"));  // dropped: dup
-  auto entry = cache.Get(5);
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->payload, "main");
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  cache.PutReadahead(CacheEntry(9, "doomed"));
-  cache.TruncateAfter(7);
-  EXPECT_FALSE(cache.Contains(9));
 }
 
 // --- Cluster-level: reordering and delay via the sim network ------------------

@@ -246,11 +246,11 @@ TEST_F(ServerClusterTest, ErstwhileLeaderRejoinsConsistent) {
   for (const MemberId& id : harness_->ids()) {
     if (id != primary_) harness_->network()->SetLinkCut(primary_, id, true);
   }
-  std::vector<ClusterHarness::ClientWriteResult> lost_results;
+  std::vector<sim::ClientWriteResult> lost_results;
   for (int i = 0; i < 3; ++i) {
     harness_->ClientWrite(
         "lost" + std::to_string(i), "v",
-        [&](const ClusterHarness::ClientWriteResult& r) {
+        [&](const sim::ClientWriteResult& r) {
           lost_results.push_back(r);
         });
   }

@@ -60,7 +60,7 @@ TEST_P(ServerTortureTest, InvariantsHoldUnderRandomFaults) {
           cluster.ClientWrite(
               key, value,
               [&acked, &writes_acked, key, value](
-                  const ClusterHarness::ClientWriteResult& r) {
+                  const sim::ClientWriteResult& r) {
                 if (r.status.ok()) {
                   acked[key] = value;
                   ++writes_acked;

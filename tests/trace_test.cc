@@ -86,7 +86,7 @@ TEST(TracerTest, SpanIdsAreSaltedCounters) {
 
 // --- Wire / GTID-body trace context -------------------------------------------
 
-TEST(TraceWireTest, AppendEntriesContextRoundTripsAndStaysCompatible) {
+TEST(TraceWireTest, AppendEntriesContextRoundTrips) {
   AppendEntriesRequest request;
   request.leader = "db0";
   request.dest = "db1";
@@ -98,18 +98,16 @@ TEST(TraceWireTest, AppendEntriesContextRoundTripsAndStaysCompatible) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(*decoded, request);
 
-  // Untraced requests encode without the trailing varints (byte-identical
-  // to the pre-tracing format) and decode to 0/0.
+  // Untraced requests decode to 0/0.
   AppendEntriesRequest untraced = request;
   untraced.trace_id = 0;
   untraced.trace_span_id = 0;
-  std::string old_wire;
-  untraced.EncodeTo(&old_wire);
-  EXPECT_LT(old_wire.size(), traced.size());
-  auto old_decoded = AppendEntriesRequest::DecodeFrom(old_wire);
-  ASSERT_TRUE(old_decoded.ok()) << old_decoded.status();
-  EXPECT_EQ(old_decoded->trace_id, 0u);
-  EXPECT_EQ(old_decoded->trace_span_id, 0u);
+  std::string untraced_wire;
+  untraced.EncodeTo(&untraced_wire);
+  auto untraced_decoded = AppendEntriesRequest::DecodeFrom(untraced_wire);
+  ASSERT_TRUE(untraced_decoded.ok()) << untraced_decoded.status();
+  EXPECT_EQ(untraced_decoded->trace_id, 0u);
+  EXPECT_EQ(untraced_decoded->trace_span_id, 0u);
 
   AppendEntriesResponse response;
   response.from = "db1";
