@@ -46,11 +46,8 @@ ChaosReport ChaosRunner::Run(const Schedule& schedule) {
   if (cluster_options.obs.sample_interval_micros == 0) {
     cluster_options.obs.sample_interval_micros = 5'000;
   }
-  // Chaos overrides (see ChaosOptions doc): deferred follower fsync makes
-  // the durable/received distinction real (torn crashes can eat acked-but-
-  // unsynced tails), and fast failure detection keeps failovers well
-  // inside a quiescent window.
-  cluster_options.raft.inline_follower_sync = false;
+  // Chaos overrides (see ChaosOptions doc): fast failure detection keeps
+  // failovers well inside a quiescent window.
   cluster_options.raft.heartbeat_interval_micros = 100'000;
   cluster_options.raft.election_jitter_micros = 150'000;
   cluster_options.raft.election_round_timeout_micros = 600'000;

@@ -26,10 +26,10 @@
 namespace myraft::chaos {
 
 struct ChaosOptions {
-  /// Base cluster topology/config. The runner overrides: seed (from the
-  /// schedule), deferred follower fsync (so durable != received and torn
-  /// crashes bite), and fast failure detection (so failovers resolve
-  /// within a window).
+  /// Base cluster topology/config. The runner overrides the seed (from
+  /// the schedule) and failure detection, made fast so failovers resolve
+  /// within a window. Replication runs the shipped regime: followers hold
+  /// each ack until the fsync covering it completes.
   sim::ClusterOptions cluster;
 
   /// Concurrent workload: one unique-key write every this-many micros.

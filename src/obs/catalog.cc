@@ -76,8 +76,6 @@ const MetricInfo kCatalog[] = {
      "Append-to-commit latency per entry"},
     {"raft.duplicate_entries_received", "counter", "raft",
      "Entries a follower received that its log already held"},
-    {"raft.effective_window_batches", "histogram", "raft",
-     "Adaptive replication window (batches) at dispatch time"},
     {"raft.elections_started", "counter", "raft",
      "Real elections started (vote requests sent)"},
     {"raft.elections_won", "counter", "raft", "Elections won"},
@@ -98,7 +96,7 @@ const MetricInfo kCatalog[] = {
     {"raft.mock_elections_started", "counter", "raft",
      "Zero-downtime mock elections started (logtailer handoff)"},
     {"raft.peer_rtt_us", "histogram", "raft",
-     "Smoothed per-peer AppendEntries round-trip time"},
+     "Per-batch AppendEntries round-trip time, recorded at ack"},
     {"raft.pipeline_stalls", "counter", "raft",
      "Pipeline stalls (window full, peer unresponsive)"},
     {"raft.pre_votes_started", "counter", "raft", "Pre-vote rounds started"},

@@ -13,6 +13,10 @@ namespace {
 /// aggregated mock-election outcome back to the initiating leader.
 constexpr char kMockOutcomeReason[] = "mock-outcome";
 
+/// Byte budget across one peer's in-flight window (payload bytes); the
+/// window closes on this or on max_inflight_batches, whichever comes first.
+constexpr uint64_t kMaxInflightBytesPerPeer = 4ull << 20;
+
 /// Ends a span on scope exit (covers every early-return path of a
 /// handler). No-op while id stays 0.
 struct SpanGuard {
@@ -76,8 +80,6 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.reads_timed_out = metrics_->GetCounter("raft.reads_timed_out");
   m_.inflight_window_batches =
       metrics_->GetHistogram("raft.inflight_window_batches");
-  m_.effective_window_batches =
-      metrics_->GetHistogram("raft.effective_window_batches");
   m_.peer_rtt_us = metrics_->GetHistogram("raft.peer_rtt_us");
   m_.stall_duration_us = metrics_->GetHistogram("raft.stall_duration_us");
   m_.commit_advance_latency_us =
@@ -263,28 +265,9 @@ void RaftConsensus::Tick() {
   if (!started_) return;
   const uint64_t now = clock_->NowMicros();
 
-  // Deferred follower fsync (inline_follower_sync = false): group-sync
-  // the received tail once per tick instead of inside every append. The
-  // leader hears the updated durable index on the next response it gets
-  // from us, so commit quorums lag the ack path by at most a tick plus a
-  // heartbeat — the window in which a power-loss crash can tear an
-  // acked-but-unsynced suffix.
-  if (!options_.inline_follower_sync &&
-      last_synced_index_ < log_->LastOpId().index) {
-    Status s = SyncLog();
-    if (s.ok()) {
-      // A leader running deferred sync (chaos mode) can now count its own
-      // ack; without this its single-region commits wait a heartbeat.
-      if (role_ == RaftRole::kLeader) AdvanceCommitMarker();
-    } else {
-      MYRAFT_LOG(Error) << options_.self
-                        << ": deferred log sync failed: " << s;
-    }
-  }
   // Belt-and-braces for the group-commit sync stage: if the deferred sync
   // was dropped (host restart races), the next tick picks the tail up.
-  if (!group_sync_scheduled_ && options_.inline_follower_sync &&
-      last_synced_index_ < log_->LastOpId().index) {
+  if (!group_sync_scheduled_ && last_synced_index_ < log_->LastOpId().index) {
     ScheduleGroupSync();
   }
 
@@ -456,7 +439,6 @@ void RaftConsensus::CancelInflight(PeerStatus* peer) {
   }
   peer->inflight.clear();
   peer->inflight_bytes = 0;
-  peer->awaiting_response = false;
   NoteStallEnded(peer);
 }
 
@@ -473,7 +455,9 @@ void RaftConsensus::ScheduleGroupSync() {
 }
 
 Status RaftConsensus::SyncLog() {
-  MYRAFT_RETURN_NOT_OK(log_->Sync());
+  if (!options_.unsafe_follower_skips_fsync || role_ == RaftRole::kLeader) {
+    MYRAFT_RETURN_NOT_OK(log_->Sync());
+  }
   last_synced_index_ = log_->LastOpId().index;
   return Status::OK();
 }
@@ -523,52 +507,6 @@ void RaftConsensus::RunGroupSync() {
     response.config_version = meta_.config.config_version;
     outbox_->Send(std::move(response));
   }
-}
-
-// --- Adaptive in-flight window -------------------------------------------------
-
-size_t RaftConsensus::EffectiveWindow(const PeerStatus& peer) const {
-  const size_t floor_batches = options_.max_inflight_batches;
-  if (peer.srtt_micros == 0 || peer.delivery_rate_bps <= 0.0 ||
-      peer.avg_batch_bytes <= 0.0) {
-    return floor_batches;  // no samples yet: static floor
-  }
-  // BDP over the smoothed RTT with a 2x gain so the pipe stays full while
-  // acks are on the return path; the per-peer byte budget still applies
-  // independently via inflight_bytes.
-  const double bdp_bytes =
-      peer.delivery_rate_bps * static_cast<double>(peer.srtt_micros) / 1e6;
-  const double batches = 2.0 * bdp_bytes / peer.avg_batch_bytes;
-  const size_t cap =
-      std::max(options_.adaptive_window_cap_batches, floor_batches);
-  if (batches <= static_cast<double>(floor_batches)) return floor_batches;
-  if (batches >= static_cast<double>(cap)) return cap;
-  return static_cast<size_t>(batches);
-}
-
-size_t RaftConsensus::effective_window(const MemberId& peer_id) const {
-  auto it = peers_.find(peer_id);
-  return it == peers_.end() ? options_.max_inflight_batches
-                            : EffectiveWindow(it->second);
-}
-
-void RaftConsensus::RecordAckSample(PeerStatus* peer,
-                                    const InflightBatch& batch,
-                                    uint64_t now) {
-  peer->total_acked_bytes += batch.bytes;
-  if (now <= batch.sent_micros) return;  // same-instant ack: no RTT signal
-  const uint64_t rtt = now - batch.sent_micros;
-  m_.peer_rtt_us->Record(rtt);
-  peer->srtt_micros =
-      peer->srtt_micros == 0 ? rtt : (peer->srtt_micros * 7 + rtt) / 8;
-  const uint64_t delivered =
-      peer->total_acked_bytes - batch.acked_bytes_at_send;
-  const double rate = static_cast<double>(std::max<uint64_t>(delivered, 1)) *
-                      1e6 / static_cast<double>(rtt);
-  // Max filter with EWMA decay (BBR-style): jump to faster evidence
-  // immediately, forget it gradually when deliveries slow down.
-  peer->delivery_rate_bps =
-      std::max(rate, peer->delivery_rate_bps * 0.875 + rate * 0.125);
 }
 
 void RaftConsensus::NoteStallEnded(PeerStatus* peer) {
@@ -689,9 +627,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   // the optimistic cursor instead of re-sending the same suffix.
   bool sent_entries = false;
   while (peer.next_index <= last) {
-    const size_t window = EffectiveWindow(peer);
-    if (peer.inflight.size() >= window ||
-        peer.inflight_bytes >= options_.max_inflight_bytes_per_peer) {
+    if (peer.inflight.size() >= options_.max_inflight_batches ||
+        peer.inflight_bytes >= kMaxInflightBytesPerPeer) {
       // Count the *transition* into the stalled state, not every attempt
       // against a full window (the historical over-counting).
       if (!peer.stalled) {
@@ -738,14 +675,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     // aren't skewed against them.
     batch.sent_micros = clock_->NowMicros();
     batch.bytes = batch_raw_bytes;
-    batch.acked_bytes_at_send = peer.total_acked_bytes;
     m_.entries_replicated->Increment(request.entries.size());
     if (!zero_copy) MaybeCompressPayloads(&request);
-    const double sized =
-        std::max<double>(1.0, static_cast<double>(batch_raw_bytes));
-    peer.avg_batch_bytes = peer.avg_batch_bytes <= 0.0
-                               ? sized
-                               : peer.avg_batch_bytes * 0.875 + sized * 0.125;
 
     if (options_.tracer != nullptr) {
       // The batch span belongs to the first traced entry's transaction
@@ -770,12 +701,10 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     peer.next_index = batch.last_index + 1;
     peer.inflight_bytes += batch.bytes;
     peer.inflight.push_back(batch);
-    peer.awaiting_response = true;
     peer.last_rpc_sent_micros = batch.sent_micros;
     peer.last_sent_commit_index =
         std::max(peer.last_sent_commit_index, commit_marker_.index);
     m_.inflight_window_batches->Record(peer.inflight.size());
-    m_.effective_window_batches->Record(window);
     outbox_->Send(std::move(request));
     sent_entries = true;
   }
@@ -794,10 +723,10 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   // Caught up and idle: plain heartbeat, not tracked in the window (a lost
   // heartbeat is simply replaced at the next interval).
   uint64_t prev_term = 0;
-  auto entries = FetchEntriesFor(peer.next_index, &prev_term);
-  if (!entries.ok()) {
-    MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
-                        << peer_id << ": " << entries.status();
+  if (!LookupTermAt(peer.next_index - 1, &prev_term)) {
+    MYRAFT_LOG(Warning) << options_.self << ": cannot heartbeat " << peer_id
+                        << ": previous entry unavailable (member needs "
+                           "re-provisioning)";
     return;
   }
   AppendEntriesRequest request;
@@ -806,12 +735,6 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
   request.term = meta_.current_term;
   request.commit_marker = commit_marker_;
   request.prev = OpId{prev_term, peer.next_index - 1};
-  request.entries = std::move(*entries);
-  if (!request.entries.empty()) {
-    // A concurrent append raced past us; treat it as a normal batch next
-    // tick rather than an untracked send.
-    return;
-  }
   StampLease(&request);
   StampConfig(&peer, &request);
   m_.heartbeats_sent->Increment();
@@ -840,7 +763,7 @@ void RaftConsensus::AdvanceCommitMarker() {
     // the fsynced tail counts. With the group-commit sync stage the tail
     // can trail the log between Replicate() and the coalescing sync.
     std::set<MemberId> ackers;
-    if (options_.unsafe_commit_on_received || last_synced_index_ >= n) {
+    if (last_synced_index_ >= n) {
       ackers.insert(options_.self);
     }
     for (const auto& [peer_id, peer] : peers_) {
@@ -1231,11 +1154,8 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
 
   // Sync whenever the durable tail trails the log — this also covers
   // heartbeats/retries arriving after a batch whose sync never completed,
-  // so a received-but-unsynced suffix eventually becomes durable. With
-  // deferred sync the next Tick picks it up instead, and this response
-  // reports the still-stale durable index.
-  if (options_.inline_follower_sync &&
-      (appended || last_synced_index_ < log_->LastOpId().index)) {
+  // so a received-but-unsynced suffix eventually becomes durable.
+  if (appended || last_synced_index_ < log_->LastOpId().index) {
     if (!append_failed) {
       // Coalesced follower sync: hold this ack and let one deferred fsync
       // cover every batch that arrives this instant; RunGroupSync sends a
@@ -1360,15 +1280,14 @@ void RaftConsensus::HandleAppendEntriesResponse(
             StringPrintf("acked_by=%s durable=%llu", response.from.c_str(),
                          (unsigned long long)response.last_durable_index));
       }
-      // Each retired batch contributes an RTT / delivery-rate sample to
-      // the adaptive window estimators.
-      RecordAckSample(&peer, front, now);
+      if (now > front.sent_micros) {
+        m_.peer_rtt_us->Record(now - front.sent_micros);
+      }
       peer.inflight_bytes -= front.bytes;
       peer.inflight.pop_front();
     }
-    peer.awaiting_response = !peer.inflight.empty();
-    if (peer.stalled && peer.inflight.size() < EffectiveWindow(peer) &&
-        peer.inflight_bytes < options_.max_inflight_bytes_per_peer) {
+    if (peer.stalled && peer.inflight.size() < options_.max_inflight_batches &&
+        peer.inflight_bytes < kMaxInflightBytesPerPeer) {
       NoteStallEnded(&peer);
     }
 
@@ -1376,11 +1295,8 @@ void RaftConsensus::HandleAppendEntriesResponse(
     // index, not the received one. next_index still advances past
     // everything received so replication is not re-sent while the
     // follower's sync catches up (the next heartbeat refreshes it).
-    const uint64_t acked =
-        options_.unsafe_commit_on_received
-            ? response.last_received.index  // fault injection: see RaftOptions
-            : std::min(response.last_received.index,
-                       response.last_durable_index);
+    const uint64_t acked = std::min(response.last_received.index,
+                                    response.last_durable_index);
     peer.match_index = std::max(peer.match_index, acked);
     peer.next_index =
         std::max(peer.next_index, response.last_received.index + 1);
@@ -2366,8 +2282,6 @@ RaftConsensus::DebugStatusSnapshot RaftConsensus::DebugStatus() const {
       p.next_index = peer.next_index;
       p.inflight_batches = peer.inflight.size();
       p.inflight_bytes = peer.inflight_bytes;
-      p.effective_window = effective_window(id);
-      p.srtt_micros = peer.srtt_micros;
       p.stalled = peer.stalled;
       p.lease_expiry_micros = peer.lease_expiry_micros;
       p.last_response_micros = peer.last_response_micros;
@@ -2412,14 +2326,12 @@ std::string RaftConsensus::DebugStatusSnapshot::ToJson() const {
     out.append(StringPrintf(
         "{\"id\":\"%s\",\"match_index\":%llu,\"next_index\":%llu,"
         "\"inflight_batches\":%llu,\"inflight_bytes\":%llu,"
-        "\"effective_window\":%llu,\"srtt_us\":%llu,\"stalled\":%s,"
+        "\"stalled\":%s,"
         "\"lease_expiry_us\":%llu,\"last_response_us\":%llu}",
         p.id.c_str(), (unsigned long long)p.match_index,
         (unsigned long long)p.next_index,
         (unsigned long long)p.inflight_batches,
-        (unsigned long long)p.inflight_bytes,
-        (unsigned long long)p.effective_window,
-        (unsigned long long)p.srtt_micros, p.stalled ? "true" : "false",
+        (unsigned long long)p.inflight_bytes, p.stalled ? "true" : "false",
         (unsigned long long)p.lease_expiry_micros,
         (unsigned long long)p.last_response_micros));
   }

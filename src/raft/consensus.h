@@ -59,20 +59,11 @@ struct RaftOptions {
   size_t max_entries_per_rpc = 64;
   uint64_t max_bytes_per_rpc = 1 << 20;
 
-  /// Replication pipelining: number of AppendEntries batches the leader
-  /// keeps in flight per peer before the first ack. The paper's
-  /// throughput numbers (§5, Fig. 5) assume the dissemination path is not
-  /// ack-bound on WAN RTTs. This is the floor of the adaptive window, so
-  /// lock-step replication needs this AND adaptive_window_cap_batches at 1.
-  size_t max_inflight_batches = 4;
-  /// BDP-style adaptive in-flight window: per peer, the window is sized
-  /// from measured delivery rate × smoothed RTT (÷ average batch size),
-  /// clamped to [max_inflight_batches, adaptive_window_cap_batches] and
-  /// always bounded by max_inflight_bytes_per_peer. Until the first RTT
-  /// sample the floor applies; a cap at the floor makes the window static.
-  size_t adaptive_window_cap_batches = 64;
-  /// Byte budget across one peer's in-flight window (payload bytes).
-  uint64_t max_inflight_bytes_per_peer = 4ull << 20;
+  /// Replication pipelining: the static in-flight window, in AppendEntries
+  /// batches per peer (also capped by a fixed per-peer byte budget). The
+  /// paper's throughput numbers (§5, Fig. 5) assume the dissemination path
+  /// is not ack-bound on WAN RTTs; 1 makes replication lock-step.
+  size_t max_inflight_batches = 8;
   /// Compress entry payloads on the wire when a batch carries at least
   /// this many payload bytes (0 disables). Lossless; the entry checksum
   /// always covers the uncompressed payload, so corruption is still
@@ -98,17 +89,6 @@ struct RaftOptions {
   /// itself so clients fail fast to the next leader.
   bool enable_auto_step_down = false;
   uint64_t auto_step_down_after_micros = 3'000'000;
-
-  /// Follower ack policy; the log always becomes durable through the
-  /// group-commit sync stage or a Tick. True: hold each ack until the
-  /// group sync covering it completes (one sync and one cumulative ack per
-  /// scheduling instant), so the reported durable index equals the
-  /// received one. False: ack at once and sync the received tail on the
-  /// next Tick, so acks run ahead of the durable horizon — the regime
-  /// where the leader-side min(received, durable) quorum rule matters and
-  /// where power-loss crashes (sim CrashMode::kLoseUnsynced) can tear an
-  /// acked-but-unsynced tail.
-  bool inline_follower_sync = true;
 
   /// Host-provided deferral hook, required (Start() rejects null): run
   /// `fn` after `delay_micros` once the current call stack unwinds (the
@@ -145,12 +125,12 @@ struct RaftOptions {
   /// margin/duration in relative rate.
   uint64_t lease_drift_margin_micros = 100'000;
 
-  /// FAULT INJECTION (chaos checker self-test only): commit quorums count
-  /// a peer's last *received* index instead of min(received, durable).
-  /// This re-introduces the durability bug fixed in the durable-index
-  /// work: with deferred follower sync and tail-loss crashes, an acked
-  /// write can be lost. Never enable outside tests.
-  bool unsafe_commit_on_received = false;
+  /// FAULT INJECTION (chaos checker self-test only): a non-leader's log
+  /// sync advances the durable horizon without fsyncing, so its held ack
+  /// reports an index a power-loss crash (sim CrashMode::kLoseUnsynced)
+  /// can still tear away — an acked write can be lost. Never enable
+  /// outside tests.
+  bool unsafe_follower_skips_fsync = false;
 
   /// Destination for "raft.*" / "log_cache.*" metrics. Null means a
   /// private per-instance registry (unit-test isolation).
@@ -208,10 +188,6 @@ class RaftConsensus {
     uint64_t last_index = 0;  // inclusive
     uint64_t bytes = 0;       // payload bytes (pre-compression)
     uint64_t sent_micros = 0;
-    /// Peer's cumulative acked-byte count when this batch was sent; the
-    /// delta at ack time is the bytes delivered over one RTT (the
-    /// delivery-rate sample feeding the adaptive window).
-    uint64_t acked_bytes_at_send = 0;
     /// Open "raft.replicate.batch" span; closed when the batch is acked
     /// or its window suffix is cancelled. 0 when tracing is off.
     uint64_t trace_span_id = 0;
@@ -223,20 +199,12 @@ class RaftConsensus {
     /// outstanding suffix.
     uint64_t next_index = 1;
     uint64_t match_index = 0;
-    /// True while at least one data batch is unacked (window non-empty).
-    bool awaiting_response = false;
     uint64_t last_rpc_sent_micros = 0;
     uint64_t last_response_micros = 0;
     /// Oldest-first pipeline of unacked batches; each chains off the
     /// previous one's tail, so a rejection invalidates the whole suffix.
     std::deque<InflightBatch> inflight;
     uint64_t inflight_bytes = 0;
-    /// Adaptive-window estimators: smoothed RTT (EWMA 7/8), max-filtered
-    /// delivery rate (decays 7/8 when samples drop), average batch size.
-    uint64_t srtt_micros = 0;
-    double delivery_rate_bps = 0.0;
-    double avg_batch_bytes = 0.0;
-    uint64_t total_acked_bytes = 0;
     /// Stall accounting counts *transitions* into the window-full state,
     /// not attempts while stalled (the over-counting fix).
     bool stalled = false;
@@ -298,8 +266,6 @@ class RaftConsensus {
     uint64_t next_index = 0;
     size_t inflight_batches = 0;
     uint64_t inflight_bytes = 0;
-    size_t effective_window = 0;
-    uint64_t srtt_micros = 0;
     bool stalled = false;
     uint64_t lease_expiry_micros = 0;
     uint64_t last_response_micros = 0;
@@ -454,10 +420,6 @@ class RaftConsensus {
            transfer_->phase == TransferState::Phase::kQuiesced;
   }
   const std::map<MemberId, PeerStatus>& peers() const { return peers_; }
-  /// Current adaptive in-flight window for a peer, in batches (the static
-  /// floor until RTT/delivery samples exist). Introspection for tests and
-  /// tools.
-  size_t effective_window(const MemberId& peer_id) const;
   Stats stats() const;
   metrics::MetricRegistry* metrics() const { return metrics_; }
   const LogCache& log_cache() const { return cache_; }
@@ -539,10 +501,6 @@ class RaftConsensus {
   /// The one fsync site: syncs the log and, on success, moves the durable
   /// horizon (last_synced_index_) to the log tail.
   Status SyncLog();
-  /// Adaptive window plumbing.
-  size_t EffectiveWindow(const PeerStatus& peer) const;
-  void RecordAckSample(PeerStatus* peer, const InflightBatch& batch,
-                       uint64_t now);
   void NoteStallEnded(PeerStatus* peer);
   /// Term of the entry at `index` (0 for index 0), from log or cache.
   bool LookupTermAt(uint64_t index, uint64_t* term) const;
@@ -681,9 +639,7 @@ class RaftConsensus {
     metrics::Counter* reads_timed_out;
     /// Window occupancy (batches in flight) sampled at each batch send.
     metrics::HistogramMetric* inflight_window_batches;
-    /// Adaptive window size sampled at each batch send.
-    metrics::HistogramMetric* effective_window_batches;
-    /// Per-batch RTT samples feeding the adaptive window.
+    /// Per-batch RTT, recorded when the batch is acked.
     metrics::HistogramMetric* peer_rtt_us;
     /// Time spent with a peer's window full, recorded when a stall ends.
     metrics::HistogramMetric* stall_duration_us;
@@ -727,9 +683,9 @@ class RaftConsensus {
   uint64_t last_synced_index_ = 0;
   /// Group-commit sync stage: one coalescing sync outstanding at a time.
   bool group_sync_scheduled_ = false;
-  /// Follower-side coalesced ack held until the covering sync completes
-  /// (inline_follower_sync only): one cumulative response replaces the
-  /// per-batch ones for every batch that arrived this instant.
+  /// Follower-side coalesced ack held until the covering sync completes:
+  /// one cumulative response replaces the per-batch ones for every batch
+  /// that arrived this instant.
   bool follower_ack_pending_ = false;
   MemberId follower_ack_dest_;
   /// Highest index the held batches actually verified against the leader's

@@ -258,14 +258,11 @@ std::string Shard::RaftstatText() {
         (unsigned long long)s.parked_reads));
     for (const auto& p : s.raft.peers) {
       out.append(StringPrintf(
-          "  peer %s: match=%llu next=%llu inflight=%llu/%lluB window=%llu "
-          "srtt=%lluus%s\n",
+          "  peer %s: match=%llu next=%llu inflight=%llu/%lluB%s\n",
           p.id.c_str(), (unsigned long long)p.match_index,
           (unsigned long long)p.next_index,
           (unsigned long long)p.inflight_batches,
-          (unsigned long long)p.inflight_bytes,
-          (unsigned long long)p.effective_window,
-          (unsigned long long)p.srtt_micros, p.stalled ? " STALLED" : ""));
+          (unsigned long long)p.inflight_bytes, p.stalled ? " STALLED" : ""));
     }
   }
   return out;

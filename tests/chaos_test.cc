@@ -104,9 +104,9 @@ TEST(ChaosRunnerTest, IdenticalSeedsProduceByteIdenticalReports) {
 }
 
 /// The checker self-test schedule: power-fail the whole single-region
-/// ring between two deferred-sync ticks, then bring back only the
-/// logtailers so they elect among themselves while the old primary's
-/// durable log is offline. The primary rejoins at the quiescent window.
+/// ring mid-stream, then bring back only the logtailers so they elect
+/// among themselves while the old primary's durable log is offline. The
+/// primary rejoins at the quiescent window.
 Schedule SelfTestSchedule() {
   Schedule schedule;
   schedule.seed = 7;
@@ -134,15 +134,14 @@ ChaosOptions SelfTestOptions() {
 }
 
 TEST(ChaosSelfTest, SeededUnsafeCommitBugIsCaughtAndMinimized) {
-  // Checker self-test: seed a known durability bug — the commit quorum
-  // counts received-but-unsynced logtailer acks (skipping the min() with
-  // the durable index) — and assert the harness catches it. Writes acked
-  // since the logtailers' last sync tick survive only on the primary;
-  // after the torn crash the revived logtailers elect on rewound logs and
-  // commit a conflicting suffix, and the rejoining primary truncates the
-  // acked tail away.
+  // Checker self-test: seed a known durability bug — logtailers ack a
+  // durable index their log never fsynced — and assert the harness
+  // catches it. The primary commits on those acks, so acked writes survive
+  // only on the primary; after the torn crash the revived logtailers elect
+  // on rewound logs and commit a conflicting suffix, and the rejoining
+  // primary truncates the acked tail away.
   ChaosOptions options = SelfTestOptions();
-  options.cluster.raft.unsafe_commit_on_received = true;
+  options.cluster.raft.unsafe_follower_skips_fsync = true;
   const Schedule schedule = SelfTestSchedule();
 
   ChaosRunner runner(options, FlexiEngine());
@@ -162,10 +161,10 @@ TEST(ChaosSelfTest, SeededUnsafeCommitBugIsCaughtAndMinimized) {
 
 TEST(ChaosSelfTest, SafeCommitRuleSurvivesTheSameSchedule) {
   // Negative control / durability regression repro: the identical
-  // schedule against the real commit rule (acked = min(received,
-  // durable)) loses nothing — every acked write has a durable copy on a
-  // logtailer that torn crashes cannot eat, and the up-to-date vote
-  // check guarantees the longest-log logtailer wins the interim term.
+  // schedule with real follower fsyncs loses nothing — every acked write
+  // has a durable copy on a logtailer that torn crashes cannot eat, and
+  // the up-to-date vote check guarantees the longest-log logtailer wins
+  // the interim term.
   const ChaosOptions options = SelfTestOptions();
   ChaosRunner runner(options, FlexiEngine());
   const ChaosReport report = runner.Run(SelfTestSchedule());

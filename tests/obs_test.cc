@@ -446,8 +446,8 @@ TEST(ChaosObsTest, SameSeedProducesByteIdenticalBundle) {
 }
 
 TEST(ChaosObsTest, InvariantViolationEmitsBundle) {
-  // The chaos self-test's seeded durability bug (a commit quorum that
-  // counts received-but-unsynced acks) must leave a forensic bundle
+  // The chaos self-test's seeded durability bug (followers that ack a
+  // durable index without fsyncing) must leave a forensic bundle
   // whose trigger names the violation — the `--bundle-out` artifact an
   // investigator starts from.
   chaos::ChaosOptions options;
@@ -455,7 +455,7 @@ TEST(ChaosObsTest, InvariantViolationEmitsBundle) {
   options.cluster.topology.logtailers_per_db = 2;
   options.cluster.topology.learners = 0;
   options.write_interval_micros = 5'000;
-  options.cluster.raft.unsafe_commit_on_received = true;
+  options.cluster.raft.unsafe_follower_skips_fsync = true;
 
   chaos::Schedule schedule;
   schedule.seed = 7;

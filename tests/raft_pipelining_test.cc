@@ -271,7 +271,6 @@ TEST_F(PipeliningTest, StallCountsTransitionsNotAttempts) {
 TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   RaftOptions options = SmallBatchOptions();
   options.max_inflight_batches = 1;
-  options.adaptive_window_cap_batches = 1;  // static one-slot window
   Start(options);
   auto opids = Replicate(2);
   // "c" never acks: its one-slot window is pinned by the bootstrap no-op
@@ -298,24 +297,20 @@ TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   EXPECT_TRUE(outbox_.AppendsTo("c").empty());
 }
 
-TEST_F(PipeliningTest, AdaptiveWindowGrowsWithMeasuredBdp) {
-  Start(SmallBatchOptions());  // adaptive window on, static floor of 4
-  EXPECT_EQ(consensus_->effective_window("b"), 4u);
+TEST_F(PipeliningTest, WindowStaysStaticUnderFastAcks) {
+  Start(SmallBatchOptions());  // window of 4
   auto opids = Replicate(4);
   // One cumulative ack 5ms later: four batches delivered inside one RTT.
-  // The BDP estimate (delivery rate x srtt, 2x gain) now says the pipe
-  // holds more than the static floor.
   clock_.AdvanceMicros(5'000);
   AckFrom("b", opids[3]);
-  EXPECT_GT(consensus_->effective_window("b"), 4u);
-  // The wider window streams a burst the old floor would have split:
-  // all 6 batches go out before any ack.
+  // However fast the acks came back, the next burst streams only
+  // max_inflight_batches batches before the window closes.
   outbox_.sent.clear();
   Replicate(6);
-  EXPECT_EQ(outbox_.AppendsTo("b").size(), 6u);
-  // "c" never acked, so it still sits at the floor with 4 streamed.
-  EXPECT_EQ(consensus_->effective_window("c"), 4u);
-  EXPECT_EQ(outbox_.AppendsTo("c").size(), 0u);  // window full since setup
+  EXPECT_EQ(outbox_.AppendsTo("b").size(), 4u);
+  EXPECT_EQ(consensus_->peers().at("b").inflight.size(), 4u);
+  // "c" never acked: its window has been full since setup.
+  EXPECT_EQ(outbox_.AppendsTo("c").size(), 0u);
 }
 
 TEST_F(PipeliningTest, TermBumpMidWindowStepsDown) {
