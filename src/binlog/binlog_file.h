@@ -74,6 +74,11 @@ class BinlogFileReader {
   const GtidSet& previous_gtids() const { return previous_gtids_; }
   /// Offset of the first post-header event.
   uint64_t body_start() const { return body_start_; }
+  /// The file's bytes in [offset, offset + length); both must lie within
+  /// what Next has already consumed.
+  Slice Bytes(uint64_t offset, uint64_t length) const {
+    return Slice(contents_.data() + offset, length);
+  }
 
  private:
   BinlogFileReader(std::string path, std::string contents)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/crc32c.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -10,6 +11,10 @@ namespace myraft::binlog {
 namespace {
 constexpr char kIndexFileName[] = "log.index";
 constexpr uint64_t kFirstFileNumber = 1;
+
+uint32_t PayloadCrc(const Slice& payload) {
+  return crc32c::Value(payload.data(), payload.size());
+}
 }  // namespace
 
 BinlogManager::BinlogManager(Env* env, BinlogManagerOptions options)
@@ -131,13 +136,13 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
 
   auto record_entry = [&](uint64_t index, EntryPos pos,
                           const Gtid* gtid) -> Status {
-    if (!entries_.empty() && index != entries_.rbegin()->first + 1) {
+    if (!entries_.empty() && index != LastIndex() + 1) {
       return Status::Corruption(
           StringPrintf("non-contiguous raft index %llu after %llu",
                        (unsigned long long)index,
-                       (unsigned long long)entries_.rbegin()->first));
+                       (unsigned long long)LastIndex()));
     }
-    entries_[index] = pos;
+    PushEntry(index, pos);
     last_opid_ = OpId{pos.term, index};
     if (gtid != nullptr) gtids_in_log_.Add(*gtid);
     return Status::OK();
@@ -184,6 +189,7 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
         pos.file_number = number;
         pos.offset = group_start;
         pos.length = reader->offset() - group_start;
+        pos.crc = PayloadCrc(reader->Bytes(group_start, pos.length));
         MYRAFT_RETURN_NOT_OK(record_entry(group_opid.index, pos, &group_gtid));
         last_good_offset = reader->offset();
         break;
@@ -198,6 +204,7 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
         pos.file_number = number;
         pos.offset = offset;
         pos.length = reader->offset() - offset;
+        pos.crc = PayloadCrc(body.payload);
         MYRAFT_RETURN_NOT_OK(record_entry(event->opid.index, pos, nullptr));
         last_good_offset = reader->offset();
         break;
@@ -211,6 +218,7 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
           pos.file_number = number;
           pos.offset = offset;
           pos.length = reader->offset() - offset;
+          pos.crc = PayloadCrc(Slice());
           MYRAFT_RETURN_NOT_OK(record_entry(event->opid.index, pos, nullptr));
         }
         last_good_offset = reader->offset();
@@ -324,10 +332,16 @@ Status BinlogManager::AppendRotateAndStartNewFile(OpId opid) {
     pos.file_number = current_file_number_;
     pos.offset = *offset;
     pos.length = event.EncodedSize();
-    entries_[opid.index] = pos;
+    pos.crc = PayloadCrc(Slice());
+    PushEntry(opid.index, pos);
     last_opid_ = opid;
   }
   return StartNewFile(next_number);
+}
+
+void BinlogManager::PushEntry(uint64_t index, const EntryPos& pos) {
+  if (entries_.empty()) first_index_ = index;
+  entries_.push_back(pos);
 }
 
 Status BinlogManager::AppendEntry(const LogEntry& entry) {
@@ -335,7 +349,7 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
     return Status::InvalidArgument("entry index must be > 0");
   }
   if (!entries_.empty()) {
-    const uint64_t expected = entries_.rbegin()->first + 1;
+    const uint64_t expected = LastIndex() + 1;
     if (entry.id.index != expected) {
       return Status::IllegalState(
           StringPrintf("append at index %llu, expected %llu",
@@ -352,14 +366,10 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
 
   switch (entry.type) {
     case EntryType::kTransaction: {
-      MYRAFT_RETURN_NOT_OK(
-          ValidateTransactionPayload(entry.payload, entry.id));
-      // Extract the GTID from the leading Gtid event.
-      Slice first(entry.payload);
-      auto gtid_event = BinlogEvent::DecodeFrom(&first);
-      if (!gtid_event.ok()) return gtid_event.status();
-      GtidBody gtid_body;
-      MYRAFT_ASSIGN_OR_RETURN(gtid_body, GtidBody::Decode(gtid_event->body));
+      // The one parse of this transaction: ReadEntry trusts the CRC.
+      Gtid gtid;
+      MYRAFT_ASSIGN_OR_RETURN(
+          gtid, ValidateTransactionPayload(entry.payload, entry.id));
 
       auto offset = writer_->AppendRaw(entry.payload);
       if (!offset.ok()) return offset.status();
@@ -371,9 +381,10 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
       pos.file_number = current_file_number_;
       pos.offset = *offset;
       pos.length = entry.payload.size();
-      entries_[entry.id.index] = pos;
+      pos.crc = entry.checksum;
+      PushEntry(entry.id.index, pos);
       last_opid_ = entry.id;
-      gtids_in_log_.Add(gtid_body.gtid);
+      gtids_in_log_.Add(gtid);
       return Status::OK();
     }
     case EntryType::kNoOp: {
@@ -393,7 +404,8 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
       pos.file_number = current_file_number_;
       pos.offset = *offset;
       pos.length = event.EncodedSize();
-      entries_[entry.id.index] = pos;
+      pos.crc = entry.checksum;
+      PushEntry(entry.id.index, pos);
       last_opid_ = entry.id;
       return Status::OK();
     }
@@ -409,43 +421,53 @@ Status BinlogManager::Sync() {
 }
 
 Result<LogEntry> BinlogManager::ReadEntry(uint64_t index) const {
-  auto it = entries_.find(index);
-  if (it == entries_.end()) {
+  const EntryPos* pos = FindEntry(index);
+  if (pos == nullptr) {
     return Status::NotFound(StringPrintf("no entry at index %llu",
                                          (unsigned long long)index));
   }
-  const EntryPos& pos = it->second;
-  const auto file_it = files_.find(pos.file_number);
+  const auto file_it = files_.find(pos->file_number);
   if (file_it == files_.end()) {
     return Status::IllegalState("entry in purged file");
   }
   auto file = env_->NewRandomAccessFile(PathFor(file_it->second.name));
   if (!file.ok()) return file.status();
-  std::string scratch(pos.length, '\0');
+  std::string buffer(pos->length, '\0');
   Slice raw;
   MYRAFT_RETURN_NOT_OK(
-      (*file)->Read(pos.offset, pos.length, &raw, scratch.data()));
-  if (raw.size() != pos.length) {
+      (*file)->Read(pos->offset, pos->length, &raw, buffer.data()));
+  if (raw.size() != pos->length) {
     return Status::Corruption("short read of log entry");
   }
 
-  const OpId opid{pos.term, index};
-  switch (pos.type) {
+  const OpId opid{pos->term, index};
+  LogEntry entry;
+  switch (pos->type) {
     case EntryType::kTransaction:
-      MYRAFT_RETURN_NOT_OK(ValidateTransactionPayload(raw, opid));
-      return LogEntry::Make(opid, EntryType::kTransaction, raw.ToString());
+      entry = LogEntry::Make(opid, EntryType::kTransaction, raw.ToString());
+      break;
     case EntryType::kNoOp: {
       Slice in = raw;
       auto event = BinlogEvent::DecodeFrom(&in);
       if (!event.ok()) return event.status();
       MetadataBody body;
       MYRAFT_ASSIGN_OR_RETURN(body, MetadataBody::Decode(event->body));
-      return LogEntry::Make(opid, pos.type, std::move(body.payload));
+      entry = LogEntry::Make(opid, pos->type, std::move(body.payload));
+      break;
     }
     case EntryType::kRotate:
-      return LogEntry::Make(opid, EntryType::kRotate, "");
+      entry = LogEntry::Make(opid, EntryType::kRotate, "");
+      break;
+    default:
+      return Status::IllegalState("unknown entry type in position map");
   }
-  return Status::IllegalState("unknown entry type in position map");
+  // A transaction was validated once, at append; from then on its bytes
+  // only have to match the CRC recorded with its position.
+  if (entry.checksum != pos->crc) {
+    return Status::Corruption(StringPrintf(
+        "log entry %llu failed checksum", (unsigned long long)index));
+  }
+  return entry;
 }
 
 Result<std::vector<LogEntry>> BinlogManager::ReadEntries(
@@ -453,14 +475,14 @@ Result<std::vector<LogEntry>> BinlogManager::ReadEntries(
   std::vector<LogEntry> out;
   uint64_t bytes = 0;
   for (uint64_t index = first_index;
-       out.size() < max_entries && entries_.count(index) > 0; ++index) {
+       out.size() < max_entries && HasEntry(index); ++index) {
     auto entry = ReadEntry(index);
     if (!entry.ok()) return entry.status();
     bytes += entry->payload.size();
     out.push_back(std::move(*entry));
     if (bytes >= max_bytes && !out.empty()) break;
   }
-  if (out.empty() && entries_.count(first_index) == 0) {
+  if (out.empty() && !HasEntry(first_index)) {
     return Status::NotFound(StringPrintf("no entry at index %llu",
                                          (unsigned long long)first_index));
   }
@@ -468,35 +490,34 @@ Result<std::vector<LogEntry>> BinlogManager::ReadEntries(
 }
 
 Result<OpId> BinlogManager::OpIdAt(uint64_t index) const {
-  auto it = entries_.find(index);
-  if (it == entries_.end()) return Status::NotFound("no entry");
-  return OpId{it->second.term, index};
+  const EntryPos* pos = FindEntry(index);
+  if (pos == nullptr) return Status::NotFound("no entry");
+  return OpId{pos->term, index};
 }
 
 OpId BinlogManager::LastOpId() const { return last_opid_; }
 
 uint64_t BinlogManager::FirstIndex() const {
-  return entries_.empty() ? 0 : entries_.begin()->first;
+  return entries_.empty() ? 0 : first_index_;
 }
 
 uint64_t BinlogManager::LastIndex() const {
-  return entries_.empty() ? 0 : entries_.rbegin()->first;
+  return entries_.empty() ? 0 : first_index_ + entries_.size() - 1;
 }
 
 Result<GtidSet> BinlogManager::TruncateAfter(uint64_t index) {
   GtidSet removed;
-  if (entries_.empty() || index >= entries_.rbegin()->first) return removed;
-  if (index + 1 < entries_.begin()->first) {
+  if (entries_.empty() || index >= LastIndex()) return removed;
+  if (index + 1 < first_index_) {
     return Status::IllegalState("cannot truncate into purged prefix");
   }
 
-  auto first_removed = entries_.upper_bound(index);
-  MYRAFT_CHECK(first_removed != entries_.end());
+  const auto first_removed = entries_.begin() + (index + 1 - first_index_);
 
   // Collect GTIDs of removed transactions before dropping the bytes.
   for (auto it = first_removed; it != entries_.end(); ++it) {
-    if (it->second.type != EntryType::kTransaction) continue;
-    auto entry = ReadEntry(it->first);
+    if (it->type != EntryType::kTransaction) continue;
+    auto entry = ReadEntry(first_index_ + (it - entries_.begin()));
     if (!entry.ok()) return entry.status();
     Slice in(entry->payload);
     auto gtid_event = BinlogEvent::DecodeFrom(&in);
@@ -506,8 +527,8 @@ Result<GtidSet> BinlogManager::TruncateAfter(uint64_t index) {
     removed.Add(body.gtid);
   }
 
-  const uint64_t cut_file = first_removed->second.file_number;
-  const uint64_t cut_offset = first_removed->second.offset;
+  const uint64_t cut_file = first_removed->file_number;
+  const uint64_t cut_offset = first_removed->offset;
 
   // Close the writer before mutating files underneath it.
   MYRAFT_RETURN_NOT_OK(writer_->Close());
@@ -523,10 +544,8 @@ Result<GtidSet> BinlogManager::TruncateAfter(uint64_t index) {
   MYRAFT_RETURN_NOT_OK(WriteIndexFile());
 
   gtids_in_log_.Subtract(removed);
-  last_opid_ = entries_.empty()
-                   ? kZeroOpId
-                   : OpId{entries_.rbegin()->second.term,
-                          entries_.rbegin()->first};
+  last_opid_ =
+      entries_.empty() ? kZeroOpId : OpId{entries_.back().term, LastIndex()};
 
   current_file_number_ = cut_file;
   auto writer =
@@ -645,12 +664,10 @@ Status BinlogManager::PurgeLogsTo(const std::string& file) {
     it = files_.erase(it);
     purged_files_->Increment();
   }
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.file_number < keep_number) {
-      it = entries_.erase(it);
-    } else {
-      break;  // map is index-ordered == file-ordered
-    }
+  // Index order is file order: the purged entries are a prefix.
+  while (!entries_.empty() && entries_.front().file_number < keep_number) {
+    entries_.pop_front();
+    ++first_index_;
   }
   return WriteIndexFile();
 }
@@ -662,10 +679,11 @@ Result<uint64_t> BinlogManager::FirstIndexOfFile(
   if (files_.count(number) == 0) {
     return Status::NotFound("no such log file: " + file);
   }
-  for (const auto& [index, pos] : entries_) {
-    if (pos.file_number >= number) return index;
-  }
-  return LastIndex() + 1;
+  const auto first = std::partition_point(
+      entries_.begin(), entries_.end(),
+      [number](const EntryPos& pos) { return pos.file_number < number; });
+  if (first == entries_.end()) return LastIndex() + 1;
+  return first_index_ + (first - entries_.begin());
 }
 
 Status BinlogManager::SwitchPersona(const std::string& persona) {

@@ -14,6 +14,7 @@
 #ifndef MYRAFT_BINLOG_BINLOG_MANAGER_H_
 #define MYRAFT_BINLOG_BINLOG_MANAGER_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,7 +80,7 @@ class BinlogManager {
                                             size_t max_entries,
                                             uint64_t max_bytes) const;
 
-  bool HasEntry(uint64_t index) const { return entries_.count(index) > 0; }
+  bool HasEntry(uint64_t index) const { return FindEntry(index) != nullptr; }
   Result<OpId> OpIdAt(uint64_t index) const;
 
   /// OpId of the last entry, or kZeroOpId when the log is empty.
@@ -143,6 +144,9 @@ class BinlogManager {
     uint64_t file_number = 0;
     uint64_t offset = 0;
     uint64_t length = 0;
+    /// CRC32C of the payload ReadEntry rebuilds, recorded at append (or
+    /// computed by recovery) and checked on every read-back.
+    uint32_t crc = 0;
   };
 
   struct FileInfo {
@@ -167,11 +171,23 @@ class BinlogManager {
   Status WriteIndexFile();
   Status AppendRotateAndStartNewFile(OpId opid);
 
+  /// Position of the entry at `index`, or null if it is not in the log.
+  const EntryPos* FindEntry(uint64_t index) const {
+    if (index < first_index_ || index - first_index_ >= entries_.size()) {
+      return nullptr;
+    }
+    return &entries_[index - first_index_];
+  }
+  /// Records the next contiguous entry (any index when the log is empty).
+  void PushEntry(uint64_t index, const EntryPos& pos);
+
   Env* env_;
   BinlogManagerOptions options_;
 
   std::map<uint64_t, FileInfo> files_;       // by file number
-  std::map<uint64_t, EntryPos> entries_;     // by raft index
+  /// Dense position index: entries_[i] is raft index first_index_ + i.
+  std::deque<EntryPos> entries_;
+  uint64_t first_index_ = 0;
   std::unique_ptr<BinlogFileWriter> writer_; // current (last) file
   uint64_t current_file_number_ = 0;
   OpId last_opid_;

@@ -145,18 +145,24 @@ Result<ParsedTransaction> ParseTransactionPayload(Slice payload) {
   return txn;
 }
 
-Status ValidateTransactionPayload(Slice payload, OpId expected_opid) {
+Result<Gtid> ValidateTransactionPayload(Slice payload, OpId expected_opid) {
   Slice in = payload;
   bool first = true;
   bool saw_xid = false;
+  Gtid gtid;
   while (!in.empty()) {
     auto event = BinlogEvent::DecodeFrom(&in);
     if (!event.ok()) return event.status();
     if (event->opid != expected_opid) {
       return Status::Corruption("txn payload: OpId mismatch");
     }
-    if (first && event->type != EventType::kGtid) {
-      return Status::Corruption("txn payload: must start with Gtid");
+    if (first) {
+      if (event->type != EventType::kGtid) {
+        return Status::Corruption("txn payload: must start with Gtid");
+      }
+      GtidBody body;
+      MYRAFT_ASSIGN_OR_RETURN(body, GtidBody::Decode(event->body));
+      gtid = body.gtid;
     }
     first = false;
     if (saw_xid) return Status::Corruption("txn payload: events after Xid");
@@ -164,7 +170,7 @@ Status ValidateTransactionPayload(Slice payload, OpId expected_opid) {
   }
   if (first) return Status::Corruption("txn payload: empty");
   if (!saw_xid) return Status::Corruption("txn payload: missing Xid");
-  return Status::OK();
+  return gtid;
 }
 
 }  // namespace myraft::binlog

@@ -80,8 +80,9 @@ struct ParsedTransaction {
 Result<ParsedTransaction> ParseTransactionPayload(Slice payload);
 
 /// Cheap structural validation used on the replication hot path (checks
-/// group shape and OpId stamps without materialising row images).
-Status ValidateTransactionPayload(Slice payload, OpId expected_opid);
+/// group shape and OpId stamps without materialising row images). Returns
+/// the GTID from the leading Gtid event.
+Result<Gtid> ValidateTransactionPayload(Slice payload, OpId expected_opid);
 
 }  // namespace myraft::binlog
 

@@ -20,7 +20,10 @@ const MetricInfo kCatalog[] = {
      "Binlog file rotations (size threshold or promotion)"},
     {"binlog.syncs", "counter", "binlog", "Binlog fsync calls issued"},
     {"log_cache.compressed_bytes", "gauge", "raft",
-     "Resident bytes held compressed in the log cache"},
+     "Resident compressed bytes in the log cache, memoized on first "
+     "compressed send"},
+    {"log_cache.compressions", "counter", "raft",
+     "Log-cache entries compressed (once each, on first compressed send)"},
     {"log_cache.evictions", "counter", "raft",
      "Log-cache entries evicted under memory pressure"},
     {"log_cache.hits", "counter", "raft",
@@ -28,7 +31,7 @@ const MetricInfo kCatalog[] = {
     {"log_cache.misses", "counter", "raft",
      "Replication reads that fell through to the binlog"},
     {"log_cache.uncompressed_bytes", "gauge", "raft",
-     "Resident bytes held uncompressed in the log cache"},
+     "Resident raw payload bytes in the log cache"},
     {"net.dropped", "counter", "net", "Messages dropped, all causes"},
     {"net.dropped.in_flight", "counter", "net",
      "In-flight messages dropped when their link or endpoint died"},

@@ -528,7 +528,7 @@ bool RaftConsensus::LookupTermAt(uint64_t index, uint64_t* term) const {
     *term = opid->term;
     return true;
   }
-  auto cached = cache_.GetCompressed(index);
+  auto cached = cache_.Peek(index);
   if (cached.has_value()) {
     *term = cached->id.term;
     return true;
@@ -560,30 +560,37 @@ bool RaftConsensus::TryFetchCompressed(uint64_t next_index,
                                        uint64_t* raw_bytes) {
   if (options_.wire_compression_min_bytes == 0) return false;
   const uint64_t last = log_->LastOpId().index;
+  // Size the batch from the raw payloads first, with the fetch loop's
+  // bounds: a batch too small to ship compressed is refused before any
+  // entry is compressed.
   uint64_t raw = 0;
+  uint64_t end = next_index;
+  while (end <= last && end - next_index < options_.max_entries_per_rpc &&
+         raw < options_.max_bytes_per_rpc) {
+    auto cached = cache_.Peek(end);
+    if (!cached.has_value()) return false;  // not fully cached: fall back
+    raw += cached->payload_size;
+    ++end;
+  }
+  if (end == next_index || raw < options_.wire_compression_min_bytes) {
+    return false;
+  }
   uint64_t packed = 0;
   std::vector<LogEntry> entries;
-  uint64_t index = next_index;
-  while (index <= last && entries.size() < options_.max_entries_per_rpc &&
-         raw < options_.max_bytes_per_rpc) {
-    auto cached = cache_.GetCompressed(index);
-    if (!cached.has_value()) return false;  // not fully cached: fall back
+  entries.reserve(end - next_index);
+  for (uint64_t index = next_index; index < end; ++index) {
+    auto cached = cache_.GetCompressed(index);  // found by the size pass
     LogEntry entry;
     entry.id = cached->id;
     entry.type = cached->type;
     entry.checksum = cached->checksum;
     entry.shared_payload = std::move(cached->compressed);
-    raw += cached->uncompressed_size;
     packed += entry.shared_payload->size();
     entries.push_back(std::move(entry));
-    ++index;
   }
-  if (entries.empty()) return false;
   // Same profitability rule as MaybeCompressPayloads, decided from the
-  // cached sizes alone — no inflate, no recompress, no byte copies.
-  if (raw < options_.wire_compression_min_bytes || packed >= raw) {
-    return false;
-  }
+  // cached spans alone — no inflate, no byte copies.
+  if (packed >= raw) return false;
   request->entries = std::move(entries);
   request->entries_compressed = true;
   *raw_bytes = raw;

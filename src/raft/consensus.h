@@ -15,7 +15,8 @@
 //    versioned consensus state installed via AppendEntries and committed
 //    on an install quorum of the new config (DESIGN.md §15);
 //  * an election-quorum override used by Quorum Fixer (§5.3);
-//  * a compressed in-memory entry cache with disk fallback for laggards.
+//  * an in-memory entry cache (compressed once, on first compressed send)
+//    with disk fallback for laggards.
 
 #ifndef MYRAFT_RAFT_CONSENSUS_H_
 #define MYRAFT_RAFT_CONSENSUS_H_
@@ -80,6 +81,8 @@ struct RaftOptions {
   uint64_t mock_election_lag_allowance = 32;
   uint64_t transfer_timeout_micros = 3'000'000;
 
+  /// Resident bytes of the log cache: raw payloads plus the compressed
+  /// spans memoized for sends.
   uint64_t log_cache_capacity_bytes = 8ull << 20;
 
   /// Extension (off by default, matching kuduraft — §4.1 notes it "does
@@ -507,10 +510,12 @@ class RaftConsensus {
   /// Empty AppendEntries anchored at the peer's match point, carrying only
   /// the advanced commit marker past a full window.
   void SendMarkerOnlyHeartbeat(const MemberId& peer_id, PeerStatus* peer);
-  /// Zero-copy send: assemble a batch directly from the cache's
-  /// already-compressed spans (borrowed buffers, no inflate/re-encode).
-  /// False when the batch isn't fully cached or compression isn't
-  /// profitable — the caller falls back to FetchEntriesFor.
+  /// Zero-copy send: assemble a batch directly from the cache's memoized
+  /// compressed spans (borrowed buffers, no inflate/re-encode). False when
+  /// the batch isn't fully cached, its raw bytes are below
+  /// wire_compression_min_bytes (checked before compressing anything) or
+  /// compression isn't profitable — the caller falls back to
+  /// FetchEntriesFor.
   bool TryFetchCompressed(uint64_t next_index, AppendEntriesRequest* request,
                           uint64_t* raw_bytes);
   /// Drops the peer's in-flight window and rewinds next_index to the

@@ -16,6 +16,7 @@ LogCache::LogCache(uint64_t capacity_bytes,
   hits_ = registry->GetCounter("log_cache.hits");
   misses_ = registry->GetCounter("log_cache.misses");
   evictions_ = registry->GetCounter("log_cache.evictions");
+  compressions_ = registry->GetCounter("log_cache.compressions");
   compressed_bytes_ = registry->GetGauge("log_cache.compressed_bytes");
   uncompressed_bytes_ = registry->GetGauge("log_cache.uncompressed_bytes");
   // A long-lived registry can outlive the cache instance (sim node
@@ -26,26 +27,19 @@ LogCache::LogCache(uint64_t capacity_bytes,
 }
 
 void LogCache::Retire(const Cached& cached) {
-  size_bytes_ -= cached.compressed_payload->size();
-  compressed_bytes_->Add(-(int64_t)cached.compressed_payload->size());
-  uncompressed_bytes_->Add(-(int64_t)cached.uncompressed_size);
+  const uint64_t compressed =
+      cached.compressed != nullptr ? cached.compressed->size() : 0;
+  size_bytes_ -= cached.payload.size() + compressed;
+  compressed_bytes_->Add(-(int64_t)compressed);
+  uncompressed_bytes_->Add(-(int64_t)cached.payload.size());
 }
 
-LogCache::Cached LogCache::Compress(const LogEntry& entry) {
+void LogCache::Put(const LogEntry& entry) {
   Cached cached;
   cached.id = entry.id;
   cached.type = entry.type;
   cached.checksum = entry.checksum;
-  const Slice payload = entry.payload_bytes();
-  cached.uncompressed_size = payload.size();
-  auto compressed = std::make_shared<std::string>();
-  LzCompress(payload, compressed.get());
-  cached.compressed_payload = std::move(compressed);
-  return cached;
-}
-
-void LogCache::Put(const LogEntry& entry) {
-  Cached cached = Compress(entry);
+  cached.payload = entry.payload_bytes().ToString();
 
   // Retire a replaced entry before accounting the new one, so overwrites
   // (leader re-proposals, truncate-then-refill) don't inflate the byte
@@ -53,9 +47,8 @@ void LogCache::Put(const LogEntry& entry) {
   auto it = entries_.find(entry.id.index);
   if (it != entries_.end()) Retire(it->second);
 
-  size_bytes_ += cached.compressed_payload->size();
-  compressed_bytes_->Add((int64_t)cached.compressed_payload->size());
-  uncompressed_bytes_->Add((int64_t)cached.uncompressed_size);
+  size_bytes_ += cached.payload.size();
+  uncompressed_bytes_->Add((int64_t)cached.payload.size());
   entries_[entry.id.index] = std::move(cached);
 
   while (size_bytes_ > capacity_ && entries_.size() > 1) {
@@ -66,27 +59,28 @@ void LogCache::Put(const LogEntry& entry) {
   }
 }
 
-Result<LogEntry> LogCache::Inflate(const Cached& cached) {
+Result<LogEntry> LogCache::Get(uint64_t index) const {
+  auto it = entries_.find(index);
+  if (it == entries_.end()) {
+    misses_->Increment();
+    return Status::NotFound("log cache miss");
+  }
+  hits_->Increment();
   LogEntry entry;
-  entry.id = cached.id;
-  entry.type = cached.type;
-  entry.checksum = cached.checksum;
-  MYRAFT_RETURN_NOT_OK(
-      LzDecompress(*cached.compressed_payload, &entry.payload));
+  entry.id = it->second.id;
+  entry.type = it->second.type;
+  entry.checksum = it->second.checksum;
+  entry.payload = it->second.payload;
   if (!entry.VerifyChecksum()) {
     return Status::Corruption("log cache entry failed checksum");
   }
   return entry;
 }
 
-Result<LogEntry> LogCache::Get(uint64_t index) const {
+std::optional<LogCache::Meta> LogCache::Peek(uint64_t index) const {
   auto it = entries_.find(index);
-  if (it != entries_.end()) {
-    hits_->Increment();
-    return Inflate(it->second);
-  }
-  misses_->Increment();
-  return Status::NotFound("log cache miss");
+  if (it == entries_.end()) return std::nullopt;
+  return Meta{it->second.id, it->second.payload.size()};
 }
 
 std::optional<LogCache::CompressedEntry> LogCache::GetCompressed(
@@ -94,12 +88,21 @@ std::optional<LogCache::CompressedEntry> LogCache::GetCompressed(
   auto it = entries_.find(index);
   if (it == entries_.end()) return std::nullopt;
   hits_->Increment();
+  const Cached& cached = it->second;
+  if (cached.compressed == nullptr) {
+    auto compressed = std::make_shared<std::string>();
+    LzCompress(cached.payload, compressed.get());
+    size_bytes_ += compressed->size();
+    compressed_bytes_->Add((int64_t)compressed->size());
+    compressions_->Increment();
+    cached.compressed = std::move(compressed);
+  }
   CompressedEntry out;
-  out.id = it->second.id;
-  out.type = it->second.type;
-  out.checksum = it->second.checksum;
-  out.uncompressed_size = it->second.uncompressed_size;
-  out.compressed = it->second.compressed_payload;
+  out.id = cached.id;
+  out.type = cached.type;
+  out.checksum = cached.checksum;
+  out.uncompressed_size = cached.payload.size();
+  out.compressed = cached.compressed;
   return out;
 }
 
@@ -131,6 +134,7 @@ LogCache::Stats LogCache::stats() const {
   s.hits = hits_->value();
   s.misses = misses_->value();
   s.evictions = evictions_->value();
+  s.compressions = compressions_->value();
   s.compressed_bytes =
       (uint64_t)std::max<int64_t>(0, compressed_bytes_->value());
   s.uncompressed_bytes =

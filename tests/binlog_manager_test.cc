@@ -365,6 +365,114 @@ TEST_F(BinlogManagerTest, RecoveryRejectsGarbageIndexLine) {
   EXPECT_FALSE(reopened.ok());
 }
 
+TEST_F(BinlogManagerTest, ReadEntryChecksFlippedByteAgainstAppendCrc) {
+  // ReadEntry no longer re-parses a transaction: the CRC recorded with the
+  // position (by AppendEntry, or by recovery's scan) must catch a flipped
+  // byte, both before and after a reopen.
+  ASSERT_TRUE(manager_->AppendEntry(Txn({1, 1}, 1, "flip-me")).ok());
+  ASSERT_TRUE(manager_->AppendEntry(Rotate({1, 2})).ok());  // close file 1
+  ASSERT_TRUE(manager_->AppendEntry(Txn({1, 3}, 2)).ok());
+  ASSERT_TRUE(manager_->Sync().ok());
+  const std::string path = "/log/binlog.000001";
+  auto pristine = env_->ReadFileToString(path);
+  ASSERT_TRUE(pristine.ok());
+  const size_t at = pristine->find("flip-me");
+  ASSERT_NE(at, std::string::npos);
+  std::string flipped = *pristine;
+  flipped[at + 3] ^= 0x20;
+
+  ASSERT_TRUE(manager_->ReadEntry(1).ok());
+  ASSERT_TRUE(env_->WriteStringToFile(flipped, path).ok());
+  EXPECT_TRUE(manager_->ReadEntry(1).status().IsCorruption());
+  EXPECT_TRUE(manager_->ReadEntries(1, 10, UINT64_MAX).status().IsCorruption());
+  EXPECT_TRUE(manager_->ReadEntry(3).ok());  // other files unaffected
+
+  ASSERT_TRUE(env_->WriteStringToFile(*pristine, path).ok());
+  Reopen();
+  ASSERT_TRUE(manager_->ReadEntry(1).ok());
+  ASSERT_TRUE(env_->WriteStringToFile(flipped, path).ok());
+  EXPECT_TRUE(manager_->ReadEntry(1).status().IsCorruption());
+  EXPECT_TRUE(manager_->ReadEntry(3).ok());
+}
+
+TEST_F(BinlogManagerTest, PositionIndexAcrossPurgeTruncateAndReopen) {
+  // file 1: 1-2, file 2: 3-5, file 3: 6-7.
+  ASSERT_TRUE(manager_->AppendEntry(Txn({1, 1}, 1)).ok());
+  ASSERT_TRUE(manager_->AppendEntry(Rotate({1, 2})).ok());
+  ASSERT_TRUE(manager_->AppendEntry(Txn({1, 3}, 2)).ok());
+  ASSERT_TRUE(manager_->AppendEntry(NoOp({2, 4})).ok());
+  ASSERT_TRUE(manager_->AppendEntry(Rotate({2, 5})).ok());
+  ASSERT_TRUE(manager_->AppendEntry(Txn({2, 6}, 3)).ok());
+  ASSERT_TRUE(manager_->AppendEntry(Txn({2, 7}, 4)).ok());
+
+  auto expect_index = [&](uint64_t first, uint64_t last,
+                          const std::vector<uint64_t>& terms) {
+    ASSERT_EQ(manager_->FirstIndex(), first);
+    ASSERT_EQ(manager_->LastIndex(), last);
+    EXPECT_FALSE(manager_->HasEntry(first - 1));
+    EXPECT_FALSE(manager_->HasEntry(last + 1));
+    EXPECT_TRUE(manager_->OpIdAt(last + 1).status().IsNotFound());
+    if (first > 1) {
+      EXPECT_TRUE(manager_->OpIdAt(first - 1).status().IsNotFound());
+    }
+    for (uint64_t i = first; i <= last; ++i) {
+      EXPECT_TRUE(manager_->HasEntry(i)) << i;
+      auto opid = manager_->OpIdAt(i);
+      ASSERT_TRUE(opid.ok()) << i;
+      EXPECT_EQ(*opid, (OpId{terms[i - first], i}));
+      auto entry = manager_->ReadEntry(i);
+      ASSERT_TRUE(entry.ok()) << i << ": " << entry.status();
+      EXPECT_EQ(entry->id, *opid);
+    }
+  };
+  auto first_of = [&](const char* file) {
+    auto first = manager_->FirstIndexOfFile(file);
+    EXPECT_TRUE(first.ok()) << file;
+    return first.ok() ? *first : 0;
+  };
+
+  expect_index(1, 7, {1, 1, 1, 2, 2, 2, 2});
+  EXPECT_EQ(first_of("binlog.000001"), 1u);
+  EXPECT_EQ(first_of("binlog.000002"), 3u);
+  EXPECT_EQ(first_of("binlog.000003"), 6u);
+
+  ASSERT_TRUE(manager_->PurgeLogsTo("binlog.000002").ok());
+  expect_index(3, 7, {1, 2, 2, 2, 2});
+  EXPECT_TRUE(manager_->FirstIndexOfFile("binlog.000001").status()
+                  .IsNotFound());
+  EXPECT_EQ(first_of("binlog.000002"), 3u);
+  EXPECT_EQ(first_of("binlog.000003"), 6u);
+
+  ASSERT_TRUE(manager_->TruncateAfter(6).ok());
+  expect_index(3, 6, {1, 2, 2, 2});
+  ASSERT_TRUE(manager_->AppendEntry(Txn({3, 7}, 4)).ok());
+  expect_index(3, 7, {1, 2, 2, 2, 3});
+
+  Reopen();
+  expect_index(3, 7, {1, 2, 2, 2, 3});
+  EXPECT_EQ(first_of("binlog.000002"), 3u);
+  EXPECT_EQ(first_of("binlog.000003"), 6u);
+
+  // Purge everything: rotate to an empty file 4 and purge up to it.
+  ASSERT_TRUE(manager_->AppendEntry(Rotate({3, 8})).ok());
+  EXPECT_EQ(first_of("binlog.000004"), 9u);
+  ASSERT_TRUE(manager_->PurgeLogsTo("binlog.000004").ok());
+  EXPECT_EQ(manager_->FirstIndex(), 0u);
+  EXPECT_EQ(manager_->LastIndex(), 0u);
+  for (uint64_t i = 0; i <= 9; ++i) {
+    EXPECT_FALSE(manager_->HasEntry(i)) << i;
+    EXPECT_FALSE(manager_->OpIdAt(i).ok()) << i;
+  }
+  // The next append re-anchors the index.
+  ASSERT_TRUE(manager_->AppendEntry(Txn({3, 9}, 5)).ok());
+  expect_index(9, 9, {3});
+  EXPECT_EQ(first_of("binlog.000004"), 9u);
+  Reopen();
+  expect_index(9, 9, {3});
+  ASSERT_TRUE(manager_->AppendEntry(NoOp({3, 10})).ok());
+  expect_index(9, 10, {3, 3});
+}
+
 TEST_F(BinlogManagerTest, PosixEnvEndToEnd) {
   // Same flows against the real filesystem.
   char tmpl[] = "/tmp/myraft_binlog_XXXXXX";

@@ -7,6 +7,7 @@
 #include "raft/log_abstraction.h"
 #include "raft/log_cache.h"
 #include "raft/quorum.h"
+#include "util/compression.h"
 #include "util/random.h"
 
 namespace myraft::raft {
@@ -52,8 +53,39 @@ TEST(LogCacheTest, PutGetRoundTrip) {
 TEST(LogCacheTest, CompressionShrinksRepetitivePayloads) {
   LogCache cache(1 << 20);
   cache.Put(E(1, 1, std::string(100'000, 'z')));
-  EXPECT_LT(cache.size_bytes(), 10'000u);
+  auto span = cache.GetCompressed(1);
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(span->uncompressed_size, 100'000u);
+  EXPECT_LT(span->compressed->size(), 10'000u);
   EXPECT_LT(cache.stats().compressed_bytes, cache.stats().uncompressed_bytes);
+}
+
+TEST(LogCacheTest, CompressesOnceOnFirstCompressedSend) {
+  LogCache cache(1 << 20);
+  cache.Put(E(1, 1, std::string(4'000, 'c')));
+  // Put, Get and Peek leave the entry raw.
+  ASSERT_TRUE(cache.Get(1).ok());
+  ASSERT_TRUE(cache.Peek(1).has_value());
+  EXPECT_EQ(cache.Peek(1)->payload_size, 4'000u);
+  EXPECT_FALSE(cache.Peek(2).has_value());
+  EXPECT_EQ(cache.stats().compressions, 0u);
+  EXPECT_EQ(cache.stats().compressed_bytes, 0u);
+  EXPECT_EQ(cache.size_bytes(), 4'000u);
+  EXPECT_EQ(cache.stats().hits, 1u);  // Peek is not a lookup
+
+  auto first = cache.GetCompressed(1);
+  auto second = cache.GetCompressed(1);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->compressed, second->compressed);  // memoized span
+  EXPECT_EQ(cache.stats().compressions, 1u);
+  EXPECT_EQ(cache.size_bytes(), 4'000u + first->compressed->size());
+  EXPECT_FALSE(cache.GetCompressed(2).has_value());
+
+  // The borrowed span outlives the slot.
+  cache.Clear();
+  std::string inflated;
+  ASSERT_TRUE(LzDecompress(*first->compressed, &inflated).ok());
+  EXPECT_EQ(inflated, std::string(4'000, 'c'));
 }
 
 TEST(LogCacheTest, EvictsFromHeadWhenOverCapacity) {
@@ -76,16 +108,21 @@ TEST(LogCacheTest, OverwriteRetiresReplacedBytes) {
   // payload without retiring the old one, so overwrites (leader
   // re-proposals, truncate-then-refill) inflated the byte counters
   // without bound.
+  // Both the raw bytes and the memoized compressed span are retired.
   LogCache cache(1 << 20);
   cache.Put(E(1, 1, std::string(10'000, 'a')));
+  ASSERT_TRUE(cache.GetCompressed(1).has_value());
   const auto once = cache.stats();
+  ASSERT_GT(once.compressed_bytes, 0u);
   for (int i = 0; i < 5; ++i) {
     cache.Put(E(2, 1, std::string(10'000, 'a')));
+    ASSERT_TRUE(cache.GetCompressed(1).has_value());
   }
   const auto after = cache.stats();
   EXPECT_EQ(after.compressed_bytes, once.compressed_bytes);
   EXPECT_EQ(after.uncompressed_bytes, once.uncompressed_bytes);
-  EXPECT_EQ(cache.size_bytes(), once.compressed_bytes);
+  EXPECT_EQ(cache.size_bytes(),
+            once.compressed_bytes + once.uncompressed_bytes);
   // The surviving entry is the replacement.
   auto got = cache.Get(1);
   ASSERT_TRUE(got.ok());
@@ -98,6 +135,7 @@ TEST(LogCacheTest, ClearResetsByteCounters) {
   LogCache cache(1 << 20);
   for (uint64_t i = 1; i <= 4; ++i) {
     cache.Put(E(1, i, std::string(5'000, 'q')));
+    ASSERT_TRUE(cache.GetCompressed(i).has_value());
   }
   ASSERT_GT(cache.stats().compressed_bytes, 0u);
   ASSERT_GT(cache.stats().uncompressed_bytes, 0u);
@@ -119,9 +157,11 @@ TEST(LogCacheTest, SharedRegistryAccumulatesAcrossInstances) {
     cache.Put(E(1, 1, std::string(2'000, 'x')));
     cache.Get(1);
     cache.Get(99);
+    cache.GetCompressed(1);
   }
-  EXPECT_EQ(registry.FindCounter("log_cache.hits")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("log_cache.hits")->value(), 2u);
   EXPECT_EQ(registry.FindCounter("log_cache.misses")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("log_cache.compressions")->value(), 1u);
   EXPECT_GT(registry.FindGauge("log_cache.compressed_bytes")->value(), 0);
   LogCache reborn(1 << 20, &registry);
   EXPECT_EQ(registry.FindGauge("log_cache.compressed_bytes")->value(), 0);

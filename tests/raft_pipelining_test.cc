@@ -9,6 +9,7 @@
 #include "queued_defer.h"
 #include "raft/consensus.h"
 #include "raft_test_harness.h"
+#include "util/coding.h"
 #include "util/compression.h"
 #include "util/logging.h"
 
@@ -371,24 +372,33 @@ TEST_F(PipeliningTest, CorruptCompressedBatchRejectedNotApplied) {
   RaftOptions options;
   options.enable_pre_vote = false;
   Start(options);
-  LogEntry wire = LogEntry::Make({9, 2}, EntryType::kNoOp, "not-lz-data");
-  wire.payload = "\xff\xff garbage";
-  AppendEntriesRequest request;
-  request.leader = "b";
-  request.dest = "a";
-  request.term = 9;
-  request.prev = consensus_->last_logged();
-  request.entries = {wire};
-  request.entries_compressed = true;
-  outbox_.sent.clear();
-  Deliver(Message(request));
-  EXPECT_FALSE(log_.HasEntry(wire.id.index));
-  bool saw_failure = false;
-  for (const auto& m : outbox_.sent) {
-    const auto* r = std::get_if<AppendEntriesResponse>(&m);
-    if (r != nullptr && !r->success) saw_failure = true;
+  // Garbage, and a decompression bomb: a block declaring 8 bytes whose
+  // match would expand to 2^34 (it used to abort the process).
+  std::string bomb;
+  PutVarint64(&bomb, 8);
+  bomb += std::string("\x00\x01" "a" "\x01", 4);
+  PutVarint64(&bomb, 1ull << 34);
+  PutVarint64(&bomb, 1);
+  for (const std::string& corrupt : {std::string("\xff\xff garbage"), bomb}) {
+    LogEntry wire = LogEntry::Make({9, 2}, EntryType::kNoOp, "not-lz-data");
+    wire.payload = corrupt;
+    AppendEntriesRequest request;
+    request.leader = "b";
+    request.dest = "a";
+    request.term = 9;
+    request.prev = consensus_->last_logged();
+    request.entries = {wire};
+    request.entries_compressed = true;
+    outbox_.sent.clear();
+    Deliver(Message(request));
+    EXPECT_FALSE(log_.HasEntry(wire.id.index));
+    bool saw_failure = false;
+    for (const auto& m : outbox_.sent) {
+      const auto* r = std::get_if<AppendEntriesResponse>(&m);
+      if (r != nullptr && !r->success) saw_failure = true;
+    }
+    EXPECT_TRUE(saw_failure);
   }
-  EXPECT_TRUE(saw_failure);
 }
 
 // --- Cluster-level: reordering and delay via the sim network ------------------
