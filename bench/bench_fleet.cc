@@ -229,6 +229,18 @@ int RunFleetBench(const FleetArgs& args) {
     }
     return sum;
   };
+  // Periodic ticks over every node: run in full vs skipped by the
+  // idle-tick gate (DESIGN.md §18).
+  uint64_t ticks_run = 0;
+  uint64_t ticks_gated = 0;
+  for (int s = 0; s < args.shards; ++s) {
+    sim::Shard* shard = fleet.shard(s);
+    for (const MemberId& id : shard->ids()) {
+      ticks_run += shard->node(id)->ticks_run();
+      ticks_gated += shard->node(id)->ticks_gated();
+    }
+  }
+  const uint64_t ticks = ticks_run + ticks_gated;
   const fleet::FleetOptions& fo = fleet.options();
   const int nodes_per_shard =
       fo.db_regions_per_shard * (1 + fo.logtailers_per_db) + fo.learners;
@@ -243,6 +255,7 @@ int RunFleetBench(const FleetArgs& args) {
       "\"recovery_ms\":%llu,\"healed\":%d,\"consistent\":%s},"
       "\"fleet_counters\":{\"elections_won\":%llu,"
       "\"leader_transfers\":%llu},"
+      "\"ticks\":{\"run\":%llu,\"gated\":%llu,\"gated_share\":%.4f},"
       "\"pass\":%s}",
       args.shards, args.regions, args.shards * nodes_per_shard,
       with_primary, (unsigned long long)(elected_at / 1000),
@@ -254,6 +267,8 @@ int RunFleetBench(const FleetArgs& args) {
       consistent ? "true" : "false",
       (unsigned long long)rollup_counter("raft.elections_won"),
       (unsigned long long)rollup_counter("fleet.leader_transfers"),
+      (unsigned long long)ticks_run, (unsigned long long)ticks_gated,
+      ticks > 0 ? (double)ticks_gated / ticks : 0.0,
       pass ? "true" : "false");
   bench::WriteBenchJson("fleet", summary, "null");
   printf("%s\n", pass ? "PASS" : "FAIL");

@@ -89,7 +89,7 @@ void InvariantChecker::ObserveRoles(sim::ClusterHarness& cluster) {
   for (const MemberId& id : cluster.ids()) {
     sim::SimNode* node = cluster.node(id);
     if (!node->up()) continue;
-    const raft::RaftConsensus* consensus = node->server()->consensus();
+    const raft::RaftConsensus* consensus = node->server_view()->consensus();
     if (consensus->role() != RaftRole::kLeader) continue;
     const uint64_t term = consensus->term();
     auto [it, inserted] = leader_by_term_.emplace(term, id);
@@ -123,7 +123,7 @@ void InvariantChecker::ObserveConfigs(sim::ClusterHarness& cluster) {
     sim::SimNode* node = cluster.node(id);
     if (!node->up()) continue;
     const MembershipConfig& committed =
-        node->server()->consensus()->committed_config();
+        node->server_view()->consensus()->committed_config();
     const ConfigId config_id{committed.config_term,
                              committed.config_version};
     ObservedConfig observed;

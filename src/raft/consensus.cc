@@ -27,6 +27,17 @@ struct SpanGuard {
     if (tracer != nullptr && id != 0) tracer->EndSpan(id, std::move(end_args));
   }
 };
+
+/// Timer arithmetic for Tick()'s deadlines: the first local time `t` with
+/// `t - since >= limit` (ReachedAt) or `t - since > limit` (ExceededAt),
+/// saturating at UINT64_MAX ("never"). Local clocks are monotone, so
+/// `since` never lies ahead of the time it is compared with.
+uint64_t ReachedAt(uint64_t since, uint64_t limit) {
+  return limit > UINT64_MAX - since ? UINT64_MAX : since + limit;
+}
+uint64_t ExceededAt(uint64_t since, uint64_t limit) {
+  return limit >= UINT64_MAX - since ? UINT64_MAX : since + limit + 1;
+}
 }  // namespace
 
 RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
@@ -267,18 +278,13 @@ void RaftConsensus::Tick() {
 
   // Belt-and-braces for the group-commit sync stage: if the deferred sync
   // was dropped (host restart races), the next tick picks the tail up.
-  if (!group_sync_scheduled_ && last_synced_index_ < log_->LastOpId().index) {
-    ScheduleGroupSync();
-  }
+  if (TailSyncDropped()) ScheduleGroupSync();
 
   if (role_ == RaftRole::kLeader) {
     if (options_.enable_auto_step_down && !peers_.empty()) {
       std::set<MemberId> responsive{options_.self};
       for (const auto& [peer_id, peer] : peers_) {
-        if (now - peer.last_response_micros <=
-            options_.auto_step_down_after_micros) {
-          responsive.insert(peer_id);
-        }
+        if (now < StepDownDueMicros(peer)) responsive.insert(peer_id);
       }
       if (!quorum_->IsCommitQuorumSatisfied(
               MakeQuorumContext(options_.self), responsive)) {
@@ -292,32 +298,24 @@ void RaftConsensus::Tick() {
       }
     }
     for (auto& [peer_id, peer] : peers_) {
-      if (!peer.inflight.empty() &&
-          now - peer.inflight.front().sent_micros >
-              options_.rpc_timeout_micros) {
+      if (!peer.inflight.empty() && now >= RpcTimeoutDueMicros(peer)) {
         // Oldest in-flight batch timed out: the whole window after it is
         // suspect (batches are cumulative), so rewind and restream.
         peer.next_index = peer.inflight.front().first_index;
         CancelInflight(&peer);
         m_.window_rewinds->Increment();
       }
-      if (peer.next_index <= log_->LastOpId().index ||
-          peer.last_sent_commit_index < commit_marker_.index ||
-          (peer.inflight.empty() &&
-           now - peer.last_rpc_sent_micros >=
-               options_.heartbeat_interval_micros)) {
+      if (now >= SendDueMicros(peer)) {
         SendAppendEntriesTo(peer_id, /*allow_empty=*/true);
       }
     }
-    if (transfer_.has_value() && now > transfer_->deadline_micros) {
+    if (transfer_.has_value() && now >= TransferDueMicros()) {
       FailTransfer(Status::TimedOut("leadership transfer deadline"));
     }
     // Leader-side read deadline: a leader cut off from its quorum (with
     // auto step down off) would otherwise accumulate pending_reads_ and
     // their captured callbacks unboundedly — clients gave up long ago.
-    while (!pending_reads_.empty() &&
-           now - pending_reads_.front().registered_micros >
-               ReadDeadlineMicros()) {
+    while (!pending_reads_.empty() && now >= ReadDueMicros()) {
       PendingQuorumRead read = std::move(pending_reads_.front());
       pending_reads_.pop_front();
       m_.reads_timed_out->Increment();
@@ -330,20 +328,98 @@ void RaftConsensus::Tick() {
 
   // Non-leaders: drive stalled elections and failure detection.
   if (election_.has_value()) {
-    if (now - election_->started_micros >
-        options_.election_round_timeout_micros) {
+    if (now >= ElectionRoundDueMicros()) {
       AbortElection(Status::TimedOut("election round timed out"));
     }
     return;
   }
   if (role_ == RaftRole::kLearner || !IsVoterSelf()) return;
-  if (now - last_leader_contact_micros_ > election_timeout_micros_) {
+  if (now >= LeaderTimeoutDueMicros()) {
     MYRAFT_LOG(Info) << options_.self << ": leader timed out, campaigning";
     Status s = StartElection(options_.enable_pre_vote
                                  ? ElectionMode::kPreVote
                                  : ElectionMode::kRealElection);
     if (!s.ok()) ResetElectionTimer();
   }
+}
+
+uint64_t RaftConsensus::NextTickDueMicros() const {
+  // The earliest of the deadlines Tick() tests on the branch it would
+  // take (DESIGN.md §18).
+  if (!started_) return UINT64_MAX;
+  if (TailSyncDropped()) return 0;
+
+  uint64_t due = UINT64_MAX;
+  if (role_ == RaftRole::kLeader) {
+    if (options_.enable_auto_step_down && !peers_.empty()) {
+      // Tick() steps down at once if even every peer cannot form a commit
+      // quorum, and otherwise not before some peer stops counting as
+      // responsive.
+      std::set<MemberId> all{options_.self};
+      for (const auto& [peer_id, peer] : peers_) {
+        all.insert(peer_id);
+        due = std::min(due, StepDownDueMicros(peer));
+      }
+      if (!quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
+                                            all)) {
+        return 0;
+      }
+    }
+    for (const auto& [peer_id, peer] : peers_) {
+      due = std::min(due, SendDueMicros(peer));
+      if (!peer.inflight.empty()) {
+        due = std::min(due, RpcTimeoutDueMicros(peer));
+      }
+    }
+    if (transfer_.has_value()) due = std::min(due, TransferDueMicros());
+    if (!pending_reads_.empty()) due = std::min(due, ReadDueMicros());
+    return due;
+  }
+  if (election_.has_value()) return ElectionRoundDueMicros();
+  if (role_ == RaftRole::kLearner || !IsVoterSelf()) return UINT64_MAX;
+  return LeaderTimeoutDueMicros();
+}
+
+bool RaftConsensus::TailSyncDropped() const {
+  return !group_sync_scheduled_ && last_synced_index_ < log_->LastOpId().index;
+}
+
+uint64_t RaftConsensus::StepDownDueMicros(const PeerStatus& peer) const {
+  return ExceededAt(peer.last_response_micros,
+                    options_.auto_step_down_after_micros);
+}
+
+uint64_t RaftConsensus::RpcTimeoutDueMicros(const PeerStatus& peer) const {
+  return ExceededAt(peer.inflight.front().sent_micros,
+                    options_.rpc_timeout_micros);
+}
+
+uint64_t RaftConsensus::SendDueMicros(const PeerStatus& peer) const {
+  if (peer.next_index <= log_->LastOpId().index ||
+      peer.last_sent_commit_index < commit_marker_.index) {
+    return 0;
+  }
+  if (!peer.inflight.empty()) return UINT64_MAX;
+  return ReachedAt(peer.last_rpc_sent_micros,
+                   options_.heartbeat_interval_micros);
+}
+
+uint64_t RaftConsensus::TransferDueMicros() const {
+  return ExceededAt(transfer_->deadline_micros, 0);
+}
+
+uint64_t RaftConsensus::ReadDueMicros() const {
+  return ExceededAt(pending_reads_.front().registered_micros,
+                    ReadDeadlineMicros());
+}
+
+uint64_t RaftConsensus::ElectionRoundDueMicros() const {
+  return ExceededAt(election_->started_micros,
+                    options_.election_round_timeout_micros);
+}
+
+uint64_t RaftConsensus::LeaderTimeoutDueMicros() const {
+  return ExceededAt(last_leader_contact_micros_, election_timeout_micros_);
 }
 
 // --- Replication: leader side --------------------------------------------------
@@ -2281,6 +2357,7 @@ RaftConsensus::DebugStatusSnapshot RaftConsensus::DebugStatus() const {
   s.config_committed = meta_.committed_config.SameIdAs(meta_.config);
   s.quorum = quorum_->Describe();
   s.num_voters = meta_.config.NumVoters();
+  if (transfer_.has_value()) s.transfer_target = transfer_->target;
   if (role_ == RaftRole::kLeader) {
     for (const auto& [id, peer] : peers_) {
       PeerDebugStatus p;
@@ -2308,7 +2385,7 @@ std::string RaftConsensus::DebugStatusSnapshot::ToJson() const {
       "\"pending_reads\":%llu,\"read_barrier_index\":%llu,"
       "\"pending_config_change\":%s,\"config_term\":%llu,"
       "\"config_version\":%llu,\"config_committed\":%s,"
-      "\"quorum\":\"%s\",\"voters\":%d,"
+      "\"quorum\":\"%s\",\"voters\":%d,\"transfer_target\":\"%s\","
       "\"peers\":[",
       self.c_str(), region.c_str(), (unsigned long long)term,
       std::string(RaftRoleToString(role)).c_str(), leader.c_str(),
@@ -2325,7 +2402,7 @@ std::string RaftConsensus::DebugStatusSnapshot::ToJson() const {
       has_pending_config_change ? "true" : "false",
       (unsigned long long)config_term, (unsigned long long)config_version,
       config_committed ? "true" : "false", quorum.c_str(),
-      num_voters);
+      num_voters, transfer_target.c_str());
   bool first = true;
   for (const auto& p : peers) {
     if (!first) out.push_back(',');

@@ -294,6 +294,7 @@ class RaftConsensus {
     bool config_committed = true;
     std::string quorum;  // QuorumEngine::Describe()
     int num_voters = 0;
+    MemberId transfer_target;  // leadership transfer in progress ("" = none)
     std::vector<PeerDebugStatus> peers;  // replication state, leaders only
 
     std::string ToJson() const;
@@ -319,6 +320,10 @@ class RaftConsensus {
   /// Drive heartbeats, election timeouts, RPC resends and transfer
   /// deadlines. Call every few tens of milliseconds.
   void Tick();
+  /// Earliest local time at which Tick() can act (0 = now, UINT64_MAX =
+  /// never, until some other input changes this member's state). Before
+  /// it, Tick() is a no-op; hosts use this to skip idle ticks.
+  uint64_t NextTickDueMicros() const;
 
   // --- Leader API -------------------------------------------------------------
 
@@ -594,6 +599,23 @@ class RaftConsensus {
 
   uint64_t ElectionTimeoutMicros() const;
   void ResetElectionTimer();
+  // Tick()'s deadlines: each is the first local time its branch of Tick()
+  // acts (0 = now, UINT64_MAX = never). Tick() tests `now >= ...`, and
+  // NextTickDueMicros() takes the minimum of the same functions.
+  /// The tail is unsynced and no group sync is scheduled for it.
+  bool TailSyncDropped() const;
+  /// When `peer` stops counting as responsive for auto step down.
+  uint64_t StepDownDueMicros(const PeerStatus& peer) const;
+  /// When `peer`'s oldest in-flight batch times out (window non-empty).
+  uint64_t RpcTimeoutDueMicros(const PeerStatus& peer) const;
+  /// When `peer` is sent an AppendEntries: now while entries or a commit
+  /// marker advance wait, else its idle heartbeat, never while batches
+  /// are in flight.
+  uint64_t SendDueMicros(const PeerStatus& peer) const;
+  uint64_t TransferDueMicros() const;       // transfer_ set
+  uint64_t ReadDueMicros() const;           // pending_reads_ non-empty
+  uint64_t ElectionRoundDueMicros() const;  // election_ set
+  uint64_t LeaderTimeoutDueMicros() const;
   /// Most recent evidence of a leader's existence (last-known-leader view
   /// combined with voting history, excluding votes for `candidate`).
   void PotentialLeaderEvidence(const MemberId& candidate, uint64_t* term,

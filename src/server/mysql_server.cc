@@ -122,9 +122,7 @@ void MySqlServer::Tick() {
   if (promotion_.has_value()) MaybeCompletePromotion();
   // Periodic engine checkpointing bounds WAL replay at restart. Skipped
   // while transactions are prepared (pipeline in flight).
-  if (engine_ != nullptr && options_.engine_checkpoint_wal_bytes > 0 &&
-      engine_->WalSizeBytes() > options_.engine_checkpoint_wal_bytes &&
-      engine_->PreparedXids().empty()) {
+  if (CheckpointDue() && engine_->PreparedXids().empty()) {
     Status s = engine_->Checkpoint();
     if (s.ok()) {
       m_.engine_checkpoints->Increment();
@@ -132,6 +130,22 @@ void MySqlServer::Tick() {
       MYRAFT_LOG(Warning) << options_.id << ": checkpoint failed: " << s;
     }
   }
+}
+
+uint64_t MySqlServer::NextTickDueMicros() const {
+  // Every step of Tick() after the consensus tick acts as soon as its
+  // guard holds. A checkpoint held back by prepared transactions keeps
+  // the gate open: it only opens early, never late.
+  if (!apply_window_.empty() || witness_handoff_pending_ ||
+      promotion_.has_value() || CheckpointDue()) {
+    return 0;
+  }
+  return plugin_->consensus()->NextTickDueMicros();
+}
+
+bool MySqlServer::CheckpointDue() const {
+  return engine_ != nullptr && options_.engine_checkpoint_wal_bytes > 0 &&
+         engine_->WalSizeBytes() > options_.engine_checkpoint_wal_bytes;
 }
 
 DbRole MySqlServer::db_role() const {

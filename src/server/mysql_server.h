@@ -196,6 +196,10 @@ class MySqlServer final : public plugin::ServerHooks {
     plugin_->consensus()->HandleMessage(message);
   }
   void Tick();
+  /// Earliest local time at which Tick() can act (0 = now, UINT64_MAX =
+  /// never): the consensus value, or 0 while any server-side step of
+  /// Tick() has work.
+  uint64_t NextTickDueMicros() const;
 
   /// When the applier's low-water task is still charged to a busy virtual
   /// worker slot, the absolute time that slot frees up (0 when nothing is
@@ -278,6 +282,7 @@ class MySqlServer final : public plugin::ServerHooks {
   raft::RaftConsensus* consensus() { return plugin_->consensus(); }
   const raft::RaftConsensus* consensus() const { return plugin_->consensus(); }
   storage::MiniEngine* engine() { return engine_.get(); }
+  const storage::MiniEngine* engine() const { return engine_.get(); }
   binlog::BinlogManager* binlog_manager() { return binlog_.get(); }
   const MySqlServerOptions& options() const { return options_; }
   Stats stats() const;
@@ -398,6 +403,9 @@ class MySqlServer final : public plugin::ServerHooks {
   /// Rolls back window tasks and resets both cursors to the engine's
   /// recovered position (demotion, truncation through the window).
   void ResetApplier();
+  /// The engine WAL is over engine_checkpoint_wal_bytes (Tick() also
+  /// waits for prepared transactions to drain before checkpointing).
+  bool CheckpointDue() const;
   void MaybeCompletePromotion();
   /// A logtailer that won an election hands leadership to the most
   /// caught-up MySQL voter (§2.2).

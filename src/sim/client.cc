@@ -150,8 +150,9 @@ void SimClient::ClientRead(const std::string& key,
       // which same-region member fits the staleness budget (§13).
       SimNode* primary_node = shard_->FindNode(*primary);
       if (primary_node != nullptr && primary_node->up()) {
-        const MemberId steered = primary_node->router()->ChooseReadTarget(
-            client_region, options_.model.read_staleness_budget_entries);
+        const MemberId steered =
+            primary_node->router()->ChooseReadTarget(
+                client_region, options_.model.read_staleness_budget_entries);
         if (!steered.empty()) dest = steered;
       }
     }

@@ -157,7 +157,7 @@ void ClusterHarness::ObservabilityTick() {
     in.node = id;
     in.up = node->up();
     if (in.up) {
-      const server::MySqlServer* server = node->server();
+      const server::MySqlServer* server = node->server_view();
       const raft::RaftConsensus* consensus = server->consensus();
       in.is_leader = consensus->role() == RaftRole::kLeader;
       in.writes_enabled = server->writes_enabled();

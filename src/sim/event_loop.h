@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <set>
 #include <vector>
 
@@ -45,7 +44,8 @@ class EventLoop {
   /// times run in scheduling order (stable). Returns a cancellation id.
   uint64_t Schedule(uint64_t delay_micros, Callback callback);
 
-  /// Cancels a scheduled event; no-op if already run or cancelled.
+  /// Cancels a scheduled event; no-op if it already ran, was cancelled
+  /// or was never issued.
   void Cancel(uint64_t event_id);
 
   /// Runs events until the queue is empty or virtual time would pass
@@ -57,6 +57,9 @@ class EventLoop {
   bool RunOne();
 
   size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  /// Events ever scheduled (cancelled ones included): the loop's sequence
+  /// counter, which moves iff some code scheduled an event.
+  uint64_t events_scheduled() const { return next_seq_ - 1; }
 
  private:
   struct Event {
@@ -71,9 +74,12 @@ class EventLoop {
     }
   };
 
+  /// Removes and returns the earliest (time, seq) event.
+  Event PopNext();
+
   SimClock clock_;
   Random rng_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> queue_;  // binary heap ordered by Later
   std::set<uint64_t> cancelled_;
   uint64_t next_seq_ = 1;
 };

@@ -67,7 +67,7 @@ Status SimNode::BuildProcess() {
       if (!up_ || incarnation_ != my_incarnation) return;
       ScopedLogContext log_context(id(), loop_->clock());
       fn();
-      MaybeSchedulePump();
+      FinishInput();
     });
   };
   // Router first (it is the server's outbox), bind consensus after.
@@ -94,6 +94,7 @@ Status SimNode::BuildProcess() {
   up_ = true;
   ++incarnation_;
   pump_scheduled_for_ = 0;
+  tick_due_micros_ = 0;
   ScheduleTick();
   return Status::OK();
 }
@@ -135,18 +136,31 @@ void SimNode::Deliver(const MemberId& physical_from, const Message& message) {
   router_->ObserveTraffic(physical_from);
   if (router_->HandleInbound(message)) return;
   server_->HandleMessage(message);
-  MaybeSchedulePump();
+  FinishInput();
 }
 
 void SimNode::ScheduleTick() {
   const uint64_t my_incarnation = incarnation_;
   loop_->Schedule(options_.tick_interval_micros, [this, my_incarnation]() {
     if (!up_ || incarnation_ != my_incarnation) return;
-    ScopedLogContext log_context(id(), loop_->clock());
-    server_->Tick();
-    MaybeSchedulePump();
+    // Idle-tick gate (DESIGN.md §18): before the node's next deadline
+    // Tick() cannot act, so only the reschedule below runs. The event
+    // itself stays on the grid, so event order is unchanged.
+    if (loop_->now() < tick_due_micros_) {
+      ++ticks_gated_;
+    } else {
+      ++ticks_run_;
+      ScopedLogContext log_context(id(), loop_->clock());
+      server_->Tick();
+      FinishInput();
+    }
     ScheduleTick();
   });
+}
+
+void SimNode::FinishInput() {
+  MaybeSchedulePump();
+  tick_due_micros_ = clock_.BaseMicrosFor(server_->NextTickDueMicros());
 }
 
 void SimNode::MaybeSchedulePump() {
@@ -171,7 +185,7 @@ void SimNode::MaybeSchedulePump() {
     ScopedLogContext log_context(id(), loop_->clock());
     pump_scheduled_for_ = 0;
     server_->PumpApplier();
-    MaybeSchedulePump();
+    FinishInput();
   });
 }
 

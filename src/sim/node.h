@@ -55,6 +55,19 @@ class DriftClock final : public Clock {
 
   void Heal() { SetDrift(0, 1.0); }
 
+  /// Earliest base-clock time at which NowMicros() reaches `local`,
+  /// computed without reading (so without moving the monotone clamp).
+  /// Exact only at rate 1.0, where local time is base time plus a fixed
+  /// offset; at any other rate, and when `local` is already reached, it
+  /// returns 0 ("now"). UINT64_MAX ("never") passes through.
+  uint64_t BaseMicrosFor(uint64_t local) const {
+    if (local == UINT64_MAX) return UINT64_MAX;
+    if (rate_ != 1.0 || local <= std::max(last_returned_, anchor_value_)) {
+      return 0;
+    }
+    return anchor_base_ + (local - anchor_value_);
+  }
+
   double rate() const { return rate_; }
 
  private:
@@ -110,8 +123,19 @@ class SimNode {
   bool up() const { return up_; }
   const MemberId& id() const { return options_.server.id; }
   const RegionId& region() const { return options_.server.region; }
-  server::MySqlServer* server() { return server_.get(); }
-  proxy::ProxyRouter* router() { return router_.get(); }
+  /// Mutable access for callers that may change the server's state:
+  /// each call reopens the idle-tick gate (see ScheduleTick), so the next
+  /// periodic tick runs in full. Re-fetch it rather than holding the
+  /// pointer across loop runs.
+  server::MySqlServer* server() {
+    tick_due_micros_ = 0;
+    return server_.get();
+  }
+  /// Read-only view for observers (primary polls, raftstat, consistency
+  /// checks); unlike server() it leaves the gate shut.
+  const server::MySqlServer* server_view() const { return server_.get(); }
+  /// The router only reads consensus state, so it is no input of the gate.
+  const proxy::ProxyRouter* router() const { return router_.get(); }
   Env* env() { return env_.get(); }
   /// Node-lifetime metric registry: like the disk, it survives
   /// crash/restart cycles, so counters accumulate across incarnations.
@@ -129,13 +153,30 @@ class SimNode {
   /// run at `rate` × simulated real time; heal restores rate 1.0.
   void SetClockDrift(int64_t skew_micros, double rate) {
     clock_.SetDrift(skew_micros, rate);
+    tick_due_micros_ = 0;
   }
-  void HealClockDrift() { clock_.Heal(); }
+  void HealClockDrift() {
+    clock_.Heal();
+    tick_due_micros_ = 0;
+  }
+
+  /// Loop time before which a periodic tick is skipped (0 = the next
+  /// tick runs in full): the server's NextTickDueMicros() converted from
+  /// local time, recomputed after every input this node handles.
+  uint64_t tick_due_micros() const { return tick_due_micros_; }
+  /// Periodic ticks that ran Tick() / that the gate skipped. Plain fields
+  /// so the skipped path touches nothing but this node.
+  uint64_t ticks_run() const { return ticks_run_; }
+  uint64_t ticks_gated() const { return ticks_gated_; }
 
  private:
   Status BuildProcess();  // constructs router + server over env_
   void Deliver(const MemberId& physical_from, const Message& message);
   void ScheduleTick();
+  /// Epilogue of every input (delivery, deferred callback, applier pump,
+  /// full tick), while the node's state is still in cache: schedules an
+  /// applier pump if one is due and recomputes the tick gate.
+  void FinishInput();
   /// Schedules an applier pump at the server's next worker-slot deadline
   /// when that lands before the next periodic tick.
   void MaybeSchedulePump();
@@ -155,6 +196,9 @@ class SimNode {
   bool up_ = false;
   uint64_t incarnation_ = 0;  // stale tick events check this
   uint64_t pump_scheduled_for_ = 0;  // pending applier-pump deadline (0 = none)
+  uint64_t tick_due_micros_ = 0;     // see tick_due_micros()
+  uint64_t ticks_run_ = 0;
+  uint64_t ticks_gated_ = 0;
 };
 
 }  // namespace myraft::sim

@@ -127,7 +127,7 @@ MemberId Shard::CurrentPrimary() {
   if (!primary.has_value()) return "";
   auto it = nodes_.find(*primary);
   if (it == nodes_.end() || !it->second->up()) return "";
-  if (!it->second->server()->writes_enabled()) return "";
+  if (!it->second->server_view()->writes_enabled()) return "";
   return *primary;
 }
 
@@ -154,7 +154,7 @@ bool Shard::CheckReplicaConsistency() {
   bool consistent = true;
   for (auto& [id, node] : nodes_) {
     if (!node->up()) continue;
-    server::MySqlServer* server = node->server();
+    const server::MySqlServer* server = node->server_view();
     if (server->engine() == nullptr) continue;
     const uint64_t applied = server->engine()->LastAppliedOpId().index;
     const uint64_t checksum = server->StateChecksum();
@@ -224,10 +224,10 @@ std::string Shard::RaftstatNodesJson() {
       continue;
     }
     out.append("{\"up\":true,\"server\":");
-    out.append(node->server()->DebugStatus().ToJson());
+    out.append(node->server_view()->DebugStatus().ToJson());
     out.append(",\"proxy\":");
-    out.append(node->router() != nullptr ? node->router()->DebugStatusJson()
-                                         : "null");
+    const proxy::ProxyRouter* router = node->router();
+    out.append(router != nullptr ? router->DebugStatusJson() : "null");
     out.push_back('}');
   }
   out.push_back('}');
@@ -241,7 +241,7 @@ std::string Shard::RaftstatText() {
       out.append(StringPrintf("%s: down\n", id.c_str()));
       continue;
     }
-    const auto s = node->server()->DebugStatus();
+    const auto s = node->server_view()->DebugStatus();
     out.append(StringPrintf(
         "%s: term=%llu role=%s leader=%s commit=%llu.%llu synced=%llu "
         "applied=%llu writes=%s lease=%s pending=%llu parked_reads=%llu\n",

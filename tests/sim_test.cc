@@ -54,6 +54,21 @@ TEST(EventLoopTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
+TEST(EventLoopTest, CancelAfterRunIsANoOp) {
+  EventLoop loop(1);
+  const uint64_t ran = loop.Schedule(10, []() {});
+  loop.RunFor(100);
+  loop.Cancel(ran);         // already ran
+  loop.Cancel(ran + 1000);  // never issued
+  EXPECT_EQ(loop.pending_events(), 0u);
+  bool later = false;
+  loop.Schedule(10, [&]() { later = true; });
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.RunFor(100);
+  EXPECT_TRUE(later);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
 TEST(EventLoopTest, RunUntilStopsBeforeLaterEvents) {
   EventLoop loop(1);
   bool early = false, late = false;
