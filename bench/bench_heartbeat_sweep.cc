@@ -40,10 +40,6 @@ void RunPoint(SweepPoint* point, uint64_t seed, int trials) {
     if (primary.empty()) continue;
     (void)cluster.SyncWrite("warm", "up");
     cluster.loop()->RunFor(3 * kSecond);
-    const uint64_t elections_before =
-        cluster.node(primary)->server()->consensus()->stats().elections_won;
-    (void)elections_before;
-
     auto downtime =
         cluster.MeasureWriteDowntime([&]() { cluster.Crash(primary); });
     if (downtime.recovered) point->downtime.Add(downtime.downtime_micros);

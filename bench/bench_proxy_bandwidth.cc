@@ -35,7 +35,7 @@ ArmStats RunArm(bool proxy_enabled, uint64_t seed, int writes) {
   options.topology.db_regions = 6;
   options.topology.logtailers_per_db = 2;
   options.topology.learners = 2;
-  options.proxy_enabled = proxy_enabled;
+  options.proxy.enabled = proxy_enabled;
   sim::ClusterHarness cluster(options, &engine);
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);

@@ -10,6 +10,10 @@ namespace myraft::fleet {
 
 namespace {
 
+/// Leader-balancing placement policy: max TransferLeadership calls one
+/// RebalanceTick may initiate.
+constexpr int kRebalanceMaxTransfersPerTick = 8;
+
 sim::NetworkOptions WithDefaultMetrics(sim::NetworkOptions options,
                                        metrics::MetricRegistry* registry) {
   if (options.metrics == nullptr) options.metrics = registry;
@@ -48,22 +52,23 @@ void FleetHarness::ProvisionShard(int i) {
   shard_options.topology.region_modulus = options_.regions;
   shard_options.raft = options_.raft;
   shard_options.proxy = options_.proxy;
-  shard_options.proxy_enabled = options_.proxy_enabled;
   if (options_.worker_budget > 0) {
     shard_options.applier_workers = std::max<uint32_t>(
         1, options_.worker_budget / static_cast<uint32_t>(options_.shards));
   }
   shard_options.applier_txn_cost_micros = options_.applier_txn_cost_micros;
   shard_options.trace_capacity = options_.trace_capacity;
-  // The collision fix: the same counter family from two rings rolls up
-  // under distinct keys.
-  shard_options.metric_namespace = "shard." + rs + ".";
-  // Disjoint numeric-id/uuid/trace-salt range per shard.
-  shard_options.numeric_id_base = 1 + static_cast<uint32_t>(i) * 1000;
 
-  shards_[i] = std::make_unique<sim::Shard>(
-      sim::ShardContext{&loop_, &network_, &discovery_, quorum_},
-      std::move(shard_options));
+  sim::ShardContext context{
+      &loop_, &network_, &discovery_, quorum_,
+      // The collision fix: the same counter family from two rings rolls
+      // up under distinct keys.
+      /*metric_namespace=*/"shard." + rs + ".",
+      // Disjoint numeric-id/uuid/trace-salt range per shard.
+      /*numeric_id_base=*/1 + static_cast<uint32_t>(i) * 1000,
+      /*slow_txn_hook=*/nullptr};
+  shards_[i] = std::make_unique<sim::Shard>(std::move(context),
+                                            std::move(shard_options));
 
   sim::SimClient::Options client_options;
   client_options.model = options_.client;
@@ -189,7 +194,7 @@ int FleetHarness::RebalanceTick() {
   }
 
   int transfers = 0;
-  while (transfers < options_.rebalance_max_transfers_per_tick) {
+  while (transfers < kRebalanceMaxTransfersPerTick) {
     // Most- and least-loaded regions this pass (std::map order breaks
     // ties deterministically).
     RegionId hot, cold;

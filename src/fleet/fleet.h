@@ -48,7 +48,6 @@ struct FleetOptions {
   sim::NetworkOptions network;
   raft::RaftOptions raft;
   proxy::ProxyOptions proxy;
-  bool proxy_enabled = true;
   sim::ClientModelOptions client;
 
   /// Fleet-wide applier worker budget, split evenly across shards with a
@@ -64,9 +63,6 @@ struct FleetOptions {
   /// EnableRaftRollout brings them up under the distributed lock.
   int pending_shards = 0;
 
-  /// Leader-balancing placement policy: max TransferLeadership calls one
-  /// RebalanceTick may initiate.
-  int rebalance_max_transfers_per_tick = 8;
   /// Nonzero = self-scheduling rebalance tick at this cadence after
   /// Bootstrap (0 = call RebalanceTick() manually).
   uint64_t rebalance_interval_micros = 0;
@@ -129,8 +125,9 @@ class FleetHarness {
   /// One leader-balancing pass: while some region leads another by more
   /// than one leader, transfer a leader from the most- to the
   /// least-loaded region (via ShardAdmin::TransferLeadership toward a
-  /// database voter the shard already has there). Returns transfers
-  /// initiated (transfers complete asynchronously as the loop runs).
+  /// database voter the shard already has there), at most 8 per pass.
+  /// Returns transfers initiated (transfers complete asynchronously as
+  /// the loop runs).
   int RebalanceTick();
   /// Leader-count spread (max - min) across the global regions.
   int LeaderImbalance();

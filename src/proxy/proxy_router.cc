@@ -323,23 +323,7 @@ void ProxyRouter::ArmDegradeTimer() {
   });
 }
 
-ProxyRouter::Stats ProxyRouter::stats() const {
-  Stats s;
-  s.direct_requests = direct_requests_->value();
-  s.proxied_requests = proxied_requests_->value();
-  s.relayed_requests = relayed_requests_->value();
-  s.reconstitutions = reconstitutions_->value();
-  s.degraded_to_heartbeat = degraded_to_heartbeat_->value();
-  s.relayed_responses = relayed_responses_->value();
-  s.route_arounds = route_arounds_->value();
-  s.bytes_relayed = bytes_relayed_->value();
-  s.reads_routed_follower = reads_routed_follower_->value();
-  s.reads_routed_leader = reads_routed_leader_->value();
-  return s;
-}
-
 std::string ProxyRouter::DebugStatusJson() const {
-  const Stats s = stats();
   std::string out = StringPrintf("{\"enabled\":%s,\"relay_health\":{",
                                  options_.enabled ? "true" : "false");
   if (consensus_ != nullptr) {
@@ -358,16 +342,16 @@ std::string ProxyRouter::DebugStatusJson() const {
       "\"degraded_to_heartbeat\":%llu,\"relayed_responses\":%llu,"
       "\"route_arounds\":%llu,\"bytes_relayed\":%llu,"
       "\"reads_routed_follower\":%llu,\"reads_routed_leader\":%llu}}",
-      (unsigned long long)s.direct_requests,
-      (unsigned long long)s.proxied_requests,
-      (unsigned long long)s.relayed_requests,
-      (unsigned long long)s.reconstitutions,
-      (unsigned long long)s.degraded_to_heartbeat,
-      (unsigned long long)s.relayed_responses,
-      (unsigned long long)s.route_arounds,
-      (unsigned long long)s.bytes_relayed,
-      (unsigned long long)s.reads_routed_follower,
-      (unsigned long long)s.reads_routed_leader));
+      (unsigned long long)direct_requests_->value(),
+      (unsigned long long)proxied_requests_->value(),
+      (unsigned long long)relayed_requests_->value(),
+      (unsigned long long)reconstitutions_->value(),
+      (unsigned long long)degraded_to_heartbeat_->value(),
+      (unsigned long long)relayed_responses_->value(),
+      (unsigned long long)route_arounds_->value(),
+      (unsigned long long)bytes_relayed_->value(),
+      (unsigned long long)reads_routed_follower_->value(),
+      (unsigned long long)reads_routed_leader_->value()));
   return out;
 }
 

@@ -53,20 +53,6 @@ struct ProxyOptions {
 
 class ProxyRouter final : public raft::RaftOutbox {
  public:
-  /// Point-in-time snapshot of the registry-backed "proxy.*" counters.
-  struct Stats {
-    uint64_t direct_requests = 0;
-    uint64_t proxied_requests = 0;       // leader-side PROXY_OPs created
-    uint64_t relayed_requests = 0;       // forwarded as intermediate hop
-    uint64_t reconstitutions = 0;        // payloads restored at final hop
-    uint64_t degraded_to_heartbeat = 0;  // missing entry after wait
-    uint64_t relayed_responses = 0;
-    uint64_t route_arounds = 0;          // unhealthy relay bypassed
-    uint64_t bytes_relayed = 0;          // wire bytes forwarded as a hop
-    uint64_t reads_routed_follower = 0;  // reads steered to a follower
-    uint64_t reads_routed_leader = 0;    // reads kept on the leader
-  };
-
   using SendFn = std::function<void(Message)>;
 
   ProxyRouter(MemberId self, RegionId region, ProxyOptions options,
@@ -76,26 +62,26 @@ class ProxyRouter final : public raft::RaftOutbox {
         options_(options),
         loop_(loop),
         lower_send_(std::move(lower_send)),
-        created_micros_(loop->now()) {
-    metrics::MetricRegistry* registry = options_.metrics;
-    if (registry == nullptr) {
+        created_micros_(loop->now()),
+        metrics_(options_.metrics) {
+    if (metrics_ == nullptr) {
       owned_metrics_ = std::make_unique<metrics::MetricRegistry>();
-      registry = owned_metrics_.get();
+      metrics_ = owned_metrics_.get();
     }
-    direct_requests_ = registry->GetCounter("proxy.direct_requests");
-    proxied_requests_ = registry->GetCounter("proxy.proxied_requests");
-    relayed_requests_ = registry->GetCounter("proxy.relayed_requests");
-    reconstitutions_ = registry->GetCounter("proxy.reconstitutions");
+    direct_requests_ = metrics_->GetCounter("proxy.direct_requests");
+    proxied_requests_ = metrics_->GetCounter("proxy.proxied_requests");
+    relayed_requests_ = metrics_->GetCounter("proxy.relayed_requests");
+    reconstitutions_ = metrics_->GetCounter("proxy.reconstitutions");
     degraded_to_heartbeat_ =
-        registry->GetCounter("proxy.degraded_to_heartbeat");
-    relayed_responses_ = registry->GetCounter("proxy.relayed_responses");
-    route_arounds_ = registry->GetCounter("proxy.route_arounds");
-    bytes_relayed_ = registry->GetCounter("proxy.bytes_relayed");
+        metrics_->GetCounter("proxy.degraded_to_heartbeat");
+    relayed_responses_ = metrics_->GetCounter("proxy.relayed_responses");
+    route_arounds_ = metrics_->GetCounter("proxy.route_arounds");
+    bytes_relayed_ = metrics_->GetCounter("proxy.bytes_relayed");
     reads_routed_follower_ =
-        registry->GetCounter("proxy.reads_routed_follower");
-    reads_routed_leader_ = registry->GetCounter("proxy.reads_routed_leader");
+        metrics_->GetCounter("proxy.reads_routed_follower");
+    reads_routed_leader_ = metrics_->GetCounter("proxy.reads_routed_leader");
     reconstitute_wait_us_ =
-        registry->GetHistogram("proxy.reconstitute_wait_us");
+        metrics_->GetHistogram("proxy.reconstitute_wait_us");
   }
 
   ~ProxyRouter() {
@@ -125,9 +111,10 @@ class ProxyRouter final : public raft::RaftOutbox {
   /// health can be tracked.
   void ObserveTraffic(const MemberId& from);
 
-  void set_enabled(bool enabled) { options_.enabled = enabled; }
   bool enabled() const { return options_.enabled; }
-  Stats stats() const;
+  /// Registry holding the "proxy.*" metrics (the private one when
+  /// ProxyOptions::metrics is null).
+  metrics::MetricRegistry* metrics() const { return metrics_; }
 
   /// Structured routing-state dump for raftstat / flight-recorder bundles
   /// (DESIGN.md §14): enablement, per-member relay health as this node
@@ -196,6 +183,7 @@ class ProxyRouter final : public raft::RaftOutbox {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::unique_ptr<metrics::MetricRegistry> owned_metrics_;
+  metrics::MetricRegistry* metrics_;
   metrics::Counter* direct_requests_;
   metrics::Counter* proxied_requests_;
   metrics::Counter* relayed_requests_;

@@ -17,6 +17,19 @@ constexpr char kMockOutcomeReason[] = "mock-outcome";
 /// window closes on this or on max_inflight_batches, whichever comes first.
 constexpr uint64_t kMaxInflightBytesPerPeer = 4ull << 20;
 
+/// Payload bytes one AppendEntries batch may carry (with
+/// max_entries_per_rpc, whichever comes first).
+constexpr uint64_t kMaxBytesPerRpc = 1 << 20;
+
+/// A mock-election voter in the candidate's region rejects only when it
+/// trails the leader's cursor snapshot by more than this many entries:
+/// normal in-flight replication must not doom routine transfers under
+/// load; a genuinely unhealthy logtailer trails by far more.
+constexpr uint64_t kMockElectionLagAllowance = 32;
+
+/// How long a leadership transfer may take before it is abandoned.
+constexpr uint64_t kTransferTimeoutMicros = 3'000'000;
+
 /// Ends a span on scope exit (covers every early-return path of a
 /// handler). No-op while id stays 0.
 struct SpanGuard {
@@ -95,34 +108,6 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.stall_duration_us = metrics_->GetHistogram("raft.stall_duration_us");
   m_.commit_advance_latency_us =
       metrics_->GetHistogram("raft.commit_advance_latency_us");
-}
-
-RaftConsensus::Stats RaftConsensus::stats() const {
-  Stats s;
-  s.elections_started = m_.elections_started->value();
-  s.elections_won = m_.elections_won->value();
-  s.pre_votes_started = m_.pre_votes_started->value();
-  s.mock_elections_started = m_.mock_elections_started->value();
-  s.heartbeats_sent = m_.heartbeats_sent->value();
-  s.entries_replicated = m_.entries_replicated->value();
-  s.append_rejections = m_.append_rejections->value();
-  s.duplicate_entries_received = m_.duplicate_entries_received->value();
-  s.cache_fallback_reads = m_.cache_fallback_reads->value();
-  s.step_downs = m_.step_downs->value();
-  s.auto_step_downs = m_.auto_step_downs->value();
-  s.pipeline_stalls = m_.pipeline_stalls->value();
-  s.stale_responses_ignored = m_.stale_responses_ignored->value();
-  s.window_rewinds = m_.window_rewinds->value();
-  s.wire_batches_compressed = m_.wire_batches_compressed->value();
-  s.zero_copy_batches = m_.zero_copy_batches->value();
-  s.group_syncs = m_.group_syncs->value();
-  s.group_sync_coalesced = m_.group_sync_coalesced->value();
-  s.marker_only_heartbeats = m_.marker_only_heartbeats->value();
-  s.lease_renewals = m_.lease_renewals->value();
-  s.reads_lease = m_.reads_lease->value();
-  s.reads_quorum = m_.reads_quorum->value();
-  s.reads_timed_out = m_.reads_timed_out->value();
-  return s;
 }
 
 Status RaftConsensus::Bootstrap(const MembershipConfig& config) {
@@ -483,7 +468,7 @@ Result<std::vector<LogEntry>> RaftConsensus::FetchEntriesFor(
   uint64_t index = next_index;
   const uint64_t last = log_->LastOpId().index;
   while (index <= last && entries.size() < options_.max_entries_per_rpc &&
-         bytes < options_.max_bytes_per_rpc) {
+         bytes < kMaxBytesPerRpc) {
     auto cached = cache_.Get(index);
     if (cached.ok()) {
       bytes += cached->payload.size();
@@ -497,7 +482,7 @@ Result<std::vector<LogEntry>> RaftConsensus::FetchEntriesFor(
     m_.cache_fallback_reads->Increment();
     auto batch = log_->ReadBatch(index,
                                  options_.max_entries_per_rpc - entries.size(),
-                                 options_.max_bytes_per_rpc - bytes);
+                                 kMaxBytesPerRpc - bytes);
     if (!batch.ok()) return batch.status();
     for (auto& e : *batch) entries.push_back(std::move(e));
     break;  // ReadBatch returned everything it could within budget
@@ -642,7 +627,7 @@ bool RaftConsensus::TryFetchCompressed(uint64_t next_index,
   uint64_t raw = 0;
   uint64_t end = next_index;
   while (end <= last && end - next_index < options_.max_entries_per_rpc &&
-         raw < options_.max_bytes_per_rpc) {
+         raw < kMaxBytesPerRpc) {
     auto cached = cache_.Peek(end);
     if (!cached.has_value()) return false;  // not fully cached: fall back
     raw += cached->payload_size;
@@ -682,18 +667,10 @@ void RaftConsensus::SendMarkerOnlyHeartbeat(const MemberId& peer_id,
   uint64_t prev_term = 0;
   if (!LookupTermAt(peer->match_index, &prev_term)) return;
   AppendEntriesRequest request;
-  request.leader = options_.self;
-  request.dest = peer_id;
-  request.term = meta_.current_term;
-  request.commit_marker = commit_marker_;
-  request.prev = OpId{prev_term, peer->match_index};
-  StampLease(&request);
-  StampConfig(peer, &request);
+  FillAppendHeader(peer_id, peer, OpId{prev_term, peer->match_index},
+                   &request);
   m_.marker_only_heartbeats->Increment();
-  peer->last_rpc_sent_micros = clock_->NowMicros();
-  peer->last_sent_commit_index =
-      std::max(peer->last_sent_commit_index, commit_marker_.index);
-  outbox_->Send(std::move(request));
+  SendToPeer(peer, std::move(request));
 }
 
 void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
@@ -742,13 +719,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
         batch_raw_bytes += e.payload.size();
       }
     }
-    request.leader = options_.self;
-    request.dest = peer_id;
-    request.term = meta_.current_term;
-    request.commit_marker = commit_marker_;
-    request.prev = OpId{prev_term, peer.next_index - 1};
-    StampLease(&request);
-    StampConfig(&peer, &request);
+    FillAppendHeader(peer_id, &peer, OpId{prev_term, peer.next_index - 1},
+                     &request);
 
     InflightBatch batch;
     batch.first_index = peer.next_index;
@@ -784,11 +756,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     peer.next_index = batch.last_index + 1;
     peer.inflight_bytes += batch.bytes;
     peer.inflight.push_back(batch);
-    peer.last_rpc_sent_micros = batch.sent_micros;
-    peer.last_sent_commit_index =
-        std::max(peer.last_sent_commit_index, commit_marker_.index);
     m_.inflight_window_batches->Record(peer.inflight.size());
-    outbox_->Send(std::move(request));
+    SendToPeer(&peer, std::move(request));
     sent_entries = true;
   }
   if (sent_entries) return;
@@ -813,17 +782,29 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     return;
   }
   AppendEntriesRequest request;
-  request.leader = options_.self;
-  request.dest = peer_id;
-  request.term = meta_.current_term;
-  request.commit_marker = commit_marker_;
-  request.prev = OpId{prev_term, peer.next_index - 1};
-  StampLease(&request);
-  StampConfig(&peer, &request);
+  FillAppendHeader(peer_id, &peer, OpId{prev_term, peer.next_index - 1},
+                   &request);
   m_.heartbeats_sent->Increment();
-  peer.last_rpc_sent_micros = clock_->NowMicros();
-  peer.last_sent_commit_index =
-      std::max(peer.last_sent_commit_index, commit_marker_.index);
+  SendToPeer(&peer, std::move(request));
+}
+
+void RaftConsensus::FillAppendHeader(const MemberId& dest,
+                                     const PeerStatus* peer, OpId prev,
+                                     AppendEntriesRequest* request) {
+  request->leader = options_.self;
+  request->dest = dest;
+  request->term = meta_.current_term;
+  request->commit_marker = commit_marker_;
+  request->prev = prev;
+  StampLease(request);
+  StampConfig(peer, request);
+}
+
+void RaftConsensus::SendToPeer(PeerStatus* peer,
+                               AppendEntriesRequest request) {
+  peer->last_rpc_sent_micros = clock_->NowMicros();
+  peer->last_sent_commit_index =
+      std::max(peer->last_sent_commit_index, commit_marker_.index);
   outbox_->Send(std::move(request));
 }
 
@@ -1644,7 +1625,7 @@ VoteResponse RaftConsensus::EvaluateVote(const VoteRequest& request) {
     // candidate.
     if (request.candidate_region == options_.region &&
         request.leader_cursor_snapshot.index >
-            my_last.index + options_.mock_election_lag_allowance) {
+            my_last.index + kMockElectionLagAllowance) {
       response.reason = "lagging-same-region";
       return response;
     }
@@ -1709,8 +1690,7 @@ void RaftConsensus::HandleVoteResponse(const VoteResponse& response) {
     // Quiesce writes and wait for the target to be fully caught up; the
     // TimeoutNow fires from HandleAppendEntriesResponse.
     transfer_->phase = TransferState::Phase::kQuiesced;
-    transfer_->deadline_micros =
-        clock_->NowMicros() + options_.transfer_timeout_micros;
+    transfer_->deadline_micros = clock_->NowMicros() + kTransferTimeoutMicros;
     auto it = peers_.find(transfer_->target);
     if (it != peers_.end() &&
         it->second.match_index == log_->LastOpId().index) {
@@ -1978,8 +1958,7 @@ Status RaftConsensus::TransferLeadership(const MemberId& target) {
 
   TransferState transfer;
   transfer.target = target;
-  transfer.deadline_micros =
-      clock_->NowMicros() + options_.transfer_timeout_micros;
+  transfer.deadline_micros = clock_->NowMicros() + kTransferTimeoutMicros;
 
   if (options_.enable_mock_election) {
     // §4.3: capture a cursor snapshot and ask the target to run a mock
@@ -2181,14 +2160,10 @@ Status RaftConsensus::ProposeConfig(MembershipConfig new_config, bool force) {
     if (member.id == options_.self || meta_.config.Contains(member.id)) {
       continue;
     }
+    // Not a peer, so the config is always stamped; prev is zero because
+    // log matching is irrelevant to the config.
     AppendEntriesRequest farewell;
-    farewell.leader = options_.self;
-    farewell.dest = member.id;
-    farewell.term = meta_.current_term;
-    farewell.commit_marker = commit_marker_;
-    farewell.prev = kZeroOpId;  // log matching is irrelevant to the config
-    StampLease(&farewell);
-    StampConfig(/*peer=*/nullptr, &farewell);  // not a peer: always stamped
+    FillAppendHeader(member.id, /*peer=*/nullptr, kZeroOpId, &farewell);
     outbox_->Send(std::move(farewell));
   }
   return Status::OK();

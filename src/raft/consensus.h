@@ -58,7 +58,6 @@ struct RaftOptions {
   uint64_t election_round_timeout_micros = 1'500'000;
 
   size_t max_entries_per_rpc = 64;
-  uint64_t max_bytes_per_rpc = 1 << 20;
 
   /// Replication pipelining: the static in-flight window, in AppendEntries
   /// batches per peer (also capped by a fixed per-peer byte budget). The
@@ -74,12 +73,6 @@ struct RaftOptions {
   bool enable_pre_vote = true;
   /// §4.3: run a mock election before TransferLeadership.
   bool enable_mock_election = true;
-  /// A mock-election voter in the candidate's region rejects only when it
-  /// trails the leader's cursor snapshot by more than this many entries —
-  /// normal in-flight replication must not doom routine transfers under
-  /// load; a genuinely unhealthy logtailer trails by far more.
-  uint64_t mock_election_lag_allowance = 32;
-  uint64_t transfer_timeout_micros = 3'000'000;
 
   /// Resident bytes of the log cache: raw payloads plus the compressed
   /// spans memoized for sends.
@@ -230,33 +223,6 @@ class RaftConsensus {
     /// identity. While false, every AppendEntries to it carries the
     /// config; a new config (RefreshPeers) clears it for every peer.
     bool config_echoed = false;
-  };
-
-  /// Point-in-time snapshot of the registry-backed "raft.*" counters.
-  struct Stats {
-    uint64_t elections_started = 0;
-    uint64_t elections_won = 0;
-    uint64_t pre_votes_started = 0;
-    uint64_t mock_elections_started = 0;
-    uint64_t heartbeats_sent = 0;
-    uint64_t entries_replicated = 0;
-    uint64_t append_rejections = 0;
-    uint64_t duplicate_entries_received = 0;
-    uint64_t cache_fallback_reads = 0;
-    uint64_t step_downs = 0;
-    uint64_t auto_step_downs = 0;
-    uint64_t pipeline_stalls = 0;
-    uint64_t stale_responses_ignored = 0;
-    uint64_t window_rewinds = 0;
-    uint64_t wire_batches_compressed = 0;
-    uint64_t zero_copy_batches = 0;
-    uint64_t group_syncs = 0;
-    uint64_t group_sync_coalesced = 0;
-    uint64_t marker_only_heartbeats = 0;
-    uint64_t lease_renewals = 0;
-    uint64_t reads_lease = 0;
-    uint64_t reads_quorum = 0;
-    uint64_t reads_timed_out = 0;
   };
 
   /// Structured point-in-time state dump — the `SHOW RAFT STATUS` analogue
@@ -428,7 +394,6 @@ class RaftConsensus {
            transfer_->phase == TransferState::Phase::kQuiesced;
   }
   const std::map<MemberId, PeerStatus>& peers() const { return peers_; }
-  Stats stats() const;
   metrics::MetricRegistry* metrics() const { return metrics_; }
   const LogCache& log_cache() const { return cache_; }
   LogAbstraction* log() const { return log_; }
@@ -532,10 +497,18 @@ class RaftConsensus {
   void MaybeCompressPayloads(AppendEntriesRequest* request);
   void AdvanceCommitMarker();
   void SetCommitMarker(OpId new_marker);
+  /// Header of every leader AppendEntries (data batches, marker-only and
+  /// idle heartbeats, farewells): identity, term, commit marker, `prev`,
+  /// then the lease and config stamps. `peer` is null for a farewell.
+  void FillAppendHeader(const MemberId& dest, const PeerStatus* peer,
+                        OpId prev, AppendEntriesRequest* request);
+  /// Sends a request to a tracked peer, recording when it went out and
+  /// the commit marker it carried.
+  void SendToPeer(PeerStatus* peer, AppendEntriesRequest request);
   /// Lease plumbing (§13).
   uint64_t LeaseDurationMicros() const;
-  /// Attach a lease grant request to an outbound AppendEntries (all three
-  /// leader send paths: data batches, marker-only and idle heartbeats).
+  /// Attach a lease grant request to an outbound AppendEntries (called by
+  /// FillAppendHeader, so on every leader send path).
   void StampLease(AppendEntriesRequest* request);
   /// Fold a follower's echoed grant into its peer state (monotone max).
   void RecordLeaseGrant(const AppendEntriesResponse& response,

@@ -1,24 +1,22 @@
 #include "raft/log_cache.h"
 
-#include <algorithm>
-
 #include "util/compression.h"
 
 namespace myraft::raft {
 
 LogCache::LogCache(uint64_t capacity_bytes,
                    metrics::MetricRegistry* registry)
-    : capacity_(capacity_bytes) {
-  if (registry == nullptr) {
+    : capacity_(capacity_bytes), metrics_(registry) {
+  if (metrics_ == nullptr) {
     owned_registry_ = std::make_unique<metrics::MetricRegistry>();
-    registry = owned_registry_.get();
+    metrics_ = owned_registry_.get();
   }
-  hits_ = registry->GetCounter("log_cache.hits");
-  misses_ = registry->GetCounter("log_cache.misses");
-  evictions_ = registry->GetCounter("log_cache.evictions");
-  compressions_ = registry->GetCounter("log_cache.compressions");
-  compressed_bytes_ = registry->GetGauge("log_cache.compressed_bytes");
-  uncompressed_bytes_ = registry->GetGauge("log_cache.uncompressed_bytes");
+  hits_ = metrics_->GetCounter("log_cache.hits");
+  misses_ = metrics_->GetCounter("log_cache.misses");
+  evictions_ = metrics_->GetCounter("log_cache.evictions");
+  compressions_ = metrics_->GetCounter("log_cache.compressions");
+  compressed_bytes_ = metrics_->GetGauge("log_cache.compressed_bytes");
+  uncompressed_bytes_ = metrics_->GetGauge("log_cache.uncompressed_bytes");
   // A long-lived registry can outlive the cache instance (sim node
   // restart); the resident-byte gauges describe *this* cache, which
   // starts empty.
@@ -127,19 +125,6 @@ void LogCache::Clear() {
   size_bytes_ = 0;
   compressed_bytes_->Set(0);
   uncompressed_bytes_->Set(0);
-}
-
-LogCache::Stats LogCache::stats() const {
-  Stats s;
-  s.hits = hits_->value();
-  s.misses = misses_->value();
-  s.evictions = evictions_->value();
-  s.compressions = compressions_->value();
-  s.compressed_bytes =
-      (uint64_t)std::max<int64_t>(0, compressed_bytes_->value());
-  s.uncompressed_bytes =
-      (uint64_t)std::max<int64_t>(0, uncompressed_bytes_->value());
-  return s;
 }
 
 }  // namespace myraft::raft

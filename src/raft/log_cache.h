@@ -20,19 +20,6 @@ namespace myraft::raft {
 
 class LogCache {
  public:
-  /// Point-in-time view of the cache's registry-backed metrics.
-  /// hits/misses/evictions/compressions are cumulative; the byte fields
-  /// are the bytes currently resident: raw payloads, and the compressed
-  /// spans memoized so far.
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t compressions = 0;
-    uint64_t compressed_bytes = 0;
-    uint64_t uncompressed_bytes = 0;
-  };
-
   /// Metrics land in `registry` under "log_cache.*"; a null registry gets
   /// a private per-instance one (unit-test isolation).
   explicit LogCache(uint64_t capacity_bytes,
@@ -77,7 +64,10 @@ class LogCache {
   /// Resident bytes: raw payloads plus memoized compressed spans.
   uint64_t size_bytes() const { return size_bytes_; }
   size_t entry_count() const { return entries_.size(); }
-  Stats stats() const;
+  /// Registry holding the "log_cache.*" metrics: hits, misses, evictions
+  /// and compressions are cumulative, and the two byte gauges are what is
+  /// resident now.
+  metrics::MetricRegistry* metrics() const { return metrics_; }
 
  private:
   struct Cached {
@@ -99,6 +89,7 @@ class LogCache {
   std::map<uint64_t, Cached> entries_;
 
   std::unique_ptr<metrics::MetricRegistry> owned_registry_;
+  metrics::MetricRegistry* metrics_;
   metrics::Counter* hits_;
   metrics::Counter* misses_;
   metrics::Counter* evictions_;

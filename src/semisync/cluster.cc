@@ -5,6 +5,13 @@
 
 namespace myraft::semisync {
 
+namespace {
+
+/// Period of every member's Tick() (same 20 ms grid as the MyRaft nodes).
+constexpr uint64_t kTickIntervalMicros = 20'000;
+
+}  // namespace
+
 SemiSyncCluster::SemiSyncCluster(SemiSyncClusterOptions options)
     : options_(std::move(options)),
       loop_(options_.seed),
@@ -94,8 +101,7 @@ Status SemiSyncCluster::StartNode(const MemberId& id) {
 void SemiSyncCluster::ScheduleTick(const MemberId& id) {
   Node* node = nodes_.at(id).get();
   const uint64_t incarnation = node->incarnation;
-  loop_.Schedule(options_.tick_interval_micros, [this, id, node,
-                                                 incarnation]() {
+  loop_.Schedule(kTickIntervalMicros, [this, id, node, incarnation]() {
     if (!node->up || node->incarnation != incarnation) return;
     node->server->Tick();
     ScheduleTick(id);

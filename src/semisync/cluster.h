@@ -30,7 +30,6 @@ struct SemiSyncClusterOptions {
   SemiSyncOptions server_defaults;
   AutomationOptions automation;
 
-  uint64_t tick_interval_micros = 20'000;
   uint64_t client_one_way_micros = 150;
   uint64_t server_processing_micros = 200;
   uint64_t server_processing_jitter_micros = 0;

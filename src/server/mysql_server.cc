@@ -7,6 +7,16 @@
 
 namespace myraft::server {
 
+namespace {
+
+/// Modelled cost of the promotion orchestration tail (§3.3 steps 3-5:
+/// rewiring replication logs, re-enabling writes, publishing to service
+/// discovery) once the no-op has committed and the applier is caught up.
+/// Production promotions average ~200 ms end to end (Table 2).
+constexpr uint64_t kPromotionOrchestrationMicros = 120'000;
+
+}  // namespace
+
 Result<std::unique_ptr<MySqlServer>> MySqlServer::Create(
     Env* env, MySqlServerOptions options, const raft::QuorumEngine* quorum,
     Clock* clock, Random* rng, raft::RaftOutbox* outbox,
@@ -674,7 +684,7 @@ void MySqlServer::MaybeCompletePromotion() {
   // Steps 3-5 take real orchestration time in production; model it with
   // a +-50% spread (host load, discovery round trips).
   if (promotion_->ready_at_micros == 0) {
-    const uint64_t base = options_.promotion_orchestration_micros;
+    const uint64_t base = kPromotionOrchestrationMicros;
     uint64_t cost = base;
     if (rng_ != nullptr && base > 0) cost = base / 2 + rng_->Uniform(base);
     promotion_->ready_at_micros = clock_->NowMicros() + cost;
@@ -917,24 +927,6 @@ InvariantSnapshot MySqlServer::CaptureInvariantSnapshot() const {
     snap.row_count = engine_->RowCount();
   }
   return snap;
-}
-
-MySqlServer::Stats MySqlServer::stats() const {
-  Stats s;
-  s.writes_accepted = m_.writes_accepted->value();
-  s.writes_rejected_read_only = m_.writes_rejected_read_only->value();
-  s.writes_rejected_conflict = m_.writes_rejected_conflict->value();
-  s.writes_committed = m_.writes_committed->value();
-  s.writes_aborted_on_demotion = m_.writes_aborted_on_demotion->value();
-  s.applier_transactions_applied = m_.applier_transactions_applied->value();
-  s.applier_dependency_stalls = m_.applier_dependency_stalls->value();
-  s.applier_conflict_stalls = m_.applier_conflict_stalls->value();
-  s.promotions_completed = m_.promotions_completed->value();
-  s.demotions = m_.demotions->value();
-  s.engine_checkpoints = m_.engine_checkpoints->value();
-  s.reads_served = m_.reads_served->value();
-  s.reads_gated = m_.reads_gated->value();
-  return s;
 }
 
 MySqlServer::DebugStatusSnapshot MySqlServer::DebugStatus() const {

@@ -49,11 +49,6 @@ struct MySqlServerOptions {
   Uuid server_uuid;
   std::string server_version = "myraft-1.0";
   raft::RaftOptions raft;
-  /// Modelled cost of the promotion orchestration tail (§3.3 steps 3-5:
-  /// rewiring replication logs, re-enabling writes, publishing to service
-  /// discovery) once the no-op has committed and the applier is caught
-  /// up. Production promotions average ~200 ms end to end (Table 2).
-  uint64_t promotion_orchestration_micros = 120'000;
   /// Checkpoint the storage engine once its WAL exceeds this size
   /// (bounds crash-recovery replay). 0 disables.
   uint64_t engine_checkpoint_wal_bytes = 32ull << 20;
@@ -141,23 +136,6 @@ struct InvariantSnapshot {
 
 class MySqlServer final : public plugin::ServerHooks {
  public:
-  /// Point-in-time snapshot of the registry-backed "server.*" counters.
-  struct Stats {
-    uint64_t writes_accepted = 0;
-    uint64_t writes_rejected_read_only = 0;
-    uint64_t writes_rejected_conflict = 0;
-    uint64_t writes_committed = 0;
-    uint64_t writes_aborted_on_demotion = 0;
-    uint64_t applier_transactions_applied = 0;
-    uint64_t applier_dependency_stalls = 0;
-    uint64_t applier_conflict_stalls = 0;
-    uint64_t promotions_completed = 0;
-    uint64_t demotions = 0;
-    uint64_t engine_checkpoints = 0;
-    uint64_t reads_served = 0;
-    uint64_t reads_gated = 0;
-  };
-
   /// Structured state dump (DESIGN.md §14): the consensus DebugStatus
   /// plus the server-side pipeline — the `SHOW RAFT STATUS` analogue a
   /// DBA would read. Serialised into flight-recorder bundles and
@@ -285,7 +263,6 @@ class MySqlServer final : public plugin::ServerHooks {
   const storage::MiniEngine* engine() const { return engine_.get(); }
   binlog::BinlogManager* binlog_manager() { return binlog_.get(); }
   const MySqlServerOptions& options() const { return options_; }
-  Stats stats() const;
   metrics::MetricRegistry* metrics() const { return metrics_; }
   /// Checksum of committed database state (§5.1 consistency checks).
   uint64_t StateChecksum() const {

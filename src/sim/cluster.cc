@@ -26,26 +26,16 @@ ClusterHarness::ClusterHarness(ClusterOptions options,
     : options_(std::move(options)),
       loop_(options_.seed),
       network_(&loop_, WithDefaultMetrics(options_.network, &net_metrics_)) {
-  ShardOptions shard_options;
-  shard_options.topology = options_.topology;
-  shard_options.raft = options_.raft;
-  shard_options.proxy = options_.proxy;
-  shard_options.proxy_enabled = options_.proxy_enabled;
-  shard_options.engine_checkpoint_wal_bytes =
-      options_.engine_checkpoint_wal_bytes;
-  shard_options.applier_workers = options_.applier_workers;
-  shard_options.applier_txn_cost_micros = options_.applier_txn_cost_micros;
-  shard_options.trace_capacity = options_.trace_capacity;
-  shard_options.slow_txn_threshold_micros =
-      options_.slow_txn_threshold_micros;
-  // Trigger routing only; TriggerFlightRecorder is a no-op until the obs
-  // plane comes up at the end of Bootstrap.
-  shard_options.slow_txn_hook = [this](const std::string& summary) {
-    TriggerFlightRecorder(obs::TriggerKind::kSlowTransaction, summary);
-  };
-  shard_ = std::make_unique<Shard>(
-      ShardContext{&loop_, &network_, &discovery_, quorum},
-      std::move(shard_options));
+  ShardContext context{
+      &loop_, &network_, &discovery_, quorum,
+      /*metric_namespace=*/"", /*numeric_id_base=*/1,
+      // Trigger routing only; TriggerFlightRecorder is a no-op until the
+      // obs plane comes up at the end of Bootstrap.
+      /*slow_txn_hook=*/[this](const std::string& summary) {
+        TriggerFlightRecorder(obs::TriggerKind::kSlowTransaction, summary);
+      }};
+  // The shard takes the ShardOptions part of options_.
+  shard_ = std::make_unique<Shard>(std::move(context), options_);
   client_ = std::make_unique<SimClient>(shard_.get(),
                                         ClientOptionsFrom(options_));
   admin_ = std::make_unique<ShardAdmin>(shard_.get());

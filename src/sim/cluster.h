@@ -40,24 +40,12 @@ struct ObsOptions {
   obs::HealthOptions health;
 };
 
-struct ClusterOptions {
-  /// Ring shape (§6.1): regions, logtailers, learners, replicaset name.
-  TopologyOptions topology;
-
+/// The ring's settings (ShardOptions: topology, raft, proxy, applier,
+/// trace capacity, which also sizes the client's journal) plus what the
+/// harness itself owns.
+struct ClusterOptions : ShardOptions {
   uint64_t seed = 1;
   NetworkOptions network;
-  raft::RaftOptions raft;
-  proxy::ProxyOptions proxy;
-  bool proxy_enabled = true;
-  /// Forwarded to every member's MySqlServerOptions.
-  uint64_t engine_checkpoint_wal_bytes = 32ull << 20;
-  /// Parallel applier knobs, forwarded to every member.
-  uint32_t applier_workers = 4;
-  uint64_t applier_txn_cost_micros = 0;
-  /// Per-node (and client) trace journal ring size.
-  size_t trace_capacity = 65'536;
-  /// Forwarded to every member: slow-transaction log threshold (0 = off).
-  uint64_t slow_txn_threshold_micros = 0;
 
   /// Observability plane (DESIGN.md §14).
   ObsOptions obs;

@@ -24,8 +24,6 @@ class DowntimeProbe {
   /// the callback with success/failure.
   using ProbeFn =
       std::function<void(const std::string& key, std::function<void(bool)>)>;
-  /// Historical name from when only writes were probed.
-  using WriteFn = ProbeFn;
 
   struct Options {
     uint64_t probe_interval_micros = 10'000;

@@ -6,6 +6,9 @@ namespace myraft::sim {
 
 namespace {
 
+/// Period of the node's periodic tick: Tick() runs on this grid.
+constexpr uint64_t kTickIntervalMicros = 20'000;
+
 trace::TracerOptions NodeTracerOptions(const SimNode::Options& options,
                                        EventLoop* loop,
                                        metrics::MetricRegistry* metrics) {
@@ -74,7 +77,6 @@ Status SimNode::BuildProcess() {
   router_ = std::make_unique<proxy::ProxyRouter>(
       options_.server.id, options_.server.region, options_.proxy, loop_,
       [this](Message m) { network_->Send(id(), std::move(m)); });
-  router_->set_enabled(options_.proxy_enabled);
 
   // The server (and through it raft, binlog and engine) reads the node's
   // LOCAL clock — the drifting view the clock-drift nemesis manipulates.
@@ -141,7 +143,7 @@ void SimNode::Deliver(const MemberId& physical_from, const Message& message) {
 
 void SimNode::ScheduleTick() {
   const uint64_t my_incarnation = incarnation_;
-  loop_->Schedule(options_.tick_interval_micros, [this, my_incarnation]() {
+  loop_->Schedule(kTickIntervalMicros, [this, my_incarnation]() {
     if (!up_ || incarnation_ != my_incarnation) return;
     // Idle-tick gate (DESIGN.md §18): before the node's next deadline
     // Tick() cannot act, so only the reschedule below runs. The event
@@ -171,7 +173,7 @@ void SimNode::MaybeSchedulePump() {
   const uint64_t deadline = server_->NextApplierDeadlineMicros();
   if (deadline == 0) return;
   const uint64_t now = loop_->now();
-  if (deadline <= now || deadline >= now + options_.tick_interval_micros) {
+  if (deadline <= now || deadline >= now + kTickIntervalMicros) {
     return;  // overdue or far out: the periodic tick handles it
   }
   if (pump_scheduled_for_ != 0 && pump_scheduled_for_ <= deadline &&

@@ -83,8 +83,6 @@ class SimNode {
   struct Options {
     server::MySqlServerOptions server;
     proxy::ProxyOptions proxy;
-    bool proxy_enabled = true;
-    uint64_t tick_interval_micros = 20'000;
     /// Per-node trace journal ring size (overflow drops oldest records).
     size_t trace_capacity = 65'536;
   };

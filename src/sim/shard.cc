@@ -8,7 +8,7 @@
 namespace myraft::sim {
 
 Shard::Shard(ShardContext context, ShardOptions options)
-    : context_(context), options_(std::move(options)) {}
+    : context_(std::move(context)), options_(std::move(options)) {}
 
 RegionId Shard::RegionName(int r) const {
   const int modulus = options_.topology.region_modulus > 0
@@ -38,9 +38,8 @@ SimNode::Options Shard::MakeNodeOptions(const MemberInfo& member,
       options_.applier_txn_cost_micros;
   node_options.server.slow_txn_threshold_micros =
       options_.slow_txn_threshold_micros;
-  node_options.server.slow_txn_hook = options_.slow_txn_hook;
+  node_options.server.slow_txn_hook = context_.slow_txn_hook;
   node_options.proxy = options_.proxy;
-  node_options.proxy_enabled = options_.proxy_enabled;
   node_options.trace_capacity = options_.trace_capacity;
   return node_options;
 }
@@ -53,7 +52,7 @@ Status Shard::Bootstrap() {
   // Build the membership config: one database voter + logtailers per
   // region, learners round-robin across follower regions.
   const std::string& prefix = options_.topology.member_prefix;
-  uint32_t numeric_id = options_.numeric_id_base;
+  uint32_t numeric_id = context_.numeric_id_base;
   auto add_member = [&](const std::string& name, const RegionId& region,
                         MemberKind kind, RaftMemberType type) {
     const MemberId id = prefix + name;
@@ -62,7 +61,7 @@ Status Shard::Bootstrap() {
         context_.loop, context_.network, context_.discovery, context_.quorum,
         MakeNodeOptions(config_.members.back(), numeric_id,
                         Uuid::FromIndex(numeric_id)));
-    nodes_[id]->metrics()->SetPrefix(options_.metric_namespace);
+    nodes_[id]->metrics()->SetPrefix(context_.metric_namespace);
     ++numeric_id;
   };
 
@@ -285,13 +284,13 @@ Status Shard::ProvisionMember(const MemberInfo& member,
   // Real automation also clones data; new rings here retain their full log
   // so catch-up from index 1 works.
   const uint32_t numeric_id =
-      options_.numeric_id_base + static_cast<uint32_t>(nodes_.size());
-  const Uuid uuid = Uuid::FromIndex(options_.numeric_id_base + 499 +
+      context_.numeric_id_base + static_cast<uint32_t>(nodes_.size());
+  const Uuid uuid = Uuid::FromIndex(context_.numeric_id_base + 499 +
                                     static_cast<uint32_t>(nodes_.size()));
   auto node = std::make_unique<SimNode>(
       context_.loop, context_.network, context_.discovery, context_.quorum,
       MakeNodeOptions(member, numeric_id, uuid));
-  node->metrics()->SetPrefix(options_.metric_namespace);
+  node->metrics()->SetPrefix(context_.metric_namespace);
   if (prepare_disk != nullptr) {
     MYRAFT_RETURN_NOT_OK_PREPEND(prepare_disk(node->env(), "/" + member.id),
                                  "preparing disk for " + member.id);

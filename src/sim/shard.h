@@ -47,29 +47,14 @@ struct TopologyOptions {
   int region_modulus = 0;
 };
 
-/// Everything a shard borrows from its host. All pointers outlive the
-/// shard; the fleet shares one of each across every ring.
+/// Everything a shard borrows from its host, and the identity the host
+/// assigns it. All pointers outlive the shard; the fleet shares one of
+/// each across every ring.
 struct ShardContext {
   EventLoop* loop = nullptr;
   SimNetwork* network = nullptr;
   server::InMemoryServiceDiscovery* discovery = nullptr;
   const raft::QuorumEngine* quorum = nullptr;
-};
-
-struct ShardOptions {
-  TopologyOptions topology;
-  raft::RaftOptions raft;
-  proxy::ProxyOptions proxy;
-  bool proxy_enabled = true;
-  /// Forwarded to every member's MySqlServerOptions.
-  uint64_t engine_checkpoint_wal_bytes = 32ull << 20;
-  /// Parallel applier knobs, forwarded to every member.
-  uint32_t applier_workers = 4;
-  uint64_t applier_txn_cost_micros = 0;
-  /// Per-node trace journal ring size.
-  size_t trace_capacity = 65'536;
-  /// Forwarded to every member: slow-transaction log threshold (0 = off).
-  uint64_t slow_txn_threshold_micros = 0;
   /// Namespace for every node registry ("" = bare metric names). The
   /// fleet sets "shard.<rs>." so the same counter family from two rings
   /// never merges ambiguously at fleet scope.
@@ -79,6 +64,24 @@ struct ShardOptions {
   uint32_t numeric_id_base = 1;
   /// Slow-transaction trigger routing (flight recorder); may be null.
   std::function<void(const std::string&)> slow_txn_hook;
+};
+
+/// What a caller sets on one ring. ClusterOptions extends it with the
+/// settings of the harness that owns the loop.
+struct ShardOptions {
+  TopologyOptions topology;
+  raft::RaftOptions raft;
+  /// ProxyOptions::enabled is the one proxy on/off switch.
+  proxy::ProxyOptions proxy;
+  /// Forwarded to every member's MySqlServerOptions.
+  uint64_t engine_checkpoint_wal_bytes = 32ull << 20;
+  /// Parallel applier knobs, forwarded to every member.
+  uint32_t applier_workers = 4;
+  uint64_t applier_txn_cost_micros = 0;
+  /// Per-node trace journal ring size.
+  size_t trace_capacity = 65'536;
+  /// Forwarded to every member: slow-transaction log threshold (0 = off).
+  uint64_t slow_txn_threshold_micros = 0;
 };
 
 class Shard {

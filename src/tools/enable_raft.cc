@@ -104,7 +104,6 @@ EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
     node_options.server.server_uuid = Uuid::FromIndex(1000 + numeric_id);
     node_options.server.raft = options.raft;
     node_options.proxy = options.proxy;
-    node_options.proxy_enabled = options.proxy_enabled;
     ++numeric_id;
     auto node = std::make_unique<sim::SimNode>(
         loop, cluster->network(), cluster->discovery(), quorum,

@@ -32,7 +32,6 @@ struct EnableRaftOptions {
 
   raft::RaftOptions raft;
   proxy::ProxyOptions proxy;
-  bool proxy_enabled = true;
 };
 
 /// Outcome of a migration, including the nodes now running MyRaft. The

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "flexiraft/flexiraft.h"
+#include "metric_value.h"
 #include "server/mysql_server.h"
 #include "sim/cluster.h"
 #include "util/env.h"
@@ -45,8 +46,7 @@ uint64_t SyncCallsOn(ClusterHarness* harness, const MemberId& id) {
 
 uint64_t CounterOn(ClusterHarness* harness, const MemberId& id,
                    const std::string& name) {
-  const auto* counter = harness->node(id)->metrics()->FindCounter(name);
-  return counter == nullptr ? 0 : counter->value();
+  return MetricValue(harness->node(id)->metrics(), name);
 }
 
 /// Issues `bursts` rounds of `width` concurrent writes (all enqueued at

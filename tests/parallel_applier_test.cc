@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "flexiraft/flexiraft.h"
+#include "metric_value.h"
 #include "sim/cluster.h"
 
 namespace myraft::server {
@@ -133,10 +134,11 @@ TEST(ParallelApplierTest, ChecksumParityWithSerialOnConflictingWorkload) {
       uint64_t applied = 0, stalls = 0;
       for (const MemberId& id : harness.database_ids()) {
         if (id == primary) continue;
-        const auto stats = harness.node(id)->server()->stats();
-        applied += stats.applier_transactions_applied;
-        stalls += stats.applier_dependency_stalls +
-                  stats.applier_conflict_stalls;
+        const metrics::MetricRegistry* registry =
+            harness.node(id)->server()->metrics();
+        applied += MetricValue(registry, "server.applier_transactions_applied");
+        stalls += MetricValue(registry, "server.applier_dependency_stalls") +
+                  MetricValue(registry, "server.applier_conflict_stalls");
       }
       EXPECT_GT(applied, 0u);
       EXPECT_GT(stalls, 0u);
@@ -199,8 +201,10 @@ TEST(ParallelApplierTest, SerialCostFreeApplierStaysSynchronous) {
   ASSERT_TRUE(harness.CheckReplicaConsistency());
   for (const MemberId& id : harness.database_ids()) {
     if (id == primary) continue;
-    const auto stats = harness.node(id)->server()->stats();
-    EXPECT_GT(stats.applier_transactions_applied, 0u) << id;
+    EXPECT_GT(MetricValue(harness.node(id)->server()->metrics(),
+                          "server.applier_transactions_applied"),
+              0u)
+        << id;
     EXPECT_EQ(harness.node(id)->server()->ShowReplicaStatus().lag_entries, 0u)
         << id;
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "flexiraft/flexiraft.h"
+#include "metric_value.h"
 #include "queued_defer.h"
 #include "raft_test_harness.h"
 
@@ -142,8 +143,8 @@ TEST(ProxyRouterTest, LeaderStripsPayloadForRemoteNonRelayMembers) {
   router.Send(Message(vote));
   ASSERT_EQ(sent.size(), 3u);
   EXPECT_TRUE(std::holds_alternative<VoteRequest>(sent[2]));
-  EXPECT_EQ(router.stats().proxied_requests, 1u);
-  EXPECT_EQ(router.stats().direct_requests, 1u);
+  EXPECT_EQ(MetricValue(router.metrics(), "proxy.proxied_requests"), 1u);
+  EXPECT_EQ(MetricValue(router.metrics(), "proxy.direct_requests"), 1u);
 }
 
 TEST(ProxyClusterTest, ReplicationFlowsThroughRelaysAndConverges) {
@@ -180,7 +181,8 @@ TEST(ProxyClusterTest, ReplicationFlowsThroughRelaysAndConverges) {
   // Entries were reconstituted at remote relays.
   uint64_t total_reconstitutions = 0;
   for (const MemberId& id : cluster->ids()) {
-    total_reconstitutions += proxy_cluster.router(id)->stats().reconstitutions;
+    total_reconstitutions += MetricValue(proxy_cluster.router(id)->metrics(),
+                                         "proxy.reconstitutions");
   }
   EXPECT_GT(total_reconstitutions, 0u);
 }
@@ -340,20 +342,19 @@ TEST(ProxyClusterTest, FaultFreeReplicationSendsEachEntryOnce) {
   ASSERT_FALSE(leader_id.empty());
   raft::RaftConsensus* leader = cluster->node(leader_id)->consensus();
 
-  auto sum_stats = [&](auto field) {
+  auto sum_counter = [&](const char* name) {
     uint64_t total = 0;
     for (const MemberId& id : cluster->ids()) {
-      total += cluster->node(id)->consensus()->stats().*field;
+      total += MetricValue(cluster->node(id)->consensus()->metrics(), name);
     }
     return total;
   };
-  using Stats = raft::RaftConsensus::Stats;
   const uint64_t replicated_before =
-      leader->stats().entries_replicated;
-  const uint64_t rewinds_before = sum_stats(&Stats::window_rewinds);
-  const uint64_t rejections_before = sum_stats(&Stats::append_rejections);
+      MetricValue(leader->metrics(), "raft.entries_replicated");
+  const uint64_t rewinds_before = sum_counter("raft.window_rewinds");
+  const uint64_t rejections_before = sum_counter("raft.append_rejections");
   const uint64_t duplicates_before =
-      sum_stats(&Stats::duplicate_entries_received);
+      sum_counter("raft.duplicate_entries_received");
   const uint64_t first_index = leader->last_logged().index + 1;
 
   constexpr int kWrites = 300;
@@ -375,13 +376,14 @@ TEST(ProxyClusterTest, FaultFreeReplicationSendsEachEntryOnce) {
   const uint64_t committed = last.index - first_index + 1;
   const uint64_t followers = cluster->ids().size() - 1;
   const uint64_t replicated =
-      leader->stats().entries_replicated - replicated_before;
+      MetricValue(leader->metrics(), "raft.entries_replicated") -
+      replicated_before;
   EXPECT_LE(replicated * 10, committed * followers * 11)
       << "shipped " << replicated << " entries for " << committed
       << " committed x " << followers << " followers";
-  EXPECT_EQ(sum_stats(&Stats::window_rewinds) - rewinds_before, 0u);
-  EXPECT_EQ(sum_stats(&Stats::append_rejections) - rejections_before, 0u);
-  EXPECT_EQ(sum_stats(&Stats::duplicate_entries_received) - duplicates_before,
+  EXPECT_EQ(sum_counter("raft.window_rewinds") - rewinds_before, 0u);
+  EXPECT_EQ(sum_counter("raft.append_rejections") - rejections_before, 0u);
+  EXPECT_EQ(sum_counter("raft.duplicate_entries_received") - duplicates_before,
             0u);
 }
 
@@ -455,7 +457,7 @@ TEST(ProxyRouterTest, ResponsesRelayUpstreamThroughOwnRegion) {
     EXPECT_TRUE(out.route.empty());
     EXPECT_EQ(out.dest, "db0");
   }
-  EXPECT_EQ(relay.stats().relayed_responses, 1u);
+  EXPECT_EQ(MetricValue(relay.metrics(), "proxy.relayed_responses"), 1u);
 }
 
 /// A final-hop relay ("relay", region r1) with its own consensus, fed by
@@ -570,7 +572,7 @@ TEST_F(RelayFinalHopTest, MissingEntryWaitsThenDegradesToHeartbeat) {
   EXPECT_TRUE(SentRequest(0).entries.empty());  // heartbeat
   EXPECT_EQ(SentRequest(0).dest, "lt1a");
   EXPECT_FALSE(SentRequest(0).proxy_payload_omitted);
-  EXPECT_EQ(router_->stats().degraded_to_heartbeat, 1u);
+  EXPECT_EQ(MetricValue(router_->metrics(), "proxy.degraded_to_heartbeat"), 1u);
 
   // Case 2: entry arrives mid-wait -> reconstituted in full.
   sent_.clear();
@@ -581,10 +583,11 @@ TEST_F(RelayFinalHopTest, MissingEntryWaitsThenDegradesToHeartbeat) {
   ASSERT_EQ(SentRequest(0).entries.size(), 1u);
   EXPECT_EQ(SentRequest(0).entries[0], Entry(9));
   EXPECT_FALSE(SentRequest(0).proxy_payload_omitted);
-  EXPECT_EQ(router_->stats().reconstitutions, 1u);
+  EXPECT_EQ(MetricValue(router_->metrics(), "proxy.reconstitutions"), 1u);
   loop_.RunFor(200'000);
   EXPECT_EQ(sent_.size(), 1u);
-  EXPECT_EQ(router_->stats().degraded_to_heartbeat, 1u);  // unchanged
+  EXPECT_EQ(MetricValue(router_->metrics(), "proxy.degraded_to_heartbeat"),
+            1u);  // unchanged
   const Histogram waits =
       metrics_.GetHistogram("proxy.reconstitute_wait_us")->snapshot();
   EXPECT_EQ(waits.count(), 2u);
@@ -608,7 +611,7 @@ TEST_F(RelayFinalHopTest, ProxyOpsLeaveInArrivalOrder) {
   ASSERT_EQ(sent_.size(), 2u);
   EXPECT_EQ(SentRequest(0).entries.at(0), Entry(9));
   EXPECT_EQ(SentRequest(1).entries.at(0), Entry(8));
-  EXPECT_EQ(router_->stats().reconstitutions, 2u);
+  EXPECT_EQ(MetricValue(router_->metrics(), "proxy.reconstitutions"), 2u);
   EXPECT_EQ(WaitCount(), 2u);
 
   // The degrade path still fires at the head's deadline, and releases
@@ -625,7 +628,7 @@ TEST_F(RelayFinalHopTest, ProxyOpsLeaveInArrivalOrder) {
   EXPECT_TRUE(SentRequest(0).entries.empty());  // degraded head
   EXPECT_EQ(SentRequest(0).prev.index, 19u);
   EXPECT_EQ(SentRequest(1).entries.at(0), Entry(9));
-  EXPECT_EQ(router_->stats().degraded_to_heartbeat, 1u);
+  EXPECT_EQ(MetricValue(router_->metrics(), "proxy.degraded_to_heartbeat"), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_value.h"
 #include "raft_test_harness.h"
 
 namespace myraft::raft_test {
@@ -194,7 +195,8 @@ TEST_F(ThreeNodeClusterTest, GracefulTransferLeadership) {
   EXPECT_EQ(old->role(), RaftRole::kFollower);
   EXPECT_EQ(cluster_->node(old_leader)->leadership_lost_, 1);
   // Mock election ran before the transfer (§4.3).
-  EXPECT_GT(new_leader->stats().mock_elections_started, 0u);
+  EXPECT_GT(MetricValue(new_leader->metrics(), "raft.mock_elections_started"),
+            0u);
 }
 
 TEST(RaftClusterTest, MockElectionFailureAbortsTransferWithoutDowntime) {
@@ -422,14 +424,15 @@ TEST(RaftClusterTest, LaggingFollowerServedFromDiskFallback) {
     last = *opid;
   }
   ASSERT_TRUE(cluster.WaitForCommit(leader_id, last, 3 * kSecond));
-  EXPECT_GT(leader->log_cache().stats().evictions, 0u);
+  EXPECT_GT(MetricValue(leader->log_cache().metrics(), "log_cache.evictions"),
+            0u);
 
   // Reconnect: the laggard must be served from the log abstraction (the
   // "parse historical binary log files" path, §3.1).
   cluster.network()->SetLinkCut(leader_id, laggard, false);
   cluster.loop()->RunFor(5 * kSecond);
   EXPECT_EQ(cluster.node(laggard)->consensus()->last_logged(), last);
-  EXPECT_GT(leader->stats().cache_fallback_reads, 0u);
+  EXPECT_GT(MetricValue(leader->metrics(), "raft.cache_fallback_reads"), 0u);
 }
 
 TEST(RaftClusterTest, LearnerReceivesDataButNeverVotesOrCampaigns) {
@@ -458,7 +461,7 @@ TEST(RaftClusterTest, LearnerReceivesDataButNeverVotesOrCampaigns) {
   for (const char* id : {"a", "b", "c"}) cluster.Crash(id);
   cluster.loop()->RunFor(10 * kSecond);
   EXPECT_NE(learner->role(), RaftRole::kLeader);
-  EXPECT_EQ(learner->stats().elections_started, 0u);
+  EXPECT_EQ(MetricValue(learner->metrics(), "raft.elections_started"), 0u);
 }
 
 TEST(RaftClusterTest, NoSplitBrainUnderPartitions) {

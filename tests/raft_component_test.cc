@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_value.h"
 #include "raft/consensus_metadata.h"
 #include "raft/log_abstraction.h"
 #include "raft/log_cache.h"
@@ -46,8 +47,8 @@ TEST(LogCacheTest, PutGetRoundTrip) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, e);
   EXPECT_TRUE(cache.Get(2).status().IsNotFound());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.hits"), 1u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.misses"), 1u);
 }
 
 TEST(LogCacheTest, CompressionShrinksRepetitivePayloads) {
@@ -57,7 +58,8 @@ TEST(LogCacheTest, CompressionShrinksRepetitivePayloads) {
   ASSERT_TRUE(span.has_value());
   EXPECT_EQ(span->uncompressed_size, 100'000u);
   EXPECT_LT(span->compressed->size(), 10'000u);
-  EXPECT_LT(cache.stats().compressed_bytes, cache.stats().uncompressed_bytes);
+  EXPECT_LT(MetricValue(cache.metrics(), "log_cache.compressed_bytes"),
+            MetricValue(cache.metrics(), "log_cache.uncompressed_bytes"));
 }
 
 TEST(LogCacheTest, CompressesOnceOnFirstCompressedSend) {
@@ -68,16 +70,17 @@ TEST(LogCacheTest, CompressesOnceOnFirstCompressedSend) {
   ASSERT_TRUE(cache.Peek(1).has_value());
   EXPECT_EQ(cache.Peek(1)->payload_size, 4'000u);
   EXPECT_FALSE(cache.Peek(2).has_value());
-  EXPECT_EQ(cache.stats().compressions, 0u);
-  EXPECT_EQ(cache.stats().compressed_bytes, 0u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.compressions"), 0u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.compressed_bytes"), 0u);
   EXPECT_EQ(cache.size_bytes(), 4'000u);
-  EXPECT_EQ(cache.stats().hits, 1u);  // Peek is not a lookup
+  // Peek is not a lookup.
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.hits"), 1u);
 
   auto first = cache.GetCompressed(1);
   auto second = cache.GetCompressed(1);
   ASSERT_TRUE(first.has_value() && second.has_value());
   EXPECT_EQ(first->compressed, second->compressed);  // memoized span
-  EXPECT_EQ(cache.stats().compressions, 1u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.compressions"), 1u);
   EXPECT_EQ(cache.size_bytes(), 4'000u + first->compressed->size());
   EXPECT_FALSE(cache.GetCompressed(2).has_value());
 
@@ -98,7 +101,7 @@ TEST(LogCacheTest, EvictsFromHeadWhenOverCapacity) {
     cache.Put(LogEntry::Make({1, i}, EntryType::kTransaction, payload));
   }
   EXPECT_LE(cache.size_bytes(), 4100u);
-  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(MetricValue(cache.metrics(), "log_cache.evictions"), 0u);
   EXPECT_FALSE(cache.Contains(1));  // oldest evicted
   EXPECT_TRUE(cache.Contains(10));  // newest kept
 }
@@ -112,17 +115,20 @@ TEST(LogCacheTest, OverwriteRetiresReplacedBytes) {
   LogCache cache(1 << 20);
   cache.Put(E(1, 1, std::string(10'000, 'a')));
   ASSERT_TRUE(cache.GetCompressed(1).has_value());
-  const auto once = cache.stats();
-  ASSERT_GT(once.compressed_bytes, 0u);
+  const uint64_t compressed_once =
+      MetricValue(cache.metrics(), "log_cache.compressed_bytes");
+  const uint64_t uncompressed_once =
+      MetricValue(cache.metrics(), "log_cache.uncompressed_bytes");
+  ASSERT_GT(compressed_once, 0u);
   for (int i = 0; i < 5; ++i) {
     cache.Put(E(2, 1, std::string(10'000, 'a')));
     ASSERT_TRUE(cache.GetCompressed(1).has_value());
   }
-  const auto after = cache.stats();
-  EXPECT_EQ(after.compressed_bytes, once.compressed_bytes);
-  EXPECT_EQ(after.uncompressed_bytes, once.uncompressed_bytes);
-  EXPECT_EQ(cache.size_bytes(),
-            once.compressed_bytes + once.uncompressed_bytes);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.compressed_bytes"),
+            compressed_once);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.uncompressed_bytes"),
+            uncompressed_once);
+  EXPECT_EQ(cache.size_bytes(), compressed_once + uncompressed_once);
   // The surviving entry is the replacement.
   auto got = cache.Get(1);
   ASSERT_TRUE(got.ok());
@@ -137,15 +143,15 @@ TEST(LogCacheTest, ClearResetsByteCounters) {
     cache.Put(E(1, i, std::string(5'000, 'q')));
     ASSERT_TRUE(cache.GetCompressed(i).has_value());
   }
-  ASSERT_GT(cache.stats().compressed_bytes, 0u);
-  ASSERT_GT(cache.stats().uncompressed_bytes, 0u);
+  ASSERT_GT(MetricValue(cache.metrics(), "log_cache.compressed_bytes"), 0u);
+  ASSERT_GT(MetricValue(cache.metrics(), "log_cache.uncompressed_bytes"), 0u);
   cache.Clear();
   EXPECT_EQ(cache.size_bytes(), 0u);
-  EXPECT_EQ(cache.stats().compressed_bytes, 0u);
-  EXPECT_EQ(cache.stats().uncompressed_bytes, 0u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.compressed_bytes"), 0u);
+  EXPECT_EQ(MetricValue(cache.metrics(), "log_cache.uncompressed_bytes"), 0u);
   // The cumulative counters survive Clear(); only resident gauges reset.
   cache.Get(1);  // miss
-  EXPECT_GE(cache.stats().misses, 1u);
+  EXPECT_GE(MetricValue(cache.metrics(), "log_cache.misses"), 1u);
 }
 
 TEST(LogCacheTest, SharedRegistryAccumulatesAcrossInstances) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_value.h"
 #include "queued_defer.h"
 #include "raft/consensus.h"
 #include "util/logging.h"
@@ -721,7 +722,7 @@ TEST_F(ConsensusUnitTest, LearnerIgnoresElectionMachinery) {
   // Election timeouts never fire for learners.
   clock_.AdvanceMicros(60'000'000);
   learner.Tick();
-  EXPECT_EQ(learner.stats().elections_started, 0u);
+  EXPECT_EQ(MetricValue(learner.metrics(), "raft.elections_started"), 0u);
 }
 
 TEST_F(ConsensusUnitTest, HeartbeatsFlowOnTick) {
@@ -745,7 +746,7 @@ TEST_F(ConsensusUnitTest, HeartbeatsFlowOnTick) {
     EXPECT_TRUE(hb.IsHeartbeat());
     EXPECT_EQ(hb.term, consensus_->term());
   }
-  EXPECT_GE(consensus_->stats().heartbeats_sent, 2u);
+  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.heartbeats_sent"), 2u);
 }
 
 TEST_F(ConsensusUnitTest, MisaddressedMessagesIgnored) {
@@ -763,7 +764,7 @@ TEST_F(ConsensusUnitTest, AutoStepDownDisabledByDefault) {
   clock_.AdvanceMicros(60'000'000);
   Tick();
   EXPECT_EQ(consensus_->role(), RaftRole::kLeader);
-  EXPECT_EQ(consensus_->stats().auto_step_downs, 0u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.auto_step_downs"), 0u);
 }
 
 TEST(ConsensusAutoStepDownTest, EnabledLeaderDemotesWhenQuorumSilent) {
@@ -817,7 +818,7 @@ TEST(ConsensusAutoStepDownTest, EnabledLeaderDemotesWhenQuorumSilent) {
   clock.AdvanceMicros(2'500'000);
   consensus.Tick();
   EXPECT_EQ(consensus.role(), RaftRole::kFollower);
-  EXPECT_EQ(consensus.stats().auto_step_downs, 1u);
+  EXPECT_EQ(MetricValue(consensus.metrics(), "raft.auto_step_downs"), 1u);
   EXPECT_EQ(listener.lost, 1);
   EXPECT_EQ(consensus.term(), 1u);  // no gratuitous term bump
 }
@@ -882,7 +883,7 @@ TEST_F(ConsensusUnitTest, LeaseReadsNeedQuorumOfFreshGrants) {
   EXPECT_TRUE(read.served_by_lease);
   EXPECT_EQ(read.read_index, consensus_->commit_marker());
   EXPECT_TRUE(outbox_.sent.empty());
-  EXPECT_EQ(consensus_->stats().reads_lease, 1u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.reads_lease"), 1u);
 
   // Grants age out (duration minus drift margin after the stamp); the
   // lease must lapse on its own, bounding any stale window.
@@ -985,7 +986,7 @@ TEST_F(ConsensusUnitTest, ReadIndexIgnoresAcksSentBeforeRegistration) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(read.status.ok());
   EXPECT_FALSE(read.served_by_lease);
-  EXPECT_EQ(consensus_->stats().reads_quorum, 1u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.reads_quorum"), 1u);
 }
 
 TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
@@ -1011,7 +1012,7 @@ TEST_F(ConsensusUnitTest, LeasesOffReadsCompleteOnBarrierCommit) {
   EXPECT_FALSE(read1.served_by_lease);
   EXPECT_EQ(read1.read_index.index, before);
   EXPECT_TRUE(read2.status.ok());
-  EXPECT_EQ(consensus_->stats().reads_quorum, 2u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.reads_quorum"), 2u);
 }
 
 TEST_F(ConsensusUnitTest, LeasesOffAppendsCarryNoLeaseFields) {
@@ -1043,7 +1044,7 @@ TEST_F(ConsensusUnitTest, PendingReadsFailAfterDeadline) {
   Tick();
   ASSERT_TRUE(done);
   EXPECT_TRUE(read.status.IsTimedOut());
-  EXPECT_EQ(consensus_->stats().reads_timed_out, 1u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.reads_timed_out"), 1u);
 }
 
 TEST_F(ConsensusUnitTest, LeasesRequirePreVote) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_value.h"
 #include "queued_defer.h"
 #include "raft/consensus.h"
 #include "raft_test_harness.h"
@@ -156,7 +157,7 @@ TEST_F(PipeliningTest, StreamsBatchesUpToWindowLimit) {
     // Consecutive batches chain: prev advances one entry at a time.
     EXPECT_EQ(to_b[i].prev.index, to_b[0].prev.index + i);
   }
-  EXPECT_GT(consensus_->stats().pipeline_stalls, 0u);
+  EXPECT_GT(MetricValue(consensus_->metrics(), "raft.pipeline_stalls"), 0u);
   EXPECT_EQ(consensus_->peers().at("b").inflight.size(), 4u);
 
   // A cumulative ack covering all four batches drains the window and the
@@ -210,7 +211,8 @@ TEST_F(PipeliningTest, StaleRejectionBelowMatchIgnored) {
   // below b's match index, so acting on it would re-stream an
   // already-acked suffix; it must be dropped.
   RejectFrom("b", opids[0]);
-  EXPECT_EQ(consensus_->stats().stale_responses_ignored, 1u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.stale_responses_ignored"),
+            1u);
   EXPECT_EQ(consensus_->peers().at("b").next_index, next_before);
   EXPECT_TRUE(outbox_.AppendsTo("b").empty());
 }
@@ -228,7 +230,7 @@ TEST_F(PipeliningTest, RejectionCancelsInflightSuffixAndRewinds) {
   // back at least one entry below the rejected batch to guarantee
   // progress against a conflicting prev.
   RejectFrom("b", OpId{0, base - 1});
-  EXPECT_GE(consensus_->stats().window_rewinds, 1u);
+  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.window_rewinds"), 1u);
   auto second_wave = outbox_.AppendsTo("b");
   ASSERT_EQ(second_wave.size(), 4u);
   EXPECT_EQ(second_wave[0].prev.index, base - 2);
@@ -245,7 +247,7 @@ TEST_F(PipeliningTest, OldestBatchTimeoutRewindsWindow) {
   // declared lost, the window is rewound, and the suffix restreams.
   clock_.AdvanceMicros(2'000'000);
   Tick();
-  EXPECT_GE(consensus_->stats().window_rewinds, 1u);
+  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.window_rewinds"), 1u);
   auto second_wave = outbox_.AppendsTo("b");
   ASSERT_EQ(second_wave.size(), 3u);
   EXPECT_EQ(second_wave[0].prev.index, first_wave[0].prev.index);
@@ -257,7 +259,7 @@ TEST_F(PipeliningTest, StallCountsTransitionsNotAttempts) {
   // Window of 4: entries 5-7 each bounce off the full window, but the
   // stall counter records the *transition* into the stalled state — one
   // per peer (b and c) — not one per blocked send attempt.
-  EXPECT_EQ(consensus_->stats().pipeline_stalls, 2u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.pipeline_stalls"), 2u);
   // Draining b's window ends its stall and records its duration in the
   // stall histogram; c stays stalled without further counting.
   clock_.AdvanceMicros(3'000);
@@ -266,7 +268,7 @@ TEST_F(PipeliningTest, StallCountsTransitionsNotAttempts) {
       consensus_->metrics()->FindHistogram("raft.stall_duration_us");
   ASSERT_NE(stall_hist, nullptr);
   EXPECT_GE(stall_hist->snapshot().count(), 1u);
-  EXPECT_EQ(consensus_->stats().pipeline_stalls, 2u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.pipeline_stalls"), 2u);
 }
 
 TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
@@ -289,7 +291,8 @@ TEST_F(PipeliningTest, MarkerOnlyHeartbeatWhenWindowFull) {
   EXPECT_TRUE(hb.entries.empty());
   EXPECT_EQ(hb.commit_marker.index, opids[1].index);
   EXPECT_EQ(hb.prev.index, consensus_->peers().at("c").match_index);
-  EXPECT_GE(consensus_->stats().marker_only_heartbeats, 1u);
+  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.marker_only_heartbeats"),
+            1u);
   EXPECT_EQ(consensus_->peers().at("c").inflight.size(), 1u);
   // The marker is only re-sent once it advances again: an immediate
   // second tick stays quiet.
@@ -337,8 +340,9 @@ TEST_F(PipeliningTest, LargeBatchesCompressedOnTheWire) {
   // owned payload string (empty for a borrowed buffer).
   EXPECT_GT(to_b[0].entries[0].payload_bytes().size(), 0u);
   EXPECT_LT(to_b[0].entries[0].payload_bytes().size(), compressible.size());
-  EXPECT_GE(consensus_->stats().wire_batches_compressed, 1u);
-  EXPECT_GE(consensus_->stats().zero_copy_batches, 1u);
+  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.wire_batches_compressed"),
+            1u);
+  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.zero_copy_batches"), 1u);
 }
 
 TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {

@@ -10,6 +10,7 @@
 #include <set>
 
 #include "flexiraft/flexiraft.h"
+#include "metric_value.h"
 #include "sim/cluster.h"
 
 namespace myraft::server {
@@ -19,6 +20,7 @@ using flexiraft::FlexiRaftQuorumEngine;
 using flexiraft::QuorumMode;
 using sim::ClusterHarness;
 using sim::ClusterOptions;
+using sim::SimNode;
 constexpr uint64_t kSecond = 1'000'000;
 
 const raft::QuorumEngine* FlexiEngine() {
@@ -104,7 +106,7 @@ TEST_F(ServerClusterTest, WriteCommitReadRoundTrip) {
   EXPECT_EQ(primary->Read("bench.kv", "user:1"), "user:1=alice");
   EXPECT_EQ(primary->db_role(), DbRole::kPrimary);
   EXPECT_TRUE(primary->writes_enabled());
-  EXPECT_EQ(primary->stats().writes_committed, 1u);
+  EXPECT_EQ(MetricValue(primary->metrics(), "server.writes_committed"), 1u);
 }
 
 TEST_F(ServerClusterTest, BackToBackQuorumReadsServeAtBarrierIndexes) {
@@ -123,7 +125,8 @@ TEST_F(ServerClusterTest, BackToBackQuorumReadsServeAtBarrierIndexes) {
     EXPECT_FALSE(read.served_by_lease);
   }
   auto* primary = harness_->node(primary_)->server();
-  EXPECT_EQ(primary->consensus()->stats().reads_quorum, 3u);
+  EXPECT_EQ(MetricValue(primary->consensus()->metrics(), "raft.reads_quorum"),
+            3u);
 }
 
 TEST_F(ServerClusterTest, ReplicationReachesFollowersAndLearners) {
@@ -141,7 +144,10 @@ TEST_F(ServerClusterTest, ReplicationReachesFollowersAndLearners) {
     if (id != primary_) {
       EXPECT_EQ(server->db_role(), DbRole::kReplica) << id;
       EXPECT_FALSE(server->writes_enabled()) << id;
-      EXPECT_GT(server->stats().applier_transactions_applied, 0u) << id;
+      EXPECT_GT(MetricValue(server->metrics(),
+                            "server.applier_transactions_applied"),
+                0u)
+          << id;
     }
   }
   EXPECT_TRUE(harness_->CheckReplicaConsistency());
@@ -232,7 +238,9 @@ TEST_F(ServerClusterTest, GracefulPromotionIsFast) {
   harness_->loop()->RunFor(2 * kSecond);
   EXPECT_EQ(harness_->CurrentPrimary(), target);
   EXPECT_EQ(harness_->node(primary_)->server()->db_role(), DbRole::kReplica);
-  EXPECT_EQ(harness_->node(primary_)->server()->stats().demotions, 1u);
+  EXPECT_EQ(MetricValue(harness_->node(primary_)->server()->metrics(),
+                        "server.demotions"),
+            1u);
 }
 
 TEST_F(ServerClusterTest, ErstwhileLeaderRejoinsConsistent) {
@@ -461,7 +469,8 @@ TEST_F(ServerClusterTest, RowConflictsAreRejectedWhilePipelined) {
   // Second failed on the lock; the first committed and released it.
   EXPECT_TRUE(results[1].ok());   // callbacks fire in completion order:
   EXPECT_FALSE(results[0].ok());  // conflict returns synchronously first
-  EXPECT_EQ(primary->stats().writes_rejected_conflict, 1u);
+  EXPECT_EQ(MetricValue(primary->metrics(), "server.writes_rejected_conflict"),
+            1u);
   // Lock released after commit: a retry succeeds.
   auto retry = harness_->SyncWrite("hot", "3");
   EXPECT_TRUE(retry.status.ok());
@@ -520,10 +529,12 @@ TEST(ServerCheckpointTest, WalBoundedByPeriodicCheckpoints) {
   harness.loop()->RunFor(2 * kSecond);
   // The Tick-driven checkpointer fired and kept the WAL bounded, on the
   // primary and on replicas alike.
-  EXPECT_GT(server->stats().engine_checkpoints, 0u);
+  EXPECT_GT(MetricValue(server->metrics(), "server.engine_checkpoints"), 0u);
   EXPECT_LT(server->engine()->WalSizeBytes(), 10'000u);
   for (const MemberId& id : harness.database_ids()) {
-    EXPECT_GT(harness.node(id)->server()->stats().engine_checkpoints, 0u)
+    EXPECT_GT(MetricValue(harness.node(id)->server()->metrics(),
+                          "server.engine_checkpoints"),
+              0u)
         << id;
   }
 
@@ -534,6 +545,41 @@ TEST(ServerCheckpointTest, WalBoundedByPeriodicCheckpoints) {
   EXPECT_EQ(harness.node(primary)->server()->Read("bench.kv", "c49"),
             "c49=v");
   EXPECT_TRUE(harness.CheckReplicaConsistency());
+}
+
+TEST(ProxySwitchTest, ProxyOptionsEnabledIsTheSwitch) {
+  // ProxyOptions::enabled alone decides whether the leader proxies: with
+  // it off, cross-region replication goes direct and no node ever builds
+  // a PROXY_OP.
+  for (const bool enabled : {true, false}) {
+    ClusterOptions options = DefaultOptions(11);
+    options.proxy.enabled = enabled;
+    ClusterHarness harness(options, FlexiEngine());
+    ASSERT_TRUE(harness.Bootstrap().ok());
+    ASSERT_FALSE(harness.WaitForPrimary(30 * kSecond).empty());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(harness.SyncWrite("k" + std::to_string(i), "v").status.ok());
+    }
+    harness.loop()->RunFor(2 * kSecond);
+
+    // Every member, the remote regions' included, holds every write.
+    const MemberId primary = harness.CurrentPrimary();
+    ASSERT_FALSE(primary.empty());
+    const OpId last =
+        harness.node(primary)->server_view()->consensus()->last_logged();
+    uint64_t proxied = 0;
+    for (const MemberId& id : harness.ids()) {
+      const SimNode* node = harness.node(id);
+      EXPECT_EQ(node->server_view()->consensus()->last_logged(), last) << id;
+      EXPECT_EQ(node->router()->enabled(), enabled) << id;
+      proxied += MetricValue(node->metrics(), "proxy.proxied_requests");
+    }
+    if (enabled) {
+      EXPECT_GT(proxied, 0u);
+    } else {
+      EXPECT_EQ(proxied, 0u);
+    }
+  }
 }
 
 }  // namespace

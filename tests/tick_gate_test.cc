@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "flexiraft/flexiraft.h"
+#include "metric_value.h"
 #include "sim/cluster.h"
 
 namespace myraft::sim {
@@ -101,9 +102,7 @@ class TickGateTest : public ::testing::Test {
   }
 
   uint64_t Counter(const MemberId& id, const char* name) {
-    const metrics::Counter* counter =
-        cluster_->node(id)->metrics()->FindCounter(name);
-    return counter != nullptr ? counter->value() : 0;
+    return MetricValue(cluster_->node(id)->metrics(), name);
   }
 
   std::unique_ptr<ClusterHarness> cluster_;
