@@ -229,21 +229,34 @@ int RunFleetBench(const FleetArgs& args) {
     }
     return sum;
   };
-  // Periodic ticks over every node: run in full vs skipped by the
-  // idle-tick gate (DESIGN.md §18).
+  // Tick events over every node (DESIGN.md §18): each node keeps one,
+  // at its next due grid instant, so idle nodes pop almost none.
+  uint64_t tick_events = 0;
   uint64_t ticks_run = 0;
-  uint64_t ticks_gated = 0;
+  uint64_t ticks_early = 0;
   for (int s = 0; s < args.shards; ++s) {
     sim::Shard* shard = fleet.shard(s);
     for (const MemberId& id : shard->ids()) {
+      tick_events += shard->node(id)->tick_events();
       ticks_run += shard->node(id)->ticks_run();
-      ticks_gated += shard->node(id)->ticks_gated();
+      ticks_early += shard->node(id)->ticks_early();
     }
   }
-  const uint64_t ticks = ticks_run + ticks_gated;
   const fleet::FleetOptions& fo = fleet.options();
   const int nodes_per_shard =
       fo.db_regions_per_shard * (1 + fo.logtailers_per_db) + fo.learners;
+  const int nodes = args.shards * nodes_per_shard;
+  // Loop cost over the whole run, in events per simulated second.
+  const double run_sim_s = (double)fleet.loop()->now() / kSecond;
+  const uint64_t loop_events = fleet.loop()->events_run();
+  const double loop_events_per_sim_s =
+      run_sim_s > 0 ? loop_events / run_sim_s : 0.0;
+  const double tick_events_per_node_sim_s =
+      run_sim_s > 0 && nodes > 0 ? tick_events / run_sim_s / nodes : 0.0;
+  printf("loop: %llu events over %.2f sim-s (%.0f per sim-s), "
+         "%.2f tick events per node per sim-s\n",
+         (unsigned long long)loop_events, run_sim_s, loop_events_per_sim_s,
+         tick_events_per_node_sim_s);
   const std::string summary = StringPrintf(
       "{\"shards\":%d,\"regions\":%d,\"nodes\":%d,"
       "\"bootstrap\":{\"elected\":%d,\"sim_ms\":%llu},"
@@ -255,9 +268,11 @@ int RunFleetBench(const FleetArgs& args) {
       "\"recovery_ms\":%llu,\"healed\":%d,\"consistent\":%s},"
       "\"fleet_counters\":{\"elections_won\":%llu,"
       "\"leader_transfers\":%llu},"
-      "\"ticks\":{\"run\":%llu,\"gated\":%llu,\"gated_share\":%.4f},"
+      "\"ticks\":{\"events\":%llu,\"run\":%llu,\"early\":%llu,"
+      "\"events_per_node_sim_s\":%.3f},"
+      "\"loop\":{\"events\":%llu,\"events_per_sim_s\":%.0f},"
       "\"pass\":%s}",
-      args.shards, args.regions, args.shards * nodes_per_shard,
+      args.shards, args.regions, nodes,
       with_primary, (unsigned long long)(elected_at / 1000),
       (unsigned long long)fleet_kb,
       args.shards > 0 ? (double)fleet_kb / args.shards : 0.0, total_writes,
@@ -267,8 +282,9 @@ int RunFleetBench(const FleetArgs& args) {
       consistent ? "true" : "false",
       (unsigned long long)rollup_counter("raft.elections_won"),
       (unsigned long long)rollup_counter("fleet.leader_transfers"),
-      (unsigned long long)ticks_run, (unsigned long long)ticks_gated,
-      ticks > 0 ? (double)ticks_gated / ticks : 0.0,
+      (unsigned long long)tick_events, (unsigned long long)ticks_run,
+      (unsigned long long)ticks_early, tick_events_per_node_sim_s,
+      (unsigned long long)loop_events, loop_events_per_sim_s,
       pass ? "true" : "false");
   bench::WriteBenchJson("fleet", summary, "null");
   printf("%s\n", pass ? "PASS" : "FAIL");

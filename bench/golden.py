@@ -13,6 +13,9 @@ On fixed seeds it runs
   * bench_chaos --corpus=50 --raftstat and bench_chaos --corpus=25 --reconfig;
   * the four perfbench workloads at --seed 1 --seconds 1 --trace 0 (built
     into .bench_build/ by perfbench/run.py on first use);
+  * bench_fleet --shards=64 --smoke, of which only the sim-time sections
+    of its BENCH summary are kept (its stdout, memory and tick sections
+    carry wall time, RSS and loop-cost counts);
 and keeps only sim-time values, one text file per run under bench/golden/:
 the run's stdout, its log lines with their file:line stamps removed, and
 every BENCH_*.json it wrote, flattened to one "path = value" line per leaf.
@@ -67,6 +70,10 @@ CHAOS_RUNS = {
 
 PERFBENCH_WORKLOADS = ["sysbench_ring", "prod_mixed", "failover",
                        "fleet_storm"]
+
+FLEET_ARGS = ["--shards=64", "--smoke"]
+# The sim-time sections of BENCH_fleet.json's summary.
+FLEET_SIM_SECTIONS = ["bootstrap", "throughput", "storm", "fleet_counters"]
 
 # "[<sim us> <node> <LEVEL> <file>:<line>] " -> "[<sim us> <node> <LEVEL>] "
 LOG_STAMP = re.compile(r"^(\[[^\]]*?) [\w.+-]+\.(?:cc|h):\d+\]")
@@ -150,6 +157,18 @@ def bench_golden(binary, args):
     return "\n".join(sections) + "\n"
 
 
+def fleet_golden(binary):
+    """The sim-time sections of one bench_fleet run's BENCH summary."""
+    with tempfile.TemporaryDirectory() as scratch:
+        run([binary] + FLEET_ARGS, scratch)
+        with open(os.path.join(scratch, "BENCH_fleet.json")) as f:
+            summary = json.load(f)["summary"]
+    out = ["# command: " + " ".join([os.path.basename(binary)] + FLEET_ARGS)]
+    for section in FLEET_SIM_SECTIONS:
+        out.extend(flatten_json(summary[section], section))
+    return "\n".join(out) + "\n"
+
+
 def perfbench_golden(workload):
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
             workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
@@ -178,6 +197,8 @@ def generate(build_dir, out_dir, jobs):
         for name, args in CHAOS_RUNS.items():
             tasks[name] = pool.submit(
                 bench_golden, os.path.join(bench_dir, "bench_chaos"), args)
+        tasks["bench_fleet"] = pool.submit(
+            fleet_golden, os.path.join(bench_dir, "bench_fleet"))
         for name in PAPER_BENCHES:
             tasks[name] = pool.submit(
                 bench_golden, os.path.join(bench_dir, name), ["--quick"])

@@ -9,7 +9,13 @@
 namespace myraft::proxy {
 
 void ProxyRouter::ObserveTraffic(const MemberId& from) {
-  last_traffic_micros_[from] = loop_->now();
+  for (Traffic& traffic : last_traffic_) {
+    if (traffic.member == from) {
+      traffic.micros = loop_->now();
+      return;
+    }
+  }
+  last_traffic_.push_back(Traffic{from, loop_->now()});
 }
 
 RegionId ProxyRouter::RegionOf(const MemberId& member) const {
@@ -24,9 +30,13 @@ bool ProxyRouter::RelayHealthy(const MemberId& relay) const {
   // including never having been heard from once the router has been up
   // that long — marks it unhealthy (§4.2.3 health checks).
   const uint64_t now = loop_->now();
-  auto it = last_traffic_micros_.find(relay);
-  const uint64_t reference =
-      it != last_traffic_micros_.end() ? it->second : created_micros_;
+  uint64_t reference = created_micros_;
+  for (const Traffic& traffic : last_traffic_) {
+    if (traffic.member == relay) {
+      reference = traffic.micros;
+      break;
+    }
+  }
   return now - reference <= options_.relay_unhealthy_after_micros;
 }
 

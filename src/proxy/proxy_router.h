@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "raft/consensus.h"
 #include "sim/event_loop.h"
@@ -173,7 +174,13 @@ class ProxyRouter final : public raft::RaftOutbox {
   SendFn lower_send_;
   raft::RaftConsensus* consensus_ = nullptr;
 
-  std::map<MemberId, uint64_t> last_traffic_micros_;
+  /// Last time each member was heard from, in first-heard order (a ring
+  /// has a handful of members; ObserveTraffic runs on every delivery).
+  struct Traffic {
+    MemberId member;
+    uint64_t micros;
+  };
+  std::vector<Traffic> last_traffic_;
   uint64_t created_micros_;
   /// Final-hop PROXY_OPs per destination, in arrival order; no empty
   /// queues are kept.

@@ -7,6 +7,7 @@
 #ifndef MYRAFT_SIM_EVENT_LOOP_H_
 #define MYRAFT_SIM_EVENT_LOOP_H_
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -27,6 +28,20 @@ class SimClock final : public Clock {
   uint64_t now_micros_ = 0;
 };
 
+/// Position of an event in the loop's order: by time, then by the loop
+/// time at which it was scheduled, then by sequence number. A plain
+/// Schedule() issued at loop time `a` with sequence `s` gets
+/// (a + delay, a, s), so plain events at equal times run in scheduling
+/// order; a keyed event (ScheduleAt) takes the exact place a plain one
+/// with the same key would.
+struct EventKey {
+  uint64_t time = 0;
+  uint64_t scheduled_at = 0;
+  uint64_t seq = 0;
+
+  auto operator<=>(const EventKey&) const = default;
+};
+
 class EventLoop {
  public:
   using Callback = std::function<void()>;
@@ -40,9 +55,23 @@ class EventLoop {
   Random* rng() { return &rng_; }
   uint64_t now() const { return clock_.NowMicros(); }
 
-  /// Schedules `callback` to run `delay_micros` from now. Events at equal
-  /// times run in scheduling order (stable). Returns a cancellation id.
+  /// Schedules `callback` to run `delay_micros` from now, keyed
+  /// (now + delay, now, next sequence number): events at equal times run
+  /// in scheduling order (stable). Returns a cancellation id.
   uint64_t Schedule(uint64_t delay_micros, Callback callback);
+
+  /// Takes the next sequence number without scheduling anything, for a
+  /// caller that will key later events with it (ScheduleAt).
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Schedules `callback` at an explicit key, which must not have run yet
+  /// (HasRun). Several pending events may share a key's sequence number,
+  /// so keyed events cannot be cancelled; the caller stamps them instead.
+  void ScheduleAt(const EventKey& key, Callback callback);
+
+  /// Whether the loop has moved past `key`: an event at that key would
+  /// already have run. After RunUntil(t) every key at time t has run.
+  bool HasRun(const EventKey& key) const { return key <= passed_; }
 
   /// Cancels a scheduled event; no-op if it already ran, was cancelled
   /// or was never issued.
@@ -57,24 +86,26 @@ class EventLoop {
   bool RunOne();
 
   size_t pending_events() const { return queue_.size() - cancelled_.size(); }
-  /// Events ever scheduled (cancelled ones included): the loop's sequence
-  /// counter, which moves iff some code scheduled an event.
+  /// Events ever scheduled (cancelled ones included, and every
+  /// ScheduleAt and ReserveSeq): the loop's sequence counter, which moves
+  /// iff some code scheduled an event.
   uint64_t events_scheduled() const { return next_seq_ - 1; }
+  /// Events the loop has popped and run (cancelled ones not included).
+  uint64_t events_run() const { return events_run_; }
 
  private:
   struct Event {
-    uint64_t time;
-    uint64_t seq;
+    EventKey key;
     Callback callback;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return b.key < a.key;
     }
   };
 
-  /// Removes and returns the earliest (time, seq) event.
+  void Push(const EventKey& key, Callback callback);
+  /// Removes and returns the earliest event.
   Event PopNext();
 
   SimClock clock_;
@@ -82,6 +113,8 @@ class EventLoop {
   std::vector<Event> queue_;  // binary heap ordered by Later
   std::set<uint64_t> cancelled_;
   uint64_t next_seq_ = 1;
+  EventKey passed_;  // every key at or before this one has run
+  uint64_t events_run_ = 0;
 };
 
 }  // namespace myraft::sim

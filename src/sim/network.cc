@@ -6,20 +6,6 @@
 
 namespace myraft::sim {
 
-namespace {
-
-std::pair<MemberId, MemberId> NormalisedPair(const MemberId& a,
-                                             const MemberId& b) {
-  return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
-
-std::pair<RegionId, RegionId> NormalisedRegionPair(const RegionId& a,
-                                                   const RegionId& b) {
-  return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
-
-}  // namespace
-
 SimNetwork::SimNetwork(EventLoop* loop, NetworkOptions options)
     : loop_(loop), options_(options) {
   if (options_.metrics != nullptr) {
@@ -35,54 +21,116 @@ SimNetwork::SimNetwork(EventLoop* loop, NetworkOptions options)
   }
 }
 
-void SimNetwork::RegisterNode(const MemberId& id, const RegionId& region,
-                              DeliverFn deliver) {
-  nodes_[id] = Node{region, std::move(deliver), next_link_id_++, {}};
+uint32_t SimNetwork::SlotFor(const MemberId& id) {
+  auto [it, inserted] =
+      slot_index_.emplace(id, static_cast<uint32_t>(slots_.size()));
+  if (inserted) {
+    slots_.emplace_back();
+    slots_.back().id = id;
+  }
+  return it->second;
 }
 
-void SimNetwork::UnregisterNode(const MemberId& id) { nodes_.erase(id); }
+int64_t SimNetwork::FindSlot(const MemberId& id) const {
+  auto it = slot_index_.find(id);
+  return it == slot_index_.end() ? int64_t{-1} : int64_t{it->second};
+}
+
+uint32_t SimNetwork::RegionIndex(const RegionId& region) {
+  auto it = std::find(region_names_.begin(), region_names_.end(), region);
+  if (it != region_names_.end()) {
+    return static_cast<uint32_t>(it - region_names_.begin());
+  }
+  region_names_.push_back(region);
+  region_partitioned_.push_back(0);
+  return static_cast<uint32_t>(region_names_.size() - 1);
+}
+
+void SimNetwork::RegisterNode(const MemberId& id, const RegionId& region,
+                              DeliverFn deliver) {
+  const uint32_t region_index = RegionIndex(region);
+  Slot& slot = slots_[SlotFor(id)];
+  slot.registered = true;
+  slot.region = region_index;
+  slot.registration = next_registration_++;
+  slot.deliver = std::move(deliver);
+  // The new process's outbound connections are new too: no FIFO clamp
+  // behind what its previous incarnation sent (registrations start at 1).
+  for (Peer& peer : slot.peers) peer.dest_registration = 0;
+}
+
+void SimNetwork::UnregisterNode(const MemberId& id) {
+  const int64_t index = FindSlot(id);
+  if (index < 0) return;
+  Slot& slot = slots_[index];
+  slot.registered = false;
+  slot.deliver = nullptr;
+}
+
+bool SimNetwork::IsRegistered(const MemberId& id) const {
+  const int64_t index = FindSlot(id);
+  return index >= 0 && slots_[index].registered;
+}
+
+bool SimNetwork::IsNodeUp(const MemberId& id) const {
+  const int64_t index = FindSlot(id);
+  return index < 0 || slots_[index].up;
+}
 
 RegionId SimNetwork::RegionOf(const MemberId& id) const {
-  auto it = nodes_.find(id);
-  return it != nodes_.end() ? it->second.region : RegionId();
+  const int64_t index = FindSlot(id);
+  if (index < 0 || !slots_[index].registered) return RegionId();
+  return region_names_[slots_[index].region];
 }
 
 void SimNetwork::SetRegionLatency(const RegionId& a, const RegionId& b,
                                   LatencyModel latency) {
-  region_latency_[NormalisedRegionPair(a, b)] = latency;
+  const uint32_t ia = RegionIndex(a);
+  const uint32_t ib = RegionIndex(b);
+  const LatencyOverride wanted{std::min(ia, ib), std::max(ia, ib), latency};
+  for (LatencyOverride& o : latency_overrides_) {
+    if (o.a == wanted.a && o.b == wanted.b) {
+      o.latency = latency;
+      return;
+    }
+  }
+  latency_overrides_.push_back(wanted);
 }
 
 void SimNetwork::SetNodeUp(const MemberId& id, bool up) {
-  if (up) {
-    down_.erase(id);
-  } else {
-    down_.insert(id);
-  }
+  slots_[SlotFor(id)].up = up;
 }
 
 void SimNetwork::SetLinkCut(const MemberId& a, const MemberId& b, bool cut) {
+  const uint32_t sa = SlotFor(a);
+  const uint32_t sb = SlotFor(b);
+  const uint64_t key = PairKey(std::min(sa, sb), std::max(sa, sb));
   if (cut) {
-    cut_links_.insert(NormalisedPair(a, b));
+    cut_links_.insert(key);
   } else {
-    cut_links_.erase(NormalisedPair(a, b));
+    cut_links_.erase(key);
   }
 }
 
 void SimNetwork::SetLinkOneWayCut(const MemberId& from, const MemberId& to,
                                   bool cut) {
+  const uint64_t key = PairKey(SlotFor(from), SlotFor(to));
   if (cut) {
-    one_way_cuts_.insert({from, to});
+    one_way_cuts_.insert(key);
   } else {
-    one_way_cuts_.erase({from, to});
+    one_way_cuts_.erase(key);
   }
 }
 
 void SimNetwork::HealAllFaults() {
   cut_links_.clear();
   one_way_cuts_.clear();
-  partitioned_regions_.clear();
-  extra_delay_.clear();
-  replication_lag_.clear();
+  std::fill(region_partitioned_.begin(), region_partitioned_.end(), 0);
+  partitioned_regions_ = 0;
+  for (Slot& slot : slots_) {
+    slot.extra_delay_micros = 0;
+    slot.replication_lag_micros = 0;
+  }
   options_.loss_rate = 0.0;
   options_.duplicate_rate = 0.0;
   options_.chaos_jitter_micros = 0;
@@ -90,80 +138,69 @@ void SimNetwork::HealAllFaults() {
 
 void SimNetwork::SetRegionPartitioned(const RegionId& region,
                                       bool partitioned) {
+  char& flag = region_partitioned_[RegionIndex(region)];
+  if (flag == static_cast<char>(partitioned)) return;
+  flag = partitioned;
   if (partitioned) {
-    partitioned_regions_.insert(region);
+    ++partitioned_regions_;
   } else {
-    partitioned_regions_.erase(region);
+    --partitioned_regions_;
   }
 }
 
 void SimNetwork::SetNodeExtraDelay(const MemberId& id, uint64_t extra_micros) {
-  if (extra_micros == 0) {
-    extra_delay_.erase(id);
-  } else {
-    extra_delay_[id] = extra_micros;
-  }
+  slots_[SlotFor(id)].extra_delay_micros = extra_micros;
 }
 
 void SimNetwork::SetNodeReplicationLag(const MemberId& id,
                                        uint64_t extra_micros) {
-  if (extra_micros == 0) {
-    replication_lag_.erase(id);
-  } else {
-    replication_lag_[id] = extra_micros;
-  }
+  slots_[SlotFor(id)].replication_lag_micros = extra_micros;
 }
 
-bool SimNetwork::LinkCutBetween(const MemberId& a, const MemberId& b) const {
-  if (cut_links_.count(NormalisedPair(a, b)) > 0) return true;
-  if (!partitioned_regions_.empty()) {
-    const RegionId ra = RegionOf(a);
-    const RegionId rb = RegionOf(b);
-    if (ra != rb && (partitioned_regions_.count(ra) > 0 ||
-                     partitioned_regions_.count(rb) > 0)) {
+bool SimNetwork::LinkCut(uint32_t from, uint32_t to) const {
+  if (!cut_links_.empty() &&
+      cut_links_.count(PairKey(std::min(from, to), std::max(from, to))) > 0) {
+    return true;
+  }
+  if (!one_way_cuts_.empty() && one_way_cuts_.count(PairKey(from, to)) > 0) {
+    return true;
+  }
+  if (partitioned_regions_ > 0) {
+    const uint32_t ra = slots_[from].region;
+    const uint32_t rb = slots_[to].region;
+    if (ra != rb && (region_partitioned_[ra] || region_partitioned_[rb])) {
       return true;
     }
   }
   return false;
 }
 
-uint64_t SimNetwork::SampleLatency(const RegionId& from, const RegionId& to) {
-  LatencyModel model;
-  auto it = region_latency_.find(NormalisedRegionPair(from, to));
-  if (it != region_latency_.end()) {
-    model = it->second;
-  } else {
-    model = (from == to) ? options_.same_region : options_.cross_region;
+uint64_t SimNetwork::SampleLatency(uint32_t from_region, uint32_t to_region) {
+  const LatencyModel* model = from_region == to_region
+                                  ? &options_.same_region
+                                  : &options_.cross_region;
+  const uint32_t a = std::min(from_region, to_region);
+  const uint32_t b = std::max(from_region, to_region);
+  for (const LatencyOverride& o : latency_overrides_) {
+    if (o.a == a && o.b == b) {
+      model = &o.latency;
+      break;
+    }
   }
-  uint64_t latency = model.base_micros;
-  if (model.jitter_micros > 0) {
-    latency += loop_->rng()->Uniform(model.jitter_micros);
+  uint64_t latency = model->base_micros;
+  if (model->jitter_micros > 0) {
+    latency += loop_->rng()->Uniform(model->jitter_micros);
   }
   return latency;
 }
 
-uint64_t SimNetwork::FifoArrival(Node* from, uint32_t dest_link_id,
-                                 uint64_t arrival_micros) {
-  LinkTail* slot = nullptr;
-  LinkTail* expired = nullptr;
-  for (LinkTail& tail : from->link_tails) {
-    if (tail.dest_link_id == dest_link_id) {
-      slot = &tail;
-      break;
-    }
-    if (expired == nullptr && tail.arrival_micros <= loop_->now()) {
-      expired = &tail;
-    }
+SimNetwork::Peer* SimNetwork::PeerOf(Slot* from, uint32_t dest) {
+  for (Peer& peer : from->peers) {
+    if (peer.dest == dest) return &peer;
   }
-  if (slot == nullptr) slot = expired;
-  if (slot == nullptr) {
-    from->link_tails.push_back(LinkTail{dest_link_id, 0});
-    slot = &from->link_tails.back();
-  }
-  // An expired slot's arrival is in the past, so the clamp is a no-op.
-  arrival_micros = std::max(arrival_micros, slot->arrival_micros);
-  *slot = LinkTail{dest_link_id, arrival_micros};
-  return arrival_micros;
+  Peer& peer = from->peers.emplace_back();
+  peer.dest = dest;
+  return &peer;
 }
 
 void SimNetwork::CountDrop(metrics::Counter* reason_counter) {
@@ -172,31 +209,39 @@ void SimNetwork::CountDrop(metrics::Counter* reason_counter) {
   if (reason_counter != nullptr) reason_counter->Increment();
 }
 
-void SimNetwork::ScheduleDelivery(const MemberId& from, const MemberId& dest,
-                                  uint64_t latency, Message message) {
-  loop_->Schedule(latency, [this, from, dest, msg = std::move(message)]() {
-    auto it = nodes_.find(dest);
-    // Re-check liveness at delivery time (node may have crashed in
-    // flight).
-    if (it == nodes_.end() || down_.count(dest) > 0) {
+void SimNetwork::ScheduleDelivery(uint32_t from, uint32_t dest,
+                                  uint32_t registration, uint64_t latency,
+                                  Message message) {
+  loop_->Schedule(latency, [this, from, dest, registration,
+                            msg = std::move(message)]() {
+    const Slot& to = slots_[dest];
+    // Re-check at delivery time: the node may have crashed in flight,
+    // and a restart is a new registration the message was never sent to.
+    if (!to.registered || to.registration != registration || !to.up) {
       CountDrop(m_dropped_in_flight_);
       return;
     }
-    it->second.deliver(from, msg);
+    to.deliver(slots_[from].id, msg);
   });
 }
 
-void SimNetwork::Send(const MemberId& from, Message message) {
+void SimNetwork::Send(const MemberId& from_id, Message message) {
   // Deliver to the physical next hop (a proxy relay when routed).
-  const MemberId dest = MessageNextHop(message);
-  auto from_it = nodes_.find(from);
-  auto dest_it = nodes_.find(dest);
-  if (from_it == nodes_.end() || dest_it == nodes_.end() ||
-      down_.count(from) > 0 || down_.count(dest) > 0) {
+  const int64_t from_index = FindSlot(from_id);
+  const int64_t dest_index = FindSlot(MessageNextHop(message));
+  if (from_index < 0 || dest_index < 0) {
     CountDrop(m_dropped_node_down_);
     return;
   }
-  if (LinkCutBetween(from, dest) || one_way_cuts_.count({from, dest}) > 0) {
+  const uint32_t from_slot = static_cast<uint32_t>(from_index);
+  const uint32_t dest_slot = static_cast<uint32_t>(dest_index);
+  Slot& from = slots_[from_slot];
+  const Slot& dest = slots_[dest_slot];
+  if (!from.registered || !dest.registered || !from.up || !dest.up) {
+    CountDrop(m_dropped_node_down_);
+    return;
+  }
+  if (LinkCut(from_slot, dest_slot)) {
     CountDrop(m_dropped_link_cut_);
     return;
   }
@@ -205,34 +250,27 @@ void SimNetwork::Send(const MemberId& from, Message message) {
     return;
   }
 
-  const RegionId from_region = from_it->second.region;
-  const RegionId dest_region = dest_it->second.region;
-  const uint64_t bytes = MessageWireBytes(message);
-  LinkStats& stats = link_stats_[{from_region, dest_region}];
-  ++stats.messages;
-  stats.bytes += bytes;
-  LinkStats& member_stats = member_link_stats_[{from, dest}];
-  ++member_stats.messages;
-  member_stats.bytes += bytes;
+  Peer* peer = PeerOf(&from, dest_slot);
+  ++peer->stats.messages;
+  peer->stats.bytes += MessageWireBytes(message);
 
-  uint64_t latency = SampleLatency(from_region, dest_region);
-  auto delay_it = extra_delay_.find(from);
-  if (delay_it != extra_delay_.end()) latency += delay_it->second;
-  delay_it = extra_delay_.find(dest);
-  if (delay_it != extra_delay_.end()) latency += delay_it->second;
-  // FIFO link: never arrive before the previous message on this link.
+  uint64_t latency = SampleLatency(from.region, dest.region);
+  latency += from.extra_delay_micros + dest.extra_delay_micros;
+  // FIFO link: never arrive before the previous message on this
+  // connection (a new registration of `dest` is a new connection).
   const uint64_t now = loop_->now();
-  uint64_t arrival =
-      FifoArrival(&from_it->second, dest_it->second.link_id, now + latency);
-  if (!replication_lag_.empty()) {
+  uint64_t arrival = now + latency;
+  if (peer->dest_registration == dest.registration) {
+    arrival = std::max(arrival, peer->arrival_micros);
+  }
+  peer->dest_registration = dest.registration;
+  peer->arrival_micros = arrival;
+  if (dest.replication_lag_micros > 0) {
     // Host backlog, not transit: past the clamp, so the control plane on
     // the same link overtakes lagged data appends.
-    auto lag_it = replication_lag_.find(dest);
-    if (lag_it != replication_lag_.end()) {
-      const auto* request = std::get_if<AppendEntriesRequest>(&message);
-      if (request != nullptr && !request->entries.empty()) {
-        arrival += lag_it->second;
-      }
+    const auto* request = std::get_if<AppendEntriesRequest>(&message);
+    if (request != nullptr && !request->entries.empty()) {
+      arrival += dest.replication_lag_micros;
     }
   }
   if (options_.chaos_jitter_micros > 0) {
@@ -243,32 +281,67 @@ void SimNetwork::Send(const MemberId& from, Message message) {
   if (options_.duplicate_rate > 0 &&
       loop_->rng()->Bernoulli(options_.duplicate_rate)) {
     if (m_duplicated_ != nullptr) m_duplicated_->Increment();
-    uint64_t dup_latency = SampleLatency(from_region, dest_region);
+    uint64_t dup_latency = SampleLatency(from.region, dest.region);
     if (options_.chaos_jitter_micros > 0) {
       dup_latency += loop_->rng()->Uniform(options_.chaos_jitter_micros);
     }
-    ScheduleDelivery(from, dest, dup_latency, message);
+    ScheduleDelivery(from_slot, dest_slot, dest.registration, dup_latency,
+                     message);
   }
-  ScheduleDelivery(from, dest, arrival - now, std::move(message));
+  ScheduleDelivery(from_slot, dest_slot, dest.registration, arrival - now,
+                   std::move(message));
+}
+
+const std::map<std::pair<RegionId, RegionId>, SimNetwork::LinkStats>&
+SimNetwork::link_stats() const {
+  link_stats_.clear();
+  for (const Slot& slot : slots_) {
+    for (const Peer& peer : slot.peers) {
+      if (peer.stats.messages == 0) continue;
+      LinkStats& stats = link_stats_[{region_names_[slot.region],
+                                      region_names_[slots_[peer.dest].region]}];
+      stats.messages += peer.stats.messages;
+      stats.bytes += peer.stats.bytes;
+    }
+  }
+  return link_stats_;
+}
+
+const std::map<std::pair<MemberId, MemberId>, SimNetwork::LinkStats>&
+SimNetwork::member_link_stats() const {
+  member_link_stats_.clear();
+  for (const Slot& slot : slots_) {
+    for (const Peer& peer : slot.peers) {
+      if (peer.stats.messages > 0) {
+        member_link_stats_[{slot.id, slots_[peer.dest].id}] = peer.stats;
+      }
+    }
+  }
+  return member_link_stats_;
 }
 
 uint64_t SimNetwork::CrossRegionBytes() const {
   uint64_t total = 0;
-  for (const auto& [pair, stats] : link_stats_) {
-    if (pair.first != pair.second) total += stats.bytes;
+  for (const Slot& slot : slots_) {
+    for (const Peer& peer : slot.peers) {
+      if (slot.region != slots_[peer.dest].region) total += peer.stats.bytes;
+    }
   }
   return total;
 }
 
 uint64_t SimNetwork::TotalBytes() const {
   uint64_t total = 0;
-  for (const auto& [pair, stats] : link_stats_) total += stats.bytes;
+  for (const Slot& slot : slots_) {
+    for (const Peer& peer : slot.peers) total += peer.stats.bytes;
+  }
   return total;
 }
 
 void SimNetwork::ResetStats() {
-  link_stats_.clear();
-  member_link_stats_.clear();
+  for (Slot& slot : slots_) {
+    for (Peer& peer : slot.peers) peer.stats = LinkStats{};
+  }
   dropped_ = 0;
 }
 

@@ -6,10 +6,12 @@
 #ifndef MYRAFT_SIM_NETWORK_H_
 #define MYRAFT_SIM_NETWORK_H_
 
+#include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -63,7 +65,7 @@ class SimNetwork {
   void RegisterNode(const MemberId& id, const RegionId& region,
                     DeliverFn deliver);
   void UnregisterNode(const MemberId& id);
-  bool IsRegistered(const MemberId& id) const { return nodes_.count(id) > 0; }
+  bool IsRegistered(const MemberId& id) const;
   RegionId RegionOf(const MemberId& id) const;
 
   /// Override latency for a specific (unordered) region pair.
@@ -74,7 +76,7 @@ class SimNetwork {
 
   /// Node down: all messages to/from it are dropped (process crash).
   void SetNodeUp(const MemberId& id, bool up);
-  bool IsNodeUp(const MemberId& id) const { return down_.count(id) == 0; }
+  bool IsNodeUp(const MemberId& id) const;
   /// Bidirectional link cut between two members.
   void SetLinkCut(const MemberId& a, const MemberId& b, bool cut);
   /// One-way link fault: messages from `from` to `to` are dropped while
@@ -119,66 +121,89 @@ class SimNetwork {
     uint64_t bytes = 0;
   };
 
-  /// Stats per (source region, dest region) pair.
+  /// Stats per (source region, dest region) pair. Built on each call
+  /// from the member-pair counters (a member keeps its region); the
+  /// reference stays valid until the next call.
   const std::map<std::pair<RegionId, RegionId>, LinkStats>& link_stats()
-      const {
-    return link_stats_;
-  }
+      const;
   /// Stats per (physical sender, physical receiver) member pair — the
-  /// per-connection resource accounting of §4.2.2.
+  /// per-connection resource accounting of §4.2.2. Built like
+  /// link_stats().
   const std::map<std::pair<MemberId, MemberId>, LinkStats>&
-  member_link_stats() const {
-    return member_link_stats_;
-  }
+  member_link_stats() const;
   uint64_t CrossRegionBytes() const;
   uint64_t TotalBytes() const;
   uint64_t dropped_messages() const { return dropped_; }
   void ResetStats();
 
  private:
-  /// Latest arrival scheduled on one outbound link, keyed by the next
-  /// hop's link id.
-  struct LinkTail {
-    uint32_t dest_link_id;
-    uint64_t arrival_micros;
+  /// One outbound link of a slot, toward one destination slot.
+  struct Peer {
+    uint32_t dest = 0;
+    /// FIFO tail: the registration the last message went to and its
+    /// arrival. A new registration at either end starts a new
+    /// connection, unclamped.
+    uint32_t dest_registration = 0;
+    uint64_t arrival_micros = 0;
+    LinkStats stats;  // per member pair, across registrations
   };
 
-  struct Node {
-    RegionId region;
+  /// Everything the network knows about one member id. Slots are never
+  /// removed, so a slot index names a member for the network's lifetime;
+  /// the registration id tells one incarnation from the next.
+  struct Slot {
+    MemberId id;
+    bool registered = false;
+    bool up = true;
+    uint32_t region = 0;        // region index of the latest registration
+    uint32_t registration = 0;  // unique per RegisterNode call
     DeliverFn deliver;
-    uint32_t link_id;
-    /// FIFO state of this node's outbound links. A slot whose arrival has
-    /// passed no longer constrains anything and is reused, so the vector
-    /// holds only links with traffic in flight.
-    std::vector<LinkTail> link_tails;
+    uint64_t extra_delay_micros = 0;
+    uint64_t replication_lag_micros = 0;
+    std::vector<Peer> peers;  // every destination this slot sent to
   };
 
-  uint64_t SampleLatency(const RegionId& from, const RegionId& to);
-  /// Clamps `arrival_micros` to the link's previous arrival and records it
-  /// as the new tail.
-  uint64_t FifoArrival(Node* from, uint32_t dest_link_id,
-                       uint64_t arrival_micros);
-  bool LinkCutBetween(const MemberId& a, const MemberId& b) const;
+  /// A SetRegionLatency override, for region indexes a <= b.
+  struct LatencyOverride {
+    uint32_t a = 0;
+    uint32_t b = 0;
+    LatencyModel latency;
+  };
+
+  /// The slot of `id`, created (unregistered, up) on first mention.
+  uint32_t SlotFor(const MemberId& id);
+  /// The slot of `id`, or -1 when the network has never heard of it.
+  int64_t FindSlot(const MemberId& id) const;
+  /// The index of `region`, interned on first mention.
+  uint32_t RegionIndex(const RegionId& region);
+  uint64_t SampleLatency(uint32_t from_region, uint32_t to_region);
+  /// This slot's link toward `dest`, created on first send.
+  Peer* PeerOf(Slot* from, uint32_t dest);
+  /// Whether a link cut, one-way cut or region partition drops
+  /// messages from slot `from` to slot `to` (both registered).
+  bool LinkCut(uint32_t from, uint32_t to) const;
   /// Bumps dropped_ plus net.dropped and the given per-reason counter.
   void CountDrop(metrics::Counter* reason_counter);
-  void ScheduleDelivery(const MemberId& from, const MemberId& dest,
+  void ScheduleDelivery(uint32_t from, uint32_t dest, uint32_t registration,
                         uint64_t latency, Message message);
+  static uint64_t PairKey(uint32_t a, uint32_t b) {
+    return (static_cast<uint64_t>(a) << 32) | b;
+  }
 
   EventLoop* loop_;
   NetworkOptions options_;
-  std::map<MemberId, Node> nodes_;
-  /// Every registration gets a fresh link id, so a restarted node starts
-  /// on new connections and stale tails toward it simply expire.
-  uint32_t next_link_id_ = 0;
-  std::set<MemberId> down_;
-  std::set<std::pair<MemberId, MemberId>> cut_links_;  // normalised pairs
-  std::set<std::pair<MemberId, MemberId>> one_way_cuts_;  // (from, to)
-  std::set<RegionId> partitioned_regions_;
-  std::map<MemberId, uint64_t> extra_delay_;
-  std::map<MemberId, uint64_t> replication_lag_;
-  std::map<std::pair<RegionId, RegionId>, LatencyModel> region_latency_;
-  std::map<std::pair<RegionId, RegionId>, LinkStats> link_stats_;
-  std::map<std::pair<MemberId, MemberId>, LinkStats> member_link_stats_;
+  std::deque<Slot> slots_;  // a deque: delivery runs from a slot's callback
+  std::unordered_map<MemberId, uint32_t> slot_index_;
+  uint32_t next_registration_ = 1;
+  std::vector<RegionId> region_names_;
+  std::vector<char> region_partitioned_;  // per region index
+  size_t partitioned_regions_ = 0;
+  std::vector<LatencyOverride> latency_overrides_;  // a handful at most
+  std::unordered_set<uint64_t> cut_links_;     // PairKey(min, max) of slots
+  std::unordered_set<uint64_t> one_way_cuts_;  // PairKey(from, to)
+  mutable std::map<std::pair<RegionId, RegionId>, LinkStats> link_stats_;
+  mutable std::map<std::pair<MemberId, MemberId>, LinkStats>
+      member_link_stats_;
   uint64_t dropped_ = 0;
   // net.* fault counters; null when no registry was supplied.
   metrics::Counter* m_dropped_ = nullptr;

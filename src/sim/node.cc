@@ -96,8 +96,9 @@ Status SimNode::BuildProcess() {
   up_ = true;
   ++incarnation_;
   pump_scheduled_for_ = 0;
-  tick_due_micros_ = 0;
-  ScheduleTick();
+  tick_origin_ = loop_->now();
+  tick_seq_ = loop_->ReserveSeq();
+  ReopenTickGate();
   return Status::OK();
 }
 
@@ -115,6 +116,8 @@ Status SimNode::Restart() {
 void SimNode::Crash(CrashMode mode) {
   if (!up_) return;
   up_ = false;
+  ++tick_generation_;  // the pending tick event dies with the process
+  tick_armed_at_ = 0;
   network_->SetNodeUp(id(), false);
   network_->UnregisterNode(id());
   // Volatile state dies with the process; env_ (the disk) survives.
@@ -141,28 +144,53 @@ void SimNode::Deliver(const MemberId& physical_from, const Message& message) {
   FinishInput();
 }
 
-void SimNode::ScheduleTick() {
-  const uint64_t my_incarnation = incarnation_;
-  loop_->Schedule(kTickIntervalMicros, [this, my_incarnation]() {
-    if (!up_ || incarnation_ != my_incarnation) return;
-    // Idle-tick gate (DESIGN.md §18): before the node's next deadline
-    // Tick() cannot act, so only the reschedule below runs. The event
-    // itself stays on the grid, so event order is unchanged.
-    if (loop_->now() < tick_due_micros_) {
-      ++ticks_gated_;
-    } else {
-      ++ticks_run_;
-      ScopedLogContext log_context(id(), loop_->clock());
-      server_->Tick();
-      FinishInput();
-    }
-    ScheduleTick();
-  });
+void SimNode::ReopenTickGate() {
+  tick_due_micros_ = 0;
+  ArmTick();
+}
+
+EventKey SimNode::TickSlot(uint64_t at) const {
+  return EventKey{at, at - kTickIntervalMicros, tick_seq_};
+}
+
+void SimNode::ArmTick() {
+  if (!up_ || tick_due_micros_ == UINT64_MAX) return;
+  // The first grid instant at or after the due time (and now)...
+  const uint64_t from = std::max(tick_due_micros_, loop_->now());
+  const uint64_t intervals = std::max<uint64_t>(
+      1, (from - tick_origin_ + kTickIntervalMicros - 1) / kTickIntervalMicros);
+  uint64_t at = tick_origin_ + intervals * kTickIntervalMicros;
+  // ...unless this input came after the node's slot at that instant.
+  if (loop_->HasRun(TickSlot(at))) at += kTickIntervalMicros;
+  // A pending tick at or before `at` wakes first and re-arms if early.
+  if (tick_armed_at_ != 0 && tick_armed_at_ <= at) return;
+  tick_armed_at_ = at;
+  const uint64_t generation = ++tick_generation_;
+  loop_->ScheduleAt(TickSlot(at),
+                    [this, generation]() { OnTickEvent(generation); });
+}
+
+void SimNode::OnTickEvent(uint64_t generation) {
+  ++tick_events_;
+  // Superseded by an earlier arm, or armed by a crashed process.
+  if (generation != tick_generation_) return;
+  tick_armed_at_ = 0;
+  if (loop_->now() < tick_due_micros_) {
+    // The due time moved later after this tick was armed.
+    ++ticks_early_;
+    ArmTick();
+    return;
+  }
+  ++ticks_run_;
+  ScopedLogContext log_context(id(), loop_->clock());
+  server_->Tick();
+  FinishInput();
 }
 
 void SimNode::FinishInput() {
   MaybeSchedulePump();
   tick_due_micros_ = clock_.BaseMicrosFor(server_->NextTickDueMicros());
+  ArmTick();
 }
 
 void SimNode::MaybeSchedulePump() {

@@ -122,11 +122,11 @@ class SimNode {
   const MemberId& id() const { return options_.server.id; }
   const RegionId& region() const { return options_.server.region; }
   /// Mutable access for callers that may change the server's state:
-  /// each call reopens the idle-tick gate (see ScheduleTick), so the next
-  /// periodic tick runs in full. Re-fetch it rather than holding the
-  /// pointer across loop runs.
+  /// each call reopens the idle-tick gate (see ArmTick), so the next
+  /// periodic tick slot runs Tick() in full. Re-fetch it rather than
+  /// holding the pointer across loop runs.
   server::MySqlServer* server() {
-    tick_due_micros_ = 0;
+    ReopenTickGate();
     return server_.get();
   }
   /// Read-only view for observers (primary polls, raftstat, consistency
@@ -151,26 +151,34 @@ class SimNode {
   /// run at `rate` × simulated real time; heal restores rate 1.0.
   void SetClockDrift(int64_t skew_micros, double rate) {
     clock_.SetDrift(skew_micros, rate);
-    tick_due_micros_ = 0;
+    ReopenTickGate();
   }
   void HealClockDrift() {
     clock_.Heal();
-    tick_due_micros_ = 0;
+    ReopenTickGate();
   }
 
-  /// Loop time before which a periodic tick is skipped (0 = the next
-  /// tick runs in full): the server's NextTickDueMicros() converted from
-  /// local time, recomputed after every input this node handles.
+  /// Loop time before which Tick() cannot act (0 = the next tick slot
+  /// runs it): the server's NextTickDueMicros() converted from local
+  /// time, recomputed after every input this node handles.
   uint64_t tick_due_micros() const { return tick_due_micros_; }
-  /// Periodic ticks that ran Tick() / that the gate skipped. Plain fields
-  /// so the skipped path touches nothing but this node.
+  /// Tick events popped (superseded ones included), those that ran
+  /// Tick(), and those that woke before the due time and re-armed.
+  uint64_t tick_events() const { return tick_events_; }
   uint64_t ticks_run() const { return ticks_run_; }
-  uint64_t ticks_gated() const { return ticks_gated_; }
+  uint64_t ticks_early() const { return ticks_early_; }
 
  private:
   Status BuildProcess();  // constructs router + server over env_
   void Deliver(const MemberId& physical_from, const Message& message);
-  void ScheduleTick();
+  /// Sets the due time to "now" and arms the tick for the next slot.
+  void ReopenTickGate();
+  /// Keeps the node's one tick event at the first 20 ms grid instant at
+  /// or after tick_due_micros_ whose slot has not run (DESIGN.md §18).
+  void ArmTick();
+  /// The loop key of this node's tick slot at grid instant `at`.
+  EventKey TickSlot(uint64_t at) const;
+  void OnTickEvent(uint64_t generation);
   /// Epilogue of every input (delivery, deferred callback, applier pump,
   /// full tick), while the node's state is still in cache: schedules an
   /// applier pump if one is due and recomputes the tick gate.
@@ -192,11 +200,20 @@ class SimNode {
   std::unique_ptr<proxy::ProxyRouter> router_;
   std::unique_ptr<server::MySqlServer> server_;
   bool up_ = false;
-  uint64_t incarnation_ = 0;  // stale tick events check this
+  uint64_t incarnation_ = 0;  // stale deferred callbacks check this
   uint64_t pump_scheduled_for_ = 0;  // pending applier-pump deadline (0 = none)
   uint64_t tick_due_micros_ = 0;     // see tick_due_micros()
+  /// The tick grid: instants tick_origin_ + k * 20 ms (k >= 1), each
+  /// keyed (instant, instant - 20 ms, tick_seq_), which is the place a
+  /// tick event rescheduling itself every 20 ms since BuildProcess would
+  /// hold, so the event order is that of such a chain (DESIGN.md §18).
+  uint64_t tick_origin_ = 0;
+  uint64_t tick_seq_ = 0;
+  uint64_t tick_armed_at_ = 0;    // grid instant of the pending tick (0 = none)
+  uint64_t tick_generation_ = 0;  // a tick event stamped otherwise is stale
+  uint64_t tick_events_ = 0;
   uint64_t ticks_run_ = 0;
-  uint64_t ticks_gated_ = 0;
+  uint64_t ticks_early_ = 0;
 };
 
 }  // namespace myraft::sim

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_value.h"
 #include "sim/downtime_probe.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -29,6 +30,78 @@ TEST(EventLoopTest, EqualTimesRunInScheduleOrder) {
   }
   loop.RunFor(100);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(EventLoopTest, KeyedEventTakesAPlainEventsPlace) {
+  // Two loops run the same script; in the second, the event the first
+  // schedules plainly at loop time 50 (its seq reserved there) is keyed in
+  // later, from loop time 80. Both must run everything in one order.
+  auto run = [](bool keyed) {
+    EventLoop loop(1);
+    std::vector<std::string> order;
+    auto note = [&order](const char* name) {
+      return [&order, name]() { order.push_back(name); };
+    };
+    loop.Schedule(100, note("from0"));  // key (100, 0, 1)
+    loop.RunUntil(50);
+    loop.Schedule(50, note("from50.first"));  // key (100, 50, 2)
+    uint64_t reserved = 0;
+    if (keyed) {
+      reserved = loop.ReserveSeq();  // the seq a plain event would take
+    } else {
+      loop.Schedule(50, note("target"));  // key (100, 50, 3)
+    }
+    loop.Schedule(50, note("from50.last"));  // key (100, 50, 4)
+    loop.RunUntil(80);
+    loop.Schedule(20, note("from80"));  // key (100, 80, 5)
+    if (keyed) {
+      EXPECT_FALSE(loop.HasRun(EventKey{100, 50, reserved}));
+      loop.ScheduleAt(EventKey{100, 50, reserved}, note("target"));
+    }
+    loop.RunUntil(99);
+    EXPECT_FALSE(loop.HasRun(EventKey{100, 50, reserved}));
+    loop.RunUntil(100);
+    if (keyed) {
+      EXPECT_TRUE(loop.HasRun(EventKey{100, 50, reserved}));
+      EXPECT_TRUE(loop.HasRun(EventKey{100, 100, UINT64_MAX}));
+    }
+    return order;
+  };
+  const std::vector<std::string> want{"from0", "from50.first", "target",
+                                      "from50.last", "from80"};
+  EXPECT_EQ(run(false), want);
+  EXPECT_EQ(run(true), want);
+}
+
+TEST(EventLoopTest, KeyedEventSortsByScheduledAtBeforeSeq) {
+  // A sequence number reserved early keeps a keyed event's place among
+  // events scheduled at its own scheduled-at time; it does not move it
+  // ahead of an event scheduled earlier than that.
+  EventLoop loop(1);
+  std::vector<std::string> order;
+  const uint64_t reserved = loop.ReserveSeq();
+  loop.RunUntil(60);
+  loop.Schedule(40, [&]() { order.push_back("from60"); });  // (100, 60, 2)
+  loop.ScheduleAt(EventKey{100, 80, reserved},
+                  [&]() { order.push_back("keyed80"); });
+  loop.RunUntil(100);
+  EXPECT_EQ(order, (std::vector<std::string>{"from60", "keyed80"}));
+}
+
+TEST(EventLoopTest, HasRunFollowsThePoppedKey) {
+  EventLoop loop(1);
+  bool checked = false;
+  loop.Schedule(10, [&]() {
+    // Inside the event at (10, 0, 1): earlier keys have run, later not.
+    EXPECT_TRUE(loop.HasRun(EventKey{10, 0, 1}));
+    EXPECT_TRUE(loop.HasRun(EventKey{5, 5, 99}));
+    EXPECT_FALSE(loop.HasRun(EventKey{10, 0, 2}));
+    EXPECT_FALSE(loop.HasRun(EventKey{10, 5, 0}));
+    checked = true;
+  });
+  loop.RunOne();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(loop.events_run(), 1u);
 }
 
 TEST(EventLoopTest, NestedSchedulingAdvancesClock) {
@@ -103,22 +176,30 @@ Message MakeHeartbeat(const MemberId& from, const MemberId& to) {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : loop_(7), network_(&loop_, NetworkOptions{}) {
-    for (const auto& [id, region] :
-         std::vector<std::pair<MemberId, RegionId>>{
-             {"a", "r0"}, {"b", "r0"}, {"c", "r1"}}) {
-      network_.RegisterNode(id, region,
-                            [this, id = id](const MemberId& from,
-                                            const Message& m) {
-                              deliveries_.push_back({id, from});
-                              if (const auto* request =
-                                      std::get_if<AppendEntriesRequest>(&m)) {
-                                delivered_terms_.push_back(request->term);
-                              }
-                            });
-    }
+  NetworkTest() : loop_(7), network_(&loop_, WithMetrics(&metrics_)) {
+    Register("a", "r0");
+    Register("b", "r0");
+    Register("c", "r1");
   }
 
+  static NetworkOptions WithMetrics(metrics::MetricRegistry* metrics) {
+    NetworkOptions options;
+    options.metrics = metrics;
+    return options;
+  }
+
+  void Register(const MemberId& id, const RegionId& region) {
+    network_.RegisterNode(id, region,
+                          [this, id](const MemberId& from, const Message& m) {
+                            deliveries_.push_back({id, from});
+                            if (const auto* request =
+                                    std::get_if<AppendEntriesRequest>(&m)) {
+                              delivered_terms_.push_back(request->term);
+                            }
+                          });
+  }
+
+  metrics::MetricRegistry metrics_;
   EventLoop loop_;
   SimNetwork network_;
   std::vector<std::pair<MemberId, MemberId>> deliveries_;  // (to, from)
@@ -192,6 +273,42 @@ TEST_F(NetworkTest, CrashMidFlightDropsAtDelivery) {
   network_.SetNodeUp("c", false);  // crashes while the message flies
   loop_.RunFor(30'000);
   EXPECT_TRUE(deliveries_.empty());
+}
+
+TEST_F(NetworkTest, RestartMidFlightDropsTheOldRegistrationsMessage) {
+  // A restart is a new registration on the member's old slot: a message
+  // sent to the crashed process dies with its connection.
+  network_.Send("a", MakeHeartbeat("a", "c"));  // ~15ms in flight
+  loop_.RunFor(1'000);
+  network_.SetNodeUp("c", false);
+  network_.UnregisterNode("c");
+  Register("c", "r1");
+  network_.SetNodeUp("c", true);
+  network_.Send("a", MakeHeartbeat("a", "c"));  // to the new process
+  loop_.RunFor(30'000);
+  ASSERT_EQ(deliveries_.size(), 1u);
+  EXPECT_EQ(deliveries_[0].first, "c");
+  EXPECT_EQ(MetricValue(&metrics_, "net.dropped.in_flight"), 1u);
+  EXPECT_EQ(MetricValue(&metrics_, "net.dropped"), 1u);
+  // The member's traffic is still one pair across both registrations.
+  EXPECT_EQ(network_.member_link_stats().at({"a", "c"}).messages, 2u);
+}
+
+TEST_F(NetworkTest, RestartedSenderStartsNewConnections) {
+  // The old process's message is slow; the restarted process's first
+  // message is not queued behind it.
+  network_.SetNodeExtraDelay("a", 100'000);
+  auto first = std::get<AppendEntriesRequest>(MakeHeartbeat("a", "c"));
+  first.term = 1;
+  network_.Send("a", Message(first));
+  network_.UnregisterNode("a");
+  Register("a", "r0");
+  network_.SetNodeExtraDelay("a", 0);
+  auto second = std::get<AppendEntriesRequest>(MakeHeartbeat("a", "c"));
+  second.term = 2;
+  network_.Send("a", Message(second));
+  loop_.RunFor(200'000);
+  EXPECT_EQ(delivered_terms_, (std::vector<uint64_t>{2, 1}));
 }
 
 TEST_F(NetworkTest, ByteAccountingPerRegionAndMember) {

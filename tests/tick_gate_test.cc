@@ -5,6 +5,8 @@
 // mirrors: bootstrap, writes, lease and follower reads, graceful and
 // timed-out transfers, an RPC timeout behind a partition, auto step-down
 // with a parked quorum read, a crash/restart, and a learner throughout.
+// Timer-driven ticks: an input at a grid instant ticks at the node's next
+// slot that has not run, and an idle learner pops almost no tick events.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,8 @@ constexpr uint64_t kSecond = 1'000'000;
 /// Audit spacing: off the 20 ms tick grid, so audits land at many
 /// different offsets from the ticks.
 constexpr uint64_t kAuditStep = 11 * kMilli;
+/// The node tick grid's period.
+constexpr uint64_t kTick = 20 * kMilli;
 
 const raft::QuorumEngine* FlexiEngine() {
   static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
@@ -99,6 +103,23 @@ class TickGateTest : public ::testing::Test {
       if (cluster_->node(id)->region() != region) return id;
     }
     return "";
+  }
+
+  /// The ring's learner: its consensus sets no deadline of its own, so
+  /// it ticks only when an input reopens its gate.
+  MemberId Learner() {
+    for (const MemberId& id : cluster_->ids()) {
+      if (id.rfind("learner", 0) == 0) return id;
+    }
+    return "";
+  }
+
+  /// The first instant on every node's tick grid (the ring boots at
+  /// time 0, so grid instants are multiples of 20 ms) at least `after`
+  /// from now.
+  uint64_t GridInstantAfter(uint64_t after) {
+    const uint64_t at = loop()->now() + after;
+    return (at + kTick - 1) / kTick * kTick;
   }
 
   uint64_t Counter(const MemberId& id, const char* name) {
@@ -180,12 +201,84 @@ TEST_F(TickGateTest, ShutGateMeansTickIsANoOp) {
   RunAudited(6 * kSecond);
 
   EXPECT_TRUE(cluster_->CheckReplicaConsistency());
-  uint64_t gated = 0;
+  uint64_t early = 0;
   for (const MemberId& id : cluster_->ids()) {
-    gated += cluster_->node(id)->ticks_gated();
+    early += cluster_->node(id)->ticks_early();
   }
-  EXPECT_GT(gated, 0u);
+  EXPECT_GT(early, 0u);
   EXPECT_GT(audits_, 1'000u);
+}
+
+TEST_F(TickGateTest, InputAtAGridInstantTicksAtTheNextUnrunSlot) {
+  loop()->RunFor(6 * kSecond);
+  const MemberId learner = Learner();
+  ASSERT_FALSE(learner.empty());
+  // Cut the learner off, so nothing but this test's inputs reaches it.
+  cluster_->network()->SetNodeUp(learner, false);
+  loop()->RunFor(2 * kSecond);
+  SimNode* node = cluster_->node(learner);
+  ASSERT_EQ(node->tick_due_micros(), UINT64_MAX);
+
+  // An input at grid instant g scheduled from g - 10 ms sorts after the
+  // node's slot at g, keyed (g, g - 20 ms, ...): that slot has run, so the
+  // reopened gate ticks at g + 20 ms.
+  const uint64_t g = GridInstantAfter(100 * kMilli);
+  uint64_t ran = node->ticks_run();
+  loop()->RunUntil(g - 10 * kMilli);
+  loop()->Schedule(10 * kMilli, [this, &learner]() {
+    cluster_->node(learner)->server();
+  });
+  loop()->RunUntil(g + kTick - 1);
+  EXPECT_EQ(node->ticks_run(), ran);
+  loop()->RunUntil(g + kTick);
+  EXPECT_EQ(node->ticks_run(), ran + 1);
+
+  // Scheduled from before g - 20 ms, the input sorts before the slot at
+  // g2, so the node ticks at g2 itself.
+  const uint64_t g2 = GridInstantAfter(200 * kMilli);
+  ran = node->ticks_run();
+  loop()->Schedule(g2 - loop()->now(), [this, &learner]() {
+    cluster_->node(learner)->server();
+  });
+  loop()->RunUntil(g2 - 1);
+  EXPECT_EQ(node->ticks_run(), ran);
+  loop()->RunUntil(g2);
+  EXPECT_EQ(node->ticks_run(), ran + 1);
+
+  // After RunUntil(g3) every slot at g3 has run: an input from outside
+  // the loop at g3 ticks at g3 + 20 ms.
+  const uint64_t g3 = GridInstantAfter(100 * kMilli);
+  loop()->RunUntil(g3);
+  ran = node->ticks_run();
+  cluster_->node(learner)->server();
+  loop()->RunUntil(g3 + kTick - 1);
+  EXPECT_EQ(node->ticks_run(), ran);
+  loop()->RunUntil(g3 + kTick);
+  EXPECT_EQ(node->ticks_run(), ran + 1);
+}
+
+TEST_F(TickGateTest, IdleLearnerPopsAHandfulOfTickEvents) {
+  loop()->RunFor(6 * kSecond);
+  const MemberId learner = Learner();
+  ASSERT_FALSE(learner.empty());
+  SimNode* node = cluster_->node(learner);
+  auto received = [this, &learner]() {
+    uint64_t messages = 0;
+    for (const auto& [pair, link] :
+         cluster_->network()->member_link_stats()) {
+      if (pair.second == learner) messages += link.messages;
+    }
+    return messages;
+  };
+  const uint64_t events = node->tick_events();
+  const uint64_t run = node->ticks_run();
+  const uint64_t messages = received();
+  loop()->RunFor(10 * kSecond);
+  // A 20 ms chain would have popped 500 tick events here. The learner
+  // still hears the leader's heartbeats; they set it no deadline.
+  EXPECT_LE(node->tick_events() - events, 5u);
+  EXPECT_LE(node->ticks_run() - run, 5u);
+  EXPECT_GE(received() - messages, 10u);
 }
 
 }  // namespace
