@@ -318,9 +318,7 @@ Status BinlogManager::AppendRotateAndStartNewFile(OpId opid) {
   if (options_.tracer != nullptr) {
     options_.tracer->Instant(
         "binlog", "rotate", 0,
-        StringPrintf("next=%s opid=%llu.%llu", body.next_file.c_str(),
-                     (unsigned long long)opid.term,
-                     (unsigned long long)opid.index));
+        trace::Args("next", body.next_file, "opid", opid));
   }
   rotations_->Increment();
   bytes_written_->Increment(event.EncodedSize());

@@ -7,8 +7,16 @@
 
 namespace myraft::binlog {
 
+void Gtid::AppendTo(std::string* dst) const {
+  server_uuid.AppendTo(dst);
+  dst->push_back(':');
+  AppendDecimal(dst, txn_no);
+}
+
 std::string Gtid::ToString() const {
-  return server_uuid.ToString() + ":" + std::to_string(txn_no);
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 Result<Gtid> Gtid::Parse(const std::string& text) {

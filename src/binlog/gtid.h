@@ -24,6 +24,8 @@ struct Gtid {
 
   auto operator<=>(const Gtid&) const = default;
 
+  /// Appends "uuid:txn_no".
+  void AppendTo(std::string* dst) const;
   std::string ToString() const;
   static Result<Gtid> Parse(const std::string& text);
 };

@@ -136,8 +136,8 @@ void ProxyRouter::RouteRequest(AppendEntriesRequest request) {
   if (options_.tracer != nullptr) {
     options_.tracer->Instant(
         "proxy", "proxied", request.trace_id,
-        StringPrintf("dest=%s relay=%s n=%zu", request.dest.c_str(),
-                     relay.c_str(), request.entries.size()));
+        trace::Args("dest", request.dest, "relay", relay, "n",
+                    request.entries.size()));
   }
   request.route.push_back(relay);
   request.proxy_payload_omitted = true;
@@ -192,8 +192,7 @@ bool ProxyRouter::HandleInbound(const Message& message) {
       if (options_.tracer != nullptr) {
         options_.tracer->Instant(
             "proxy", "relayed", hop.trace_id,
-            StringPrintf("dest=%s hops_left=%zu", hop.dest.c_str(),
-                         hop.route.size()));
+            trace::Args("dest", hop.dest, "hops_left", hop.route.size()));
       }
       Message out(std::move(hop));
       bytes_relayed_->Increment(MessageWireBytes(out));
@@ -275,8 +274,7 @@ void ProxyRouter::DrainQueue(std::deque<PendingProxyOp>* queue) {
       if (options_.tracer != nullptr) {
         options_.tracer->Instant(
             "proxy", "reconstituted", request.trace_id,
-            StringPrintf("dest=%s n=%zu", request.dest.c_str(),
-                         request.entries.size()));
+            trace::Args("dest", request.dest, "n", request.entries.size()));
       }
       request.proxy_payload_omitted = false;
     } else if (now >= head.deadline_micros) {
@@ -286,8 +284,7 @@ void ProxyRouter::DrainQueue(std::deque<PendingProxyOp>* queue) {
       if (options_.tracer != nullptr) {
         options_.tracer->Instant(
             "proxy", "degraded_to_heartbeat", request.trace_id,
-            StringPrintf("dest=%s n=%zu", request.dest.c_str(),
-                         request.entries.size()));
+            trace::Args("dest", request.dest, "n", request.entries.size()));
       }
       request.entries.clear();
       request.proxy_payload_omitted = false;

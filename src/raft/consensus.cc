@@ -744,11 +744,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
       }
       batch.trace_span_id = options_.tracer->BeginSpan(
           "raft", "replicate.batch", ctx.trace_id, ctx.span_id,
-          StringPrintf("peer=%s first=%llu last=%llu window=%zu",
-                       peer_id.c_str(),
-                       (unsigned long long)batch.first_index,
-                       (unsigned long long)batch.last_index,
-                       peer.inflight.size() + 1));
+          trace::Args("peer", peer_id, "first", batch.first_index, "last",
+                      batch.last_index, "window", peer.inflight.size() + 1));
       request.trace_id = ctx.trace_id;
       request.trace_span_id = batch.trace_span_id;
     }
@@ -859,11 +856,10 @@ void RaftConsensus::SetCommitMarker(OpId new_marker) {
          it != replicate_trace_ctx_.end() && it->first <= new_marker.index;) {
       options_.tracer->Instant(
           "raft", "quorum_ack", it->second.trace_id,
-          StringPrintf("index=%llu completed_by=%s",
-                       (unsigned long long)it->first,
-                       last_commit_completer_.empty()
-                           ? "self"
-                           : last_commit_completer_.c_str()));
+          trace::Args("index", it->first, "completed_by",
+                      last_commit_completer_.empty()
+                          ? std::string_view("self")
+                          : std::string_view(last_commit_completer_)));
       it = replicate_trace_ctx_.erase(it);
     }
   }
@@ -1119,9 +1115,8 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   if (options_.tracer != nullptr && !request.entries.empty()) {
     append_span.id = options_.tracer->BeginSpan(
         "raft", "follower.append", request.trace_id, request.trace_span_id,
-        StringPrintf("leader=%s n=%zu first=%llu", request.leader.c_str(),
-                     request.entries.size(),
-                     (unsigned long long)request.entries.front().id.index));
+        trace::Args("leader", request.leader, "n", request.entries.size(),
+                    "first", request.entries.front().id.index));
     append_span.end_args = "rejected";
   }
 
@@ -1247,9 +1242,9 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       }
       ScheduleGroupSync();
       if (append_span.id != 0) {
-        append_span.end_args = StringPrintf(
-            "ok held-for-group-sync last=%llu",
-            (unsigned long long)log_->LastOpId().index);
+        append_span.end_args = "ok held-for-group-sync";
+        trace::AppendArgs(&append_span.end_args, "last",
+                          log_->LastOpId().index);
       }
       return;
     }
@@ -1294,10 +1289,10 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
     response.lease_granted_micros = request.lease_sent_micros;
   }
   if (append_span.id != 0) {
-    append_span.end_args =
-        StringPrintf("ok last=%llu durable=%llu",
-                     (unsigned long long)response.last_received.index,
-                     (unsigned long long)response.last_durable_index);
+    append_span.end_args = "ok";
+    trace::AppendArgs(&append_span.end_args, "last",
+                      response.last_received.index, "durable",
+                      response.last_durable_index);
   }
 
   // Advance our commit marker to what the leader has committed (§3.4:
@@ -1341,8 +1336,8 @@ void RaftConsensus::HandleAppendEntriesResponse(
       if (options_.tracer != nullptr && front.trace_span_id != 0) {
         options_.tracer->EndSpan(
             front.trace_span_id,
-            StringPrintf("acked_by=%s durable=%llu", response.from.c_str(),
-                         (unsigned long long)response.last_durable_index));
+            trace::Args("acked_by", response.from, "durable",
+                        response.last_durable_index));
       }
       if (now > front.sent_micros) {
         m_.peer_rtt_us->Record(now - front.sent_micros);
@@ -1465,14 +1460,11 @@ Status RaftConsensus::BeginElection(ElectionMode mode,
       leader_.clear();
       election.election_term = meta_.current_term;
       if (options_.tracer != nullptr) {
-        options_.tracer->Instant(
-            "raft", "election_started", 0,
-            StringPrintf("term=%llu",
-                         (unsigned long long)election.election_term));
+        options_.tracer->Instant("raft", "election_started", 0,
+                                 trace::Args("term", election.election_term));
         election.trace_span_id = options_.tracer->BeginSpan(
             "raft", "election", 0, 0,
-            StringPrintf("term=%llu",
-                         (unsigned long long)election.election_term));
+            trace::Args("term", election.election_term));
       }
       break;
     }
@@ -1480,10 +1472,8 @@ Status RaftConsensus::BeginElection(ElectionMode mode,
       m_.pre_votes_started->Increment();
       election.election_term = meta_.current_term + 1;
       if (options_.tracer != nullptr) {
-        options_.tracer->Instant(
-            "raft", "pre_vote_started", 0,
-            StringPrintf("term=%llu",
-                         (unsigned long long)election.election_term));
+        options_.tracer->Instant("raft", "pre_vote_started", 0,
+                                 trace::Args("term", election.election_term));
       }
       break;
     }
@@ -1491,10 +1481,8 @@ Status RaftConsensus::BeginElection(ElectionMode mode,
       m_.mock_elections_started->Increment();
       election.election_term = meta_.current_term + 1;
       if (options_.tracer != nullptr) {
-        options_.tracer->Instant(
-            "raft", "mock_election_started", 0,
-            StringPrintf("term=%llu",
-                         (unsigned long long)election.election_term));
+        options_.tracer->Instant("raft", "mock_election_started", 0,
+                                 trace::Args("term", election.election_term));
       }
       break;
     }
@@ -1817,9 +1805,8 @@ void RaftConsensus::ReportMockOutcome(const MemberId& report_to,
 void RaftConsensus::BecomeLeader() {
   m_.elections_won->Increment();
   if (options_.tracer != nullptr) {
-    options_.tracer->Instant(
-        "raft", "election_won", 0,
-        StringPrintf("term=%llu", (unsigned long long)meta_.current_term));
+    options_.tracer->Instant("raft", "election_won", 0,
+                             trace::Args("term", meta_.current_term));
   }
   role_ = RaftRole::kLeader;
   leader_ = options_.self;
@@ -1931,9 +1918,7 @@ void RaftConsensus::StepDown(uint64_t new_term, const MemberId& new_leader,
     if (options_.tracer != nullptr) {
       options_.tracer->Instant(
           "raft", "step_down", 0,
-          StringPrintf("old_term=%llu new_term=%llu",
-                       (unsigned long long)old_term,
-                       (unsigned long long)meta_.current_term));
+          trace::Args("old_term", old_term, "new_term", meta_.current_term));
     }
     MYRAFT_LOG(Info) << options_.self << ": stepping down from term "
                      << old_term;

@@ -82,15 +82,19 @@ Status SemiSyncCluster::StartNode(const MemberId& id) {
   server_options.numeric_server_id = numeric;
   server_options.server_uuid = Uuid::FromIndex(numeric);
 
+  // Delivery waits for node->up, set below.
+  const uint32_t slot = network_.RegisterNode(
+      id, node->region, [node](const MemberId&, const Message& m) {
+        if (node->up) node->server->HandleMessage(m);
+      });
   auto server = SemiSyncServer::Create(
       node->env.get(), std::move(server_options), loop_.clock(),
-      [this, id](Message m) { network_.Send(id, std::move(m)); });
-  if (!server.ok()) return server.status();
+      [this, slot](Message m) { network_.Send(slot, std::move(m)); });
+  if (!server.ok()) {
+    network_.UnregisterNode(id);
+    return server.status();
+  }
   node->server = std::move(*server);
-  network_.RegisterNode(id, node->region,
-                        [node](const MemberId&, const Message& m) {
-                          if (node->up) node->server->HandleMessage(m);
-                        });
   network_.SetNodeUp(id, true);
   node->up = true;
   ++node->incarnation;

@@ -275,9 +275,7 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   m_.commit_stage_flush_us->Record(flushed_micros - submitted_micros);
   uint64_t wait_span = 0;
   if (tracer != nullptr) {
-    tracer->EndSpan(flush_span,
-                    StringPrintf("gtid=%s opid=%s", gtid.ToString().c_str(),
-                                 opid.ToString().c_str()));
+    tracer->EndSpan(flush_span, trace::Args("gtid", gtid, "opid", opid));
     wait_span = tracer->BeginSpan("server", "commit.consensus_wait", trace,
                                   total_span);
   }
@@ -380,10 +378,8 @@ void MySqlServer::OnConsensusCommitAdvanced(OpId marker) {
         std::max(group_commit_last_committed_, pending.opid.index);
     if (tracer != nullptr) {
       tracer->EndSpan(engine_span);
-      tracer->EndSpan(pending.total_span,
-                      StringPrintf("gtid=%s opid=%s",
-                                   pending.gtid.ToString().c_str(),
-                                   pending.opid.ToString().c_str()));
+      tracer->EndSpan(pending.total_span, trace::Args("gtid", pending.gtid,
+                                                      "opid", pending.opid));
     }
     const uint64_t total_micros = commit_end - pending.submitted_micros;
     if (options_.slow_txn_threshold_micros > 0 &&
@@ -498,32 +494,43 @@ void MySqlServer::RunApplier() {
     while (next_dispatch_index_ <= marker.index &&
            apply_window_.size() < window_cap) {
       if (!binlog_->HasEntry(next_dispatch_index_)) break;  // not received
-      auto entry = binlog_->ReadEntry(next_dispatch_index_);
-      if (!entry.ok()) {
-        MYRAFT_LOG(Error) << options_.id
-                          << ": applier read failed: " << entry.status();
-        break;
+      if (!dispatch_head_.has_value() ||
+          dispatch_head_->index != next_dispatch_index_) {
+        dispatch_head_.reset();
+        auto entry = binlog_->ReadEntry(next_dispatch_index_);
+        if (!entry.ok()) {
+          MYRAFT_LOG(Error) << options_.id
+                            << ": applier read failed: " << entry.status();
+          break;
+        }
+        if (entry->type != EntryType::kTransaction) {
+          // No-ops, config changes and rotate events advance the cursor
+          // only.
+          ApplyTask task;
+          task.opid = entry->id;
+          apply_window_.emplace(next_dispatch_index_, std::move(task));
+          ++next_dispatch_index_;
+          progress = true;
+          continue;
+        }
+        auto parsed = binlog::ParseTransactionPayload(entry->payload);
+        if (!parsed.ok()) {
+          MYRAFT_LOG(Error) << options_.id << ": apply parse failed at "
+                            << entry->id.ToString() << ": " << parsed.status();
+          break;
+        }
+        dispatch_head_ =
+            DispatchHead{next_dispatch_index_, entry->id, std::move(*parsed)};
       }
+      const OpId& opid = dispatch_head_->opid;
+      const binlog::ParsedTransaction* txn = &dispatch_head_->txn;
       ApplyTask task;
-      task.opid = entry->id;
-      if (entry->type != EntryType::kTransaction) {
-        // No-ops, config changes and rotate events advance the cursor only.
-        apply_window_.emplace(next_dispatch_index_, std::move(task));
-        ++next_dispatch_index_;
-        progress = true;
-        continue;
-      }
-      auto txn = binlog::ParseTransactionPayload(entry->payload);
-      if (!txn.ok()) {
-        MYRAFT_LOG(Error) << options_.id << ": apply parse failed at "
-                          << entry->id.ToString() << ": " << txn.status();
-        break;
-      }
+      task.opid = opid;
       // Dependency gate: schedulable once everything up to last_committed
       // has engine-committed. Unstamped transactions (pre-dependency
       // writers) depend on their immediate predecessor — serial order.
       const uint64_t dep = txn->sequence_number == 0
-                               ? entry->id.index - 1
+                               ? opid.index - 1
                                : txn->last_committed;
       if (next_apply_index_ <= dep) {
         m_.applier_dependency_stalls->Increment();
@@ -571,7 +578,7 @@ void MySqlServer::RunApplier() {
         if (s.ok()) s = engine_->Prepare(engine_txn, txn->xid);
         if (!s.ok()) {
           MYRAFT_LOG(Error) << options_.id << ": apply failed at "
-                            << entry->id.ToString() << ": " << s;
+                            << opid.ToString() << ": " << s;
           Status rollback = engine_->Rollback(engine_txn);
           (void)rollback;
           break;  // cursor not advanced: retried on the next pump
@@ -586,9 +593,8 @@ void MySqlServer::RunApplier() {
           // Stitch to the originating commit via the GTID-body context.
           task.trace_span = options_.tracer->BeginSpan(
               "applier", "apply", txn->trace_id, txn->trace_span_id,
-              StringPrintf("opid=%s slot=%ld",
-                           entry->id.ToString().c_str(),
-                           (long)(slot - applier_free_at_.begin())));
+              trace::Args("opid", opid, "slot",
+                          slot - applier_free_at_.begin()));
         }
         m_.applier_concurrency->Record((int64_t)std::count_if(
             applier_free_at_.begin(), applier_free_at_.end(),
@@ -598,6 +604,7 @@ void MySqlServer::RunApplier() {
         }
       }
       apply_window_.emplace(next_dispatch_index_, std::move(task));
+      dispatch_head_.reset();
       ++next_dispatch_index_;
       progress = true;
     }
@@ -625,6 +632,7 @@ void MySqlServer::ResetApplier() {
     }
   }
   apply_window_.clear();
+  dispatch_head_.reset();
   applier_inflight_writes_.clear();
   std::fill(applier_free_at_.begin(), applier_free_at_.end(), 0);
   next_apply_index_ = engine_->LastAppliedOpId().index + 1;
@@ -643,8 +651,7 @@ void MySqlServer::OnPromotionStarted(uint64_t term, OpId noop_opid) {
   }
   promotion_ = PromotionState{term, noop_opid, clock_->NowMicros()};
   if (options_.tracer != nullptr) {
-    const std::string args =
-        StringPrintf("term=%llu", (unsigned long long)term);
+    const std::string args = trace::Args("term", term);
     options_.tracer->Instant("server", "promotion_started", 0, args);
     promotion_->trace_span =
         options_.tracer->BeginSpan("server", "promotion", 0, 0, args);
@@ -715,9 +722,8 @@ void MySqlServer::MaybeCompletePromotion() {
                                   promotion_->started_micros);
   if (options_.tracer != nullptr) {
     options_.tracer->EndSpan(promotion_->trace_span);
-    options_.tracer->Instant(
-        "server", "promotion_completed", 0,
-        StringPrintf("term=%llu", (unsigned long long)consensus->term()));
+    options_.tracer->Instant("server", "promotion_completed", 0,
+                             trace::Args("term", consensus->term()));
   }
   promotion_.reset();
   MYRAFT_LOG(Info) << options_.id << ": promotion complete (term "
@@ -765,8 +771,7 @@ void MySqlServer::OnDemotion(uint64_t term) {
   witness_handoff_pending_ = false;
   if (options_.kind == MemberKind::kLogtailer) return;
   if (tracer != nullptr) {
-    tracer->Instant("server", "demotion", 0,
-                    StringPrintf("term=%llu", (unsigned long long)term));
+    tracer->Instant("server", "demotion", 0, trace::Args("term", term));
   }
 
   // Step 1: abort in-flight transactions awaiting consensus; they are in

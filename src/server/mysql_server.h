@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "binlog/transaction.h"
 #include "plugin/raft_plugin.h"
 #include "server/service_discovery.h"
 #include "storage/engine.h"
@@ -335,6 +336,17 @@ class MySqlServer final : public plugin::ServerHooks {
     std::vector<std::string> writeset;
   };
 
+  /// The committed entry at the dispatch cursor, read and parsed by a
+  /// pass that then stalled on it (dependency or writeset gate). Later
+  /// passes resume from it instead of reading and parsing it again; a
+  /// committed entry never changes, so it stays valid until dispatched or
+  /// the applier resets.
+  struct DispatchHead {
+    uint64_t index = 0;
+    OpId opid;
+    binlog::ParsedTransaction txn;
+  };
+
   /// Resolved registry-backed metric handles.
   struct Metrics {
     metrics::Counter* writes_accepted;
@@ -414,6 +426,7 @@ class MySqlServer final : public plugin::ServerHooks {
   uint64_t next_dispatch_index_ = 1;
   /// Dispatched-but-not-retired tasks, keyed by raft index.
   std::map<uint64_t, ApplyTask> apply_window_;
+  std::optional<DispatchHead> dispatch_head_;
   /// Row keys locked by in-window tasks (writeset conflict safety net).
   std::set<std::string> applier_inflight_writes_;
   /// Busy-until timestamps of the virtual applier worker slots.

@@ -6,9 +6,9 @@
 #ifndef MYRAFT_SERVER_SERVICE_DISCOVERY_H_
 #define MYRAFT_SERVER_SERVICE_DISCOVERY_H_
 
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "wire/types.h"
 
@@ -63,7 +63,7 @@ class InMemoryServiceDiscovery final : public ServiceDiscovery {
     MemberId member;
     uint64_t term = 0;
   };
-  std::map<std::string, Entry> primaries_;
+  std::unordered_map<std::string, Entry> primaries_;  // never iterated
   uint64_t publishes_ = 0;
 };
 

@@ -46,10 +46,11 @@ uint32_t SimNetwork::RegionIndex(const RegionId& region) {
   return static_cast<uint32_t>(region_names_.size() - 1);
 }
 
-void SimNetwork::RegisterNode(const MemberId& id, const RegionId& region,
-                              DeliverFn deliver) {
+uint32_t SimNetwork::RegisterNode(const MemberId& id, const RegionId& region,
+                                  DeliverFn deliver) {
   const uint32_t region_index = RegionIndex(region);
-  Slot& slot = slots_[SlotFor(id)];
+  const uint32_t index = SlotFor(id);
+  Slot& slot = slots_[index];
   slot.registered = true;
   slot.region = region_index;
   slot.registration = next_registration_++;
@@ -57,6 +58,7 @@ void SimNetwork::RegisterNode(const MemberId& id, const RegionId& region,
   // The new process's outbound connections are new too: no FIFO clamp
   // behind what its previous incarnation sent (registrations start at 1).
   for (Peer& peer : slot.peers) peer.dest_registration = 0;
+  return index;
 }
 
 void SimNetwork::UnregisterNode(const MemberId& id) {
@@ -194,12 +196,15 @@ uint64_t SimNetwork::SampleLatency(uint32_t from_region, uint32_t to_region) {
   return latency;
 }
 
-SimNetwork::Peer* SimNetwork::PeerOf(Slot* from, uint32_t dest) {
+SimNetwork::Peer* SimNetwork::PeerTo(Slot* from, const MemberId& dest) {
   for (Peer& peer : from->peers) {
-    if (peer.dest == dest) return &peer;
+    if (*peer.dest_id == dest) return &peer;
   }
+  const int64_t index = FindSlot(dest);
+  if (index < 0) return nullptr;
   Peer& peer = from->peers.emplace_back();
-  peer.dest = dest;
+  peer.dest = static_cast<uint32_t>(index);
+  peer.dest_id = &slots_[index].id;
   return &peer;
 }
 
@@ -225,17 +230,15 @@ void SimNetwork::ScheduleDelivery(uint32_t from, uint32_t dest,
   });
 }
 
-void SimNetwork::Send(const MemberId& from_id, Message message) {
+void SimNetwork::Send(uint32_t from_slot, Message message) {
   // Deliver to the physical next hop (a proxy relay when routed).
-  const int64_t from_index = FindSlot(from_id);
-  const int64_t dest_index = FindSlot(MessageNextHop(message));
-  if (from_index < 0 || dest_index < 0) {
+  Slot& from = slots_[from_slot];
+  Peer* peer = PeerTo(&from, MessageNextHop(message));
+  if (peer == nullptr) {
     CountDrop(m_dropped_node_down_);
     return;
   }
-  const uint32_t from_slot = static_cast<uint32_t>(from_index);
-  const uint32_t dest_slot = static_cast<uint32_t>(dest_index);
-  Slot& from = slots_[from_slot];
+  const uint32_t dest_slot = peer->dest;
   const Slot& dest = slots_[dest_slot];
   if (!from.registered || !dest.registered || !from.up || !dest.up) {
     CountDrop(m_dropped_node_down_);
@@ -250,7 +253,6 @@ void SimNetwork::Send(const MemberId& from_id, Message message) {
     return;
   }
 
-  Peer* peer = PeerOf(&from, dest_slot);
   ++peer->stats.messages;
   peer->stats.bytes += MessageWireBytes(message);
 

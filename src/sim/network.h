@@ -62,8 +62,11 @@ class SimNetwork {
 
   // --- Topology ---------------------------------------------------------------
 
-  void RegisterNode(const MemberId& id, const RegionId& region,
-                    DeliverFn deliver);
+  /// Registers a (new incarnation of a) member and returns its slot: the
+  /// sender handle for Send. A member keeps its slot across
+  /// registrations for the network's lifetime.
+  uint32_t RegisterNode(const MemberId& id, const RegionId& region,
+                        DeliverFn deliver);
   void UnregisterNode(const MemberId& id);
   bool IsRegistered(const MemberId& id) const;
   RegionId RegionOf(const MemberId& id) const;
@@ -107,12 +110,13 @@ class SimNetwork {
 
   // --- Sending ---------------------------------------------------------------
 
-  /// Queues delivery of `message` from `from` to its next hop after the
-  /// modelled latency. Each (from, next hop) link is FIFO, as TCP is: the
-  /// arrival is max(now + latency, the link's previous arrival). Only the
-  /// chaos faults (jitter, duplicates) and replication lag reorder a link.
-  /// Drops silently on faults.
-  void Send(const MemberId& from, Message message);
+  /// Queues delivery of `message` from the member registered at
+  /// `from_slot` to its next hop after the modelled latency. Each (from,
+  /// next hop) link is FIFO, as TCP is: the arrival is max(now + latency,
+  /// the link's previous arrival). Only the chaos faults (jitter,
+  /// duplicates) and replication lag reorder a link. Drops silently on
+  /// faults.
+  void Send(uint32_t from_slot, Message message);
 
   // --- Accounting -----------------------------------------------------------
 
@@ -140,6 +144,7 @@ class SimNetwork {
   /// One outbound link of a slot, toward one destination slot.
   struct Peer {
     uint32_t dest = 0;
+    const MemberId* dest_id = nullptr;  // the dest slot's id (slots stay put)
     /// FIFO tail: the registration the last message went to and its
     /// arrival. A new registration at either end starts a new
     /// connection, unclamped.
@@ -177,8 +182,10 @@ class SimNetwork {
   /// The index of `region`, interned on first mention.
   uint32_t RegionIndex(const RegionId& region);
   uint64_t SampleLatency(uint32_t from_region, uint32_t to_region);
-  /// This slot's link toward `dest`, created on first send.
-  Peer* PeerOf(Slot* from, uint32_t dest);
+  /// This slot's link toward member `dest`, created on the first send to
+  /// it; null when the network has never heard of `dest`. Only a link's
+  /// first send looks `dest` up in the id index.
+  Peer* PeerTo(Slot* from, const MemberId& dest);
   /// Whether a link cut, one-way cut or region partition drops
   /// messages from slot `from` to slot `to` (both registered).
   bool LinkCut(uint32_t from, uint32_t to) const;
@@ -192,7 +199,9 @@ class SimNetwork {
 
   EventLoop* loop_;
   NetworkOptions options_;
-  std::deque<Slot> slots_;  // a deque: delivery runs from a slot's callback
+  // A deque: delivery runs from a slot's callback, and Peer::dest_id
+  // points at a slot's id.
+  std::deque<Slot> slots_;
   std::unordered_map<MemberId, uint32_t> slot_index_;
   uint32_t next_registration_ = 1;
   std::vector<RegionId> region_names_;

@@ -73,10 +73,16 @@ Status SimNode::BuildProcess() {
       FinishInput();
     });
   };
-  // Router first (it is the server's outbox), bind consensus after.
+  // The network slot first: the router sends from it. Delivery waits for
+  // up_, set below.
+  net_slot_ = network_->RegisterNode(
+      id(), region(), [this](const MemberId& from, const Message& m) {
+        Deliver(from, m);
+      });
+  // Router next (it is the server's outbox), bind consensus after.
   router_ = std::make_unique<proxy::ProxyRouter>(
       options_.server.id, options_.server.region, options_.proxy, loop_,
-      [this](Message m) { network_->Send(id(), std::move(m)); });
+      [this](Message m) { network_->Send(net_slot_, std::move(m)); });
 
   // The server (and through it raft, binlog and engine) reads the node's
   // LOCAL clock — the drifting view the clock-drift nemesis manipulates.
@@ -84,14 +90,13 @@ Status SimNode::BuildProcess() {
                                             quorum_, &clock_,
                                             loop_->rng(), router_.get(),
                                             discovery_);
-  if (!server.ok()) return server.status();
+  if (!server.ok()) {
+    network_->UnregisterNode(id());
+    return server.status();
+  }
   server_ = std::move(*server);
   router_->BindConsensus(server_->consensus());
 
-  network_->RegisterNode(id(), region(),
-                         [this](const MemberId& from, const Message& m) {
-                           Deliver(from, m);
-                         });
   network_->SetNodeUp(id(), true);
   up_ = true;
   ++incarnation_;

@@ -189,6 +189,9 @@ class SimNode {
 
   EventLoop* loop_;
   SimNetwork* network_;
+  /// This member's SimNetwork slot, RegisterNode's result: the router
+  /// sends from it.
+  uint32_t net_slot_ = 0;
   server::ServiceDiscovery* discovery_;
   const raft::QuorumEngine* quorum_;
   Options options_;

@@ -121,13 +121,18 @@ std::vector<MemberId> Shard::database_ids() const {
   return out;
 }
 
-MemberId Shard::CurrentPrimary() {
+SimNode* Shard::PrimaryNode() {
   auto primary = context_.discovery->GetPrimary(options_.topology.replicaset);
-  if (!primary.has_value()) return "";
+  if (!primary.has_value()) return nullptr;
   auto it = nodes_.find(*primary);
-  if (it == nodes_.end() || !it->second->up()) return "";
-  if (!it->second->server_view()->writes_enabled()) return "";
-  return *primary;
+  if (it == nodes_.end() || !it->second->up()) return nullptr;
+  if (!it->second->server_view()->writes_enabled()) return nullptr;
+  return it->second.get();
+}
+
+MemberId Shard::CurrentPrimary() {
+  const SimNode* primary = PrimaryNode();
+  return primary == nullptr ? MemberId() : primary->id();
 }
 
 MemberId Shard::WaitForPrimary(uint64_t timeout_micros) {
@@ -142,9 +147,8 @@ MemberId Shard::WaitForPrimary(uint64_t timeout_micros) {
 }
 
 RegionId Shard::PrimaryRegion() {
-  const MemberId primary = CurrentPrimary();
-  if (primary.empty()) return "";
-  return nodes_.at(primary)->region();
+  const SimNode* primary = PrimaryNode();
+  return primary == nullptr ? RegionId() : primary->region();
 }
 
 bool Shard::CheckReplicaConsistency() {

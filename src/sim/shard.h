@@ -176,6 +176,9 @@ class Shard {
 
  private:
   RegionId RegionName(int r) const;
+  /// The node behind CurrentPrimary() (null if none): one discovery
+  /// lookup and one node lookup.
+  SimNode* PrimaryNode();
   SimNode::Options MakeNodeOptions(const MemberInfo& member,
                                    uint32_t numeric_id, Uuid uuid) const;
 

@@ -79,13 +79,4 @@ bool GetLengthPrefixed(Slice* input, Slice* result) {
   return true;
 }
 
-int VarintLength(uint64_t value) {
-  int len = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++len;
-  }
-  return len;
-}
-
 }  // namespace myraft

@@ -5,6 +5,7 @@
 #ifndef MYRAFT_UTIL_CODING_H_
 #define MYRAFT_UTIL_CODING_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -71,8 +72,43 @@ bool GetVarint32(Slice* input, uint32_t* value);
 bool GetVarint64(Slice* input, uint64_t* value);
 bool GetLengthPrefixed(Slice* input, Slice* result);
 
-/// Number of bytes PutVarint64 would emit for `value`.
-int VarintLength(uint64_t value);
+/// Number of bytes PutVarint64 would emit for `value`: one per started
+/// group of 7 significant bits (at least one).
+inline int VarintLength(uint64_t value) {
+  return 1 + (std::bit_width(value | 1) - 1) / 7;
+}
+
+// --- Field sinks ------------------------------------------------------------
+
+/// A codec written once as a template over its sink emits the same field
+/// sequence into either sink: StringSink appends the encoding, SizeSink
+/// only adds up its length. A size computed this way cannot drift from
+/// the bytes the encoder writes.
+class StringSink {
+ public:
+  explicit StringSink(std::string* dst) : dst_(dst) {}
+  void Byte(uint8_t value) { dst_->push_back(static_cast<char>(value)); }
+  void Fixed32(uint32_t value) { PutFixed32(dst_, value); }
+  void Varint(uint64_t value) { PutVarint64(dst_, value); }
+  void LengthPrefixed(const Slice& value) { PutLengthPrefixed(dst_, value); }
+
+ private:
+  std::string* dst_;
+};
+
+class SizeSink {
+ public:
+  void Byte(uint8_t) { ++size_; }
+  void Fixed32(uint32_t) { size_ += 4; }
+  void Varint(uint64_t value) { size_ += VarintLength(value); }
+  void LengthPrefixed(const Slice& value) {
+    size_ += VarintLength(value.size()) + value.size();
+  }
+  uint64_t size() const { return size_; }
+
+ private:
+  uint64_t size_ = 0;
+};
 
 }  // namespace myraft
 

@@ -3,6 +3,8 @@
 #ifndef MYRAFT_UTIL_STRING_UTIL_H_
 #define MYRAFT_UTIL_STRING_UTIL_H_
 
+#include <charconv>
+#include <concepts>
 #include <cstdarg>
 #include <cstdint>
 #include <string>
@@ -14,6 +16,15 @@ namespace myraft {
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Appends the decimal form of an integer (std::to_chars: no printf, no
+/// locale).
+template <std::integral T>
+void AppendDecimal(std::string* dst, T value) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  dst->append(buf, static_cast<size_t>(end - buf));
+}
 
 /// Splits on a single character; empty tokens are preserved.
 std::vector<std::string> SplitString(std::string_view input, char sep);

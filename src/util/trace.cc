@@ -10,7 +10,8 @@ namespace myraft::trace {
 
 namespace {
 
-void AppendJsonEscaped(const std::string& in, std::string* out) {
+void AppendJsonEscaped(std::string_view in, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (char c : in) {
     switch (c) {
       case '"': out->append("\\\""); break;
@@ -19,7 +20,9 @@ void AppendJsonEscaped(const std::string& in, std::string* out) {
       case '\t': out->append("\\t"); break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out->append(StringPrintf("\\u%04x", c));
+          out->append("\\u00");
+          out->push_back(kHex[c >> 4]);
+          out->push_back(kHex[c & 0xf]);
         } else {
           out->push_back(c);
         }
@@ -27,10 +30,15 @@ void AppendJsonEscaped(const std::string& in, std::string* out) {
   }
 }
 
-std::string JsonString(const std::string& in) {
-  std::string out = "\"";
-  AppendJsonEscaped(in, &out);
-  out.push_back('"');
+void AppendJsonString(std::string_view in, std::string* out) {
+  out->push_back('"');
+  AppendJsonEscaped(in, out);
+  out->push_back('"');
+}
+
+std::string JsonString(std::string_view in) {
+  std::string out;
+  AppendJsonString(in, &out);
   return out;
 }
 
@@ -43,32 +51,42 @@ const char* KindTag(RecordKind kind) {
   return "?";
 }
 
+// Appends `,"key":value` for a nonzero id.
+void AppendIdField(const char* key, uint64_t value, std::string* out) {
+  if (value == 0) return;
+  out->append(key);
+  AppendDecimal(out, value);
+}
+
 // One merged-timeline record as a compact JSON object — the shared shape
 // behind ExportJsonl (newline-delimited) and ExportJsonArrayTail
 // (comma-joined array for flight-recorder bundles).
 void AppendRecordJson(const std::string& node, const TraceRecord& r,
                       std::string* out) {
-  out->append(StringPrintf("{\"node\":%s,\"seq\":%llu,\"ts\":%llu,\"ph\":\"%s\"",
-                           JsonString(node).c_str(),
-                           (unsigned long long)r.seq,
-                           (unsigned long long)r.ts_micros, KindTag(r.kind)));
+  out->append("{\"node\":");
+  AppendJsonString(node, out);
+  out->append(",\"seq\":");
+  AppendDecimal(out, r.seq);
+  out->append(",\"ts\":");
+  AppendDecimal(out, r.ts_micros);
+  out->append(",\"ph\":\"");
+  out->append(KindTag(r.kind));
+  out->push_back('"');
   if (!r.category.empty()) {
-    out->append(",\"cat\":" + JsonString(r.category));
+    out->append(",\"cat\":");
+    AppendJsonString(r.category, out);
   }
-  if (!r.name.empty()) out->append(",\"name\":" + JsonString(r.name));
-  if (r.trace_id != 0) {
-    out->append(StringPrintf(",\"trace\":%llu",
-                             (unsigned long long)r.trace_id));
+  if (!r.name.empty()) {
+    out->append(",\"name\":");
+    AppendJsonString(r.name, out);
   }
-  if (r.span_id != 0) {
-    out->append(StringPrintf(",\"span\":%llu",
-                             (unsigned long long)r.span_id));
+  AppendIdField(",\"trace\":", r.trace_id, out);
+  AppendIdField(",\"span\":", r.span_id, out);
+  AppendIdField(",\"parent\":", r.parent_span_id, out);
+  if (!r.args.empty()) {
+    out->append(",\"args\":");
+    AppendJsonString(r.args, out);
   }
-  if (r.parent_span_id != 0) {
-    out->append(StringPrintf(",\"parent\":%llu",
-                             (unsigned long long)r.parent_span_id));
-  }
-  if (!r.args.empty()) out->append(",\"args\":" + JsonString(r.args));
   out->push_back('}');
 }
 
@@ -83,16 +101,15 @@ Tracer::Tracer(TracerOptions options) : options_(std::move(options)) {
   dropped_counter_ = registry->GetCounter("trace.dropped");
 }
 
-uint64_t Tracer::BeginSpan(std::string category, std::string name,
-                           uint64_t trace_id, uint64_t parent_span_id,
-                           std::string args) {
+uint64_t Tracer::BeginSpan(Literal category, Literal name, uint64_t trace_id,
+                           uint64_t parent_span_id, std::string args) {
   TraceRecord record;
   record.kind = RecordKind::kSpanBegin;
   record.trace_id = trace_id;
   record.span_id = NextId();
   record.parent_span_id = parent_span_id;
-  record.category = std::move(category);
-  record.name = std::move(name);
+  record.category = category.view();
+  record.name = name.view();
   record.args = std::move(args);
   const uint64_t span_id = record.span_id;
   Push(std::move(record));
@@ -108,13 +125,13 @@ void Tracer::EndSpan(uint64_t span_id, std::string args) {
   Push(std::move(record));
 }
 
-void Tracer::Instant(std::string category, std::string name,
-                     uint64_t trace_id, std::string args) {
+void Tracer::Instant(Literal category, Literal name, uint64_t trace_id,
+                     std::string args) {
   TraceRecord record;
   record.kind = RecordKind::kInstant;
   record.trace_id = trace_id;
-  record.category = std::move(category);
-  record.name = std::move(name);
+  record.category = category.view();
+  record.name = name.view();
   record.args = std::move(args);
   Push(std::move(record));
 }
@@ -198,8 +215,8 @@ std::string ExportChromeJson(const std::vector<JournalView>& journals) {
                       pid, JsonString(journal.node).c_str()));
 
     // One Perfetto "thread" per subsystem category, in first-use order.
-    std::vector<std::string> categories;
-    auto tid_for = [&categories](const std::string& category) {
+    std::vector<std::string_view> categories;
+    auto tid_for = [&categories](std::string_view category) {
       for (size_t i = 0; i < categories.size(); ++i) {
         if (categories[i] == category) return static_cast<int>(i) + 1;
       }
@@ -291,8 +308,10 @@ TraceAnalyzer::TraceAnalyzer(std::vector<JournalView> journals)
       if (node_it == open.end()) continue;
       auto it = node_it->second.find(r.span_id);
       if (it == node_it->second.end()) continue;
-      stages_[it->second.category + "." + it->second.name].Add(
-          r.ts_micros - it->second.ts_micros);
+      std::string stage(it->second.category);
+      stage.push_back('.');
+      stage.append(it->second.name);
+      stages_[stage].Add(r.ts_micros - it->second.ts_micros);
       node_it->second.erase(it);
     }
   }

@@ -25,11 +25,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/clock.h"
 #include "util/histogram.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 
 namespace myraft::trace {
 
@@ -47,6 +49,21 @@ enum class RecordKind : uint8_t {
   kInstant = 2,
 };
 
+/// A record's category or name: a string literal, which a consteval
+/// constructor checks at compile time (a std::string, a pointer or a
+/// local array does not compile). Records keep only a view of it, valid
+/// for the program's lifetime.
+class Literal {
+ public:
+  template <size_t N>
+  consteval Literal(const char (&text)[N])  // NOLINT: implicit by design
+      : view_(text, N - 1) {}
+  std::string_view view() const { return view_; }
+
+ private:
+  std::string_view view_;
+};
+
 struct TraceRecord {
   RecordKind kind = RecordKind::kInstant;
   uint64_t seq = 0;        // per-journal monotonic; stable-sort tie break
@@ -54,10 +71,53 @@ struct TraceRecord {
   uint64_t trace_id = 0;   // 0 = not tied to a client transaction
   uint64_t span_id = 0;    // spans only
   uint64_t parent_span_id = 0;  // kSpanBegin only
-  std::string category;    // subsystem ("server", "raft", "applier", ...)
-  std::string name;        // stage/event name within the category
+  std::string_view category;  // subsystem ("server", "raft", ...); a Literal
+  std::string_view name;      // stage/event name within it; a Literal
   std::string args;        // preformatted "k=v k=v" annotations
 };
+
+namespace internal {
+
+template <typename T>
+concept AppendsItself = requires(const T& value, std::string* dst) {
+  value.AppendTo(dst);
+};
+
+inline void AppendArgValue(std::string* dst, std::string_view value) {
+  dst->append(value);
+}
+template <std::integral T>
+void AppendArgValue(std::string* dst, T value) {
+  AppendDecimal(dst, value);
+}
+template <AppendsItself T>
+void AppendArgValue(std::string* dst, const T& value) {
+  value.AppendTo(dst);
+}
+
+}  // namespace internal
+
+/// Appends "key=value" pairs to a record's annotation, space-separated,
+/// without printf. Arguments alternate a literal key and its value: a
+/// string, an integer (written by std::to_chars) or a type with
+/// AppendTo(std::string*), e.g. OpId.
+template <size_t N, typename V, typename... Rest>
+void AppendArgs(std::string* dst, const char (&key)[N], const V& value,
+                const Rest&... rest) {
+  if (!dst->empty()) dst->push_back(' ');
+  dst->append(key, N - 1);
+  dst->push_back('=');
+  internal::AppendArgValue(dst, value);
+  if constexpr (sizeof...(rest) > 0) AppendArgs(dst, rest...);
+}
+
+/// A fresh annotation: Args("peer", id, "first", 7) is "peer=db1 first=7".
+template <typename... KeyValues>
+std::string Args(const KeyValues&... key_values) {
+  std::string out;
+  AppendArgs(&out, key_values...);
+  return out;
+}
 
 struct TracerOptions {
   std::string node;            // journal owner, becomes the Perfetto process
@@ -81,14 +141,14 @@ class Tracer {
   uint64_t NextTraceId() { return NextId(); }
 
   /// Opens a span and returns its id. parent_span_id == 0 makes a root.
-  uint64_t BeginSpan(std::string category, std::string name,
-                     uint64_t trace_id, uint64_t parent_span_id,
+  uint64_t BeginSpan(Literal category, Literal name, uint64_t trace_id,
+                     uint64_t parent_span_id,
                      std::string args = std::string());
   /// Closes a previously begun span. Unmatched ids are tolerated (the
   /// begin may have been dropped by ring overflow or died with a crash).
   void EndSpan(uint64_t span_id, std::string args = std::string());
   /// Records a point-in-time event.
-  void Instant(std::string category, std::string name, uint64_t trace_id = 0,
+  void Instant(Literal category, Literal name, uint64_t trace_id = 0,
                std::string args = std::string());
 
   const std::string& node() const { return options_.node; }

@@ -41,15 +41,22 @@ bool Uuid::IsNil() const {
   return true;
 }
 
+void Uuid::AppendTo(std::string* dst) const {
+  static constexpr char kHex[] = "0123456789abcdef";
+  char buf[36];
+  char* out = buf;
+  for (size_t i = 0; i < bytes_.size(); ++i) {
+    if (i == 4 || i == 6 || i == 8 || i == 10) *out++ = '-';
+    *out++ = kHex[bytes_[i] >> 4];
+    *out++ = kHex[bytes_[i] & 0xf];
+  }
+  dst->append(buf, sizeof(buf));
+}
+
 std::string Uuid::ToString() const {
-  char buf[37];
-  snprintf(buf, sizeof(buf),
-           "%02x%02x%02x%02x-%02x%02x-%02x%02x-%02x%02x-"
-           "%02x%02x%02x%02x%02x%02x",
-           bytes_[0], bytes_[1], bytes_[2], bytes_[3], bytes_[4], bytes_[5],
-           bytes_[6], bytes_[7], bytes_[8], bytes_[9], bytes_[10], bytes_[11],
-           bytes_[12], bytes_[13], bytes_[14], bytes_[15]);
-  return std::string(buf);
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 namespace {

@@ -29,6 +29,8 @@ class Uuid {
   /// Reconstructs a UUID from its 16 raw bytes.
   static Uuid FromBytes(const uint8_t* bytes);
 
+  /// Appends the canonical 8-4-4-4-12 lowercase hex form.
+  void AppendTo(std::string* dst) const;
   std::string ToString() const;
   bool IsNil() const;
 

@@ -37,11 +37,8 @@ bool LogEntry::VerifyChecksum() const {
 }
 
 void LogEntry::EncodeTo(std::string* dst) const {
-  PutVarint64(dst, id.term);
-  PutVarint64(dst, id.index);
-  dst->push_back(static_cast<char>(type));
-  PutFixed32(dst, checksum);
-  PutLengthPrefixed(dst, payload_bytes());
+  StringSink sink(dst);
+  EncodeFields(&sink);
 }
 
 Result<LogEntry> LogEntry::DecodeFrom(Slice* input) {

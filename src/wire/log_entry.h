@@ -57,6 +57,15 @@ struct LogEntry {
 
   /// Wire/disk encoding (appended to *dst).
   void EncodeTo(std::string* dst) const;
+  /// The encoding's field sequence, into a util/coding.h field sink.
+  template <typename Sink>
+  void EncodeFields(Sink* sink) const {
+    sink->Varint(id.term);
+    sink->Varint(id.index);
+    sink->Byte(static_cast<uint8_t>(type));
+    sink->Fixed32(checksum);
+    sink->LengthPrefixed(payload_bytes());
+  }
   /// Consumes one entry from the front of `input`.
   static Result<LogEntry> DecodeFrom(Slice* input);
 

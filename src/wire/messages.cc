@@ -6,10 +6,6 @@ namespace myraft {
 
 namespace {
 
-void PutString(std::string* dst, const std::string& s) {
-  PutLengthPrefixed(dst, s);
-}
-
 bool GetString(Slice* in, std::string* out) {
   Slice s;
   if (!GetLengthPrefixed(in, &s)) return false;
@@ -17,18 +13,23 @@ bool GetString(Slice* in, std::string* out) {
   return true;
 }
 
-void PutOpId(std::string* dst, const OpId& id) {
-  PutVarint64(dst, id.term);
-  PutVarint64(dst, id.index);
+// Encoders are written once over a util/coding.h field sink: EncodeTo
+// runs them into a StringSink and MessageWireBytes into a SizeSink.
+
+template <typename Sink>
+void PutOpId(Sink* sink, const OpId& id) {
+  sink->Varint(id.term);
+  sink->Varint(id.index);
 }
 
 bool GetOpId(Slice* in, OpId* id) {
   return GetVarint64(in, &id->term) && GetVarint64(in, &id->index);
 }
 
-void PutRoute(std::string* dst, const std::vector<MemberId>& route) {
-  PutVarint64(dst, route.size());
-  for (const auto& hop : route) PutString(dst, hop);
+template <typename Sink>
+void PutRoute(Sink* sink, const std::vector<MemberId>& route) {
+  sink->Varint(route.size());
+  for (const auto& hop : route) sink->LengthPrefixed(hop);
 }
 
 bool GetRoute(Slice* in, std::vector<MemberId>* route) {
@@ -51,23 +52,33 @@ Status Truncated(const char* what) {
 
 // --- AppendEntriesRequest ---------------------------------------------------
 
-void AppendEntriesRequest::EncodeTo(std::string* dst) const {
-  PutString(dst, leader);
-  PutString(dst, dest);
-  PutRoute(dst, route);
-  PutVarint64(dst, term);
-  PutOpId(dst, prev);
-  PutOpId(dst, commit_marker);
+namespace {
+
+template <typename Sink>
+void PutFields(const AppendEntriesRequest& m, Sink* sink) {
+  sink->LengthPrefixed(m.leader);
+  sink->LengthPrefixed(m.dest);
+  PutRoute(sink, m.route);
+  sink->Varint(m.term);
+  PutOpId(sink, m.prev);
+  PutOpId(sink, m.commit_marker);
   uint8_t flags = 0;
-  if (proxy_payload_omitted) flags |= 0x1;
-  if (entries_compressed) flags |= 0x2;
-  dst->push_back(static_cast<char>(flags));
-  PutVarint64(dst, entries.size());
-  for (const auto& e : entries) e.EncodeTo(dst);
-  PutVarint64(dst, trace_id);
-  PutVarint64(dst, trace_span_id);
-  PutVarint64(dst, lease_sent_micros);
-  PutLengthPrefixed(dst, config_payload);
+  if (m.proxy_payload_omitted) flags |= 0x1;
+  if (m.entries_compressed) flags |= 0x2;
+  sink->Byte(flags);
+  sink->Varint(m.entries.size());
+  for (const auto& e : m.entries) e.EncodeFields(sink);
+  sink->Varint(m.trace_id);
+  sink->Varint(m.trace_span_id);
+  sink->Varint(m.lease_sent_micros);
+  sink->LengthPrefixed(m.config_payload);
+}
+
+}  // namespace
+
+void AppendEntriesRequest::EncodeTo(std::string* dst) const {
+  StringSink sink(dst);
+  PutFields(*this, &sink);
 }
 
 Result<AppendEntriesRequest> AppendEntriesRequest::DecodeFrom(Slice in) {
@@ -108,20 +119,30 @@ uint64_t AppendEntriesRequest::PayloadBytes() const {
 
 // --- AppendEntriesResponse ----------------------------------------------------
 
+namespace {
+
+template <typename Sink>
+void PutFields(const AppendEntriesResponse& m, Sink* sink) {
+  sink->LengthPrefixed(m.from);
+  sink->LengthPrefixed(m.dest);
+  PutRoute(sink, m.route);
+  sink->Varint(m.term);
+  sink->Byte(m.success ? 1 : 0);
+  PutOpId(sink, m.last_received);
+  sink->Varint(m.last_durable_index);
+  sink->Varint(m.request_prev_index);
+  sink->Varint(m.trace_id);
+  sink->Varint(m.trace_span_id);
+  sink->Varint(m.lease_granted_micros);
+  sink->Varint(m.config_term);
+  sink->Varint(m.config_version);
+}
+
+}  // namespace
+
 void AppendEntriesResponse::EncodeTo(std::string* dst) const {
-  PutString(dst, from);
-  PutString(dst, dest);
-  PutRoute(dst, route);
-  PutVarint64(dst, term);
-  dst->push_back(success ? 1 : 0);
-  PutOpId(dst, last_received);
-  PutVarint64(dst, last_durable_index);
-  PutVarint64(dst, request_prev_index);
-  PutVarint64(dst, trace_id);
-  PutVarint64(dst, trace_span_id);
-  PutVarint64(dst, lease_granted_micros);
-  PutVarint64(dst, config_term);
-  PutVarint64(dst, config_version);
+  StringSink sink(dst);
+  PutFields(*this, &sink);
 }
 
 Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
@@ -149,19 +170,29 @@ Result<AppendEntriesResponse> AppendEntriesResponse::DecodeFrom(Slice in) {
 
 // --- VoteRequest -------------------------------------------------------------
 
-void VoteRequest::EncodeTo(std::string* dst) const {
-  PutString(dst, candidate);
-  PutString(dst, dest);
-  PutVarint64(dst, term);
-  PutOpId(dst, last_log);
-  PutString(dst, candidate_region);
+namespace {
+
+template <typename Sink>
+void PutFields(const VoteRequest& m, Sink* sink) {
+  sink->LengthPrefixed(m.candidate);
+  sink->LengthPrefixed(m.dest);
+  sink->Varint(m.term);
+  PutOpId(sink, m.last_log);
+  sink->LengthPrefixed(m.candidate_region);
   uint8_t flags = 0;
-  if (pre_vote) flags |= 1;
-  if (mock_election) flags |= 2;
-  dst->push_back(static_cast<char>(flags));
-  PutOpId(dst, leader_cursor_snapshot);
-  PutVarint64(dst, config_term);
-  PutVarint64(dst, config_version);
+  if (m.pre_vote) flags |= 1;
+  if (m.mock_election) flags |= 2;
+  sink->Byte(flags);
+  PutOpId(sink, m.leader_cursor_snapshot);
+  sink->Varint(m.config_term);
+  sink->Varint(m.config_version);
+}
+
+}  // namespace
+
+void VoteRequest::EncodeTo(std::string* dst) const {
+  StringSink sink(dst);
+  PutFields(*this, &sink);
 }
 
 Result<VoteRequest> VoteRequest::DecodeFrom(Slice in) {
@@ -187,19 +218,29 @@ Result<VoteRequest> VoteRequest::DecodeFrom(Slice in) {
 
 // --- VoteResponse -------------------------------------------------------------
 
-void VoteResponse::EncodeTo(std::string* dst) const {
-  PutString(dst, from);
-  PutString(dst, dest);
-  PutVarint64(dst, term);
+namespace {
+
+template <typename Sink>
+void PutFields(const VoteResponse& m, Sink* sink) {
+  sink->LengthPrefixed(m.from);
+  sink->LengthPrefixed(m.dest);
+  sink->Varint(m.term);
   uint8_t flags = 0;
-  if (granted) flags |= 1;
-  if (pre_vote) flags |= 2;
-  if (mock_election) flags |= 4;
-  dst->push_back(static_cast<char>(flags));
-  PutString(dst, reason);
-  PutString(dst, voter_region);
-  PutVarint64(dst, last_leader_term);
-  PutString(dst, last_leader_region);
+  if (m.granted) flags |= 1;
+  if (m.pre_vote) flags |= 2;
+  if (m.mock_election) flags |= 4;
+  sink->Byte(flags);
+  sink->LengthPrefixed(m.reason);
+  sink->LengthPrefixed(m.voter_region);
+  sink->Varint(m.last_leader_term);
+  sink->LengthPrefixed(m.last_leader_region);
+}
+
+}  // namespace
+
+void VoteResponse::EncodeTo(std::string* dst) const {
+  StringSink sink(dst);
+  PutFields(*this, &sink);
 }
 
 Result<VoteResponse> VoteResponse::DecodeFrom(Slice in) {
@@ -227,12 +268,22 @@ Result<VoteResponse> VoteResponse::DecodeFrom(Slice in) {
 
 // --- StartElectionRequest ------------------------------------------------------
 
+namespace {
+
+template <typename Sink>
+void PutFields(const StartElectionRequest& m, Sink* sink) {
+  sink->LengthPrefixed(m.from);
+  sink->LengthPrefixed(m.dest);
+  sink->Varint(m.term);
+  sink->Byte(m.mock ? 1 : 0);
+  PutOpId(sink, m.leader_cursor_snapshot);
+}
+
+}  // namespace
+
 void StartElectionRequest::EncodeTo(std::string* dst) const {
-  PutString(dst, from);
-  PutString(dst, dest);
-  PutVarint64(dst, term);
-  dst->push_back(mock ? 1 : 0);
-  PutOpId(dst, leader_cursor_snapshot);
+  StringSink sink(dst);
+  PutFields(*this, &sink);
 }
 
 Result<StartElectionRequest> StartElectionRequest::DecodeFrom(Slice in) {
@@ -253,9 +304,13 @@ Result<StartElectionRequest> StartElectionRequest::DecodeFrom(Slice in) {
 
 // --- Envelope -------------------------------------------------------------------
 
-void EncodeMessage(const Message& msg, std::string* dst) {
+namespace {
+
+/// The envelope's field sequence: the type tag, then the body.
+template <typename Sink>
+void PutMessage(const Message& msg, Sink* sink) {
   std::visit(
-      [dst](const auto& m) {
+      [sink](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         MessageType type;
         if constexpr (std::is_same_v<T, AppendEntriesRequest>) {
@@ -269,10 +324,17 @@ void EncodeMessage(const Message& msg, std::string* dst) {
         } else {
           type = MessageType::kStartElectionRequest;
         }
-        dst->push_back(static_cast<char>(type));
-        m.EncodeTo(dst);
+        sink->Byte(static_cast<uint8_t>(type));
+        PutFields(m, sink);
       },
       msg);
+}
+
+}  // namespace
+
+void EncodeMessage(const Message& msg, std::string* dst) {
+  StringSink sink(dst);
+  PutMessage(msg, &sink);
 }
 
 Result<Message> DecodeMessage(Slice in) {
@@ -309,13 +371,14 @@ Result<Message> DecodeMessage(Slice in) {
   return Status::Corruption("wire: unknown message type");
 }
 
-MemberId MessageDest(const Message& msg) {
-  return std::visit([](const auto& m) { return m.dest; }, msg);
+const MemberId& MessageDest(const Message& msg) {
+  return std::visit([](const auto& m) -> const MemberId& { return m.dest; },
+                    msg);
 }
 
-MemberId MessageFrom(const Message& msg) {
+const MemberId& MessageFrom(const Message& msg) {
   return std::visit(
-      [](const auto& m) -> MemberId {
+      [](const auto& m) -> const MemberId& {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, AppendEntriesRequest>) {
           return m.leader;
@@ -328,7 +391,7 @@ MemberId MessageFrom(const Message& msg) {
       msg);
 }
 
-MemberId MessageNextHop(const Message& msg) {
+const MemberId& MessageNextHop(const Message& msg) {
   if (const auto* request = std::get_if<AppendEntriesRequest>(&msg)) {
     if (!request->route.empty()) return request->route.front();
   }
@@ -339,9 +402,9 @@ MemberId MessageNextHop(const Message& msg) {
 }
 
 uint64_t MessageWireBytes(const Message& msg) {
-  std::string buf;
-  EncodeMessage(msg, &buf);
-  return buf.size();
+  SizeSink sink;
+  PutMessage(msg, &sink);
+  return sink.size();
 }
 
 }  // namespace myraft

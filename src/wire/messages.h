@@ -193,12 +193,14 @@ using Message =
 void EncodeMessage(const Message& msg, std::string* dst);
 Result<Message> DecodeMessage(Slice input);
 
-/// Routing helpers used by the transport and the proxy layer.
-MemberId MessageDest(const Message& msg);
-MemberId MessageFrom(const Message& msg);
+/// Routing helpers used by the transport and the proxy layer. The
+/// references point into `msg`.
+const MemberId& MessageDest(const Message& msg);
+const MemberId& MessageFrom(const Message& msg);
 /// Physical next hop: the first relay on the route if any, otherwise the
 /// final destination. Transports deliver to this member.
-MemberId MessageNextHop(const Message& msg);
+const MemberId& MessageNextHop(const Message& msg);
+/// Size of EncodeMessage(msg), added up field by field without encoding.
 uint64_t MessageWireBytes(const Message& msg);
 
 }  // namespace myraft

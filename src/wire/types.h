@@ -34,9 +34,16 @@ struct OpId {
 
   bool IsZero() const { return term == 0 && index == 0; }
 
+  /// Appends "term.index".
+  void AppendTo(std::string* dst) const {
+    AppendDecimal(dst, term);
+    dst->push_back('.');
+    AppendDecimal(dst, index);
+  }
   std::string ToString() const {
-    return StringPrintf("%llu.%llu", (unsigned long long)term,
-                        (unsigned long long)index);
+    std::string out;
+    AppendTo(&out);
+    return out;
   }
 };
 

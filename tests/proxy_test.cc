@@ -50,7 +50,9 @@ class ProxyCluster {
       TestNode* node = cluster_.node(id);
       auto router = std::make_unique<ProxyRouter>(
           id, node->region(), proxy_options_, cluster_.loop(),
-          [this, id](Message m) { cluster_.network()->Send(id, std::move(m)); });
+          [this, slot = node->net_slot()](Message m) {
+            cluster_.network()->Send(slot, std::move(m));
+          });
       router->BindConsensus(node->consensus());
       ProxyRouter* raw = router.get();
       node->set_outbound_hook([raw](Message m) { raw->Send(std::move(m)); });

@@ -63,7 +63,7 @@ class TestNode : public RaftOutbox, public StateMachineListener {
     if (outbound_hook_) {
       outbound_hook_(std::move(message));
     } else {
-      network_->Send(id_, std::move(message));
+      network_->Send(net_slot_, std::move(message));
     }
   }
 
@@ -132,6 +132,9 @@ class TestNode : public RaftOutbox, public StateMachineListener {
   }
 
   const MemberId& id() const { return id_; }
+  /// The node's SimNetwork slot (RegisterNode's result): its send handle.
+  uint32_t net_slot() const { return net_slot_; }
+  void set_net_slot(uint32_t slot) { net_slot_ = slot; }
   const RegionId& region() const { return region_; }
   MemberKind kind() const { return kind_; }
   RaftConsensus* consensus() { return consensus_.get(); }
@@ -156,6 +159,7 @@ class TestNode : public RaftOutbox, public StateMachineListener {
   MemberKind kind_;
   sim::EventLoop* loop_;
   sim::SimNetwork* network_;
+  uint32_t net_slot_ = 0;
   std::function<void(Message)> outbound_hook_;
   std::unique_ptr<Env> env_;
   ConsensusMetadataStore meta_store_;
@@ -185,9 +189,9 @@ class RaftTestCluster {
                                              member.kind, &loop_, &network_);
       node->CreateConsensus(quorum, options);
       TestNode* raw = node.get();
-      network_.RegisterNode(
+      raw->set_net_slot(network_.RegisterNode(
           member.id, member.region,
-          [raw](const MemberId&, const Message& m) { raw->Deliver(m); });
+          [raw](const MemberId&, const Message& m) { raw->Deliver(m); }));
       nodes_[member.id] = std::move(node);
     }
     for (auto& [id, node] : nodes_) {

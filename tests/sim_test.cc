@@ -177,7 +177,7 @@ Message MakeHeartbeat(const MemberId& from, const MemberId& to) {
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() : loop_(7), network_(&loop_, WithMetrics(&metrics_)) {
-    Register("a", "r0");
+    a_ = Register("a", "r0");
     Register("b", "r0");
     Register("c", "r1");
   }
@@ -188,20 +188,20 @@ class NetworkTest : public ::testing::Test {
     return options;
   }
 
-  void Register(const MemberId& id, const RegionId& region) {
-    network_.RegisterNode(id, region,
-                          [this, id](const MemberId& from, const Message& m) {
-                            deliveries_.push_back({id, from});
-                            if (const auto* request =
-                                    std::get_if<AppendEntriesRequest>(&m)) {
-                              delivered_terms_.push_back(request->term);
-                            }
-                          });
+  uint32_t Register(const MemberId& id, const RegionId& region) {
+    return network_.RegisterNode(
+        id, region, [this, id](const MemberId& from, const Message& m) {
+          deliveries_.push_back({id, from});
+          if (const auto* request = std::get_if<AppendEntriesRequest>(&m)) {
+            delivered_terms_.push_back(request->term);
+          }
+        });
   }
 
   metrics::MetricRegistry metrics_;
   EventLoop loop_;
   SimNetwork network_;
+  uint32_t a_ = 0;  // member a's slot: every test sends from a
   std::vector<std::pair<MemberId, MemberId>> deliveries_;  // (to, from)
   std::vector<uint64_t> delivered_terms_;  // AppendEntries only
 
@@ -213,7 +213,7 @@ class NetworkTest : public ::testing::Test {
     for (int i = 1; i <= n; ++i) {
       auto request = std::get<AppendEntriesRequest>(MakeHeartbeat("a", "c"));
       request.term = static_cast<uint64_t>(i);
-      network_.Send("a", Message(request));
+      network_.Send(a_, Message(request));
       loop_.RunFor(100);
     }
     loop_.RunFor(200'000);
@@ -227,12 +227,12 @@ class NetworkTest : public ::testing::Test {
 };
 
 TEST_F(NetworkTest, SameRegionFasterThanCrossRegion) {
-  network_.Send("a", MakeHeartbeat("a", "b"));
+  network_.Send(a_, MakeHeartbeat("a", "b"));
   loop_.RunFor(1'000);  // same-region: 150-250us
   ASSERT_EQ(deliveries_.size(), 1u);
   deliveries_.clear();
 
-  network_.Send("a", MakeHeartbeat("a", "c"));
+  network_.Send(a_, MakeHeartbeat("a", "c"));
   loop_.RunFor(1'000);
   EXPECT_TRUE(deliveries_.empty());  // cross-region: ~15ms
   loop_.RunFor(20'000);
@@ -241,34 +241,34 @@ TEST_F(NetworkTest, SameRegionFasterThanCrossRegion) {
 
 TEST_F(NetworkTest, DownNodesAndCutLinksDrop) {
   network_.SetNodeUp("b", false);
-  network_.Send("a", MakeHeartbeat("a", "b"));
+  network_.Send(a_, MakeHeartbeat("a", "b"));
   loop_.RunFor(10'000);
   EXPECT_TRUE(deliveries_.empty());
   EXPECT_EQ(network_.dropped_messages(), 1u);
 
   network_.SetNodeUp("b", true);
   network_.SetLinkCut("a", "b", true);
-  network_.Send("a", MakeHeartbeat("a", "b"));
+  network_.Send(a_, MakeHeartbeat("a", "b"));
   loop_.RunFor(10'000);
   EXPECT_TRUE(deliveries_.empty());
 
   network_.SetLinkCut("a", "b", false);
-  network_.Send("a", MakeHeartbeat("a", "b"));
+  network_.Send(a_, MakeHeartbeat("a", "b"));
   loop_.RunFor(10'000);
   EXPECT_EQ(deliveries_.size(), 1u);
 }
 
 TEST_F(NetworkTest, RegionPartitionCutsOnlyCrossRegion) {
   network_.SetRegionPartitioned("r1", true);
-  network_.Send("a", MakeHeartbeat("a", "b"));  // within r0: fine
-  network_.Send("a", MakeHeartbeat("a", "c"));  // into r1: dropped
+  network_.Send(a_, MakeHeartbeat("a", "b"));  // within r0: fine
+  network_.Send(a_, MakeHeartbeat("a", "c"));  // into r1: dropped
   loop_.RunFor(50'000);
   ASSERT_EQ(deliveries_.size(), 1u);
   EXPECT_EQ(deliveries_[0].first, "b");
 }
 
 TEST_F(NetworkTest, CrashMidFlightDropsAtDelivery) {
-  network_.Send("a", MakeHeartbeat("a", "c"));  // ~15ms in flight
+  network_.Send(a_, MakeHeartbeat("a", "c"));  // ~15ms in flight
   loop_.RunFor(1'000);
   network_.SetNodeUp("c", false);  // crashes while the message flies
   loop_.RunFor(30'000);
@@ -278,13 +278,13 @@ TEST_F(NetworkTest, CrashMidFlightDropsAtDelivery) {
 TEST_F(NetworkTest, RestartMidFlightDropsTheOldRegistrationsMessage) {
   // A restart is a new registration on the member's old slot: a message
   // sent to the crashed process dies with its connection.
-  network_.Send("a", MakeHeartbeat("a", "c"));  // ~15ms in flight
+  network_.Send(a_, MakeHeartbeat("a", "c"));  // ~15ms in flight
   loop_.RunFor(1'000);
   network_.SetNodeUp("c", false);
   network_.UnregisterNode("c");
   Register("c", "r1");
   network_.SetNodeUp("c", true);
-  network_.Send("a", MakeHeartbeat("a", "c"));  // to the new process
+  network_.Send(a_, MakeHeartbeat("a", "c"));  // to the new process
   loop_.RunFor(30'000);
   ASSERT_EQ(deliveries_.size(), 1u);
   EXPECT_EQ(deliveries_[0].first, "c");
@@ -300,20 +300,20 @@ TEST_F(NetworkTest, RestartedSenderStartsNewConnections) {
   network_.SetNodeExtraDelay("a", 100'000);
   auto first = std::get<AppendEntriesRequest>(MakeHeartbeat("a", "c"));
   first.term = 1;
-  network_.Send("a", Message(first));
+  network_.Send(a_, Message(first));
   network_.UnregisterNode("a");
   Register("a", "r0");
   network_.SetNodeExtraDelay("a", 0);
   auto second = std::get<AppendEntriesRequest>(MakeHeartbeat("a", "c"));
   second.term = 2;
-  network_.Send("a", Message(second));
+  network_.Send(a_, Message(second));
   loop_.RunFor(200'000);
   EXPECT_EQ(delivered_terms_, (std::vector<uint64_t>{2, 1}));
 }
 
 TEST_F(NetworkTest, ByteAccountingPerRegionAndMember) {
-  network_.Send("a", MakeHeartbeat("a", "c"));
-  network_.Send("a", MakeHeartbeat("a", "b"));
+  network_.Send(a_, MakeHeartbeat("a", "c"));
+  network_.Send(a_, MakeHeartbeat("a", "b"));
   loop_.RunFor(30'000);
   EXPECT_GT(network_.CrossRegionBytes(), 0u);
   EXPECT_GT(network_.TotalBytes(), network_.CrossRegionBytes());
@@ -327,7 +327,7 @@ TEST_F(NetworkTest, ByteAccountingPerRegionAndMember) {
 TEST_F(NetworkTest, ReplicationLagDelaysOnlyDataAppends) {
   network_.SetNodeReplicationLag("b", 500'000);
   // Heartbeat (no entries): fast.
-  network_.Send("a", MakeHeartbeat("a", "b"));
+  network_.Send(a_, MakeHeartbeat("a", "b"));
   loop_.RunFor(5'000);
   EXPECT_EQ(deliveries_.size(), 1u);
   deliveries_.clear();
@@ -337,7 +337,7 @@ TEST_F(NetworkTest, ReplicationLagDelaysOnlyDataAppends) {
   data.dest = "b";
   data.term = 1;
   data.entries.push_back(LogEntry::Make({1, 1}, EntryType::kNoOp, "x"));
-  network_.Send("a", Message(data));
+  network_.Send(a_, Message(data));
   loop_.RunFor(100'000);
   EXPECT_TRUE(deliveries_.empty());
   loop_.RunFor(500'000);
@@ -365,7 +365,7 @@ TEST_F(NetworkTest, RoutedMessageDeliversToNextHop) {
   routed.dest = "c";
   routed.route = {"b"};
   routed.term = 1;
-  network_.Send("a", Message(routed));
+  network_.Send(a_, Message(routed));
   loop_.RunFor(5'000);  // in-region to the relay, not cross-region
   ASSERT_EQ(deliveries_.size(), 1u);
   EXPECT_EQ(deliveries_[0].first, "b");

@@ -1,7 +1,7 @@
-// Causal-tracing tests: ring-buffer overflow accounting, deterministic
-// same-seed journals, the cross-node span tree of a single traced write
-// (client -> leader commit stages -> follower append/ack -> follower
-// apply), trace-context wire/GTID round trips with backward-compatible
+// Causal-tracing tests: ring-buffer overflow accounting, the exporters'
+// pinned bytes, deterministic same-seed journals, the cross-node span tree
+// of a single traced write (client -> leader commit stages -> follower
+// append/ack -> follower apply), trace-context wire/GTID round trips with backward-compatible
 // decode, the TraceAnalyzer failover decomposition against the downtime
 // probe, the slow-transaction log, and sim-clock-stamped log contexts.
 
@@ -54,15 +54,15 @@ TEST(TracerTest, RingOverflowDropsOldestAndCounts) {
 
   for (int i = 0; i < 12; ++i) {
     clock.AdvanceMicros(10);
-    tracer.Instant("test", "e" + std::to_string(i));
+    tracer.Instant("test", "e", 0, std::to_string(i));
   }
   EXPECT_EQ(tracer.size(), 8u);
   EXPECT_EQ(tracer.dropped(), 4u);
   EXPECT_EQ(registry.GetCounter("trace.dropped")->value(), 4u);
   const auto snapshot = tracer.Snapshot();
   ASSERT_EQ(snapshot.size(), 8u);
-  EXPECT_EQ(snapshot.front().name, "e4");  // oldest four gone
-  EXPECT_EQ(snapshot.back().name, "e11");
+  EXPECT_EQ(snapshot.front().args, "4");  // oldest four gone
+  EXPECT_EQ(snapshot.back().args, "11");
 }
 
 TEST(TracerTest, SpanIdsAreSaltedCounters) {
@@ -82,6 +82,97 @@ TEST(TracerTest, SpanIdsAreSaltedCounters) {
   tracer.EndSpan(0);
   tracer.EndSpan(0xdead);
   EXPECT_EQ(tracer.size(), 5u);
+}
+
+// Names must be string literals: a std::string or a pointer does not
+// convert, and a non-static array fails Literal's consteval constructor.
+static_assert(std::is_constructible_v<Literal, const char (&)[5]>);
+static_assert(!std::is_constructible_v<Literal, std::string>);
+static_assert(!std::is_constructible_v<Literal, const char*>);
+
+// --- Exporter bytes -------------------------------------------------------------
+
+// A fixed two-node journal: begin/end pairs (one across nodes, one never
+// closed), instants, an unmatched end, same-timestamp ties, JSON escapes in
+// a node name and in args, and integer, OpId, GTID and member-id args. The
+// expected strings pin every exporter's bytes.
+TEST(TraceTest, ExportsArePinned) {
+  ManualClock clock;
+  TracerOptions a;
+  a.node = "db0";
+  a.id_salt = 1;
+  a.clock = &clock;
+  Tracer db0(a);
+  TracerOptions b;
+  b.node = "lt\"1";
+  b.id_salt = 2;
+  b.clock = &clock;
+  Tracer lt1(b);
+
+  binlog::Gtid gtid;
+  gtid.server_uuid = Uuid::FromIndex(5);
+  gtid.txn_no = 9;
+  const MemberId follower = "lt\"1";
+  const uint64_t five = 5;
+  const uint64_t seven = 7;
+
+  clock.AdvanceMicros(100);
+  const uint64_t total = db0.BeginSpan("server", "commit.total", 11, 0,
+                                       Args("gtid", gtid, "opid", OpId{2, 5}));
+  clock.AdvanceMicros(20);
+  const uint64_t append =
+      lt1.BeginSpan("raft", "follower.append", 11, total,
+                    Args("leader", "db0", "n", size_t{3}, "first", five));
+  clock.AdvanceMicros(30);
+  std::string end_args = "ok";
+  AppendArgs(&end_args, "last", seven, "durable", seven);
+  lt1.EndSpan(append, end_args);
+  db0.Instant("raft", "quorum_ack", 11,
+              Args("index", five, "completed_by", follower));
+  lt1.Instant("proxy", "relayed", 11,
+              "note=\"q\\\" nl=\n tab=\t ctl=\x01 end");
+  clock.AdvanceMicros(50);
+  db0.EndSpan(total, "ok");
+  lt1.EndSpan(0xdead);
+  clock.AdvanceMicros(10);
+  db0.BeginSpan("server", "promotion", 0, 0, Args("term", 3));
+  db0.Instant("fault", "crash", 0, "node=db0 mode=lose_unsynced");
+  lt1.Instant("raft", "election_started", 0,
+              Args("term", 4, "slot", long{-2}));
+
+  const std::vector<JournalView> journals{
+      JournalView{db0.node(), db0.Snapshot()},
+      JournalView{lt1.node(), lt1.Snapshot()}};
+  EXPECT_EQ(ExportJsonl(journals), R"pin({"node":"db0","seq":1,"ts":100,"ph":"B","cat":"server","name":"commit.total","trace":11,"span":1099511627777,"args":"gtid=abcd0000-0000-0000-0000-000000000005:9 opid=2.5"}
+{"node":"lt\"1","seq":1,"ts":120,"ph":"B","cat":"raft","name":"follower.append","trace":11,"span":2199023255553,"parent":1099511627777,"args":"leader=db0 n=3 first=5"}
+{"node":"db0","seq":2,"ts":150,"ph":"I","cat":"raft","name":"quorum_ack","trace":11,"args":"index=5 completed_by=lt\"1"}
+{"node":"lt\"1","seq":2,"ts":150,"ph":"E","span":2199023255553,"args":"ok last=7 durable=7"}
+{"node":"lt\"1","seq":3,"ts":150,"ph":"I","cat":"proxy","name":"relayed","trace":11,"args":"note=\"q\\\" nl=\n tab=\t ctl=\u0001 end"}
+{"node":"db0","seq":3,"ts":200,"ph":"E","span":1099511627777,"args":"ok"}
+{"node":"lt\"1","seq":4,"ts":200,"ph":"E","span":57005}
+{"node":"db0","seq":4,"ts":210,"ph":"B","cat":"server","name":"promotion","span":1099511627778,"args":"term=3"}
+{"node":"db0","seq":5,"ts":210,"ph":"I","cat":"fault","name":"crash","args":"node=db0 mode=lose_unsynced"}
+{"node":"lt\"1","seq":5,"ts":210,"ph":"I","cat":"raft","name":"election_started","args":"term=4 slot=-2"}
+)pin");
+  EXPECT_EQ(ExportChromeJson(journals), R"pin({"traceEvents":[
+{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"db0"}},
+{"ph":"i","s":"t","pid":1,"tid":1,"ts":150,"cat":"raft","name":"quorum_ack","args":{"trace":"11","span":"0","parent":"0","begin":"index=5 completed_by=lt\"1"}},
+{"ph":"X","pid":1,"tid":2,"ts":100,"dur":100,"cat":"server","name":"commit.total","args":{"trace":"11","span":"1099511627777","parent":"0","begin":"gtid=abcd0000-0000-0000-0000-000000000005:9 opid=2.5","end":"ok"}},
+{"ph":"i","s":"t","pid":1,"tid":3,"ts":210,"cat":"fault","name":"crash","args":{"trace":"0","span":"0","parent":"0","begin":"node=db0 mode=lose_unsynced"}},
+{"ph":"X","pid":1,"tid":2,"ts":210,"dur":0,"cat":"server","name":"promotion","args":{"trace":"0","span":"1099511627778","parent":"0","begin":"term=3","end":"unclosed"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"raft"}},
+{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"server"}},
+{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"fault"}},
+{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"lt\"1"}},
+{"ph":"X","pid":2,"tid":1,"ts":120,"dur":30,"cat":"raft","name":"follower.append","args":{"trace":"11","span":"2199023255553","parent":"1099511627777","begin":"leader=db0 n=3 first=5","end":"ok last=7 durable=7"}},
+{"ph":"i","s":"t","pid":2,"tid":2,"ts":150,"cat":"proxy","name":"relayed","args":{"trace":"11","span":"0","parent":"0","begin":"note=\"q\\\" nl=\n tab=\t ctl=\u0001 end"}},
+{"ph":"i","s":"t","pid":2,"tid":1,"ts":210,"cat":"raft","name":"election_started","args":{"trace":"0","span":"0","parent":"0","begin":"term=4 slot=-2"}},
+{"ph":"M","pid":2,"tid":1,"name":"thread_name","args":{"name":"raft"}},
+{"ph":"M","pid":2,"tid":2,"name":"thread_name","args":{"name":"proxy"}}
+]}
+)pin");
+  EXPECT_EQ(ExportJsonArrayTail(journals, 3), R"pin([{"node":"db0","seq":4,"ts":210,"ph":"B","cat":"server","name":"promotion","span":1099511627778,"args":"term=3"},{"node":"db0","seq":5,"ts":210,"ph":"I","cat":"fault","name":"crash","args":"node=db0 mode=lose_unsynced"},{"node":"lt\"1","seq":5,"ts":210,"ph":"I","cat":"raft","name":"election_started","args":"term=4 slot=-2"}])pin");
+  EXPECT_EQ(TraceAnalyzer(journals).StageBreakdownJson(), R"pin({"raft.follower.append":{"count":1,"mean_us":30.0,"p50_us":30.0,"p95_us":30.0,"p99_us":30.0,"max_us":30},"server.commit.total":{"count":1,"mean_us":100.0,"p50_us":100.0,"p95_us":100.0,"p99_us":100.0,"max_us":100}})pin");
 }
 
 // --- Wire / GTID-body trace context -------------------------------------------

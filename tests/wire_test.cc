@@ -1,8 +1,12 @@
 // Wire-format tests: OpId ordering, membership helpers, entry and message
-// round-trips, and corruption rejection.
+// round-trips, corruption rejection, and computed wire sizes.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+
+#include "util/coding.h"
 #include "wire/messages.h"
 
 namespace myraft {
@@ -454,6 +458,162 @@ TEST(MessagesTest, EveryStrictPrefixIsRejected) {
       EXPECT_FALSE(decoded) << "type " << msg.index() << " body prefix "
                             << len - 1;
     }
+  }
+}
+
+// --- Computed wire sizes --------------------------------------------------------
+
+/// Random message fields, biased to varint length boundaries (7 payload
+/// bits per byte) so every encoded width is exercised.
+class MessageFuzzer {
+ public:
+  explicit MessageFuzzer(uint64_t seed) : rng_(seed) {}
+
+  uint64_t Varint() {
+    const int bits = Below(65);  // 0 = zero, else a value of `bits` bits
+    if (bits == 0) return 0;
+    const uint64_t top = uint64_t{1} << (bits - 1);
+    switch (Below(3)) {
+      case 0: return top;                               // first of its width
+      case 1: return top | (top - 1);                   // last of its width
+      default: return top | (rng_() & (top - 1));
+    }
+  }
+  bool Flag() { return Below(2) == 1; }
+  /// Lengths straddle the one/two/three-byte length-prefix boundaries.
+  std::string Bytes() {
+    static constexpr size_t kLengths[] = {0, 1, 5, 127, 128, 300, 16383, 16384};
+    return std::string(kLengths[Below(std::size(kLengths))],
+                       static_cast<char>('a' + Below(26)));
+  }
+  std::string Id() { return "m" + std::to_string(Below(1000)); }
+  OpId Op() { return OpId{Varint(), Varint()}; }
+  std::vector<MemberId> Route() {
+    std::vector<MemberId> route(Below(4));
+    for (MemberId& hop : route) hop = Id();
+    return route;
+  }
+  LogEntry Entry() {
+    LogEntry entry = LogEntry::Make(
+        Op(), static_cast<EntryType>(Below(3)), Bytes());
+    entry.checksum = static_cast<uint32_t>(Varint());
+    if (Flag()) {  // the borrowed-buffer form encodes the same bytes
+      entry.shared_payload =
+          std::make_shared<const std::string>(std::move(entry.payload));
+      entry.payload.clear();
+    }
+    return entry;
+  }
+
+  Message Next(int type) {
+    switch (type) {
+      case 0: {
+        AppendEntriesRequest m;
+        m.leader = Id();
+        m.dest = Id();
+        m.route = Route();
+        m.term = Varint();
+        m.prev = Op();
+        m.commit_marker = Op();
+        for (int i = Below(4); i > 0; --i) m.entries.push_back(Entry());
+        m.proxy_payload_omitted = Flag();
+        m.entries_compressed = Flag();
+        m.trace_id = Varint();
+        m.trace_span_id = Varint();
+        m.lease_sent_micros = Varint();
+        if (Flag()) m.config_payload = Bytes() + "c";  // non-empty
+        return m;
+      }
+      case 1: {
+        AppendEntriesResponse m;
+        m.from = Id();
+        m.dest = Id();
+        m.route = Route();
+        m.term = Varint();
+        m.success = Flag();
+        m.last_received = Op();
+        m.last_durable_index = Varint();
+        m.request_prev_index = Varint();
+        m.trace_id = Varint();
+        m.trace_span_id = Varint();
+        m.lease_granted_micros = Varint();
+        m.config_term = Varint();
+        m.config_version = Varint();
+        return m;
+      }
+      case 2: {
+        VoteRequest m;
+        m.candidate = Id();
+        m.dest = Id();
+        m.term = Varint();
+        m.last_log = Op();
+        m.candidate_region = Bytes();
+        m.pre_vote = Flag();
+        m.mock_election = Flag();
+        m.leader_cursor_snapshot = Op();
+        m.config_term = Varint();
+        m.config_version = Varint();
+        return m;
+      }
+      case 3: {
+        VoteResponse m;
+        m.from = Id();
+        m.dest = Id();
+        m.term = Varint();
+        m.granted = Flag();
+        m.pre_vote = Flag();
+        m.mock_election = Flag();
+        m.reason = Bytes();
+        m.voter_region = Bytes();
+        m.last_leader_term = Varint();
+        m.last_leader_region = Bytes();
+        return m;
+      }
+      default: {
+        StartElectionRequest m;
+        m.from = Id();
+        m.dest = Id();
+        m.term = Varint();
+        m.mock = Flag();
+        m.leader_cursor_snapshot = Op();
+        return m;
+      }
+    }
+  }
+
+ private:
+  int Below(size_t n) { return static_cast<int>(rng_() % n); }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(WireTest, MessageWireBytesMatchesEncoding) {
+  MessageFuzzer fuzzer(20240613);
+  bool saw_config[2] = {false, false};
+  bool saw_route = false;
+  for (int i = 0; i < 2000; ++i) {
+    const int type = i % 5;
+    const Message msg = fuzzer.Next(type);
+    ASSERT_EQ(static_cast<int>(msg.index()), type);
+    std::string buf;
+    EncodeMessage(msg, &buf);
+    ASSERT_EQ(MessageWireBytes(msg), buf.size())
+        << "message " << i << " of type " << type;
+    if (const auto* req = std::get_if<AppendEntriesRequest>(&msg)) {
+      saw_config[req->config_payload.empty() ? 0 : 1] = true;
+      saw_route |= !req->route.empty();
+    }
+  }
+  EXPECT_TRUE(saw_config[0] && saw_config[1] && saw_route);
+
+  // Every varint width, one field at a time.
+  for (int bits = 0; bits <= 64; ++bits) {
+    const uint64_t value = bits == 0 ? 0 : ~uint64_t{0} >> (64 - bits);
+    StartElectionRequest m{"a", "b", value, false, {value, value}};
+    std::string buf;
+    EncodeMessage(m, &buf);
+    EXPECT_EQ(MessageWireBytes(m), buf.size()) << bits << " bits";
+    EXPECT_EQ(buf.size(), 1 + 2 + 2 + 3 * VarintLength(value) + 1u);
   }
 }
 
