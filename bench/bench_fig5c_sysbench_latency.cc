@@ -29,5 +29,16 @@ int main(int argc, char** argv) {
                          prior.recorder, 826.368, 811.178);
   printf("\nShape check: sub-millisecond commits for both (in-region "
          "quorum), MyRaft ~1-2%% slower.\n");
+
+  const std::string summary = StringPrintf(
+      "{\"myraft\":{\"committed\":%llu,\"failed\":%llu,\"latency_us\":%s},"
+      "\"prior\":{\"committed\":%llu,\"failed\":%llu,\"latency_us\":%s}}",
+      (unsigned long long)myraft.recorder.committed(),
+      (unsigned long long)myraft.recorder.failed(),
+      HistogramJson(myraft.recorder.latency()).c_str(),
+      (unsigned long long)prior.recorder.committed(),
+      (unsigned long long)prior.recorder.failed(),
+      HistogramJson(prior.recorder.latency()).c_str());
+  WriteBenchJson("fig5c_sysbench_latency", summary, myraft.internals_json);
   return 0;
 }

@@ -41,5 +41,12 @@ int main(int argc, char** argv) {
   printf("\nAverage throughput: MyRaft %.1f commits/s vs prior %.1f "
          "commits/s (%.2f%% delta)\n",
          myraft_rate, prior_rate, PercentDiff(myraft_rate, prior_rate));
+
+  const std::string summary = StringPrintf(
+      "{\"myraft\":{\"committed\":%llu,\"rate_per_sec\":%.1f},"
+      "\"prior\":{\"committed\":%llu,\"rate_per_sec\":%.1f}}",
+      (unsigned long long)myraft.recorder.committed(), myraft_rate,
+      (unsigned long long)prior.recorder.committed(), prior_rate);
+  WriteBenchJson("fig5d_sysbench_throughput", summary, myraft.internals_json);
   return 0;
 }

@@ -44,7 +44,7 @@ int main() {
   flexiraft::FlexiRaftQuorumEngine quorum(
       {flexiraft::QuorumMode::kSingleRegionDynamic});
   printf("\nrunning enable-raft...\n");
-  auto result = tools::EnableRaft(&cluster, &quorum, tools::EnableRaftOptions());
+  auto result = tools::EnableRaft(&cluster, &quorum);
   if (!result.status.ok()) {
     fprintf(stderr, "migration failed: %s\n",
             result.status.ToString().c_str());

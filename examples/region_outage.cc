@@ -50,7 +50,7 @@ int main() {
 
   // Operator runbook: Quorum Fixer (deliberately manual, §5.3).
   printf("\nrunning quorum fixer...\n");
-  auto report = tools::RunQuorumFixer(&cluster, tools::QuorumFixerOptions());
+  auto report = tools::RunQuorumFixer(&cluster);
   printf("quorum fixer: %s (chose %s at %s)\n",
          report.status.ToString().c_str(), report.chosen.c_str(),
          report.chosen_last_log.ToString().c_str());

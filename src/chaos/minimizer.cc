@@ -7,6 +7,9 @@
 namespace myraft::chaos {
 namespace {
 
+/// Hard budget on chaos runs spent minimizing.
+constexpr int kMaxRuns = 48;
+
 bool SignaturesIntersect(const std::set<std::string>& a,
                          const std::set<std::string>& b) {
   for (const std::string& name : a) {
@@ -25,8 +28,7 @@ std::set<std::string> FailureSignature(const ChaosReport& report) {
 
 MinimizeResult MinimizeSchedule(const ChaosOptions& runner_options,
                                 const raft::QuorumEngine* quorum,
-                                const Schedule& failing,
-                                const MinimizeOptions& options) {
+                                const Schedule& failing) {
   MinimizeResult result;
   result.schedule = failing;
 
@@ -56,11 +58,11 @@ MinimizeResult MinimizeSchedule(const ChaosOptions& runner_options,
   // complement), halving chunk granularity when no chunk can go.
   std::vector<FaultStep> current = result.schedule.steps;
   size_t chunks = 2;
-  while (current.size() >= 2 && result.runs < options.max_runs) {
+  while (current.size() >= 2 && result.runs < kMaxRuns) {
     const size_t chunk_size = (current.size() + chunks - 1) / chunks;
     bool reduced = false;
     for (size_t begin = 0;
-         begin < current.size() && result.runs < options.max_runs;
+         begin < current.size() && result.runs < kMaxRuns;
          begin += chunk_size) {
       const size_t end = std::min(begin + chunk_size, current.size());
       std::vector<FaultStep> candidate;

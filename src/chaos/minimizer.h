@@ -15,11 +15,6 @@
 
 namespace myraft::chaos {
 
-struct MinimizeOptions {
-  /// Hard budget on chaos runs spent minimizing.
-  int max_runs = 48;
-};
-
 struct MinimizeResult {
   /// 1-minimal failing schedule (equals the input if nothing could be
   /// removed within budget).
@@ -37,8 +32,7 @@ std::set<std::string> FailureSignature(const ChaosReport& report);
 /// signature and `FailureSignature` of the original run.
 MinimizeResult MinimizeSchedule(const ChaosOptions& runner_options,
                                 const raft::QuorumEngine* quorum,
-                                const Schedule& failing,
-                                const MinimizeOptions& options = {});
+                                const Schedule& failing);
 
 }  // namespace myraft::chaos
 

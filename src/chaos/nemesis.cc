@@ -9,9 +9,22 @@
 namespace myraft::chaos {
 namespace {
 
+/// Number of injected faults (heals/restarts paired with a fault do not
+/// count against this).
+constexpr int kMinFaults = 3;
+constexpr int kMaxFaults = 9;
+/// How long an injected fault is held before its paired heal/restart.
+constexpr uint64_t kMinHoldMicros = 300'000;
+constexpr uint64_t kMaxHoldMicros = 2'500'000;
+/// Probability that a crash/cut is left unhealed, to be cleaned up by
+/// the next quiescent window instead of a paired step.
+constexpr double kLeaveUnhealedProbability = 0.25;
+/// Probability that a crash-family fault targets "@leader".
+constexpr double kTargetLeaderProbability = 0.4;
+
 // Weighted fault families the generator draws from. Crash faults dominate
 // (they exercise recovery, the richest bug surface), with torn crashes as
-// likely as clean ones when enabled.
+// likely as clean ones.
 enum class Family {
   kCrash,
   kCrashTorn,
@@ -32,7 +45,6 @@ struct WeightedFamily {
 };
 
 bool FamilyEnabled(Family family, const NemesisOptions& options) {
-  if (family == Family::kCrashTorn) return options.allow_torn_crashes;
   if (family == Family::kClockSkew || family == Family::kClockRate) {
     return options.clock_faults;
   }
@@ -94,26 +106,25 @@ Schedule GenerateSchedule(uint64_t seed, const std::vector<MemberId>& members,
   // directly) and keep seed 0 usable.
   Random rng(seed * 6364136223846793005ull + 1442695040888963407ull);
 
-  const int faults = options.min_faults +
-                     static_cast<int>(rng.Uniform(
-                         static_cast<uint64_t>(options.max_faults -
-                                               options.min_faults + 1)));
+  const int faults =
+      kMinFaults + static_cast<int>(rng.Uniform(
+                       static_cast<uint64_t>(kMaxFaults - kMinFaults + 1)));
 
   auto pick_member = [&]() -> std::string {
     return members[rng.Uniform(members.size())];
   };
   auto pick_crash_target = [&]() -> std::string {
-    if (rng.NextDouble() < options.target_leader_probability) return "@leader";
+    if (rng.NextDouble() < kTargetLeaderProbability) return "@leader";
     return pick_member();
   };
   auto hold = [&]() -> uint64_t {
-    return rng.UniformRange(options.min_hold_micros, options.max_hold_micros);
+    return rng.UniformRange(kMinHoldMicros, kMaxHoldMicros);
   };
 
   for (int i = 0; i < faults; ++i) {
     // Leave room before the end so held faults usually resolve in-window.
     const uint64_t at = rng.Uniform(options.duration_micros);
-    const bool heal = rng.NextDouble() >= options.leave_unhealed_probability;
+    const bool heal = rng.NextDouble() >= kLeaveUnhealedProbability;
     const Family family = PickFamily(&rng, options);
     FaultStep step;
     step.at_micros = at;
@@ -168,7 +179,7 @@ Schedule GenerateSchedule(uint64_t seed, const std::vector<MemberId>& members,
         const size_t max_group = std::max<size_t>(1, members.size() / 2);
         const size_t size = 1 + rng.Uniform(max_group);
         std::vector<std::string> group;
-        if (rng.NextDouble() < options.target_leader_probability) {
+        if (rng.NextDouble() < kTargetLeaderProbability) {
           group.push_back("@leader");
         }
         while (group.size() < size) {

@@ -24,19 +24,6 @@ std::vector<MemberId> TopologyMemberIds(const sim::ClusterOptions& options);
 struct NemesisOptions {
   uint64_t duration_micros = 20'000'000;
   uint64_t quiesce_interval_micros = 5'000'000;
-  /// Number of injected faults (heals/restarts paired with a fault do not
-  /// count against this).
-  int min_faults = 3;
-  int max_faults = 9;
-  /// How long an injected fault is held before its paired heal/restart.
-  uint64_t min_hold_micros = 300'000;
-  uint64_t max_hold_micros = 2'500'000;
-  /// Probability that a crash/cut is left unhealed, to be cleaned up by
-  /// the next quiescent window instead of a paired step.
-  double leave_unhealed_probability = 0.25;
-  /// Probability that a crash-family fault targets "@leader".
-  double target_leader_probability = 0.4;
-  bool allow_torn_crashes = true;
   /// Include bounded-clock-drift faults (§13: clock-skew / clock-rate on
   /// single nodes, leader included). Off by default so schedules
   /// generated from historical seeds stay byte-identical (checked-in

@@ -6,6 +6,18 @@
 #include "util/string_util.h"
 
 namespace myraft::chaos {
+namespace {
+
+/// Granularity of fault application / role polling.
+constexpr uint64_t kPollIntervalMicros = 5'000;
+/// Budget for a quiescent window to converge before the runner records
+/// a Convergence (liveness) violation.
+constexpr uint64_t kQuiesceTimeoutMicros = 30'000'000;
+/// Extra settle time at the start of each quiescent window so in-flight
+/// client writes resolve (must exceed the client timeout).
+constexpr uint64_t kQuiesceSettleMicros = 700'000;
+
+}  // namespace
 
 std::string ChaosReport::ToText() const {
   std::string out = StringPrintf("chaos seed=%llu %s\n",
@@ -102,7 +114,7 @@ ChaosReport ChaosRunner::Run(const Schedule& schedule) {
       checker.ObserveRoles(*cluster_);
       checker.ObserveConfigs(*cluster_);
       CaptureOnNewViolations(&checker);
-      loop->RunFor(options_.poll_interval_micros);
+      loop->RunFor(kPollIntervalMicros);
     }
     Quiesce(&checker, &report);
     next_write_at = loop->now();
@@ -375,17 +387,17 @@ void ChaosRunner::Quiesce(InvariantChecker* checker, ChaosReport* report) {
   }
   // Let in-flight client writes resolve (ack or timeout) so the acked
   // ledger is final before the audit reads it.
-  const uint64_t settle_end = loop->now() + options_.quiesce_settle_micros;
+  const uint64_t settle_end = loop->now() + kQuiesceSettleMicros;
   while (loop->now() < settle_end) {
     checker->ObserveRoles(*cluster_);
     checker->ObserveConfigs(*cluster_);
-    loop->RunFor(options_.poll_interval_micros);
+    loop->RunFor(kPollIntervalMicros);
   }
-  const uint64_t deadline = loop->now() + options_.quiesce_timeout_micros;
+  const uint64_t deadline = loop->now() + kQuiesceTimeoutMicros;
   while (loop->now() < deadline && !Converged()) {
     checker->ObserveRoles(*cluster_);
     checker->ObserveConfigs(*cluster_);
-    loop->RunFor(options_.poll_interval_micros);
+    loop->RunFor(kPollIntervalMicros);
   }
   if (Converged()) {
     checker->CheckQuiescent(*cluster_, acked_);

@@ -38,14 +38,6 @@ struct ChaosOptions {
   /// acked key every this-many micros, audited against the ledger (the
   /// "no stale read under lease" invariant). 0 disables.
   uint64_t read_interval_micros = 50'000;
-  /// Granularity of fault application / role polling.
-  uint64_t poll_interval_micros = 5'000;
-  /// Budget for a quiescent window to converge before the runner records
-  /// a Convergence (liveness) violation.
-  uint64_t quiesce_timeout_micros = 30'000'000;
-  /// Extra settle time at the start of each quiescent window so in-flight
-  /// client writes resolve (must exceed the client timeout).
-  uint64_t quiesce_settle_micros = 700'000;
 };
 
 struct ChaosReport {

@@ -96,7 +96,6 @@ Status FleetHarness::Bootstrap() {
   fleet_metrics_.GetGauge("fleet.shards")->Set(options_.shards);
   fleet_metrics_.GetGauge("fleet.shards_pending")
       ->Set(options_.pending_shards);
-  if (options_.rebalance_interval_micros > 0) ScheduleRebalance();
   return Status::OK();
 }
 
@@ -239,13 +238,6 @@ int FleetHarness::RebalanceTick() {
     if (!moved) break;  // no eligible shard spans the cold region
   }
   return transfers;
-}
-
-void FleetHarness::ScheduleRebalance() {
-  loop_.Schedule(options_.rebalance_interval_micros, [this]() {
-    RebalanceTick();
-    ScheduleRebalance();
-  });
 }
 
 metrics::MetricSnapshot FleetHarness::MetricsRollup() const {

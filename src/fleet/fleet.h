@@ -62,10 +62,6 @@ struct FleetOptions {
   /// Shards left dark at Bootstrap (the §5.2 pre-migration fleet tail);
   /// EnableRaftRollout brings them up under the distributed lock.
   int pending_shards = 0;
-
-  /// Nonzero = self-scheduling rebalance tick at this cadence after
-  /// Bootstrap (0 = call RebalanceTick() manually).
-  uint64_t rebalance_interval_micros = 0;
 };
 
 class FleetHarness {
@@ -142,7 +138,6 @@ class FleetHarness {
   std::string RaftstatJson();
 
  private:
-  void ScheduleRebalance();
   /// Builds (but does not bootstrap) the shard-core + client + admin for
   /// slot `i`.
   void ProvisionShard(int i);

@@ -2,6 +2,13 @@
 
 namespace myraft::fleet {
 
+namespace {
+
+/// Modelled acquire/release round trip to the lock service.
+constexpr uint64_t kRpcMicros = 2'000;
+
+}  // namespace
+
 DistributedLock::DistributedLock(sim::EventLoop* loop, std::string name,
                                  Options options)
     : loop_(loop), name_(std::move(name)), options_(options) {}
@@ -55,8 +62,7 @@ void DistributedLock::GrantNext() {
     });
   }
   // The grant itself travels back over the modelled RPC.
-  loop_->Schedule(options_.rpc_micros,
-                  [cb = std::move(next.granted)]() { cb(); });
+  loop_->Schedule(kRpcMicros, [cb = std::move(next.granted)]() { cb(); });
 }
 
 }  // namespace myraft::fleet

@@ -19,8 +19,6 @@ namespace myraft::fleet {
 class DistributedLock {
  public:
   struct Options {
-    /// Modelled acquire/release round trip to the lock service.
-    uint64_t rpc_micros = 2'000;
     /// Holder lease: past this the lock service fences the holder and
     /// grants the next waiter (0 = never expires).
     uint64_t ttl_micros = 0;

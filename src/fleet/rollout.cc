@@ -4,6 +4,16 @@
 
 namespace myraft::fleet {
 
+namespace {
+
+/// Per-shard budget for the ring to elect a primary post-bootstrap;
+/// overrunning marks the shard failed and moves on.
+constexpr uint64_t kPrimaryWaitMicros = 60'000'000;
+/// Cadence of the post-bootstrap primary poll.
+constexpr uint64_t kPollIntervalMicros = 10'000;
+
+}  // namespace
+
 EnableRaftRollout::EnableRaftRollout(FleetHarness* fleet,
                                      DistributedLock* lock,
                                      RolloutOptions options)
@@ -44,8 +54,7 @@ void EnableRaftRollout::Migrate(int worker, int shard_index) {
     return;
   }
   // §5.2 "verify": hold the lock until the ring actually serves writes.
-  PollPrimary(worker, shard_index,
-              fleet_->loop()->now() + options_.primary_wait_micros);
+  PollPrimary(worker, shard_index, fleet_->loop()->now() + kPrimaryWaitMicros);
 }
 
 void EnableRaftRollout::PollPrimary(int worker, int shard_index,
@@ -59,7 +68,7 @@ void EnableRaftRollout::PollPrimary(int worker, int shard_index,
     FinishMigration(worker, shard_index, false);
     return;
   }
-  fleet_->loop()->Schedule(options_.poll_interval_micros,
+  fleet_->loop()->Schedule(kPollIntervalMicros,
                            [this, worker, shard_index, deadline]() {
                              PollPrimary(worker, shard_index, deadline);
                            });

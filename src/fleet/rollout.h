@@ -22,11 +22,6 @@ struct RolloutOptions {
   /// Concurrent rollout workers contending for the lock (modelling
   /// independent automation jobs; the lock is what serialises them).
   int workers = 4;
-  /// Per-shard budget for the ring to elect a primary post-bootstrap;
-  /// overrunning marks the shard failed and moves on.
-  uint64_t primary_wait_micros = 60'000'000;
-  /// Cadence of the post-bootstrap primary poll.
-  uint64_t poll_interval_micros = 10'000;
 };
 
 class EnableRaftRollout {

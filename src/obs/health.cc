@@ -11,6 +11,21 @@ namespace myraft::obs {
 
 namespace {
 
+/// Rolling-window length, in ticks, for the rate detectors.
+constexpr size_t kWindowTicks = 8;
+/// Window fsync p99 at which the fsync detector bottoms out.
+constexpr double kFsyncFloorMicros = 100'000;
+/// Elections started across the rolling window at which churn bottoms out.
+constexpr uint64_t kChurnFloorElections = 4;
+/// Pipeline stalls across the rolling window at which the stall detector
+/// bottoms out.
+constexpr uint64_t kStallFloorCount = 8;
+/// A leader that held a lease but renewed nothing for this many ticks
+/// while its lease is invalid scores 0 on the lease detector.
+constexpr size_t kLeaseMissTicks = 4;
+/// Node score below this counts the node as unhealthy for the roll-up.
+constexpr double kUnhealthyThreshold = 0.5;
+
 std::string FormatDouble(double v) {
   std::string s = StringPrintf("%.3f", v);
   while (!s.empty() && s.back() == '0') s.pop_back();
@@ -37,9 +52,8 @@ void PushBounded(std::deque<T>* window, T value, size_t capacity) {
 
 }  // namespace
 
-HealthMonitor::HealthMonitor(HealthOptions options) : options_(options) {
-  MYRAFT_CHECK(options_.clock != nullptr);
-  if (options_.window_ticks == 0) options_.window_ticks = 1;
+HealthMonitor::HealthMonitor(const Clock* clock) : clock_(clock) {
+  MYRAFT_CHECK(clock_ != nullptr);
 }
 
 HealthMonitor::NodeHealth HealthMonitor::ScoreNode(
@@ -48,53 +62,50 @@ HealthMonitor::NodeHealth HealthMonitor::ScoreNode(
   if (!in.up) {
     // A down node contributes empty windows (its counters aren't moving)
     // and scores 0 outright.
-    PushBounded<uint64_t>(&rolling->stalls, 0, options_.window_ticks);
-    PushBounded<uint64_t>(&rolling->elections, 0, options_.window_ticks);
-    PushBounded<uint64_t>(&rolling->renewals, 0, options_.window_ticks);
-    PushBounded<bool>(&rolling->lease_invalid, false, options_.lease_miss_ticks);
+    PushBounded<uint64_t>(&rolling->stalls, 0, kWindowTicks);
+    PushBounded<uint64_t>(&rolling->elections, 0, kWindowTicks);
+    PushBounded<uint64_t>(&rolling->renewals, 0, kWindowTicks);
+    PushBounded<bool>(&rolling->lease_invalid, false, kLeaseMissTicks);
     h.availability = 0;
     h.score = 0;
     return h;
   }
 
-  PushBounded(&rolling->stalls, in.pipeline_stalls_delta,
-              options_.window_ticks);
-  PushBounded(&rolling->elections, in.elections_started_delta,
-              options_.window_ticks);
-  PushBounded(&rolling->renewals, in.lease_renewals_delta,
-              options_.window_ticks);
+  PushBounded(&rolling->stalls, in.pipeline_stalls_delta, kWindowTicks);
+  PushBounded(&rolling->elections, in.elections_started_delta, kWindowTicks);
+  PushBounded(&rolling->renewals, in.lease_renewals_delta, kWindowTicks);
   // Lease-renewal failure only means anything on a leader with leases on:
   // a live leader should either hold a valid lease or be actively
   // re-arming one. Followers always record "fine".
   const bool lease_miss =
       in.is_leader && in.lease_enabled && !in.lease_valid &&
       in.lease_renewals_delta == 0;
-  PushBounded(&rolling->lease_invalid, lease_miss, options_.lease_miss_ticks);
+  PushBounded(&rolling->lease_invalid, lease_miss, kLeaseMissTicks);
 
   h.lag = Ramp(static_cast<double>(in.replication_lag_entries),
-               static_cast<double>(options_.lag_floor_entries));
+               static_cast<double>(kLagFloorEntries));
   h.stalls = Ramp(static_cast<double>(Sum(rolling->stalls)),
-                  static_cast<double>(options_.stall_floor_count));
+                  static_cast<double>(kStallFloorCount));
   h.churn = Ramp(static_cast<double>(Sum(rolling->elections)),
-                 static_cast<double>(options_.churn_floor_elections));
-  h.fsync = Ramp(in.fsync_p99_micros, options_.fsync_floor_micros);
+                 static_cast<double>(kChurnFloorElections));
+  h.fsync = Ramp(in.fsync_p99_micros, kFsyncFloorMicros);
   const size_t misses = static_cast<size_t>(std::count(
       rolling->lease_invalid.begin(), rolling->lease_invalid.end(), true));
   h.lease = Ramp(static_cast<double>(misses),
-                 static_cast<double>(options_.lease_miss_ticks));
+                 static_cast<double>(kLeaseMissTicks));
   h.score = std::min({h.availability, h.lag, h.stalls, h.churn, h.fsync,
                       h.lease});
   return h;
 }
 
 void HealthMonitor::Observe(const std::vector<HealthInputs>& nodes) {
-  const uint64_t now = options_.clock->NowMicros();
+  const uint64_t now = clock_->NowMicros();
   ++ticks_;
   bool healthy = false;
   for (const auto& in : nodes) {
     NodeHealth h = ScoreNode(in, &rolling_[in.node]);
     if (in.up && in.is_leader && in.writes_enabled &&
-        h.score >= options_.unhealthy_threshold) {
+        h.score >= kUnhealthyThreshold) {
       healthy = true;
     }
     health_[in.node] = h;

@@ -46,26 +46,6 @@ struct HealthInputs {
   double fsync_p99_micros = 0;  // server.commit_stage_flush_us window p99
 };
 
-struct HealthOptions {
-  const Clock* clock = nullptr;  // required
-  /// Rolling-window length, in ticks, for the rate detectors.
-  size_t window_ticks = 8;
-  /// Applier lag at which the lag detector bottoms out at score 0.
-  uint64_t lag_floor_entries = 512;
-  /// Window fsync p99 at which the fsync detector bottoms out.
-  double fsync_floor_micros = 100'000;
-  /// Elections started across the rolling window at which churn bottoms out.
-  uint64_t churn_floor_elections = 4;
-  /// Pipeline stalls across the rolling window at which the stall detector
-  /// bottoms out.
-  uint64_t stall_floor_count = 8;
-  /// A leader that held a lease but renewed nothing for this many ticks
-  /// while its lease is invalid scores 0 on the lease detector.
-  size_t lease_miss_ticks = 4;
-  /// Node score below this counts the node as unhealthy for the roll-up.
-  double unhealthy_threshold = 0.5;
-};
-
 class HealthMonitor {
  public:
   /// Scores from the individual detectors plus their minimum. All in [0,1].
@@ -87,7 +67,10 @@ class HealthMonitor {
     uint64_t duration_micros() const { return end_micros - start_micros; }
   };
 
-  explicit HealthMonitor(HealthOptions options);
+  /// Applier lag at which the lag detector bottoms out at score 0.
+  static constexpr uint64_t kLagFloorEntries = 512;
+
+  explicit HealthMonitor(const Clock* clock);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -132,7 +115,7 @@ class HealthMonitor {
 
   NodeHealth ScoreNode(const HealthInputs& in, RollingCounts* rolling) const;
 
-  HealthOptions options_;
+  const Clock* clock_;
   std::function<void(bool, uint64_t)> transition_callback_;
   std::map<std::string, RollingCounts> rolling_;
   std::map<std::string, NodeHealth> health_;

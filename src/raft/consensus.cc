@@ -1374,12 +1374,7 @@ void RaftConsensus::HandleAppendEntriesResponse(
         transfer_->phase == TransferState::Phase::kQuiesced &&
         response.from == transfer_->target &&
         peer.match_index == log_->LastOpId().index) {
-      RevokeLease();
-      StartElectionRequest go;
-      go.from = options_.self;
-      go.dest = transfer_->target;
-      go.term = meta_.current_term;
-      outbox_->Send(std::move(go));
+      SendTimeoutNow(transfer_->target);
       // Leave transfer_ set: we stay quiesced until the new leader's term
       // arrives (or the deadline fails the transfer).
     }
@@ -1679,18 +1674,7 @@ void RaftConsensus::HandleVoteResponse(const VoteResponse& response) {
     // TimeoutNow fires from HandleAppendEntriesResponse.
     transfer_->phase = TransferState::Phase::kQuiesced;
     transfer_->deadline_micros = clock_->NowMicros() + kTransferTimeoutMicros;
-    auto it = peers_.find(transfer_->target);
-    if (it != peers_.end() &&
-        it->second.match_index == log_->LastOpId().index) {
-      RevokeLease();
-      StartElectionRequest go;
-      go.from = options_.self;
-      go.dest = transfer_->target;
-      go.term = meta_.current_term;
-      outbox_->Send(std::move(go));
-    } else {
-      SendAppendEntriesTo(transfer_->target, /*allow_empty=*/true);
-    }
+    TimeoutNowOrCatchUp(transfer_->target);
     return;
   }
 
@@ -1960,20 +1944,27 @@ Status RaftConsensus::TransferLeadership(const MemberId& target) {
   } else {
     transfer.phase = TransferState::Phase::kQuiesced;
     transfer_ = transfer;
-    auto it = peers_.find(target);
-    if (it != peers_.end() &&
-        it->second.match_index == log_->LastOpId().index) {
-      RevokeLease();
-      StartElectionRequest go;
-      go.from = options_.self;
-      go.dest = target;
-      go.term = meta_.current_term;
-      outbox_->Send(std::move(go));
-    } else {
-      SendAppendEntriesTo(target, /*allow_empty=*/true);
-    }
+    TimeoutNowOrCatchUp(target);
   }
   return Status::OK();
+}
+
+void RaftConsensus::SendTimeoutNow(const MemberId& target) {
+  RevokeLease();
+  StartElectionRequest go;
+  go.from = options_.self;
+  go.dest = target;
+  go.term = meta_.current_term;
+  outbox_->Send(std::move(go));
+}
+
+void RaftConsensus::TimeoutNowOrCatchUp(const MemberId& target) {
+  auto it = peers_.find(target);
+  if (it != peers_.end() && it->second.match_index == log_->LastOpId().index) {
+    SendTimeoutNow(target);
+  } else {
+    SendAppendEntriesTo(target, /*allow_empty=*/true);
+  }
 }
 
 void RaftConsensus::FailTransfer(const Status& reason) {

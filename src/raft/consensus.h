@@ -5,7 +5,7 @@
 // StateMachineListener callbacks — the callback API of §3.1/§3.3.
 //
 // Features beyond textbook Raft, per the paper:
-//  * pluggable log (LogAbstraction) so the plugin can keep MySQL binlogs
+//  * pluggable log (LogAbstraction) so the server can keep MySQL binlogs
 //    as the replicated log;
 //  * pluggable quorums (QuorumEngine) for FlexiRaft;
 //  * pre-vote, leader stickiness, and Mock Elections (§4.3) ahead of
@@ -155,7 +155,7 @@ class StateMachineListener {
   virtual ~StateMachineListener() = default;
 
   /// This member won an election. The no-op asserting leadership has been
-  /// appended at `noop_opid`; the plugin runs promotion orchestration and
+  /// appended at `noop_opid`; the server runs promotion orchestration and
   /// typically waits for it to commit before enabling writes (§3.3).
   virtual void OnLeadershipAcquired(uint64_t term, OpId noop_opid) {}
   /// Stepped down (higher term observed / transfer completed): run
@@ -461,6 +461,12 @@ class RaftConsensus {
   void WinElection();
   void AbortElection(const Status& reason);
   void FailTransfer(const Status& reason);
+  /// Revokes the lease and sends TimeoutNow (a StartElectionRequest) to
+  /// the transfer target (§2.2 Promotion).
+  void SendTimeoutNow(const MemberId& target);
+  /// Quiesced transfer step: TimeoutNow if `target` holds the whole log,
+  /// else push appends toward it.
+  void TimeoutNowOrCatchUp(const MemberId& target);
 
   // Replication plumbing.
   void SendAppendEntriesTo(const MemberId& peer_id, bool allow_empty);

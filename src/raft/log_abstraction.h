@@ -1,5 +1,5 @@
 // The log abstraction layer (§3.1): kuduraft-style Raft is generic over
-// its log storage; the MySQL plugin specialises this interface onto binlog
+// its log storage; the MySQL server specialises this interface onto binlog
 // files so "kuduraft [can] read and write transactions from binary logs
 // without having to worry about its format". An in-memory implementation
 // is provided for unit tests.

@@ -6,13 +6,39 @@
 
 namespace myraft::semisync {
 
+namespace {
+
+// Failure detection (out-of-band health checker).
+constexpr uint64_t kHealthCheckIntervalMicros = 8'000'000;  // sweep every 8 s
+constexpr uint64_t kHealthCheckTimeoutMicros = 5'000'000;  // dead-host probe
+constexpr int kFailuresBeforeFailover = 3;
+
+// Failover workflow step costs (control-plane RTTs, lock service, etc.).
+constexpr uint64_t kLockAcquisitionMicros = 2'000'000;
+/// Fencing waits out the dead primary's semi-sync session.
+constexpr uint64_t kFencingTimeoutMicros = 10'000'000;
+constexpr uint64_t kPositionQueryMicros = 300'000;  // per surviving member
+constexpr uint64_t kDiscoveryUpdateMicros = 400'000;
+/// Probability a workflow step fails and is retried after backoff
+/// (worker-queue overload, transient control-plane errors).
+constexpr double kStepRetryProbability = 0.05;
+constexpr uint64_t kRetryBackoffMicros = 30'000'000;
+
+// Graceful promotion step costs.
+constexpr uint64_t kPromotionLockMicros = 300'000;
+constexpr uint64_t kPromotionReadonlyMicros = 100'000;
+constexpr uint64_t kPromotionCatchupPollMicros = 50'000;
+constexpr uint64_t kPromotionSwitchMicros = 300'000;
+
+}  // namespace
+
 SemiSyncAutomation::SemiSyncAutomation(
-    sim::EventLoop* loop, AutomationOptions options,
+    sim::EventLoop* loop, std::string replicaset,
     std::vector<MemberId> members, std::map<MemberId, MemberKind> kinds,
     std::map<MemberId, RegionId> regions, NodeAccessor accessor,
     server::ServiceDiscovery* discovery)
     : loop_(loop),
-      options_(std::move(options)),
+      replicaset_(std::move(replicaset)),
       members_(std::move(members)),
       kinds_(std::move(kinds)),
       regions_(std::move(regions)),
@@ -65,13 +91,13 @@ Status SemiSyncAutomation::Repoint(const MemberId& new_primary) {
 
 Status SemiSyncAutomation::InstallPrimary(const MemberId& primary) {
   MYRAFT_RETURN_NOT_OK(Repoint(primary));
-  discovery_->PublishPrimary(options_.replicaset, primary, generation_);
+  discovery_->PublishPrimary(replicaset_, primary, generation_);
   ScheduleHealthCheck();
   return Status::OK();
 }
 
 void SemiSyncAutomation::ScheduleHealthCheck() {
-  loop_->Schedule(options_.health_check_interval_micros, [this]() {
+  loop_->Schedule(kHealthCheckIntervalMicros, [this]() {
     if (failover_in_progress_) {
       ScheduleHealthCheck();
       return;
@@ -94,11 +120,11 @@ void SemiSyncAutomation::ScheduleHealthCheck() {
       return;
     }
     // Dead primary: the probe burns its timeout before failing.
-    loop_->Schedule(options_.health_check_timeout_micros, [this]() {
+    loop_->Schedule(kHealthCheckTimeoutMicros, [this]() {
       if (accessor_(primary_) != nullptr) {
         consecutive_failures_ = 0;  // came back during the probe
       } else if (++consecutive_failures_ >=
-                 options_.failures_before_failover) {
+                 kFailuresBeforeFailover) {
         ++stats_.detections;
         OnPrimaryUnhealthy();
         return;  // health loop resumes after failover
@@ -127,7 +153,7 @@ MemberId SemiSyncAutomation::PickCandidate() const {
 }
 
 bool SemiSyncAutomation::StepFails() {
-  if (loop_->rng()->Bernoulli(options_.step_retry_probability)) {
+  if (loop_->rng()->Bernoulli(kStepRetryProbability)) {
     ++stats_.step_retries;
     return true;
   }
@@ -152,7 +178,7 @@ void SemiSyncAutomation::RunFailoverStep(int step, MemberId candidate) {
   auto retry_or = [this, step, candidate](uint64_t cost,
                                           std::function<void()> next) {
     if (StepFails()) {
-      loop_->Schedule(options_.retry_backoff_micros,
+      loop_->Schedule(kRetryBackoffMicros,
                       [this, step, candidate]() {
                         RunFailoverStep(step, candidate);
                       });
@@ -163,17 +189,17 @@ void SemiSyncAutomation::RunFailoverStep(int step, MemberId candidate) {
 
   switch (step) {
     case 0:  // Acquire the replicaset's distributed lock.
-      retry_or(options_.lock_acquisition_micros,
+      retry_or(kLockAcquisitionMicros,
                [this]() { RunFailoverStep(1, ""); });
       return;
     case 1: {  // Query surviving members' positions, pick the candidate.
       const uint64_t cost =
-          options_.position_query_micros * members_.size();
+          kPositionQueryMicros * members_.size();
       retry_or(cost, [this]() {
         const MemberId picked = PickCandidate();
         if (picked.empty()) {
           // Nothing promotable yet; back off and retry.
-          loop_->Schedule(options_.retry_backoff_micros,
+          loop_->Schedule(kRetryBackoffMicros,
                           [this]() { RunFailoverStep(1, ""); });
           return;
         }
@@ -182,16 +208,16 @@ void SemiSyncAutomation::RunFailoverStep(int step, MemberId candidate) {
       return;
     }
     case 2:  // Fence the dead primary (wait out its semi-sync session).
-      retry_or(options_.fencing_timeout_micros, [this, candidate]() {
+      retry_or(kFencingTimeoutMicros, [this, candidate]() {
         RunFailoverStep(3, candidate);
       });
       return;
     case 3:  // Re-point the replicaset.
-      retry_or(options_.position_query_micros, [this, candidate]() {
+      retry_or(kPositionQueryMicros, [this, candidate]() {
         Status s = Repoint(candidate);
         if (!s.ok()) {
           MYRAFT_LOG(Warning) << "failover repoint failed: " << s;
-          loop_->Schedule(options_.retry_backoff_micros,
+          loop_->Schedule(kRetryBackoffMicros,
                           [this]() { RunFailoverStep(1, ""); });
           return;
         }
@@ -199,8 +225,8 @@ void SemiSyncAutomation::RunFailoverStep(int step, MemberId candidate) {
       });
       return;
     case 4:  // Publish to service discovery.
-      loop_->Schedule(Jitter(options_.discovery_update_micros), [this, candidate]() {
-        discovery_->PublishPrimary(options_.replicaset, candidate,
+      loop_->Schedule(Jitter(kDiscoveryUpdateMicros), [this, candidate]() {
+        discovery_->PublishPrimary(replicaset_, candidate,
                                    generation_);
         failover_in_progress_ = false;
         ++stats_.failovers_completed;
@@ -230,12 +256,12 @@ Status SemiSyncAutomation::StartPromotion(const MemberId& target) {
 void SemiSyncAutomation::RunPromotionStep(int step, MemberId target) {
   switch (step) {
     case 0:  // Lock.
-      loop_->Schedule(Jitter(options_.promotion_lock_micros), [this, target]() {
+      loop_->Schedule(Jitter(kPromotionLockMicros), [this, target]() {
         RunPromotionStep(1, target);
       });
       return;
     case 1:  // Set the old primary read-only (downtime begins).
-      loop_->Schedule(Jitter(options_.promotion_readonly_micros), [this, target]() {
+      loop_->Schedule(Jitter(kPromotionReadonlyMicros), [this, target]() {
         SemiSyncServer* old_primary = accessor_(primary_);
         if (old_primary != nullptr) old_primary->SetReadOnly(true);
         RunPromotionStep(2, target);
@@ -249,7 +275,7 @@ void SemiSyncAutomation::RunPromotionStep(int step, MemberId target) {
         return;
       }
       if (new_primary->LastLogged().index < old_primary->LastLogged().index) {
-        loop_->Schedule(options_.promotion_catchup_poll_micros,
+        loop_->Schedule(kPromotionCatchupPollMicros,
                         [this, target]() { RunPromotionStep(2, target); });
         return;
       }
@@ -257,7 +283,7 @@ void SemiSyncAutomation::RunPromotionStep(int step, MemberId target) {
       return;
     }
     case 3:  // Switch roles.
-      loop_->Schedule(Jitter(options_.promotion_switch_micros), [this, target]() {
+      loop_->Schedule(Jitter(kPromotionSwitchMicros), [this, target]() {
         Status s = Repoint(target);
         if (!s.ok()) {
           MYRAFT_LOG(Warning) << "promotion repoint: " << s;
@@ -270,8 +296,8 @@ void SemiSyncAutomation::RunPromotionStep(int step, MemberId target) {
       });
       return;
     case 4:  // Publish.
-      loop_->Schedule(Jitter(options_.discovery_update_micros), [this, target]() {
-        discovery_->PublishPrimary(options_.replicaset, target, generation_);
+      loop_->Schedule(Jitter(kDiscoveryUpdateMicros), [this, target]() {
+        discovery_->PublishPrimary(replicaset_, target, generation_);
         promotion_in_progress_ = false;
         ++stats_.promotions_completed;
       });

@@ -20,31 +20,6 @@
 
 namespace myraft::semisync {
 
-struct AutomationOptions {
-  std::string replicaset = "rs0";
-
-  // Failure detection (out-of-band health checker).
-  uint64_t health_check_interval_micros = 8'000'000;  // sweep every 8 s
-  uint64_t health_check_timeout_micros = 5'000'000;    // dead-host probe
-  int failures_before_failover = 3;
-
-  // Failover workflow step costs (control-plane RTTs, lock service, etc.).
-  uint64_t lock_acquisition_micros = 2'000'000;
-  uint64_t fencing_timeout_micros = 10'000'000;  // wait out the dead primary
-  uint64_t position_query_micros = 300'000;      // per surviving member
-  uint64_t discovery_update_micros = 400'000;
-  /// Probability a workflow step fails and is retried after backoff
-  /// (worker-queue overload, transient control-plane errors).
-  double step_retry_probability = 0.05;
-  uint64_t retry_backoff_micros = 30'000'000;
-
-  // Graceful promotion step costs.
-  uint64_t promotion_lock_micros = 300'000;
-  uint64_t promotion_readonly_micros = 100'000;
-  uint64_t promotion_catchup_poll_micros = 50'000;
-  uint64_t promotion_switch_micros = 300'000;
-};
-
 /// Drives the legacy replicaset: health checks, dead-primary failover and
 /// graceful promotions. Interacts with members through an accessor that
 /// returns nullptr for crashed processes (connection refused).
@@ -59,7 +34,7 @@ class SemiSyncAutomation {
     uint64_t detections = 0;
   };
 
-  SemiSyncAutomation(sim::EventLoop* loop, AutomationOptions options,
+  SemiSyncAutomation(sim::EventLoop* loop, std::string replicaset,
                      std::vector<MemberId> members,
                      std::map<MemberId, MemberKind> kinds,
                      std::map<MemberId, RegionId> regions,
@@ -91,13 +66,13 @@ class SemiSyncAutomation {
   std::set<MemberId> AckersFor(const MemberId& primary) const;
   std::vector<MemberId> ReceiversFor(const MemberId& primary) const;
   MemberId PickCandidate() const;
-  /// True with step_retry_probability; counts the retry.
+  /// True with kStepRetryProbability; counts the retry.
   bool StepFails();
   /// Samples a step cost in [0.5x, 2x) of `base`.
   uint64_t Jitter(uint64_t base);
 
   sim::EventLoop* loop_;
-  AutomationOptions options_;
+  std::string replicaset_;
   std::vector<MemberId> members_;
   std::map<MemberId, MemberKind> kinds_;
   std::map<MemberId, RegionId> regions_;

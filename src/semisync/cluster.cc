@@ -21,7 +21,6 @@ Status SemiSyncCluster::Bootstrap() {
   std::vector<MemberId> members;
   std::map<MemberId, MemberKind> kinds;
   std::map<MemberId, RegionId> regions;
-  uint32_t numeric_id = 1;
 
   auto add = [&](const MemberId& id, const RegionId& region,
                  MemberKind kind) {
@@ -33,7 +32,6 @@ Status SemiSyncCluster::Bootstrap() {
     members.push_back(id);
     kinds[id] = kind;
     regions[id] = region;
-    ++numeric_id;
   };
 
   for (int r = 0; r < options_.db_regions; ++r) {
@@ -51,14 +49,12 @@ Status SemiSyncCluster::Bootstrap() {
         MemberKind::kMySql);
   }
 
-  uint32_t counter = 1;
   for (const MemberId& id : members) {
-    (void)counter;
     MYRAFT_RETURN_NOT_OK_PREPEND(StartNode(id), "starting " + id);
   }
 
   automation_ = std::make_unique<SemiSyncAutomation>(
-      &loop_, options_.automation, members, kinds, regions,
+      &loop_, options_.replicaset, members, kinds, regions,
       [this](const MemberId& id) -> SemiSyncServer* {
         auto it = nodes_.find(id);
         if (it == nodes_.end() || !it->second->up) return nullptr;

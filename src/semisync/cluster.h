@@ -28,7 +28,6 @@ struct SemiSyncClusterOptions {
   uint64_t seed = 1;
   sim::NetworkOptions network;
   SemiSyncOptions server_defaults;
-  AutomationOptions automation;
 
   uint64_t client_one_way_micros = 150;
   uint64_t server_processing_micros = 200;

@@ -7,6 +7,16 @@
 
 namespace myraft::semisync {
 
+namespace {
+
+/// Caps on one shipped batch.
+constexpr size_t kMaxEntriesPerRpc = 64;
+constexpr uint64_t kMaxBytesPerRpc = 1 << 20;
+/// Shipped entries still unacked this long after the last send are resent.
+constexpr uint64_t kRpcTimeoutMicros = 1'000'000;
+
+}  // namespace
+
 Result<std::unique_ptr<SemiSyncServer>> SemiSyncServer::Create(
     Env* env, SemiSyncOptions options, Clock* clock, SendFn send) {
   if (clock == nullptr) {
@@ -196,30 +206,30 @@ void SemiSyncServer::ShipTo(const MemberId& receiver_id) {
   auto it = receivers_.find(receiver_id);
   if (it == receivers_.end()) return;
   Receiver& receiver = it->second;
-  if (receiver.awaiting_response) return;
-  if (receiver.next_index > binlog_->LastIndex()) return;
-
-  AppendEntriesRequest request;
-  request.leader = options_.id;
-  request.dest = receiver_id;
-  request.term = generation_;
-  if (receiver.next_index > 1) {
-    auto prev = binlog_->OpIdAt(receiver.next_index - 1);
-    if (!prev.ok()) {
-      MYRAFT_LOG(Warning) << options_.id << ": cannot serve "
-                          << receiver_id << ": " << prev.status();
-      return;
+  while (receiver.next_index <= binlog_->LastIndex()) {
+    AppendEntriesRequest request;
+    request.leader = options_.id;
+    request.dest = receiver_id;
+    request.term = generation_;
+    if (receiver.next_index > 1) {
+      auto prev = binlog_->OpIdAt(receiver.next_index - 1);
+      if (!prev.ok()) {
+        MYRAFT_LOG(Warning) << options_.id << ": cannot serve "
+                            << receiver_id << ": " << prev.status();
+        return;
+      }
+      request.prev = *prev;
     }
-    request.prev = *prev;
+    auto batch = binlog_->ReadEntries(receiver.next_index, kMaxEntriesPerRpc,
+                                      kMaxBytesPerRpc);
+    if (!batch.ok() || batch->empty()) return;
+    request.entries = std::move(*batch);
+    receiver.next_index = request.entries.back().id.index + 1;
+    receiver.shipped_index =
+        std::max(receiver.shipped_index, receiver.next_index - 1);
+    receiver.last_rpc_sent_micros = clock_->NowMicros();
+    send_(std::move(request));
   }
-  auto batch = binlog_->ReadEntries(receiver.next_index,
-                                    options_.max_entries_per_rpc,
-                                    options_.max_bytes_per_rpc);
-  if (!batch.ok()) return;
-  request.entries = std::move(*batch);
-  receiver.awaiting_response = true;
-  receiver.last_rpc_sent_micros = clock_->NowMicros();
-  send_(std::move(request));
 }
 
 // --- Receiver side ------------------------------------------------------------------
@@ -318,7 +328,6 @@ void SemiSyncServer::HandleAppendEntriesResponse(
   auto it = receivers_.find(response.from);
   if (it == receivers_.end()) return;
   Receiver& receiver = it->second;
-  receiver.awaiting_response = false;
 
   if (!response.success) {
     receiver.next_index = std::max<uint64_t>(
@@ -329,7 +338,8 @@ void SemiSyncServer::HandleAppendEntriesResponse(
   }
   receiver.match_index =
       std::max(receiver.match_index, response.last_received.index);
-  receiver.next_index = receiver.match_index + 1;
+  receiver.next_index =
+      std::max(receiver.next_index, receiver.match_index + 1);
 
   // Count semi-sync acks for pending commits.
   if (ackers_.count(response.from) > 0) {
@@ -345,21 +355,19 @@ void SemiSyncServer::HandleAppendEntriesResponse(
       }
     }
   }
-  if (receiver.next_index <= binlog_->LastIndex()) ShipTo(response.from);
+  ShipTo(response.from);
 }
 
 void SemiSyncServer::Tick() {
   const uint64_t now = clock_->NowMicros();
   if (is_primary_) {
     for (auto& [receiver_id, receiver] : receivers_) {
-      if (receiver.awaiting_response &&
-          now - receiver.last_rpc_sent_micros > options_.rpc_timeout_micros) {
-        receiver.awaiting_response = false;
+      // RPC timeout: resend from the first unacked entry.
+      if (receiver.shipped_index > receiver.match_index &&
+          now - receiver.last_rpc_sent_micros > kRpcTimeoutMicros) {
+        receiver.next_index = receiver.match_index + 1;
       }
-      if (!receiver.awaiting_response &&
-          receiver.next_index <= binlog_->LastIndex()) {
-        ShipTo(receiver_id);
-      }
+      ShipTo(receiver_id);
     }
     // Semi-sync timeout: degrade to async (commit without the ack).
     while (!pending_.empty() &&

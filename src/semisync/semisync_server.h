@@ -47,11 +47,6 @@ struct SemiSyncOptions {
   /// Semi-sync ack settings (rpl_semi_sync_master_*).
   int required_acks = 1;
   uint64_t ack_timeout_micros = 1'000'000;  // then degrade to async
-
-  size_t max_entries_per_rpc = 64;
-  uint64_t max_bytes_per_rpc = 1 << 20;
-  uint64_t rpc_timeout_micros = 1'000'000;
-  uint64_t ship_interval_micros = 100'000;  // idle keepalive/ship cadence
 };
 
 struct SemiSyncWriteResult {
@@ -110,7 +105,7 @@ class SemiSyncServer {
                                   const std::string& key) const;
 
   void HandleMessage(const Message& message);
-  /// Drives shipping retries, ack timeouts and the keepalive cadence.
+  /// Drives shipping retries and ack timeouts (replicas: the applier).
   void Tick();
 
   // --- Introspection ----------------------------------------------------------------
@@ -128,10 +123,13 @@ class SemiSyncServer {
   uint64_t ReceiverMatchIndex(const MemberId& member) const;
 
  private:
+  /// Primary-side stream state of one receiver. The binlog streams: each
+  /// flushed write ships at once, ahead of the acks for earlier batches.
   struct Receiver {
     uint64_t next_index = 1;
     uint64_t match_index = 0;
-    bool awaiting_response = false;
+    /// Highest index shipped; entries past match_index are unacked.
+    uint64_t shipped_index = 0;
     uint64_t last_rpc_sent_micros = 0;
   };
 

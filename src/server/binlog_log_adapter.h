@@ -1,30 +1,27 @@
-// The plugin's specialisation of the Raft log abstraction onto MySQL
-// binary logs (§3.1): "we enhanced kuduraft to have a log abstraction
-// layer, and then specialized this abstraction for MySQL in the plugin."
-// GTID metadata cleanup on truncation happens inside BinlogManager; the
-// GTIDs removed are surfaced through a callback so the server can update
-// any additional bookkeeping (§3.3 demotion step 4).
+// Raft's log abstraction specialised onto MySQL binary logs (§3.1): "we
+// enhanced kuduraft to have a log abstraction layer, and then specialized
+// this abstraction for MySQL in the plugin." GTID metadata cleanup on
+// truncation happens inside BinlogManager; the GTIDs removed are surfaced
+// through a callback so the server can update any additional bookkeeping
+// (§3.3 demotion step 4).
 
-#ifndef MYRAFT_PLUGIN_BINLOG_LOG_ADAPTER_H_
-#define MYRAFT_PLUGIN_BINLOG_LOG_ADAPTER_H_
+#ifndef MYRAFT_SERVER_BINLOG_LOG_ADAPTER_H_
+#define MYRAFT_SERVER_BINLOG_LOG_ADAPTER_H_
 
 #include <functional>
 
 #include "binlog/binlog_manager.h"
 #include "raft/log_abstraction.h"
 
-namespace myraft::plugin {
+namespace myraft::server {
 
 class BinlogLogAdapter final : public raft::LogAbstraction {
  public:
   using GtidsTruncatedFn = std::function<void(const binlog::GtidSet&)>;
 
-  explicit BinlogLogAdapter(binlog::BinlogManager* manager)
-      : manager_(manager) {}
-
-  void set_gtids_truncated_callback(GtidsTruncatedFn fn) {
-    gtids_truncated_ = std::move(fn);
-  }
+  BinlogLogAdapter(binlog::BinlogManager* manager,
+                   GtidsTruncatedFn gtids_truncated)
+      : manager_(manager), gtids_truncated_(std::move(gtids_truncated)) {}
 
   Status Append(const LogEntry& entry) override {
     return manager_->AppendEntry(entry);
@@ -49,19 +46,15 @@ class BinlogLogAdapter final : public raft::LogAbstraction {
   Status TruncateAfter(uint64_t index) override {
     auto removed = manager_->TruncateAfter(index);
     if (!removed.ok()) return removed.status();
-    if (gtids_truncated_ && !removed->IsEmpty()) {
-      gtids_truncated_(*removed);
-    }
+    if (!removed->IsEmpty()) gtids_truncated_(*removed);
     return Status::OK();
   }
-
-  binlog::BinlogManager* manager() { return manager_; }
 
  private:
   binlog::BinlogManager* manager_;
   GtidsTruncatedFn gtids_truncated_;
 };
 
-}  // namespace myraft::plugin
+}  // namespace myraft::server
 
-#endif  // MYRAFT_PLUGIN_BINLOG_LOG_ADAPTER_H_
+#endif  // MYRAFT_SERVER_BINLOG_LOG_ADAPTER_H_

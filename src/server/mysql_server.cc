@@ -104,28 +104,29 @@ Status MySqlServer::Init(const raft::QuorumEngine* quorum, Random* rng,
     next_dispatch_index_ = next_apply_index_;
   }
 
-  plugin::RaftPluginOptions plugin_options;
-  plugin_options.raft = options_.raft;
-  plugin_options.raft.self = options_.id;
-  plugin_options.raft.region = options_.region;
-  plugin_options.raft.kind = options_.kind;
-  plugin_options.raft.metrics = metrics_;
-  plugin_options.raft.tracer = options_.tracer;
-  plugin_options.meta_path = options_.data_dir + "/cmeta";
-  plugin_ = std::make_unique<plugin::RaftPlugin>(
-      env_, std::move(plugin_options), binlog_.get(), quorum, clock_, rng,
-      outbox, this);
+  log_adapter_ = std::make_unique<BinlogLogAdapter>(
+      binlog_.get(),
+      [this](const binlog::GtidSet& removed) { OnGtidsTruncated(removed); });
+  raft::RaftOptions raft_options = options_.raft;
+  raft_options.self = options_.id;
+  raft_options.region = options_.region;
+  raft_options.kind = options_.kind;
+  raft_options.metrics = metrics_;
+  raft_options.tracer = options_.tracer;
+  consensus_ = std::make_unique<raft::RaftConsensus>(
+      std::move(raft_options), log_adapter_.get(), quorum, &meta_store_,
+      clock_, rng, outbox, this);
   return Status::OK();
 }
 
 Status MySqlServer::Bootstrap(const MembershipConfig& config) {
-  return plugin_->Bootstrap(config);
+  return consensus_->Bootstrap(config);
 }
 
-Status MySqlServer::Start() { return plugin_->Start(); }
+Status MySqlServer::Start() { return consensus_->Start(); }
 
 void MySqlServer::Tick() {
-  plugin_->consensus()->Tick();
+  consensus_->Tick();
   // Retire apply-window tasks whose modelled worker time has elapsed.
   if (!apply_window_.empty()) RunApplier();
   if (witness_handoff_pending_) MaybeWitnessHandoff();
@@ -150,7 +151,7 @@ uint64_t MySqlServer::NextTickDueMicros() const {
       promotion_.has_value() || CheckpointDue()) {
     return 0;
   }
-  return plugin_->consensus()->NextTickDueMicros();
+  return consensus_->NextTickDueMicros();
 }
 
 bool MySqlServer::CheckpointDue() const {
@@ -238,7 +239,7 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   // Commit: assign identity (GTID then OpId, §3.4), prepare, flush via
   // Raft. Planned OpId and Replicate run in the same event-loop turn, so
   // the stamp cannot be stolen by an interleaved append.
-  const OpId opid = plugin_->consensus()->NextOpId();
+  const OpId opid = consensus_->NextOpId();
   const uint64_t xid = opid.index;
   Status prepared = engine_->Prepare(txn, xid);
   if (!prepared.ok()) {
@@ -257,7 +258,7 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   std::string payload = builder.Finalize(
       gtid, opid, xid, clock_->NowMicros(), options_.numeric_server_id,
       group_commit_last_committed_, opid.index, trace, total_span);
-  auto replicated = plugin_->consensus()->Replicate(
+  auto replicated = consensus_->Replicate(
       EntryType::kTransaction, std::move(payload),
       trace::TraceContext{trace, total_span});
   if (!replicated.ok()) {
@@ -287,8 +288,8 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   // region holds only the leader) is completed by the self-append, so the
   // marker advances inside Replicate — before the pending entry above
   // exists. Retire it now; otherwise nothing ever does.
-  const OpId marker = plugin_->consensus()->commit_marker();
-  if (marker.index >= opid.index) OnConsensusCommitAdvanced(marker);
+  const OpId marker = consensus_->commit_marker();
+  if (marker.index >= opid.index) OnCommitAdvanced(marker);
 }
 
 std::optional<std::string> MySqlServer::Read(const std::string& table,
@@ -343,7 +344,7 @@ void MySqlServer::MaybeServeReads() {
 
 // --- Consensus-commit stage + applier (§3.4/§3.5) --------------------------------
 
-void MySqlServer::OnConsensusCommitAdvanced(OpId marker) {
+void MySqlServer::OnCommitAdvanced(OpId marker) {
   trace::Tracer* tracer = options_.tracer;
   bool engine_commit_failed = false;
   // Stage 3: engine-commit every pending write covered by the marker.
@@ -386,8 +387,7 @@ void MySqlServer::OnConsensusCommitAdvanced(OpId marker) {
         total_micros > options_.slow_txn_threshold_micros) {
       // Slow-transaction log: one structured line with the per-stage
       // breakdown and the peer whose ack finally completed the quorum.
-      const MemberId& straggler =
-          plugin_->consensus()->last_commit_completer();
+      const MemberId& straggler = consensus_->last_commit_completer();
       const std::string summary = StringPrintf(
           "%s: slow-txn gtid=%s opid=%s total_us=%llu flush_us=%llu "
           "wait_us=%llu commit_us=%llu straggler=%s",
@@ -421,8 +421,8 @@ void MySqlServer::OnConsensusCommitAdvanced(OpId marker) {
   MaybeServeReads();
 }
 
-void MySqlServer::OnLogEntryAppended(const LogEntry& entry) {
-  // §3.5: the plugin informs MySQL of the new relay-log entry and signals
+void MySqlServer::OnEntryAppended(const LogEntry& entry) {
+  // §3.5: Raft informs MySQL of the new relay-log entry and signals
   // the applier. (Uncommitted entries park until the marker covers them.)
   RunApplier();
 }
@@ -442,7 +442,7 @@ uint64_t MySqlServer::NextApplierDeadlineMicros() const {
 void MySqlServer::RunApplier() {
   if (engine_ == nullptr) return;
   if (writes_enabled_) return;  // primaries commit through the pipeline
-  const OpId marker = plugin_->consensus()->commit_marker();
+  const OpId marker = consensus_->commit_marker();
   // A freshly provisioned member may have an engine ahead of a purged log
   // prefix.
   const uint64_t first = binlog_->FirstIndex();
@@ -641,7 +641,7 @@ void MySqlServer::ResetApplier() {
 
 // --- Promotion (§3.3) --------------------------------------------------------------
 
-void MySqlServer::OnPromotionStarted(uint64_t term, OpId noop_opid) {
+void MySqlServer::OnLeadershipAcquired(uint64_t term, OpId noop_opid) {
   if (options_.kind == MemberKind::kLogtailer) {
     // §2.2: a logtailer elected as temporary leader transfers leadership
     // to a database replica via a regular promotion.
@@ -664,7 +664,7 @@ void MySqlServer::OnPromotionStarted(uint64_t term, OpId noop_opid) {
 
 void MySqlServer::MaybeCompletePromotion() {
   if (!promotion_.has_value()) return;
-  raft::RaftConsensus* consensus = plugin_->consensus();
+  raft::RaftConsensus* consensus = consensus_.get();
   if (consensus->role() != RaftRole::kLeader ||
       consensus->term() != promotion_->term) {
     if (options_.tracer != nullptr && promotion_->trace_span != 0) {
@@ -731,7 +731,7 @@ void MySqlServer::MaybeCompletePromotion() {
 }
 
 void MySqlServer::MaybeWitnessHandoff() {
-  raft::RaftConsensus* consensus = plugin_->consensus();
+  raft::RaftConsensus* consensus = consensus_.get();
   if (consensus->role() != RaftRole::kLeader) {
     witness_handoff_pending_ = false;
     return;
@@ -761,7 +761,7 @@ void MySqlServer::MaybeWitnessHandoff() {
 
 // --- Demotion (§3.3) ----------------------------------------------------------------
 
-void MySqlServer::OnDemotion(uint64_t term) {
+void MySqlServer::OnLeadershipLost(uint64_t term) {
   trace::Tracer* tracer = options_.tracer;
   if (tracer != nullptr && promotion_.has_value() &&
       promotion_->trace_span != 0) {
@@ -801,7 +801,7 @@ void MySqlServer::OnDemotion(uint64_t term) {
   if (!s.ok()) {
     MYRAFT_LOG(Error) << options_.id << ": persona rewire failed: " << s;
   }
-  // Step 4 (truncation + GTID cleanup) happens inside Raft/log-adapter
+  // Step 4 (truncation + GTID cleanup) happens inside Raft/BinlogLogAdapter
   // when the new leader's log conflicts; see OnGtidsTruncated.
   // Step 5: the applier resumes from the engine's recovered cursor
   // (rolling back any window tasks prepared but not yet retired).
@@ -826,8 +826,8 @@ void MySqlServer::OnGtidsTruncated(const binlog::GtidSet& removed) {
   }
 }
 
-void MySqlServer::OnTransferFailed(const MemberId& target,
-                                   const Status& reason) {
+void MySqlServer::OnLeadershipTransferFailed(const MemberId& target,
+                                             const Status& reason) {
   MYRAFT_LOG(Warning) << options_.id << ": leadership transfer to " << target
                       << " failed: " << reason;
   // Witnesses keep trying with the next candidate on subsequent ticks.
@@ -863,12 +863,12 @@ ReplicaStatus MySqlServer::ShowReplicaStatus() const {
   status.applier_running = engine_ != nullptr && !writes_enabled_;
   status.last_applied =
       engine_ != nullptr ? engine_->LastAppliedOpId() : OpId{};
-  status.commit_marker = plugin_->consensus()->commit_marker();
+  status.commit_marker = consensus_->commit_marker();
   status.lag_entries =
       status.commit_marker.index >= next_apply_index_
           ? status.commit_marker.index - next_apply_index_ + 1
           : 0;
-  status.primary = plugin_->consensus()->leader();
+  status.primary = consensus_->leader();
   return status;
 }
 
@@ -878,7 +878,7 @@ Status MySqlServer::FlushBinaryLogs() {
   }
   // §A.1: the rotate event is replicated with an OpId so log files stay
   // identical across the replicaset.
-  auto opid = plugin_->consensus()->Replicate(EntryType::kRotate, "");
+  auto opid = consensus_->Replicate(EntryType::kRotate, "");
   if (!opid.ok()) return opid.status();
   return Status::OK();
 }
@@ -889,7 +889,7 @@ Status MySqlServer::PurgeLogsTo(const std::string& file) {
   if (first_surviving == 0) return Status::OK();
   const uint64_t last_purged = first_surviving - 1;
 
-  raft::RaftConsensus* consensus = plugin_->consensus();
+  raft::RaftConsensus* consensus = consensus_.get();
   if (consensus->role() == RaftRole::kLeader) {
     // §A.1: never purge entries some member (any region) still needs.
     for (const auto& [peer, progress] : consensus->peers()) {
@@ -915,7 +915,7 @@ Status MySqlServer::PurgeLogsTo(const std::string& file) {
 
 InvariantSnapshot MySqlServer::CaptureInvariantSnapshot() const {
   InvariantSnapshot snap;
-  const raft::RaftConsensus* consensus = plugin_->consensus();
+  const raft::RaftConsensus* consensus = consensus_.get();
   snap.role = consensus->role();
   snap.term = consensus->term();
   snap.leader = consensus->leader();
@@ -936,7 +936,7 @@ InvariantSnapshot MySqlServer::CaptureInvariantSnapshot() const {
 
 MySqlServer::DebugStatusSnapshot MySqlServer::DebugStatus() const {
   DebugStatusSnapshot s;
-  s.raft = plugin_->consensus()->DebugStatus();
+  s.raft = consensus_->DebugStatus();
   s.writes_enabled = writes_enabled_;
   s.db_role = db_role();
   s.applied_index = AppliedIndex();

@@ -15,11 +15,13 @@
 // §3.5 — on replicas the applier consumes committed entries from the
 // relay log and drives them through the same prepare/commit path.
 //
-// §3.3 — role changes are orchestrated through the plugin's ServerHooks:
-// promotion (no-op barrier → applier catch-up → log rewiring → enable
-// writes → service-discovery publish) and demotion (abort in-flight →
-// disable writes → rewiring → truncation GTID cleanup → applier restart
-// from the engine's recovered cursor).
+// §3.1/§3.3 — the server is Raft's callback API (StateMachineListener):
+// it owns the consensus instance, its durable metadata and the binlog
+// adapter that makes the binlog Raft's log, and orchestrates role changes
+// from the callbacks: promotion (no-op barrier → applier catch-up → log
+// rewiring → enable writes → service-discovery publish) and demotion
+// (abort in-flight → disable writes → rewiring → truncation GTID cleanup
+// → applier restart from the engine's recovered cursor).
 
 #ifndef MYRAFT_SERVER_MYSQL_SERVER_H_
 #define MYRAFT_SERVER_MYSQL_SERVER_H_
@@ -33,7 +35,9 @@
 #include <vector>
 
 #include "binlog/transaction.h"
-#include "plugin/raft_plugin.h"
+#include "raft/consensus.h"
+#include "raft/consensus_metadata.h"
+#include "server/binlog_log_adapter.h"
 #include "server/service_discovery.h"
 #include "storage/engine.h"
 #include "util/metrics.h"
@@ -135,7 +139,7 @@ struct InvariantSnapshot {
   uint64_t row_count = 0;
 };
 
-class MySqlServer final : public plugin::ServerHooks {
+class MySqlServer final : public raft::StateMachineListener {
  public:
   /// Structured state dump (DESIGN.md §14): the consensus DebugStatus
   /// plus the server-side pipeline — the `SHOW RAFT STATUS` analogue a
@@ -156,7 +160,7 @@ class MySqlServer final : public plugin::ServerHooks {
     std::string ToJson() const;
   };
 
-  /// Opens (or recovers) all storage and wires the plugin. Call
+  /// Opens (or recovers) all storage and wires up consensus. Call
   /// Bootstrap() (first boot of the ring) or Start() (restart) next.
   static Result<std::unique_ptr<MySqlServer>> Create(
       Env* env, MySqlServerOptions options, const raft::QuorumEngine* quorum,
@@ -172,7 +176,7 @@ class MySqlServer final : public plugin::ServerHooks {
   // --- Event entry points (driven by the host) -------------------------------
 
   void HandleMessage(const Message& message) {
-    plugin_->consensus()->HandleMessage(message);
+    consensus_->HandleMessage(message);
   }
   void Tick();
   /// Earliest local time at which Tick() can act (0 = now, UINT64_MAX =
@@ -241,25 +245,25 @@ class MySqlServer final : public plugin::ServerHooks {
   // --- Control-plane passthrough -------------------------------------------------
 
   Status TransferLeadership(const MemberId& target) {
-    return plugin_->consensus()->TransferLeadership(target);
+    return consensus_->TransferLeadership(target);
   }
   Status AddMember(const MemberInfo& member) {
-    return plugin_->consensus()->AddMember(member);
+    return consensus_->AddMember(member);
   }
   Status RemoveMember(const MemberId& member) {
-    return plugin_->consensus()->RemoveMember(member);
+    return consensus_->RemoveMember(member);
   }
   Status SetMemberType(const MemberId& member, RaftMemberType type) {
-    return plugin_->consensus()->SetMemberType(member, type);
+    return consensus_->SetMemberType(member, type);
   }
   Status SetQuorumSpec(const std::string& spec) {
-    return plugin_->consensus()->SetQuorumSpec(spec);
+    return consensus_->SetQuorumSpec(spec);
   }
 
   // --- Introspection -------------------------------------------------------------
 
-  raft::RaftConsensus* consensus() { return plugin_->consensus(); }
-  const raft::RaftConsensus* consensus() const { return plugin_->consensus(); }
+  raft::RaftConsensus* consensus() { return consensus_.get(); }
+  const raft::RaftConsensus* consensus() const { return consensus_.get(); }
   storage::MiniEngine* engine() { return engine_.get(); }
   const storage::MiniEngine* engine() const { return engine_.get(); }
   binlog::BinlogManager* binlog_manager() { return binlog_.get(); }
@@ -278,15 +282,17 @@ class MySqlServer final : public plugin::ServerHooks {
     role_change_cb_ = std::move(cb);
   }
 
-  // --- ServerHooks (Raft -> plugin -> server) --------------------------------------
+  // --- StateMachineListener (Raft -> server, §3.1) ---------------------------
 
-  void OnPromotionStarted(uint64_t term, OpId noop_opid) override;
-  void OnDemotion(uint64_t term) override;
-  void OnConsensusCommitAdvanced(OpId marker) override;
-  void OnLogEntryAppended(const LogEntry& entry) override;
-  void OnGtidsTruncated(const binlog::GtidSet& removed) override;
-  void OnMembershipChanged(const MembershipConfig& config) override {}
-  void OnTransferFailed(const MemberId& target, const Status& reason) override;
+  /// Won an election; runs promotion steps 1-5 of §3.3.
+  void OnLeadershipAcquired(uint64_t term, OpId noop_opid) override;
+  /// Lost leadership; runs demotion steps 1-5 of §3.3.
+  void OnLeadershipLost(uint64_t term) override;
+  void OnCommitAdvanced(OpId marker) override;
+  /// New entry in the local log (signals the applier on replicas, §3.5).
+  void OnEntryAppended(const LogEntry& entry) override;
+  void OnLeadershipTransferFailed(const MemberId& target,
+                                  const Status& reason) override;
 
  private:
   struct PendingCommit {
@@ -379,7 +385,10 @@ class MySqlServer final : public plugin::ServerHooks {
   };
 
   MySqlServer(Env* env, MySqlServerOptions options, Clock* clock)
-      : env_(env), options_(std::move(options)), clock_(clock) {}
+      : env_(env),
+        options_(std::move(options)),
+        clock_(clock),
+        meta_store_(env, options_.data_dir + "/cmeta") {}
 
   Random* rng_ = nullptr;
 
@@ -395,6 +404,9 @@ class MySqlServer final : public plugin::ServerHooks {
   /// The engine WAL is over engine_checkpoint_wal_bytes (Tick() also
   /// waits for prepared transactions to drain before checkpointing).
   bool CheckpointDue() const;
+  /// Raft truncated a not-consensus-committed suffix; these GTIDs were
+  /// removed from the log's GTID metadata (§3.3 demotion step 4).
+  void OnGtidsTruncated(const binlog::GtidSet& removed);
   void MaybeCompletePromotion();
   /// A logtailer that won an election hands leadership to the most
   /// caught-up MySQL voter (§2.2).
@@ -408,7 +420,11 @@ class MySqlServer final : public plugin::ServerHooks {
   Clock* clock_;
   std::unique_ptr<binlog::BinlogManager> binlog_;
   std::unique_ptr<storage::MiniEngine> engine_;  // null for logtailers
-  std::unique_ptr<plugin::RaftPlugin> plugin_;
+  /// Raft's log is the binlog (§3.1); the adapter and consensus are built
+  /// in Init once the binlog is open.
+  std::unique_ptr<BinlogLogAdapter> log_adapter_;
+  raft::ConsensusMetadataStore meta_store_;
+  std::unique_ptr<raft::RaftConsensus> consensus_;
   ServiceDiscovery* discovery_ = nullptr;
 
   bool writes_enabled_ = false;

@@ -4,6 +4,10 @@ namespace myraft::sim {
 
 namespace {
 
+/// Follower-read steering (§13): maximum replication lag, in entries, a
+/// follower may have and still be offered client reads.
+constexpr uint64_t kReadStalenessBudgetEntries = 1'000;
+
 trace::TracerOptions ClientTracerOptions(const SimClient::Options& options,
                                          EventLoop* loop) {
   trace::TracerOptions out;
@@ -150,9 +154,8 @@ void SimClient::ClientRead(const std::string& key,
       // which same-region member fits the staleness budget (§13).
       SimNode* primary_node = shard_->FindNode(*primary);
       if (primary_node != nullptr && primary_node->up()) {
-        const MemberId steered =
-            primary_node->router()->ChooseReadTarget(
-                client_region, options_.model.read_staleness_budget_entries);
+        const MemberId steered = primary_node->router()->ChooseReadTarget(
+            client_region, kReadStalenessBudgetEntries);
         if (!steered.empty()) dest = steered;
       }
     }

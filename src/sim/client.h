@@ -28,10 +28,6 @@ struct ClientModelOptions {
   uint64_t processing_jitter_micros = 0;
   /// Client-side timeout treated as a failed write (dead primary).
   uint64_t timeout_micros = 500'000;
-  /// Follower-read steering (§13): maximum replication lag, in entries,
-  /// a follower may have and still be offered client reads. 0 pins all
-  /// reads to the leader.
-  uint64_t read_staleness_budget_entries = 1'000;
 };
 
 struct ClientWriteResult {

@@ -6,6 +6,13 @@ namespace myraft::sim {
 
 namespace {
 
+/// Sampler ring capacity, in windows.
+constexpr size_t kSamplerWindowCapacity = 256;
+/// Merged-trace records embedded in a bundle's trace_tail section.
+constexpr size_t kTraceTailRecords = 256;
+/// Per-kind flight-recorder trigger cooldown.
+constexpr uint64_t kTriggerCooldownMicros = 50'000;
+
 NetworkOptions WithDefaultMetrics(NetworkOptions options,
                                   metrics::MetricRegistry* registry) {
   if (options.metrics == nullptr) options.metrics = registry;
@@ -94,7 +101,7 @@ void ClusterHarness::StartObservability() {
   obs::TimeSeriesOptions sampler_options;
   sampler_options.clock = loop_.clock();
   sampler_options.interval_micros = options_.obs.sample_interval_micros;
-  sampler_options.capacity = options_.obs.window_capacity;
+  sampler_options.capacity = kSamplerWindowCapacity;
   sampler_ = std::make_unique<obs::TimeSeriesSampler>(sampler_options);
   // Registries live on the SimNode (outside the server process object),
   // so crash/restart cycles never invalidate a source.
@@ -104,9 +111,7 @@ void ClusterHarness::StartObservability() {
   sampler_->AddSource("network", &net_metrics_);
   sampler_->AddSource("obs", &obs_metrics_);
 
-  obs::HealthOptions health_options = options_.obs.health;
-  health_options.clock = loop_.clock();
-  health_ = std::make_unique<obs::HealthMonitor>(health_options);
+  health_ = std::make_unique<obs::HealthMonitor>(loop_.clock());
   health_->SetTransitionCallback([this](bool healthy, uint64_t ts_micros) {
     if (!healthy) {
       TriggerFlightRecorder(
@@ -118,13 +123,12 @@ void ClusterHarness::StartObservability() {
 
   obs::FlightRecorderOptions recorder_options;
   recorder_options.clock = loop_.clock();
-  recorder_options.cooldown_micros = options_.obs.trigger_cooldown_micros;
+  recorder_options.cooldown_micros = kTriggerCooldownMicros;
   recorder_options.metrics = &obs_metrics_;
   flight_recorder_ = std::make_unique<obs::FlightRecorder>(recorder_options);
   flight_recorder_->SetRaftstatProvider([this] { return RaftstatJson(); });
   flight_recorder_->SetTraceTailProvider([this] {
-    return trace::ExportJsonArrayTail(TraceJournals(),
-                                      options_.obs.trace_tail_records);
+    return trace::ExportJsonArrayTail(TraceJournals(), kTraceTailRecords);
   });
   flight_recorder_->SetMetricsSeriesProvider(
       [this] { return sampler_->SeriesJson(); });

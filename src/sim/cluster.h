@@ -30,14 +30,6 @@ namespace myraft::sim {
 /// and health transitions fire from the harness).
 struct ObsOptions {
   uint64_t sample_interval_micros = 0;
-  /// Sampler ring capacity, in windows.
-  size_t window_capacity = 256;
-  /// Merged-trace records embedded in a bundle's trace_tail section.
-  size_t trace_tail_records = 256;
-  /// Per-kind flight-recorder trigger cooldown.
-  uint64_t trigger_cooldown_micros = 50'000;
-  /// Health-monitor thresholds (sampler-cadence rolling windows).
-  obs::HealthOptions health;
 };
 
 /// The ring's settings (ShardOptions: topology, raft, proxy, applier,

@@ -25,11 +25,12 @@ class DowntimeProbe {
   using ProbeFn =
       std::function<void(const std::string& key, std::function<void(bool)>)>;
 
+  /// Consecutive successes required before the measurement may finish.
+  static constexpr int kSettleSuccesses = 5;
+
   struct Options {
     uint64_t probe_interval_micros = 10'000;
     uint64_t timeout_micros = 600'000'000;
-    /// Consecutive successes required before the measurement may finish.
-    int settle_successes = 5;
     /// If true, the measurement only finishes after at least one outage
     /// was observed (every disruption we measure causes one).
     bool expect_outage = true;
@@ -57,7 +58,7 @@ class DowntimeProbe {
     while (loop->now() < state->deadline) {
       loop->RunFor(options.probe_interval_micros);
       settled = !state->in_outage &&
-                state->consecutive_successes >= options.settle_successes &&
+                state->consecutive_successes >= kSettleSuccesses &&
                 (!options.expect_outage || state->saw_outage) && done();
       if (settled) break;
     }

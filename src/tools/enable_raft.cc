@@ -4,17 +4,27 @@
 
 namespace myraft::tools {
 
+namespace {
+
+constexpr uint64_t kLockAcquisitionMicros = 500'000;
+constexpr uint64_t kSafetyCheckMicros = 300'000;
+/// Per-member plugin load + configuration cost.
+constexpr uint64_t kPluginLoadMicros = 200'000;
+constexpr uint64_t kCatchupPollMicros = 50'000;
+constexpr uint64_t kCatchupTimeoutMicros = 30'000'000;
+
+}  // namespace
+
 EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
-                            const raft::QuorumEngine* quorum,
-                            EnableRaftOptions options) {
+                            const raft::QuorumEngine* quorum) {
   EnableRaftResult result;
   sim::EventLoop* loop = cluster->loop();
 
   // Step 1: distributed lock.
-  loop->RunFor(options.lock_acquisition_micros);
+  loop->RunFor(kLockAcquisitionMicros);
 
   // Step 2: safety checks — every member reachable, no failover running.
-  loop->RunFor(options.safety_check_micros);
+  loop->RunFor(kSafetyCheckMicros);
   if (cluster->automation()->failover_in_progress()) {
     result.status =
         Status::IllegalState("replicaset is undergoing a failover");
@@ -34,13 +44,12 @@ EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
   }
 
   // Step 3: load the plugin and Raft configuration on every member.
-  loop->RunFor(options.plugin_load_micros * cluster->ids().size());
+  loop->RunFor(kPluginLoadMicros * cluster->ids().size());
 
   // Step 4: stop client writes; wait for full catch-up + consistency.
   const uint64_t writes_stopped_at = loop->now();
   cluster->server(primary)->SetReadOnly(true);
-  const uint64_t catchup_deadline =
-      loop->now() + options.catchup_timeout_micros;
+  const uint64_t catchup_deadline = loop->now() + kCatchupTimeoutMicros;
   const uint64_t primary_last =
       cluster->server(primary)->LastLogged().index;
   while (loop->now() < catchup_deadline) {
@@ -53,7 +62,7 @@ EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
       }
     }
     if (caught_up) break;
-    loop->RunFor(options.catchup_poll_micros);
+    loop->RunFor(kCatchupPollMicros);
   }
   uint64_t reference_checksum = 0;
   bool have_reference = false;
@@ -102,8 +111,6 @@ EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
     node_options.server.data_dir = "/" + id;
     node_options.server.numeric_server_id = numeric_id;
     node_options.server.server_uuid = Uuid::FromIndex(1000 + numeric_id);
-    node_options.server.raft = options.raft;
-    node_options.proxy = options.proxy;
     ++numeric_id;
     auto node = std::make_unique<sim::SimNode>(
         loop, cluster->network(), cluster->discovery(), quorum,

@@ -22,18 +22,6 @@
 
 namespace myraft::tools {
 
-struct EnableRaftOptions {
-  uint64_t lock_acquisition_micros = 500'000;
-  uint64_t safety_check_micros = 300'000;
-  /// Per-member plugin load + configuration cost.
-  uint64_t plugin_load_micros = 200'000;
-  uint64_t catchup_poll_micros = 50'000;
-  uint64_t catchup_timeout_micros = 30'000'000;
-
-  raft::RaftOptions raft;
-  proxy::ProxyOptions proxy;
-};
-
 /// Outcome of a migration, including the nodes now running MyRaft. The
 /// caller keeps driving the same event loop/network.
 struct EnableRaftResult {
@@ -47,8 +35,7 @@ struct EnableRaftResult {
 
 /// Runs the full migration synchronously on the cluster's event loop.
 EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
-                            const raft::QuorumEngine* quorum,
-                            EnableRaftOptions options);
+                            const raft::QuorumEngine* quorum);
 
 }  // namespace myraft::tools
 

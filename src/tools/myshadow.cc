@@ -9,6 +9,11 @@ namespace myraft::tools {
 
 namespace {
 
+constexpr uint64_t kSettleMicros = 3'000'000;  // between rounds
+constexpr uint64_t kRestartDelayMicros = 5'000'000;
+/// Seeds the background workload's key/value and arrival draws.
+constexpr uint64_t kSeed = 42;
+
 /// Tracks committed writes so durability can be audited after the run.
 struct CommitLedger {
   std::map<std::string, std::string> committed;  // key -> value
@@ -56,7 +61,7 @@ int AuditDurability(sim::ClusterHarness* cluster, const CommitLedger& ledger) {
 MyShadowReport RunMyShadow(sim::ClusterHarness* cluster,
                            MyShadowOptions options) {
   MyShadowReport report;
-  Random rng(options.seed);
+  Random rng(kSeed);
   CommitLedger ledger;
   sim::EventLoop* loop = cluster->loop();
 
@@ -96,11 +101,11 @@ MyShadowReport RunMyShadow(sim::ClusterHarness* cluster,
     }
     report.failover_downtime_micros.Add(downtime.downtime_micros);
 
-    loop->Schedule(options.restart_delay_micros, [cluster, primary]() {
+    loop->Schedule(kRestartDelayMicros, [cluster, primary]() {
       Status s = cluster->Restart(primary);
       if (!s.ok()) MYRAFT_LOG(Error) << "myshadow restart: " << s;
     });
-    loop->RunFor(options.settle_micros + options.restart_delay_micros);
+    loop->RunFor(kSettleMicros + kRestartDelayMicros);
 
     if (!cluster->CheckReplicaConsistency()) ++report.consistency_violations;
     report.durability_violations += AuditDurability(cluster, ledger);
@@ -134,14 +139,14 @@ MyShadowReport RunMyShadow(sim::ClusterHarness* cluster,
     if (downtime.recovered) {
       report.promotion_downtime_micros.Add(downtime.downtime_micros);
     }
-    loop->RunFor(options.settle_micros);
+    loop->RunFor(kSettleMicros);
     if (!cluster->CheckReplicaConsistency()) ++report.consistency_violations;
     report.durability_violations += AuditDurability(cluster, ledger);
     ++report.rounds_run;
   }
 
   pumping = false;
-  loop->RunFor(options.settle_micros);
+  loop->RunFor(kSettleMicros);
   report.writes_committed = ledger.committed_count;
   report.writes_failed = ledger.failed_count;
   report.durability_violations += AuditDurability(cluster, ledger);

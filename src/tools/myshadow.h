@@ -22,9 +22,6 @@ struct MyShadowOptions {
   int functional_rounds = 10;
   /// Background write arrival rate during testing.
   double workload_rate_per_sec = 200.0;
-  uint64_t settle_micros = 3'000'000;   // between rounds
-  uint64_t restart_delay_micros = 5'000'000;
-  uint64_t seed = 42;
 };
 
 struct MyShadowReport {

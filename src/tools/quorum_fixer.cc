@@ -6,14 +6,24 @@
 
 namespace myraft::tools {
 
-QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
-                                 QuorumFixerOptions options) {
+namespace {
+
+/// Votes required under the override: the chosen member + any reachable
+/// peer that acked it (2 keeps a shred of redundancy; 1 is the big
+/// hammer).
+constexpr int kOverrideVotes = 2;
+constexpr uint64_t kWriteProbeTimeoutMicros = 2'000'000;
+constexpr uint64_t kElectionTimeoutMicros = 10'000'000;
+
+}  // namespace
+
+QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster) {
   QuorumFixerReport report;
   sim::EventLoop* loop = cluster->loop();
 
   // Step 1: confirm the ring is actually refusing writes.
   auto probe = cluster->SyncWrite("quorum-fixer-probe", "x",
-                                  options.write_probe_timeout_micros);
+                                  kWriteProbeTimeoutMicros);
   if (probe.status.ok()) {
     report.status = Status::IllegalState(
         "writes are flowing; refusing to force a quorum change");
@@ -56,9 +66,9 @@ QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
   report.chosen = best;
   report.chosen_last_log = best_last;
 
-  if (options.conservative && max_commit.index > best_last.index) {
+  if (max_commit.index > best_last.index) {
     report.status = Status::Aborted(
-        "conservative mode: chosen log may miss committed entries (" +
+        "chosen log may miss committed entries (" +
         max_commit.ToString() + " > " + best_last.ToString() + ")");
     return report;
   }
@@ -66,7 +76,7 @@ QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
   // Step 3: force the election.
   raft::RaftConsensus* chosen =
       cluster->node(best)->server()->consensus();
-  chosen->SetElectionVotesOverride(options.override_votes);
+  chosen->SetElectionVotesOverride(kOverrideVotes);
   Status election = chosen->StartElection(raft::ElectionMode::kRealElection);
   if (!election.ok()) {
     chosen->SetElectionVotesOverride(std::nullopt);
@@ -74,7 +84,7 @@ QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
     return report;
   }
 
-  const uint64_t deadline = loop->now() + options.election_timeout_micros;
+  const uint64_t deadline = loop->now() + kElectionTimeoutMicros;
   bool promoted = false;
   while (loop->now() < deadline) {
     loop->RunFor(50'000);
@@ -129,7 +139,7 @@ QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
     report.forced_reconfig = true;
     report.voters_excised = excised;
     const uint64_t config_deadline =
-        loop->now() + options.election_timeout_micros;
+        loop->now() + kElectionTimeoutMicros;
     while (loop->now() < config_deadline &&
            chosen->has_pending_config_change()) {
       loop->RunFor(50'000);

@@ -21,20 +21,6 @@
 
 namespace myraft::tools {
 
-struct QuorumFixerOptions {
-  /// Conservative mode refuses to act when the chosen member's log might
-  /// miss committed entries (another reachable member claims a later
-  /// commit marker). Relaxing this accepts potential data loss to regain
-  /// availability.
-  bool conservative = true;
-  /// Votes required under the override: the chosen member + any reachable
-  /// peer that acked it (2 keeps a shred of redundancy; 1 is the big
-  /// hammer).
-  int override_votes = 2;
-  uint64_t write_probe_timeout_micros = 2'000'000;
-  uint64_t election_timeout_micros = 10'000'000;
-};
-
 struct QuorumFixerReport {
   Status status;
   MemberId chosen;          // member promoted by the override
@@ -47,9 +33,10 @@ struct QuorumFixerReport {
   int voters_excised = 0;
 };
 
-/// Runs the remediation synchronously on the harness's event loop.
-QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster,
-                                 QuorumFixerOptions options);
+/// Runs the remediation synchronously on the harness's event loop. It
+/// refuses to act when the chosen member's log might miss committed
+/// entries (another reachable member claims a later commit marker).
+QuorumFixerReport RunQuorumFixer(sim::ClusterHarness* cluster);
 
 }  // namespace myraft::tools
 

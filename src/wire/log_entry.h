@@ -1,6 +1,6 @@
 // Replicated log entries. The payload is opaque to Raft — for transaction
 // entries it is the binlog-encoded transaction produced by the server; the
-// log abstraction (plugin) maps entries onto binlog files.
+// server's log adapter (BinlogLogAdapter) maps entries onto binlog files.
 
 #ifndef MYRAFT_WIRE_LOG_ENTRY_H_
 #define MYRAFT_WIRE_LOG_ENTRY_H_

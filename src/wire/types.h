@@ -150,7 +150,7 @@ enum class RaftRole : uint8_t {
 
 std::string_view RaftRoleToString(RaftRole role);
 
-/// MySQL-side role orchestrated by the plugin callbacks (§3.3).
+/// MySQL-side role orchestrated by the Raft callbacks (§3.3).
 enum class DbRole : uint8_t {
   kReplica = 0,
   kPrimary = 1,

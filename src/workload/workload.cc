@@ -6,6 +6,17 @@
 
 namespace myraft::workload {
 
+namespace {
+
+constexpr uint64_t kKeySpace = 100'000;
+/// Production values are heavy-tailed; sysbench rows are fixed-size.
+constexpr size_t kSysbenchValueBytes = 100;
+constexpr double kProductionValueShape = 1.3;  // bounded Pareto
+constexpr size_t kProductionValueMin = 64;
+constexpr size_t kProductionValueMax = 8192;
+
+}  // namespace
+
 std::vector<std::pair<uint64_t, uint64_t>> WorkloadRecorder::ThroughputSeries(
     uint64_t bucket_micros) const {
   std::map<uint64_t, uint64_t> buckets;
@@ -45,24 +56,24 @@ void WorkloadDriver::RunToCompletion(uint64_t drain_micros) {
 std::string WorkloadDriver::NextKey() {
   if (options_.kind == WorkloadKind::kSysbenchWrite) {
     // sysbench oltp_write: uniform key choice.
-    return "sbtest" + std::to_string(rng_.Uniform(options_.key_space));
+    return "sbtest" + std::to_string(rng_.Uniform(kKeySpace));
   }
   // Production-like: skewed access (80/20 via squared uniform).
   const double u = rng_.NextDouble();
   const uint64_t key = static_cast<uint64_t>(
-      u * u * static_cast<double>(options_.key_space));
+      u * u * static_cast<double>(kKeySpace));
   return "prod" + std::to_string(key);
 }
 
 std::string WorkloadDriver::NextValue() {
   size_t size;
   if (options_.kind == WorkloadKind::kSysbenchWrite) {
-    size = options_.sysbench_value_bytes;
+    size = kSysbenchValueBytes;
   } else {
     size = static_cast<size_t>(rng_.BoundedPareto(
-        options_.production_value_shape,
-        static_cast<double>(options_.production_value_min),
-        static_cast<double>(options_.production_value_max)));
+        kProductionValueShape,
+        static_cast<double>(kProductionValueMin),
+        static_cast<double>(kProductionValueMax)));
   }
   std::string value(size, 'x');
   // Vary content mildly so payloads aren't trivially constant.

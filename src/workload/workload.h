@@ -34,13 +34,6 @@ struct WorkloadOptions {
   // Closed loop (sysbench): N client threads, next op on completion.
   int closed_loop_workers = 8;
 
-  uint64_t key_space = 100'000;
-  /// Production values are heavy-tailed; sysbench rows are fixed-size.
-  size_t sysbench_value_bytes = 100;
-  double production_value_shape = 1.3;  // bounded Pareto
-  size_t production_value_min = 64;
-  size_t production_value_max = 8192;
-
   uint64_t seed = 1;
 };
 

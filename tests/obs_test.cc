@@ -194,13 +194,12 @@ HealthInputs HealthyFollower(const std::string& id) {
 
 TEST(HealthMonitorTest, DetectorScoresDegradeIndependently) {
   ManualClock clock;
-  HealthOptions options;
-  options.clock = &clock;
-  HealthMonitor monitor(options);
+  HealthMonitor monitor(&clock);
 
   HealthInputs leader = HealthyLeader("db0");
   HealthInputs lagger = HealthyFollower("db1");
-  lagger.replication_lag_entries = options.lag_floor_entries;  // bottoms out
+  // Saturates the lag detector.
+  lagger.replication_lag_entries = HealthMonitor::kLagFloorEntries;
   monitor.Observe({leader, lagger});
 
   EXPECT_DOUBLE_EQ(monitor.NodeScore("db0"), 1.0);
@@ -210,7 +209,7 @@ TEST(HealthMonitorTest, DetectorScoresDegradeIndependently) {
   EXPECT_DOUBLE_EQ(monitor.node_health().at("db1").availability, 1.0);
   EXPECT_DOUBLE_EQ(monitor.node_health().at("db1").lag, 0.0);
   // Half the floor scores half.
-  lagger.replication_lag_entries = options.lag_floor_entries / 2;
+  lagger.replication_lag_entries = HealthMonitor::kLagFloorEntries / 2;
   monitor.Observe({leader, lagger});
   EXPECT_NEAR(monitor.NodeScore("db1"), 0.5, 1e-9);
   // The roll-up only needs a writable healthy leader.
@@ -221,9 +220,7 @@ TEST(HealthMonitorTest, DetectorScoresDegradeIndependently) {
 
 TEST(HealthMonitorTest, OutageWindowsTrackLeaderlessTicks) {
   ManualClock clock;
-  HealthOptions options;
-  options.clock = &clock;
-  HealthMonitor monitor(options);
+  HealthMonitor monitor(&clock);
 
   std::vector<std::pair<bool, uint64_t>> transitions;
   monitor.SetTransitionCallback([&](bool healthy, uint64_t ts) {

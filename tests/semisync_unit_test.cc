@@ -185,6 +185,57 @@ TEST_F(SemiSyncUnitTest, PrimaryRewindsOnReceiverMismatch) {
   EXPECT_EQ(primary_->ReceiverMatchIndex("la"), 3u);
 }
 
+TEST_F(SemiSyncUnitTest, SecondWriteShipsBeforeFirstAck) {
+  // The binlog streams: a write ships as soon as it is flushed, without
+  // waiting for the ack of the batch before it.
+  ASSERT_TRUE(primary_->MakePrimary(1, {"la"}, {"la"}).ok());
+  ASSERT_TRUE(acker_a_->MakeReplica("p").ok());
+  auto first = std::make_shared<SemiSyncWriteResult>();
+  auto second = std::make_shared<SemiSyncWriteResult>();
+  Write("k1", first);
+  ASSERT_EQ(wire_.size(), 1u);  // the first batch is in flight, unacked
+  Write("k2", second);
+  ASSERT_EQ(wire_.size(), 2u);
+  const auto* shipped = std::get_if<AppendEntriesRequest>(&wire_[1]);
+  ASSERT_NE(shipped, nullptr);
+  EXPECT_EQ(shipped->prev.index, 1u);
+  ASSERT_EQ(shipped->entries.size(), 1u);
+  EXPECT_EQ(shipped->entries[0].id.index, 2u);
+  Pump();
+  EXPECT_TRUE(first->status.ok());
+  EXPECT_TRUE(second->status.ok());
+  EXPECT_EQ(acker_a_->LastLogged().index, 2u);
+  EXPECT_EQ(primary_->ReceiverMatchIndex("la"), 2u);
+}
+
+TEST_F(SemiSyncUnitTest, StreamRecoversFromALostBatch) {
+  ASSERT_TRUE(primary_->MakePrimary(1, {"la"}, {"la"}).ok());
+  ASSERT_TRUE(acker_a_->MakeReplica("p").ok());
+  auto first = std::make_shared<SemiSyncWriteResult>();
+  Write("k1", first);
+  wire_.clear();  // batch 1 is lost
+  // Batch 2 arrives over a gap; the rejection rewinds the stream.
+  auto second = std::make_shared<SemiSyncWriteResult>();
+  Write("k2", second);
+  Pump();
+  EXPECT_TRUE(first->status.ok());
+  EXPECT_TRUE(second->status.ok());
+  EXPECT_EQ(acker_a_->LastLogged().index, 2u);
+
+  // A lost batch with nothing behind it is resent after the RPC timeout.
+  auto third = std::make_shared<SemiSyncWriteResult>();
+  Write("k3", third);
+  wire_.clear();
+  clock_.AdvanceMicros(500'000);
+  primary_->Tick();
+  EXPECT_TRUE(wire_.empty());
+  clock_.AdvanceMicros(600'000);
+  primary_->Tick();
+  Pump();
+  EXPECT_EQ(acker_a_->LastLogged().index, 3u);
+  EXPECT_EQ(primary_->ReceiverMatchIndex("la"), 3u);
+}
+
 TEST_F(SemiSyncUnitTest, WritesRejectedWhenReadOnlyOrReplica) {
   ASSERT_TRUE(primary_->MakePrimary(1, {"la"}, {"la"}).ok());
   primary_->SetReadOnly(true);

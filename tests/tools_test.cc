@@ -35,8 +35,7 @@ TEST(EnableRaftTest, MigratesLiveSemiSyncReplicaset) {
   }
   cluster.loop()->RunFor(2 * kSecond);
 
-  EnableRaftOptions options;
-  auto result = EnableRaft(&cluster, FlexiEngine(), options);
+  auto result = EnableRaft(&cluster, FlexiEngine());
   ASSERT_TRUE(result.status.ok()) << result.status;
   // §5.2: "a small amount of write unavailability (usually a few seconds)".
   EXPECT_LT(result.write_unavailability_micros, 15ull * kSecond);
@@ -71,7 +70,7 @@ TEST(EnableRaftTest, RefusesUnsafeTargets) {
   semisync::SemiSyncCluster cluster(semisync_options);
   ASSERT_TRUE(cluster.Bootstrap().ok());
   cluster.Crash("lt1a");  // a member is down -> not a suitable target
-  auto result = EnableRaft(&cluster, FlexiEngine(), EnableRaftOptions());
+  auto result = EnableRaft(&cluster, FlexiEngine());
   EXPECT_FALSE(result.status.ok());
   // The semisync ring keeps working.
   EXPECT_TRUE(cluster.SyncWrite("still", "alive").status.ok());
@@ -103,8 +102,7 @@ TEST(QuorumFixerTest, RestoresShatteredQuorum) {
   cluster.loop()->RunFor(20 * kSecond);
   EXPECT_EQ(cluster.CurrentPrimary(), "");
 
-  QuorumFixerOptions options;
-  auto report = RunQuorumFixer(&cluster, options);
+  auto report = RunQuorumFixer(&cluster);
   ASSERT_TRUE(report.status.ok()) << report.status;
   EXPECT_TRUE(report.quorum_was_shattered);
   EXPECT_FALSE(report.chosen.empty());
@@ -147,7 +145,7 @@ TEST(QuorumFixerTest, LoglessRepairExcisesDeadVotersInOneForcedBump) {
   cluster.loop()->RunFor(20 * kSecond);
   EXPECT_EQ(cluster.CurrentPrimary(), "");
 
-  auto report = RunQuorumFixer(&cluster, QuorumFixerOptions());
+  auto report = RunQuorumFixer(&cluster);
   ASSERT_TRUE(report.status.ok()) << report.status;
   EXPECT_TRUE(report.quorum_was_shattered);
   EXPECT_TRUE(report.forced_reconfig);
@@ -193,7 +191,7 @@ TEST(QuorumFixerTest, RefusesHealthyRing) {
   sim::ClusterHarness cluster(RaftClusterOptions(32), FlexiEngine());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_FALSE(cluster.WaitForPrimary(30 * kSecond).empty());
-  auto report = RunQuorumFixer(&cluster, QuorumFixerOptions());
+  auto report = RunQuorumFixer(&cluster);
   EXPECT_FALSE(report.status.ok());
   EXPECT_FALSE(report.quorum_was_shattered);
 }
