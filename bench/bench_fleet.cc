@@ -106,6 +106,20 @@ fleet::FleetOptions MakeFleetOptions(const FleetArgs& args) {
   return options;
 }
 
+/// Heap bytes of every trace journal in the fleet, its nodes' and its
+/// clients': the first component split out of the RSS per ring.
+size_t TraceJournalBytes(fleet::FleetHarness& fleet, int shards) {
+  size_t bytes = 0;
+  for (int s = 0; s < shards; ++s) {
+    bytes += fleet.client(s)->tracer()->memory_bytes();
+    sim::Shard* shard = fleet.shard(s);
+    for (const MemberId& id : shard->ids()) {
+      bytes += shard->node(id)->tracer()->memory_bytes();
+    }
+  }
+  return bytes;
+}
+
 int RunFleetBench(const FleetArgs& args) {
   bench::PrintHeader(
       "Fleet scale-out: " + std::to_string(args.shards) +
@@ -130,9 +144,15 @@ int RunFleetBench(const FleetArgs& args) {
   printf("bootstrap: %d/%d shards elected a primary by t=%llums\n",
          with_primary, args.shards,
          (unsigned long long)(elected_at / 1000));
-  printf("memory: %llu KiB RSS for the fleet (%.1f KiB per ring)\n",
-         (unsigned long long)fleet_kb,
-         args.shards > 0 ? (double)fleet_kb / args.shards : 0.0);
+  const double per_ring_kb =
+      args.shards > 0 ? (double)fleet_kb / args.shards : 0.0;
+  const double trace_per_ring_kb =
+      args.shards > 0
+          ? TraceJournalBytes(fleet, args.shards) / 1024.0 / args.shards
+          : 0.0;
+  printf("memory: %llu KiB RSS for the fleet (%.1f KiB per ring, of which "
+         "trace journals %.1f KiB)\n",
+         (unsigned long long)fleet_kb, per_ring_kb, trace_per_ring_kb);
   if (with_primary < args.shards) {
     fprintf(stderr, "FAIL: %d shard(s) never elected\n",
             args.shards - with_primary);
@@ -260,7 +280,8 @@ int RunFleetBench(const FleetArgs& args) {
   const std::string summary = StringPrintf(
       "{\"shards\":%d,\"regions\":%d,\"nodes\":%d,"
       "\"bootstrap\":{\"elected\":%d,\"sim_ms\":%llu},"
-      "\"memory\":{\"fleet_rss_kb\":%llu,\"per_ring_kb\":%.1f},"
+      "\"memory\":{\"fleet_rss_kb\":%llu,\"per_ring_kb\":%.1f,"
+      "\"trace_journal_per_ring_kb\":%.1f},"
       "\"throughput\":{\"writes\":%d,\"acked\":%d,\"failed\":%d,"
       "\"sim_seconds\":%.2f,\"commits_per_sim_sec\":%.0f,"
       "\"latency\":%s},"
@@ -274,8 +295,8 @@ int RunFleetBench(const FleetArgs& args) {
       "\"pass\":%s}",
       args.shards, args.regions, nodes,
       with_primary, (unsigned long long)(elected_at / 1000),
-      (unsigned long long)fleet_kb,
-      args.shards > 0 ? (double)fleet_kb / args.shards : 0.0, total_writes,
+      (unsigned long long)fleet_kb, per_ring_kb, trace_per_ring_kb,
+      total_writes,
       acked, failed, sim_seconds, commits_per_sim_sec,
       bench::HistogramJson(write_latency).c_str(), storm_shards, recovered,
       (unsigned long long)(storm_recovery_micros / 1000), healed,

@@ -316,9 +316,8 @@ Status BinlogManager::AppendRotateAndStartNewFile(OpId opid) {
   auto offset = writer_->AppendEvent(event);
   if (!offset.ok()) return offset.status();
   if (options_.tracer != nullptr) {
-    options_.tracer->Instant(
-        "binlog", "rotate", 0,
-        trace::Args("next", body.next_file, "opid", opid));
+    options_.tracer->Instant("binlog", "rotate", 0, "next", body.next_file,
+                             "opid", opid);
   }
   rotations_->Increment();
   bytes_written_->Increment(event.EncodedSize());

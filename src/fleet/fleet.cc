@@ -14,12 +14,6 @@ namespace {
 /// RebalanceTick may initiate.
 constexpr int kRebalanceMaxTransfersPerTick = 8;
 
-sim::NetworkOptions WithDefaultMetrics(sim::NetworkOptions options,
-                                       metrics::MetricRegistry* registry) {
-  if (options.metrics == nullptr) options.metrics = registry;
-  return options;
-}
-
 }  // namespace
 
 FleetHarness::FleetHarness(FleetOptions options,
@@ -27,7 +21,7 @@ FleetHarness::FleetHarness(FleetOptions options,
     : options_(std::move(options)),
       quorum_(quorum),
       loop_(options_.seed),
-      network_(&loop_, WithDefaultMetrics(options_.network, &net_metrics_)) {
+      network_(&loop_, sim::NetworkOptions{.metrics = &net_metrics_}) {
   shards_.resize(options_.shards);
   clients_.resize(options_.shards);
   admins_.resize(options_.shards);
@@ -50,13 +44,10 @@ void FleetHarness::ProvisionShard(int i) {
           ? i % options_.regions
           : 0;
   shard_options.topology.region_modulus = options_.regions;
-  shard_options.raft = options_.raft;
-  shard_options.proxy = options_.proxy;
   if (options_.worker_budget > 0) {
     shard_options.applier_workers = std::max<uint32_t>(
         1, options_.worker_budget / static_cast<uint32_t>(options_.shards));
   }
-  shard_options.applier_txn_cost_micros = options_.applier_txn_cost_micros;
   shard_options.trace_capacity = options_.trace_capacity;
 
   sim::ShardContext context{
@@ -71,7 +62,6 @@ void FleetHarness::ProvisionShard(int i) {
                                             std::move(shard_options));
 
   sim::SimClient::Options client_options;
-  client_options.model = options_.client;
   client_options.name = "client." + rs;
   client_options.trace_id_salt = 0xFFFF + static_cast<uint64_t>(i);
   client_options.trace_capacity = options_.trace_capacity;

@@ -45,16 +45,11 @@ struct FleetOptions {
   bool rotate_home_regions = true;
 
   uint64_t seed = 1;
-  sim::NetworkOptions network;
-  raft::RaftOptions raft;
-  proxy::ProxyOptions proxy;
-  sim::ClientModelOptions client;
 
   /// Fleet-wide applier worker budget, split evenly across shards with a
   /// floor of one worker per shard (0 = no budget: every shard keeps the
   /// single-harness default of 4).
   uint32_t worker_budget = 0;
-  uint64_t applier_txn_cost_micros = 0;
   /// Per-node trace ring; deliberately small — at 256 shards the fleet
   /// hosts thousands of nodes.
   size_t trace_capacity = 256;

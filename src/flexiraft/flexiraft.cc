@@ -7,6 +7,32 @@
 
 namespace myraft::flexiraft {
 
+namespace {
+
+// Calls `fn` once per region that has voters, in first-appearance order
+// (VotersByRegion's order), without building the per-region groups: the
+// quorum checks run on every leader ack and every vote.
+template <typename Fn>
+void ForEachVoterRegion(const MembershipConfig& config, Fn fn) {
+  const std::vector<MemberInfo>& members = config.members;
+  for (auto it = members.begin(); it != members.end(); ++it) {
+    if (!it->is_voter()) continue;
+    const bool seen =
+        std::any_of(members.begin(), it, [&](const MemberInfo& m) {
+          return m.is_voter() && m.region == it->region;
+        });
+    if (!seen) fn(it->region);
+  }
+}
+
+int NumVoterRegions(const MembershipConfig& config) {
+  int count = 0;
+  ForEachVoterRegion(config, [&count](const RegionId&) { ++count; });
+  return count;
+}
+
+}  // namespace
+
 std::string_view QuorumModeToString(QuorumMode mode) {
   switch (mode) {
     case QuorumMode::kVanillaMajority:
@@ -51,9 +77,9 @@ bool FlexiRaftQuorumEngine::HasRegionMajority(
 int FlexiRaftQuorumEngine::CountRegionMajorities(
     const MembershipConfig& config, const std::set<MemberId>& members) {
   int count = 0;
-  for (const auto& [region, voters] : config.VotersByRegion()) {
+  ForEachVoterRegion(config, [&](const RegionId& region) {
     if (HasRegionMajority(config, region, members)) ++count;
-  }
+  });
   return count;
 }
 
@@ -112,20 +138,16 @@ bool FlexiRaftQuorumEngine::IsElectionQuorumSatisfied(
         // Without this, a candidate starved of one region's traffic can
         // judge itself against a stale view and elect with a quorum
         // disjoint from a rival's (two leaders in one term).
-        for (const auto& [region, voters] : config.VotersByRegion()) {
-          if (!HasRegionMajority(config, region, *context.responded)) {
-            return false;
-          }
+        const int regions = NumVoterRegions(config);
+        if (CountRegionMajorities(config, *context.responded) < regions) {
+          return false;
         }
         const std::set<RegionId>* evidence = context.evidence_regions;
         if (evidence == nullptr || evidence->empty()) {
           // No leader and no binding vote anywhere in the covered
           // majorities: the cluster is pristine. Majorities of every
           // region keep two pristine same-term candidates intersecting.
-          for (const auto& [region, voters] : config.VotersByRegion()) {
-            if (!HasRegionMajority(config, region, granted)) return false;
-          }
-          return true;
+          return CountRegionMajorities(config, granted) == regions;
         }
         // Pessimistic rule (§4.1): a binding vote for X at term T means a
         // term-T leader may exist in X's region, so intersect the data
@@ -161,9 +183,7 @@ bool FlexiRaftQuorumEngine::IsElectionQuorumSatisfied(
     case QuorumMode::kMultiRegion: {
       // Must intersect every possible K-region data quorum: majorities in
       // at least R - K + 1 regions (pigeonhole).
-      const int regions_with_voters =
-          static_cast<int>(config.VotersByRegion().size());
-      const int needed = regions_with_voters - multi_k + 1;
+      const int needed = NumVoterRegions(config) - multi_k + 1;
       return CountRegionMajorities(config, granted) >= std::max(1, needed);
     }
   }

@@ -134,10 +134,9 @@ void ProxyRouter::RouteRequest(AppendEntriesRequest request) {
   // PROXY_OP: strip payloads; the relay reconstitutes from its own log.
   proxied_requests_->Increment();
   if (options_.tracer != nullptr) {
-    options_.tracer->Instant(
-        "proxy", "proxied", request.trace_id,
-        trace::Args("dest", request.dest, "relay", relay, "n",
-                    request.entries.size()));
+    options_.tracer->Instant("proxy", "proxied", request.trace_id, "dest",
+                             request.dest, "relay", relay, "n",
+                             request.entries.size());
   }
   request.route.push_back(relay);
   request.proxy_payload_omitted = true;
@@ -190,9 +189,8 @@ bool ProxyRouter::HandleInbound(const Message& message) {
       // Intermediate hop: forward along the remaining path.
       relayed_requests_->Increment();
       if (options_.tracer != nullptr) {
-        options_.tracer->Instant(
-            "proxy", "relayed", hop.trace_id,
-            trace::Args("dest", hop.dest, "hops_left", hop.route.size()));
+        options_.tracer->Instant("proxy", "relayed", hop.trace_id, "dest",
+                                 hop.dest, "hops_left", hop.route.size());
       }
       Message out(std::move(hop));
       bytes_relayed_->Increment(MessageWireBytes(out));
@@ -272,9 +270,9 @@ void ProxyRouter::DrainQueue(std::deque<PendingProxyOp>* queue) {
     if (RestorePayloads(&head)) {
       reconstitutions_->Increment();
       if (options_.tracer != nullptr) {
-        options_.tracer->Instant(
-            "proxy", "reconstituted", request.trace_id,
-            trace::Args("dest", request.dest, "n", request.entries.size()));
+        options_.tracer->Instant("proxy", "reconstituted", request.trace_id,
+                                 "dest", request.dest, "n",
+                                 request.entries.size());
       }
       request.proxy_payload_omitted = false;
     } else if (now >= head.deadline_micros) {
@@ -282,9 +280,9 @@ void ProxyRouter::DrainQueue(std::deque<PendingProxyOp>* queue) {
       // still learns the term and commit marker; the leader will retry.
       degraded_to_heartbeat_->Increment();
       if (options_.tracer != nullptr) {
-        options_.tracer->Instant(
-            "proxy", "degraded_to_heartbeat", request.trace_id,
-            trace::Args("dest", request.dest, "n", request.entries.size()));
+        options_.tracer->Instant("proxy", "degraded_to_heartbeat",
+                                 request.trace_id, "dest", request.dest, "n",
+                                 request.entries.size());
       }
       request.entries.clear();
       request.proxy_payload_omitted = false;

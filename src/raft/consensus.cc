@@ -744,8 +744,8 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
       }
       batch.trace_span_id = options_.tracer->BeginSpan(
           "raft", "replicate.batch", ctx.trace_id, ctx.span_id,
-          trace::Args("peer", peer_id, "first", batch.first_index, "last",
-                      batch.last_index, "window", peer.inflight.size() + 1));
+          "peer", peer_id, "first", batch.first_index, "last",
+          batch.last_index, "window", peer.inflight.size() + 1);
       request.trace_id = ctx.trace_id;
       request.trace_span_id = batch.trace_span_id;
     }
@@ -856,10 +856,10 @@ void RaftConsensus::SetCommitMarker(OpId new_marker) {
          it != replicate_trace_ctx_.end() && it->first <= new_marker.index;) {
       options_.tracer->Instant(
           "raft", "quorum_ack", it->second.trace_id,
-          trace::Args("index", it->first, "completed_by",
-                      last_commit_completer_.empty()
-                          ? std::string_view("self")
-                          : std::string_view(last_commit_completer_)));
+          "index", it->first, "completed_by",
+          last_commit_completer_.empty()
+              ? std::string_view("self")
+              : std::string_view(last_commit_completer_));
       it = replicate_trace_ctx_.erase(it);
     }
   }
@@ -1115,8 +1115,8 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   if (options_.tracer != nullptr && !request.entries.empty()) {
     append_span.id = options_.tracer->BeginSpan(
         "raft", "follower.append", request.trace_id, request.trace_span_id,
-        trace::Args("leader", request.leader, "n", request.entries.size(),
-                    "first", request.entries.front().id.index));
+        "leader", request.leader, "n", request.entries.size(), "first",
+        request.entries.front().id.index);
     append_span.end_args = "rejected";
   }
 
@@ -1334,10 +1334,9 @@ void RaftConsensus::HandleAppendEntriesResponse(
                response.last_received.index) {
       const InflightBatch& front = peer.inflight.front();
       if (options_.tracer != nullptr && front.trace_span_id != 0) {
-        options_.tracer->EndSpan(
-            front.trace_span_id,
-            trace::Args("acked_by", response.from, "durable",
-                        response.last_durable_index));
+        options_.tracer->EndSpan(front.trace_span_id, "acked_by",
+                                 response.from, "durable",
+                                 response.last_durable_index);
       }
       if (now > front.sent_micros) {
         m_.peer_rtt_us->Record(now - front.sent_micros);
@@ -1456,10 +1455,9 @@ Status RaftConsensus::BeginElection(ElectionMode mode,
       election.election_term = meta_.current_term;
       if (options_.tracer != nullptr) {
         options_.tracer->Instant("raft", "election_started", 0,
-                                 trace::Args("term", election.election_term));
+                                 "term", election.election_term);
         election.trace_span_id = options_.tracer->BeginSpan(
-            "raft", "election", 0, 0,
-            trace::Args("term", election.election_term));
+            "raft", "election", 0, 0, "term", election.election_term);
       }
       break;
     }
@@ -1468,7 +1466,7 @@ Status RaftConsensus::BeginElection(ElectionMode mode,
       election.election_term = meta_.current_term + 1;
       if (options_.tracer != nullptr) {
         options_.tracer->Instant("raft", "pre_vote_started", 0,
-                                 trace::Args("term", election.election_term));
+                                 "term", election.election_term);
       }
       break;
     }
@@ -1477,7 +1475,7 @@ Status RaftConsensus::BeginElection(ElectionMode mode,
       election.election_term = meta_.current_term + 1;
       if (options_.tracer != nullptr) {
         options_.tracer->Instant("raft", "mock_election_started", 0,
-                                 trace::Args("term", election.election_term));
+                                 "term", election.election_term);
       }
       break;
     }
@@ -1790,7 +1788,7 @@ void RaftConsensus::BecomeLeader() {
   m_.elections_won->Increment();
   if (options_.tracer != nullptr) {
     options_.tracer->Instant("raft", "election_won", 0,
-                             trace::Args("term", meta_.current_term));
+                             "term", meta_.current_term);
   }
   role_ = RaftRole::kLeader;
   leader_ = options_.self;
@@ -1900,9 +1898,8 @@ void RaftConsensus::StepDown(uint64_t new_term, const MemberId& new_leader,
   if (was_leader) {
     m_.step_downs->Increment();
     if (options_.tracer != nullptr) {
-      options_.tracer->Instant(
-          "raft", "step_down", 0,
-          trace::Args("old_term", old_term, "new_term", meta_.current_term));
+      options_.tracer->Instant("raft", "step_down", 0, "old_term", old_term,
+                               "new_term", meta_.current_term);
     }
     MYRAFT_LOG(Info) << options_.self << ": stepping down from term "
                      << old_term;

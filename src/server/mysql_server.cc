@@ -276,7 +276,7 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   m_.commit_stage_flush_us->Record(flushed_micros - submitted_micros);
   uint64_t wait_span = 0;
   if (tracer != nullptr) {
-    tracer->EndSpan(flush_span, trace::Args("gtid", gtid, "opid", opid));
+    tracer->EndSpan(flush_span, "gtid", gtid, "opid", opid);
     wait_span = tracer->BeginSpan("server", "commit.consensus_wait", trace,
                                   total_span);
   }
@@ -379,8 +379,8 @@ void MySqlServer::OnCommitAdvanced(OpId marker) {
         std::max(group_commit_last_committed_, pending.opid.index);
     if (tracer != nullptr) {
       tracer->EndSpan(engine_span);
-      tracer->EndSpan(pending.total_span, trace::Args("gtid", pending.gtid,
-                                                      "opid", pending.opid));
+      tracer->EndSpan(pending.total_span, "gtid", pending.gtid, "opid",
+                      pending.opid);
     }
     const uint64_t total_micros = commit_end - pending.submitted_micros;
     if (options_.slow_txn_threshold_micros > 0 &&
@@ -593,8 +593,7 @@ void MySqlServer::RunApplier() {
           // Stitch to the originating commit via the GTID-body context.
           task.trace_span = options_.tracer->BeginSpan(
               "applier", "apply", txn->trace_id, txn->trace_span_id,
-              trace::Args("opid", opid, "slot",
-                          slot - applier_free_at_.begin()));
+              "opid", opid, "slot", slot - applier_free_at_.begin());
         }
         m_.applier_concurrency->Record((int64_t)std::count_if(
             applier_free_at_.begin(), applier_free_at_.end(),
@@ -723,7 +722,7 @@ void MySqlServer::MaybeCompletePromotion() {
   if (options_.tracer != nullptr) {
     options_.tracer->EndSpan(promotion_->trace_span);
     options_.tracer->Instant("server", "promotion_completed", 0,
-                             trace::Args("term", consensus->term()));
+                             "term", consensus->term());
   }
   promotion_.reset();
   MYRAFT_LOG(Info) << options_.id << ": promotion complete (term "
@@ -771,7 +770,7 @@ void MySqlServer::OnLeadershipLost(uint64_t term) {
   witness_handoff_pending_ = false;
   if (options_.kind == MemberKind::kLogtailer) return;
   if (tracer != nullptr) {
-    tracer->Instant("server", "demotion", 0, trace::Args("term", term));
+    tracer->Instant("server", "demotion", 0, "term", term);
   }
 
   // Step 1: abort in-flight transactions awaiting consensus; they are in

@@ -47,7 +47,7 @@ void SimClient::ClientWrite(const std::string& key, const std::string& value,
   // TraceContext.
   const uint64_t trace = tracer_.NextTraceId();
   const uint64_t span = tracer_.BeginSpan("client", "write", trace, 0,
-                                          trace::Args("key", key, "dest", dest));
+                                          "key", key, "dest", dest);
 
   // Shared completion guard: the first of {server response, client
   // timeout} wins.
@@ -163,7 +163,7 @@ void SimClient::ClientRead(const std::string& key,
 
   const uint64_t trace = tracer_.NextTraceId();
   const uint64_t span = tracer_.BeginSpan("client", "read", trace, 0,
-                                          trace::Args("key", key, "dest", dest));
+                                          "key", key, "dest", dest);
 
   auto responded = std::make_shared<bool>(false);
   auto finish = [this, done, issued_at, responded, span, dest, loop](

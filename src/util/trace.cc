@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <utility>
 
@@ -90,6 +91,122 @@ void AppendRecordJson(const std::string& node, const TraceRecord& r,
   out->push_back('}');
 }
 
+// The (kind, category, name) triples of begun spans and instants, each
+// interned once as a small id that heads its records (0 heads a span end).
+// Literals live for the program's lifetime, so the table keeps views. Like
+// Tracer it is not thread-safe; the simulator is single-threaded.
+class LiteralTable {
+ public:
+  struct Entry {
+    RecordKind kind;
+    std::string_view category;
+    std::string_view name;
+  };
+
+  uint32_t Intern(RecordKind kind, std::string_view category,
+                  std::string_view name) {
+    const Key key{category.data(), name.data(), category.size(), name.size(),
+                  kind};
+    auto [it, inserted] = ids_.try_emplace(key, 0);
+    if (inserted) {
+      // The same text at another address (another translation unit's copy
+      // of the literal) shares the id.
+      const auto same = std::find_if(
+          entries_.begin(), entries_.end(), [&](const Entry& entry) {
+            return entry.kind == kind && entry.category == category &&
+                   entry.name == name;
+          });
+      it->second = static_cast<uint32_t>(same - entries_.begin()) + 1;
+      if (same == entries_.end()) entries_.push_back({kind, category, name});
+    }
+    return it->second;
+  }
+  const Entry& at(uint64_t id) const { return entries_[id - 1]; }
+
+ private:
+  struct Key {
+    const char* category;
+    const char* name;
+    size_t category_size;
+    size_t name_size;
+    RecordKind kind;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      const auto a = reinterpret_cast<uintptr_t>(key.category);
+      const auto b = reinterpret_cast<uintptr_t>(key.name);
+      return std::hash<uintptr_t>()(a * 31 + b * 17 + key.category_size +
+                                    (key.name_size << 8) +
+                                    static_cast<size_t>(key.kind));
+    }
+  };
+
+  std::unordered_map<Key, uint32_t, KeyHash> ids_;
+  std::vector<Entry> entries_;
+};
+
+LiteralTable& Literals() {
+  static LiteralTable* table = new LiteralTable;
+  return *table;
+}
+
+// Block sizes: half the journal's live bytes, within these bounds.
+constexpr size_t kMinBlockBytes = 256;
+constexpr size_t kMaxBlockBytes = 64 * 1024;
+// A record's varints before its args: id, ts delta, trace, span, parent,
+// args length.
+constexpr size_t kMaxHeaderBytes = 6 * 10;
+
+char* WriteVarint(char* p, uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<char>(value | 0x80);
+    value >>= 7;
+  }
+  *p++ = static_cast<char>(value);
+  return p;
+}
+
+uint64_t ReadVarint(const char** p) {
+  uint64_t value = 0;
+  for (int shift = 0;; shift += 7) {
+    const auto byte = static_cast<uint8_t>(*(*p)++);
+    value |= uint64_t{byte & 0x7fu} << shift;
+    if (byte < 0x80) return value;
+  }
+}
+
+// Decodes the journal record at `p` and returns the byte after it. Its
+// timestamp is *ts plus the stored delta, and becomes *ts. Span ids are
+// stored xor the tracer's salt bits, so the tracer's own ids stay short.
+// With a null `out` the record is only skipped.
+const char* DecodeRecord(const char* p, uint64_t salt_bits, uint64_t* ts,
+                         TraceRecord* out) {
+  const uint64_t id = ReadVarint(&p);
+  const RecordKind kind =
+      id == 0 ? RecordKind::kSpanEnd : Literals().at(id).kind;
+  *ts += ReadVarint(&p);
+  const uint64_t trace_id = kind == RecordKind::kSpanEnd ? 0 : ReadVarint(&p);
+  const uint64_t span_id =
+      kind == RecordKind::kInstant ? 0 : ReadVarint(&p) ^ salt_bits;
+  const uint64_t parent_span_id =
+      kind == RecordKind::kSpanBegin ? ReadVarint(&p) : 0;
+  const uint64_t args_size = ReadVarint(&p);
+  if (out != nullptr) {
+    out->kind = kind;
+    out->ts_micros = *ts;
+    out->trace_id = trace_id;
+    out->span_id = span_id;
+    out->parent_span_id = parent_span_id;
+    if (id != 0) {
+      out->category = Literals().at(id).category;
+      out->name = Literals().at(id).name;
+    }
+    out->args.assign(p, args_size);
+  }
+  return p + args_size;
+}
+
 }  // namespace
 
 Tracer::Tracer(TracerOptions options) : options_(std::move(options)) {
@@ -102,54 +219,128 @@ Tracer::Tracer(TracerOptions options) : options_(std::move(options)) {
 }
 
 uint64_t Tracer::BeginSpan(Literal category, Literal name, uint64_t trace_id,
-                           uint64_t parent_span_id, std::string args) {
-  TraceRecord record;
-  record.kind = RecordKind::kSpanBegin;
-  record.trace_id = trace_id;
-  record.span_id = NextId();
-  record.parent_span_id = parent_span_id;
-  record.category = category.view();
-  record.name = name.view();
-  record.args = std::move(args);
-  const uint64_t span_id = record.span_id;
-  Push(std::move(record));
+                           uint64_t parent_span_id, std::string_view args) {
+  const uint64_t span_id = NextId();
+  Push(Literals().Intern(RecordKind::kSpanBegin, category.view(), name.view()),
+       trace_id, span_id, parent_span_id, args);
   return span_id;
 }
 
-void Tracer::EndSpan(uint64_t span_id, std::string args) {
+void Tracer::EndSpan(uint64_t span_id, std::string_view args) {
   if (span_id == 0) return;
-  TraceRecord record;
-  record.kind = RecordKind::kSpanEnd;
-  record.span_id = span_id;
-  record.args = std::move(args);
-  Push(std::move(record));
+  Push(0, 0, span_id, 0, args);
 }
 
 void Tracer::Instant(Literal category, Literal name, uint64_t trace_id,
-                     std::string args) {
-  TraceRecord record;
-  record.kind = RecordKind::kInstant;
-  record.trace_id = trace_id;
-  record.category = category.view();
-  record.name = name.view();
-  record.args = std::move(args);
-  Push(std::move(record));
+                     std::string_view args) {
+  Push(Literals().Intern(RecordKind::kInstant, category.view(), name.view()),
+       trace_id, 0, 0, args);
 }
 
-void Tracer::Push(TraceRecord record) {
-  record.seq = ++next_seq_;
-  record.ts_micros = options_.clock ? options_.clock->NowMicros() : 0;
-  while (records_.size() >= options_.capacity && !records_.empty()) {
-    records_.pop_front();  // overflow drops the oldest record
-    ++dropped_;
-    dropped_counter_->Increment();
-  }
+void Tracer::Push(uint32_t id, uint64_t trace_id, uint64_t span_id,
+                  uint64_t parent_span_id, std::string_view args) {
+  ++next_seq_;
   if (options_.capacity == 0) {
     ++dropped_;
     dropped_counter_->Increment();
     return;
   }
-  records_.push_back(std::move(record));
+  while (count_ >= options_.capacity) DropOldest();
+
+  const uint64_t now = options_.clock ? options_.clock->NowMicros() : 0;
+  const RecordKind kind =
+      id == 0 ? RecordKind::kSpanEnd : Literals().at(id).kind;
+  char header[kMaxHeaderBytes];
+  char* p = WriteVarint(header, id);
+  p = WriteVarint(p, now - last_ts_);
+  if (kind != RecordKind::kSpanEnd) p = WriteVarint(p, trace_id);
+  if (kind != RecordKind::kInstant) {
+    p = WriteVarint(p, span_id ^ (options_.id_salt << 40));
+  }
+  if (kind == RecordKind::kSpanBegin) p = WriteVarint(p, parent_span_id);
+  p = WriteVarint(p, args.size());
+  const size_t header_size = p - header;
+  const size_t size = header_size + args.size();
+  char* dst = Reserve(size);
+  std::memcpy(dst, header, header_size);
+  if (!args.empty()) std::memcpy(dst + header_size, args.data(), args.size());
+  last_ts_ = now;
+  live_bytes_ += size;
+  ++count_;
+}
+
+void Tracer::DropOldest() {
+  Block& block = blocks_[head_];
+  const char* start = block.data.get() + block.begin;
+  const size_t size =
+      DecodeRecord(start, options_.id_salt << 40, &base_ts_, nullptr) - start;
+  block.begin += size;
+  live_bytes_ -= size;
+  --count_;
+  ++dropped_;
+  dropped_counter_->Increment();
+  if (block.begin == block.end) {  // emptied: free for the tail to reuse
+    block.begin = block.end = 0;
+    if (head_ != tail_) head_ = (head_ + 1) % blocks_.size();
+  }
+}
+
+char* Tracer::Reserve(size_t n) {
+  if (blocks_.empty() || blocks_[tail_].capacity - blocks_[tail_].end < n) {
+    const size_t next = blocks_.empty() ? 0 : (tail_ + 1) % blocks_.size();
+    if (blocks_.empty() || next == head_ || blocks_[next].capacity < n) {
+      // No emptied block fits: add one after the tail. Existing blocks
+      // never move their bytes.
+      const size_t capacity = std::max(
+          n, std::clamp(live_bytes_ / 2, kMinBlockBytes, kMaxBlockBytes));
+      const size_t at = blocks_.empty() ? 0 : tail_ + 1;
+      blocks_.insert(blocks_.begin() + at,
+                     Block{std::make_unique_for_overwrite<char[]>(capacity),
+                           capacity});
+      if (blocks_.size() > 1 && head_ >= at) ++head_;
+      tail_ = at;
+    } else {
+      tail_ = next;
+    }
+    if (count_ == 0) head_ = tail_;
+  }
+  Block& tail = blocks_[tail_];
+  char* dst = tail.data.get() + tail.end;
+  tail.end += n;
+  return dst;
+}
+
+std::vector<TraceRecord> Tracer::Snapshot() const {
+  std::vector<TraceRecord> out;
+  if (count_ == 0) return out;
+  out.reserve(count_);
+  uint64_t ts = base_ts_;
+  uint64_t seq = next_seq_ - count_;
+  for (size_t i = head_;; i = (i + 1) % blocks_.size()) {
+    const Block& block = blocks_[i];
+    const char* end = block.data.get() + block.end;
+    for (const char* p = block.data.get() + block.begin; p < end;) {
+      TraceRecord& record = out.emplace_back();
+      record.seq = ++seq;
+      p = DecodeRecord(p, options_.id_salt << 40, &ts, &record);
+    }
+    if (i == tail_) break;
+  }
+  return out;
+}
+
+void Tracer::Clear() {
+  blocks_ = std::vector<Block>();
+  head_ = tail_ = 0;
+  count_ = 0;
+  live_bytes_ = 0;
+  base_ts_ = last_ts_;
+}
+
+size_t Tracer::memory_bytes() const {
+  size_t bytes = blocks_.capacity() * sizeof(Block) + scratch_.capacity();
+  for (const Block& block : blocks_) bytes += block.capacity;
+  return bytes;
 }
 
 std::vector<std::pair<std::string, TraceRecord>> MergeJournals(

@@ -1,6 +1,6 @@
 // Deterministic causal tracing (§3.2, Table 2 methodology). Each sim node
-// owns a Tracer: a bounded ring-buffer journal of spans (begin/end pairs
-// with parent/child causality) and instant events, timestamped from the
+// owns a Tracer: a bounded journal of spans (begin/end pairs with
+// parent/child causality) and instant events, timestamped from the
 // injected Clock so traces are reproducible under the discrete-event
 // simulator. Span/trace ids are salted counters — never random — so two
 // runs with the same seed emit byte-identical journals.
@@ -21,7 +21,6 @@
 #define MYRAFT_UTIL_TRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -64,6 +63,7 @@ class Literal {
   std::string_view view_;
 };
 
+/// One record as Tracer::Snapshot() decodes it from the journal.
 struct TraceRecord {
   RecordKind kind = RecordKind::kInstant;
   uint64_t seq = 0;        // per-journal monotonic; stable-sort tie break
@@ -122,7 +122,7 @@ std::string Args(const KeyValues&... key_values) {
 struct TracerOptions {
   std::string node;            // journal owner, becomes the Perfetto process
   uint64_t id_salt = 0;        // high bits of every id minted by this tracer
-  size_t capacity = 65'536;    // ring size; overflow drops oldest records
+  size_t capacity = 65'536;    // records kept; overflow drops the oldest
   const Clock* clock = nullptr;          // required
   metrics::MetricRegistry* metrics = nullptr;  // optional; owns one if null
 };
@@ -130,6 +130,13 @@ struct TracerOptions {
 /// Per-node trace journal. Not thread-safe (the sim is single-threaded);
 /// lives outside the server process object so it survives role changes
 /// and crash/restart cycles, like the metrics registry.
+///
+/// The journal is one append-only byte stream: each record is a run of
+/// varints (its interned kind, category and name; timestamp delta; ids;
+/// args length) followed by its args bytes. The stream lives in blocks
+/// that are reused once their records have been dropped. A record's seq
+/// follows from its position. Snapshot() decodes the stream back into
+/// TraceRecords.
 class Tracer {
  public:
   explicit Tracer(TracerOptions options);
@@ -142,31 +149,80 @@ class Tracer {
 
   /// Opens a span and returns its id. parent_span_id == 0 makes a root.
   uint64_t BeginSpan(Literal category, Literal name, uint64_t trace_id,
-                     uint64_t parent_span_id,
-                     std::string args = std::string());
+                     uint64_t parent_span_id, std::string_view args = {});
   /// Closes a previously begun span. Unmatched ids are tolerated (the
-  /// begin may have been dropped by ring overflow or died with a crash).
-  void EndSpan(uint64_t span_id, std::string args = std::string());
+  /// begin may have been dropped by overflow or died with a crash).
+  void EndSpan(uint64_t span_id, std::string_view args = {});
   /// Records a point-in-time event.
   void Instant(Literal category, Literal name, uint64_t trace_id = 0,
-               std::string args = std::string());
+               std::string_view args = {});
+
+  /// The same three with "key=value" args (see AppendArgs) written into a
+  /// reused scratch buffer instead of a fresh string.
+  template <size_t N, typename V, typename... Rest>
+  uint64_t BeginSpan(Literal category, Literal name, uint64_t trace_id,
+                     uint64_t parent_span_id, const char (&key)[N],
+                     const V& value, const Rest&... rest) {
+    return BeginSpan(category, name, trace_id, parent_span_id,
+                     FormatArgs(key, value, rest...));
+  }
+  template <size_t N, typename V, typename... Rest>
+  void EndSpan(uint64_t span_id, const char (&key)[N], const V& value,
+               const Rest&... rest) {
+    if (span_id != 0) EndSpan(span_id, FormatArgs(key, value, rest...));
+  }
+  template <size_t N, typename V, typename... Rest>
+  void Instant(Literal category, Literal name, uint64_t trace_id,
+               const char (&key)[N], const V& value, const Rest&... rest) {
+    Instant(category, name, trace_id, FormatArgs(key, value, rest...));
+  }
 
   const std::string& node() const { return options_.node; }
-  size_t size() const { return records_.size(); }
+  size_t size() const { return count_; }
   uint64_t dropped() const { return dropped_; }
-  std::vector<TraceRecord> Snapshot() const {
-    return std::vector<TraceRecord>(records_.begin(), records_.end());
-  }
-  void Clear() { records_.clear(); }
+  std::vector<TraceRecord> Snapshot() const;
+  /// Drops every record and frees the journal's blocks; seq and ids keep
+  /// counting.
+  void Clear();
+  /// Heap bytes the journal holds: its blocks and the args scratch buffer.
+  size_t memory_bytes() const;
 
  private:
+  struct Block {
+    std::unique_ptr<char[]> data;
+    size_t capacity = 0;
+    size_t begin = 0;  // offset of the oldest record still held
+    size_t end = 0;    // bytes written
+  };
+
   uint64_t NextId() { return (options_.id_salt << 40) | ++next_id_; }
-  void Push(TraceRecord record);
+  template <typename... KeyValues>
+  std::string_view FormatArgs(const KeyValues&... key_values) {
+    scratch_.clear();
+    AppendArgs(&scratch_, key_values...);
+    return scratch_;
+  }
+  /// Appends one record; `id` is its interned kind and literals, 0 for a
+  /// span end.
+  void Push(uint32_t id, uint64_t trace_id, uint64_t span_id,
+            uint64_t parent_span_id, std::string_view args);
+  void DropOldest();
+  /// Room for `n` more bytes at the journal's tail.
+  char* Reserve(size_t n);
 
   TracerOptions options_;
   std::unique_ptr<metrics::MetricRegistry> owned_metrics_;
   metrics::Counter* dropped_counter_;  // "trace.dropped"
-  std::deque<TraceRecord> records_;
+  // Blocks form a ring: records run from blocks_[head_].begin through
+  // blocks_[tail_].end; the blocks after tail_ and before head_ are empty.
+  std::vector<Block> blocks_;
+  size_t head_ = 0;
+  size_t tail_ = 0;
+  size_t count_ = 0;       // records held
+  size_t live_bytes_ = 0;  // their encoded bytes
+  uint64_t base_ts_ = 0;   // timestamp the oldest record's delta is from
+  uint64_t last_ts_ = 0;   // timestamp of the newest record pushed
+  std::string scratch_;    // args of the key/value overloads
   uint64_t next_id_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t dropped_ = 0;

@@ -1,5 +1,6 @@
-// Causal-tracing tests: ring-buffer overflow accounting, the exporters'
-// pinned bytes, deterministic same-seed journals, the cross-node span tree
+// Causal-tracing tests: journal overflow accounting, the byte-packed
+// journal against a std::deque reference, its steady-state allocations and
+// bytes per record, the exporters' pinned bytes, deterministic same-seed journals, the cross-node span tree
 // of a single traced write (client -> leader commit stages -> follower
 // append/ack -> follower apply), trace-context wire/GTID round trips with backward-compatible
 // decode, the TraceAnalyzer failover decomposition against the downtime
@@ -9,12 +10,32 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <deque>
+#include <new>
+#include <random>
+
 #include "binlog/binlog_event.h"
 #include "flexiraft/flexiraft.h"
 #include "sim/cluster.h"
 #include "util/clock.h"
 #include "util/logging.h"
 #include "wire/messages.h"
+
+// Counts operator new calls while armed, so a test can show that a scope
+// allocates nothing.
+namespace {
+bool count_news = false;
+size_t news_counted = 0;
+}  // namespace
+
+void* operator new(size_t size) {
+  if (count_news) ++news_counted;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace myraft::trace {
 namespace {
@@ -82,6 +103,258 @@ TEST(TracerTest, SpanIdsAreSaltedCounters) {
   tracer.EndSpan(0);
   tracer.EndSpan(0xdead);
   EXPECT_EQ(tracer.size(), 5u);
+}
+
+// The journal as it was before it became a byte stream: a deque of whole
+// records, capped by count.
+struct ReferenceJournal {
+  size_t capacity = 0;
+  std::deque<TraceRecord> records;
+  uint64_t next_seq = 0;
+  uint64_t dropped = 0;
+
+  void Push(TraceRecord record) {
+    record.seq = ++next_seq;
+    while (records.size() >= capacity && !records.empty()) {
+      records.pop_front();
+      ++dropped;
+    }
+    if (capacity == 0) {
+      ++dropped;
+      return;
+    }
+    records.push_back(std::move(record));
+  }
+};
+
+void ExpectSameJournal(const Tracer& tracer, const ReferenceJournal& ref) {
+  ASSERT_EQ(tracer.size(), ref.records.size());
+  ASSERT_EQ(tracer.dropped(), ref.dropped);
+  const std::vector<TraceRecord> snapshot = tracer.Snapshot();
+  ASSERT_EQ(snapshot.size(), ref.records.size());
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    const TraceRecord& got = snapshot[i];
+    const TraceRecord& want = ref.records[i];
+    ASSERT_EQ(got.kind, want.kind) << "record " << i;
+    ASSERT_EQ(got.seq, want.seq) << "record " << i;
+    ASSERT_EQ(got.ts_micros, want.ts_micros) << "record " << i;
+    ASSERT_EQ(got.trace_id, want.trace_id) << "record " << i;
+    ASSERT_EQ(got.span_id, want.span_id) << "record " << i;
+    ASSERT_EQ(got.parent_span_id, want.parent_span_id) << "record " << i;
+    ASSERT_EQ(got.category, want.category) << "record " << i;
+    ASSERT_EQ(got.name, want.name) << "record " << i;
+    ASSERT_EQ(got.args, want.args) << "record " << i;
+  }
+}
+
+// Random spans, ends and instants, with arbitrary args bytes and an
+// occasional record larger than any block, a clock that stands still,
+// jumps and steps back, and Clear() mid-stream: after every batch the
+// journal must read back exactly what the reference holds.
+TEST(TracerTest, JournalMatchesDequeReference) {
+  for (const size_t capacity : {0, 1, 7, 128, 65'536}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ManualClock clock;
+    TracerOptions options;
+    options.node = "n";
+    options.id_salt = 5;
+    options.capacity = capacity;
+    options.clock = &clock;
+    Tracer tracer(options);
+    ReferenceJournal ref;
+    ref.capacity = capacity;
+    std::mt19937_64 rng(capacity + 1);
+    auto pick = [&rng](uint64_t n) { return rng() % n; };
+    auto random_args = [&] {
+      std::string args(pick(500) == 0 ? 70 * 1024 : pick(301), '\0');
+      for (char& c : args) c = static_cast<char>(pick(256));
+      return args;
+    };
+
+    std::vector<uint64_t> spans;
+    const size_t ops = std::max<size_t>(2'000, capacity * 5 / 2);
+    const size_t batch = ops / 20;
+    for (size_t op = 1; op <= ops; ++op) {
+      switch (pick(8)) {
+        case 0: clock.AdvanceMicros(pick(200)); break;
+        case 1: clock.AdvanceMicros(pick(uint64_t{1} << 40)); break;
+        case 2: clock.SetMicros(clock.NowMicros() - std::min<uint64_t>(
+                                    clock.NowMicros(), pick(1'000)));
+                break;
+        default: break;  // same microsecond
+      }
+      if (op == ops / 5 || pick(std::max<size_t>(1'000, 4 * capacity)) == 0) {
+        tracer.Clear();
+        ref.records.clear();
+      }
+      TraceRecord want;
+      want.ts_micros = clock.NowMicros();
+      want.trace_id = pick(3) == 0 ? 0 : rng();
+      switch (pick(4)) {
+        case 0: {
+          want.kind = RecordKind::kSpanBegin;
+          want.parent_span_id = pick(2) == 0 ? 0 : rng();
+          want.args = random_args();
+          if (pick(2) == 0) {
+            want.category = "raft";
+            want.name = "replicate.batch";
+            want.span_id = tracer.BeginSpan("raft", "replicate.batch",
+                                            want.trace_id, want.parent_span_id,
+                                            want.args);
+          } else {
+            want.category = "server";
+            want.name = "commit.total";
+            want.span_id = tracer.BeginSpan("server", "commit.total",
+                                            want.trace_id, want.parent_span_id,
+                                            want.args);
+          }
+          spans.push_back(want.span_id);
+          break;
+        }
+        case 1: {
+          want.kind = RecordKind::kSpanEnd;
+          want.trace_id = 0;
+          const uint64_t choice = pick(8);
+          want.span_id = choice == 0   ? 0  // no record at all
+                         : choice == 1 ? rng()
+                         : spans.empty()
+                             ? 0xdead
+                             : spans[pick(spans.size())];
+          if (pick(2) == 0) {
+            want.args = random_args();
+            tracer.EndSpan(want.span_id, want.args);
+          } else {
+            want.args = Args("acked_by", "db1", "durable", op);
+            tracer.EndSpan(want.span_id, "acked_by", "db1", "durable", op);
+          }
+          if (want.span_id == 0) continue;
+          break;
+        }
+        default: {
+          want.kind = RecordKind::kInstant;
+          want.category = "proxy";
+          want.name = "relayed";
+          if (pick(2) == 0) {
+            want.args = random_args();
+            tracer.Instant("proxy", "relayed", want.trace_id, want.args);
+          } else {
+            want.args = Args("dest", "db2", "n", op % 17);
+            tracer.Instant("proxy", "relayed", want.trace_id, "dest", "db2",
+                           "n", op % 17);
+          }
+          break;
+        }
+      }
+      ref.Push(std::move(want));
+      if (op % batch == 0) {
+        ExpectSameJournal(tracer, ref);
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(ref.dropped, 0u);  // every capacity cycled
+  }
+}
+
+// Once the journal has cycled at capacity, dropped records' blocks take
+// the new ones: 10,000 pushes, key/value args included, allocate nothing.
+TEST(TracerTest, CycledJournalPushesWithoutAllocating) {
+  ManualClock clock;
+  TracerOptions options;
+  options.node = "n";
+  options.capacity = 1'024;
+  options.clock = &clock;
+  Tracer tracer(options);
+  const std::string note(200, 'x');
+  uint64_t span = 0;
+  auto push = [&](int i) {
+    clock.AdvanceMicros(i % 4 == 0 ? 0 : 37);
+    switch (i % 3) {
+      case 0:
+        span = tracer.BeginSpan("raft", "replicate.batch", 77, 0, "peer",
+                                "db1", "first", i, "last", i + 7, "window",
+                                i % 8);
+        break;
+      case 1:
+        tracer.Instant("raft", "quorum_ack", 77,
+                       std::string_view(note).substr(0, i % 200));
+        break;
+      default:
+        tracer.EndSpan(span, "acked_by", "db2", "durable", i);
+    }
+  };
+  for (int i = 0; i < 10'000; ++i) push(i);  // fill, then cycle
+  ASSERT_EQ(tracer.size(), 1'024u);
+
+  news_counted = 0;
+  count_news = true;
+  for (int i = 0; i < 10'000; ++i) push(i);
+  count_news = false;
+  EXPECT_EQ(news_counted, 0u);
+  EXPECT_EQ(tracer.size(), 1'024u);
+  EXPECT_EQ(tracer.dropped(), 20'000u - 1'024u);
+}
+
+// The records one traced commit leaves across a leader's journal in the
+// failover workload, with its replication to two peers, a follower's
+// append and an apply.
+void PushCommitRecords(Tracer* tracer, ManualClock* clock, uint64_t n) {
+  binlog::Gtid gtid;
+  gtid.server_uuid = Uuid::FromIndex(3);
+  gtid.txn_no = n;
+  const OpId opid{4, 100 + n};
+  const uint64_t trace = tracer->NextTraceId();
+  const uint64_t total =
+      tracer->BeginSpan("server", "commit.total", trace, 0x1234567890);
+  const uint64_t flush =
+      tracer->BeginSpan("server", "commit.flush", trace, total);
+  clock->AdvanceMicros(12);
+  tracer->EndSpan(flush, "gtid", gtid, "opid", opid);
+  const uint64_t wait =
+      tracer->BeginSpan("server", "commit.consensus_wait", trace, total);
+  for (const char* peer : {"rs0.db1", "rs0.db2"}) {
+    const uint64_t batch = tracer->BeginSpan(
+        "raft", "replicate.batch", trace, total, "peer",
+        std::string_view(peer), "first", opid.index, "last", opid.index,
+        "window", n % 8 + 1);
+    clock->AdvanceMicros(300);
+    tracer->EndSpan(batch, "acked_by", std::string_view(peer), "durable",
+                    opid.index);
+  }
+  const uint64_t append = tracer->BeginSpan(
+      "raft", "follower.append", trace, total, "leader", "rs0.db0", "n",
+      size_t{1}, "first", opid.index);
+  tracer->EndSpan(append, "ok last=1234 durable=1234");
+  tracer->Instant("raft", "quorum_ack", trace, "index", opid.index,
+                  "completed_by", "rs0.db1");
+  tracer->EndSpan(wait);
+  const uint64_t engine =
+      tracer->BeginSpan("server", "commit.engine_commit", trace, total);
+  tracer->EndSpan(engine);
+  tracer->EndSpan(total, "gtid", gtid, "opid", opid);
+  const uint64_t apply = tracer->BeginSpan("applier", "apply", trace, total,
+                                           "opid", opid, "slot", n % 4);
+  clock->AdvanceMicros(40);
+  tracer->EndSpan(apply);
+}
+
+// A cycled journal of that mix holds its records in under 64 bytes each,
+// blocks and scratch included (a deque record was 112 bytes plus a heap
+// string for args past 15 bytes).
+TEST(TracerTest, FailoverMixCostsUnder64BytesPerRecord) {
+  ManualClock clock;
+  TracerOptions options;
+  options.node = "rs0.db0";
+  options.id_salt = 1;
+  options.capacity = 16'384;
+  options.clock = &clock;
+  Tracer tracer(options);
+  for (uint64_t n = 0; tracer.dropped() < 3 * options.capacity; ++n) {
+    PushCommitRecords(&tracer, &clock, n);
+  }
+  const double per_record =
+      static_cast<double>(tracer.memory_bytes()) / tracer.size();
+  EXPECT_LT(per_record, 64.0);
+  EXPECT_GT(per_record, 16.0);
 }
 
 // Names must be string literals: a std::string or a pointer does not
