@@ -120,6 +120,20 @@ size_t TraceJournalBytes(fleet::FleetHarness& fleet, int shards) {
   return bytes;
 }
 
+/// Heap bytes of every metric registry in the fleet: each node's, plus
+/// the fleet-wide network and fleet registries.
+size_t MetricRegistryBytes(fleet::FleetHarness& fleet, int shards) {
+  size_t bytes = fleet.net_metrics()->memory_bytes() +
+                 fleet.fleet_metrics()->memory_bytes();
+  for (int s = 0; s < shards; ++s) {
+    sim::Shard* shard = fleet.shard(s);
+    for (const MemberId& id : shard->ids()) {
+      bytes += shard->node(id)->metrics()->memory_bytes();
+    }
+  }
+  return bytes;
+}
+
 int RunFleetBench(const FleetArgs& args) {
   bench::PrintHeader(
       "Fleet scale-out: " + std::to_string(args.shards) +
@@ -150,9 +164,14 @@ int RunFleetBench(const FleetArgs& args) {
       args.shards > 0
           ? TraceJournalBytes(fleet, args.shards) / 1024.0 / args.shards
           : 0.0;
+  const double metrics_per_ring_kb =
+      args.shards > 0
+          ? MetricRegistryBytes(fleet, args.shards) / 1024.0 / args.shards
+          : 0.0;
   printf("memory: %llu KiB RSS for the fleet (%.1f KiB per ring, of which "
-         "trace journals %.1f KiB)\n",
-         (unsigned long long)fleet_kb, per_ring_kb, trace_per_ring_kb);
+         "trace journals %.1f KiB, metrics %.1f KiB)\n",
+         (unsigned long long)fleet_kb, per_ring_kb, trace_per_ring_kb,
+         metrics_per_ring_kb);
   if (with_primary < args.shards) {
     fprintf(stderr, "FAIL: %d shard(s) never elected\n",
             args.shards - with_primary);
@@ -281,7 +300,8 @@ int RunFleetBench(const FleetArgs& args) {
       "{\"shards\":%d,\"regions\":%d,\"nodes\":%d,"
       "\"bootstrap\":{\"elected\":%d,\"sim_ms\":%llu},"
       "\"memory\":{\"fleet_rss_kb\":%llu,\"per_ring_kb\":%.1f,"
-      "\"trace_journal_per_ring_kb\":%.1f},"
+      "\"trace_journal_per_ring_kb\":%.1f,"
+      "\"metrics_per_ring_kb\":%.1f},"
       "\"throughput\":{\"writes\":%d,\"acked\":%d,\"failed\":%d,"
       "\"sim_seconds\":%.2f,\"commits_per_sim_sec\":%.0f,"
       "\"latency\":%s},"
@@ -296,7 +316,7 @@ int RunFleetBench(const FleetArgs& args) {
       args.shards, args.regions, nodes,
       with_primary, (unsigned long long)(elected_at / 1000),
       (unsigned long long)fleet_kb, per_ring_kb, trace_per_ring_kb,
-      total_writes,
+      metrics_per_ring_kb, total_writes,
       acked, failed, sim_seconds, commits_per_sim_sec,
       bench::HistogramJson(write_latency).c_str(), storm_shards, recovered,
       (unsigned long long)(storm_recovery_micros / 1000), healed,

@@ -429,19 +429,22 @@ Result<LogEntry> BinlogManager::ReadEntry(uint64_t index) const {
   }
   auto file = env_->NewRandomAccessFile(PathFor(file_it->second.name));
   if (!file.ok()) return file.status();
-  std::string buffer(pos->length, '\0');
+  // Read straight into the string a transaction entry takes as payload.
+  std::string bytes(pos->length, '\0');
   Slice raw;
   MYRAFT_RETURN_NOT_OK(
-      (*file)->Read(pos->offset, pos->length, &raw, buffer.data()));
+      (*file)->Read(pos->offset, pos->length, &raw, bytes.data()));
   if (raw.size() != pos->length) {
     return Status::Corruption("short read of log entry");
   }
+  // A file may hand back its own buffer instead of filling the scratch.
+  if (raw.data() != bytes.data()) bytes.assign(raw.data(), raw.size());
 
   const OpId opid{pos->term, index};
   LogEntry entry;
   switch (pos->type) {
     case EntryType::kTransaction:
-      entry = LogEntry::Make(opid, EntryType::kTransaction, raw.ToString());
+      entry = LogEntry::Make(opid, EntryType::kTransaction, std::move(bytes));
       break;
     case EntryType::kNoOp: {
       Slice in = raw;

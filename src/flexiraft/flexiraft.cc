@@ -9,9 +9,9 @@ namespace myraft::flexiraft {
 
 namespace {
 
-// Calls `fn` once per region that has voters, in first-appearance order
-// (VotersByRegion's order), without building the per-region groups: the
-// quorum checks run on every leader ack and every vote.
+// Calls `fn` once per region that has voters, in first-appearance order,
+// without building per-region groups: the quorum checks run on every
+// leader ack and every vote.
 template <typename Fn>
 void ForEachVoterRegion(const MembershipConfig& config, Fn fn) {
   const std::vector<MemberInfo>& members = config.members;

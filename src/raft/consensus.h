@@ -604,7 +604,7 @@ class RaftConsensus {
   bool IsVoterSelf() const;
 
   /// Resolved handles to the registry-backed metrics (stable pointers,
-  /// bumped lock-free on the hot path).
+  /// bumped directly on the hot path).
   struct Metrics {
     metrics::Counter* elections_started;
     metrics::Counter* elections_won;

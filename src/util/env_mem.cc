@@ -1,8 +1,7 @@
 #include <algorithm>
-#include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "util/env.h"
 
@@ -13,7 +12,6 @@ namespace {
 // Shared refcounted contents so open handles survive RemoveFile/Rename,
 // matching POSIX unlink semantics.
 struct MemFileData {
-  std::mutex mu;
   std::string contents;
   // Fsync horizon: bytes covered by the last Sync(). A simulated
   // power-loss crash (LoseUnsyncedData) truncates back to this, so
@@ -23,32 +21,28 @@ struct MemFileData {
 
 class MemWritableFile final : public WritableFile {
  public:
-  MemWritableFile(std::shared_ptr<MemFileData> data,
-                  std::shared_ptr<std::atomic<uint64_t>> sync_calls)
-      : data_(std::move(data)), sync_calls_(std::move(sync_calls)) {}
+  MemWritableFile(std::shared_ptr<MemFileData> data, uint64_t* sync_calls)
+      : data_(std::move(data)), sync_calls_(sync_calls) {}
 
   Status Append(const Slice& chunk) override {
-    std::lock_guard<std::mutex> lock(data_->mu);
     data_->contents.append(chunk.data(), chunk.size());
     return Status::OK();
   }
   Status Flush() override { return Status::OK(); }
   Status Sync() override {
-    std::lock_guard<std::mutex> lock(data_->mu);
     data_->synced_size = data_->contents.size();
-    sync_calls_->fetch_add(1, std::memory_order_relaxed);
+    ++*sync_calls_;
     return Status::OK();
   }
   Status Close() override { return Status::OK(); }
   uint64_t Size() const override {
-    std::lock_guard<std::mutex> lock(data_->mu);
     return data_->contents.size();
   }
 
  private:
   std::shared_ptr<MemFileData> data_;
-  // Env-wide fsync tally; shared so counts survive handle destruction.
-  std::shared_ptr<std::atomic<uint64_t>> sync_calls_;
+  // The env's fsync tally; the env outlives every handle it opens.
+  uint64_t* sync_calls_;
 };
 
 class MemSequentialFile final : public SequentialFile {
@@ -57,7 +51,6 @@ class MemSequentialFile final : public SequentialFile {
       : data_(std::move(data)) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    std::lock_guard<std::mutex> lock(data_->mu);
     if (pos_ >= data_->contents.size()) {
       *result = Slice();
       return Status::OK();
@@ -87,7 +80,6 @@ class MemRandomAccessFile final : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    std::lock_guard<std::mutex> lock(data_->mu);
     if (offset >= data_->contents.size()) {
       *result = Slice();
       return Status::OK();
@@ -100,7 +92,6 @@ class MemRandomAccessFile final : public RandomAccessFile {
   }
 
   uint64_t Size() const override {
-    std::lock_guard<std::mutex> lock(data_->mu);
     return data_->contents.size();
   }
 
@@ -112,15 +103,13 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
  public:
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto data = std::make_shared<MemFileData>();
     files_[path] = data;
-    return {std::make_unique<MemWritableFile>(std::move(data), sync_calls_)};
+    return {std::make_unique<MemWritableFile>(std::move(data), &sync_calls_)};
   }
 
   Result<std::unique_ptr<WritableFile>> NewAppendableFile(
       const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     std::shared_ptr<MemFileData> data;
     if (it == files_.end()) {
@@ -129,12 +118,11 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
     } else {
       data = it->second;
     }
-    return {std::make_unique<MemWritableFile>(std::move(data), sync_calls_)};
+    return {std::make_unique<MemWritableFile>(std::move(data), &sync_calls_)};
   }
 
   Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
       const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound(path);
     return {std::make_unique<MemSequentialFile>(it->second)};
@@ -142,20 +130,17 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
 
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound(path);
     return {std::make_unique<MemRandomAccessFile>(it->second)};
   }
 
   bool FileExists(const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     return files_.count(path) > 0 || dirs_.count(path) > 0;
   }
 
   Result<std::vector<std::string>> GetChildren(
       const std::string& dir) override {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string prefix = dir;
     if (!prefix.empty() && prefix.back() != '/') prefix += '/';
     std::vector<std::string> out;
@@ -170,27 +155,22 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
   }
 
   Status RemoveFile(const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     if (files_.erase(path) == 0) return Status::NotFound(path);
     return Status::OK();
   }
 
   Status CreateDirIfMissing(const std::string& dir) override {
-    std::lock_guard<std::mutex> lock(mu_);
     dirs_.insert({dir, true});
     return Status::OK();
   }
 
   Result<uint64_t> GetFileSize(const std::string& path) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound(path);
-    std::lock_guard<std::mutex> flock(it->second->mu);
     return static_cast<uint64_t>(it->second->contents.size());
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(from);
     if (it == files_.end()) return Status::NotFound(from);
     files_[to] = it->second;
@@ -199,10 +179,8 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
   }
 
   Status TruncateFile(const std::string& path, uint64_t size) override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound(path);
-    std::lock_guard<std::mutex> flock(it->second->mu);
     if (size > it->second->contents.size()) {
       return Status::InvalidArgument("truncate beyond EOF: " + path);
     }
@@ -216,10 +194,8 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
   // --- CrashFaultInjectionEnv ---------------------------------------------------
 
   size_t LoseUnsyncedData() override {
-    std::lock_guard<std::mutex> lock(mu_);
     size_t truncated = 0;
     for (auto& [path, data] : files_) {
-      std::lock_guard<std::mutex> flock(data->mu);
       if (data->contents.size() > data->synced_size) {
         data->contents.resize(data->synced_size);
         ++truncated;
@@ -229,23 +205,17 @@ class MemEnv final : public Env, public CrashFaultInjectionEnv {
   }
 
   uint64_t SyncedSize(const std::string& path) const override {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return 0;
-    std::lock_guard<std::mutex> flock(it->second->mu);
     return it->second->synced_size;
   }
 
-  uint64_t SyncCalls() const override {
-    return sync_calls_->load(std::memory_order_relaxed);
-  }
+  uint64_t SyncCalls() const override { return sync_calls_; }
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<MemFileData>> files_;
   std::map<std::string, bool> dirs_;
-  std::shared_ptr<std::atomic<uint64_t>> sync_calls_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
+  uint64_t sync_calls_ = 0;
 };
 
 }  // namespace

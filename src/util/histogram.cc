@@ -2,14 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 
 namespace myraft {
 
 Histogram::Histogram() = default;
 
-void Histogram::EnsureBuckets() {
-  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
+uint64_t* Histogram::Chunk(int octave) {
+  const uint64_t bit = 1ull << octave;
+  const size_t at =
+      static_cast<size_t>(__builtin_popcountll(octave_mask_ & (bit - 1))) *
+      kSubBuckets;
+  if ((octave_mask_ & bit) == 0) {
+    // Grow to the exact size: a histogram seldom touches a new octave, and
+    // doubling would leave a fleet's chunk vectors half empty.
+    chunks_.reserve(chunks_.size() + kSubBuckets);
+    chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(at),
+                   kSubBuckets, 0);
+    octave_mask_ |= bit;
+  }
+  return chunks_.data() + at;
+}
+
+const uint64_t* Histogram::FindChunk(int octave) const {
+  const uint64_t bit = 1ull << octave;
+  if ((octave_mask_ & bit) == 0) return nullptr;
+  return chunks_.data() +
+         static_cast<size_t>(__builtin_popcountll(octave_mask_ & (bit - 1))) *
+             kSubBuckets;
 }
 
 int Histogram::BucketFor(uint64_t value) {
@@ -38,8 +59,8 @@ void Histogram::Add(uint64_t value) {
   max_ = std::max(max_, value);
   sum_ += static_cast<double>(value);
   sum_squares_ += static_cast<double>(value) * static_cast<double>(value);
-  EnsureBuckets();
-  ++buckets_[BucketFor(value)];
+  const int bucket = BucketFor(value);
+  ++Chunk(bucket / kSubBuckets)[bucket % kSubBuckets];
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -48,9 +69,15 @@ void Histogram::Merge(const Histogram& other) {
   max_ = std::max(max_, other.max_);
   sum_ += other.sum_;
   sum_squares_ += other.sum_squares_;
-  if (other.buckets_.empty()) return;
-  EnsureBuckets();
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
+  // Walk `other`'s octaves in order; `c` is the offset of its chunk.
+  size_t c = 0;
+  for (uint64_t mask = other.octave_mask_; mask != 0;
+       mask &= mask - 1, c += kSubBuckets) {
+    uint64_t* chunk = Chunk(__builtin_ctzll(mask));
+    for (int sub = 0; sub < kSubBuckets; ++sub) {
+      chunk[sub] += other.chunks_[c + sub];
+    }
+  }
 }
 
 Histogram Histogram::Delta(const Histogram& earlier) const {
@@ -62,13 +89,27 @@ Histogram Histogram::Delta(const Histogram& earlier) const {
   delta.sum_squares_ = sum_squares_ >= earlier.sum_squares_
                            ? sum_squares_ - earlier.sum_squares_
                            : 0;
-  if (buckets_.empty()) return delta;
-  delta.EnsureBuckets();
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t before = earlier.buckets_.empty() ? 0 : earlier.buckets_[i];
-    const uint64_t n = buckets_[i] >= before ? buckets_[i] - before : 0;
-    delta.buckets_[i] = n;
-    if (n > 0) {
+  if (octave_mask_ == 0) return delta;
+  size_t c = 0;
+  for (uint64_t mask = octave_mask_; mask != 0;
+       mask &= mask - 1, c += kSubBuckets) {
+    const int octave = __builtin_ctzll(mask);
+    const uint64_t* before = earlier.FindChunk(octave);
+    uint64_t n[kSubBuckets];
+    bool touched = false;
+    for (int sub = 0; sub < kSubBuckets; ++sub) {
+      const uint64_t now = chunks_[c + sub];
+      const uint64_t then = before == nullptr ? 0 : before[sub];
+      n[sub] = now >= then ? now - then : 0;
+      touched |= n[sub] > 0;
+    }
+    // Only octaves the window sampled get a chunk in the delta.
+    if (!touched) continue;
+    uint64_t* out = delta.Chunk(octave);
+    for (int sub = 0; sub < kSubBuckets; ++sub) {
+      out[sub] = n[sub];
+      if (n[sub] == 0) continue;
+      const int i = octave * kSubBuckets + sub;
       delta.min_ = std::min(delta.min_, BucketLowerBound(i));
       delta.max_ = std::max(
           delta.max_,
@@ -90,7 +131,8 @@ void Histogram::Clear() {
   max_ = 0;
   sum_ = 0;
   sum_squares_ = 0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  octave_mask_ = 0;
+  chunks_.clear();
 }
 
 double Histogram::Mean() const {
@@ -108,23 +150,28 @@ double Histogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
   const double threshold = static_cast<double>(count_) * (p / 100.0);
   uint64_t cumulative = 0;
-  for (int i = 0; i < static_cast<int>(buckets_.size()); ++i) {
-    if (buckets_[i] == 0) continue;
-    cumulative += buckets_[i];
-    if (static_cast<double>(cumulative) >= threshold) {
+  size_t c = 0;
+  for (uint64_t mask = octave_mask_; mask != 0;
+       mask &= mask - 1, c += kSubBuckets) {
+    const int octave = __builtin_ctzll(mask);
+    for (int sub = 0; sub < kSubBuckets; ++sub) {
+      const uint64_t n = chunks_[c + sub];
+      if (n == 0) continue;
+      cumulative += n;
+      if (static_cast<double>(cumulative) < threshold) continue;
       // Interpolate within the bucket, up to its *inclusive* upper value:
       // interpolating to the next bucket's lower bound used to fabricate
       // values no sample in this bucket can equal (p50 of {10, 20} came
       // out as 11 — the exclusive edge of 10's width-1 bucket). With the
       // inclusive edge, first-octave (width-1) buckets are exact and
       // wider buckets never overshoot into the neighbour.
+      const int i = octave * kSubBuckets + sub;
       const uint64_t lo = BucketLowerBound(i);
       const uint64_t hi =
           (i + 1 < kNumBuckets) ? BucketLowerBound(i + 1) - 1 : lo;
       const double excess =
           static_cast<double>(cumulative) - threshold;
-      const double frac =
-          1.0 - excess / static_cast<double>(buckets_[i]);
+      const double frac = 1.0 - excess / static_cast<double>(n);
       double v = static_cast<double>(lo) +
                  frac * static_cast<double>(hi - lo);
       v = std::max(v, static_cast<double>(min()));
@@ -137,8 +184,16 @@ double Histogram::Percentile(double p) const {
 
 std::vector<std::pair<uint64_t, uint64_t>> Histogram::NonEmptyBuckets() const {
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (int i = 0; i < static_cast<int>(buckets_.size()); ++i) {
-    if (buckets_[i] != 0) out.emplace_back(BucketLowerBound(i), buckets_[i]);
+  size_t c = 0;
+  for (uint64_t mask = octave_mask_; mask != 0;
+       mask &= mask - 1, c += kSubBuckets) {
+    const int octave = __builtin_ctzll(mask);
+    for (int sub = 0; sub < kSubBuckets; ++sub) {
+      const uint64_t n = chunks_[c + sub];
+      if (n != 0) {
+        out.emplace_back(BucketLowerBound(octave * kSubBuckets + sub), n);
+      }
+    }
   }
   return out;
 }

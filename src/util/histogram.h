@@ -46,9 +46,13 @@ class Histogram {
   /// One (lower_bound, count) pair per populated bucket, for plotting.
   std::vector<std::pair<uint64_t, uint64_t>> NonEmptyBuckets() const;
 
+  /// Heap bytes held by the bucket chunks.
+  size_t memory_bytes() const { return chunks_.capacity() * sizeof(uint64_t); }
+
   static constexpr int kSubBucketBits = 4;  // 16 sub-buckets per octave.
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
   static constexpr int kMaxOctave = 40;     // values up to ~2^40.
+  static_assert(kMaxOctave <= 64, "octave_mask_ has one bit per octave");
   static constexpr int kNumBuckets = kMaxOctave * kSubBuckets;
 
   /// Bucket index covering `value` (public so tests can pin down the
@@ -58,19 +62,25 @@ class Histogram {
   static uint64_t BucketLowerBound(int bucket);
 
  private:
-  /// Allocates the buckets on first use.
-  void EnsureBuckets();
+  /// The octave's 16 counters, inserting a zeroed chunk on first use.
+  uint64_t* Chunk(int octave);
+  /// The octave's 16 counters, or nullptr when it has no chunk.
+  const uint64_t* FindChunk(int octave) const;
 
   uint64_t count_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
   double sum_ = 0;
   double sum_squares_ = 0;
-  /// kNumBuckets counters (5 KiB), or empty until the first sample: most
-  /// registered histograms stay empty on most nodes (leader-only raft
-  /// series on followers, relay waits off the relay), and a fleet
-  /// process holds thousands of registries.
-  std::vector<uint64_t> buckets_;
+  /// Sparse buckets: bit o is set once octave o has been touched, and
+  /// `chunks_` holds kSubBuckets counters per set bit, in octave order.
+  /// Most registered histograms stay empty on most nodes (leader-only
+  /// raft series on followers, relay waits off the relay), and a sampled
+  /// one touches one or two octaves, so a fleet process holding
+  /// thousands of registries pays 128 B per touched octave instead of
+  /// kNumBuckets counters per sampled histogram.
+  uint64_t octave_mask_ = 0;
+  std::vector<uint64_t> chunks_;
 };
 
 }  // namespace myraft

@@ -1,6 +1,9 @@
 #include "util/metrics.h"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
+#include <unordered_map>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -27,6 +30,40 @@ std::string HistogramJson(const Histogram& h) {
       FormatDouble(h.Percentile(50)).c_str(),
       FormatDouble(h.Percentile(90)).c_str(),
       FormatDouble(h.Percentile(99)).c_str());
+}
+
+// Entries a full registry index grows by (see MetricRegistry::Resolve).
+constexpr size_t kIndexGrowth = 16;
+
+/// The process-wide name table: one id per distinct metric name, shared by
+/// every registry, so a registry stores 4-byte ids instead of strings and
+/// resolving a name costs one hash.
+class NameTable {
+ public:
+  uint32_t Intern(std::string_view name) {
+    auto it = ids_.find(name);
+    if (it != ids_.end()) return it->second;
+    const auto id = static_cast<uint32_t>(names_.size());
+    names_.emplace_back(name);
+    ids_.emplace(names_.back(), id);  // deque elements never move
+    return id;
+  }
+  /// Id of an interned name; nullopt when no registry ever registered it.
+  std::optional<uint32_t> Lookup(std::string_view name) const {
+    auto it = ids_.find(name);
+    if (it == ids_.end()) return std::nullopt;
+    return it->second;
+  }
+  const std::string& Name(uint32_t id) const { return names_[id]; }
+
+ private:
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, uint32_t> ids_;
+};
+
+NameTable& GlobalNames() {
+  static auto* table = new NameTable();  // never destroyed: outlives statics
+  return *table;
 }
 
 }  // namespace
@@ -82,140 +119,170 @@ std::string MetricSnapshot::ToJson() const {
   return out;
 }
 
-void MetricRegistry::SetPrefix(std::string prefix) {
-  std::lock_guard<std::mutex> lock(mu_);
-  prefix_ = std::move(prefix);
+std::vector<MetricRegistry::Entry>::const_iterator MetricRegistry::Locate(
+    uint32_t id) const {
+  return std::lower_bound(
+      index_.begin(), index_.end(), id,
+      [](const Entry& entry, uint32_t key) { return entry.id < key; });
 }
 
-Counter* MetricRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MYRAFT_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+template <typename T>
+T* MetricRegistry::Resolve(std::string_view name, Kind kind, Slots<T>* slots) {
+  const uint32_t id = GlobalNames().Intern(name);
+  auto it = Locate(id);
+  if (it != index_.end() && it->id == id) {
+    MYRAFT_CHECK(it->kind == kind);
+    return &(*slots)[it->slot];
+  }
+  // Grow the index a few entries at a time: a registry stops growing
+  // once its components are built, and doubling would leave up to half
+  // of every node's index empty.
+  if (index_.size() == index_.capacity()) {
+    const auto at = it - index_.cbegin();
+    index_.reserve(index_.size() + kIndexGrowth);
+    it = index_.cbegin() + at;
+  }
+  index_.insert(it, Entry{id, kind, slots->size()});
+  return slots->Append();
 }
 
-Gauge* MetricRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MYRAFT_CHECK(counters_.count(name) == 0 && histograms_.count(name) == 0);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
+template <typename T>
+const T* MetricRegistry::Find(std::string_view name, Kind kind,
+                              const Slots<T>& slots) const {
+  const std::optional<uint32_t> id = GlobalNames().Lookup(name);
+  if (!id) return nullptr;
+  auto it = Locate(*id);
+  if (it == index_.end() || it->id != *id || it->kind != kind) return nullptr;
+  return &slots[it->slot];
 }
 
-HistogramMetric* MetricRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MYRAFT_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<HistogramMetric>();
-  return slot.get();
+Counter* MetricRegistry::GetCounter(std::string_view name) {
+  return Resolve(name, kCounter, &counters_);
 }
 
-const Counter* MetricRegistry::FindCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
+Gauge* MetricRegistry::GetGauge(std::string_view name) {
+  return Resolve(name, kGauge, &gauges_);
 }
 
-const Gauge* MetricRegistry::FindGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
+HistogramMetric* MetricRegistry::GetHistogram(std::string_view name) {
+  return Resolve(name, kHistogram, &histograms_);
+}
+
+const Counter* MetricRegistry::FindCounter(std::string_view name) const {
+  return Find(name, kCounter, counters_);
+}
+
+const Gauge* MetricRegistry::FindGauge(std::string_view name) const {
+  return Find(name, kGauge, gauges_);
 }
 
 const HistogramMetric* MetricRegistry::FindHistogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
+    std::string_view name) const {
+  return Find(name, kHistogram, histograms_);
 }
 
-size_t MetricRegistry::MetricCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
+std::vector<MetricRegistry::Entry> MetricRegistry::ByName() const {
+  std::vector<Entry> entries = index_;
+  const NameTable& names = GlobalNames();
+  std::sort(entries.begin(), entries.end(),
+            [&names](const Entry& a, const Entry& b) {
+              return names.Name(a.id) < names.Name(b.id);
+            });
+  return entries;
 }
 
 std::vector<std::string> MetricRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, _] : counters_) names.push_back(prefix_ + name);
-  for (const auto& [name, _] : gauges_) names.push_back(prefix_ + name);
-  for (const auto& [name, _] : histograms_) names.push_back(prefix_ + name);
-  std::sort(names.begin(), names.end());
+  names.reserve(index_.size());
+  for (const Entry& entry : ByName()) {
+    names.push_back(prefix_ + GlobalNames().Name(entry.id));
+  }
   return names;
 }
 
 MetricSnapshot MetricRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   MetricSnapshot snap;
-  for (const auto& [name, c] : counters_) {
-    snap.counters[prefix_ + name] = c->value();
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges[prefix_ + name] = g->value();
-  }
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms[prefix_ + name] = h->snapshot();
+  for (const Entry& entry : index_) {
+    std::string name = prefix_ + GlobalNames().Name(entry.id);
+    switch (entry.kind) {
+      case kCounter:
+        snap.counters[std::move(name)] = counters_[entry.slot].value();
+        break;
+      case kGauge:
+        snap.gauges[std::move(name)] = gauges_[entry.slot].value();
+        break;
+      case kHistogram:
+        snap.histograms[std::move(name)] =
+            histograms_[entry.slot].histogram();
+        break;
+    }
   }
   return snap;
 }
 
 std::string MetricRegistry::ToText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Interleave the three kinds in global name order.
-  std::map<std::string, std::string> lines;
-  for (const auto& [name, c] : counters_) {
-    const std::string full = prefix_ + name;
-    lines[full] = StringPrintf("%s counter %llu", full.c_str(),
-                               (unsigned long long)c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string full = prefix_ + name;
-    lines[full] = StringPrintf("%s gauge %lld", full.c_str(),
-                               (long long)g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string full = prefix_ + name;
-    Histogram snap = h->snapshot();
-    lines[full] = StringPrintf(
-        "%s histogram count=%llu mean=%s p99=%s max=%llu", full.c_str(),
-        (unsigned long long)snap.count(), FormatDouble(snap.Mean()).c_str(),
-        FormatDouble(snap.Percentile(99)).c_str(),
-        (unsigned long long)snap.max());
-  }
   std::string out;
-  for (const auto& [_, line] : lines) {
-    out += line;
+  for (const Entry& entry : ByName()) {
+    const std::string full = prefix_ + GlobalNames().Name(entry.id);
+    switch (entry.kind) {
+      case kCounter:
+        out += StringPrintf("%s counter %llu", full.c_str(),
+                            (unsigned long long)counters_[entry.slot].value());
+        break;
+      case kGauge:
+        out += StringPrintf("%s gauge %lld", full.c_str(),
+                            (long long)gauges_[entry.slot].value());
+        break;
+      case kHistogram: {
+        const Histogram& h = histograms_[entry.slot].histogram();
+        out += StringPrintf(
+            "%s histogram count=%llu mean=%s p99=%s max=%llu", full.c_str(),
+            (unsigned long long)h.count(), FormatDouble(h.Mean()).c_str(),
+            FormatDouble(h.Percentile(99)).c_str(),
+            (unsigned long long)h.max());
+        break;
+      }
+    }
     out += '\n';
   }
   return out;
 }
 
 std::string MetricRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, std::string> fields;
-  for (const auto& [name, c] : counters_) {
-    fields[prefix_ + name] = StringPrintf("%llu", (unsigned long long)c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    fields[prefix_ + name] = StringPrintf("%lld", (long long)g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    fields[prefix_ + name] = HistogramJson(h->snapshot());
-  }
   std::string out = "{";
   bool first = true;
-  for (const auto& [name, value] : fields) {
+  for (const Entry& entry : ByName()) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += name;  // Metric names are identifier-like; no escaping needed.
+    out += prefix_;
+    out += GlobalNames().Name(entry.id);  // identifier-like; no escaping
     out += "\":";
-    out += value;
+    switch (entry.kind) {
+      case kCounter:
+        out += StringPrintf("%llu",
+                            (unsigned long long)counters_[entry.slot].value());
+        break;
+      case kGauge:
+        out += StringPrintf("%lld", (long long)gauges_[entry.slot].value());
+        break;
+      case kHistogram:
+        out += HistogramJson(histograms_[entry.slot].histogram());
+        break;
+    }
   }
   out += '}';
   return out;
+}
+
+size_t MetricRegistry::memory_bytes() const {
+  size_t bytes = index_.capacity() * sizeof(Entry) +
+                 counters_.memory_bytes() + gauges_.memory_bytes() +
+                 histograms_.memory_bytes();
+  for (uint32_t slot = 0; slot < histograms_.size(); ++slot) {
+    bytes += histograms_[slot].histogram().memory_bytes();
+  }
+  return bytes;
 }
 
 }  // namespace myraft::metrics

@@ -1,73 +1,63 @@
-// Process-wide metrics registry (kuduraft-style): named counters, gauges
+// Metrics registry (kuduraft-style): named counters, gauges
 // and latency histograms that subsystems look up once and bump on the hot
-// path with relaxed atomics. A registry snapshot serialises to text or
+// path through plain pointers. A registry snapshot serialises to text or
 // JSON; the sim harness dumps one per node and the bench drivers embed it
 // as the "internals" section of their BENCH_*.json output.
 //
 // Components take a `MetricRegistry*` through their options struct and
 // fall back to a private per-instance registry when it is null, so unit
 // tests that count events on a single component stay isolated.
+//
+// Single-threaded, like everything the event loop drives (DESIGN.md §3):
+// no metric takes a lock or an atomic.
 
 #ifndef MYRAFT_UTIL_METRICS_H_
 #define MYRAFT_UTIL_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/histogram.h"
 
 namespace myraft::metrics {
 
-/// Monotonic event counter. Increment is a relaxed atomic add — safe to
-/// call from any thread without ordering guarantees beyond the count.
+/// Monotonic event counter.
 class Counter {
  public:
-  void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(uint64_t delta = 1) { value_ += delta; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// Instantaneous signed level (queue depth, resident bytes, lag).
 class Gauge {
  public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(int64_t value) { value_ = value; }
+  void Add(int64_t delta) { value_ += delta; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
-/// Latency distribution. Wraps util/histogram behind a mutex; Record is
-/// heavier than a Counter bump but still cheap (one lock, one bucket add).
+/// Latency distribution over util/histogram's sparse buckets.
 class HistogramMetric {
  public:
-  void Record(uint64_t value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    histogram_.Add(value);
-  }
-  /// Copy of the current distribution.
-  Histogram snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return histogram_;
-  }
+  void Record(uint64_t value) { histogram_.Add(value); }
+  const Histogram& histogram() const { return histogram_; }
 
  private:
-  mutable std::mutex mu_;
   Histogram histogram_;
 };
 
 /// Point-in-time copy of a registry's contents, detached from the live
-/// atomics. The observability plane (DESIGN.md §14) diffs consecutive
+/// metrics. The observability plane (DESIGN.md §14) diffs consecutive
 /// snapshots into windowed rates and merges per-node snapshots into
 /// cluster roll-ups.
 struct MetricSnapshot {
@@ -91,9 +81,14 @@ struct MetricSnapshot {
 
 /// Find-or-create registry of named metrics. Returned pointers are stable
 /// for the registry's lifetime, so components resolve them once at
-/// construction and bump them lock-free afterwards. Re-resolving an
+/// construction and bump them directly afterwards. Re-resolving an
 /// existing name returns the same metric (a restarted component on a
 /// long-lived registry keeps accumulating into the same counters).
+///
+/// Storage (DESIGN.md §14.5): every name maps to an id in one
+/// process-wide intern table; a registry keeps a flat index of (id, kind,
+/// slot) sorted by id, and each kind's values in fixed chunks that never
+/// move. Names are only looked at again to serialise.
 class MetricRegistry {
  public:
   /// Namespace prepended to every metric name at snapshot/serialization
@@ -102,19 +97,20 @@ class MetricRegistry {
   /// distinct when their snapshots are merged or embedded side by side).
   /// Lookups (GetCounter/Find*) keep using the bare name: the prefix is a
   /// reporting concern, not a hot-path one.
-  void SetPrefix(std::string prefix);
+  void SetPrefix(std::string prefix) { prefix_ = std::move(prefix); }
   const std::string& prefix() const { return prefix_; }
 
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  HistogramMetric* GetHistogram(const std::string& name);
+  /// A name registered as one kind must not be re-resolved as another.
+  Counter* GetCounter(std::string_view name);
+  Gauge* GetGauge(std::string_view name);
+  HistogramMetric* GetHistogram(std::string_view name);
 
   /// Read-only lookups; nullptr when the name was never registered.
-  const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
-  const HistogramMetric* FindHistogram(const std::string& name) const;
+  const Counter* FindCounter(std::string_view name) const;
+  const Gauge* FindGauge(std::string_view name) const;
+  const HistogramMetric* FindHistogram(std::string_view name) const;
 
-  size_t MetricCount() const;
+  size_t MetricCount() const { return index_.size(); }
   /// All registered names, sorted.
   std::vector<std::string> Names() const;
 
@@ -127,12 +123,56 @@ class MetricRegistry {
   /// histograms are {"count","min","max","mean","p50","p90","p99"}.
   std::string ToJson() const;
 
+  /// Heap bytes of the index, the value chunks and the histograms'
+  /// bucket chunks.
+  size_t memory_bytes() const;
+
  private:
-  mutable std::mutex mu_;
+  enum Kind : uint32_t { kCounter, kGauge, kHistogram };
+
+  struct Entry {
+    uint32_t id;  // intern-table id of the bare name
+    uint32_t kind : 2;
+    uint32_t slot : 30;  // index into the kind's Slots
+  };
+
+  /// Append-only storage in fixed chunks: an element never moves.
+  template <typename T>
+  class Slots {
+   public:
+    static constexpr uint32_t kChunk = 16;
+    uint32_t size() const { return size_; }
+    T& operator[](uint32_t slot) const {
+      return chunks_[slot / kChunk][slot % kChunk];
+    }
+    T* Append() {
+      if (size_ % kChunk == 0) chunks_.push_back(std::make_unique<T[]>(kChunk));
+      return &(*this)[size_++];
+    }
+    size_t memory_bytes() const {
+      return chunks_.capacity() * sizeof(chunks_[0]) +
+             chunks_.size() * kChunk * sizeof(T);
+    }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    uint32_t size_ = 0;
+  };
+
+  /// First index entry whose id is not below `id`.
+  std::vector<Entry>::const_iterator Locate(uint32_t id) const;
+  template <typename T>
+  T* Resolve(std::string_view name, Kind kind, Slots<T>* slots);
+  template <typename T>
+  const T* Find(std::string_view name, Kind kind, const Slots<T>& slots) const;
+  /// The index ordered by name, for the sorted text and JSON outputs.
+  std::vector<Entry> ByName() const;
+
   std::string prefix_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
+  std::vector<Entry> index_;  // sorted by id
+  Slots<Counter> counters_;
+  Slots<Gauge> gauges_;
+  Slots<HistogramMetric> histograms_;
 };
 
 }  // namespace myraft::metrics

@@ -1,7 +1,5 @@
 #include "wire/types.h"
 
-#include <algorithm>
-
 namespace myraft {
 
 std::string_view MemberKindToString(MemberKind kind) {
@@ -75,22 +73,6 @@ int MembershipConfig::NumVoters() const {
   int n = 0;
   for (const auto& m : members) n += m.is_voter() ? 1 : 0;
   return n;
-}
-
-std::vector<std::pair<RegionId, std::vector<MemberId>>>
-MembershipConfig::VotersByRegion() const {
-  std::vector<std::pair<RegionId, std::vector<MemberId>>> out;
-  for (const auto& m : members) {
-    if (!m.is_voter()) continue;
-    auto it = std::find_if(out.begin(), out.end(),
-                           [&](const auto& p) { return p.first == m.region; });
-    if (it == out.end()) {
-      out.emplace_back(m.region, std::vector<MemberId>{m.id});
-    } else {
-      it->second.push_back(m.id);
-    }
-  }
-  return out;
 }
 
 std::string MembershipConfig::ToString() const {

@@ -134,9 +134,6 @@ struct MembershipConfig {
   std::vector<MemberId> VoterIds() const;
   std::vector<MemberId> MemberIds() const;
   int NumVoters() const;
-  /// Voters grouped by region, insertion-ordered by first appearance.
-  std::vector<std::pair<RegionId, std::vector<MemberId>>> VotersByRegion()
-      const;
   std::string ToString() const;
 };
 

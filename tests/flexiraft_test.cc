@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "raft_test_harness.h"
@@ -17,6 +18,23 @@ namespace {
 using raft::QuorumContext;
 using raft_test::RaftTestCluster;
 constexpr uint64_t kSecond = 1'000'000;
+
+/// Voters grouped by region, in order of each region's first appearance.
+std::vector<std::pair<RegionId, std::vector<MemberId>>> VotersByRegion(
+    const MembershipConfig& config) {
+  std::vector<std::pair<RegionId, std::vector<MemberId>>> out;
+  for (const auto& m : config.members) {
+    if (!m.is_voter()) continue;
+    auto it = std::find_if(out.begin(), out.end(),
+                           [&](const auto& p) { return p.first == m.region; });
+    if (it == out.end()) {
+      out.emplace_back(m.region, std::vector<MemberId>{m.id});
+    } else {
+      it->second.push_back(m.id);
+    }
+  }
+  return out;
+}
 
 /// Paper topology: primary + 2 logtailers per region, 3 regions, one
 /// mysql voter per region.
@@ -326,7 +344,7 @@ TEST_P(FlexiRaftIntersectionTest, ElectionQuorumIntersectsPriorDataQuorums) {
   }
   FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
 
-  const auto by_region = config.VotersByRegion();
+  const auto by_region = VotersByRegion(config);
   // Previous leader lived in region L; its data quorums are the
   // majorities of region L.
   for (const auto& [leader_region, leader_voters] : by_region) {

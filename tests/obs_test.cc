@@ -4,12 +4,15 @@
 // cross-checks the plane is built around — the HealthMonitor's outage
 // measurement must agree with DowntimeProbe's client-side view of the
 // same failover, chaos bundles must be byte-identical for the same seed,
-// and every registered metric must appear in the static catalog.
+// every registered metric must appear in the static catalog, and a node's
+// metric registration stays within an allocation bound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,31 @@
 #include "sim/cluster.h"
 #include "util/clock.h"
 #include "util/metrics.h"
+
+// Counts operator new calls while armed, so a test can bound the
+// allocations of one scope.
+namespace {
+bool count_news = false;
+size_t news_counted = 0;
+}  // namespace
+
+void* operator new(size_t size) {
+  if (count_news) ++news_counted;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// The nothrow form too (std::stable_sort's temporary buffer uses it), so
+// every block the replaced deletes free came from malloc.
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  if (count_news) ++news_counted;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Not inlined: GCC would otherwise see free() of a new-expression's block
+// at every delete-expression and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace myraft::obs {
 namespace {
@@ -309,6 +337,39 @@ TEST(ObsClusterTest, CatalogCoversEveryRegisteredMetric) {
     check_registry(id, cluster.node(id)->metrics());
   }
   check_registry("network", cluster.net_metrics());
+}
+
+TEST(ObsClusterTest, NodeRegistryBootstrapAllocationBound) {
+  // Replays the registrations of the cluster's largest node registry into
+  // a fresh registry, as every node after the first does in a fleet (the
+  // names are already interned), and counts the allocations.
+  sim::ClusterHarness cluster(ObsClusterOptions(7), FlexiEngine());
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  const metrics::MetricRegistry* largest = nullptr;
+  for (const MemberId& id : cluster.ids()) {
+    const metrics::MetricRegistry* registry = cluster.node(id)->metrics();
+    if (largest == nullptr ||
+        registry->MetricCount() > largest->MetricCount()) {
+      largest = registry;
+    }
+  }
+  ASSERT_TRUE(largest->prefix().empty());
+  const metrics::MetricSnapshot node = largest->Snapshot();
+  ASSERT_GE(largest->MetricCount(), 50u);
+
+  metrics::MetricRegistry fresh;
+  count_news = true;
+  news_counted = 0;
+  for (const auto& [name, _] : node.counters) fresh.GetCounter(name);
+  for (const auto& [name, _] : node.gauges) fresh.GetGauge(name);
+  for (const auto& [name, _] : node.histograms) fresh.GetHistogram(name);
+  count_news = false;
+  EXPECT_EQ(fresh.MetricCount(), largest->MetricCount());
+  // A map node, a boxed value and often a name string per metric came to
+  // about three allocations per metric; chunked slots and a flat index
+  // need about one per 16 metrics of a kind, plus the chunk tables.
+  EXPECT_LE(news_counted, 24u) << "for " << largest->MetricCount()
+                               << " metrics";
 }
 
 TEST(ObsClusterTest, RaftstatReportsRolesAndPeers) {

@@ -537,7 +537,7 @@ class RelayFinalHopTest : public ::testing::Test {
 
   uint64_t WaitCount() const {
     return metrics_.GetHistogram("proxy.reconstitute_wait_us")
-        ->snapshot()
+        ->histogram()
         .count();
   }
 
@@ -591,7 +591,7 @@ TEST_F(RelayFinalHopTest, MissingEntryWaitsThenDegradesToHeartbeat) {
   EXPECT_EQ(MetricValue(router_->metrics(), "proxy.degraded_to_heartbeat"),
             1u);  // unchanged
   const Histogram waits =
-      metrics_.GetHistogram("proxy.reconstitute_wait_us")->snapshot();
+      metrics_.GetHistogram("proxy.reconstitute_wait_us")->histogram();
   EXPECT_EQ(waits.count(), 2u);
   EXPECT_EQ(waits.max(), 50'000u);
   EXPECT_EQ(waits.min(), 20'000u);

@@ -267,7 +267,7 @@ TEST_F(PipeliningTest, StallCountsTransitionsNotAttempts) {
   const auto* stall_hist =
       consensus_->metrics()->FindHistogram("raft.stall_duration_us");
   ASSERT_NE(stall_hist, nullptr);
-  EXPECT_GE(stall_hist->snapshot().count(), 1u);
+  EXPECT_GE(stall_hist->histogram().count(), 1u);
   EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.pipeline_stalls"), 2u);
 }
 

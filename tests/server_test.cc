@@ -84,7 +84,7 @@ TEST_F(ServerClusterTest, MetricsSnapshotCoversAllSubsystems) {
   const auto* consensus_wait =
       registry->FindHistogram("server.commit_stage_consensus_wait_us");
   ASSERT_NE(consensus_wait, nullptr);
-  EXPECT_GE(consensus_wait->snapshot().count(), 20u);
+  EXPECT_GE(consensus_wait->histogram().count(), 20u);
 
   // Cluster-wide snapshots name every member in both formats.
   const std::string json = harness_->MetricsSnapshotJson();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/metrics.h"
 
@@ -30,8 +31,85 @@ TEST(MetricRegistryTest, FindOrCreateReturnsStablePointers) {
   h->Record(250);
   h->Record(750);
   EXPECT_EQ(registry.GetHistogram("server.commit_latency_us"), h);
-  EXPECT_EQ(h->snapshot().count(), 2u);
-  EXPECT_EQ(h->snapshot().max(), 750u);
+  EXPECT_EQ(h->histogram().count(), 2u);
+  EXPECT_EQ(h->histogram().max(), 750u);
+}
+
+TEST(MetricRegistryTest, PointersStayStableAcrossManyRegistrations) {
+  // Values live in fixed chunks that never move, so a pointer handed out
+  // early survives every later registration.
+  MetricRegistry registry;
+  std::vector<Counter*> counters;
+  std::vector<Gauge*> gauges;
+  std::vector<HistogramMetric*> histograms;
+  auto name = [](const char* kind, int i) {
+    return std::string("stable.") + kind + std::to_string(i);
+  };
+  for (int i = 0; i < 1'000; ++i) {
+    switch (i % 3) {
+      case 0:
+        counters.push_back(registry.GetCounter(name("c", i)));
+        counters.back()->Increment(i);
+        break;
+      case 1:
+        gauges.push_back(registry.GetGauge(name("g", i)));
+        gauges.back()->Set(-i);
+        break;
+      default:
+        histograms.push_back(registry.GetHistogram(name("h", i)));
+        histograms.back()->Record(i);
+        break;
+    }
+  }
+  ASSERT_EQ(registry.MetricCount(), 1'000u);
+  for (int i = 0; i < 1'000; ++i) {
+    switch (i % 3) {
+      case 0: {
+        Counter* c = counters[i / 3];
+        EXPECT_EQ(registry.GetCounter(name("c", i)), c) << i;
+        EXPECT_EQ(registry.FindCounter(name("c", i)), c) << i;
+        EXPECT_EQ(c->value(), static_cast<uint64_t>(i));
+        break;
+      }
+      case 1: {
+        Gauge* g = gauges[i / 3];
+        EXPECT_EQ(registry.GetGauge(name("g", i)), g) << i;
+        EXPECT_EQ(registry.FindGauge(name("g", i)), g) << i;
+        EXPECT_EQ(g->value(), -i);
+        break;
+      }
+      default: {
+        HistogramMetric* h = histograms[i / 3];
+        EXPECT_EQ(registry.GetHistogram(name("h", i)), h) << i;
+        EXPECT_EQ(registry.FindHistogram(name("h", i)), h) << i;
+        EXPECT_EQ(h->histogram().max(), static_cast<uint64_t>(i));
+        break;
+      }
+    }
+  }
+  // Re-resolving registered nothing new.
+  EXPECT_EQ(registry.MetricCount(), 1'000u);
+  EXPECT_EQ(registry.Snapshot().counters.size(), counters.size());
+}
+
+TEST(MetricRegistryTest, SameNameInTwoRegistriesIsTwoMetrics) {
+  // Names are interned process-wide; values stay per registry.
+  MetricRegistry a;
+  MetricRegistry b;
+  a.GetCounter("shared.name")->Increment(2);
+  b.GetCounter("shared.name")->Increment(5);
+  EXPECT_NE(a.GetCounter("shared.name"), b.GetCounter("shared.name"));
+  EXPECT_EQ(a.FindCounter("shared.name")->value(), 2u);
+  EXPECT_EQ(b.FindCounter("shared.name")->value(), 5u);
+}
+
+TEST(MetricRegistryDeathTest, KindMismatchChecks) {
+  MetricRegistry registry;
+  registry.GetCounter("kind.clash");
+  registry.GetGauge("kind.level");
+  EXPECT_DEATH(registry.GetGauge("kind.clash"), "Check failed");
+  EXPECT_DEATH(registry.GetHistogram("kind.clash"), "Check failed");
+  EXPECT_DEATH(registry.GetCounter("kind.level"), "Check failed");
 }
 
 TEST(MetricRegistryTest, FindReturnsNullForUnregisteredNames) {
