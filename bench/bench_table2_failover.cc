@@ -131,7 +131,7 @@ bool SemiSyncTrial(uint64_t seed, bool graceful, Histogram* downtime_hist) {
   (void)cluster.SyncWrite("warm", "up");
   cluster.loop()->RunFor(2 * kSecond);
 
-  semisync::SemiSyncCluster::DowntimeResult result;
+  sim::DowntimeResult result;
   if (graceful) {
     result = cluster.MeasureWriteDowntime([&]() {
       Status s = cluster.automation()->StartPromotion("db1");

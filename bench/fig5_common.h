@@ -67,17 +67,17 @@ inline workload::WorkloadOptions MakeWorkloadOptions(const Fig5Setup& setup) {
   return options;
 }
 
-/// Client-path constants per §6.1.
-inline void ApplyClientModel(const Fig5Setup& setup, uint64_t* one_way,
-                             uint64_t* processing, uint64_t* jitter) {
+/// Client-path constants per §6.1, the same for both arms.
+inline void ApplyClientModel(const Fig5Setup& setup,
+                             sim::ClientModelOptions* client) {
   if (setup.sysbench) {
-    *one_way = 10;        // same machine as the primary
-    *processing = 180;
-    *jitter = 200;
+    client->one_way_micros = 10;  // same machine as the primary
+    client->processing_micros = 180;
+    client->processing_jitter_micros = 200;
   } else {
-    *one_way = 5'000;     // ~10 ms client<->primary RTT
-    *processing = 3'300;  // multi-statement execute/prepare
-    *jitter = 4'000;
+    client->one_way_micros = 5'000;     // ~10 ms client<->primary RTT
+    client->processing_micros = 3'300;  // multi-statement execute/prepare
+    client->processing_jitter_micros = 4'000;
   }
 }
 
@@ -87,9 +87,7 @@ inline Fig5ArmResult RunMyRaftArm(const Fig5Setup& setup) {
   options.topology.db_regions = 6;
   options.topology.logtailers_per_db = 2;
   options.topology.learners = 2;
-  ApplyClientModel(setup, &options.client.one_way_micros,
-                   &options.client.processing_micros,
-                   &options.client.processing_jitter_micros);
+  ApplyClientModel(setup, &options.client);
   options.client.processing_micros += setup.sysbench
                                           ? kRaftOverheadSysbenchMicros
                                           : kRaftOverheadProductionMicros;
@@ -125,9 +123,7 @@ inline Fig5ArmResult RunSemiSyncArm(const Fig5Setup& setup) {
   options.db_regions = 6;
   options.logtailers_per_db = 2;
   options.learners = 2;
-  ApplyClientModel(setup, &options.client_one_way_micros,
-                   &options.server_processing_micros,
-                   &options.server_processing_jitter_micros);
+  ApplyClientModel(setup, &options.client);
 
   semisync::SemiSyncCluster cluster(options);
   MYRAFT_CHECK(cluster.Bootstrap().ok());
@@ -139,7 +135,7 @@ inline Fig5ArmResult RunSemiSyncArm(const Fig5Setup& setup) {
                  std::function<void(bool, uint64_t)> done) {
         cluster.ClientWrite(
             key, value,
-            [done](const semisync::SemiSyncCluster::ClientWriteResult& r) {
+            [done](const sim::ClientWriteResult& r) {
               done(r.status.ok(), r.latency_micros);
             });
       });

@@ -213,7 +213,7 @@ void InvariantChecker::CheckQuiescent(sim::ClusterHarness& cluster,
               opid.ok() ? opid->ToString().c_str() : "nothing"));
         }
       }
-      const auto value = pserver->Read("bench.kv", w.key);
+      const auto value = pserver->Read(sim::kClientTable, w.key);
       const std::string expected = w.key + "=" + w.value;
       if (!value.has_value() || *value != expected) {
         durability.Add(StringPrintf(

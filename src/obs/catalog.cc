@@ -121,6 +121,18 @@ const MetricInfo kCatalog[] = {
      "AppendEntries batches shipped compressed"},
     {"raft.zero_copy_batches", "counter", "raft",
      "AppendEntries batches shipped zero-copy from the cache"},
+    {"semisync.commits_degraded_to_async", "counter", "semisync",
+     "Semi-sync commits that gave up on the ack and committed async"},
+    {"semisync.detections", "counter", "semisync",
+     "Dead primaries the automation's health checker declared"},
+    {"semisync.failovers_completed", "counter", "semisync",
+     "Dead-primary failovers the automation published"},
+    {"semisync.healed_transactions", "counter", "semisync",
+     "Transactions truncated from a diverged replica tail (log healing)"},
+    {"semisync.promotions_completed", "counter", "semisync",
+     "Graceful promotions the automation published"},
+    {"semisync.step_retries", "counter", "semisync",
+     "Automation workflow steps that failed and were retried"},
     {"server.applier_concurrency", "histogram", "server",
      "Concurrently applied transactions per applier round"},
     {"server.applier_conflict_stalls", "counter", "server",

@@ -36,14 +36,20 @@ SemiSyncAutomation::SemiSyncAutomation(
     sim::EventLoop* loop, std::string replicaset,
     std::vector<MemberId> members, std::map<MemberId, MemberKind> kinds,
     std::map<MemberId, RegionId> regions, NodeAccessor accessor,
-    server::ServiceDiscovery* discovery)
+    server::ServiceDiscovery* discovery, metrics::MetricRegistry* metrics)
     : loop_(loop),
       replicaset_(std::move(replicaset)),
       members_(std::move(members)),
       kinds_(std::move(kinds)),
       regions_(std::move(regions)),
       accessor_(std::move(accessor)),
-      discovery_(discovery) {}
+      discovery_(discovery),
+      failovers_completed_(
+          metrics->GetCounter("semisync.failovers_completed")),
+      promotions_completed_(
+          metrics->GetCounter("semisync.promotions_completed")),
+      step_retries_(metrics->GetCounter("semisync.step_retries")),
+      detections_(metrics->GetCounter("semisync.detections")) {}
 
 std::set<MemberId> SemiSyncAutomation::AckersFor(
     const MemberId& primary) const {
@@ -125,7 +131,7 @@ void SemiSyncAutomation::ScheduleHealthCheck() {
         consecutive_failures_ = 0;  // came back during the probe
       } else if (++consecutive_failures_ >=
                  kFailuresBeforeFailover) {
-        ++stats_.detections;
+        detections_->Increment();
         OnPrimaryUnhealthy();
         return;  // health loop resumes after failover
       }
@@ -154,7 +160,7 @@ MemberId SemiSyncAutomation::PickCandidate() const {
 
 bool SemiSyncAutomation::StepFails() {
   if (loop_->rng()->Bernoulli(kStepRetryProbability)) {
-    ++stats_.step_retries;
+    step_retries_->Increment();
     return true;
   }
   return false;
@@ -229,7 +235,7 @@ void SemiSyncAutomation::RunFailoverStep(int step, MemberId candidate) {
         discovery_->PublishPrimary(replicaset_, candidate,
                                    generation_);
         failover_in_progress_ = false;
-        ++stats_.failovers_completed;
+        failovers_completed_->Increment();
         MYRAFT_LOG(Info) << "automation: failover to " << candidate
                          << " complete";
         ScheduleHealthCheck();
@@ -299,7 +305,7 @@ void SemiSyncAutomation::RunPromotionStep(int step, MemberId target) {
       loop_->Schedule(Jitter(kDiscoveryUpdateMicros), [this, target]() {
         discovery_->PublishPrimary(replicaset_, target, generation_);
         promotion_in_progress_ = false;
-        ++stats_.promotions_completed;
+        promotions_completed_->Increment();
       });
       return;
   }

@@ -17,6 +17,7 @@
 #include "semisync/semisync_server.h"
 #include "server/service_discovery.h"
 #include "sim/event_loop.h"
+#include "util/metrics.h"
 
 namespace myraft::semisync {
 
@@ -27,30 +28,22 @@ class SemiSyncAutomation {
  public:
   using NodeAccessor = std::function<SemiSyncServer*(const MemberId&)>;
 
-  struct Stats {
-    uint64_t failovers_completed = 0;
-    uint64_t promotions_completed = 0;
-    uint64_t step_retries = 0;
-    uint64_t detections = 0;
-  };
-
   SemiSyncAutomation(sim::EventLoop* loop, std::string replicaset,
                      std::vector<MemberId> members,
                      std::map<MemberId, MemberKind> kinds,
                      std::map<MemberId, RegionId> regions,
                      NodeAccessor accessor,
-                     server::ServiceDiscovery* discovery);
+                     server::ServiceDiscovery* discovery,
+                     metrics::MetricRegistry* metrics);
 
   /// Installs the initial primary (no downtime accounting) and starts the
   /// health-check loop.
   Status InstallPrimary(const MemberId& primary);
 
   /// Graceful promotion to `target` (maintenance). Asynchronous; progress
-  /// visible via discovery / stats.
+  /// visible via discovery and the "semisync.promotions_completed" counter.
   Status StartPromotion(const MemberId& target);
 
-  const MemberId& current_primary() const { return primary_; }
-  const Stats& stats() const { return stats_; }
   bool failover_in_progress() const { return failover_in_progress_; }
 
  private:
@@ -84,7 +77,11 @@ class SemiSyncAutomation {
   int consecutive_failures_ = 0;
   bool failover_in_progress_ = false;
   bool promotion_in_progress_ = false;
-  Stats stats_;
+  // "semisync.*" counters in the registry passed at construction.
+  metrics::Counter* failovers_completed_;
+  metrics::Counter* promotions_completed_;
+  metrics::Counter* step_retries_;
+  metrics::Counter* detections_;
 };
 
 }  // namespace myraft::semisync

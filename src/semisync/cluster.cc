@@ -56,11 +56,10 @@ Status SemiSyncCluster::Bootstrap() {
   automation_ = std::make_unique<SemiSyncAutomation>(
       &loop_, options_.replicaset, members, kinds, regions,
       [this](const MemberId& id) -> SemiSyncServer* {
-        auto it = nodes_.find(id);
-        if (it == nodes_.end() || !it->second->up) return nullptr;
-        return it->second->server.get();
+        Node* node = LiveNode(id);
+        return node != nullptr ? node->server.get() : nullptr;
       },
-      &discovery_);
+      &discovery_, &metrics_);
   return automation_->InstallPrimary("db0");
 }
 
@@ -85,6 +84,7 @@ Status SemiSyncCluster::StartNode(const MemberId& id) {
       });
   auto server = SemiSyncServer::Create(
       node->env.get(), std::move(server_options), loop_.clock(),
+      &node->metrics,
       [this, slot](Message m) { network_.Send(slot, std::move(m)); });
   if (!server.ok()) {
     network_.UnregisterNode(id);
@@ -106,6 +106,11 @@ void SemiSyncCluster::ScheduleTick(const MemberId& id) {
     node->server->Tick();
     ScheduleTick(id);
   });
+}
+
+SemiSyncCluster::Node* SemiSyncCluster::LiveNode(const MemberId& id) {
+  auto it = nodes_.find(id);
+  return it != nodes_.end() && it->second->up ? it->second.get() : nullptr;
 }
 
 SemiSyncServer* SemiSyncCluster::server(const MemberId& id) {
@@ -160,100 +165,54 @@ std::unique_ptr<Env> SemiSyncCluster::ShutdownAndTakeDisk(
 
 void SemiSyncCluster::ClientWrite(const std::string& key,
                                   const std::string& value,
-                                  ClientCallback done) {
-  const uint64_t issued_at = loop_.now();
+                                  sim::ClientWriteCallback done) {
   auto primary = discovery_.GetPrimary(options_.replicaset);
   if (!primary.has_value()) {
-    done(ClientWriteResult{Status::ServiceUnavailable("no primary"), 0});
+    done(sim::ClientWriteResult{Status::ServiceUnavailable("no primary"), 0,
+                                {}, {}});
     return;
   }
   const MemberId dest = *primary;
+  sim::RunClientRequest<sim::ClientWriteResult>(
+      &loop_, options_.client,
+      {"client write timed out", "primary unreachable", "primary died",
+       [this, dest]() { return LiveNode(dest) != nullptr; },
+       [this, dest, row = sim::ClientRow(key, value)](
+           std::function<void(sim::ClientWriteResult)> reply) mutable {
+         std::vector<binlog::RowOperation> ops;
+         ops.push_back(std::move(row));
+         nodes_.at(dest)->server->SubmitWrite(
+             std::move(ops),
+             [reply = std::move(reply)](const SemiSyncWriteResult& result) {
+               reply(sim::ClientWriteResult{result.status, 0, result.gtid,
+                                            OpId{}});
+             });
+       },
+       std::move(done)});
+}
 
-  auto responded = std::make_shared<bool>(false);
-  auto finish = [this, done, issued_at, responded](Status status) {
-    if (*responded) return;
-    *responded = true;
-    done(ClientWriteResult{std::move(status), loop_.now() - issued_at});
-  };
-  loop_.Schedule(options_.client_timeout_micros, [finish]() {
-    finish(Status::TimedOut("client write timed out"));
-  });
-
-  loop_.Schedule(options_.client_one_way_micros, [this, dest, key, value,
-                                                  finish]() {
-    auto it = nodes_.find(dest);
-    if (it == nodes_.end() || !it->second->up) {
-      loop_.Schedule(options_.client_one_way_micros, [finish]() {
-        finish(Status::NetworkError("primary unreachable"));
+sim::ClientWriteResult SemiSyncCluster::SyncWrite(const std::string& key,
+                                                  const std::string& value,
+                                                  uint64_t timeout_micros) {
+  return sim::AwaitClientResult<sim::ClientWriteResult>(
+      &loop_, timeout_micros, "SyncWrite: no completion",
+      [&](sim::ClientWriteCallback done) {
+        ClientWrite(key, value, std::move(done));
       });
-      return;
-    }
-    Node* node = it->second.get();
-    uint64_t processing = options_.server_processing_micros;
-    if (options_.server_processing_jitter_micros > 0) {
-      processing +=
-          loop_.rng()->Uniform(options_.server_processing_jitter_micros);
-    }
-    loop_.Schedule(processing,
-                   [this, node, key, value, finish]() {
-                     if (!node->up) {
-                       finish(Status::NetworkError("primary died"));
-                       return;
-                     }
-                     binlog::RowOperation op;
-                     op.kind = binlog::RowOperation::Kind::kInsert;
-                     op.database = "bench";
-                     op.table = "kv";
-                     op.column_count = 2;
-                     op.after_image = key + "=" + value;
-                     node->server->SubmitWrite(
-                         {std::move(op)},
-                         [this, finish](const SemiSyncWriteResult& result) {
-                           loop_.Schedule(options_.client_one_way_micros,
-                                          [finish, status = result.status]() {
-                                            finish(status);
-                                          });
-                         });
-                   });
-  });
 }
 
-SemiSyncCluster::ClientWriteResult SemiSyncCluster::SyncWrite(
-    const std::string& key, const std::string& value,
-    uint64_t timeout_micros) {
-  ClientWriteResult result;
-  bool completed = false;
-  ClientWrite(key, value, [&](const ClientWriteResult& r) {
-    result = r;
-    completed = true;
-  });
-  const uint64_t deadline = loop_.now() + timeout_micros;
-  while (!completed && loop_.now() < deadline) {
-    loop_.RunFor(1'000);
-  }
-  if (!completed) result.status = Status::TimedOut("SyncWrite");
-  return result;
-}
-
-SemiSyncCluster::DowntimeResult SemiSyncCluster::MeasureWriteDowntime(
+sim::DowntimeResult SemiSyncCluster::MeasureWriteDowntime(
     std::function<void()> disruption, uint64_t probe_interval_micros,
     uint64_t timeout_micros) {
-  sim::DowntimeProbe::Options probe_options;
-  probe_options.probe_interval_micros = probe_interval_micros;
-  probe_options.timeout_micros = timeout_micros;
-  auto probe_result = sim::DowntimeProbe::Measure(
+  return sim::MeasureDowntime(
       &loop_,
       [this](const std::string& key, std::function<void(bool)> report) {
-        ClientWrite(key, "v", [report](const ClientWriteResult& r) {
+        ClientWrite(key, "v", [report](const sim::ClientWriteResult& r) {
           report(r.status.ok());
         });
       },
-      std::move(disruption), []() { return true; }, probe_options);
-  DowntimeResult result;
-  result.recovered = probe_result.completed;
-  result.downtime_micros =
-      probe_result.completed ? probe_result.downtime_micros : timeout_micros;
-  return result;
+      std::move(disruption), probe_interval_micros, timeout_micros,
+      /*expect_outage=*/true);
 }
 
 }  // namespace myraft::semisync

@@ -1,8 +1,8 @@
 // Simulation harness for the prior setup, mirroring sim::ClusterHarness:
-// the same topology, network and client model, but with semi-sync
-// replication and external automation instead of Raft. The A/B
-// experiments (Figure 5, Table 2) run one harness of each kind with
-// identical parameters.
+// the same topology, network and client model (sim/client_model.h, the
+// one request path both arms run), but with semi-sync replication and
+// external automation instead of Raft. The A/B experiments (Figure 5,
+// Table 2) run one harness of each kind with identical parameters.
 
 #ifndef MYRAFT_SEMISYNC_CLUSTER_H_
 #define MYRAFT_SEMISYNC_CLUSTER_H_
@@ -13,9 +13,10 @@
 #include "semisync/automation.h"
 #include "semisync/semisync_server.h"
 #include "server/service_discovery.h"
-#include "sim/downtime_probe.h"
+#include "sim/client_model.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "util/metrics.h"
 
 namespace myraft::semisync {
 
@@ -29,25 +30,13 @@ struct SemiSyncClusterOptions {
   sim::NetworkOptions network;
   SemiSyncOptions server_defaults;
 
-  uint64_t client_one_way_micros = 150;
-  uint64_t server_processing_micros = 200;
-  uint64_t server_processing_jitter_micros = 0;
-  uint64_t client_timeout_micros = 500'000;
+  /// The modelled client, the same one ClusterOptions::client sets for
+  /// the MyRaft arm.
+  sim::ClientModelOptions client;
 };
 
 class SemiSyncCluster {
  public:
-  struct ClientWriteResult {
-    Status status;
-    uint64_t latency_micros = 0;
-  };
-  using ClientCallback = std::function<void(const ClientWriteResult&)>;
-
-  struct DowntimeResult {
-    bool recovered = false;
-    uint64_t downtime_micros = 0;
-  };
-
   explicit SemiSyncCluster(SemiSyncClusterOptions options);
 
   /// Creates all members and installs db0 as the initial primary.
@@ -64,11 +53,12 @@ class SemiSyncCluster {
 
   MemberId CurrentPrimary();
 
+  /// Write to the published primary through sim::RunClientRequest.
   void ClientWrite(const std::string& key, const std::string& value,
-                   ClientCallback done);
-  ClientWriteResult SyncWrite(const std::string& key,
-                              const std::string& value,
-                              uint64_t timeout_micros = 5'000'000);
+                   sim::ClientWriteCallback done);
+  sim::ClientWriteResult SyncWrite(const std::string& key,
+                                   const std::string& value,
+                                   uint64_t timeout_micros = 5'000'000);
 
   void Crash(const MemberId& id);
   Status Restart(const MemberId& id);
@@ -79,13 +69,21 @@ class SemiSyncCluster {
   MemberKind kind(const MemberId& id) const { return nodes_.at(id)->kind; }
   RegionId region(const MemberId& id) const { return nodes_.at(id)->region; }
 
-  DowntimeResult MeasureWriteDowntime(std::function<void()> disruption,
-                                      uint64_t probe_interval_micros = 10'000,
-                                      uint64_t timeout_micros = 600'000'000);
+  /// Member `id`'s counters; the registry survives crashes, like the disk.
+  metrics::MetricRegistry* node_metrics(const MemberId& id) {
+    return &nodes_.at(id)->metrics;
+  }
+  /// The automation's "semisync.*" counters.
+  metrics::MetricRegistry* metrics() { return &metrics_; }
+
+  sim::DowntimeResult MeasureWriteDowntime(
+      std::function<void()> disruption, uint64_t probe_interval_micros = 10'000,
+      uint64_t timeout_micros = 600'000'000);
 
  private:
   struct Node {
     std::unique_ptr<Env> env;  // disk, survives crashes
+    metrics::MetricRegistry metrics;  // survives crashes too
     std::unique_ptr<SemiSyncServer> server;
     MemberKind kind = MemberKind::kMySql;
     RegionId region;
@@ -94,10 +92,13 @@ class SemiSyncCluster {
   };
 
   Status StartNode(const MemberId& id);
+  /// Member `id` if it exists and is up, else nullptr.
+  Node* LiveNode(const MemberId& id);
   void ScheduleTick(const MemberId& id);
 
   SemiSyncClusterOptions options_;
   sim::EventLoop loop_;
+  metrics::MetricRegistry metrics_;
   sim::SimNetwork network_;
   server::InMemoryServiceDiscovery discovery_;
   std::map<MemberId, std::unique_ptr<Node>> nodes_;

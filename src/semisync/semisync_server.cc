@@ -18,23 +18,31 @@ constexpr uint64_t kRpcTimeoutMicros = 1'000'000;
 }  // namespace
 
 Result<std::unique_ptr<SemiSyncServer>> SemiSyncServer::Create(
-    Env* env, SemiSyncOptions options, Clock* clock, SendFn send) {
-  if (clock == nullptr) {
-    return Status::InvalidArgument("semisync: clock required");
+    Env* env, SemiSyncOptions options, Clock* clock,
+    metrics::MetricRegistry* metrics, SendFn send) {
+  if (clock == nullptr || metrics == nullptr) {
+    return Status::InvalidArgument("semisync: clock and metrics required");
   }
   auto server = std::unique_ptr<SemiSyncServer>(
       new SemiSyncServer(env, std::move(options), clock, std::move(send)));
-  MYRAFT_RETURN_NOT_OK(server->Init());
+  MYRAFT_RETURN_NOT_OK(server->Init(metrics));
   return server;
 }
 
-Status SemiSyncServer::Init() {
+Status SemiSyncServer::Init(metrics::MetricRegistry* metrics) {
+  writes_committed_ = metrics->GetCounter("server.writes_committed");
+  commits_degraded_to_async_ =
+      metrics->GetCounter("semisync.commits_degraded_to_async");
+  applier_transactions_applied_ =
+      metrics->GetCounter("server.applier_transactions_applied");
+  healed_transactions_ = metrics->GetCounter("semisync.healed_transactions");
   MYRAFT_RETURN_NOT_OK(env_->CreateDirIfMissing(options_.data_dir));
   binlog::BinlogManagerOptions binlog_options;
   binlog_options.dir = options_.data_dir + "/log";
   binlog_options.persona = binlog::kRelayLogPersona;
   binlog_options.server_id = options_.numeric_server_id;
   binlog_options.clock = clock_;
+  binlog_options.metrics = metrics;
   auto manager = binlog::BinlogManager::Open(env_, binlog_options);
   if (!manager.ok()) return manager.status();
   binlog_ = std::move(*manager);
@@ -129,14 +137,7 @@ void SemiSyncServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   const storage::TxnId txn = engine_->Begin();
   binlog::TransactionPayloadBuilder builder;
   for (binlog::RowOperation& op : ops) {
-    Status s;
-    const std::string table = op.database + "." + op.table;
-    if (op.kind == binlog::RowOperation::Kind::kDelete) {
-      s = engine_->Delete(txn, table, op.before_image);
-    } else {
-      const std::string& image = op.after_image;
-      s = engine_->Put(txn, table, image.substr(0, image.find('=')), image);
-    }
+    Status s = engine_->ApplyRow(txn, op);
     if (!s.ok()) {
       Status rollback = engine_->Rollback(txn);
       (void)rollback;
@@ -197,8 +198,8 @@ void SemiSyncServer::CompletePending(PendingCommit pending, bool degraded) {
     pending.done(SemiSyncWriteResult{std::move(s), pending.gtid, degraded});
     return;
   }
-  ++stats_.writes_committed;
-  if (degraded) ++stats_.commits_degraded_to_async;
+  writes_committed_->Increment();
+  if (degraded) commits_degraded_to_async_->Increment();
   pending.done(SemiSyncWriteResult{Status::OK(), pending.gtid, degraded});
 }
 
@@ -287,7 +288,7 @@ void SemiSyncServer::HandleAppendEntries(const AppendEntriesRequest& request) {
         send_(std::move(response));
         return;
       }
-      stats_.healed_transactions += removed->Count();
+      healed_transactions_->Increment(removed->Count());
       if (engine_ != nullptr &&
           engine_->ExecutedGtids().Intersects(*removed)) {
         // An acknowledged transaction was lost: the engine has data the
@@ -399,7 +400,7 @@ void SemiSyncServer::ApplyFromRelayLog() {
         MYRAFT_LOG(Error) << options_.id << ": apply: " << s;
         break;
       }
-      ++stats_.applier_transactions_applied;
+      applier_transactions_applied_->Increment();
     }
     ++next_apply_index_;
   }
@@ -411,15 +412,7 @@ Status SemiSyncServer::ApplyOneTransaction(const LogEntry& entry) {
   if (engine_->ExecutedGtids().Contains(txn->gtid)) return Status::OK();
   const storage::TxnId engine_txn = engine_->Begin();
   for (const binlog::RowOperation& op : txn->ops) {
-    Status s;
-    const std::string table = op.database + "." + op.table;
-    if (op.kind == binlog::RowOperation::Kind::kDelete) {
-      s = engine_->Delete(engine_txn, table, op.before_image);
-    } else {
-      const std::string& image = op.after_image;
-      s = engine_->Put(engine_txn, table, image.substr(0, image.find('=')),
-                       image);
-    }
+    Status s = engine_->ApplyRow(engine_txn, op);
     if (!s.ok()) {
       Status rollback = engine_->Rollback(engine_txn);
       (void)rollback;

@@ -31,6 +31,7 @@
 #include "binlog/binlog_manager.h"
 #include "storage/engine.h"
 #include "util/clock.h"
+#include "util/metrics.h"
 #include "wire/messages.h"
 
 namespace myraft::semisync {
@@ -58,13 +59,6 @@ using SemiSyncWriteCallback = std::function<void(const SemiSyncWriteResult&)>;
 
 class SemiSyncServer {
  public:
-  struct Stats {
-    uint64_t writes_committed = 0;
-    uint64_t commits_degraded_to_async = 0;
-    uint64_t applier_transactions_applied = 0;
-    uint64_t healed_transactions = 0;  // diverged tail truncated
-  };
-
   /// True once a truncated (healed) transaction was found already
   /// committed in the engine: the classic semi-sync acknowledged-but-lost
   /// write. Real automation schedules a host rebuild when this fires;
@@ -73,8 +67,11 @@ class SemiSyncServer {
 
   using SendFn = std::function<void(Message)>;
 
+  /// `metrics` (required, caller-owned) takes the member's "server.*",
+  /// "semisync.*" and "binlog.*" counters.
   static Result<std::unique_ptr<SemiSyncServer>> Create(
-      Env* env, SemiSyncOptions options, Clock* clock, SendFn send);
+      Env* env, SemiSyncOptions options, Clock* clock,
+      metrics::MetricRegistry* metrics, SendFn send);
 
   SemiSyncServer(const SemiSyncServer&) = delete;
   SemiSyncServer& operator=(const SemiSyncServer&) = delete;
@@ -114,7 +111,6 @@ class SemiSyncServer {
   const binlog::GtidSet& ExecutedGtids() const;
   storage::MiniEngine* engine() { return engine_.get(); }
   binlog::BinlogManager* binlog_manager() { return binlog_.get(); }
-  const Stats& stats() const { return stats_; }
   uint64_t StateChecksum() const {
     return engine_ != nullptr ? engine_->StateChecksum() : 0;
   }
@@ -148,7 +144,7 @@ class SemiSyncServer {
         clock_(clock),
         send_(std::move(send)) {}
 
-  Status Init();
+  Status Init(metrics::MetricRegistry* metrics);
   void HandleAppendEntries(const AppendEntriesRequest& request);
   void HandleAppendEntriesResponse(const AppendEntriesResponse& response);
   void ShipTo(const MemberId& receiver_id);
@@ -173,7 +169,10 @@ class SemiSyncServer {
   uint64_t next_txn_no_ = 1;
   uint64_t next_apply_index_ = 1;
   bool engine_diverged_ = false;
-  Stats stats_;
+  metrics::Counter* writes_committed_ = nullptr;
+  metrics::Counter* commits_degraded_to_async_ = nullptr;
+  metrics::Counter* applier_transactions_applied_ = nullptr;
+  metrics::Counter* healed_transactions_ = nullptr;
 };
 
 }  // namespace myraft::semisync

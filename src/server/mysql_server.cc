@@ -212,17 +212,7 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   const storage::TxnId txn = engine_->Begin();
   binlog::TransactionPayloadBuilder builder;
   for (binlog::RowOperation& op : ops) {
-    Status s;
-    if (op.kind == binlog::RowOperation::Kind::kDelete) {
-      s = engine_->Delete(txn, op.database + "." + op.table, op.before_image);
-      // Row images for RBR: the delete's before image is the key.
-    } else {
-      // The after image is "key=value"; store under the key part.
-      const std::string& image = op.after_image;
-      const size_t eq = image.find('=');
-      const std::string key = image.substr(0, eq);
-      s = engine_->Put(txn, op.database + "." + op.table, key, image);
-    }
+    Status s = engine_->ApplyRow(txn, op);
     if (!s.ok()) {
       m_.writes_rejected_conflict->Increment();
       Status rollback = engine_->Rollback(txn);
@@ -540,12 +530,8 @@ void MySqlServer::RunApplier() {
       // case the stamped interval is ever too optimistic.
       bool conflict = false;
       for (const binlog::RowOperation& op : txn->ops) {
-        const std::string key =
-            op.kind == binlog::RowOperation::Kind::kDelete
-                ? op.before_image
-                : op.after_image.substr(0, op.after_image.find('='));
         const std::string qualified =
-            op.database + "." + op.table + "/" + key;
+            storage::RowTable(op) + "/" + storage::RowKey(op);
         if (applier_inflight_writes_.count(qualified) > 0) conflict = true;
         task.writeset.push_back(qualified);
       }
@@ -565,14 +551,7 @@ void MySqlServer::RunApplier() {
         const storage::TxnId engine_txn = engine_->Begin();
         Status s;
         for (const binlog::RowOperation& op : txn->ops) {
-          const std::string table = op.database + "." + op.table;
-          if (op.kind == binlog::RowOperation::Kind::kDelete) {
-            s = engine_->Delete(engine_txn, table, op.before_image);
-          } else {
-            const std::string& image = op.after_image;
-            const std::string key = image.substr(0, image.find('='));
-            s = engine_->Put(engine_txn, table, key, image);
-          }
+          s = engine_->ApplyRow(engine_txn, op);
           if (!s.ok()) break;
         }
         if (s.ok()) s = engine_->Prepare(engine_txn, txn->xid);

@@ -27,10 +27,14 @@ SimClient::SimClient(Shard* shard, Options options)
       options_(std::move(options)),
       tracer_(ClientTracerOptions(options_, shard->loop())) {}
 
+bool SimClient::NodeUp(const MemberId& id) {
+  SimNode* node = shard_->FindNode(id);
+  return node != nullptr && node->up();
+}
+
 void SimClient::ClientWrite(const std::string& key, const std::string& value,
-                            ClientCallback done, const MemberId& target) {
-  EventLoop* loop = shard_->loop();
-  const uint64_t issued_at = loop->now();
+                            ClientWriteCallback done,
+                            const MemberId& target) {
   MemberId dest = target;
   if (dest.empty()) {
     auto primary = shard_->discovery()->GetPrimary(shard_->replicaset());
@@ -48,95 +52,42 @@ void SimClient::ClientWrite(const std::string& key, const std::string& value,
   const uint64_t trace = tracer_.NextTraceId();
   const uint64_t span = tracer_.BeginSpan("client", "write", trace, 0,
                                           "key", key, "dest", dest);
-
-  // Shared completion guard: the first of {server response, client
-  // timeout} wins.
-  auto responded = std::make_shared<bool>(false);
-  auto finish = [this, done, issued_at, responded, span, loop](
-                    Status status, binlog::Gtid gtid = binlog::Gtid{},
-                    OpId opid = OpId{}) {
-    if (*responded) return;
-    *responded = true;
-    tracer_.EndSpan(span, status.ok() ? "ok" : status.ToString());
-    ClientWriteResult result;
-    result.status = std::move(status);
-    result.latency_micros = loop->now() - issued_at;
-    result.gtid = gtid;
-    result.opid = opid;
-    done(result);
-  };
-  loop->Schedule(options_.model.timeout_micros, [finish]() {
-    finish(Status::TimedOut("client write timed out"));
-  });
-
-  loop->Schedule(options_.model.one_way_micros, [this, dest, key, value,
-                                                 finish, trace, span, loop]() {
-    SimNode* node = shard_->FindNode(dest);
-    if (node == nullptr || !node->up()) {
-      // Connection refused travels back to the client.
-      loop->Schedule(options_.model.one_way_micros, [finish]() {
-        finish(Status::NetworkError("primary unreachable"));
-      });
-      return;
-    }
-    uint64_t processing = options_.model.processing_micros;
-    if (options_.model.processing_jitter_micros > 0) {
-      processing += loop->rng()->Uniform(options_.model.processing_jitter_micros);
-    }
-    loop->Schedule(processing, [this, node, key, value, finish, trace, span,
-                                loop]() {
-      if (!node->up()) {
-        loop->Schedule(options_.model.one_way_micros, [finish]() {
-          finish(Status::NetworkError("primary died mid-request"));
-        });
-        return;
-      }
-      binlog::RowOperation op;
-      op.kind = binlog::RowOperation::Kind::kInsert;
-      op.database = "bench";
-      op.table = "kv";
-      op.column_count = 2;
-      op.after_image = key + "=" + value;
-      std::vector<binlog::RowOperation> ops{std::move(op)};
-      node->server()->SubmitWrite(
-          std::move(ops),
-          [this, finish, loop](const server::WriteResult& result) {
-            loop->Schedule(options_.model.one_way_micros,
-                           [finish, status = result.status,
-                            gtid = result.gtid, opid = result.opid]() {
-                             finish(status, gtid, opid);
-                           });
-          },
-          trace::TraceContext{trace, span});
-    });
-  });
+  RunClientRequest<ClientWriteResult>(
+      shard_->loop(), options_.model,
+      {"client write timed out", "primary unreachable",
+       "primary died mid-request", [this, dest]() { return NodeUp(dest); },
+       [this, dest, row = ClientRow(key, value), trace,
+        span](std::function<void(ClientWriteResult)> reply) mutable {
+         std::vector<binlog::RowOperation> ops;
+         ops.push_back(std::move(row));
+         shard_->FindNode(dest)->server()->SubmitWrite(
+             std::move(ops),
+             [reply = std::move(reply)](const server::WriteResult& result) {
+               reply(ClientWriteResult{result.status, 0, result.gtid,
+                                       result.opid});
+             },
+             trace::TraceContext{trace, span});
+       },
+       [this, span, done = std::move(done)](ClientWriteResult result) {
+         tracer_.EndSpan(span,
+                         result.status.ok() ? "ok" : result.status.ToString());
+         done(result);
+       }});
 }
 
 ClientWriteResult SimClient::SyncWrite(const std::string& key,
                                        const std::string& value,
                                        uint64_t timeout_micros) {
-  EventLoop* loop = shard_->loop();
-  ClientWriteResult result;
-  bool completed = false;
-  ClientWrite(key, value, [&](const ClientWriteResult& r) {
-    result = r;
-    completed = true;
-  });
-  const uint64_t deadline = loop->now() + timeout_micros;
-  while (!completed && loop->now() < deadline) {
-    loop->RunFor(1'000);
-  }
-  if (!completed) {
-    result.status = Status::TimedOut("SyncWrite: no completion");
-  }
-  return result;
+  return AwaitClientResult<ClientWriteResult>(
+      shard_->loop(), timeout_micros, "SyncWrite: no completion",
+      [&](ClientWriteCallback done) {
+        ClientWrite(key, value, std::move(done));
+      });
 }
 
 void SimClient::ClientRead(const std::string& key,
                            ClientReadOptions read_options,
                            ReadClientCallback done) {
-  EventLoop* loop = shard_->loop();
-  const uint64_t issued_at = loop->now();
   MemberId dest = read_options.target;
   const RegionId client_region = read_options.client_region.empty()
                                      ? shard_->home_region()
@@ -164,156 +115,75 @@ void SimClient::ClientRead(const std::string& key,
   const uint64_t trace = tracer_.NextTraceId();
   const uint64_t span = tracer_.BeginSpan("client", "read", trace, 0,
                                           "key", key, "dest", dest);
-
-  auto responded = std::make_shared<bool>(false);
-  auto finish = [this, done, issued_at, responded, span, dest, loop](
-                    Status status,
-                    std::optional<std::string> value = std::nullopt,
-                    bool served_by_lease = false,
-                    uint64_t applied_index = 0) {
-    if (*responded) return;
-    *responded = true;
-    tracer_.EndSpan(span, status.ok() ? "ok" : status.ToString());
-    ClientReadResult result;
-    result.status = std::move(status);
-    result.latency_micros = loop->now() - issued_at;
-    result.value = std::move(value);
-    result.served_by_lease = served_by_lease;
-    result.applied_index = applied_index;
-    result.served_by = dest;
-    done(result);
-  };
-  loop->Schedule(options_.model.timeout_micros, [finish]() {
-    finish(Status::TimedOut("client read timed out"));
-  });
-
-  const ReadMode mode = read_options.mode;
-  const uint64_t min_index = read_options.min_index;
-  loop->Schedule(options_.model.one_way_micros, [this, dest, key, finish,
-                                                 mode, min_index, loop]() {
-    SimNode* node = shard_->FindNode(dest);
-    if (node == nullptr || !node->up()) {
-      loop->Schedule(options_.model.one_way_micros, [finish]() {
-        finish(Status::NetworkError("read target unreachable"));
-      });
-      return;
-    }
-    uint64_t processing = options_.model.processing_micros;
-    if (options_.model.processing_jitter_micros > 0) {
-      processing += loop->rng()->Uniform(options_.model.processing_jitter_micros);
-    }
-    loop->Schedule(processing, [this, node, key, finish, mode, min_index,
-                                loop]() {
-      if (!node->up()) {
-        loop->Schedule(options_.model.one_way_micros, [finish]() {
-          finish(Status::NetworkError("read target died mid-request"));
-        });
-        return;
-      }
-      auto reply = [this, finish, loop](Status status,
-                                        std::optional<std::string> value,
-                                        bool lease, uint64_t applied) {
-        loop->Schedule(options_.model.one_way_micros,
-                       [finish, status = std::move(status),
-                        value = std::move(value), lease, applied]() {
-                         finish(status, value, lease, applied);
-                       });
-      };
-      if (mode == ReadMode::kFollower) {
-        // Read-your-writes gate: parks until the applier covers the
-        // client's last-seen index (§13).
-        node->server()->SubmitRead(
-            "bench.kv", key, min_index,
-            [reply](const server::ReadResult& r) {
-              reply(r.status, r.value, false, r.applied_index);
-            });
-        return;
-      }
-      // Leader read: establish the read index (lease fast path, or a
-      // ReadIndex quorum round), then serve at that index.
-      node->server()->consensus()->LinearizableRead(
-          [node, key, reply](const raft::RaftConsensus::ReadResult& rr) {
-            if (!rr.status.ok()) {
-              reply(rr.status, std::nullopt, false, 0);
-              return;
-            }
-            node->server()->SubmitRead(
-                "bench.kv", key, rr.read_index.index,
-                [reply, lease = rr.served_by_lease](
-                    const server::ReadResult& r) {
-                  reply(r.status, r.value, lease, r.applied_index);
-                });
-          });
-    });
-  });
+  RunClientRequest<ClientReadResult>(
+      shard_->loop(), options_.model,
+      {"client read timed out", "read target unreachable",
+       "read target died mid-request",
+       [this, dest]() { return NodeUp(dest); },
+       [this, dest, key, mode = read_options.mode,
+        min_index = read_options.min_index](
+           std::function<void(ClientReadResult)> reply) {
+         auto answer = [reply = std::move(reply)](
+                           const server::ReadResult& r, bool lease) {
+           reply(ClientReadResult{r.status, 0, r.value, lease,
+                                  r.applied_index, MemberId()});
+         };
+         SimNode* node = shard_->FindNode(dest);
+         if (mode == ReadMode::kFollower) {
+           // Read-your-writes gate: parks until the applier covers the
+           // client's last-seen index (§13).
+           node->server()->SubmitRead(
+               kClientTable, key, min_index,
+               [answer = std::move(answer)](const server::ReadResult& r) {
+                 answer(r, false);
+               });
+           return;
+         }
+         // Leader read: establish the read index (lease fast path, or a
+         // ReadIndex quorum round), then serve at that index.
+         node->server()->consensus()->LinearizableRead(
+             [node, key, answer = std::move(answer)](
+                 const raft::RaftConsensus::ReadResult& rr) {
+               if (!rr.status.ok()) {
+                 answer(server::ReadResult{rr.status, std::nullopt, 0}, false);
+                 return;
+               }
+               node->server()->SubmitRead(
+                   kClientTable, key, rr.read_index.index,
+                   [answer, lease = rr.served_by_lease](
+                       const server::ReadResult& r) { answer(r, lease); });
+             });
+       },
+       [this, span, dest, done = std::move(done)](ClientReadResult result) {
+         tracer_.EndSpan(span,
+                         result.status.ok() ? "ok" : result.status.ToString());
+         result.served_by = dest;
+         done(result);
+       }});
 }
 
 ClientReadResult SimClient::SyncRead(const std::string& key,
                                      ClientReadOptions read_options,
                                      uint64_t timeout_micros) {
-  EventLoop* loop = shard_->loop();
-  ClientReadResult result;
-  bool completed = false;
-  ClientRead(key, read_options, [&](const ClientReadResult& r) {
-    result = r;
-    completed = true;
-  });
-  const uint64_t deadline = loop->now() + timeout_micros;
-  while (!completed && loop->now() < deadline) {
-    loop->RunFor(1'000);
-  }
-  if (!completed) {
-    result.status = Status::TimedOut("SyncRead: no completion");
-  }
-  return result;
+  return AwaitClientResult<ClientReadResult>(
+      shard_->loop(), timeout_micros, "SyncRead: no completion",
+      [&](ReadClientCallback done) {
+        ClientRead(key, read_options, std::move(done));
+      });
 }
 
 DowntimeResult SimClient::MeasureWriteDowntime(
     std::function<void()> disruption, uint64_t probe_interval_micros,
     uint64_t timeout_micros, bool expect_outage) {
-  DowntimeProbe::Options probe_options;
-  probe_options.probe_interval_micros = probe_interval_micros;
-  probe_options.timeout_micros = timeout_micros;
-  probe_options.expect_outage = expect_outage;
-  auto probe_result = DowntimeProbe::Measure(
+  return MeasureDowntime(
       shard_->loop(),
       [this](const std::string& key, std::function<void(bool)> report) {
         ClientWrite(key, "v", [report](const ClientWriteResult& r) {
           report(r.status.ok());
         });
       },
-      std::move(disruption), []() { return true; }, probe_options);
-  DowntimeResult result;
-  result.recovered = probe_result.completed;
-  result.downtime_micros =
-      probe_result.completed ? probe_result.downtime_micros : timeout_micros;
-  return result;
-}
-
-DowntimeResult SimClient::MeasureReadDowntime(
-    std::function<void()> disruption, uint64_t probe_interval_micros,
-    uint64_t timeout_micros, bool expect_outage) {
-  DowntimeProbe::Options probe_options;
-  probe_options.probe_interval_micros = probe_interval_micros;
-  probe_options.timeout_micros = timeout_micros;
-  probe_options.expect_outage = expect_outage;
-  auto probe_result = DowntimeProbe::Measure(
-      shard_->loop(),
-      [this](const std::string& key, std::function<void(bool)> report) {
-        // Leader reads: under leases this exercises the deferred lease
-        // handoff — a new leader must wait out the old lease before the
-        // first probe read succeeds (§13).
-        ClientRead(key, ClientReadOptions{},
-                   [report](const ClientReadResult& r) {
-                     report(r.status.ok());
-                   });
-      },
-      std::move(disruption), []() { return true; }, probe_options);
-  DowntimeResult result;
-  result.recovered = probe_result.completed;
-  result.downtime_micros =
-      probe_result.completed ? probe_result.downtime_micros : timeout_micros;
-  return result;
+      std::move(disruption), probe_interval_micros, timeout_micros,
+      expect_outage);
 }
 
 void SimClient::NoteCrash(const MemberId& id, SimNode::CrashMode mode) {

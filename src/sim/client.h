@@ -1,7 +1,6 @@
-// SimClient: the modelled client of the evaluation, extracted from
-// ClusterHarness and bound to one Shard — routed writes with modelled
-// client/server costs, leader/follower reads (§13), and the
-// write/read-downtime probes behind the failover experiments (Table 2).
+// SimClient: the modelled client of the evaluation (sim/client_model.h)
+// bound to one Shard — routed writes, leader/follower reads (§13), and the
+// write-downtime probe behind the failover experiments (Table 2).
 // The fleet instantiates one per shard; ClusterHarness keeps exactly one
 // and forwards to it.
 
@@ -12,33 +11,10 @@
 #include <optional>
 #include <string>
 
-#include "binlog/gtid.h"
-#include "sim/downtime_probe.h"
+#include "sim/client_model.h"
 #include "sim/shard.h"
 
 namespace myraft::sim {
-
-/// Modelled client-path constants (see EXPERIMENTS.md, "calibration").
-struct ClientModelOptions {
-  /// One-way client <-> primary latency.
-  uint64_t one_way_micros = 150;
-  /// Server-side execute+prepare+flush CPU/IO cost before Raft takes over
-  /// (base + uniform jitter models statement mix and host load).
-  uint64_t processing_micros = 200;
-  uint64_t processing_jitter_micros = 0;
-  /// Client-side timeout treated as a failed write (dead primary).
-  uint64_t timeout_micros = 500'000;
-};
-
-struct ClientWriteResult {
-  Status status;
-  uint64_t latency_micros = 0;
-  /// Identity of the committed transaction (zero/empty on failure or
-  /// timeout). The chaos harness keys its acked-write durability ledger
-  /// on these.
-  binlog::Gtid gtid;
-  OpId opid;
-};
 
 /// How a client read is routed (§13).
 enum class ReadMode {
@@ -76,11 +52,6 @@ struct ClientReadOptions {
   MemberId target;
 };
 
-struct DowntimeResult {
-  bool recovered = false;
-  uint64_t downtime_micros = 0;
-};
-
 class SimClient {
  public:
   struct Options {
@@ -93,7 +64,6 @@ class SimClient {
     size_t trace_capacity = 65'536;
   };
 
-  using ClientCallback = std::function<void(const ClientWriteResult&)>;
   using ReadClientCallback = std::function<void(const ClientReadResult&)>;
 
   SimClient(Shard* shard, Options options);
@@ -101,12 +71,10 @@ class SimClient {
   SimClient(const SimClient&) = delete;
   SimClient& operator=(const SimClient&) = delete;
 
-  const ClientModelOptions& model() const { return options_.model; }
-
   /// Write routed to the published primary (or `target` if given), with
   /// modelled client latency + server processing cost.
   void ClientWrite(const std::string& key, const std::string& value,
-                   ClientCallback done, const MemberId& target = "");
+                   ClientWriteCallback done, const MemberId& target = "");
   /// Convenience: issue a write and run the loop until it completes.
   ClientWriteResult SyncWrite(const std::string& key,
                               const std::string& value,
@@ -118,9 +86,6 @@ class SimClient {
   ClientReadResult SyncRead(const std::string& key,
                             ClientReadOptions read_options,
                             uint64_t timeout_micros = 5'000'000);
-  ClientReadResult SyncRead(const std::string& key) {
-    return SyncRead(key, ClientReadOptions());
-  }
 
   /// Executes `disruption` and measures the client-observed write
   /// unavailability: the longest window during which probe writes
@@ -129,13 +94,6 @@ class SimClient {
                                       uint64_t probe_interval_micros = 10'000,
                                       uint64_t timeout_micros = 180'000'000,
                                       bool expect_outage = true);
-  /// Same, for client-observed READ unavailability: probes leader reads
-  /// (the lease path when enabled), so failover benches capture read
-  /// downtime across the deferred lease handoff (§13).
-  DowntimeResult MeasureReadDowntime(std::function<void()> disruption,
-                                     uint64_t probe_interval_micros = 10'000,
-                                     uint64_t timeout_micros = 180'000'000,
-                                     bool expect_outage = true);
 
   /// Records the fault instant that anchors the failover timeline
   /// (TraceAnalyzer's t=0); it lives in the client journal since the
@@ -148,6 +106,9 @@ class SimClient {
   const trace::Tracer* tracer() const { return &tracer_; }
 
  private:
+  /// Whether member `id` exists and is up.
+  bool NodeUp(const MemberId& id);
+
   Shard* shard_;
   Options options_;
   trace::Tracer tracer_;

@@ -82,36 +82,26 @@ class ClusterHarness {
     return shard_->WaitForPrimary(timeout_micros);
   }
 
-  // --- Client operations ----------------------------------------------------------
+  // --- Client operations: SimClient's (sim/client.h), forwarded ------------------
 
-  /// Write routed to the published primary (or `target` if given), with
-  /// modelled client latency + server processing cost.
   void ClientWrite(const std::string& key, const std::string& value,
-                   SimClient::ClientCallback done,
+                   ClientWriteCallback done,
                    const MemberId& target = "") {
     client_->ClientWrite(key, value, std::move(done), target);
   }
-  /// Convenience: issue a write and run the loop until it completes.
   ClientWriteResult SyncWrite(const std::string& key,
                               const std::string& value,
                               uint64_t timeout_micros = 5'000'000) {
     return client_->SyncWrite(key, value, timeout_micros);
   }
-  /// Read with modelled client latency + processing cost, routed per
-  /// `read_options` (§13): leader lease/quorum reads or steered
-  /// follower reads behind the GTID-wait gate.
   void ClientRead(const std::string& key, ClientReadOptions read_options,
                   SimClient::ReadClientCallback done) {
     client_->ClientRead(key, read_options, std::move(done));
   }
-  /// Convenience: issue a read and run the loop until it completes.
   ClientReadResult SyncRead(const std::string& key,
                             ClientReadOptions read_options,
                             uint64_t timeout_micros = 5'000'000) {
     return client_->SyncRead(key, read_options, timeout_micros);
-  }
-  ClientReadResult SyncRead(const std::string& key) {
-    return SyncRead(key, ClientReadOptions());
   }
 
   // --- Fault injection -------------------------------------------------------------
@@ -125,9 +115,7 @@ class ClusterHarness {
   }
   Status Restart(const MemberId& id) { return shard_->Restart(id); }
 
-  /// Executes `disruption` and measures the client-observed write
-  /// unavailability: the longest window during which probe writes
-  /// (issued every `probe_interval`) fail.
+  /// SimClient::MeasureWriteDowntime, forwarded.
   DowntimeResult MeasureWriteDowntime(std::function<void()> disruption,
                                       uint64_t probe_interval_micros = 10'000,
                                       uint64_t timeout_micros = 180'000'000,
@@ -135,18 +123,6 @@ class ClusterHarness {
     return client_->MeasureWriteDowntime(std::move(disruption),
                                          probe_interval_micros,
                                          timeout_micros, expect_outage);
-  }
-
-  /// Same, for client-observed READ unavailability: probes leader reads
-  /// (the lease path when enabled), so failover benches capture read
-  /// downtime across the deferred lease handoff (§13).
-  DowntimeResult MeasureReadDowntime(std::function<void()> disruption,
-                                     uint64_t probe_interval_micros = 10'000,
-                                     uint64_t timeout_micros = 180'000'000,
-                                     bool expect_outage = true) {
-    return client_->MeasureReadDowntime(std::move(disruption),
-                                        probe_interval_micros,
-                                        timeout_micros, expect_outage);
   }
 
   /// §5.1-style consistency check: all database engines that are caught up

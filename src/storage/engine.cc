@@ -267,6 +267,22 @@ Status MiniEngine::Write(TxnId txn, const std::string& table,
   return Status::OK();
 }
 
+std::string RowTable(const binlog::RowOperation& op) {
+  return op.database + "." + op.table;
+}
+
+std::string RowKey(const binlog::RowOperation& op) {
+  if (op.kind == binlog::RowOperation::Kind::kDelete) return op.before_image;
+  return op.after_image.substr(0, op.after_image.find('='));
+}
+
+Status MiniEngine::ApplyRow(TxnId txn, const binlog::RowOperation& op) {
+  if (op.kind == binlog::RowOperation::Kind::kDelete) {
+    return Delete(txn, RowTable(op), RowKey(op));
+  }
+  return Put(txn, RowTable(op), RowKey(op), op.after_image);
+}
+
 Status MiniEngine::Put(TxnId txn, const std::string& table,
                        const std::string& key, const std::string& value) {
   return Write(txn, table, key, value);

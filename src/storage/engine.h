@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "binlog/gtid.h"
+#include "binlog/transaction.h"
 #include "util/clock.h"
 #include "util/env.h"
 #include "wire/types.h"
@@ -46,6 +47,12 @@ struct PendingWrite {
   bool operator==(const PendingWrite&) const = default;
 };
 
+/// The row-image rule every writer and applier shares: a row operation
+/// targets table "database.table", under the key its after image holds up
+/// to the first '=' ("key=value"); a delete's before image is the key.
+std::string RowTable(const binlog::RowOperation& op);
+std::string RowKey(const binlog::RowOperation& op);
+
 class MiniEngine {
  public:
   /// Opens the engine, replaying the WAL. Prepared-but-uncommitted
@@ -66,6 +73,8 @@ class MiniEngine {
   Status Put(TxnId txn, const std::string& table, const std::string& key,
              const std::string& value);
   Status Delete(TxnId txn, const std::string& table, const std::string& key);
+  /// Buffers `op` under the row-image rule: Delete or Put(after image).
+  Status ApplyRow(TxnId txn, const binlog::RowOperation& op);
 
   /// Reads the latest committed value (uncommitted writes invisible).
   std::optional<std::string> Get(const std::string& table,

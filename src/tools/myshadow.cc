@@ -47,7 +47,7 @@ int AuditDurability(sim::ClusterHarness* cluster, const CommitLedger& ledger) {
   server::MySqlServer* server = cluster->node(primary)->server();
   int violations = 0;
   for (const auto& [key, value] : ledger.committed) {
-    const auto stored = server->Read("bench.kv", key);
+    const auto stored = server->Read(sim::kClientTable, key);
     if (!stored.has_value() || *stored != key + "=" + value) {
       ++violations;
       MYRAFT_LOG(Error) << "myshadow: committed write lost: " << key;

@@ -1,7 +1,6 @@
 #include "util/logging.h"
 
 #include <cstdio>
-#include <mutex>
 #include <vector>
 
 #include "util/clock.h"
@@ -10,7 +9,6 @@ namespace myraft {
 
 namespace {
 
-std::mutex g_log_mutex;
 LogSink g_sink;  // empty -> stderr
 StructuredLogSink g_structured_sink;
 LogLevel g_min_level = LogLevel::kWarning;
@@ -20,9 +18,9 @@ struct LogContextFrame {
   const Clock* clock;
 };
 
-// Innermost-wins nesting stack of active node contexts. Thread-local so
-// the (single-threaded) sim and concurrent gtest shards never interleave.
-thread_local std::vector<LogContextFrame> g_context_stack;
+// Innermost-wins nesting stack of active node contexts. One per process:
+// the sim runs every node on the caller's thread (DESIGN.md §3).
+std::vector<LogContextFrame> g_context_stack;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -42,13 +40,9 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogSink(LogSink sink) {
-  std::lock_guard<std::mutex> lock(g_log_mutex);
-  g_sink = std::move(sink);
-}
+void SetLogSink(LogSink sink) { g_sink = std::move(sink); }
 
 void SetStructuredLogSink(StructuredLogSink sink) {
-  std::lock_guard<std::mutex> lock(g_log_mutex);
   g_structured_sink = std::move(sink);
 }
 
@@ -86,21 +80,18 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 
 LogMessage::~LogMessage() {
   const std::string msg = stream_.str();
-  {
-    std::lock_guard<std::mutex> lock(g_log_mutex);
-    if (g_structured_sink) {
-      LogRecord record;
-      record.level = level_;
-      record.timestamp_micros = timestamp_micros_;
-      record.node = node_;
-      record.message = msg;
-      g_structured_sink(record);
-    }
-    if (g_sink) {
-      g_sink(level_, msg);
-    } else if (!g_structured_sink) {
-      fprintf(stderr, "%s\n", msg.c_str());
-    }
+  if (g_structured_sink) {
+    LogRecord record;
+    record.level = level_;
+    record.timestamp_micros = timestamp_micros_;
+    record.node = node_;
+    record.message = msg;
+    g_structured_sink(record);
+  }
+  if (g_sink) {
+    g_sink(level_, msg);
+  } else if (!g_structured_sink) {
+    fprintf(stderr, "%s\n", msg.c_str());
   }
   if (level_ == LogLevel::kFatal) {
     std::abort();

@@ -52,11 +52,10 @@ using StructuredLogSink = std::function<void(const LogRecord&)>;
 /// sink. Pass nullptr to remove.
 void SetStructuredLogSink(StructuredLogSink sink);
 
-/// RAII node context: while alive (on this thread), log lines are stamped
-/// with `node` and `clock->NowMicros()`. Contexts nest; the innermost
-/// wins. The sim harness wraps message delivery and timer callbacks in
-/// one per node. The backing stack is thread-local, so destruction must
-/// happen on the constructing thread (LIFO, as RAII guarantees).
+/// RAII node context: while alive, log lines are stamped with `node` and
+/// `clock->NowMicros()`. Contexts nest; the innermost wins (LIFO, as RAII
+/// guarantees). The sim harness wraps message delivery and timer
+/// callbacks in one per node.
 class ScopedLogContext {
  public:
   ScopedLogContext(std::string node, const Clock* clock);

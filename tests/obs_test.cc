@@ -10,14 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "chaos/nemesis.h"
 #include "chaos/runner.h"
+#include "counting_new.h"
 #include "flexiraft/flexiraft.h"
 #include "obs/catalog.h"
 #include "obs/flight_recorder.h"
@@ -26,31 +25,6 @@
 #include "sim/cluster.h"
 #include "util/clock.h"
 #include "util/metrics.h"
-
-// Counts operator new calls while armed, so a test can bound the
-// allocations of one scope.
-namespace {
-bool count_news = false;
-size_t news_counted = 0;
-}  // namespace
-
-void* operator new(size_t size) {
-  if (count_news) ++news_counted;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-// The nothrow form too (std::stable_sort's temporary buffer uses it), so
-// every block the replaced deletes free came from malloc.
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  if (count_news) ++news_counted;
-  return std::malloc(size == 0 ? 1 : size);
-}
-// Not inlined: GCC would otherwise see free() of a new-expression's block
-// at every delete-expression and warn (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
 
 namespace myraft::obs {
 namespace {

@@ -1,11 +1,17 @@
 // Prior-setup baseline tests: semi-sync commit path (ack from in-region
 // logtailer), degrade-to-async on ack timeout, external failure detection
-// and failover (slow!), graceful promotion, fencing of deposed primaries
-// and log healing on rejoin.
+// and failover (slow!), graceful promotion, fencing of deposed primaries,
+// log healing on rejoin, the registry's counters, and client-model parity
+// with the MyRaft harness: both arms see the same client.
 
 #include "semisync/cluster.h"
 
 #include <gtest/gtest.h>
+
+#include "metric_value.h"
+#include "obs/catalog.h"
+#include "raft/quorum.h"
+#include "sim/cluster.h"
 
 namespace myraft::semisync {
 namespace {
@@ -31,8 +37,11 @@ TEST(SemiSyncClusterTest, CommitWaitsForInRegionAck) {
   // than a cross-region round trip.
   EXPECT_LT(result.latency_micros, 5'000u);
   EXPECT_EQ(cluster.server("db0")->Read("bench.kv", "k1"), "k1=v1");
-  EXPECT_EQ(cluster.server("db0")->stats().writes_committed, 1u);
-  EXPECT_EQ(cluster.server("db0")->stats().commits_degraded_to_async, 0u);
+  EXPECT_EQ(MetricValue(cluster.node_metrics("db0"), "server.writes_committed"),
+            1u);
+  EXPECT_EQ(MetricValue(cluster.node_metrics("db0"),
+                        "semisync.commits_degraded_to_async"),
+            0u);
 }
 
 TEST(SemiSyncClusterTest, AsyncReplicasCatchUpAndApplyImmediately) {
@@ -61,7 +70,9 @@ TEST(SemiSyncClusterTest, DegradesToAsyncWhenAckersDie) {
   auto result = cluster.SyncWrite("after", "v", 3 * kSecond);
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_GT(result.latency_micros, 300'000u);  // paid the ack timeout
-  EXPECT_GT(cluster.server("db0")->stats().commits_degraded_to_async, 0u);
+  EXPECT_GT(MetricValue(cluster.node_metrics("db0"),
+                        "semisync.commits_degraded_to_async"),
+            0u);
 }
 
 TEST(SemiSyncClusterTest, FailoverIsSlowAndExternallyDriven) {
@@ -82,7 +93,8 @@ TEST(SemiSyncClusterTest, FailoverIsSlowAndExternallyDriven) {
   EXPECT_NE(new_primary, "db0");
   cluster.loop()->RunFor(2 * kSecond);
   EXPECT_EQ(cluster.server(new_primary)->Read("bench.kv", "pre"), "pre=v");
-  EXPECT_EQ(cluster.automation()->stats().failovers_completed, 1u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "semisync.failovers_completed"),
+            1u);
 }
 
 TEST(SemiSyncClusterTest, GracefulPromotionTakesAboutASecond) {
@@ -99,7 +111,8 @@ TEST(SemiSyncClusterTest, GracefulPromotionTakesAboutASecond) {
   EXPECT_LT(downtime.downtime_micros, 5ull * kSecond);
   EXPECT_EQ(cluster.CurrentPrimary(), "db1");
   EXPECT_TRUE(cluster.server("db0")->read_only());
-  EXPECT_EQ(cluster.automation()->stats().promotions_completed, 1u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "semisync.promotions_completed"),
+            1u);
 }
 
 TEST(SemiSyncClusterTest, DeposedPrimaryIsFencedByGeneration) {
@@ -171,7 +184,9 @@ TEST(SemiSyncClusterTest, DivergedTailIsHealedOnRejoin) {
   ASSERT_TRUE(cluster.Restart("db0").ok());
   ASSERT_TRUE(cluster.SyncWrite("newer", "v").status.ok());
   cluster.loop()->RunFor(30 * kSecond);
-  EXPECT_GT(cluster.server("db0")->stats().healed_transactions, 0u);
+  EXPECT_GT(MetricValue(cluster.node_metrics("db0"),
+                        "semisync.healed_transactions"),
+            0u);
   EXPECT_TRUE(cluster.server("db0")->engine_diverged());
   // The binlog no longer has the lost gtid, but the engine still carries
   // the phantom row until the host is rebuilt — exactly the edge case
@@ -179,6 +194,128 @@ TEST(SemiSyncClusterTest, DivergedTailIsHealedOnRejoin) {
   EXPECT_FALSE(cluster.server("db0")->binlog_manager()->gtids_in_log().Count() ==
                0);
   EXPECT_EQ(cluster.server("db0")->Read("bench.kv", "newer"), "newer=v");
+}
+
+TEST(SemiSyncClusterTest, CatalogCoversEveryRegisteredMetric) {
+  SemiSyncCluster cluster(DefaultOptions(12));
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  ASSERT_TRUE(cluster.SyncWrite("k", "v").status.ok());
+  cluster.loop()->RunFor(kSecond);
+  auto check_registry = [](const std::string& where,
+                           const metrics::MetricRegistry* registry) {
+    for (const std::string& name : registry->Names()) {
+      EXPECT_NE(obs::FindMetricInfo(name), nullptr)
+          << where << " registers undocumented metric '" << name << "'";
+    }
+  };
+  for (const MemberId& id : cluster.ids()) {
+    check_registry(id, cluster.node_metrics(id));
+  }
+  check_registry("automation", cluster.metrics());
+  EXPECT_EQ(MetricValue(cluster.node_metrics("lt1a"),
+                        "server.applier_transactions_applied"),
+            0u);
+  EXPECT_EQ(MetricValue(cluster.node_metrics("db1"),
+                        "server.applier_transactions_applied"),
+            1u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "semisync.detections"), 0u);
+}
+
+// --- One client model for both arms ------------------------------------------
+
+/// Client costs without jitter, so each failure path has one exact latency.
+sim::ClientModelOptions ParityClient() {
+  sim::ClientModelOptions client;
+  client.one_way_micros = 1'000;
+  client.processing_micros = 3'000;
+  client.processing_jitter_micros = 0;
+  client.timeout_micros = 100'000;
+  return client;
+}
+
+enum class PrimaryFault {
+  kDownBeforeWrite,
+  kCrashedWhileProcessing,
+  kNeverAnswers,
+};
+
+/// Applies `fault` to `primary` and issues one write. Works on either
+/// harness: both have Crash, loop, ids, network and SyncWrite.
+template <typename Cluster>
+sim::ClientWriteResult WriteUnderFault(Cluster* cluster,
+                                       const MemberId& primary,
+                                       PrimaryFault fault) {
+  const sim::ClientModelOptions client = ParityClient();
+  switch (fault) {
+    case PrimaryFault::kDownBeforeWrite:
+      cluster->Crash(primary);
+      break;
+    case PrimaryFault::kCrashedWhileProcessing:
+      // After the request lands, before its processing cost has passed.
+      cluster->loop()->Schedule(
+          client.one_way_micros + client.processing_micros / 2,
+          [cluster, primary]() { cluster->Crash(primary); });
+      break;
+    case PrimaryFault::kNeverAnswers:
+      // Up but cut off: it can neither replicate nor collect acks.
+      for (const MemberId& id : cluster->ids()) {
+        if (id != primary) cluster->network()->SetLinkCut(primary, id, true);
+      }
+      break;
+  }
+  return cluster->SyncWrite("parity", "v");
+}
+
+sim::ClientWriteResult RaftArmWrite(PrimaryFault fault) {
+  static raft::MajorityQuorumEngine quorum;
+  sim::ClusterOptions options;
+  options.seed = 21;
+  options.topology.db_regions = 3;
+  options.topology.logtailers_per_db = 2;
+  options.client = ParityClient();
+  sim::ClusterHarness cluster(options, &quorum);
+  EXPECT_TRUE(cluster.Bootstrap().ok());
+  const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
+  EXPECT_FALSE(primary.empty());
+  EXPECT_TRUE(cluster.SyncWrite("warm", "up").status.ok());
+  return WriteUnderFault(&cluster, primary, fault);
+}
+
+sim::ClientWriteResult SemiSyncArmWrite(PrimaryFault fault) {
+  SemiSyncClusterOptions options = DefaultOptions(21);
+  options.client = ParityClient();
+  SemiSyncCluster cluster(options);
+  EXPECT_TRUE(cluster.Bootstrap().ok());
+  EXPECT_TRUE(cluster.SyncWrite("warm", "up").status.ok());
+  return WriteUnderFault(&cluster, cluster.CurrentPrimary(), fault);
+}
+
+void ExpectParity(PrimaryFault fault, StatusCode code, uint64_t latency) {
+  const sim::ClientWriteResult raft = RaftArmWrite(fault);
+  const sim::ClientWriteResult semisync = SemiSyncArmWrite(fault);
+  EXPECT_EQ(raft.status.code(), code) << raft.status;
+  EXPECT_EQ(raft.latency_micros, latency);
+  EXPECT_EQ(semisync.status.code(), code) << semisync.status;
+  EXPECT_EQ(semisync.latency_micros, latency);
+}
+
+TEST(ClientModelParityTest, DownPrimaryFailsAfterTwoHops) {
+  const sim::ClientModelOptions client = ParityClient();
+  ExpectParity(PrimaryFault::kDownBeforeWrite, StatusCode::kNetworkError,
+               2 * client.one_way_micros);
+}
+
+TEST(ClientModelParityTest, DeathMidRequestReachesTheClientOneHopLater) {
+  const sim::ClientModelOptions client = ParityClient();
+  ExpectParity(PrimaryFault::kCrashedWhileProcessing,
+               StatusCode::kNetworkError,
+               client.one_way_micros + client.processing_micros +
+                   client.one_way_micros);
+}
+
+TEST(ClientModelParityTest, SilentPrimaryTimesOutAtTheClientTimeout) {
+  ExpectParity(PrimaryFault::kNeverAnswers, StatusCode::kTimedOut,
+               ParityClient().timeout_micros);
 }
 
 }  // namespace

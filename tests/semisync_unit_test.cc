@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
+#include "metric_value.h"
 #include "semisync/semisync_server.h"
 
 namespace myraft::semisync {
@@ -31,7 +33,7 @@ class SemiSyncUnitTest : public ::testing::Test {
     options.numeric_server_id = static_cast<uint32_t>(id[0]);
     options.ack_timeout_micros = 1'000'000;
     auto server = SemiSyncServer::Create(
-        env_.get(), options, &clock_,
+        env_.get(), options, &clock_, &metrics_[id],
         [this](Message m) { wire_.push_back(std::move(m)); });
     ASSERT_TRUE(server.ok()) << server.status();
     *out = std::move(*server);
@@ -70,6 +72,8 @@ class SemiSyncUnitTest : public ::testing::Test {
 
   ManualClock clock_;
   std::unique_ptr<Env> env_;
+  /// Each member's registry, by id; outlives the servers below.
+  std::map<MemberId, metrics::MetricRegistry> metrics_;
   std::vector<Message> wire_;
   std::unique_ptr<SemiSyncServer> primary_;
   std::unique_ptr<SemiSyncServer> acker_a_;
@@ -103,8 +107,9 @@ TEST_F(SemiSyncUnitTest, RequiredAcksTwoNeedsBothAckers) {
   options.data_dir = "/p2";
   options.required_acks = 2;
   std::vector<Message> wire;
+  metrics::MetricRegistry metrics;
   auto primary = SemiSyncServer::Create(
-      env.get(), options, &clock_,
+      env.get(), options, &clock_, &metrics,
       [&wire](Message m) { wire.push_back(std::move(m)); });
   ASSERT_TRUE(primary.ok());
   ASSERT_TRUE((*primary)->MakePrimary(1, {"la", "lb"}, {"la", "lb"}).ok());
@@ -142,7 +147,8 @@ TEST_F(SemiSyncUnitTest, AckTimeoutDegradesToAsync) {
   primary_->Tick();
   EXPECT_TRUE(result->status.ok());
   EXPECT_TRUE(result->degraded_to_async);
-  EXPECT_EQ(primary_->stats().commits_degraded_to_async, 1u);
+  EXPECT_EQ(MetricValue(&metrics_["p"], "semisync.commits_degraded_to_async"),
+            1u);
 }
 
 TEST_F(SemiSyncUnitTest, ReceiverRejectsStaleGenerationStream) {

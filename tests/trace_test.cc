@@ -10,32 +10,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <random>
 
 #include "binlog/binlog_event.h"
+#include "counting_new.h"
 #include "flexiraft/flexiraft.h"
 #include "sim/cluster.h"
 #include "util/clock.h"
 #include "util/logging.h"
 #include "wire/messages.h"
-
-// Counts operator new calls while armed, so a test can show that a scope
-// allocates nothing.
-namespace {
-bool count_news = false;
-size_t news_counted = 0;
-}  // namespace
-
-void* operator new(size_t size) {
-  if (count_news) ++news_counted;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace myraft::trace {
 namespace {
