@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
       (unsigned long long)prior.recorder.committed(),
       (unsigned long long)prior.recorder.failed(),
       HistogramJson(prior.recorder.latency()).c_str());
-  WriteBenchJson("fig5a_prod_latency", summary, myraft.internals_json);
+  WriteBenchJson("fig5a_prod_latency", summary, myraft.internals_json,
+                 prior.internals_json);
   return 0;
 }

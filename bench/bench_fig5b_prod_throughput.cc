@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
       "\"prior\":{\"committed\":%llu,\"rate_per_sec\":%.1f}}",
       (unsigned long long)myraft.recorder.committed(), myraft_rate,
       (unsigned long long)prior.recorder.committed(), prior_rate);
-  WriteBenchJson("fig5b_prod_throughput", summary, myraft.internals_json);
+  WriteBenchJson("fig5b_prod_throughput", summary, myraft.internals_json,
+                 prior.internals_json);
   return 0;
 }

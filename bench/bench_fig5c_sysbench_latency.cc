@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
       (unsigned long long)prior.recorder.committed(),
       (unsigned long long)prior.recorder.failed(),
       HistogramJson(prior.recorder.latency()).c_str());
-  WriteBenchJson("fig5c_sysbench_latency", summary, myraft.internals_json);
+  WriteBenchJson("fig5c_sysbench_latency", summary, myraft.internals_json,
+                 prior.internals_json);
   return 0;
 }

@@ -125,7 +125,9 @@ TracedFailover RunTracedFailover(uint64_t seed) {
   return out;
 }
 
-bool SemiSyncTrial(uint64_t seed, bool graceful, Histogram* downtime_hist) {
+/// `internals_json`, when set, receives the trial's PriorInternalsJson.
+bool SemiSyncTrial(uint64_t seed, bool graceful, Histogram* downtime_hist,
+                   std::string* internals_json = nullptr) {
   semisync::SemiSyncCluster cluster(SemiSyncOptions(seed));
   if (!cluster.Bootstrap().ok()) return false;
   (void)cluster.SyncWrite("warm", "up");
@@ -141,6 +143,7 @@ bool SemiSyncTrial(uint64_t seed, bool graceful, Histogram* downtime_hist) {
     result = cluster.MeasureWriteDowntime([&]() { cluster.Crash("db0"); },
                                           10'000, 600 * kSecond);
   }
+  if (internals_json != nullptr) *internals_json = PriorInternalsJson(cluster);
   if (!result.recovered) return false;
   downtime_hist->Add(result.downtime_micros);
   return true;
@@ -165,6 +168,9 @@ int main(int argc, char** argv) {
               "59133 ms avg (24x); promotion 218 ms vs 956 ms (4x)");
 
   Histogram raft_failover, raft_promotion, ss_failover, ss_promotion;
+  // The first semi-sync dead-primary trial's registries, the counterpart
+  // of the traced MyRaft failover's internals.
+  std::string prior_internals;
   for (int t = 0; t < raft_trials; ++t) {
     if (!RaftTrial(args.seed + 100 + t, /*graceful=*/false, &raft_failover)) {
       printf("  (raft failover trial %d skipped)\n", t);
@@ -176,7 +182,7 @@ int main(int argc, char** argv) {
   }
   for (int t = 0; t < semisync_failover_trials; ++t) {
     if (!SemiSyncTrial(args.seed + 20'000 + t, /*graceful=*/false,
-                       &ss_failover)) {
+                       &ss_failover, t == 0 ? &prior_internals : nullptr)) {
       printf("  (semisync failover trial %d skipped)\n", t);
     }
   }
@@ -241,7 +247,8 @@ int main(int argc, char** argv) {
       traced.ok ? traced.failover_json.c_str() : "null",
       (unsigned long long)traced.probe_downtime_micros,
       traced.ok ? traced.stages_json.c_str() : "null");
-  WriteBenchJson("table2_failover", summary, traced.internals_json);
+  WriteBenchJson("table2_failover", summary, traced.internals_json,
+                 prior_internals);
   if (!args.trace_out.empty() && traced.ok) {
     WriteTextFile(args.trace_out, traced.chrome_json);
   }

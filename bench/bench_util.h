@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 
+#include "semisync/cluster.h"
 #include "sim/cluster.h"
 #include "util/histogram.h"
 #include "util/string_util.h"
@@ -106,22 +107,45 @@ inline std::string ClusterInternalsJson(sim::ClusterHarness& cluster) {
   return out;
 }
 
+/// The "prior_internals" value for an A/B bench's semi-sync arm: every
+/// member's registry by id, plus the automation's under "automation" (the
+/// way the MyRaft arm's snapshot carries the network under "network").
+inline std::string PriorInternalsJson(semisync::SemiSyncCluster& cluster) {
+  std::string out = "{\"metrics\":{";
+  for (const MemberId& id : cluster.ids()) {
+    out += StringPrintf("\"%s\":", id.c_str());
+    out += cluster.node_metrics(id)->ToJson();
+    out += ',';
+  }
+  out += "\"automation\":";
+  out += cluster.metrics()->ToJson();
+  out += "}}";
+  return out;
+}
+
 /// Writes BENCH_<name>.json next to the binary:
 ///   {"bench":"<name>","summary":<summary>,"internals":<internals>}
-/// `summary_json` and `internals_json` must already be valid JSON values;
-/// pass "null" (or "") for internals when the run has no cluster metrics.
+/// with a trailing "prior_internals":<prior> when the bench has a semi-sync
+/// arm. The arguments must already be valid JSON values; pass "null" (or
+/// "") for internals when the run has no cluster metrics, and "" for
+/// prior_internals when there is no semi-sync arm.
 inline bool WriteBenchJson(const std::string& name,
                            const std::string& summary_json,
-                           const std::string& internals_json) {
+                           const std::string& internals_json,
+                           const std::string& prior_internals_json = "") {
   const std::string path = "BENCH_" + name + ".json";
   FILE* f = fopen(path.c_str(), "w");
   if (f == nullptr) {
     fprintf(stderr, "failed to open %s for writing\n", path.c_str());
     return false;
   }
-  fprintf(f, "{\"bench\":\"%s\",\"summary\":%s,\"internals\":%s}\n",
+  fprintf(f, "{\"bench\":\"%s\",\"summary\":%s,\"internals\":%s",
           name.c_str(), summary_json.c_str(),
           internals_json.empty() ? "null" : internals_json.c_str());
+  if (!prior_internals_json.empty()) {
+    fprintf(f, ",\"prior_internals\":%s", prior_internals_json.c_str());
+  }
+  fprintf(f, "}\n");
   fclose(f);
   printf("\nwrote %s\n", path.c_str());
   return true;

@@ -44,9 +44,9 @@ struct Fig5Setup {
 
 struct Fig5ArmResult {
   workload::WorkloadRecorder recorder;
-  /// Per-node metric registry snapshot (ClusterHarness::MetricsSnapshotJson),
-  /// captured before the cluster is torn down. Empty for the semi-sync arm,
-  /// which predates the instrumented stack.
+  /// Per-node metric registry snapshot, captured before the cluster is torn
+  /// down: ClusterInternalsJson for the MyRaft arm, PriorInternalsJson for
+  /// the semi-sync arm.
   std::string internals_json;
 };
 
@@ -142,6 +142,7 @@ inline Fig5ArmResult RunSemiSyncArm(const Fig5Setup& setup) {
   driver.RunToCompletion();
   Fig5ArmResult result;
   result.recorder = driver.recorder();
+  result.internals_json = PriorInternalsJson(cluster);
   return result;
 }
 

@@ -8,14 +8,6 @@
 
 namespace myraft::fleet {
 
-namespace {
-
-/// Leader-balancing placement policy: max TransferLeadership calls one
-/// RebalanceTick may initiate.
-constexpr int kRebalanceMaxTransfersPerTick = 8;
-
-}  // namespace
-
 FleetHarness::FleetHarness(FleetOptions options,
                            const raft::QuorumEngine* quorum)
     : options_(std::move(options)),
@@ -40,9 +32,7 @@ void FleetHarness::ProvisionShard(int i) {
   // Place the ring on the global region ring (§6.1 shape per shard);
   // rotating the home region spreads bootstrap leaders.
   shard_options.topology.region_offset =
-      options_.rotate_home_regions && options_.regions > 0
-          ? i % options_.regions
-          : 0;
+      options_.regions > 0 ? i % options_.regions : 0;
   shard_options.topology.region_modulus = options_.regions;
   if (options_.worker_budget > 0) {
     shard_options.applier_workers = std::max<uint32_t>(
@@ -87,15 +77,6 @@ Status FleetHarness::Bootstrap() {
   fleet_metrics_.GetGauge("fleet.shards_pending")
       ->Set(options_.pending_shards);
   return Status::OK();
-}
-
-int FleetHarness::FindShard(const std::string& replicaset) const {
-  for (int i = 0; i < shard_count(); ++i) {
-    if (shards_[i] != nullptr && shards_[i]->replicaset() == replicaset) {
-      return i;
-    }
-  }
-  return -1;
 }
 
 std::vector<RegionId> FleetHarness::Regions() const {
@@ -156,78 +137,6 @@ std::map<RegionId, int> FleetHarness::LeadersByRegion() {
     if (!region.empty()) counts[region]++;
   }
   return counts;
-}
-
-int FleetHarness::LeaderImbalance() {
-  const std::map<RegionId, int> counts = LeadersByRegion();
-  if (counts.empty()) return 0;
-  int min = INT32_MAX, max = 0;
-  for (const auto& [region, count] : counts) {
-    min = std::min(min, count);
-    max = std::max(max, count);
-  }
-  return max - min;
-}
-
-int FleetHarness::RebalanceTick() {
-  fleet_metrics_.GetCounter("fleet.rebalance_ticks")->Increment();
-  std::map<RegionId, int> counts = LeadersByRegion();
-  if (counts.empty()) return 0;
-
-  // Leaders by region, and which shards currently lead where.
-  std::map<RegionId, std::vector<int>> shards_by_region;
-  for (int i = 0; i < shard_count(); ++i) {
-    if (!shards_[i]->bootstrapped()) continue;
-    const RegionId region = shards_[i]->PrimaryRegion();
-    if (!region.empty()) shards_by_region[region].push_back(i);
-  }
-
-  int transfers = 0;
-  while (transfers < kRebalanceMaxTransfersPerTick) {
-    // Most- and least-loaded regions this pass (std::map order breaks
-    // ties deterministically).
-    RegionId hot, cold;
-    int hot_count = -1, cold_count = INT32_MAX;
-    for (const auto& [region, count] : counts) {
-      if (count > hot_count) hot = region, hot_count = count;
-      if (count < cold_count) cold = region, cold_count = count;
-    }
-    if (hot_count - cold_count <= 1) break;  // balanced
-
-    // A shard leading in `hot` whose ring already spans `cold` (the
-    // transfer target must be a database voter it has there).
-    bool moved = false;
-    auto& candidates = shards_by_region[hot];
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const int idx = candidates[c];
-      sim::Shard* shard = shards_[idx].get();
-      MemberId target;
-      for (const MemberInfo& member : shard->config().members) {
-        if (member.kind != MemberKind::kMySql || !member.is_voter()) continue;
-        if (member.region != cold) continue;
-        sim::SimNode* node = shard->FindNode(member.id);
-        if (node == nullptr || !node->up()) continue;
-        target = member.id;
-        break;
-      }
-      if (target.empty()) continue;
-      const sim::AdminResult result =
-          admins_[idx]->TransferLeadership(target);
-      if (!result.ok()) continue;
-      fleet_metrics_.GetCounter("fleet.leader_transfers")->Increment();
-      ++transfers;
-      moved = true;
-      // Optimistic accounting: the transfer completes asynchronously,
-      // but counting it now keeps one tick from dogpiling a region.
-      counts[hot]--;
-      counts[cold]++;
-      candidates.erase(candidates.begin() + c);
-      shards_by_region[cold].push_back(idx);
-      break;
-    }
-    if (!moved) break;  // no eligible shard spans the cold region
-  }
-  return transfers;
 }
 
 metrics::MetricSnapshot FleetHarness::MetricsRollup() const {

@@ -7,8 +7,8 @@
 //
 // The fleet adds the cross-ring control plane a single harness cannot
 // express:
-//   - a placement policy balancing Raft leaders across regions via
-//     ShardAdmin::TransferLeadership (RebalanceTick);
+//   - placement: each shard's home region rotates across the global
+//     region ring (shard i starts at region i % regions);
 //   - fleet-scope rollups (metrics, raftstat) with per-shard namespaces;
 //   - region-outage storms touching every co-located ring at once.
 // The §5.2 enable-raft rolling migration over this fleet lives in
@@ -37,12 +37,6 @@ struct FleetOptions {
   int db_regions_per_shard = 3;
   int logtailers_per_db = 2;
   int learners = 0;
-  /// Rotate each shard's home region across the global ring (shard i
-  /// starts at region i % regions) so ring slots spread across regions.
-  /// false = every ring starts at region0 (each shard's db0 voter lives
-  /// there). Initial leaders still land wherever the first election
-  /// timeout fires; the rebalancer is what shapes leader placement.
-  bool rotate_home_regions = true;
 
   uint64_t seed = 1;
 
@@ -81,8 +75,6 @@ class FleetHarness {
   sim::Shard* shard(int i) { return shards_[i].get(); }
   sim::SimClient* client(int i) { return clients_[i].get(); }
   sim::ShardAdmin* admin(int i) { return admins_[i].get(); }
-  /// Shard index by replicaset name (-1 if unknown).
-  int FindShard(const std::string& replicaset) const;
 
   /// Global region ring: region0..region<R-1>.
   std::vector<RegionId> Regions() const;
@@ -110,18 +102,6 @@ class FleetHarness {
   /// Raft leaders per region over bootstrapped shards (shards with no
   /// current primary are not counted).
   std::map<RegionId, int> LeadersByRegion();
-
-  // --- Placement policy --------------------------------------------------------------
-
-  /// One leader-balancing pass: while some region leads another by more
-  /// than one leader, transfer a leader from the most- to the
-  /// least-loaded region (via ShardAdmin::TransferLeadership toward a
-  /// database voter the shard already has there), at most 8 per pass.
-  /// Returns transfers initiated (transfers complete asynchronously as
-  /// the loop runs).
-  int RebalanceTick();
-  /// Leader-count spread (max - min) across the global regions.
-  int LeaderImbalance();
 
   // --- Rollups ----------------------------------------------------------------------
 

@@ -71,8 +71,6 @@ const MetricInfo kCatalog[] = {
      "Routes recomputed around a failed relay"},
     {"raft.append_rejections", "counter", "raft",
      "AppendEntries rejected for log mismatch or stale term"},
-    {"raft.auto_step_downs", "counter", "raft",
-     "Leaders stepping down after losing quorum contact"},
     {"raft.cache_fallback_reads", "counter", "raft",
      "Replication reads that bypassed the cache to the binlog"},
     {"raft.commit_advance_latency_us", "histogram", "raft",

@@ -37,7 +37,7 @@ bool ProxyRouter::RelayHealthy(const MemberId& relay) const {
       break;
     }
   }
-  return now - reference <= options_.relay_unhealthy_after_micros;
+  return now - reference <= kRelayUnhealthyAfterMicros;
 }
 
 MemberId ProxyRouter::ChooseRelay(const RegionId& region,
@@ -256,7 +256,7 @@ void ProxyRouter::EnqueueProxyOp(AppendEntriesRequest request) {
   const uint64_t now = loop_->now();
   std::deque<PendingProxyOp>& queue = relay_queues_[request.dest];
   queue.push_back(PendingProxyOp{std::move(request), 0, now,
-                                 now + options_.reconstitute_wait_micros});
+                                 now + kReconstituteWaitMicros});
   // Behind an earlier op this one must wait its turn: that head is still
   // missing entries, or a drain is already scheduled for it.
   if (queue.size() == 1) DrainQueues();

@@ -32,17 +32,17 @@
 
 namespace myraft::proxy {
 
+/// How long a PROXY_OP may wait at the final relay for its entries to reach
+/// the relay's own log before it is degraded to a heartbeat. The relay does
+/// not poll: it retries the head of each destination's queue whenever its
+/// own replication stream appends, and once at this deadline.
+inline constexpr uint64_t kReconstituteWaitMicros = 100'000;
+/// A relay with no traffic for this long is considered unhealthy and
+/// routed around.
+inline constexpr uint64_t kRelayUnhealthyAfterMicros = 3'000'000;
+
 struct ProxyOptions {
   bool enabled = true;
-  /// How long a PROXY_OP may wait at the final relay for its entries to
-  /// reach the relay's own log before it is degraded to a heartbeat. The
-  /// relay does not poll: it retries the head of each destination's queue
-  /// whenever its own replication stream appends, and once at this
-  /// deadline.
-  uint64_t reconstitute_wait_micros = 100'000;
-  /// A relay with no traffic for this long is considered unhealthy and
-  /// routed around.
-  uint64_t relay_unhealthy_after_micros = 3'000'000;
   /// Destination for "proxy.*" metrics. Null means a private per-instance
   /// registry (unit-test isolation).
   metrics::MetricRegistry* metrics = nullptr;

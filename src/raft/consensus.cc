@@ -85,7 +85,6 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.cache_fallback_reads =
       metrics_->GetCounter("raft.cache_fallback_reads");
   m_.step_downs = metrics_->GetCounter("raft.step_downs");
-  m_.auto_step_downs = metrics_->GetCounter("raft.auto_step_downs");
   m_.pipeline_stalls = metrics_->GetCounter("raft.pipeline_stalls");
   m_.stale_responses_ignored =
       metrics_->GetCounter("raft.stale_responses_ignored");
@@ -129,15 +128,6 @@ Status RaftConsensus::Bootstrap(const MembershipConfig& config) {
 
 Status RaftConsensus::Start() {
   if (started_) return Status::IllegalState("already started");
-  // Lease safety (§13.6) rests on pre-vote leader stickiness: a grantor's
-  // refusal to indulge pre-votes while its leader is fresh is what makes
-  // the grant a promise. Binding votes perform no leader-alive check, so
-  // leases without pre-vote would silently void the safety argument.
-  if (options_.enable_leader_leases && !options_.enable_pre_vote) {
-    return Status::InvalidArgument(
-        "enable_leader_leases requires enable_pre_vote: lease grants are "
-        "promised through pre-vote leader stickiness (DESIGN.md §13.6)");
-  }
   if (!options_.defer) {
     return Status::InvalidArgument(
         "RaftOptions::defer is required: it drives the group-commit sync "
@@ -174,9 +164,8 @@ Status RaftConsensus::Start() {
   // contact, which persists a term bump before the echo is sent.
   if (options_.enable_leader_leases &&
       (meta_.current_term > 0 || log_->LastOpId().index > 0)) {
-    vote_embargo_until_micros_ = clock_->NowMicros() +
-                                 options_.lease_duration_micros +
-                                 options_.lease_drift_margin_micros;
+    vote_embargo_until_micros_ =
+        clock_->NowMicros() + kLeaseDurationMicros + kLeaseDriftMarginMicros;
   }
   ResetElectionTimer();
   started_ = true;
@@ -266,22 +255,6 @@ void RaftConsensus::Tick() {
   if (TailSyncDropped()) ScheduleGroupSync();
 
   if (role_ == RaftRole::kLeader) {
-    if (options_.enable_auto_step_down && !peers_.empty()) {
-      std::set<MemberId> responsive{options_.self};
-      for (const auto& [peer_id, peer] : peers_) {
-        if (now < StepDownDueMicros(peer)) responsive.insert(peer_id);
-      }
-      if (!quorum_->IsCommitQuorumSatisfied(
-              MakeQuorumContext(options_.self), responsive)) {
-        m_.auto_step_downs->Increment();
-        MYRAFT_LOG(Warning)
-            << options_.self
-            << ": auto step down — commit quorum unreachable for "
-            << options_.auto_step_down_after_micros / 1000 << " ms";
-        StepDown(meta_.current_term, "", "");
-        return;
-      }
-    }
     for (auto& [peer_id, peer] : peers_) {
       if (!peer.inflight.empty() && now >= RpcTimeoutDueMicros(peer)) {
         // Oldest in-flight batch timed out: the whole window after it is
@@ -297,9 +270,10 @@ void RaftConsensus::Tick() {
     if (transfer_.has_value() && now >= TransferDueMicros()) {
       FailTransfer(Status::TimedOut("leadership transfer deadline"));
     }
-    // Leader-side read deadline: a leader cut off from its quorum (with
-    // auto step down off) would otherwise accumulate pending_reads_ and
-    // their captured callbacks unboundedly — clients gave up long ago.
+    // Leader-side read deadline: a leader cut off from its quorum never
+    // steps down on its own (§4.1), so it would otherwise accumulate
+    // pending_reads_ and their captured callbacks unboundedly — clients
+    // gave up long ago.
     while (!pending_reads_.empty() && now >= ReadDueMicros()) {
       PendingQuorumRead read = std::move(pending_reads_.front());
       pending_reads_.pop_front();
@@ -321,9 +295,7 @@ void RaftConsensus::Tick() {
   if (role_ == RaftRole::kLearner || !IsVoterSelf()) return;
   if (now >= LeaderTimeoutDueMicros()) {
     MYRAFT_LOG(Info) << options_.self << ": leader timed out, campaigning";
-    Status s = StartElection(options_.enable_pre_vote
-                                 ? ElectionMode::kPreVote
-                                 : ElectionMode::kRealElection);
+    Status s = StartElection(ElectionMode::kPreVote);
     if (!s.ok()) ResetElectionTimer();
   }
 }
@@ -336,20 +308,6 @@ uint64_t RaftConsensus::NextTickDueMicros() const {
 
   uint64_t due = UINT64_MAX;
   if (role_ == RaftRole::kLeader) {
-    if (options_.enable_auto_step_down && !peers_.empty()) {
-      // Tick() steps down at once if even every peer cannot form a commit
-      // quorum, and otherwise not before some peer stops counting as
-      // responsive.
-      std::set<MemberId> all{options_.self};
-      for (const auto& [peer_id, peer] : peers_) {
-        all.insert(peer_id);
-        due = std::min(due, StepDownDueMicros(peer));
-      }
-      if (!quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
-                                            all)) {
-        return 0;
-      }
-    }
     for (const auto& [peer_id, peer] : peers_) {
       due = std::min(due, SendDueMicros(peer));
       if (!peer.inflight.empty()) {
@@ -367,11 +325,6 @@ uint64_t RaftConsensus::NextTickDueMicros() const {
 
 bool RaftConsensus::TailSyncDropped() const {
   return !group_sync_scheduled_ && last_synced_index_ < log_->LastOpId().index;
-}
-
-uint64_t RaftConsensus::StepDownDueMicros(const PeerStatus& peer) const {
-  return ExceededAt(peer.last_response_micros,
-                    options_.auto_step_down_after_micros);
 }
 
 uint64_t RaftConsensus::RpcTimeoutDueMicros(const PeerStatus& peer) const {
@@ -598,10 +551,9 @@ bool RaftConsensus::LookupTermAt(uint64_t index, uint64_t* term) const {
 }
 
 void RaftConsensus::MaybeCompressPayloads(AppendEntriesRequest* request) {
-  if (options_.wire_compression_min_bytes == 0) return;
   uint64_t raw = 0;
   for (const auto& e : request->entries) raw += e.payload.size();
-  if (raw < options_.wire_compression_min_bytes) return;
+  if (raw < kWireCompressionMinBytes) return;
   std::vector<std::string> compressed(request->entries.size());
   uint64_t packed = 0;
   for (size_t i = 0; i < request->entries.size(); ++i) {
@@ -619,7 +571,6 @@ void RaftConsensus::MaybeCompressPayloads(AppendEntriesRequest* request) {
 bool RaftConsensus::TryFetchCompressed(uint64_t next_index,
                                        AppendEntriesRequest* request,
                                        uint64_t* raw_bytes) {
-  if (options_.wire_compression_min_bytes == 0) return false;
   const uint64_t last = log_->LastOpId().index;
   // Size the batch from the raw payloads first, with the fetch loop's
   // bounds: a batch too small to ship compressed is refused before any
@@ -633,7 +584,7 @@ bool RaftConsensus::TryFetchCompressed(uint64_t next_index,
     raw += cached->payload_size;
     ++end;
   }
-  if (end == next_index || raw < options_.wire_compression_min_bytes) {
+  if (end == next_index || raw < kWireCompressionMinBytes) {
     return false;
   }
   uint64_t packed = 0;
@@ -877,9 +828,10 @@ uint64_t RaftConsensus::LeaseDurationMicros() const {
   // proves no newer committed writes exist anywhere. The margin absorbs
   // follower clocks running fast.
   const uint64_t timeout = ElectionTimeoutMicros();
-  const uint64_t margin = options_.lease_drift_margin_micros;
-  const uint64_t cap = timeout > margin ? timeout - margin : 0;
-  return std::min(options_.lease_duration_micros, cap);
+  const uint64_t cap = timeout > kLeaseDriftMarginMicros
+                           ? timeout - kLeaseDriftMarginMicros
+                           : 0;
+  return std::min(kLeaseDurationMicros, cap);
 }
 
 void RaftConsensus::StampLease(AppendEntriesRequest* request) {
@@ -898,9 +850,9 @@ void RaftConsensus::RecordLeaseGrant(const AppendEntriesResponse& response,
   // Expiry arithmetic entirely on our own clock: the follower echoed OUR
   // send timestamp, the duration counts from it, and the drift margin
   // fences off follower clocks running up to margin/duration fast.
-  const uint64_t margin = options_.lease_drift_margin_micros;
   const uint64_t expiry = response.lease_granted_micros + LeaseDurationMicros();
-  const uint64_t fenced = expiry > margin ? expiry - margin : 0;
+  const uint64_t fenced =
+      expiry > kLeaseDriftMarginMicros ? expiry - kLeaseDriftMarginMicros : 0;
   if (fenced > peer->lease_expiry_micros) {
     peer->lease_expiry_micros = fenced;
     m_.lease_renewals->Increment();
@@ -1803,9 +1755,8 @@ void RaftConsensus::BecomeLeader() {
     // the deposed leader could still hold has provably expired. It
     // measured durations from ITS send timestamps, all at most "now", so
     // now + duration + margin outlasts them on any in-margin clock.
-    lease_serve_after_micros_ = clock_->NowMicros() +
-                                options_.lease_duration_micros +
-                                options_.lease_drift_margin_micros;
+    lease_serve_after_micros_ =
+        clock_->NowMicros() + kLeaseDurationMicros + kLeaseDriftMarginMicros;
   }
   meta_.last_known_leader = options_.self;
   meta_.last_leader_region = options_.region;

@@ -41,6 +41,27 @@
 
 namespace myraft::raft {
 
+/// Compress entry payloads on the wire when a batch carries at least this
+/// many payload bytes. Lossless; the entry checksum always covers the
+/// uncompressed payload, so corruption is still caught after inflation on
+/// the receiver.
+inline constexpr uint64_t kWireCompressionMinBytes = 1024;
+
+/// How long a leader lease grant lasts (DESIGN.md §13), measured on the
+/// leader's clock from the moment the granting request was SENT (the
+/// follower echoes the send timestamp back, so expiry arithmetic never
+/// mixes clocks). Clamped at use to the election timeout minus the drift
+/// margin: a follower's own election timer is what makes the grant a
+/// promise — it will not campaign (nor, via leader stickiness, indulge
+/// pre-votes) before the timeout elapses, so no rival leader can exist
+/// while a grant lives.
+inline constexpr uint64_t kLeaseDurationMicros = 1'200'000;
+/// Bounded-clock-drift safety margin (LeaseGuard): subtracted from every
+/// grant's leader-side expiry and added to a new leader's serve-after
+/// wait, covering follower clocks running fast by up to margin/duration
+/// in relative rate.
+inline constexpr uint64_t kLeaseDriftMarginMicros = 100'000;
+
 struct RaftOptions {
   MemberId self;
   RegionId region;
@@ -64,27 +85,12 @@ struct RaftOptions {
   /// paper's throughput numbers (§5, Fig. 5) assume the dissemination path
   /// is not ack-bound on WAN RTTs; 1 makes replication lock-step.
   size_t max_inflight_batches = 8;
-  /// Compress entry payloads on the wire when a batch carries at least
-  /// this many payload bytes (0 disables). Lossless; the entry checksum
-  /// always covers the uncompressed payload, so corruption is still
-  /// caught after inflation on the receiver.
-  uint64_t wire_compression_min_bytes = 1024;
-
-  bool enable_pre_vote = true;
   /// §4.3: run a mock election before TransferLeadership.
   bool enable_mock_election = true;
 
   /// Resident bytes of the log cache: raw payloads plus the compressed
   /// spans memoized for sends.
   uint64_t log_cache_capacity_bytes = 8ull << 20;
-
-  /// Extension (off by default, matching kuduraft — §4.1 notes it "does
-  /// not implement automatic step down" and the deployment waits out
-  /// partitions, choosing consistency over availability): when enabled, a
-  /// leader that cannot hear from a commit quorum for this long demotes
-  /// itself so clients fail fast to the next leader.
-  bool enable_auto_step_down = false;
-  uint64_t auto_step_down_after_micros = 3'000'000;
 
   /// Host-provided deferral hook, required (Start() rejects null): run
   /// `fn` after `delay_micros` once the current call stack unwinds (the
@@ -102,24 +108,10 @@ struct RaftOptions {
   /// marker-only heartbeat paths — no separate lease RPC); a leader
   /// holding unexpired grants from a commit quorum serves linearizable
   /// reads locally with zero quorum round-trips. Off by default; the
-  /// read path then falls back to a commit-barrier round (§13.2).
-  ///
-  /// Requires enable_pre_vote (§13.6): the grant promise is kept by
-  /// pre-vote leader stickiness, so Start() rejects leases without it.
+  /// read path then falls back to a commit-barrier round (§13.2). The
+  /// grant promise is kept by pre-vote leader stickiness (§13.6); every
+  /// election runs through pre-vote, so that holds by construction.
   bool enable_leader_leases = false;
-  /// How long a grant lasts, measured on the leader's clock from the
-  /// moment the granting request was SENT (the follower echoes the send
-  /// timestamp back, so expiry arithmetic never mixes clocks). Clamped
-  /// at use to the election timeout minus the drift margin: a follower's
-  /// own election timer is what makes the grant a promise — it will not
-  /// campaign (nor, via leader stickiness, indulge pre-votes) before the
-  /// timeout elapses, so no rival leader can exist while a grant lives.
-  uint64_t lease_duration_micros = 1'200'000;
-  /// Bounded-clock-drift safety margin (LeaseGuard): subtracted from
-  /// every grant's leader-side expiry and added to a new leader's
-  /// serve-after wait, covering follower clocks running fast by up to
-  /// margin/duration in relative rate.
-  uint64_t lease_drift_margin_micros = 100'000;
 
   /// FAULT INJECTION (chaos checker self-test only): a non-leader's log
   /// sync advances the durable horizon without fsyncing, so its held ack
@@ -489,7 +481,7 @@ class RaftConsensus {
   /// Zero-copy send: assemble a batch directly from the cache's memoized
   /// compressed spans (borrowed buffers, no inflate/re-encode). False when
   /// the batch isn't fully cached, its raw bytes are below
-  /// wire_compression_min_bytes (checked before compressing anything) or
+  /// kWireCompressionMinBytes (checked before compressing anything) or
   /// compression isn't profitable — the caller falls back to
   /// FetchEntriesFor.
   bool TryFetchCompressed(uint64_t next_index, AppendEntriesRequest* request,
@@ -583,8 +575,6 @@ class RaftConsensus {
   // NextTickDueMicros() takes the minimum of the same functions.
   /// The tail is unsynced and no group sync is scheduled for it.
   bool TailSyncDropped() const;
-  /// When `peer` stops counting as responsive for auto step down.
-  uint64_t StepDownDueMicros(const PeerStatus& peer) const;
   /// When `peer`'s oldest in-flight batch times out (window non-empty).
   uint64_t RpcTimeoutDueMicros(const PeerStatus& peer) const;
   /// When `peer` is sent an AppendEntries: now while entries or a commit
@@ -618,7 +608,6 @@ class RaftConsensus {
     metrics::Counter* duplicate_entries_received;
     metrics::Counter* cache_fallback_reads;
     metrics::Counter* step_downs;
-    metrics::Counter* auto_step_downs;
     /// Pipelining: sends skipped because a peer's window was full.
     metrics::Counter* pipeline_stalls;
     /// Responses discarded as stale (reordered acks from before a rewind).

@@ -111,15 +111,6 @@ void LogCache::TruncateAfter(uint64_t index) {
   }
 }
 
-void LogCache::EvictBefore(uint64_t index) {
-  for (auto it = entries_.begin();
-       it != entries_.end() && it->first < index;) {
-    Retire(it->second);
-    it = entries_.erase(it);
-    evictions_->Increment();
-  }
-}
-
 void LogCache::Clear() {
   entries_.clear();
   size_bytes_ = 0;

@@ -57,8 +57,6 @@ class LogCache {
 
   /// Drops entries with index > `index` (log truncation).
   void TruncateAfter(uint64_t index);
-  /// Drops entries with index < `index` (after durable replication).
-  void EvictBefore(uint64_t index);
   void Clear();
 
   /// Resident bytes: raw payloads plus memoized compressed spans.

@@ -65,7 +65,7 @@ Status SemiSyncCluster::Bootstrap() {
 
 Status SemiSyncCluster::StartNode(const MemberId& id) {
   Node* node = nodes_.at(id).get();
-  SemiSyncOptions server_options = options_.server_defaults;
+  SemiSyncOptions server_options;
   server_options.replicaset = options_.replicaset;
   server_options.id = id;
   server_options.region = node->region;

@@ -28,7 +28,6 @@ struct SemiSyncClusterOptions {
 
   uint64_t seed = 1;
   sim::NetworkOptions network;
-  SemiSyncOptions server_defaults;
 
   /// The modelled client, the same one ClusterOptions::client sets for
   /// the MyRaft arm.

@@ -175,7 +175,7 @@ void SemiSyncServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
   pending.opid = opid;
   pending.gtid = gtid;
   pending.done = std::move(done);
-  pending.deadline_micros = clock_->NowMicros() + options_.ack_timeout_micros;
+  pending.deadline_micros = clock_->NowMicros() + kSemiSyncAckTimeoutMicros;
   pending_[opid.index] = std::move(pending);
 
   for (const auto& [receiver_id, state] : receivers_) {
@@ -342,18 +342,13 @@ void SemiSyncServer::HandleAppendEntriesResponse(
   receiver.next_index =
       std::max(receiver.next_index, receiver.match_index + 1);
 
-  // Count semi-sync acks for pending commits.
+  // One acker's ack completes every pending commit it covers.
   if (ackers_.count(response.from) > 0) {
-    for (auto pending_it = pending_.begin(); pending_it != pending_.end();) {
-      if (pending_it->first > receiver.match_index) break;
-      PendingCommit& pending = pending_it->second;
-      if (++pending.acks >= options_.required_acks) {
-        PendingCommit ready = std::move(pending);
-        pending_it = pending_.erase(pending_it);
-        CompletePending(std::move(ready), /*degraded=*/false);
-      } else {
-        ++pending_it;
-      }
+    while (!pending_.empty() &&
+           pending_.begin()->first <= receiver.match_index) {
+      PendingCommit ready = std::move(pending_.begin()->second);
+      pending_.erase(pending_.begin());
+      CompletePending(std::move(ready), /*degraded=*/false);
     }
   }
   ShipTo(response.from);

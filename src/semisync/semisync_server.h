@@ -3,10 +3,10 @@
 // member of the legacy replicaset:
 //
 //  * the primary appends client transactions to its binlog and ships them
-//    to every receiver; the commit waits for `required_acks`
-//    acknowledgements from the designated semi-sync ackers (the in-region
-//    logtailers of Table 1), degrading to asynchronous commit after the
-//    ack timeout exactly like rpl_semi_sync_master_timeout;
+//    to every receiver; the commit waits for one acknowledgement from the
+//    designated semi-sync ackers (the in-region logtailers of Table 1),
+//    degrading to asynchronous commit after kSemiSyncAckTimeoutMicros
+//    exactly like rpl_semi_sync_master_timeout;
 //  * replicas append into their relay log and apply immediately (no
 //    consensus-commit marker — the well-known semi-sync caveat);
 //  * there are no elections: MakePrimary / MakeReplica / SetReadOnly are
@@ -44,11 +44,13 @@ struct SemiSyncOptions {
   std::string data_dir;
   uint32_t numeric_server_id = 0;
   Uuid server_uuid;
-
-  /// Semi-sync ack settings (rpl_semi_sync_master_*).
-  int required_acks = 1;
-  uint64_t ack_timeout_micros = 1'000'000;  // then degrade to async
 };
+
+/// rpl_semi_sync_master_timeout: a commit still unacked after this long
+/// degrades to async. The commit waits for one acker, as the prior setup's
+/// primary waits for one logtailer
+/// (rpl_semi_sync_master_wait_for_slave_count = 1).
+inline constexpr uint64_t kSemiSyncAckTimeoutMicros = 1'000'000;
 
 struct SemiSyncWriteResult {
   Status status;
@@ -134,7 +136,6 @@ class SemiSyncServer {
     OpId opid;
     binlog::Gtid gtid;
     SemiSyncWriteCallback done;
-    int acks = 0;
     uint64_t deadline_micros = 0;
   };
 

@@ -85,20 +85,6 @@ RegionId SimNetwork::RegionOf(const MemberId& id) const {
   return region_names_[slots_[index].region];
 }
 
-void SimNetwork::SetRegionLatency(const RegionId& a, const RegionId& b,
-                                  LatencyModel latency) {
-  const uint32_t ia = RegionIndex(a);
-  const uint32_t ib = RegionIndex(b);
-  const LatencyOverride wanted{std::min(ia, ib), std::max(ia, ib), latency};
-  for (LatencyOverride& o : latency_overrides_) {
-    if (o.a == wanted.a && o.b == wanted.b) {
-      o.latency = latency;
-      return;
-    }
-  }
-  latency_overrides_.push_back(wanted);
-}
-
 void SimNetwork::SetNodeUp(const MemberId& id, bool up) {
   slots_[SlotFor(id)].up = up;
 }
@@ -181,14 +167,6 @@ uint64_t SimNetwork::SampleLatency(uint32_t from_region, uint32_t to_region) {
   const LatencyModel* model = from_region == to_region
                                   ? &options_.same_region
                                   : &options_.cross_region;
-  const uint32_t a = std::min(from_region, to_region);
-  const uint32_t b = std::max(from_region, to_region);
-  for (const LatencyOverride& o : latency_overrides_) {
-    if (o.a == a && o.b == b) {
-      model = &o.latency;
-      break;
-    }
-  }
   uint64_t latency = model->base_micros;
   if (model->jitter_micros > 0) {
     latency += loop_->rng()->Uniform(model->jitter_micros);

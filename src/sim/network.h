@@ -30,8 +30,7 @@ struct LatencyModel {
 struct NetworkOptions {
   /// One-way latency within a region.
   LatencyModel same_region{150, 100};
-  /// One-way latency between distinct regions (uniform default; override
-  /// per pair with SetRegionLatency).
+  /// One-way latency between distinct regions.
   LatencyModel cross_region{15'000, 2'000};
   /// Probability each message is dropped (applied after partitions).
   double loss_rate = 0.0;
@@ -70,10 +69,6 @@ class SimNetwork {
   void UnregisterNode(const MemberId& id);
   bool IsRegistered(const MemberId& id) const;
   RegionId RegionOf(const MemberId& id) const;
-
-  /// Override latency for a specific (unordered) region pair.
-  void SetRegionLatency(const RegionId& a, const RegionId& b,
-                        LatencyModel latency);
 
   // --- Fault injection ----------------------------------------------------------
 
@@ -168,13 +163,6 @@ class SimNetwork {
     std::vector<Peer> peers;  // every destination this slot sent to
   };
 
-  /// A SetRegionLatency override, for region indexes a <= b.
-  struct LatencyOverride {
-    uint32_t a = 0;
-    uint32_t b = 0;
-    LatencyModel latency;
-  };
-
   /// The slot of `id`, created (unregistered, up) on first mention.
   uint32_t SlotFor(const MemberId& id);
   /// The slot of `id`, or -1 when the network has never heard of it.
@@ -207,7 +195,6 @@ class SimNetwork {
   std::vector<RegionId> region_names_;
   std::vector<char> region_partitioned_;  // per region index
   size_t partitioned_regions_ = 0;
-  std::vector<LatencyOverride> latency_overrides_;  // a handful at most
   std::unordered_set<uint64_t> cut_links_;     // PairKey(min, max) of slots
   std::unordered_set<uint64_t> one_way_cuts_;  // PairKey(from, to)
   mutable std::map<std::pair<RegionId, RegionId>, LinkStats> link_stats_;

@@ -84,23 +84,35 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
+/// Turns the streamed expression into void, so that both arms of the
+/// conditional in the macros below have one type. `&` binds looser than
+/// `<<` and tighter than `?:`.
+class Voidify {
+ public:
+  void operator&(std::ostream&) {}
+};
+
 }  // namespace internal_logging
 
-#define MYRAFT_LOG(level)                                              \
-  if (::myraft::LogLevel::k##level < ::myraft::GetMinLogLevel()) {     \
-  } else                                                               \
-    ::myraft::internal_logging::LogMessage(::myraft::LogLevel::k##level, \
-                                           __FILE__, __LINE__)         \
-        .stream()
+// Each macro is one expression, glog's `!(cond) ? (void)0 : Voidify() &
+// stream`: an `else` written after the macro binds to the caller's `if`,
+// and arguments streamed into a dropped line are never evaluated.
+#define MYRAFT_LOG(level)                                                 \
+  (::myraft::LogLevel::k##level < ::myraft::GetMinLogLevel())             \
+      ? (void)0                                                           \
+      : ::myraft::internal_logging::Voidify() &                           \
+            ::myraft::internal_logging::LogMessage(                       \
+                ::myraft::LogLevel::k##level, __FILE__, __LINE__)         \
+                .stream()
 
 /// Invariant check that survives NDEBUG: logs and aborts on violation.
-#define MYRAFT_CHECK(cond)                                      \
-  if (cond) {                                                   \
-  } else                                                        \
-    ::myraft::internal_logging::LogMessage(                     \
-        ::myraft::LogLevel::kFatal, __FILE__, __LINE__)         \
-            .stream()                                           \
-        << "Check failed: " #cond " "
+#define MYRAFT_CHECK(cond)                                                \
+  (cond) ? (void)0                                                        \
+         : ::myraft::internal_logging::Voidify() &                        \
+               ::myraft::internal_logging::LogMessage(                    \
+                   ::myraft::LogLevel::kFatal, __FILE__, __LINE__)        \
+                       .stream()                                          \
+                   << "Check failed: " #cond " "
 
 }  // namespace myraft
 

@@ -220,7 +220,9 @@ TEST_P(GtidSetPropertyTest, AlgebraInvariants) {
   for (const auto& [uuid, runs] : u.intervals()) {
     for (size_t i = 0; i < runs.size(); ++i) {
       EXPECT_LE(runs[i].start, runs[i].end);
-      if (i > 0) EXPECT_GT(runs[i].start, runs[i - 1].end + 1);
+      if (i > 0) {
+        EXPECT_GT(runs[i].start, runs[i - 1].end + 1);
+      }
     }
   }
 }

@@ -141,53 +141,45 @@ TEST(FleetHarnessTest, RollupNamespacesShardsAndSharesNetwork) {
   EXPECT_FALSE(rollup.counters.count("raft.elections_won"));
   // The shared network's counters ride along un-namespaced.
   EXPECT_TRUE(rollup.counters.count("net.dropped"));
-
-  EXPECT_EQ(fleet.FindShard("rs2"), 2);
-  EXPECT_EQ(fleet.FindShard("nope"), -1);
 }
 
-// --- Placement policy --------------------------------------------------------
+// --- Placement ---------------------------------------------------------------
 
-TEST(FleetHarnessTest, RebalanceConvergesFromSkewedPlacement) {
-  FleetOptions options = SmallFleet(9);
-  // Every ring starts at region0, so each shard's db0 voter lives there.
-  options.rotate_home_regions = false;
-  FleetHarness fleet(options, FlexiEngine());
+TEST(FleetHarnessTest, HomeRegionsRotateAndLeadersByRegionCounts) {
+  FleetHarness fleet(SmallFleet(9), FlexiEngine());
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_EQ(fleet.WaitForAllPrimaries(60 * kSecond), 9);
 
-  // Manufacture the maximally-skewed placement: park every ring's leader
-  // on its region0 db voter (initial election winners are whichever
+  // Shard s starts at region s % 3, so its db0 voter lives there. Park
+  // every ring's leader on its db0 (initial election winners are whichever
   // node's timeout fired first, not the home region).
-  const uint64_t skew_deadline = fleet.loop()->now() + 120 * kSecond;
-  while (fleet.LeadersByRegion()["region0"] < 9 &&
-         fleet.loop()->now() < skew_deadline) {
+  auto home = [](int s) { return "region" + std::to_string(s % 3); };
+  for (int s = 0; s < 9; ++s) {
+    const MemberId db0 = "rs" + std::to_string(s) + ".db0";
+    EXPECT_EQ(fleet.shard(s)->FindNode(db0)->region(), home(s)) << s;
+  }
+  const uint64_t deadline = fleet.loop()->now() + 120 * kSecond;
+  auto all_home = [&fleet, &home] {
     for (int s = 0; s < 9; ++s) {
-      if (fleet.shard(s)->PrimaryRegion() == "region0") continue;
+      if (fleet.shard(s)->PrimaryRegion() != home(s)) return false;
+    }
+    return true;
+  };
+  while (!all_home() && fleet.loop()->now() < deadline) {
+    for (int s = 0; s < 9; ++s) {
+      if (fleet.shard(s)->PrimaryRegion() == home(s)) continue;
       fleet.admin(s)->TransferLeadership("rs" + std::to_string(s) + ".db0");
     }
     fleet.loop()->RunFor(2 * kSecond);
   }
-  ASSERT_EQ(fleet.LeadersByRegion()["region0"], 9);
-  ASSERT_GE(fleet.LeaderImbalance(), 9);
-
-  // Drive rebalance ticks until the spread converges (transfers complete
-  // asynchronously, so tick + run + re-check).
-  const uint64_t deadline = fleet.loop()->now() + 120 * kSecond;
-  while (fleet.LeaderImbalance() > 1 && fleet.loop()->now() < deadline) {
-    fleet.RebalanceTick();
-    fleet.loop()->RunFor(2 * kSecond);
-  }
-  EXPECT_LE(fleet.LeaderImbalance(), 1);
+  ASSERT_TRUE(all_home());
   EXPECT_EQ(fleet.ShardsWithPrimary(), 9);
-  // 9 leaders over 3 regions, spread <= 1 => balanced 3/3/3.
+  // 9 home leaders over 3 regions => 3/3/3.
   std::map<RegionId, int> leaders = fleet.LeadersByRegion();
+  EXPECT_EQ(leaders.size(), 3u);
   EXPECT_EQ(leaders["region0"], 3);
   EXPECT_EQ(leaders["region1"], 3);
   EXPECT_EQ(leaders["region2"], 3);
-  EXPECT_GT(
-      fleet.fleet_metrics()->GetCounter("fleet.leader_transfers")->value(),
-      0u);
 }
 
 // --- Region-outage storm -----------------------------------------------------

@@ -233,9 +233,7 @@ TEST(ProxyClusterTest, ProxySavesCrossRegionBytes) {
 
 TEST(ProxyClusterTest, DeadRelayIsRoutedAround) {
   static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
-  ProxyOptions proxy_options;
-  proxy_options.relay_unhealthy_after_micros = 2 * kSecond;
-  ProxyCluster proxy_cluster(4242, proxy_options);
+  ProxyCluster proxy_cluster(4242, ProxyOptions{});
   proxy_cluster.AddPaperTopology();
   proxy_cluster.Start(&engine);
   RaftTestCluster* cluster = proxy_cluster.cluster();
@@ -267,7 +265,8 @@ TEST(ProxyClusterTest, DeadRelayIsRoutedAround) {
   ASSERT_FALSE(relay.empty());
   ASSERT_FALSE(downstream.empty());
   cluster->Crash(relay);
-  cluster->loop()->RunFor(3 * kSecond);  // let health tracking notice
+  // Let health tracking notice.
+  cluster->loop()->RunFor(kRelayUnhealthyAfterMicros + kSecond);
 
   OpId last;
   for (int i = 0; i < 10; ++i) {
@@ -284,9 +283,7 @@ TEST(ProxyClusterTest, DeadRelayIsRoutedAround) {
 
 TEST(ProxyClusterTest, MissingEntryDegradesToHeartbeatThenRecovers) {
   static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
-  ProxyOptions proxy_options;
-  proxy_options.reconstitute_wait_micros = 30'000;  // short wait
-  ProxyCluster proxy_cluster(11, proxy_options);
+  ProxyCluster proxy_cluster(11, ProxyOptions{});
   proxy_cluster.AddPaperTopology();
   proxy_cluster.Start(&engine);
   RaftTestCluster* cluster = proxy_cluster.cluster();
@@ -474,7 +471,6 @@ class RelayFinalHopTest : public ::testing::Test {
         env_(NewMemEnv()),
         meta_(env_.get(), "/m"),
         rng_(9) {
-    options_.reconstitute_wait_micros = 50'000;
     options_.metrics = &metrics_;
     router_ = std::make_unique<ProxyRouter>(
         "relay", "r1", options_, &loop_,
@@ -561,13 +557,13 @@ class RelayFinalHopTest : public ::testing::Test {
 
 TEST_F(RelayFinalHopTest, MissingEntryWaitsThenDegradesToHeartbeat) {
   // A PROXY_OP referencing an entry the relay does not have waits
-  // reconstitute_wait_micros, then degrades to a heartbeat (§4.2.1); if
+  // kReconstituteWaitMicros, then degrades to a heartbeat (§4.2.1); if
   // the relay's own replication stream delivers the entry during the wait
   // it is reconstituted at that instant instead.
 
   // Case 1: entry never arrives -> degrade at the deadline, not before.
   EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(9))));
-  loop_.RunFor(49'999);
+  loop_.RunFor(kReconstituteWaitMicros - 1);
   EXPECT_TRUE(sent_.empty());
   loop_.RunFor(1);
   ASSERT_EQ(sent_.size(), 1u);
@@ -593,7 +589,7 @@ TEST_F(RelayFinalHopTest, MissingEntryWaitsThenDegradesToHeartbeat) {
   const Histogram waits =
       metrics_.GetHistogram("proxy.reconstitute_wait_us")->histogram();
   EXPECT_EQ(waits.count(), 2u);
-  EXPECT_EQ(waits.max(), 50'000u);
+  EXPECT_EQ(waits.max(), kReconstituteWaitMicros);
   EXPECT_EQ(waits.min(), 20'000u);
 }
 
@@ -623,7 +619,7 @@ TEST_F(RelayFinalHopTest, ProxyOpsLeaveInArrivalOrder) {
   EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(20))));  // never comes
   loop_.RunFor(1'000);
   EXPECT_TRUE(router_->HandleInbound(Message(ProxyOp(9))));
-  loop_.RunFor(48'999);
+  loop_.RunFor(kReconstituteWaitMicros - 1'000 - 1);
   EXPECT_TRUE(sent_.empty());
   loop_.RunFor(1);
   ASSERT_EQ(sent_.size(), 2u);

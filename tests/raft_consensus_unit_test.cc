@@ -109,7 +109,6 @@ class ConsensusUnitTest : public ::testing::Test {
     RaftOptions options;
     options.self = "a";
     options.region = "r0";
-    options.enable_pre_vote = false;  // direct elections in unit tests
     options.defer = defer_.Hook();
     consensus_ = std::make_unique<RaftConsensus>(
         options, &faulty_log_, &quorum_, meta_store_.get(), &clock_, &rng_,
@@ -175,17 +174,11 @@ class ConsensusUnitTest : public ::testing::Test {
 
   /// Rebuilds `consensus_` with LeaseGuard leases on (fresh meta dir,
   /// same log/clock/outbox). Call before any appends.
-  void EnableLeases(uint64_t duration_micros = 1'200'000,
-                    uint64_t margin_micros = 100'000) {
+  void EnableLeases() {
     RaftOptions options;
     options.self = "a";
     options.region = "r0";
-    // Leases require pre-vote (Start() rejects the combination); tests
-    // still elect directly via StartElection(kRealElection).
-    options.enable_pre_vote = true;
     options.enable_leader_leases = true;
-    options.lease_duration_micros = duration_micros;
-    options.lease_drift_margin_micros = margin_micros;
     options.defer = defer_.Hook();
     lease_meta_store_ =
         std::make_unique<ConsensusMetadataStore>(env_.get(), "/cmeta-lease");
@@ -757,70 +750,14 @@ TEST_F(ConsensusUnitTest, MisaddressedMessagesIgnored) {
   EXPECT_TRUE(outbox_.sent.empty());
 }
 
-TEST_F(ConsensusUnitTest, AutoStepDownDisabledByDefault) {
+TEST_F(ConsensusUnitTest, PartitionedLeaderStaysLeader) {
   // Faithful to kuduraft: a fully partitioned leader stays leader (§4.1:
   // "we currently choose consistency over availability").
   BecomeLeader();
   clock_.AdvanceMicros(60'000'000);
   Tick();
   EXPECT_EQ(consensus_->role(), RaftRole::kLeader);
-  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.auto_step_downs"), 0u);
-}
-
-TEST(ConsensusAutoStepDownTest, EnabledLeaderDemotesWhenQuorumSilent) {
-  ManualClock clock;
-  Random rng(2);
-  auto env = NewMemEnv();
-  ConsensusMetadataStore store(env.get(), "/m");
-  MemLog log;
-  MajorityQuorumEngine quorum;
-  CapturingOutbox outbox;
-  RecordingListener listener;
-  RaftOptions options;
-  options.self = "a";
-  options.region = "r0";
-  options.enable_pre_vote = false;
-  options.enable_auto_step_down = true;
-  options.auto_step_down_after_micros = 2'000'000;
-  QueuedDefer defer;
-  options.defer = defer.Hook();
-  RaftConsensus consensus(options, &log, &quorum, &store, &clock, &rng,
-                          &outbox, &listener);
-  MembershipConfig config;
-  config.members = {
-      {"a", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
-      {"b", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
-      {"c", "r1", MemberKind::kMySql, RaftMemberType::kVoter},
-  };
-  ASSERT_TRUE(consensus.Bootstrap(config).ok());
-  ASSERT_TRUE(consensus.StartElection(ElectionMode::kRealElection).ok());
-  VoteResponse grant;
-  grant.from = "b";
-  grant.dest = "a";
-  grant.term = consensus.term();
-  grant.granted = true;
-  consensus.HandleMessage(Message(grant));
-  ASSERT_EQ(consensus.role(), RaftRole::kLeader);
-
-  // A responsive quorum keeps leadership.
-  clock.AdvanceMicros(1'500'000);
-  AppendEntriesResponse ack;
-  ack.from = "b";
-  ack.dest = "a";
-  ack.term = consensus.term();
-  ack.success = true;
-  ack.last_received = consensus.last_logged();
-  consensus.HandleMessage(Message(ack));
-  consensus.Tick();
-  EXPECT_EQ(consensus.role(), RaftRole::kLeader);
-
-  // Total silence past the window: demote.
-  clock.AdvanceMicros(2'500'000);
-  consensus.Tick();
-  EXPECT_EQ(consensus.role(), RaftRole::kFollower);
-  EXPECT_EQ(MetricValue(consensus.metrics(), "raft.auto_step_downs"), 1u);
-  EXPECT_EQ(listener.lost, 1);
-  EXPECT_EQ(consensus.term(), 1u);  // no gratuitous term bump
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.step_downs"), 0u);
 }
 
 TEST_F(ConsensusUnitTest, VotesDeniedToRemovedCandidates) {
@@ -868,7 +805,7 @@ TEST_F(ConsensusUnitTest, LeaseReadsNeedQuorumOfFreshGrants) {
 
   // Skip past the deferred-handoff window, then gather fresh grants:
   // self plus b's echo satisfy the 2-of-3 commit quorum.
-  clock_.AdvanceMicros(1'300'001);
+  clock_.AdvanceMicros(kLeaseDurationMicros + kLeaseDriftMarginMicros + 1);
   const uint64_t sent = SendStampedHeartbeats();
   EXPECT_FALSE(consensus_->HasValidLease());
   AckAll("b", sent);
@@ -887,7 +824,7 @@ TEST_F(ConsensusUnitTest, LeaseReadsNeedQuorumOfFreshGrants) {
 
   // Grants age out (duration minus drift margin after the stamp); the
   // lease must lapse on its own, bounding any stale window.
-  clock_.AdvanceMicros(1'200'000);
+  clock_.AdvanceMicros(kLeaseDurationMicros);
   EXPECT_FALSE(consensus_->HasValidLease());
 }
 
@@ -924,7 +861,7 @@ TEST_F(ConsensusUnitTest, DeposedLeaseholderRefusesReadsImmediately) {
   EnableLeases();
   BecomeLeader();
   AckAll("b", 0);
-  clock_.AdvanceMicros(1'300'001);
+  clock_.AdvanceMicros(kLeaseDurationMicros + kLeaseDriftMarginMicros + 1);
   AckAll("b", SendStampedHeartbeats());
   ASSERT_TRUE(consensus_->HasValidLease());
 
@@ -1035,8 +972,8 @@ TEST_F(ConsensusUnitTest, PendingReadsFailAfterDeadline) {
   consensus_->LinearizableRead(
       [&](const RaftConsensus::ReadResult& r) { read = r; done = true; });
   EXPECT_FALSE(done);
-  // Quorum never answers (leader partitioned, auto step down off): the
-  // callback must not be parked forever.
+  // Quorum never answers (leader partitioned; it never steps down on its
+  // own, §4.1): the callback must not be parked forever.
   clock_.AdvanceMicros(2'400'000);  // < rpc timeout + election timeout
   Tick();
   EXPECT_FALSE(done);
@@ -1047,24 +984,20 @@ TEST_F(ConsensusUnitTest, PendingReadsFailAfterDeadline) {
   EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.reads_timed_out"), 1u);
 }
 
-TEST_F(ConsensusUnitTest, LeasesRequirePreVote) {
-  RaftOptions options;
-  options.self = "a";
-  options.region = "r0";
-  options.defer = defer_.Hook();
-  options.enable_pre_vote = false;
-  options.enable_leader_leases = true;
-  auto store =
-      std::make_unique<ConsensusMetadataStore>(env_.get(), "/cmeta-nopv");
-  RaftConsensus bad(options, &faulty_log_, &quorum_, store.get(), &clock_,
-                    &rng_, &outbox_, &listener_);
-  MembershipConfig config;
-  config.members = {
-      {"a", "r0", MemberKind::kMySql, RaftMemberType::kVoter},
-  };
-  // Lease safety rests on pre-vote stickiness; the combination must be
-  // rejected at startup, not silently weakened.
-  EXPECT_TRUE(bad.Bootstrap(config).IsInvalidArgument());
+TEST_F(ConsensusUnitTest, LeaseHolderCampaignsThroughPreVote) {
+  // Lease safety rests on pre-vote stickiness (§13.6): a follower whose
+  // leader times out asks for pre-votes first and touches neither its
+  // term nor its vote until a pre-vote quorum answers.
+  EnableLeases();
+  outbox_.sent.clear();
+  clock_.AdvanceMicros(10'000'000);  // past any jittered election timeout
+  Tick();
+  const auto request = outbox_.Last<VoteRequest>();
+  EXPECT_TRUE(request.pre_vote);
+  EXPECT_EQ(request.term, 1u);  // the term it would campaign in
+  EXPECT_EQ(consensus_->term(), 0u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.pre_votes_started"), 1u);
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.elections_started"), 0u);
 }
 
 TEST_F(ConsensusUnitTest, StartRequiresDefer) {
@@ -1098,10 +1031,7 @@ TEST_F(ConsensusUnitTest, RestartEmbargoesVotesThroughGrantWindow) {
   options.self = "a";
   options.region = "r0";
   options.defer = defer_.Hook();
-  options.enable_pre_vote = true;
   options.enable_leader_leases = true;
-  options.lease_duration_micros = 1'200'000;
-  options.lease_drift_margin_micros = 100'000;
   RaftConsensus restarted(options, &faulty_log_, &quorum_,
                           lease_meta_store_.get(), &clock_, &rng_, &outbox_,
                           &listener_);
@@ -1125,7 +1055,7 @@ TEST_F(ConsensusUnitTest, RestartEmbargoesVotesThroughGrantWindow) {
 
   // Once duration + margin has passed, every possible grant has expired
   // and normal vote rules resume.
-  clock_.AdvanceMicros(1'300'001);
+  clock_.AdvanceMicros(kLeaseDurationMicros + kLeaseDriftMarginMicros + 1);
   restarted.HandleMessage(Message(pre));
   response = outbox_.Last<VoteResponse>();
   EXPECT_TRUE(response.granted);
@@ -1148,7 +1078,7 @@ TEST_F(ConsensusUnitTest, LeadershipTransferRevokesLease) {
   EnableLeases();
   BecomeLeader();
   AckAll("b", 0);
-  clock_.AdvanceMicros(1'300'001);
+  clock_.AdvanceMicros(kLeaseDurationMicros + kLeaseDriftMarginMicros + 1);
   const uint64_t sent = SendStampedHeartbeats();
   AckAll("b", sent);
   ASSERT_TRUE(consensus_->HasValidLease());

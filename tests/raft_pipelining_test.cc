@@ -49,7 +49,6 @@ class PipeliningTest : public ::testing::Test {
         std::make_unique<ConsensusMetadataStore>(env_.get(), "/cmeta");
     options.self = "a";
     options.region = "r0";
-    options.enable_pre_vote = false;
     options.defer = defer_.Hook();
     consensus_ = std::make_unique<RaftConsensus>(
         options, &log_, &quorum_, meta_store_.get(), &clock_, &rng_,
@@ -75,12 +74,13 @@ class PipeliningTest : public ::testing::Test {
     outbox_.sent.clear();
   }
 
-  /// Pipeline-friendly options: one entry per batch, window of 4.
+  /// Pipeline-friendly options: one entry per batch, window of 4. The
+  /// tests' one-byte payloads stay far below kWireCompressionMinBytes, so
+  /// batches ship raw unless a test replicates a larger payload.
   RaftOptions SmallBatchOptions() {
     RaftOptions options;
     options.max_entries_per_rpc = 1;
     options.max_inflight_batches = 4;
-    options.wire_compression_min_bytes = 0;  // off unless a test opts in
     return options;
   }
 
@@ -327,9 +327,7 @@ TEST_F(PipeliningTest, TermBumpMidWindowStepsDown) {
 }
 
 TEST_F(PipeliningTest, LargeBatchesCompressedOnTheWire) {
-  RaftOptions options = SmallBatchOptions();
-  options.wire_compression_min_bytes = 64;
-  Start(options);
+  Start(SmallBatchOptions());
   const std::string compressible(4096, 'z');
   Replicate(1, compressible);
   auto to_b = outbox_.AppendsTo("b");
@@ -345,10 +343,27 @@ TEST_F(PipeliningTest, LargeBatchesCompressedOnTheWire) {
   EXPECT_GE(MetricValue(consensus_->metrics(), "raft.zero_copy_batches"), 1u);
 }
 
+TEST_F(PipeliningTest, CompressionStartsAtTheThreshold) {
+  Start(SmallBatchOptions());
+  // One byte short of kWireCompressionMinBytes ships raw; the threshold
+  // itself ships compressed.
+  Replicate(1, std::string(kWireCompressionMinBytes - 1, 'z'));
+  Replicate(1, std::string(kWireCompressionMinBytes, 'z'));
+  auto to_b = outbox_.AppendsTo("b");
+  ASSERT_EQ(to_b.size(), 2u);
+  EXPECT_FALSE(to_b[0].entries_compressed);
+  EXPECT_EQ(to_b[0].entries[0].payload_bytes().size(),
+            kWireCompressionMinBytes - 1);
+  EXPECT_TRUE(to_b[1].entries_compressed);
+  EXPECT_LT(to_b[1].entries[0].payload_bytes().size(),
+            kWireCompressionMinBytes);
+  // One compressed batch each for b and c.
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.wire_batches_compressed"),
+            2u);
+}
+
 TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {
-  RaftOptions options;
-  options.enable_pre_vote = false;
-  Start(options);  // "a" is leader; step it down to follow "b" at term 9
+  Start(RaftOptions());  // "a" is leader; step it down to follow "b" at term 9
   const std::string payload(2048, 'q');
   LogEntry entry = LogEntry::Make({9, 2}, EntryType::kNoOp, payload);
   // Wire form: payload LzCompress'd, checksum still over the original.
@@ -373,9 +388,7 @@ TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {
 }
 
 TEST_F(PipeliningTest, CorruptCompressedBatchRejectedNotApplied) {
-  RaftOptions options;
-  options.enable_pre_vote = false;
-  Start(options);
+  Start(RaftOptions());
   // Garbage, and a decompression bomb: a block declaring 8 bytes whose
   // match would expand to 2^34 (it used to abort the process).
   std::string bomb;

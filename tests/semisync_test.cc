@@ -58,7 +58,8 @@ TEST(SemiSyncClusterTest, AsyncReplicasCatchUpAndApplyImmediately) {
 
 TEST(SemiSyncClusterTest, DegradesToAsyncWhenAckersDie) {
   auto options = DefaultOptions(7);
-  options.server_defaults.ack_timeout_micros = 300'000;
+  // The client waits out the ack timeout (kSemiSyncAckTimeoutMicros).
+  options.client.timeout_micros = 2 * kSecond;
   SemiSyncCluster cluster(options);
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_TRUE(cluster.SyncWrite("before", "v").status.ok());
@@ -69,7 +70,8 @@ TEST(SemiSyncClusterTest, DegradesToAsyncWhenAckersDie) {
   cluster.Crash("lt0b");
   auto result = cluster.SyncWrite("after", "v", 3 * kSecond);
   ASSERT_TRUE(result.status.ok()) << result.status;
-  EXPECT_GT(result.latency_micros, 300'000u);  // paid the ack timeout
+  // Paid the ack timeout.
+  EXPECT_GT(result.latency_micros, kSemiSyncAckTimeoutMicros);
   EXPECT_GT(MetricValue(cluster.node_metrics("db0"),
                         "semisync.commits_degraded_to_async"),
             0u);
@@ -151,7 +153,8 @@ TEST(SemiSyncClusterTest, DeposedPrimaryIsFencedByGeneration) {
 
 TEST(SemiSyncClusterTest, DivergedTailIsHealedOnRejoin) {
   auto options = DefaultOptions(11);
-  options.server_defaults.ack_timeout_micros = 200'000;
+  // The client waits out the ack timeout (kSemiSyncAckTimeoutMicros).
+  options.client.timeout_micros = 2 * kSecond;
   SemiSyncCluster cluster(options);
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_TRUE(cluster.SyncWrite("shared", "v").status.ok());

@@ -1,6 +1,6 @@
-// Message-level unit tests for SemiSyncServer: ack counting, multi-ack
-// configs, rewind on receiver mismatch, degrade timing, and fencing —
-// complementing the cluster-level semisync_test.
+// Message-level unit tests for SemiSyncServer: ack counting (acker versus
+// plain receiver acks), rewind on receiver mismatch, degrade timing, and
+// fencing — complementing the cluster-level semisync_test.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +31,6 @@ class SemiSyncUnitTest : public ::testing::Test {
     options.data_dir = "/" + id;
     options.server_uuid = Uuid::FromIndex(id[0]);
     options.numeric_server_id = static_cast<uint32_t>(id[0]);
-    options.ack_timeout_micros = 1'000'000;
     auto server = SemiSyncServer::Create(
         env_.get(), options, &clock_, &metrics_[id],
         [this](Message m) { wire_.push_back(std::move(m)); });
@@ -99,43 +98,30 @@ TEST_F(SemiSyncUnitTest, CommitRequiresConfiguredAcks) {
   EXPECT_EQ(primary_->Read("d.t", "k"), "k=v");
 }
 
-TEST_F(SemiSyncUnitTest, RequiredAcksTwoNeedsBothAckers) {
-  // Reconfigure the primary to require two semi-sync acks.
-  SemiSyncOptions options = primary_->options();
-  // (options are value-copied at Create; build a fresh primary)
-  auto env = NewMemEnv();
-  options.data_dir = "/p2";
-  options.required_acks = 2;
-  std::vector<Message> wire;
-  metrics::MetricRegistry metrics;
-  auto primary = SemiSyncServer::Create(
-      env.get(), options, &clock_, &metrics,
-      [&wire](Message m) { wire.push_back(std::move(m)); });
-  ASSERT_TRUE(primary.ok());
-  ASSERT_TRUE((*primary)->MakePrimary(1, {"la", "lb"}, {"la", "lb"}).ok());
-
-  bool committed = false;
-  binlog::RowOperation op;
-  op.kind = binlog::RowOperation::Kind::kInsert;
-  op.database = "d";
-  op.table = "t";
-  op.after_image = "k=v";
-  (*primary)->SubmitWrite({op}, [&committed](const SemiSyncWriteResult& r) {
-    committed = r.status.ok();
-  });
-  // Hand-craft the first acker's ack: not enough.
+TEST_F(SemiSyncUnitTest, OneAckerAckCommitsAndAReceiverAckDoesNot) {
+  // "la" receives the stream but is no semi-sync acker; "lb" is the one
+  // acker whose ack the commit waits for.
+  ASSERT_TRUE(primary_->MakePrimary(1, {"la", "lb"}, {"lb"}).ok());
+  auto first = std::make_shared<SemiSyncWriteResult>();
+  auto second = std::make_shared<SemiSyncWriteResult>();
+  Write("k1", first);
+  Write("k2", second);
+  // Hand-craft the receiver's ack of both writes: not enough.
   AppendEntriesResponse ack;
   ack.from = "la";
-  ack.dest = "p2";
-  ack.dest = (*primary)->options().id;
+  ack.dest = "p";
   ack.term = 1;
   ack.success = true;
-  ack.last_received = (*primary)->LastLogged();
-  (*primary)->HandleMessage(Message(ack));
-  EXPECT_FALSE(committed);
+  ack.last_received = primary_->LastLogged();
+  primary_->HandleMessage(Message(ack));
+  EXPECT_TRUE(first->status.IsTimedOut());
+  EXPECT_TRUE(second->status.IsTimedOut());
+  // The acker's one ack covers both.
   ack.from = "lb";
-  (*primary)->HandleMessage(Message(ack));
-  EXPECT_TRUE(committed);
+  primary_->HandleMessage(Message(ack));
+  EXPECT_TRUE(first->status.ok());
+  EXPECT_TRUE(second->status.ok());
+  EXPECT_FALSE(second->degraded_to_async);
 }
 
 TEST_F(SemiSyncUnitTest, AckTimeoutDegradesToAsync) {
@@ -143,7 +129,7 @@ TEST_F(SemiSyncUnitTest, AckTimeoutDegradesToAsync) {
   auto result = std::make_shared<SemiSyncWriteResult>();
   Write("k", result);
   wire_.clear();  // the shipment is lost: no acks will ever come
-  clock_.AdvanceMicros(1'100'000);
+  clock_.AdvanceMicros(kSemiSyncAckTimeoutMicros + 100'000);
   primary_->Tick();
   EXPECT_TRUE(result->status.ok());
   EXPECT_TRUE(result->degraded_to_async);

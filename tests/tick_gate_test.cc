@@ -3,8 +3,9 @@
 // no-op — no event scheduled, no change in the structured status, no
 // metric moved. A scripted ring walks through every timer the gate
 // mirrors: bootstrap, writes, lease and follower reads, graceful and
-// timed-out transfers, an RPC timeout behind a partition, auto step-down
-// with a parked quorum read, a crash/restart, and a learner throughout.
+// timed-out transfers, an RPC timeout behind a partition, a cut-off
+// leader with a parked quorum read, a crash/restart, and a learner
+// throughout.
 // Timer-driven ticks: an input at a grid instant ticks at the node's next
 // slot that has not run, and an idle learner pops almost no tick events.
 
@@ -42,9 +43,6 @@ class TickGateTest : public ::testing::Test {
     options.topology.logtailers_per_db = 2;
     options.topology.learners = 1;
     options.raft.enable_leader_leases = true;
-    options.raft.enable_auto_step_down = true;
-    // Past the 2.5 s read deadline, so a parked read times out first.
-    options.raft.auto_step_down_after_micros = 5 * kSecond;
     cluster_ = std::make_unique<ClusterHarness>(options, FlexiEngine());
     ASSERT_TRUE(cluster_->Bootstrap().ok());
   }
@@ -175,17 +173,22 @@ TEST_F(TickGateTest, ShutGateMeansTickIsANoOp) {
   cluster_->network()->SetNodeUp(unreachable, true);
   RunAudited(3 * kSecond);
 
-  // Cut off the leader itself: its lease runs out, a read parks in a
-  // quorum round until its deadline, and auto step-down demotes it while
-  // the rest of the ring elects a successor.
+  // Cut off the leader itself: its lease runs out and a read parks in a
+  // quorum round until its deadline, while the rest of the ring elects a
+  // successor. The cut-off leader never steps down on its own (§4.1); the
+  // heal's higher term deposes it.
+  const uint64_t step_downs = Counter(second, "raft.step_downs");
   cluster_->network()->SetNodeUp(second, false);
   RunAudited(2 * kSecond);
   Read("k1", ReadMode::kLeader, second);
   RunAudited(6 * kSecond);
   EXPECT_GT(Counter(second, "raft.reads_timed_out"), 0u);
-  EXPECT_GT(Counter(second, "raft.auto_step_downs"), 0u);
+  EXPECT_EQ(Counter(second, "raft.step_downs"), step_downs);
+  EXPECT_EQ(cluster_->node(second)->server_view()->db_role(),
+            DbRole::kPrimary);
   cluster_->network()->SetNodeUp(second, true);
   RunAudited(6 * kSecond);
+  EXPECT_GT(Counter(second, "raft.step_downs"), step_downs);
   const MemberId third = cluster_->CurrentPrimary();
   ASSERT_FALSE(third.empty());
 

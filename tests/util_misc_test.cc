@@ -1,9 +1,14 @@
-// Tests for Status/Result, Slice, CRC32C, Random, UUID and string helpers.
+// Tests for Status/Result, Slice, CRC32C, Random, UUID, string helpers and
+// the logging macros.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/crc32c.h"
 #include "util/histogram.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/slice.h"
@@ -237,6 +242,62 @@ TEST(StringUtilTest, ParseUint64) {
   EXPECT_FALSE(ParseUint64("", &v));
   EXPECT_FALSE(ParseUint64("12a", &v));
   EXPECT_FALSE(ParseUint64("-1", &v));
+}
+
+/// Collects emitted lines for one test and restores the sink and level.
+class LogCapture {
+ public:
+  explicit LogCapture(LogLevel min_level) : saved_level_(GetMinLogLevel()) {
+    SetMinLogLevel(min_level);
+    SetLogSink([this](LogLevel, const std::string& line) {
+      lines_.push_back(line);
+    });
+  }
+  ~LogCapture() {
+    SetLogSink(nullptr);
+    SetMinLogLevel(saved_level_);
+  }
+  const std::vector<std::string>& lines() const { return lines_; }
+
+ private:
+  LogLevel saved_level_;
+  std::vector<std::string> lines_;
+};
+
+TEST(LoggingTest, DroppedLineEvaluatesNoArgument) {
+  LogCapture capture(LogLevel::kWarning);
+  int evaluated = 0;
+  auto next = [&evaluated] { return ++evaluated; };
+  MYRAFT_LOG(Info) << "dropped " << next();
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_TRUE(capture.lines().empty());
+  MYRAFT_LOG(Warning) << "kept " << next();
+  EXPECT_EQ(evaluated, 1);
+  ASSERT_EQ(capture.lines().size(), 1u);
+  EXPECT_NE(capture.lines()[0].find("kept 1"), std::string::npos);
+}
+
+TEST(LoggingTest, ElseAfterTheMacroBindsToTheCallersIf) {
+  LogCapture capture(LogLevel::kInfo);
+  for (const bool logged : {true, false}) {
+    bool else_ran = false;
+    if (logged)
+      MYRAFT_LOG(Info) << "taken";
+    else
+      else_ran = true;
+    EXPECT_EQ(else_ran, !logged);
+  }
+  // Below the minimum level the line is dropped, and still the else
+  // belongs to the outer if.
+  SetMinLogLevel(LogLevel::kError);
+  bool else_ran = false;
+  if (true)
+    MYRAFT_LOG(Info) << "dropped";
+  else
+    else_ran = true;
+  EXPECT_FALSE(else_ran);
+  ASSERT_EQ(capture.lines().size(), 1u);
+  EXPECT_NE(capture.lines()[0].find("taken"), std::string::npos);
 }
 
 TEST(HistogramTest, BasicStats) {
