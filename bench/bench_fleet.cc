@@ -307,8 +307,7 @@ int RunFleetBench(const FleetArgs& args) {
       "\"latency\":%s},"
       "\"storm\":{\"leaders_in_region0\":%d,\"recovered\":%d,"
       "\"recovery_ms\":%llu,\"healed\":%d,\"consistent\":%s},"
-      "\"fleet_counters\":{\"elections_won\":%llu,"
-      "\"leader_transfers\":%llu},"
+      "\"fleet_counters\":{\"elections_won\":%llu},"
       "\"ticks\":{\"events\":%llu,\"run\":%llu,\"early\":%llu,"
       "\"events_per_node_sim_s\":%.3f},"
       "\"loop\":{\"events\":%llu,\"events_per_sim_s\":%.0f},"
@@ -322,7 +321,6 @@ int RunFleetBench(const FleetArgs& args) {
       (unsigned long long)(storm_recovery_micros / 1000), healed,
       consistent ? "true" : "false",
       (unsigned long long)rollup_counter("raft.elections_won"),
-      (unsigned long long)rollup_counter("fleet.leader_transfers"),
       (unsigned long long)tick_events, (unsigned long long)ticks_run,
       (unsigned long long)ticks_early, tick_events_per_node_sim_s,
       (unsigned long long)loop_events, loop_events_per_sim_s,

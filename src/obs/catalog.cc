@@ -117,8 +117,6 @@ const MetricInfo kCatalog[] = {
      "Replication windows rewound after a rejection"},
     {"raft.wire_batches_compressed", "counter", "raft",
      "AppendEntries batches shipped compressed"},
-    {"raft.zero_copy_batches", "counter", "raft",
-     "AppendEntries batches shipped zero-copy from the cache"},
     {"semisync.commits_degraded_to_async", "counter", "semisync",
      "Semi-sync commits that gave up on the ack and committed async"},
     {"semisync.detections", "counter", "semisync",

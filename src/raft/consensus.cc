@@ -91,7 +91,6 @@ RaftConsensus::RaftConsensus(RaftOptions options, LogAbstraction* log,
   m_.window_rewinds = metrics_->GetCounter("raft.window_rewinds");
   m_.wire_batches_compressed =
       metrics_->GetCounter("raft.wire_batches_compressed");
-  m_.zero_copy_batches = metrics_->GetCounter("raft.zero_copy_batches");
   m_.group_syncs = metrics_->GetCounter("raft.group_syncs");
   m_.group_sync_coalesced =
       metrics_->GetCounter("raft.group_sync_coalesced");
@@ -397,52 +396,6 @@ Status RaftConsensus::AppendToLocalLog(const LogEntry& entry) {
   return Status::OK();
 }
 
-Result<std::vector<LogEntry>> RaftConsensus::FetchEntriesFor(
-    uint64_t next_index, uint64_t* prev_term) {
-  // Preceding entry's term for the log-matching check.
-  if (next_index == 1) {
-    *prev_term = 0;
-  } else {
-    auto prev = log_->OpIdAt(next_index - 1);
-    if (prev.ok()) {
-      *prev_term = prev->term;
-    } else {
-      auto cached = cache_.Get(next_index - 1);
-      if (!cached.ok()) {
-        return Status::NotFound(
-            "previous entry unavailable (member needs re-provisioning)");
-      }
-      *prev_term = cached->id.term;
-    }
-  }
-
-  std::vector<LogEntry> entries;
-  uint64_t bytes = 0;
-  uint64_t index = next_index;
-  const uint64_t last = log_->LastOpId().index;
-  while (index <= last && entries.size() < options_.max_entries_per_rpc &&
-         bytes < kMaxBytesPerRpc) {
-    auto cached = cache_.Get(index);
-    if (cached.ok()) {
-      bytes += cached->payload.size();
-      entries.push_back(std::move(*cached));
-      ++index;
-      continue;
-    }
-    // Cache miss: the follower lags behind the in-memory cache; read the
-    // historical log files through the log abstraction (§3.1) for the rest
-    // of this batch's budget.
-    m_.cache_fallback_reads->Increment();
-    auto batch = log_->ReadBatch(index,
-                                 options_.max_entries_per_rpc - entries.size(),
-                                 kMaxBytesPerRpc - bytes);
-    if (!batch.ok()) return batch.status();
-    for (auto& e : *batch) entries.push_back(std::move(e));
-    break;  // ReadBatch returned everything it could within budget
-  }
-  return entries;
-}
-
 void RaftConsensus::CancelInflight(PeerStatus* peer) {
   if (options_.tracer != nullptr) {
     for (const InflightBatch& batch : peer->inflight) {
@@ -550,78 +503,91 @@ bool RaftConsensus::LookupTermAt(uint64_t index, uint64_t* term) const {
   return false;
 }
 
-void RaftConsensus::MaybeCompressPayloads(AppendEntriesRequest* request) {
-  uint64_t raw = 0;
-  for (const auto& e : request->entries) raw += e.payload.size();
-  if (raw < kWireCompressionMinBytes) return;
-  std::vector<std::string> compressed(request->entries.size());
-  uint64_t packed = 0;
-  for (size_t i = 0; i < request->entries.size(); ++i) {
-    LzCompress(request->entries[i].payload, &compressed[i]);
-    packed += compressed[i].size();
-  }
-  if (packed >= raw) return;  // incompressible payloads: send as-is
-  for (size_t i = 0; i < request->entries.size(); ++i) {
-    request->entries[i].payload = std::move(compressed[i]);
-  }
-  request->entries_compressed = true;
-  m_.wire_batches_compressed->Increment();
-}
-
-bool RaftConsensus::TryFetchCompressed(uint64_t next_index,
+Status RaftConsensus::BuildAppendBatch(uint64_t next_index,
+                                       uint64_t* prev_term,
                                        AppendEntriesRequest* request,
                                        uint64_t* raw_bytes) {
-  const uint64_t last = log_->LastOpId().index;
-  // Size the batch from the raw payloads first, with the fetch loop's
-  // bounds: a batch too small to ship compressed is refused before any
-  // entry is compressed.
-  uint64_t raw = 0;
-  uint64_t end = next_index;
-  while (end <= last && end - next_index < options_.max_entries_per_rpc &&
-         raw < kMaxBytesPerRpc) {
-    auto cached = cache_.Peek(end);
-    if (!cached.has_value()) return false;  // not fully cached: fall back
-    raw += cached->payload_size;
-    ++end;
+  // Preceding entry's term for the log-matching check.
+  if (!LookupTermAt(next_index - 1, prev_term)) {
+    return Status::NotFound(
+        "previous entry unavailable (member needs re-provisioning)");
   }
-  if (end == next_index || raw < kWireCompressionMinBytes) {
-    return false;
-  }
-  uint64_t packed = 0;
-  std::vector<LogEntry> entries;
-  entries.reserve(end - next_index);
-  for (uint64_t index = next_index; index < end; ++index) {
-    auto cached = cache_.GetCompressed(index);  // found by the size pass
-    LogEntry entry;
-    entry.id = cached->id;
-    entry.type = cached->type;
-    entry.checksum = cached->checksum;
-    entry.shared_payload = std::move(cached->compressed);
-    packed += entry.shared_payload->size();
-    entries.push_back(std::move(entry));
-  }
-  // Same profitability rule as MaybeCompressPayloads, decided from the
-  // cached spans alone — no inflate, no byte copies.
-  if (packed >= raw) return false;
-  request->entries = std::move(entries);
-  request->entries_compressed = true;
-  *raw_bytes = raw;
-  m_.wire_batches_compressed->Increment();
-  m_.zero_copy_batches->Increment();
-  return true;
-}
 
-void RaftConsensus::SendMarkerOnlyHeartbeat(const MemberId& peer_id,
-                                            PeerStatus* peer) {
-  // Anchor prev at the peer's acked match point so the log-matching check
-  // passes regardless of what is still in flight ahead of it.
-  uint64_t prev_term = 0;
-  if (!LookupTermAt(peer->match_index, &prev_term)) return;
-  AppendEntriesRequest request;
-  FillAppendHeader(peer_id, peer, OpId{prev_term, peer->match_index},
-                   &request);
-  m_.marker_only_heartbeats->Increment();
-  SendToPeer(peer, std::move(request));
+  // Size the batch once: the cached run from next_index (Peek compresses
+  // nothing), then, if the cache ends first, the rest of the budget read
+  // from the historical log files through the log abstraction (§3.1).
+  const uint64_t last = log_->LastOpId().index;
+  const size_t max_entries = options_.max_entries_per_rpc;
+  uint64_t raw = 0;
+  uint64_t cached_end = next_index;
+  std::vector<LogEntry> disk;
+  while (cached_end <= last && cached_end - next_index < max_entries &&
+         raw < kMaxBytesPerRpc) {
+    auto cached = cache_.Peek(cached_end);
+    if (cached.has_value()) {
+      raw += cached->payload_size;
+      ++cached_end;
+      continue;
+    }
+    // The follower lags behind the cache. Get records the miss in
+    // log_cache.misses, as for any lookup that finds nothing.
+    (void)cache_.Get(cached_end);
+    m_.cache_fallback_reads->Increment();
+    auto batch =
+        log_->ReadBatch(cached_end, max_entries - (cached_end - next_index),
+                        kMaxBytesPerRpc - raw);
+    if (!batch.ok()) return batch.status();
+    disk = std::move(*batch);
+    for (const LogEntry& entry : disk) raw += entry.payload.size();
+    break;
+  }
+  *raw_bytes = raw;
+
+  // One compression decision per batch, from its raw size: compressed
+  // when at least kWireCompressionMinBytes and the packed bytes are
+  // fewer. Cached entries lend the cache's memoized span (borrowed, so
+  // each is compressed at most once per node); only disk reads are
+  // compressed here.
+  if (raw >= kWireCompressionMinBytes) {
+    uint64_t packed = 0;
+    for (uint64_t index = next_index; index < cached_end; ++index) {
+      auto cached = cache_.GetCompressed(index);  // found by the size pass
+      LogEntry entry;
+      entry.id = cached->id;
+      entry.type = cached->type;
+      entry.checksum = cached->checksum;
+      entry.shared_payload = std::move(cached->compressed);
+      packed += entry.shared_payload->size();
+      request->entries.push_back(std::move(entry));
+    }
+    for (const LogEntry& read : disk) {
+      LogEntry entry;
+      entry.id = read.id;
+      entry.type = read.type;
+      entry.checksum = read.checksum;
+      LzCompress(read.payload, &entry.payload);
+      packed += entry.payload.size();
+      request->entries.push_back(std::move(entry));
+    }
+    if (packed < raw) {
+      request->entries_compressed = true;
+      m_.wire_batches_compressed->Increment();
+      return Status::OK();
+    }
+    request->entries.clear();  // incompressible: ship raw
+  }
+  for (uint64_t index = next_index; index < cached_end; ++index) {
+    auto cached = cache_.Get(index);
+    if (!cached.ok()) {
+      // A cached copy that fails its checksum is read from the log.
+      m_.cache_fallback_reads->Increment();
+      cached = log_->Read(index);
+      if (!cached.ok()) return cached.status();
+    }
+    request->entries.push_back(std::move(*cached));
+  }
+  for (LogEntry& read : disk) request->entries.push_back(std::move(read));
+  return Status::OK();
 }
 
 void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
@@ -651,25 +617,16 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     }
 
     AppendEntriesRequest request;
-    uint64_t batch_raw_bytes = 0;
     uint64_t prev_term = 0;
-    // Zero-copy fast path: ship the cache's compressed spans as-is.
-    bool zero_copy = LookupTermAt(peer.next_index - 1, &prev_term) &&
-                     TryFetchCompressed(peer.next_index, &request,
-                                        &batch_raw_bytes);
-    if (!zero_copy) {
-      auto entries = FetchEntriesFor(peer.next_index, &prev_term);
-      if (!entries.ok()) {
-        MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
-                            << peer_id << ": " << entries.status();
-        return;
-      }
-      if (entries->empty()) break;  // nothing fetchable despite next<=last
-      request.entries = std::move(*entries);
-      for (const auto& e : request.entries) {
-        batch_raw_bytes += e.payload.size();
-      }
+    uint64_t batch_raw_bytes = 0;
+    Status s = BuildAppendBatch(peer.next_index, &prev_term, &request,
+                                &batch_raw_bytes);
+    if (!s.ok()) {
+      MYRAFT_LOG(Warning) << options_.self << ": cannot serve entries to "
+                          << peer_id << ": " << s;
+      return;
     }
+    if (request.entries.empty()) break;  // nothing fetchable despite next<=last
     FillAppendHeader(peer_id, &peer, OpId{prev_term, peer.next_index - 1},
                      &request);
 
@@ -682,7 +639,6 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     batch.sent_micros = clock_->NowMicros();
     batch.bytes = batch_raw_bytes;
     m_.entries_replicated->Increment(request.entries.size());
-    if (!zero_copy) MaybeCompressPayloads(&request);
 
     if (options_.tracer != nullptr) {
       // The batch span belongs to the first traced entry's transaction
@@ -708,32 +664,35 @@ void RaftConsensus::SendAppendEntriesTo(const MemberId& peer_id,
     SendToPeer(&peer, std::move(request));
     sent_entries = true;
   }
-  if (sent_entries) return;
-  if (!peer.inflight.empty()) {
-    // Full (or blocked) window: an advanced commit marker would otherwise
-    // wait for an ack to free window space before reaching this peer.
-    // Squeeze a marker-only heartbeat past the window instead.
-    if (allow_empty && peer.last_sent_commit_index < commit_marker_.index) {
-      SendMarkerOnlyHeartbeat(peer_id, &peer);
-    }
+  if (!sent_entries && allow_empty) SendEmptyAppendEntries(peer_id, &peer);
+}
+
+void RaftConsensus::SendEmptyAppendEntries(const MemberId& peer_id,
+                                           PeerStatus* peer) {
+  // With batches in flight, an empty append only carries an advanced
+  // commit marker past the full (or blocked) window, which would otherwise
+  // wait for an ack to free window space: a marker-only heartbeat, at most
+  // once per advance, anchored at the acked match point so the
+  // log-matching check passes whatever is still in flight. A caught-up,
+  // idle peer gets a plain heartbeat at its cursor, not tracked in the
+  // window (a lost one is simply replaced at the next interval).
+  const bool marker_only = !peer->inflight.empty();
+  if (marker_only && peer->last_sent_commit_index >= commit_marker_.index) {
     return;
   }
-  if (!allow_empty) return;
-
-  // Caught up and idle: plain heartbeat, not tracked in the window (a lost
-  // heartbeat is simply replaced at the next interval).
+  const uint64_t anchor =
+      marker_only ? peer->match_index : peer->next_index - 1;
   uint64_t prev_term = 0;
-  if (!LookupTermAt(peer.next_index - 1, &prev_term)) {
+  if (!LookupTermAt(anchor, &prev_term)) {
     MYRAFT_LOG(Warning) << options_.self << ": cannot heartbeat " << peer_id
                         << ": previous entry unavailable (member needs "
                            "re-provisioning)";
     return;
   }
   AppendEntriesRequest request;
-  FillAppendHeader(peer_id, &peer, OpId{prev_term, peer.next_index - 1},
-                   &request);
-  m_.heartbeats_sent->Increment();
-  SendToPeer(&peer, std::move(request));
+  FillAppendHeader(peer_id, peer, OpId{prev_term, anchor}, &request);
+  (marker_only ? m_.marker_only_heartbeats : m_.heartbeats_sent)->Increment();
+  SendToPeer(peer, std::move(request));
 }
 
 void RaftConsensus::FillAppendHeader(const MemberId& dest,
@@ -1063,7 +1022,7 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
 
   // Follower-side receive->synced span, parented under the leader's batch
   // span via the wire context. Covers every return path below.
-  SpanGuard append_span{options_.tracer};
+  SpanGuard append_span{options_.tracer, 0, {}};
   if (options_.tracer != nullptr && !request.entries.empty()) {
     append_span.id = options_.tracer->BeginSpan(
         "raft", "follower.append", request.trace_id, request.trace_span_id,

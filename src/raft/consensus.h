@@ -475,24 +475,24 @@ class RaftConsensus {
   void NoteStallEnded(PeerStatus* peer);
   /// Term of the entry at `index` (0 for index 0), from log or cache.
   bool LookupTermAt(uint64_t index, uint64_t* term) const;
-  /// Empty AppendEntries anchored at the peer's match point, carrying only
-  /// the advanced commit marker past a full window.
-  void SendMarkerOnlyHeartbeat(const MemberId& peer_id, PeerStatus* peer);
-  /// Zero-copy send: assemble a batch directly from the cache's memoized
-  /// compressed spans (borrowed buffers, no inflate/re-encode). False when
-  /// the batch isn't fully cached, its raw bytes are below
-  /// kWireCompressionMinBytes (checked before compressing anything) or
-  /// compression isn't profitable — the caller falls back to
-  /// FetchEntriesFor.
-  bool TryFetchCompressed(uint64_t next_index, AppendEntriesRequest* request,
-                          uint64_t* raw_bytes);
+  /// The one leader batch builder: fills `request->entries` from
+  /// `next_index` on, sized once over the cache and, past its first miss,
+  /// the log's files (ReadBatch). The batch ships compressed when its raw
+  /// bytes reach kWireCompressionMinBytes and compression shrinks it;
+  /// cached entries then borrow the cache's memoized span and only disk
+  /// reads are compressed here. Sets `prev_term` (LookupTermAt) and the
+  /// batch's raw payload bytes. No entries: nothing fetchable. NotFound
+  /// when the previous entry is gone (member needs re-provisioning).
+  Status BuildAppendBatch(uint64_t next_index, uint64_t* prev_term,
+                          AppendEntriesRequest* request, uint64_t* raw_bytes);
+  /// The one empty-AppendEntries sender: a marker-only heartbeat past a
+  /// window with batches in flight (only when the commit marker advanced),
+  /// else an idle heartbeat at the peer's cursor.
+  void SendEmptyAppendEntries(const MemberId& peer_id, PeerStatus* peer);
   /// Drops the peer's in-flight window and rewinds next_index to the
   /// first unacked entry (RPC loss / rejection recovery). Closes any open
   /// batch spans as cancelled.
   void CancelInflight(PeerStatus* peer);
-  /// Compresses the request's entry payloads when the batch is large
-  /// enough to be worth it (and it actually shrinks).
-  void MaybeCompressPayloads(AppendEntriesRequest* request);
   void AdvanceCommitMarker();
   void SetCommitMarker(OpId new_marker);
   /// Header of every leader AppendEntries (data batches, marker-only and
@@ -530,8 +530,6 @@ class RaftConsensus {
   /// unconfirmed before it fails with TimedOut.
   uint64_t ReadDeadlineMicros() const;
   Status AppendToLocalLog(const LogEntry& entry);
-  Result<std::vector<LogEntry>> FetchEntriesFor(uint64_t next_index,
-                                                uint64_t* prev_term);
 
   // Election plumbing.
   Status BeginElection(ElectionMode mode, const MemberId& report_to,
@@ -615,8 +613,6 @@ class RaftConsensus {
     /// Rejections/timeouts that cancelled an in-flight suffix.
     metrics::Counter* window_rewinds;
     metrics::Counter* wire_batches_compressed;
-    /// Batches shipped straight from the cache's compressed spans.
-    metrics::Counter* zero_copy_batches;
     /// Coalescing syncs actually issued / extra Replicate() calls that
     /// piggybacked on an already-scheduled one.
     metrics::Counter* group_syncs;

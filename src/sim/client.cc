@@ -40,7 +40,8 @@ void SimClient::ClientWrite(const std::string& key, const std::string& value,
     auto primary = shard_->discovery()->GetPrimary(shard_->replicaset());
     if (!primary.has_value()) {
       done(ClientWriteResult{
-          Status::ServiceUnavailable("no primary in service discovery"), 0});
+          Status::ServiceUnavailable("no primary in service discovery"), 0,
+          {}, {}});
       return;
     }
     dest = *primary;
@@ -96,7 +97,8 @@ void SimClient::ClientRead(const std::string& key,
     auto primary = shard_->discovery()->GetPrimary(shard_->replicaset());
     if (!primary.has_value()) {
       done(ClientReadResult{
-          Status::ServiceUnavailable("no primary in service discovery")});
+          Status::ServiceUnavailable("no primary in service discovery"), 0,
+          std::nullopt, false, 0, MemberId()});
       return;
     }
     dest = *primary;

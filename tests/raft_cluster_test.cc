@@ -392,47 +392,71 @@ TEST(RaftClusterTest, QuorumFixerOverrideRestoresAvailability) {
 }
 
 TEST(RaftClusterTest, LaggingFollowerServedFromDiskFallback) {
-  RaftTestCluster cluster(31);
-  cluster.AddMemberSpec("a", "r0");
-  cluster.AddMemberSpec("b", "r0");
-  cluster.AddMemberSpec("c", "r0");
-  RaftOptions options = FastOptions();
-  options.log_cache_capacity_bytes = 4'000;  // tiny cache
-  cluster.StartAll(Majority(), options);
+  // Incompressible payloads catch up raw; compressible ones read from
+  // disk ship compressed.
+  for (const bool compressible : {false, true}) {
+    SCOPED_TRACE(compressible ? "compressible" : "incompressible");
+    RaftTestCluster cluster(31);
+    cluster.AddMemberSpec("a", "r0");
+    cluster.AddMemberSpec("b", "r0");
+    cluster.AddMemberSpec("c", "r0");
+    RaftOptions options = FastOptions();
+    options.log_cache_capacity_bytes = 4'000;  // tiny cache
+    cluster.StartAll(Majority(), options);
 
-  const MemberId leader_id = cluster.WaitForLeader(5 * kSecond);
-  ASSERT_FALSE(leader_id.empty());
-  RaftConsensus* leader = cluster.node(leader_id)->consensus();
+    const MemberId leader_id = cluster.WaitForLeader(5 * kSecond);
+    ASSERT_FALSE(leader_id.empty());
+    RaftConsensus* leader = cluster.node(leader_id)->consensus();
 
-  MemberId laggard;
-  for (const MemberId& id : cluster.ids()) {
-    if (id != leader_id) {
-      laggard = id;
-      break;
+    MemberId laggard;
+    for (const MemberId& id : cluster.ids()) {
+      if (id != leader_id) {
+        laggard = id;
+        break;
+      }
+    }
+    cluster.network()->SetLinkCut(leader_id, laggard, true);
+
+    // Push entries well past the cache capacity.
+    Random payload_rng(5);
+    OpId last;
+    for (int i = 0; i < 50; ++i) {
+      std::string payload(400, static_cast<char>('a' + i % 26));
+      if (!compressible) {
+        for (char& ch : payload) ch = static_cast<char>(payload_rng.Next());
+      }
+      auto opid = leader->Replicate(EntryType::kNoOp, payload);
+      ASSERT_TRUE(opid.ok());
+      last = *opid;
+    }
+    ASSERT_TRUE(cluster.WaitForCommit(leader_id, last, 3 * kSecond));
+    EXPECT_GT(
+        MetricValue(leader->log_cache().metrics(), "log_cache.evictions"),
+        0u);
+    const uint64_t compressed_before =
+        MetricValue(leader->metrics(), "raft.wire_batches_compressed");
+
+    // Reconnect: the laggard must be served from the log abstraction (the
+    // "parse historical binary log files" path, §3.1).
+    cluster.network()->SetLinkCut(leader_id, laggard, false);
+    cluster.loop()->RunFor(5 * kSecond);
+    RaftConsensus* follower = cluster.node(laggard)->consensus();
+    ASSERT_EQ(follower->last_logged(), last);
+    EXPECT_GT(MetricValue(leader->metrics(), "raft.cache_fallback_reads"), 0u);
+    const uint64_t compressed =
+        MetricValue(leader->metrics(), "raft.wire_batches_compressed");
+    if (compressible) {
+      EXPECT_GT(compressed, compressed_before);
+    } else {
+      EXPECT_EQ(compressed, 0u);
+    }
+    for (uint64_t index = 1; index <= last.index; ++index) {
+      auto theirs = follower->log()->Read(index);
+      auto ours = leader->log()->Read(index);
+      ASSERT_TRUE(theirs.ok() && ours.ok()) << "index " << index;
+      EXPECT_EQ(*theirs, *ours) << "index " << index;
     }
   }
-  cluster.network()->SetLinkCut(leader_id, laggard, true);
-
-  // Push incompressible entries well past the cache capacity.
-  Random payload_rng(5);
-  OpId last;
-  for (int i = 0; i < 50; ++i) {
-    std::string payload(400, '\0');
-    for (char& ch : payload) ch = static_cast<char>(payload_rng.Next());
-    auto opid = leader->Replicate(EntryType::kNoOp, payload);
-    ASSERT_TRUE(opid.ok());
-    last = *opid;
-  }
-  ASSERT_TRUE(cluster.WaitForCommit(leader_id, last, 3 * kSecond));
-  EXPECT_GT(MetricValue(leader->log_cache().metrics(), "log_cache.evictions"),
-            0u);
-
-  // Reconnect: the laggard must be served from the log abstraction (the
-  // "parse historical binary log files" path, §3.1).
-  cluster.network()->SetLinkCut(leader_id, laggard, false);
-  cluster.loop()->RunFor(5 * kSecond);
-  EXPECT_EQ(cluster.node(laggard)->consensus()->last_logged(), last);
-  EXPECT_GT(MetricValue(leader->metrics(), "raft.cache_fallback_reads"), 0u);
 }
 
 TEST(RaftClusterTest, LearnerReceivesDataButNeverVotesOrCampaigns) {

@@ -721,7 +721,7 @@ TEST_F(ConsensusUnitTest, LearnerIgnoresElectionMachinery) {
 TEST_F(ConsensusUnitTest, HeartbeatsFlowOnTick) {
   BecomeLeader();
   // Clear the outstanding-RPC flow control by acking the no-op.
-  for (const MemberId& peer : {"b", "c"}) {
+  for (const char* peer : {"b", "c"}) {
     AppendEntriesResponse ack;
     ack.from = peer;
     ack.dest = "a";

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_new.h"
 #include "metric_value.h"
 #include "queued_defer.h"
 #include "raft/consensus.h"
@@ -340,7 +341,6 @@ TEST_F(PipeliningTest, LargeBatchesCompressedOnTheWire) {
   EXPECT_LT(to_b[0].entries[0].payload_bytes().size(), compressible.size());
   EXPECT_GE(MetricValue(consensus_->metrics(), "raft.wire_batches_compressed"),
             1u);
-  EXPECT_GE(MetricValue(consensus_->metrics(), "raft.zero_copy_batches"), 1u);
 }
 
 TEST_F(PipeliningTest, CompressionStartsAtTheThreshold) {
@@ -360,6 +360,59 @@ TEST_F(PipeliningTest, CompressionStartsAtTheThreshold) {
   // One compressed batch each for b and c.
   EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.wire_batches_compressed"),
             2u);
+}
+
+TEST_F(PipeliningTest, IncompressibleCachedBatchCompressedOncePerEntry) {
+  RaftOptions options;
+  options.max_inflight_batches = 1;
+  Start(options);
+  // "c" has not acked the no-op, so its one-batch window is full; the
+  // first write fills "b"'s. Four incompressible 512-byte entries then
+  // wait in the cache for both peers.
+  const OpId noop = log_.LastOpId();
+  Random payload_rng(7);
+  std::vector<OpId> opids;
+  for (int i = 0; i < 4; ++i) {
+    std::string payload(512, '\0');
+    for (char& ch : payload) ch = static_cast<char>(payload_rng.Next());
+    opids.push_back(Replicate(1, payload).front());
+  }
+  ASSERT_EQ(outbox_.AppendsTo("b").size(), 1u);
+  ASSERT_TRUE(outbox_.AppendsTo("c").empty());
+  outbox_.sent.clear();
+
+  // "c" is sent all four (2 KiB), which compresses each entry into the
+  // cache once; "b" is then sent the last three (1.5 KiB) from spans the
+  // cache already holds.
+  AckFrom("c", noop);
+  count_news = true;
+  news_counted = 0;
+  AckFrom("b", opids[0]);
+  count_news = false;
+
+  auto to_c = outbox_.AppendsTo("c");
+  auto to_b = outbox_.AppendsTo("b");
+  ASSERT_EQ(to_c.size(), 1u);
+  ASSERT_EQ(to_b.size(), 1u);
+  ASSERT_EQ(to_c[0].entries.size(), 4u);
+  ASSERT_EQ(to_b[0].entries.size(), 3u);
+  // Compression does not shrink them, so both batches ship raw.
+  for (const auto& request : {to_c[0], to_b[0]}) {
+    EXPECT_FALSE(request.entries_compressed);
+    for (const auto& entry : request.entries) {
+      EXPECT_EQ(entry.payload_bytes().size(), 512u);
+      EXPECT_TRUE(entry.VerifyChecksum());
+    }
+  }
+  EXPECT_EQ(MetricValue(consensus_->metrics(), "raft.wire_batches_compressed"),
+            0u);
+  EXPECT_EQ(MetricValue(consensus_->log_cache().metrics(),
+                        "log_cache.compressions"),
+            4u);
+  // "b"'s send borrows the memoized spans and compresses nothing again.
+  // The ack and the send make 12 allocations; compressing the three
+  // entries afresh as well adds at least one per entry.
+  EXPECT_LE(news_counted, 14u);
 }
 
 TEST_F(PipeliningTest, FollowerInflatesCompressedBatch) {

@@ -379,15 +379,31 @@ TEST(MessagesTest, VoteResponseRoundTrip) {
 TEST(MessagesTest, EnvelopeRoundTripEveryType) {
   std::vector<Message> messages;
   messages.emplace_back(MakeAppendRequest());
-  messages.emplace_back(AppendEntriesResponse{
-      "a", "b", {}, 3, true, {3, 5}, 5});
+  AppendEntriesResponse ar;
+  ar.from = "a";
+  ar.dest = "b";
+  ar.term = 3;
+  ar.success = true;
+  ar.last_received = {3, 5};
+  ar.last_durable_index = 5;
+  messages.emplace_back(ar);
   VoteRequest vr;
   vr.candidate = "c";
   vr.dest = "d";
   vr.term = 4;
   messages.emplace_back(vr);
-  messages.emplace_back(VoteResponse{"e", "f", 4, true, false, false, "", "r0"});
-  messages.emplace_back(StartElectionRequest{"g", "h", 7});
+  VoteResponse vresp;
+  vresp.from = "e";
+  vresp.dest = "f";
+  vresp.term = 4;
+  vresp.granted = true;
+  vresp.voter_region = "r0";
+  messages.emplace_back(vresp);
+  StartElectionRequest se;
+  se.from = "g";
+  se.dest = "h";
+  se.term = 7;
+  messages.emplace_back(se);
 
   for (const auto& msg : messages) {
     std::string buf;
