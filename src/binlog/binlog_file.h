@@ -16,12 +16,14 @@ namespace myraft::binlog {
 
 inline constexpr char kBinlogMagic[] = "MYRAFTLOG1";
 inline constexpr size_t kBinlogMagicLen = sizeof(kBinlogMagic) - 1;
+/// Server version every file's FormatDescription event carries.
+inline constexpr char kServerVersion[] = "myraft-1.0";
 
 /// Appends events to one log file.
 class BinlogFileWriter {
  public:
   struct Options {
-    std::string server_version = "myraft-1.0";
+    std::string server_version = kServerVersion;
     uint32_t server_id = 0;
     uint64_t created_micros = 0;
     GtidSet previous_gtids;

@@ -248,7 +248,6 @@ Status BinlogManager::RebuildTornTailFile(uint64_t number) {
   // gtids_in_log_ holds everything recovered from earlier files at this
   // point — exactly the PreviousGtids set the file was created with.
   BinlogFileWriter::Options file_options;
-  file_options.server_version = options_.server_version;
   file_options.server_id = options_.server_id;
   file_options.created_micros = options_.clock->NowMicros();
   file_options.previous_gtids = gtids_in_log_;
@@ -263,7 +262,6 @@ Status BinlogManager::RebuildTornTailFile(uint64_t number) {
 Status BinlogManager::CreateFirstFile() {
   const std::string name = MakeFileName(kFirstFileNumber);
   BinlogFileWriter::Options file_options;
-  file_options.server_version = options_.server_version;
   file_options.server_id = options_.server_id;
   file_options.created_micros = options_.clock->NowMicros();
   file_options.previous_gtids = gtids_in_log_;
@@ -282,7 +280,6 @@ Status BinlogManager::StartNewFile(uint64_t next_number) {
   }
   const std::string name = MakeFileName(next_number);
   BinlogFileWriter::Options file_options;
-  file_options.server_version = options_.server_version;
   file_options.server_id = options_.server_id;
   file_options.created_micros = options_.clock->NowMicros();
   file_options.previous_gtids = gtids_in_log_;

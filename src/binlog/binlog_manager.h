@@ -37,7 +37,6 @@ inline constexpr char kRelayLogPersona[] = "relay-log";
 struct BinlogManagerOptions {
   std::string dir;
   std::string persona = kBinlogPersona;
-  std::string server_version = "myraft-1.0";
   uint32_t server_id = 0;
   Clock* clock = nullptr;  // required
   /// Destination for "binlog.*" metrics. Null means a private

@@ -214,12 +214,8 @@ void RaftConsensus::Tick() {
     // pending_reads_ and their captured callbacks unboundedly — clients
     // gave up long ago.
     while (!pending_reads_.empty() && now >= ReadDueMicros()) {
-      PendingQuorumRead read = std::move(pending_reads_.front());
-      pending_reads_.pop_front();
-      m_.reads_timed_out->Increment();
-      ReadResult result;
-      result.status = Status::TimedOut("linearizable read deadline");
-      read.done(result);
+      FireOldestRead(Status::TimedOut("linearizable read deadline"),
+                     m_.reads_timed_out);
     }
     return;
   }

@@ -188,6 +188,8 @@ class RaftConsensus {
     uint64_t next_index = 1;
     uint64_t match_index = 0;
     uint64_t last_rpc_sent_micros = 0;
+    /// When this peer last answered (or joined). Only raftstat reads it
+    /// (DebugStatus); no protocol decision does.
     uint64_t last_response_micros = 0;
     /// Oldest-first pipeline of unacked batches; each chains off the
     /// previous one's tail, so a rejection invalidates the whole suffix.
@@ -439,6 +441,20 @@ class RaftConsensus {
     uint64_t deadline_micros = 0;
   };
 
+  /// A follower ack before it is built; the held ack folds every batch
+  /// that shared the covering sync into one.
+  struct FollowerAck {
+    MemberId dest;
+    /// Highest index the acked batches verified against the leader's log,
+    /// reported instead of the raw tail, which can still carry a divergent
+    /// unverified suffix (rejoined deposed leader).
+    uint64_t verified_index = 0;
+    uint64_t trace_id = 0;  // the last acked request's trace context
+    uint64_t trace_span_id = 0;
+    /// Max lease send stamp over the acked batches (0 = none or non-voter).
+    uint64_t lease_echo = 0;
+  };
+
   // Message handlers.
   void HandleAppendEntries(const AppendEntriesRequest& request);
   void HandleAppendEntriesResponse(const AppendEntriesResponse& response);
@@ -525,11 +541,29 @@ class RaftConsensus {
   /// Fire barrier-fallback reads (leases off) whose no-op barrier the
   /// commit marker now covers.
   void CompleteBarrierReads();
-  void FailPendingReads(const Status& reason);
+  /// The one pop-before-fire step of every pending-read loop: pops the
+  /// oldest read, bumps `counter` (if any) and fires it with `status`, at
+  /// its read marker when OK.
+  void FireOldestRead(const Status& status, metrics::Counter* counter);
   /// Leader-side ceiling on how long a registered quorum read may sit
   /// unconfirmed before it fails with TimedOut.
   uint64_t ReadDeadlineMicros() const;
   Status AppendToLocalLog(const LogEntry& entry);
+
+  // Follower plumbing.
+  /// The one follower response builder, called right before each send:
+  /// current term, tail and durable horizon. It answers `request` (null
+  /// for the held ack, addressed by `ack`). No `ack`: a rejection whose raw
+  /// tail is the leader's rewind hint; else a success reporting the
+  /// verified prefix and lease echo. `echo_config`: add our config
+  /// identity (all but undecompressable and stale-term replies).
+  AppendEntriesResponse FollowerResponse(const AppendEntriesRequest* request,
+                                         const FollowerAck* ack,
+                                         bool echo_config) const;
+  /// Moves the commit marker to the leader's, but never past the prefix
+  /// the request verified (§3.4: piggybacked commit marker).
+  void AdvanceFollowerCommit(uint64_t leader_commit_index,
+                             uint64_t verified_index);
 
   // Election plumbing.
   Status BeginElection(ElectionMode mode, const MemberId& report_to,
@@ -676,18 +710,8 @@ class RaftConsensus {
   bool group_sync_scheduled_ = false;
   /// Follower-side coalesced ack held until the covering sync completes:
   /// one cumulative response replaces the per-batch ones for every batch
-  /// that arrived this instant.
-  bool follower_ack_pending_ = false;
-  MemberId follower_ack_dest_;
-  /// Highest index the held batches actually verified against the leader's
-  /// log. The cumulative ack reports this, never the raw tail: the tail can
-  /// still carry a divergent unverified suffix (rejoined deposed leader).
-  uint64_t follower_ack_verified_index_ = 0;
-  uint64_t follower_ack_trace_id_ = 0;
-  uint64_t follower_ack_span_id_ = 0;
-  /// Lease echo carried by the next coalesced cumulative ack: max send
-  /// timestamp over the held batches' grant requests (0 = none).
-  uint64_t follower_ack_lease_echo_ = 0;
+  /// that arrived this instant. Dropped when this node leads or steps down.
+  std::optional<FollowerAck> held_ack_;
   /// Deferred lease handoff (§13): leader-clock time before which a
   /// fresh leader refuses lease reads, waiting out every grant the
   /// deposed leader could still hold. 0 outside leadership.

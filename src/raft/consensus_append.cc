@@ -48,96 +48,101 @@ void RaftConsensus::RunGroupSync() {
     AdvanceCommitMarker();
     return;
   }
-  if (follower_ack_pending_) {
+  if (held_ack_.has_value()) {
     // One cumulative ack stands in for every batch that shared the sync.
-    // It acks the verified prefix, not the raw tail (see the member doc).
-    follower_ack_pending_ = false;
-    AppendEntriesResponse response;
-    response.from = options_.self;
-    response.dest = follower_ack_dest_;
-    response.term = meta_.current_term;
-    response.success = true;
-    response.last_received = log_->LastOpId();
-    if (follower_ack_verified_index_ < response.last_received.index) {
-      auto verified = log_->OpIdAt(follower_ack_verified_index_);
-      response.last_received =
-          verified.ok() ? *verified : OpId{0, follower_ack_verified_index_};
-    }
-    follower_ack_verified_index_ = 0;
-    response.last_durable_index = last_synced_index_;
-    response.trace_id = follower_ack_trace_id_;
-    response.trace_span_id = follower_ack_span_id_;
-    response.lease_granted_micros = follower_ack_lease_echo_;
-    follower_ack_lease_echo_ = 0;
+    const FollowerAck ack = std::move(*held_ack_);
+    held_ack_.reset();
+    outbox_->Send(FollowerResponse(/*request=*/nullptr, &ack,
+                                   /*echo_config=*/true));
+  }
+}
+
+AppendEntriesResponse RaftConsensus::FollowerResponse(
+    const AppendEntriesRequest* request, const FollowerAck* ack,
+    bool echo_config) const {
+  AppendEntriesResponse response;
+  response.from = options_.self;
+  response.dest = ack != nullptr ? ack->dest : request->leader;
+  response.term = meta_.current_term;
+  response.success = ack != nullptr;
+  response.last_received = log_->LastOpId();
+  if (ack != nullptr && ack->verified_index < response.last_received.index) {
+    // Ack only the verified prefix: an unverified divergent suffix above
+    // it must not look acked, or the leader would retire undelivered
+    // in-flight batches against it and count a bogus match_index towards
+    // commit.
+    auto verified = log_->OpIdAt(ack->verified_index);
+    response.last_received =
+        verified.ok() ? *verified : OpId{0, ack->verified_index};
+  }
+  // Only the fsynced tail counts towards the leader's commit quorum; a
+  // received-but-unsynced suffix would be lost in a crash.
+  response.last_durable_index = last_synced_index_;
+  if (request != nullptr) response.request_prev_index = request->prev.index;
+  // Echo the trace context so the ack stitches back to the batch span.
+  response.trace_id = ack != nullptr ? ack->trace_id : request->trace_id;
+  response.trace_span_id =
+      ack != nullptr ? ack->trace_span_id : request->trace_span_id;
+  if (ack != nullptr) response.lease_granted_micros = ack->lease_echo;
+  if (echo_config) {
     response.config_term = meta_.config.config_term;
     response.config_version = meta_.config.config_version;
-    outbox_->Send(std::move(response));
+  }
+  return response;
+}
+
+void RaftConsensus::AdvanceFollowerCommit(uint64_t leader_commit_index,
+                                          uint64_t verified_index) {
+  const uint64_t commit_to = std::min(leader_commit_index, verified_index);
+  if (commit_to > commit_marker_.index) {
+    auto opid = log_->OpIdAt(commit_to);
+    if (opid.ok()) SetCommitMarker(*opid);
   }
 }
 
 // --- Replication: receiver side -------------------------------------------------
 
 void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
+  // Inflate a compressed batch into a local copy of its entries; checksums
+  // cover the uncompressed payload, so VerifyChecksum below runs against
+  // the restored bytes. A batch that does not inflate is refused before
+  // anything else.
+  std::vector<LogEntry> inflated;
   if (request.entries_compressed) {
-    // Inflate on the receiver's copy; checksums cover the uncompressed
-    // payload, so VerifyChecksum below runs against the restored bytes.
-    AppendEntriesRequest inflated = request;
-    inflated.entries_compressed = false;
-    for (auto& entry : inflated.entries) {
-      std::string raw;
-      Status decomp = LzDecompress(entry.payload_bytes(), &raw);
+    inflated.reserve(request.entries.size());
+    for (const LogEntry& packed : request.entries) {
+      LogEntry& entry = inflated.emplace_back();
+      entry.id = packed.id;
+      entry.type = packed.type;
+      entry.checksum = packed.checksum;
+      Status decomp = LzDecompress(packed.payload_bytes(), &entry.payload);
       if (!decomp.ok()) {
-        MYRAFT_LOG(Error) << options_.self
-                          << ": undecompressable batch from "
+        MYRAFT_LOG(Error) << options_.self << ": undecompressable batch from "
                           << request.leader << ": " << decomp;
-        AppendEntriesResponse response;
-        response.from = options_.self;
-        response.dest = request.leader;
-        response.term = meta_.current_term;
-        response.success = false;
-        response.last_received = log_->LastOpId();
-        response.last_durable_index = last_synced_index_;
-        response.request_prev_index = request.prev.index;
-        response.trace_id = request.trace_id;
-        response.trace_span_id = request.trace_span_id;
-        outbox_->Send(std::move(response));
+        outbox_->Send(FollowerResponse(&request, /*ack=*/nullptr,
+                                       /*echo_config=*/false));
         return;
       }
-      entry.payload = std::move(raw);
-      entry.shared_payload.reset();  // owned again after inflation
     }
-    HandleAppendEntries(inflated);
-    return;
   }
-
-  AppendEntriesResponse response;
-  response.from = options_.self;
-  response.dest = request.leader;
-  response.term = meta_.current_term;
-  response.success = false;
-  response.last_received = log_->LastOpId();
-  // Only the fsynced tail counts towards the leader's commit quorum; a
-  // received-but-unsynced suffix would be lost in a crash.
-  response.last_durable_index = last_synced_index_;
-  response.request_prev_index = request.prev.index;
-  // Echo the trace context so the ack stitches back to the batch span.
-  response.trace_id = request.trace_id;
-  response.trace_span_id = request.trace_span_id;
+  const std::vector<LogEntry>& entries =
+      request.entries_compressed ? inflated : request.entries;
 
   // Follower-side receive->synced span, parented under the leader's batch
   // span via the wire context. Covers every return path below.
   SpanGuard append_span{options_.tracer, 0, {}};
-  if (options_.tracer != nullptr && !request.entries.empty()) {
+  if (options_.tracer != nullptr && !entries.empty()) {
     append_span.id = options_.tracer->BeginSpan(
         "raft", "follower.append", request.trace_id, request.trace_span_id,
-        "leader", request.leader, "n", request.entries.size(), "first",
-        request.entries.front().id.index);
+        "leader", request.leader, "n", entries.size(), "first",
+        entries.front().id.index);
     append_span.end_args = "rejected";
   }
 
   if (request.term < meta_.current_term) {
     m_.append_rejections->Increment();
-    outbox_->Send(std::move(response));
+    outbox_->Send(FollowerResponse(&request, /*ack=*/nullptr,
+                                   /*echo_config=*/false));
     return;
   }
 
@@ -149,28 +154,29 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
              leader_info != nullptr ? leader_info->region : "");
   }
   last_leader_contact_micros_ = clock_->NowMicros();
-  response.term = meta_.current_term;
 
   // Adopt a newer config carried by the leader BEFORE any log checks —
   // config propagation is deliberately decoupled from log replication, so
-  // membership heals even while the log is rewinding or unavailable. The
-  // response echoes the installed identity either way; that echo drives
+  // membership heals even while the log is rewinding or unavailable. Every
+  // response from here on echoes the installed identity; that echo drives
   // the leader's install quorum and tells it to stop attaching the config.
   MaybeInstallConfig(request);
-  response.config_term = meta_.config.config_term;
-  response.config_version = meta_.config.config_version;
 
   // Log-matching check on the preceding entry.
   if (request.prev.index > 0) {
     const uint64_t last = log_->LastOpId().index;
     if (request.prev.index > last) {
       m_.append_rejections->Increment();
-      outbox_->Send(std::move(response));  // hint: our last opid
+      // Hint: our last opid.
+      outbox_->Send(FollowerResponse(&request, /*ack=*/nullptr,
+                                     /*echo_config=*/true));
       return;
     }
     auto local_prev = log_->OpIdAt(request.prev.index);
     if (!local_prev.ok() || local_prev->term != request.prev.term) {
       // Conflict below our tail: ask the leader to rewind.
+      AppendEntriesResponse response = FollowerResponse(
+          &request, /*ack=*/nullptr, /*echo_config=*/true);
       response.last_received =
           OpId{0, request.prev.index > 0 ? request.prev.index - 1 : 0};
       m_.append_rejections->Increment();
@@ -182,7 +188,7 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   // Append new entries, truncating any conflicting suffix first.
   bool appended = false;
   bool append_failed = false;
-  for (const LogEntry& entry : request.entries) {
+  for (const LogEntry& entry : entries) {
     auto local = log_->OpIdAt(entry.id.index);
     if (local.ok()) {
       if (local->term == entry.id.term) {
@@ -194,7 +200,8 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       Status s = log_->TruncateAfter(entry.id.index - 1);
       if (!s.ok()) {
         MYRAFT_LOG(Error) << options_.self << ": truncate failed: " << s;
-        outbox_->Send(std::move(response));
+        outbox_->Send(FollowerResponse(&request, /*ack=*/nullptr,
+                                       /*echo_config=*/true));
         return;
       }
       cache_.TruncateAfter(entry.id.index - 1);
@@ -205,7 +212,8 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       MYRAFT_LOG(Error) << options_.self
                         << ": corrupt entry from leader at "
                         << entry.id.ToString();
-      outbox_->Send(std::move(response));
+      outbox_->Send(FollowerResponse(&request, /*ack=*/nullptr,
+                                     /*echo_config=*/true));
       return;
     }
     Status s = AppendToLocalLog(entry);
@@ -221,10 +229,16 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
   // log tail is NOT safe — a rewinding leader's heartbeat can anchor prev
   // at the match point while we still carry a divergent unverified suffix
   // above it (e.g. a rejoined deposed leader), and committing that suffix
-  // diverges the replica.
-  const uint64_t verified_index = request.entries.empty()
-                                      ? request.prev.index
-                                      : request.entries.back().id.index;
+  // diverges the replica. The ack reports that prefix too.
+  const uint64_t verified_index =
+      entries.empty() ? request.prev.index : entries.back().id.index;
+  // The lease echo proves to the leader how fresh this ack is (ReadIndex)
+  // and, when it requested one, grants a lease (§13). The grant promise
+  // (not electing a rival before it expires) is kept by our own election
+  // timer, which last_leader_contact_micros_ just re-armed.
+  FollowerAck ack{request.leader, verified_index, request.trace_id,
+                  request.trace_span_id,
+                  IsVoterSelf() ? request.lease_sent_micros : 0};
 
   // Sync whenever the durable tail trails the log — this also covers
   // heartbeats/retries arriving after a batch whose sync never completed,
@@ -237,24 +251,14 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
       // leader hears a durable index that genuinely covers the sync, so
       // the quorum rule is untouched — followers just fsync (and ack)
       // once per burst.
-      const uint64_t commit_to =
-          std::min(request.commit_marker.index, verified_index);
-      if (commit_to > commit_marker_.index) {
-        auto opid = log_->OpIdAt(commit_to);
-        if (opid.ok()) SetCommitMarker(*opid);
+      AdvanceFollowerCommit(request.commit_marker.index, verified_index);
+      if (held_ack_.has_value()) {
+        // The highest verified prefix and the freshest echo win.
+        ack.verified_index =
+            std::max(ack.verified_index, held_ack_->verified_index);
+        ack.lease_echo = std::max(ack.lease_echo, held_ack_->lease_echo);
       }
-      follower_ack_pending_ = true;
-      follower_ack_dest_ = request.leader;
-      follower_ack_verified_index_ =
-          std::max(follower_ack_verified_index_, verified_index);
-      follower_ack_trace_id_ = request.trace_id;
-      follower_ack_span_id_ = request.trace_span_id;
-      if (request.lease_sent_micros != 0 && IsVoterSelf()) {
-        // Timestamp echo rides the held cumulative ack; max over the held
-        // batches' send timestamps (the freshest echo wins).
-        follower_ack_lease_echo_ =
-            std::max(follower_ack_lease_echo_, request.lease_sent_micros);
-      }
+      held_ack_ = std::move(ack);
       ScheduleGroupSync();
       if (append_span.id != 0) {
         append_span.end_args = "ok held-for-group-sync";
@@ -276,48 +280,22 @@ void RaftConsensus::HandleAppendEntries(const AppendEntriesRequest& request) {
     // real (possibly partially-extended) tail as a failure so the leader
     // rewinds next_index there and retries the remainder.
     m_.append_rejections->Increment();
-    response.success = false;
-    response.last_received = log_->LastOpId();
-    response.last_durable_index = last_synced_index_;
-    outbox_->Send(std::move(response));
+    outbox_->Send(FollowerResponse(&request, /*ack=*/nullptr,
+                                   /*echo_config=*/true));
     return;
   }
 
-  response.success = true;
-  // Ack only the prefix this request verified (prev check + appended
-  // entries). An unverified divergent suffix above it must not look acked,
-  // or the leader would retire undelivered in-flight batches against it
-  // and count a bogus match_index towards commit.
-  response.last_received = log_->LastOpId();
-  if (verified_index < response.last_received.index) {
-    auto verified = log_->OpIdAt(verified_index);
-    response.last_received =
-        verified.ok() ? *verified : OpId{0, verified_index};
-  }
-  response.last_durable_index = last_synced_index_;
-  if (request.lease_sent_micros != 0 && IsVoterSelf()) {
-    // Echo the leader's send timestamp: ReadIndex freshness proof always,
-    // and — when the request carried a duration — a lease grant (§13).
-    // The grant promise (not electing a rival before it expires) is kept
-    // by our own election timer, which last_leader_contact_micros_ just
-    // re-armed.
-    response.lease_granted_micros = request.lease_sent_micros;
-  }
+  AppendEntriesResponse response =
+      FollowerResponse(&request, &ack, /*echo_config=*/true);
   if (append_span.id != 0) {
     append_span.end_args = "ok";
     trace::AppendArgs(&append_span.end_args, "last",
                       response.last_received.index, "durable",
                       response.last_durable_index);
   }
-
   // Advance our commit marker to what the leader has committed (§3.4:
   // piggybacked commit marker).
-  const uint64_t commit_to =
-      std::min(request.commit_marker.index, verified_index);
-  if (commit_to > commit_marker_.index) {
-    auto opid = log_->OpIdAt(commit_to);
-    if (opid.ok()) SetCommitMarker(*opid);
-  }
+  AdvanceFollowerCommit(request.commit_marker.index, verified_index);
   outbox_->Send(std::move(response));
 }
 

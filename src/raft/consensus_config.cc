@@ -275,7 +275,7 @@ void RaftConsensus::RefreshPeers() {
       PeerStatus peer;
       peer.next_index = log_->LastOpId().index + 1;
       peer.match_index = 0;
-      // Arm the auto-step-down / health window from now.
+      // A new peer has not answered yet; raftstat shows it as of now.
       peer.last_response_micros = clock_->NowMicros();
       new_peers[member.id] = peer;
     }

@@ -405,9 +405,7 @@ void RaftConsensus::BecomeLeader() {
   leader_ = options_.self;
   // Any ack held for a coalesced follower sync is moot now that this node
   // leads; the self-ack path covers its durability.
-  follower_ack_pending_ = false;
-  follower_ack_verified_index_ = 0;
-  follower_ack_lease_echo_ = 0;
+  held_ack_.reset();
   read_barrier_index_ = 0;
   if (options_.enable_leader_leases) {
     // Deferred lease handoff (§13): refuse lease reads until every grant
@@ -495,14 +493,16 @@ void RaftConsensus::StepDown(uint64_t new_term, const MemberId& new_leader,
   // A held coalesced ack addressed to a dethroned leader is dropped; the
   // new leader's first append re-elicits one (any scheduled group sync
   // itself still runs — durability work is never discarded).
-  follower_ack_pending_ = false;
-  follower_ack_verified_index_ = 0;
-  follower_ack_lease_echo_ = 0;
+  held_ack_.reset();
   // Deposed leaseholder fencing (§13): the lease died with the peer
   // state above; reads parked on a quorum round can never confirm now.
   lease_serve_after_micros_ = 0;
   read_barrier_index_ = 0;
-  FailPendingReads(Status::Aborted("leadership lost"));
+  // No longer leader, so a callback that re-enters LinearizableRead is
+  // refused and registers nothing.
+  while (!pending_reads_.empty()) {
+    FireOldestRead(Status::Aborted("leadership lost"), nullptr);
+  }
   ResetElectionTimer();
 
   if (was_leader) {

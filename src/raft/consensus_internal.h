@@ -1,3 +1,6 @@
+// Private to the consensus*.cc files that implement RaftConsensus: the
+// constants and helpers more than one of them may use.
+
 #ifndef MYRAFT_RAFT_CONSENSUS_INTERNAL_H_
 #define MYRAFT_RAFT_CONSENSUS_INTERNAL_H_
 

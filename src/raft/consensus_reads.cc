@@ -149,34 +149,20 @@ void RaftConsensus::ConfirmQuorumReads(const MemberId& from,
       read.confirmed.insert(from);
     }
   }
-  // Pop before firing: a callback may re-enter LinearizableRead. Barrier
-  // reads (barrier_index != 0) complete on commit-marker advance, not on
-  // ack counts — skip them here.
+  // Barrier reads (barrier_index != 0) complete on commit-marker advance,
+  // not on ack counts — skip them here.
   while (!pending_reads_.empty() && pending_reads_.front().barrier_index == 0 &&
          quorum_->IsCommitQuorumSatisfied(MakeQuorumContext(options_.self),
                                           pending_reads_.front().confirmed)) {
-    PendingQuorumRead read = std::move(pending_reads_.front());
-    pending_reads_.pop_front();
-    m_.reads_quorum->Increment();
-    ReadResult result;
-    result.status = Status::OK();
-    result.read_index = read.read_marker;
-    read.done(result);
+    FireOldestRead(Status::OK(), m_.reads_quorum);
   }
 }
 
 void RaftConsensus::CompleteBarrierReads() {
-  // Pop before firing: a callback may re-enter LinearizableRead.
   while (!pending_reads_.empty() &&
          pending_reads_.front().barrier_index != 0 &&
          pending_reads_.front().barrier_index <= commit_marker_.index) {
-    PendingQuorumRead read = std::move(pending_reads_.front());
-    pending_reads_.pop_front();
-    m_.reads_quorum->Increment();
-    ReadResult result;
-    result.status = Status::OK();
-    result.read_index = read.read_marker;
-    read.done(result);
+    FireOldestRead(Status::OK(), m_.reads_quorum);
   }
 }
 
@@ -188,13 +174,16 @@ uint64_t RaftConsensus::ReadDeadlineMicros() const {
   return options_.rpc_timeout_micros + ElectionTimeoutMicros();
 }
 
-void RaftConsensus::FailPendingReads(const Status& reason) {
-  if (pending_reads_.empty()) return;
-  std::deque<PendingQuorumRead> failed = std::move(pending_reads_);
-  pending_reads_.clear();
+void RaftConsensus::FireOldestRead(const Status& status,
+                                   metrics::Counter* counter) {
+  // Pop before firing: a callback may re-enter LinearizableRead.
+  PendingQuorumRead read = std::move(pending_reads_.front());
+  pending_reads_.pop_front();
+  if (counter != nullptr) counter->Increment();
   ReadResult result;
-  result.status = reason;
-  for (auto& read : failed) read.done(result);
+  result.status = status;
+  if (status.ok()) result.read_index = read.read_marker;
+  read.done(result);
 }
 
 }  // namespace myraft::raft

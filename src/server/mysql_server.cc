@@ -82,7 +82,6 @@ Status MySqlServer::Init(const raft::QuorumEngine* quorum, Random* rng,
   // Every member boots as a replica; logs start in relay-log persona and
   // are rewired on promotion (§3.2).
   binlog_options.persona = binlog::kRelayLogPersona;
-  binlog_options.server_version = options_.server_version;
   binlog_options.server_id = options_.numeric_server_id;
   binlog_options.clock = clock_;
   binlog_options.metrics = metrics_;

@@ -52,7 +52,6 @@ struct MySqlServerOptions {
   std::string data_dir;
   uint32_t numeric_server_id = 0;
   Uuid server_uuid;
-  std::string server_version = "myraft-1.0";
   raft::RaftOptions raft;
   /// Checkpoint the storage engine once its WAL exceeds this size
   /// (bounds crash-recovery replay). 0 disables.

@@ -104,7 +104,7 @@ struct AppendEntriesResponse {
   /// installed config after processing the request. It drives the
   /// leader's install (config-commit) quorum and tells it whether the
   /// next request must carry the config again. Every follower sets it
-  /// except on an undecompressable batch.
+  /// except on an undecompressable batch or a stale-term rejection.
   uint64_t config_term = 0;
   uint64_t config_version = 0;
 

@@ -363,6 +363,52 @@ TEST_F(ConsensusUnitTest, UnsyncedEntriesNeverReportedDurable) {
   EXPECT_EQ(response.last_durable_index, 2u);
 }
 
+TEST_F(ConsensusUnitTest, HeldAckCarriesVerifiedPrefixAndFreshestEcho) {
+  // Batch A, a heartbeat H and a network duplicate of A arrive in one
+  // instant, so all three share one group sync and one held ack.
+  AppendEntriesRequest batch =
+      MakeAppend(1, kZeroOpId, {E(1, 1, "a"), E(1, 2, "b")});
+  batch.lease_sent_micros = 100;
+  batch.trace_id = 11;
+  batch.trace_span_id = 12;
+  AppendEntriesRequest heartbeat = MakeAppend(1, OpId{1, 2}, {});
+  heartbeat.lease_sent_micros = 200;
+  heartbeat.trace_id = 21;
+  heartbeat.trace_span_id = 22;
+  consensus_->HandleMessage(Message(batch));
+  consensus_->HandleMessage(Message(heartbeat));
+  consensus_->HandleMessage(Message(batch));
+  EXPECT_TRUE(outbox_.sent.empty());  // held for the covering sync
+  defer_.Drain();
+
+  auto responses = outbox_.OfType<AppendEntriesResponse>();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_TRUE(responses[0].success);
+  EXPECT_EQ(responses[0].dest, "b");
+  EXPECT_EQ(responses[0].last_received, (OpId{1, 2}));  // A's tail
+  EXPECT_EQ(responses[0].last_durable_index, 2u);
+  EXPECT_EQ(responses[0].lease_granted_micros, 200u);  // freshest echo
+  EXPECT_EQ(responses[0].trace_id, 11u);  // the last request's context
+  EXPECT_EQ(responses[0].trace_span_id, 12u);
+
+  // b's next batch lands unsynced; in the same instant a term-2 leader's
+  // heartbeat anchors below it, at the prefix both logs share. The held
+  // ack acks that prefix, not the divergent raw tail above it.
+  outbox_.sent.clear();
+  consensus_->HandleMessage(
+      Message(MakeAppend(1, OpId{1, 2}, {E(1, 3, "c"), E(1, 4, "d")})));
+  consensus_->HandleMessage(
+      Message(MakeAppend(2, OpId{1, 2}, {}, kZeroOpId, "c")));
+  defer_.Drain();
+  responses = outbox_.OfType<AppendEntriesResponse>();
+  ASSERT_EQ(responses.size(), 1u);  // b's held ack died with its term
+  EXPECT_TRUE(responses[0].success);
+  EXPECT_EQ(responses[0].dest, "c");
+  EXPECT_EQ(responses[0].term, 2u);
+  EXPECT_EQ(responses[0].last_received, (OpId{1, 2}));  // prev, not {1, 4}
+  EXPECT_EQ(responses[0].last_durable_index, 4u);
+}
+
 TEST_F(ConsensusUnitTest, LeaderIgnoresUndurableAcksForCommit) {
   // The leader's match_index must track what followers have fsynced, not
   // what they have merely received.
