@@ -28,12 +28,6 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* Engine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 // --- Arm A: replication throughput, lock-step vs pipelined --------------------
 
 struct ReplicationResult {
@@ -64,7 +58,7 @@ ReplicationResult RunReplicationArm(bool lockstep, int writes, uint64_t seed,
   // and spamming retned errors while the lock-step arm saturates.
   options.client.timeout_micros = 120 * kSecond;
 
-  sim::ClusterHarness cluster(options, Engine());
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   MYRAFT_CHECK(!primary.empty());
@@ -131,7 +125,7 @@ LagResult RunLagArm(uint32_t workers, uint64_t duration_micros,
   options.client.processing_jitter_micros = 300;
   options.client.timeout_micros = 30 * kSecond;
 
-  sim::ClusterHarness cluster(options, Engine());
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   MYRAFT_CHECK(!primary.empty());

@@ -28,12 +28,6 @@
 namespace myraft::bench {
 namespace {
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 struct ChaosArgs {
   uint64_t seed = 1;
   int corpus = 1;
@@ -114,7 +108,7 @@ int RunChaos(const ChaosArgs& args) {
     nemesis_options.quiesce_interval_micros = 4'000'000;
   }
   const std::vector<MemberId> members =
-      chaos::TopologyMemberIds(runner_options.cluster);
+      sim::SortedIds(sim::RingMembers(runner_options.cluster.topology));
 
   std::vector<chaos::Schedule> schedules;
   if (!args.schedule_file.empty()) {
@@ -138,7 +132,7 @@ int RunChaos(const ChaosArgs& args) {
     }
   }
 
-  chaos::ChaosRunner runner(runner_options, FlexiEngine());
+  chaos::ChaosRunner runner(runner_options, flexiraft::SingleRegionDynamic());
   int failures = 0;
   for (const chaos::Schedule& schedule : schedules) {
     chaos::ChaosReport report = runner.Run(schedule);
@@ -150,7 +144,8 @@ int RunChaos(const ChaosArgs& args) {
     chaos::Schedule repro = schedule;
     if (args.minimize) {
       chaos::MinimizeResult minimized =
-          chaos::MinimizeSchedule(runner_options, FlexiEngine(), schedule);
+          chaos::MinimizeSchedule(runner_options,
+                                  flexiraft::SingleRegionDynamic(), schedule);
       printf("minimized to %zu steps in %d runs:\n%s",
              minimized.schedule.steps.size(), minimized.runs,
              minimized.report.ToText().c_str());

@@ -273,18 +273,16 @@ int RunFleetBench(const FleetArgs& args) {
   uint64_t tick_events = 0;
   uint64_t ticks_run = 0;
   uint64_t ticks_early = 0;
+  int nodes = 0;
   for (int s = 0; s < args.shards; ++s) {
     sim::Shard* shard = fleet.shard(s);
     for (const MemberId& id : shard->ids()) {
       tick_events += shard->node(id)->tick_events();
       ticks_run += shard->node(id)->ticks_run();
       ticks_early += shard->node(id)->ticks_early();
+      ++nodes;
     }
   }
-  const fleet::FleetOptions& fo = fleet.options();
-  const int nodes_per_shard =
-      fo.db_regions_per_shard * (1 + fo.logtailers_per_db) + fo.learners;
-  const int nodes = args.shards * nodes_per_shard;
   // Loop cost over the whole run, in events per simulated second.
   const double run_sim_s = (double)fleet.loop()->now() / kSecond;
   const uint64_t loop_events = fleet.loop()->events_run();

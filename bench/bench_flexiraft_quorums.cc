@@ -24,9 +24,7 @@ Histogram RunMode(const FlexiRaftQuorumEngine* engine, uint64_t seed,
                   int writes) {
   sim::ClusterOptions options;
   options.seed = seed;
-  options.topology.db_regions = 6;
-  options.topology.logtailers_per_db = 2;
-  options.topology.learners = 2;
+  options.topology = sim::PaperRingTopology();
   // Measure the server-side commit path: co-located client, tiny
   // processing cost, so the quorum RTT dominates.
   options.client.one_way_micros = 10;
@@ -58,8 +56,6 @@ int main(int argc, char** argv) {
               "§4.1: single-region dynamic quorums commit in hundreds of "
               "microseconds; cross-region majorities are prohibitive");
 
-  static FlexiRaftQuorumEngine single(
-      {QuorumMode::kSingleRegionDynamic});
   FlexiRaftOptions multi_options;
   multi_options.mode = QuorumMode::kMultiRegion;
   multi_options.multi_region_commit_regions = 2;
@@ -71,7 +67,8 @@ int main(int argc, char** argv) {
     Histogram latency;
   };
   Row rows[] = {
-      {"single-region-dynamic", RunMode(&single, args.seed + 1, writes)},
+      {"single-region-dynamic",
+       RunMode(flexiraft::SingleRegionDynamic(), args.seed + 1, writes)},
       {"multi-region (k=2)", RunMode(&multi, args.seed + 2, writes)},
       {"vanilla majority (17 voters)",
        RunMode(&vanilla, args.seed + 3, writes)},

@@ -24,8 +24,6 @@ struct SweepPoint {
 };
 
 void RunPoint(SweepPoint* point, uint64_t seed, int trials) {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
   for (int t = 0; t < trials; ++t) {
     sim::ClusterOptions options;
     options.seed = seed + static_cast<uint64_t>(t);
@@ -34,7 +32,7 @@ void RunPoint(SweepPoint* point, uint64_t seed, int trials) {
     options.raft.heartbeat_interval_micros = point->heartbeat_micros;
     options.raft.missed_heartbeats_before_election = point->misses;
     options.raft.election_jitter_micros = point->heartbeat_micros;
-    sim::ClusterHarness cluster(options, engine);
+    sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
     if (!cluster.Bootstrap().ok()) continue;
     const MemberId primary = cluster.WaitForPrimary(120 * kSecond);
     if (primary.empty()) continue;

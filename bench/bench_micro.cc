@@ -226,12 +226,6 @@ BENCHMARK(BM_HistogramAdd);
 
 // --- Commit-latency mode (--commit-latency) ----------------------------------
 
-const raft::QuorumEngine* CommitLatencyEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 uint64_t PrimaryCounter(sim::ClusterHarness* harness, const MemberId& primary,
                         const std::string& name) {
   const auto* counter =
@@ -260,7 +254,7 @@ CommitLatencyResult RunCommitLatencyConfig(uint64_t seed, int clients,
   // Observability plane: 10 ms windows catch the commit-stage latency
   // series across the burst schedule.
   options.obs.sample_interval_micros = 10'000;
-  sim::ClusterHarness harness(options, CommitLatencyEngine());
+  sim::ClusterHarness harness(options, flexiraft::SingleRegionDynamic());
   CommitLatencyResult result;
   if (!harness.Bootstrap().ok()) return result;
   const MemberId primary = harness.WaitForPrimary(30 * kSecond);

@@ -27,14 +27,12 @@ struct TrialResult {
 
 TrialResult RunTrial(bool mock_enabled, uint64_t seed,
                      uint64_t logtailer_lag_micros) {
-  static flexiraft::FlexiRaftQuorumEngine engine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
   sim::ClusterOptions options;
   options.seed = seed;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
   options.raft.enable_mock_election = mock_enabled;
-  sim::ClusterHarness cluster(options, &engine);
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   MYRAFT_CHECK(!primary.empty());

@@ -28,15 +28,11 @@ struct ArmStats {
 };
 
 ArmStats RunArm(bool proxy_enabled, uint64_t seed, int writes) {
-  static flexiraft::FlexiRaftQuorumEngine engine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
   sim::ClusterOptions options;
   options.seed = seed;
-  options.topology.db_regions = 6;
-  options.topology.logtailers_per_db = 2;
-  options.topology.learners = 2;
+  options.topology = sim::PaperRingTopology();
   options.proxy.enabled = proxy_enabled;
-  sim::ClusterHarness cluster(options, &engine);
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   MYRAFT_CHECK(!primary.empty());

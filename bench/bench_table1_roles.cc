@@ -19,14 +19,12 @@ int main(int argc, char** argv) {
               "Learner=Non-failover replica, Witness=Logtailer "
               "(semi-sync acker in the prior setup)");
 
-  static flexiraft::FlexiRaftQuorumEngine engine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
   sim::ClusterOptions options;
   options.seed = args.seed;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
   options.topology.learners = 2;
-  sim::ClusterHarness cluster(options, &engine);
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60'000'000);
   MYRAFT_CHECK(!primary.empty());

@@ -25,18 +25,10 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 sim::ClusterOptions RaftOptions(uint64_t seed) {
   sim::ClusterOptions options;
   options.seed = seed;
-  options.topology.db_regions = 6;  // primary + five followers
-  options.topology.logtailers_per_db = 2;
-  options.topology.learners = 2;
+  options.topology = sim::PaperRingTopology();  // primary + five followers
   // Production-scale election jitter: with 17 voters spread over WAN
   // links, candidates de-synchronise over a wider window.
   options.raft.election_jitter_micros = 1'500'000;
@@ -46,14 +38,13 @@ sim::ClusterOptions RaftOptions(uint64_t seed) {
 semisync::SemiSyncClusterOptions SemiSyncOptions(uint64_t seed) {
   semisync::SemiSyncClusterOptions options;
   options.seed = seed;
-  options.db_regions = 6;
-  options.logtailers_per_db = 2;
-  options.learners = 2;
+  options.topology = sim::PaperRingTopology();
   return options;
 }
 
 bool RaftTrial(uint64_t seed, bool graceful, Histogram* downtime_hist) {
-  sim::ClusterHarness cluster(RaftOptions(seed), FlexiEngine());
+  sim::ClusterHarness cluster(RaftOptions(seed),
+                              flexiraft::SingleRegionDynamic());
   if (!cluster.Bootstrap().ok()) return false;
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   if (primary.empty()) return false;
@@ -103,7 +94,7 @@ TracedFailover RunTracedFailover(uint64_t seed) {
   // Observability plane on the instrumented trial: the 10 ms windows
   // bracket the failover dip in the exported time series.
   options.obs.sample_interval_micros = 10'000;
-  sim::ClusterHarness cluster(options, FlexiEngine());
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   if (!cluster.Bootstrap().ok()) return out;
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   if (primary.empty()) return out;

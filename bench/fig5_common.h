@@ -50,12 +50,6 @@ struct Fig5ArmResult {
   std::string internals_json;
 };
 
-inline const raft::QuorumEngine* Fig5FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 inline workload::WorkloadOptions MakeWorkloadOptions(const Fig5Setup& setup) {
   workload::WorkloadOptions options;
   options.kind = setup.sysbench ? workload::WorkloadKind::kSysbenchWrite
@@ -84,9 +78,7 @@ inline void ApplyClientModel(const Fig5Setup& setup,
 inline Fig5ArmResult RunMyRaftArm(const Fig5Setup& setup) {
   sim::ClusterOptions options;
   options.seed = setup.seed;
-  options.topology.db_regions = 6;
-  options.topology.logtailers_per_db = 2;
-  options.topology.learners = 2;
+  options.topology = sim::PaperRingTopology();
   ApplyClientModel(setup, &options.client);
   options.client.processing_micros += setup.sysbench
                                           ? kRaftOverheadSysbenchMicros
@@ -95,7 +87,7 @@ inline Fig5ArmResult RunMyRaftArm(const Fig5Setup& setup) {
   // trajectory behind the Figure-5 percentiles.
   options.obs.sample_interval_micros = 100'000;
 
-  sim::ClusterHarness cluster(options, Fig5FlexiEngine());
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   MYRAFT_CHECK(cluster.Bootstrap().ok());
   MYRAFT_CHECK(!cluster.WaitForPrimary(60 * kFig5Second).empty());
   cluster.loop()->RunFor(3 * kFig5Second);
@@ -120,9 +112,7 @@ inline Fig5ArmResult RunMyRaftArm(const Fig5Setup& setup) {
 inline Fig5ArmResult RunSemiSyncArm(const Fig5Setup& setup) {
   semisync::SemiSyncClusterOptions options;
   options.seed = setup.seed;
-  options.db_regions = 6;
-  options.logtailers_per_db = 2;
-  options.learners = 2;
+  options.topology = sim::PaperRingTopology();
   ApplyClientModel(setup, &options.client);
 
   semisync::SemiSyncCluster cluster(options);

@@ -18,8 +18,8 @@ int main() {
 
   // Legacy world: semi-sync replication, roles owned by automation.
   semisync::SemiSyncClusterOptions legacy;
-  legacy.db_regions = 3;
-  legacy.logtailers_per_db = 2;
+  legacy.topology.db_regions = 3;
+  legacy.topology.logtailers_per_db = 2;
   legacy.seed = 99;
   semisync::SemiSyncCluster cluster(legacy);
   if (!cluster.Bootstrap().ok()) return 1;
@@ -41,10 +41,10 @@ int main() {
   // Migrate: lock, safety checks, plugin load, stop writes + catch-up +
   // checksum comparison, restart every member as a MyRaft node over the
   // same disks, Raft bootstrap + first election.
-  flexiraft::FlexiRaftQuorumEngine quorum(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
+  const flexiraft::FlexiRaftQuorumEngine* quorum =
+      flexiraft::SingleRegionDynamic();
   printf("\nrunning enable-raft...\n");
-  auto result = tools::EnableRaft(&cluster, &quorum);
+  auto result = tools::EnableRaft(&cluster, quorum);
   if (!result.status.ok()) {
     fprintf(stderr, "migration failed: %s\n",
             result.status.ToString().c_str());
@@ -58,7 +58,7 @@ int main() {
   sim::SimNode* node = result.raft_nodes.at(*primary).get();
   printf("MyRaft primary: %s (term %llu, %s quorums)\n", primary->c_str(),
          (unsigned long long)node->server()->consensus()->term(),
-         quorum.Describe().c_str());
+         quorum->Describe().c_str());
 
   // Pre-migration data survived; new writes commit through Raft.
   auto old_row = node->server()->Read("bench.kv", "account:24");

@@ -15,13 +15,11 @@ int main() {
   using namespace myraft;
   SetMinLogLevel(LogLevel::kError);
 
-  flexiraft::FlexiRaftQuorumEngine quorum(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
   sim::ClusterOptions options;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
   options.seed = 7;
-  sim::ClusterHarness cluster(options, &quorum);
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   if (!cluster.Bootstrap().ok()) return 1;
 
   tools::MyShadowOptions shadow;

@@ -16,11 +16,6 @@ int main() {
   using namespace myraft;
   SetMinLogLevel(LogLevel::kError);
 
-  // FlexiRaft in single-region-dynamic mode: commits need only the
-  // leader + one of its in-region logtailers (§4.1).
-  flexiraft::FlexiRaftQuorumEngine quorum(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-
   // Paper-style topology: three regions, each with one MySQL database and
   // two logtailers; one learner.
   sim::ClusterOptions options;
@@ -29,7 +24,9 @@ int main() {
   options.topology.learners = 1;
   options.seed = 2024;
 
-  sim::ClusterHarness cluster(options, &quorum);
+  // FlexiRaft in single-region-dynamic mode: commits need only the
+  // leader + one of its in-region logtailers (§4.1).
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   Status status = cluster.Bootstrap();
   if (!status.ok()) {
     fprintf(stderr, "bootstrap failed: %s\n", status.ToString().c_str());
@@ -77,5 +74,5 @@ int main() {
                       ->Read("bench.kv", "user:42");
   printf("user:42 after failover -> %s\n",
          survived.has_value() ? survived->c_str() : "(missing)");
-  return 0;
+  return downtime.recovered && survived.has_value() ? 0 : 1;
 }

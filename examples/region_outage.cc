@@ -17,13 +17,11 @@ int main() {
   using namespace myraft;
   SetMinLogLevel(LogLevel::kError);
 
-  flexiraft::FlexiRaftQuorumEngine quorum(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
   sim::ClusterOptions options;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
   options.seed = 404;
-  sim::ClusterHarness cluster(options, &quorum);
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   if (!cluster.Bootstrap().ok()) return 1;
   const MemberId primary = cluster.WaitForPrimary(30'000'000);
   printf("primary: %s in %s\n", primary.c_str(),

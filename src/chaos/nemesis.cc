@@ -4,7 +4,6 @@
 #include <string>
 
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace myraft::chaos {
 namespace {
@@ -78,21 +77,6 @@ Family PickFamily(Random* rng, const NemesisOptions& options) {
 }
 
 }  // namespace
-
-std::vector<MemberId> TopologyMemberIds(const sim::ClusterOptions& options) {
-  std::vector<MemberId> ids;
-  for (int r = 0; r < options.topology.db_regions; ++r) {
-    ids.push_back("db" + std::to_string(r));
-    for (int l = 0; l < options.topology.logtailers_per_db; ++l) {
-      ids.push_back(StringPrintf("lt%d%c", r, static_cast<char>('a' + l)));
-    }
-  }
-  for (int i = 0; i < options.topology.learners; ++i) {
-    ids.push_back("learner" + std::to_string(i));
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
 
 Schedule GenerateSchedule(uint64_t seed, const std::vector<MemberId>& members,
                           const NemesisOptions& options) {

@@ -11,15 +11,9 @@
 #include <vector>
 
 #include "chaos/schedule.h"
-#include "sim/cluster.h"
 #include "wire/types.h"
 
 namespace myraft::chaos {
-
-/// Member ids ClusterHarness::Bootstrap will create for `options`, in
-/// sorted order — lets a schedule be generated before the cluster exists.
-/// (chaos_test pins this against ClusterHarness::ids() to catch drift.)
-std::vector<MemberId> TopologyMemberIds(const sim::ClusterOptions& options);
 
 struct NemesisOptions {
   uint64_t duration_micros = 20'000'000;
@@ -37,7 +31,8 @@ struct NemesisOptions {
 };
 
 /// `members` must be the full sorted member-id list (ClusterHarness::ids()
-/// returns it sorted); determinism depends on a stable order.
+/// returns it sorted, and sim::SortedIds gives it before the cluster
+/// exists); determinism depends on a stable order.
 Schedule GenerateSchedule(uint64_t seed, const std::vector<MemberId>& members,
                           const NemesisOptions& options = {});
 

@@ -23,17 +23,9 @@ void FleetHarness::ProvisionShard(int i) {
   const std::string rs = "rs" + std::to_string(i);
 
   sim::ShardOptions shard_options;
-  shard_options.topology.replicaset = rs;
   shard_options.topology.db_regions = options_.db_regions_per_shard;
   shard_options.topology.logtailers_per_db = options_.logtailers_per_db;
   shard_options.topology.learners = options_.learners;
-  // Member ids must be unique on the shared network/discovery plane.
-  shard_options.topology.member_prefix = rs + ".";
-  // Place the ring on the global region ring (§6.1 shape per shard);
-  // rotating the home region spreads bootstrap leaders.
-  shard_options.topology.region_offset =
-      options_.regions > 0 ? i % options_.regions : 0;
-  shard_options.topology.region_modulus = options_.regions;
   if (options_.worker_budget > 0) {
     shard_options.applier_workers = std::max<uint32_t>(
         1, options_.worker_budget / static_cast<uint32_t>(options_.shards));
@@ -41,13 +33,24 @@ void FleetHarness::ProvisionShard(int i) {
   shard_options.trace_capacity = options_.trace_capacity;
 
   sim::ShardContext context{
-      &loop_, &network_, &discovery_, quorum_,
+      .loop = &loop_,
+      .network = &network_,
+      .discovery = &discovery_,
+      .quorum = quorum_,
       // The collision fix: the same counter family from two rings rolls
       // up under distinct keys.
-      /*metric_namespace=*/"shard." + rs + ".",
+      .metric_namespace = "shard." + rs + ".",
       // Disjoint numeric-id/uuid/trace-salt range per shard.
-      /*numeric_id_base=*/1 + static_cast<uint32_t>(i) * 1000,
-      /*slow_txn_hook=*/nullptr};
+      .numeric_id_base = 1 + static_cast<uint32_t>(i) * 1000,
+      .slow_txn_hook = nullptr,
+      .replicaset = rs,
+      // Member ids must be unique on the shared network/discovery plane;
+      // rotating the home region over the global region ring spreads
+      // bootstrap leaders.
+      .placement = {.member_prefix = rs + ".",
+                    .region_offset =
+                        options_.regions > 0 ? i % options_.regions : 0,
+                    .region_modulus = options_.regions}};
   shards_[i] = std::make_unique<sim::Shard>(std::move(context),
                                             std::move(shard_options));
 

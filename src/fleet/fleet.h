@@ -32,8 +32,8 @@ struct FleetOptions {
   int shards = 8;
   /// Global region ring the shards are placed across.
   int regions = 3;
-  /// Per-shard ring shape (replicaset/member_prefix/region placement are
-  /// assigned per shard by the fleet; set the rest here).
+  /// Per-shard ring shape (sim::TopologyOptions). The fleet assigns each
+  /// shard its replicaset and placement (sim::ShardContext).
   int db_regions_per_shard = 3;
   int logtailers_per_db = 2;
   int learners = 0;

@@ -199,4 +199,10 @@ std::string FlexiRaftQuorumEngine::Describe() const {
          std::string(QuorumModeToString(options_.mode)) + ")";
 }
 
+const FlexiRaftQuorumEngine* SingleRegionDynamic() {
+  static const auto* engine = new FlexiRaftQuorumEngine(
+      FlexiRaftOptions{.mode = QuorumMode::kSingleRegionDynamic});
+  return engine;
+}
+
 }  // namespace myraft::flexiraft

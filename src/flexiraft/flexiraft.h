@@ -85,6 +85,11 @@ class FlexiRaftQuorumEngine final : public raft::QuorumEngine {
   FlexiRaftOptions options_;
 };
 
+/// The production default engine (kSingleRegionDynamic), built once and
+/// kept for the life of the process. The engine is stateless, so every
+/// ring may share it.
+const FlexiRaftQuorumEngine* SingleRegionDynamic();
+
 }  // namespace myraft::flexiraft
 
 #endif  // MYRAFT_FLEXIRAFT_FLEXIRAFT_H_

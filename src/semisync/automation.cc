@@ -34,14 +34,11 @@ constexpr uint64_t kPromotionSwitchMicros = 300'000;
 
 SemiSyncAutomation::SemiSyncAutomation(
     sim::EventLoop* loop, std::string replicaset,
-    std::vector<MemberId> members, std::map<MemberId, MemberKind> kinds,
-    std::map<MemberId, RegionId> regions, NodeAccessor accessor,
+    std::vector<MemberInfo> members, NodeAccessor accessor,
     server::ServiceDiscovery* discovery, metrics::MetricRegistry* metrics)
     : loop_(loop),
       replicaset_(std::move(replicaset)),
       members_(std::move(members)),
-      kinds_(std::move(kinds)),
-      regions_(std::move(regions)),
       accessor_(std::move(accessor)),
       discovery_(discovery),
       failovers_completed_(
@@ -51,15 +48,21 @@ SemiSyncAutomation::SemiSyncAutomation(
       step_retries_(metrics->GetCounter("semisync.step_retries")),
       detections_(metrics->GetCounter("semisync.detections")) {}
 
+const MemberInfo& SemiSyncAutomation::Member(const MemberId& id) const {
+  auto it = std::find_if(members_.begin(), members_.end(),
+                         [&id](const MemberInfo& m) { return m.id == id; });
+  MYRAFT_CHECK(it != members_.end()) << "unknown member " << id;
+  return *it;
+}
+
 std::set<MemberId> SemiSyncAutomation::AckersFor(
     const MemberId& primary) const {
   std::set<MemberId> ackers;
-  const RegionId region = regions_.at(primary);
-  for (const MemberId& member : members_) {
-    if (member == primary) continue;
-    if (kinds_.at(member) == MemberKind::kLogtailer &&
-        regions_.at(member) == region) {
-      ackers.insert(member);
+  const RegionId& region = Member(primary).region;
+  for (const MemberInfo& member : members_) {
+    if (member.id != primary && member.kind == MemberKind::kLogtailer &&
+        member.region == region) {
+      ackers.insert(member.id);
     }
   }
   return ackers;
@@ -68,8 +71,8 @@ std::set<MemberId> SemiSyncAutomation::AckersFor(
 std::vector<MemberId> SemiSyncAutomation::ReceiversFor(
     const MemberId& primary) const {
   std::vector<MemberId> receivers;
-  for (const MemberId& member : members_) {
-    if (member != primary) receivers.push_back(member);
+  for (const MemberInfo& member : members_) {
+    if (member.id != primary) receivers.push_back(member.id);
   }
   return receivers;
 }
@@ -82,13 +85,13 @@ Status SemiSyncAutomation::Repoint(const MemberId& new_primary) {
   ++generation_;
   MYRAFT_RETURN_NOT_OK(primary->MakePrimary(
       generation_, ReceiversFor(new_primary), AckersFor(new_primary)));
-  for (const MemberId& member : members_) {
-    if (member == new_primary) continue;
-    SemiSyncServer* server = accessor_(member);
+  for (const MemberInfo& member : members_) {
+    if (member.id == new_primary) continue;
+    SemiSyncServer* server = accessor_(member.id);
     if (server == nullptr) continue;  // down; re-pointed when it returns
     Status s = server->MakeReplica(new_primary);
     if (!s.ok()) {
-      MYRAFT_LOG(Warning) << "repoint " << member << ": " << s;
+      MYRAFT_LOG(Warning) << "repoint " << member.id << ": " << s;
     }
   }
   primary_ = new_primary;
@@ -113,13 +116,13 @@ void SemiSyncAutomation::ScheduleHealthCheck() {
       consecutive_failures_ = 0;
       // Reconcile stragglers: restarted members come back unconfigured
       // and are re-pointed at the current primary.
-      for (const MemberId& member : members_) {
-        if (member == primary_) continue;
-        SemiSyncServer* server = accessor_(member);
+      for (const MemberInfo& member : members_) {
+        if (member.id == primary_) continue;
+        SemiSyncServer* server = accessor_(member.id);
         if (server != nullptr && !server->is_primary() &&
             server->replication_source() != primary_) {
           Status s = server->MakeReplica(primary_);
-          if (!s.ok()) MYRAFT_LOG(Warning) << "reconcile " << member << s;
+          if (!s.ok()) MYRAFT_LOG(Warning) << "reconcile " << member.id << s;
         }
       }
       ScheduleHealthCheck();
@@ -144,14 +147,13 @@ MemberId SemiSyncAutomation::PickCandidate() const {
   // Most-caught-up reachable database replica (by binlog position).
   MemberId best;
   OpId best_opid;
-  for (const MemberId& member : members_) {
-    if (member == primary_) continue;
-    if (kinds_.at(member) != MemberKind::kMySql) continue;
-    SemiSyncServer* server = accessor_(member);
+  for (const MemberInfo& member : members_) {
+    if (member.id == primary_ || member.kind != MemberKind::kMySql) continue;
+    SemiSyncServer* server = accessor_(member.id);
     if (server == nullptr) continue;
     const OpId last = server->LastLogged();
     if (best.empty() || last.IsLaterThan(best_opid)) {
-      best = member;
+      best = member.id;
       best_opid = last;
     }
   }
@@ -251,7 +253,7 @@ Status SemiSyncAutomation::StartPromotion(const MemberId& target) {
   if (accessor_(target) == nullptr) {
     return Status::ServiceUnavailable("target unreachable");
   }
-  if (kinds_.at(target) != MemberKind::kMySql) {
+  if (Member(target).kind != MemberKind::kMySql) {
     return Status::InvalidArgument("target is not a database");
   }
   promotion_in_progress_ = true;

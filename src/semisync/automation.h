@@ -10,7 +10,6 @@
 #define MYRAFT_SEMISYNC_AUTOMATION_H_
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,9 +28,7 @@ class SemiSyncAutomation {
   using NodeAccessor = std::function<SemiSyncServer*(const MemberId&)>;
 
   SemiSyncAutomation(sim::EventLoop* loop, std::string replicaset,
-                     std::vector<MemberId> members,
-                     std::map<MemberId, MemberKind> kinds,
-                     std::map<MemberId, RegionId> regions,
+                     std::vector<MemberInfo> members,
                      NodeAccessor accessor,
                      server::ServiceDiscovery* discovery,
                      metrics::MetricRegistry* metrics);
@@ -55,6 +52,7 @@ class SemiSyncAutomation {
   void RunPromotionStep(int step, MemberId target);
   /// Applies MakePrimary/MakeReplica across the ring for `new_primary`.
   Status Repoint(const MemberId& new_primary);
+  const MemberInfo& Member(const MemberId& id) const;
   /// In-region logtailers of `primary` = its semi-sync ackers (Table 1).
   std::set<MemberId> AckersFor(const MemberId& primary) const;
   std::vector<MemberId> ReceiversFor(const MemberId& primary) const;
@@ -66,9 +64,7 @@ class SemiSyncAutomation {
 
   sim::EventLoop* loop_;
   std::string replicaset_;
-  std::vector<MemberId> members_;
-  std::map<MemberId, MemberKind> kinds_;
-  std::map<MemberId, RegionId> regions_;
+  std::vector<MemberInfo> members_;
   NodeAccessor accessor_;
   server::ServiceDiscovery* discovery_;
 

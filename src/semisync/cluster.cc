@@ -1,7 +1,6 @@
 #include "semisync/cluster.h"
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace myraft::semisync {
 
@@ -18,43 +17,21 @@ SemiSyncCluster::SemiSyncCluster(SemiSyncClusterOptions options)
       network_(&loop_, options_.network) {}
 
 Status SemiSyncCluster::Bootstrap() {
-  std::vector<MemberId> members;
-  std::map<MemberId, MemberKind> kinds;
-  std::map<MemberId, RegionId> regions;
-
-  auto add = [&](const MemberId& id, const RegionId& region,
-                 MemberKind kind) {
+  members_ = sim::RingMembers(options_.topology);
+  for (const MemberInfo& member : members_) {
     auto node = std::make_unique<Node>();
     node->env = NewMemEnv();
-    node->kind = kind;
-    node->region = region;
-    nodes_[id] = std::move(node);
-    members.push_back(id);
-    kinds[id] = kind;
-    regions[id] = region;
-  };
-
-  for (int r = 0; r < options_.db_regions; ++r) {
-    const RegionId region = "region" + std::to_string(r);
-    add("db" + std::to_string(r), region, MemberKind::kMySql);
-    for (int l = 0; l < options_.logtailers_per_db; ++l) {
-      add(StringPrintf("lt%d%c", r, static_cast<char>('a' + l)), region,
-          MemberKind::kLogtailer);
-    }
+    node->kind = member.kind;
+    node->region = member.region;
+    nodes_[member.id] = std::move(node);
   }
-  for (int i = 0; i < options_.learners; ++i) {
-    const int r =
-        options_.db_regions > 1 ? 1 + i % (options_.db_regions - 1) : 0;
-    add("learner" + std::to_string(i), "region" + std::to_string(r),
-        MemberKind::kMySql);
-  }
-
-  for (const MemberId& id : members) {
-    MYRAFT_RETURN_NOT_OK_PREPEND(StartNode(id), "starting " + id);
+  for (const MemberInfo& member : members_) {
+    MYRAFT_RETURN_NOT_OK_PREPEND(StartNode(member.id),
+                                 "starting " + member.id);
   }
 
   automation_ = std::make_unique<SemiSyncAutomation>(
-      &loop_, options_.replicaset, members, kinds, regions,
+      &loop_, kReplicaset, members_,
       [this](const MemberId& id) -> SemiSyncServer* {
         Node* node = LiveNode(id);
         return node != nullptr ? node->server.get() : nullptr;
@@ -66,7 +43,7 @@ Status SemiSyncCluster::Bootstrap() {
 Status SemiSyncCluster::StartNode(const MemberId& id) {
   Node* node = nodes_.at(id).get();
   SemiSyncOptions server_options;
-  server_options.replicaset = options_.replicaset;
+  server_options.replicaset = kReplicaset;
   server_options.id = id;
   server_options.region = node->region;
   server_options.kind = node->kind;
@@ -132,7 +109,7 @@ std::vector<MemberId> SemiSyncCluster::database_ids() const {
 }
 
 MemberId SemiSyncCluster::CurrentPrimary() {
-  auto primary = discovery_.GetPrimary(options_.replicaset);
+  auto primary = discovery_.GetPrimary(kReplicaset);
   if (!primary.has_value()) return "";
   auto it = nodes_.find(*primary);
   if (it == nodes_.end() || !it->second->up) return "";
@@ -166,7 +143,7 @@ std::unique_ptr<Env> SemiSyncCluster::ShutdownAndTakeDisk(
 void SemiSyncCluster::ClientWrite(const std::string& key,
                                   const std::string& value,
                                   sim::ClientWriteCallback done) {
-  auto primary = discovery_.GetPrimary(options_.replicaset);
+  auto primary = discovery_.GetPrimary(kReplicaset);
   if (!primary.has_value()) {
     done(sim::ClientWriteResult{Status::ServiceUnavailable("no primary"), 0,
                                 {}, {}});

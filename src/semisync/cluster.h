@@ -16,15 +16,15 @@
 #include "sim/client_model.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "sim/topology.h"
 #include "util/metrics.h"
 
 namespace myraft::semisync {
 
 struct SemiSyncClusterOptions {
-  std::string replicaset = "rs0";
-  int db_regions = 3;
-  int logtailers_per_db = 2;
-  int learners = 0;  // modelled as plain async replicas
+  /// The ring's shape, the same struct the MyRaft arm takes
+  /// (ClusterOptions::topology). Learners are plain async replicas.
+  sim::TopologyOptions topology;
 
   uint64_t seed = 1;
   sim::NetworkOptions network;
@@ -36,6 +36,9 @@ struct SemiSyncClusterOptions {
 
 class SemiSyncCluster {
  public:
+  /// The one replicaset a semi-sync cluster serves.
+  static constexpr char kReplicaset[] = "rs0";
+
   explicit SemiSyncCluster(SemiSyncClusterOptions options);
 
   /// Creates all members and installs db0 as the initial primary.
@@ -49,6 +52,8 @@ class SemiSyncCluster {
   bool node_up(const MemberId& id) const { return nodes_.at(id)->up; }
   std::vector<MemberId> ids() const;
   std::vector<MemberId> database_ids() const;
+  /// The members Bootstrap created, in bootstrap order (sim::RingMembers).
+  const std::vector<MemberInfo>& members() const { return members_; }
 
   MemberId CurrentPrimary();
 
@@ -100,6 +105,7 @@ class SemiSyncCluster {
   metrics::MetricRegistry metrics_;
   sim::SimNetwork network_;
   server::InMemoryServiceDiscovery discovery_;
+  std::vector<MemberInfo> members_;
   std::map<MemberId, std::unique_ptr<Node>> nodes_;
   std::unique_ptr<SemiSyncAutomation> automation_;
 };

@@ -34,11 +34,14 @@ ClusterHarness::ClusterHarness(ClusterOptions options,
       loop_(options_.seed),
       network_(&loop_, WithDefaultMetrics(options_.network, &net_metrics_)) {
   ShardContext context{
-      &loop_, &network_, &discovery_, quorum,
-      /*metric_namespace=*/"", /*numeric_id_base=*/1,
+      .loop = &loop_,
+      .network = &network_,
+      .discovery = &discovery_,
+      .quorum = quorum,
+      .metric_namespace = "",
       // Trigger routing only; TriggerFlightRecorder is a no-op until the
       // obs plane comes up at the end of Bootstrap.
-      /*slow_txn_hook=*/[this](const std::string& summary) {
+      .slow_txn_hook = [this](const std::string& summary) {
         TriggerFlightRecorder(obs::TriggerKind::kSlowTransaction, summary);
       }};
   // The shard takes the ShardOptions part of options_.

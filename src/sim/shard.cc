@@ -10,20 +10,11 @@ namespace myraft::sim {
 Shard::Shard(ShardContext context, ShardOptions options)
     : context_(std::move(context)), options_(std::move(options)) {}
 
-RegionId Shard::RegionName(int r) const {
-  const int modulus = options_.topology.region_modulus > 0
-                          ? options_.topology.region_modulus
-                          : options_.topology.db_regions;
-  const int index =
-      (options_.topology.region_offset + r) % std::max(modulus, 1);
-  return "region" + std::to_string(index);
-}
-
 SimNode::Options Shard::MakeNodeOptions(const MemberInfo& member,
                                         uint32_t numeric_id,
                                         Uuid uuid) const {
   SimNode::Options node_options;
-  node_options.server.replicaset = options_.topology.replicaset;
+  node_options.server.replicaset = context_.replicaset;
   node_options.server.id = member.id;
   node_options.server.region = member.region;
   node_options.server.kind = member.kind;
@@ -49,37 +40,15 @@ Status Shard::Bootstrap() {
     return Status::IllegalState("shard already bootstrapped: " +
                                 replicaset());
   }
-  // Build the membership config: one database voter + logtailers per
-  // region, learners round-robin across follower regions.
-  const std::string& prefix = options_.topology.member_prefix;
+  config_.members = RingMembers(options_.topology, context_.placement);
   uint32_t numeric_id = context_.numeric_id_base;
-  auto add_member = [&](const std::string& name, const RegionId& region,
-                        MemberKind kind, RaftMemberType type) {
-    const MemberId id = prefix + name;
-    config_.members.push_back(MemberInfo{id, region, kind, type});
-    nodes_[id] = std::make_unique<SimNode>(
+  for (const MemberInfo& member : config_.members) {
+    auto node = std::make_unique<SimNode>(
         context_.loop, context_.network, context_.discovery, context_.quorum,
-        MakeNodeOptions(config_.members.back(), numeric_id,
-                        Uuid::FromIndex(numeric_id)));
-    nodes_[id]->metrics()->SetPrefix(context_.metric_namespace);
+        MakeNodeOptions(member, numeric_id, Uuid::FromIndex(numeric_id)));
+    node->metrics()->SetPrefix(context_.metric_namespace);
+    nodes_[member.id] = std::move(node);
     ++numeric_id;
-  };
-
-  for (int r = 0; r < options_.topology.db_regions; ++r) {
-    const RegionId region = RegionName(r);
-    add_member("db" + std::to_string(r), region, MemberKind::kMySql,
-               RaftMemberType::kVoter);
-    for (int l = 0; l < options_.topology.logtailers_per_db; ++l) {
-      add_member(StringPrintf("lt%d%c", r, static_cast<char>('a' + l)),
-                 region, MemberKind::kLogtailer, RaftMemberType::kVoter);
-    }
-  }
-  for (int i = 0; i < options_.topology.learners; ++i) {
-    const int r = options_.topology.db_regions > 1
-                      ? 1 + i % (options_.topology.db_regions - 1)
-                      : 0;
-    add_member("learner" + std::to_string(i), RegionName(r),
-               MemberKind::kMySql, RaftMemberType::kNonVoter);
   }
 
   for (auto& [id, node] : nodes_) {
@@ -122,7 +91,7 @@ std::vector<MemberId> Shard::database_ids() const {
 }
 
 SimNode* Shard::PrimaryNode() {
-  auto primary = context_.discovery->GetPrimary(options_.topology.replicaset);
+  auto primary = context_.discovery->GetPrimary(context_.replicaset);
   if (!primary.has_value()) return nullptr;
   auto it = nodes_.find(*primary);
   if (it == nodes_.end() || !it->second->up()) return nullptr;

@@ -22,30 +22,9 @@
 
 #include "server/service_discovery.h"
 #include "sim/node.h"
+#include "sim/topology.h"
 
 namespace myraft::sim {
-
-/// Shape of one shard's ring. Region index `r` maps to the global region
-/// ring as "region<(region_offset + r) % modulus>" where modulus defaults
-/// to db_regions — so a standalone shard names its regions region0..N-1
-/// exactly as before, while a fleet can rotate shards across a shared set
-/// of regions (placement diversity) by varying region_offset.
-struct TopologyOptions {
-  std::string replicaset = "rs0";
-  /// Regions hosting a database voter + its logtailers. Region index 0 is
-  /// the bootstrap primary's.
-  int db_regions = 3;
-  int logtailers_per_db = 2;
-  /// Non-voting replicas, placed round-robin in follower regions.
-  int learners = 0;
-  /// Prepended to every generated member id ("" = bare ids: db0, lt0a…).
-  /// The fleet sets "<rs>." so member ids stay unique on the shared
-  /// network and service-discovery plane.
-  std::string member_prefix;
-  /// Global region ring (see above). 0 = db_regions.
-  int region_offset = 0;
-  int region_modulus = 0;
-};
 
 /// Everything a shard borrows from its host, and the identity the host
 /// assigns it. All pointers outlive the shard; the fleet shares one of
@@ -64,6 +43,9 @@ struct ShardContext {
   uint32_t numeric_id_base = 1;
   /// Slow-transaction trigger routing (flight recorder); may be null.
   std::function<void(const std::string&)> slow_txn_hook;
+  std::string replicaset = "rs0";
+  /// Where the ring sits on the host's region ring (sim/topology.h).
+  RingPlacement placement = {};
 };
 
 /// What a caller sets on one ring. ClusterOptions extends it with the
@@ -105,7 +87,7 @@ class Shard {
 
   // --- Accessors -----------------------------------------------------------------
 
-  const std::string& replicaset() const { return options_.topology.replicaset; }
+  const std::string& replicaset() const { return context_.replicaset; }
   const ShardOptions& options() const { return options_; }
   EventLoop* loop() { return context_.loop; }
   SimNetwork* network() { return context_.network; }
@@ -175,7 +157,9 @@ class Shard {
   std::vector<RegionId> Regions() const;
 
  private:
-  RegionId RegionName(int r) const;
+  RegionId RegionName(int r) const {
+    return RingRegion(options_.topology, context_.placement, r);
+  }
   /// The node behind CurrentPrimary() (null if none): one discovery
   /// lookup and one node lookup.
   SimNode* PrimaryNode();

@@ -104,7 +104,7 @@ EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
   for (const MemberId& id : cluster->ids()) {
     std::unique_ptr<Env> disk = cluster->ShutdownAndTakeDisk(id);
     sim::SimNode::Options node_options;
-    node_options.server.replicaset = "rs0";
+    node_options.server.replicaset = semisync::SemiSyncCluster::kReplicaset;
     node_options.server.id = id;
     node_options.server.region = cluster->region(id);
     node_options.server.kind = cluster->kind(id);
@@ -129,7 +129,8 @@ EnableRaftResult EnableRaft(semisync::SemiSyncCluster* cluster,
   MemberId raft_primary;
   while (loop->now() < election_deadline) {
     loop->RunFor(50'000);
-    auto published = cluster->discovery()->GetPrimary("rs0");
+    auto published = cluster->discovery()->GetPrimary(
+        semisync::SemiSyncCluster::kReplicaset);
     if (published.has_value()) {
       auto it = result.raft_nodes.find(*published);
       if (it != result.raft_nodes.end() &&

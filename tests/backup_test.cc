@@ -15,12 +15,6 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 TEST(BackupTest, ArchiveRoundTripsFiles) {
   auto src = NewMemEnv();
   ManualClock clock;
@@ -64,7 +58,7 @@ TEST(BackupTest, NewMemberJoinsFromBackupAfterPurge) {
   options.seed = 71;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  sim::ClusterHarness cluster(options, FlexiEngine());
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());

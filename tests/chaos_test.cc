@@ -19,12 +19,6 @@
 namespace myraft::chaos {
 namespace {
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 /// The bench_chaos topology: 3 regions x (db + 2 logtailers) + 1 learner.
 ChaosOptions PaperTopologyOptions() {
   ChaosOptions options;
@@ -32,6 +26,11 @@ ChaosOptions PaperTopologyOptions() {
   options.cluster.topology.logtailers_per_db = 2;
   options.cluster.topology.learners = 1;
   return options;
+}
+
+/// The sorted ids the nemesis draws from, before the cluster exists.
+std::vector<MemberId> MemberIds(const ChaosOptions& options) {
+  return sim::SortedIds(sim::RingMembers(options.cluster.topology));
 }
 
 FaultStep Step(uint64_t at, FaultAction action,
@@ -44,8 +43,7 @@ FaultStep Step(uint64_t at, FaultAction action,
 }
 
 TEST(ChaosScheduleTest, GenerationAndTextAreDeterministic) {
-  const std::vector<MemberId> members =
-      TopologyMemberIds(PaperTopologyOptions().cluster);
+  const std::vector<MemberId> members = MemberIds(PaperTopologyOptions());
   const NemesisOptions nemesis;
   const Schedule a = GenerateSchedule(42, members, nemesis);
   const Schedule b = GenerateSchedule(42, members, nemesis);
@@ -79,25 +77,13 @@ TEST(ChaosScheduleTest, ClockFaultStepsRoundTrip) {
   EXPECT_EQ(parsed->steps[1].targets, std::vector<std::string>{"@leader"});
 }
 
-TEST(ChaosTopologyTest, MemberIdsMatchBootstrappedCluster) {
-  // The nemesis targets members by name before the cluster exists;
-  // TopologyMemberIds must stay pinned to ClusterHarness::Bootstrap.
-  const ChaosOptions options = PaperTopologyOptions();
-  sim::ClusterHarness cluster(options.cluster, FlexiEngine());
-  ASSERT_TRUE(cluster.Bootstrap().ok());
-  std::vector<MemberId> ids = cluster.ids();
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, TopologyMemberIds(options.cluster));
-}
-
 TEST(ChaosRunnerTest, IdenticalSeedsProduceByteIdenticalReports) {
   const ChaosOptions options = PaperTopologyOptions();
   NemesisOptions nemesis;
   nemesis.duration_micros = 6'000'000;
   nemesis.quiesce_interval_micros = 3'000'000;
-  const Schedule schedule =
-      GenerateSchedule(5, TopologyMemberIds(options.cluster), nemesis);
-  ChaosRunner runner(options, FlexiEngine());
+  const Schedule schedule = GenerateSchedule(5, MemberIds(options), nemesis);
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const std::string first = runner.Run(schedule).ToText();
   const std::string second = runner.Run(schedule).ToText();
   EXPECT_EQ(first, second);
@@ -144,7 +130,7 @@ TEST(ChaosSelfTest, SeededUnsafeCommitBugIsCaughtAndMinimized) {
   options.cluster.raft.unsafe_follower_skips_fsync = true;
   const Schedule schedule = SelfTestSchedule();
 
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   ASSERT_FALSE(report.passed) << report.ToText();
   EXPECT_GT(FailureSignature(report).count("Durability"), 0u)
@@ -153,7 +139,7 @@ TEST(ChaosSelfTest, SeededUnsafeCommitBugIsCaughtAndMinimized) {
   // ddmin must shrink the repro to at most 5 steps while keeping the
   // failure signature.
   const MinimizeResult minimized =
-      MinimizeSchedule(options, FlexiEngine(), schedule);
+      MinimizeSchedule(options, flexiraft::SingleRegionDynamic(), schedule);
   EXPECT_FALSE(minimized.report.passed);
   EXPECT_LE(minimized.schedule.steps.size(), 5u)
       << minimized.schedule.ToText();
@@ -166,7 +152,7 @@ TEST(ChaosSelfTest, SafeCommitRuleSurvivesTheSameSchedule) {
   // the up-to-date vote check guarantees the longest-log logtailer wins
   // the interim term.
   const ChaosOptions options = SelfTestOptions();
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(SelfTestSchedule());
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -195,7 +181,7 @@ TEST(ChaosRegressionTest, SingleVoterCommitRetiresEveryWrite) {
       Step(500'000, FaultAction::kRestart, {"*"}),
   };
 
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -212,11 +198,11 @@ TEST(ChaosRegressionTest, AsymmetricLeaderIsolationFailsOver) {
   schedule.seed = 3;
   schedule.duration_micros = 4'000'000;
   schedule.quiesce_interval_micros = 2'000'000;
-  for (const MemberId& id : TopologyMemberIds(options.cluster)) {
+  for (const MemberId& id : MemberIds(options)) {
     schedule.steps.push_back(
         Step(100'000, FaultAction::kOneWayCut, {"@leader", id}));
   }
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -243,7 +229,7 @@ TEST(ChaosRegressionTest, TornLeaderCrashDuringCoalescedSyncLosesNothing) {
       Step(900'000, FaultAction::kRestart, {"*"}),
   };
 
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -283,7 +269,7 @@ TEST(ChaosLeaseTest, LeaseExpiryRacingLeaderCrashServesNoStaleReads) {
       Step(1'200'000, FaultAction::kClockHeal, {"*"}),
   };
 
-  ChaosRunner runner(LeaseOptions(), FlexiEngine());
+  ChaosRunner runner(LeaseOptions(), flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -314,7 +300,7 @@ TEST(ChaosLeaseTest, DriftBeyondMarginNeverServesStale) {
       Step(2'200'000, FaultAction::kClockHeal, {"*"}),
   };
 
-  ChaosRunner runner(LeaseOptions(), FlexiEngine());
+  ChaosRunner runner(LeaseOptions(), flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.reads_ok, 0u) << report.ToText();
@@ -337,7 +323,7 @@ TEST(ChaosLeaseTest, PartitionedLeaseholderRefusesButNeverLies) {
       Step(2'000'000, FaultAction::kHealAll, {}),
   };
 
-  ChaosRunner runner(LeaseOptions(), FlexiEngine());
+  ChaosRunner runner(LeaseOptions(), flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -365,7 +351,7 @@ TEST(ChaosLeaseTest, GrantorCrashRestartRacingElectionServesNoStaleReads) {
       Step(2'200'000, FaultAction::kHealAll, {}),
   };
 
-  ChaosRunner runner(LeaseOptions(), FlexiEngine());
+  ChaosRunner runner(LeaseOptions(), flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -380,8 +366,7 @@ TEST(ChaosLeaseTest, GeneratedClockFaultCorpusStaysClean) {
   NemesisOptions nemesis;
   nemesis.clock_faults = true;
   const ChaosOptions options = LeaseOptions();
-  const Schedule schedule = GenerateSchedule(
-      21, TopologyMemberIds(options.cluster), nemesis);
+  const Schedule schedule = GenerateSchedule(21, MemberIds(options), nemesis);
   const bool has_clock_step = std::any_of(
       schedule.steps.begin(), schedule.steps.end(), [](const FaultStep& s) {
         return s.action == FaultAction::kClockSkew ||
@@ -389,7 +374,7 @@ TEST(ChaosLeaseTest, GeneratedClockFaultCorpusStaysClean) {
       });
   EXPECT_TRUE(has_clock_step) << schedule.ToText();
 
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.reads_ok, 0u) << report.ToText();
@@ -438,7 +423,7 @@ TEST(ChaosReconfigTest, ReconfigAcrossFailoverKeepsConfigSafety) {
       Step(2'000'000, FaultAction::kHealAll, {}),
       Step(2'600'000, FaultAction::kReconfig, {"add", "lt1a"}),
   };
-  ChaosRunner runner(PaperTopologyOptions(), FlexiEngine());
+  ChaosRunner runner(PaperTopologyOptions(), flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -462,7 +447,7 @@ TEST(ChaosReconfigTest, ConcurrentChangeStormStaysSafe) {
       Step(1'500'000, FaultAction::kReconfig, {"promote", "lt2a"}),
       Step(2'600'000, FaultAction::kReconfig, {"add", "lt1b"}),
   };
-  ChaosRunner runner(PaperTopologyOptions(), FlexiEngine());
+  ChaosRunner runner(PaperTopologyOptions(), flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
@@ -477,22 +462,20 @@ TEST(ChaosReconfigTest, GeneratedMembershipCorpusKeepsConfigSafety) {
   NemesisOptions nemesis;
   nemesis.reconfig_faults = true;
   const ChaosOptions options = PaperTopologyOptions();
-  const Schedule schedule = GenerateSchedule(
-      37, TopologyMemberIds(options.cluster), nemesis);
+  const Schedule schedule = GenerateSchedule(37, MemberIds(options), nemesis);
   const bool has_reconfig_step = std::any_of(
       schedule.steps.begin(), schedule.steps.end(), [](const FaultStep& s) {
         return s.action == FaultAction::kReconfig;
       });
   EXPECT_TRUE(has_reconfig_step) << schedule.ToText();
 
-  ChaosRunner runner(options, FlexiEngine());
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
   EXPECT_GT(report.writes_acked, 0u);
 
   // Determinism holds for the new family too (CI replays by seed).
-  EXPECT_EQ(GenerateSchedule(37, TopologyMemberIds(options.cluster), nemesis)
-                .ToText(),
+  EXPECT_EQ(GenerateSchedule(37, MemberIds(options), nemesis).ToText(),
             schedule.ToText());
 }
 
@@ -501,9 +484,9 @@ TEST(ChaosRegressionTest, Seed9DoubleLeaderScheduleStaysClean) {
   // double-leader (two candidates aggregating divergent stale last-leader
   // views won the same term with disjoint quorums), replayed verbatim.
   const ChaosOptions options = PaperTopologyOptions();
-  const Schedule schedule = GenerateSchedule(
-      9, TopologyMemberIds(options.cluster), NemesisOptions{});
-  ChaosRunner runner(options, FlexiEngine());
+  const Schedule schedule =
+      GenerateSchedule(9, MemberIds(options), NemesisOptions{});
+  ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const ChaosReport report = runner.Run(schedule);
   EXPECT_TRUE(report.passed) << report.ToText();
 }

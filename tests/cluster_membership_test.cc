@@ -12,18 +12,12 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 TEST(ClusterMembershipTest, NewDatabaseJoinsCatchesUpAndServes) {
   ClusterOptions options;
   options.seed = 61;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -70,7 +64,7 @@ TEST(ClusterMembershipTest, AddedLogtailerJoinsTheVoterQuorum) {
   options.seed = 62;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -106,7 +100,7 @@ TEST(ClusterMembershipTest, RemoveMemberShrinksTheRing) {
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
   options.topology.learners = 1;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -147,7 +141,7 @@ TEST(ClusterMembershipTest, LoglessConcurrentChangeIsRefused) {
   options.seed = 65;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -192,7 +186,7 @@ TEST(ClusterMembershipTest, VoterWitnessSwapRoundTrip) {
   options.seed = 66;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -234,7 +228,7 @@ TEST(ClusterMembershipTest, RemovedVoterInstallsFarewellAndParks) {
   options.seed = 67;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -272,7 +266,7 @@ TEST(ClusterMembershipTest, ReconfigRacingLeaderTransferStaysSafe) {
   options.seed = 68;
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());

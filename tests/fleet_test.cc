@@ -24,12 +24,6 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 // Multi-region commit quorums so a one-region outage is survivable and
 // the storm is a mass automatic failover (see bench_fleet.cc).
 const raft::QuorumEngine* MultiRegionEngine() {
@@ -112,7 +106,7 @@ TEST(DistributedLockTest, TtlFencesAHolderThatNeverReleases) {
 TEST(FleetHarnessTest, BootstrapIsDeterministicPerSeed) {
   std::string raftstat[2];
   for (int run = 0; run < 2; ++run) {
-    FleetHarness fleet(SmallFleet(6, 7), FlexiEngine());
+    FleetHarness fleet(SmallFleet(6, 7), flexiraft::SingleRegionDynamic());
     ASSERT_TRUE(fleet.Bootstrap().ok());
     ASSERT_EQ(fleet.WaitForAllPrimaries(60 * kSecond), 6);
     fleet.loop()->RunFor(2 * kSecond);
@@ -126,7 +120,7 @@ TEST(FleetHarnessTest, BootstrapIsDeterministicPerSeed) {
 }
 
 TEST(FleetHarnessTest, RollupNamespacesShardsAndSharesNetwork) {
-  FleetHarness fleet(SmallFleet(4), FlexiEngine());
+  FleetHarness fleet(SmallFleet(4), flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_EQ(fleet.WaitForAllPrimaries(60 * kSecond), 4);
 
@@ -146,7 +140,7 @@ TEST(FleetHarnessTest, RollupNamespacesShardsAndSharesNetwork) {
 // --- Placement ---------------------------------------------------------------
 
 TEST(FleetHarnessTest, HomeRegionsRotateAndLeadersByRegionCounts) {
-  FleetHarness fleet(SmallFleet(9), FlexiEngine());
+  FleetHarness fleet(SmallFleet(9), flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_EQ(fleet.WaitForAllPrimaries(60 * kSecond), 9);
 
@@ -219,7 +213,7 @@ TEST(FleetHarnessTest, RegionOutageStormRecoversEveryShard) {
 TEST(EnableRaftRolloutTest, LockAdmitsOneMigrationDespiteManyWorkers) {
   FleetOptions options = SmallFleet(8);
   options.pending_shards = 8;  // the whole fleet starts dark
-  FleetHarness fleet(options, FlexiEngine());
+  FleetHarness fleet(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_EQ(fleet.ShardsWithPrimary(), 0);
   ASSERT_EQ(fleet.PendingShards().size(), 8u);

@@ -19,17 +19,9 @@
 namespace myraft::server {
 namespace {
 
-using flexiraft::FlexiRaftQuorumEngine;
-using flexiraft::QuorumMode;
 using sim::ClusterHarness;
 using sim::ClusterOptions;
 constexpr uint64_t kSecond = 1'000'000;
-
-const raft::QuorumEngine* FlexiEngine() {
-  static FlexiRaftQuorumEngine* engine =
-      new FlexiRaftQuorumEngine({QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
 
 ClusterOptions GroupCommitOptions(uint64_t seed) {
   ClusterOptions options;
@@ -78,7 +70,8 @@ int RunBursts(ClusterHarness* harness, int bursts, int width) {
 }
 
 TEST(GroupCommitTest, EightConcurrentWritersShareFsyncs) {
-  ClusterHarness harness(GroupCommitOptions(17), FlexiEngine());
+  ClusterHarness harness(GroupCommitOptions(17),
+                         flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(harness.Bootstrap().ok());
   const MemberId primary = harness.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -119,7 +112,8 @@ TEST(GroupCommitTest, SerialWritersPayOneFsyncEach) {
   // nothing to coalesce and the leader pays at least one fsync per
   // committed write. The contrast proves the test above measures real
   // sharing rather than an artefact of the sim clock.
-  ClusterHarness harness(GroupCommitOptions(17), FlexiEngine());
+  ClusterHarness harness(GroupCommitOptions(17),
+                         flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(harness.Bootstrap().ok());
   const MemberId primary = harness.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());

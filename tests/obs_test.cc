@@ -31,12 +31,6 @@ namespace {
 
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 // --- TimeSeriesSampler -------------------------------------------------------
 
 TEST(TimeSeriesSamplerTest, WindowsCarryPerTickDeltas) {
@@ -291,7 +285,8 @@ sim::ClusterOptions ObsClusterOptions(uint64_t seed) {
 }
 
 TEST(ObsClusterTest, CatalogCoversEveryRegisteredMetric) {
-  sim::ClusterHarness cluster(ObsClusterOptions(7), FlexiEngine());
+  sim::ClusterHarness cluster(ObsClusterOptions(7),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_FALSE(cluster.WaitForPrimary(30 * kSecond).empty());
   for (int i = 0; i < 10; ++i) {
@@ -317,7 +312,8 @@ TEST(ObsClusterTest, NodeRegistryBootstrapAllocationBound) {
   // Replays the registrations of the cluster's largest node registry into
   // a fresh registry, as every node after the first does in a fleet (the
   // names are already interned), and counts the allocations.
-  sim::ClusterHarness cluster(ObsClusterOptions(7), FlexiEngine());
+  sim::ClusterHarness cluster(ObsClusterOptions(7),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const metrics::MetricRegistry* largest = nullptr;
   for (const MemberId& id : cluster.ids()) {
@@ -347,7 +343,8 @@ TEST(ObsClusterTest, NodeRegistryBootstrapAllocationBound) {
 }
 
 TEST(ObsClusterTest, RaftstatReportsRolesAndPeers) {
-  sim::ClusterHarness cluster(ObsClusterOptions(11), FlexiEngine());
+  sim::ClusterHarness cluster(ObsClusterOptions(11),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -379,7 +376,7 @@ TEST(ObsClusterTest, HealthOutageAgreesWithDowntimeProbe) {
   options.raft.heartbeat_interval_micros = 100'000;
   options.raft.election_jitter_micros = 150'000;
   options.raft.election_round_timeout_micros = 600'000;
-  sim::ClusterHarness cluster(options, FlexiEngine());
+  sim::ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -438,7 +435,7 @@ TEST(ChaosObsTest, SameSeedProducesByteIdenticalBundle) {
   nemesis.duration_micros = 8'000'000;
   nemesis.quiesce_interval_micros = 4'000'000;
   const std::vector<MemberId> members =
-      chaos::TopologyMemberIds(ChaosTopology().cluster);
+      sim::SortedIds(sim::RingMembers(ChaosTopology().cluster.topology));
   // Scan a few seeds for a schedule that injects at least one crash (the
   // guaranteed trigger); generated schedules almost always have one.
   chaos::Schedule schedule;
@@ -455,7 +452,7 @@ TEST(ChaosObsTest, SameSeedProducesByteIdenticalBundle) {
   }
   ASSERT_TRUE(found) << "no generated schedule with a crash step";
 
-  chaos::ChaosRunner runner(ChaosTopology(), FlexiEngine());
+  chaos::ChaosRunner runner(ChaosTopology(), flexiraft::SingleRegionDynamic());
   const chaos::ChaosReport report_a = runner.Run(schedule);
   const std::string bundle_a = runner.LastBundleJson();
   const chaos::ChaosReport report_b = runner.Run(schedule);
@@ -509,7 +506,7 @@ TEST(ChaosObsTest, InvariantViolationEmitsBundle) {
       step(300'000, chaos::FaultAction::kRestart, {"lt0b"}),
   };
 
-  chaos::ChaosRunner runner(options, FlexiEngine());
+  chaos::ChaosRunner runner(options, flexiraft::SingleRegionDynamic());
   const chaos::ChaosReport report = runner.Run(schedule);
   ASSERT_FALSE(report.passed) << report.ToText();
 

@@ -15,17 +15,9 @@
 namespace myraft::server {
 namespace {
 
-using flexiraft::FlexiRaftQuorumEngine;
-using flexiraft::QuorumMode;
 using sim::ClusterHarness;
 using sim::ClusterOptions;
 constexpr uint64_t kSecond = 1'000'000;
-
-const raft::QuorumEngine* FlexiEngine() {
-  static FlexiRaftQuorumEngine* engine =
-      new FlexiRaftQuorumEngine({QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
 
 ClusterOptions ApplierOptions(uint64_t seed, uint32_t workers,
                               uint64_t txn_cost_micros) {
@@ -105,7 +97,7 @@ TEST(ParallelApplierTest, ChecksumParityWithSerialOnConflictingWorkload) {
   for (const bool parallel : {false, true}) {
     ClusterHarness harness(
         ApplierOptions(21, parallel ? 4 : 1, parallel ? 8'000 : 0),
-        FlexiEngine());
+        flexiraft::SingleRegionDynamic());
     ASSERT_TRUE(harness.Bootstrap().ok());
     const MemberId primary = harness.WaitForPrimary(30 * kSecond);
     ASSERT_FALSE(primary.empty());
@@ -153,7 +145,8 @@ TEST(ParallelApplierTest, PromotionWaitsForApplierCatchUp) {
   // until the new primary's applier has retired the full committed
   // prefix — otherwise reads on the new primary would miss acknowledged
   // writes.
-  ClusterHarness harness(ApplierOptions(33, 2, 25'000), FlexiEngine());
+  ClusterHarness harness(ApplierOptions(33, 2, 25'000),
+                         flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(harness.Bootstrap().ok());
   const MemberId old_primary = harness.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(old_primary.empty());
@@ -190,7 +183,8 @@ TEST(ParallelApplierTest, SerialCostFreeApplierStaysSynchronous) {
   // applier_txn_cost_micros = 0 must preserve the pre-parallelism
   // behaviour: no residual lag between pumps, no stalls needed to make
   // progress, every follower applies everything.
-  ClusterHarness harness(ApplierOptions(5, 1, 0), FlexiEngine());
+  ClusterHarness harness(ApplierOptions(5, 1, 0),
+                         flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(harness.Bootstrap().ok());
   const MemberId primary = harness.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());

@@ -14,8 +14,6 @@
 namespace myraft::proxy {
 namespace {
 
-using flexiraft::FlexiRaftQuorumEngine;
-using flexiraft::QuorumMode;
 using raft_test::RaftTestCluster;
 using raft_test::TestNode;
 constexpr uint64_t kSecond = 1'000'000;
@@ -151,10 +149,9 @@ TEST(ProxyRouterTest, LeaderStripsPayloadForRemoteNonRelayMembers) {
 
 TEST(ProxyClusterTest, ReplicationFlowsThroughRelaysAndConverges) {
   ProxyOptions proxy_options;
-  static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
   ProxyCluster proxy_cluster(42, proxy_options);
   proxy_cluster.AddPaperTopology();
-  proxy_cluster.Start(&engine);
+  proxy_cluster.Start(flexiraft::SingleRegionDynamic());
   RaftTestCluster* cluster = proxy_cluster.cluster();
 
   ASSERT_FALSE(cluster->WaitForLeader(10 * kSecond).empty());
@@ -192,14 +189,13 @@ TEST(ProxyClusterTest, ReplicationFlowsThroughRelaysAndConverges) {
 TEST(ProxyClusterTest, ProxySavesCrossRegionBytes) {
   // Same workload with proxying on vs off; cross-region bytes must drop
   // by roughly the remote fan-out factor (§4.2.2).
-  static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
   uint64_t bytes_with_proxy = 0, bytes_without = 0;
   for (const bool proxy_on : {true, false}) {
     ProxyOptions proxy_options;
     proxy_options.enabled = proxy_on;
     ProxyCluster proxy_cluster(77, proxy_options);
     proxy_cluster.AddPaperTopology();
-    proxy_cluster.Start(&engine);
+    proxy_cluster.Start(flexiraft::SingleRegionDynamic());
     RaftTestCluster* cluster = proxy_cluster.cluster();
     ASSERT_FALSE(cluster->WaitForLeader(10 * kSecond).empty());
     cluster->loop()->RunFor(2 * kSecond);  // settle any witness handoff
@@ -232,10 +228,9 @@ TEST(ProxyClusterTest, ProxySavesCrossRegionBytes) {
 }
 
 TEST(ProxyClusterTest, DeadRelayIsRoutedAround) {
-  static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
   ProxyCluster proxy_cluster(4242, ProxyOptions{});
   proxy_cluster.AddPaperTopology();
-  proxy_cluster.Start(&engine);
+  proxy_cluster.Start(flexiraft::SingleRegionDynamic());
   RaftTestCluster* cluster = proxy_cluster.cluster();
 
   ASSERT_FALSE(cluster->WaitForLeader(10 * kSecond).empty());
@@ -282,10 +277,9 @@ TEST(ProxyClusterTest, DeadRelayIsRoutedAround) {
 }
 
 TEST(ProxyClusterTest, MissingEntryDegradesToHeartbeatThenRecovers) {
-  static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
   ProxyCluster proxy_cluster(11, ProxyOptions{});
   proxy_cluster.AddPaperTopology();
-  proxy_cluster.Start(&engine);
+  proxy_cluster.Start(flexiraft::SingleRegionDynamic());
   RaftTestCluster* cluster = proxy_cluster.cluster();
 
   ASSERT_FALSE(cluster->WaitForLeader(10 * kSecond).empty());
@@ -330,10 +324,9 @@ TEST(ProxyClusterTest, FaultFreeReplicationSendsEachEntryOnce) {
   // follower about once. Links that reorder batches, or a relay that lets
   // a later PROXY_OP overtake an earlier one, turn every overtaken batch
   // into a rejection and a window rewind (the rewind storm).
-  static FlexiRaftQuorumEngine engine({QuorumMode::kSingleRegionDynamic});
   ProxyCluster proxy_cluster(2024, ProxyOptions{});
   proxy_cluster.AddPaperTopology();
-  proxy_cluster.Start(&engine);
+  proxy_cluster.Start(flexiraft::SingleRegionDynamic());
   RaftTestCluster* cluster = proxy_cluster.cluster();
   ASSERT_FALSE(cluster->WaitForLeader(10 * kSecond).empty());
   cluster->loop()->RunFor(2 * kSecond);  // settle any witness handoff

@@ -21,8 +21,8 @@ constexpr uint64_t kSecond = 1'000'000;
 SemiSyncClusterOptions DefaultOptions(uint64_t seed) {
   SemiSyncClusterOptions options;
   options.seed = seed;
-  options.db_regions = 3;
-  options.logtailers_per_db = 2;
+  options.topology.db_regions = 3;
+  options.topology.logtailers_per_db = 2;
   return options;
 }
 

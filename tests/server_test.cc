@@ -16,18 +16,10 @@
 namespace myraft::server {
 namespace {
 
-using flexiraft::FlexiRaftQuorumEngine;
-using flexiraft::QuorumMode;
 using sim::ClusterHarness;
 using sim::ClusterOptions;
 using sim::SimNode;
 constexpr uint64_t kSecond = 1'000'000;
-
-const raft::QuorumEngine* FlexiEngine() {
-  static FlexiRaftQuorumEngine* engine =
-      new FlexiRaftQuorumEngine({QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
 
 ClusterOptions DefaultOptions(uint64_t seed) {
   ClusterOptions options;
@@ -41,8 +33,8 @@ ClusterOptions DefaultOptions(uint64_t seed) {
 class ServerClusterTest : public ::testing::Test {
  protected:
   void StartCluster(uint64_t seed = 7) {
-    harness_ = std::make_unique<ClusterHarness>(DefaultOptions(seed),
-                                                FlexiEngine());
+    harness_ = std::make_unique<ClusterHarness>(
+        DefaultOptions(seed), flexiraft::SingleRegionDynamic());
     ASSERT_TRUE(harness_->Bootstrap().ok());
     primary_ = harness_->WaitForPrimary(30 * kSecond);
     ASSERT_FALSE(primary_.empty());
@@ -517,7 +509,7 @@ TEST(ServerCheckpointTest, WalBoundedByPeriodicCheckpoints) {
   // and crash recovery after a checkpoint still yields identical state.
   ClusterOptions options = DefaultOptions(91);
   options.engine_checkpoint_wal_bytes = 2'000;  // tiny: checkpoint often
-  ClusterHarness harness(options, FlexiEngine());
+  ClusterHarness harness(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(harness.Bootstrap().ok());
   const MemberId primary = harness.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -554,7 +546,7 @@ TEST(ProxySwitchTest, ProxyOptionsEnabledIsTheSwitch) {
   for (const bool enabled : {true, false}) {
     ClusterOptions options = DefaultOptions(11);
     options.proxy.enabled = enabled;
-    ClusterHarness harness(options, FlexiEngine());
+    ClusterHarness harness(options, flexiraft::SingleRegionDynamic());
     ASSERT_TRUE(harness.Bootstrap().ok());
     ASSERT_FALSE(harness.WaitForPrimary(30 * kSecond).empty());
     for (int i = 0; i < 20; ++i) {

@@ -21,12 +21,6 @@ using sim::ClusterHarness;
 using sim::ClusterOptions;
 constexpr uint64_t kSecond = 1'000'000;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 class ServerTortureTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ServerTortureTest, InvariantsHoldUnderRandomFaults) {
@@ -35,7 +29,7 @@ TEST_P(ServerTortureTest, InvariantsHoldUnderRandomFaults) {
   options.topology.db_regions = 3;
   options.topology.logtailers_per_db = 2;
   options.topology.learners = 1;
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_FALSE(cluster.WaitForPrimary(60 * kSecond).empty());
 

@@ -28,12 +28,6 @@ constexpr uint64_t kAuditStep = 11 * kMilli;
 /// The node tick grid's period.
 constexpr uint64_t kTick = 20 * kMilli;
 
-const raft::QuorumEngine* FlexiEngine() {
-  static auto* engine = new flexiraft::FlexiRaftQuorumEngine(
-      {flexiraft::QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
-
 class TickGateTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -43,7 +37,8 @@ class TickGateTest : public ::testing::Test {
     options.topology.logtailers_per_db = 2;
     options.topology.learners = 1;
     options.raft.enable_leader_leases = true;
-    cluster_ = std::make_unique<ClusterHarness>(options, FlexiEngine());
+    cluster_ = std::make_unique<ClusterHarness>(
+        options, flexiraft::SingleRegionDynamic());
     ASSERT_TRUE(cluster_->Bootstrap().ok());
   }
 

@@ -12,20 +12,12 @@
 namespace myraft::tools {
 namespace {
 
-using flexiraft::FlexiRaftQuorumEngine;
-using flexiraft::QuorumMode;
 constexpr uint64_t kSecond = 1'000'000;
-
-const raft::QuorumEngine* FlexiEngine() {
-  static FlexiRaftQuorumEngine* engine =
-      new FlexiRaftQuorumEngine({QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
 
 TEST(EnableRaftTest, MigratesLiveSemiSyncReplicaset) {
   semisync::SemiSyncClusterOptions semisync_options;
   semisync_options.seed = 77;
-  semisync_options.db_regions = 3;
+  semisync_options.topology.db_regions = 3;
   semisync::SemiSyncCluster cluster(semisync_options);
   ASSERT_TRUE(cluster.Bootstrap().ok());
 
@@ -35,7 +27,7 @@ TEST(EnableRaftTest, MigratesLiveSemiSyncReplicaset) {
   }
   cluster.loop()->RunFor(2 * kSecond);
 
-  auto result = EnableRaft(&cluster, FlexiEngine());
+  auto result = EnableRaft(&cluster, flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(result.status.ok()) << result.status;
   // §5.2: "a small amount of write unavailability (usually a few seconds)".
   EXPECT_LT(result.write_unavailability_micros, 15ull * kSecond);
@@ -70,7 +62,7 @@ TEST(EnableRaftTest, RefusesUnsafeTargets) {
   semisync::SemiSyncCluster cluster(semisync_options);
   ASSERT_TRUE(cluster.Bootstrap().ok());
   cluster.Crash("lt1a");  // a member is down -> not a suitable target
-  auto result = EnableRaft(&cluster, FlexiEngine());
+  auto result = EnableRaft(&cluster, flexiraft::SingleRegionDynamic());
   EXPECT_FALSE(result.status.ok());
   // The semisync ring keeps working.
   EXPECT_TRUE(cluster.SyncWrite("still", "alive").status.ok());
@@ -85,7 +77,8 @@ sim::ClusterOptions RaftClusterOptions(uint64_t seed) {
 }
 
 TEST(QuorumFixerTest, RestoresShatteredQuorum) {
-  sim::ClusterHarness cluster(RaftClusterOptions(31), FlexiEngine());
+  sim::ClusterHarness cluster(RaftClusterOptions(31),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -123,7 +116,8 @@ TEST(QuorumFixerTest, LoglessRepairExcisesDeadVotersInOneForcedBump) {
   // exists precisely because the single-change rule cannot be satisfied
   // when the old quorum is dead) and pinning quorum_spec to "majority"
   // so the survivors alone form every future quorum.
-  sim::ClusterHarness cluster(RaftClusterOptions(34), FlexiEngine());
+  sim::ClusterHarness cluster(RaftClusterOptions(34),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(30 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -188,7 +182,8 @@ TEST(QuorumFixerTest, LoglessRepairExcisesDeadVotersInOneForcedBump) {
 }
 
 TEST(QuorumFixerTest, RefusesHealthyRing) {
-  sim::ClusterHarness cluster(RaftClusterOptions(32), FlexiEngine());
+  sim::ClusterHarness cluster(RaftClusterOptions(32),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_FALSE(cluster.WaitForPrimary(30 * kSecond).empty());
   auto report = RunQuorumFixer(&cluster);
@@ -197,7 +192,8 @@ TEST(QuorumFixerTest, RefusesHealthyRing) {
 }
 
 TEST(MyShadowTest, FailureAndFunctionalRoundsFindNoViolations) {
-  sim::ClusterHarness cluster(RaftClusterOptions(33), FlexiEngine());
+  sim::ClusterHarness cluster(RaftClusterOptions(33),
+                              flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
 
   MyShadowOptions options;

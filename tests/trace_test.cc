@@ -24,17 +24,9 @@
 namespace myraft::trace {
 namespace {
 
-using flexiraft::FlexiRaftQuorumEngine;
-using flexiraft::QuorumMode;
 using sim::ClusterHarness;
 using sim::ClusterOptions;
 constexpr uint64_t kSecond = 1'000'000;
-
-const raft::QuorumEngine* FlexiEngine() {
-  static FlexiRaftQuorumEngine* engine =
-      new FlexiRaftQuorumEngine({QuorumMode::kSingleRegionDynamic});
-  return engine;
-}
 
 ClusterOptions SmallCluster(uint64_t seed) {
   ClusterOptions options;
@@ -536,7 +528,7 @@ bool HasEnd(const std::vector<FlatRecord>& all, uint64_t span_id) {
 }
 
 TEST(TraceClusterTest, SingleWriteYieldsCrossNodeSpanTree) {
-  ClusterHarness cluster(SmallCluster(11), FlexiEngine());
+  ClusterHarness cluster(SmallCluster(11), flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -619,7 +611,7 @@ TEST(TraceClusterTest, SingleWriteYieldsCrossNodeSpanTree) {
 // --- Determinism ---------------------------------------------------------------
 
 std::string RunTracedScenario(uint64_t seed) {
-  ClusterHarness cluster(SmallCluster(seed), FlexiEngine());
+  ClusterHarness cluster(SmallCluster(seed), flexiraft::SingleRegionDynamic());
   if (!cluster.Bootstrap().ok()) return "bootstrap-failed";
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   if (primary.empty()) return "no-primary";
@@ -644,7 +636,7 @@ TEST(TraceClusterTest, SameSeedRunsEmitByteIdenticalJournals) {
 
 TEST(TraceClusterTest, FailoverBreakdownMatchesDowntimeProbe) {
   constexpr uint64_t kProbeInterval = 10'000;
-  ClusterHarness cluster(SmallCluster(31), FlexiEngine());
+  ClusterHarness cluster(SmallCluster(31), flexiraft::SingleRegionDynamic());
   ASSERT_TRUE(cluster.Bootstrap().ok());
   const MemberId primary = cluster.WaitForPrimary(60 * kSecond);
   ASSERT_FALSE(primary.empty());
@@ -687,7 +679,7 @@ TEST(TraceClusterTest, FailoverBreakdownMatchesDowntimeProbe) {
 TEST(TraceClusterTest, SlowTxnThresholdEmitsStructuredLine) {
   ClusterOptions options = SmallCluster(41);
   options.slow_txn_threshold_micros = 1;  // every commit is "slow"
-  ClusterHarness cluster(options, FlexiEngine());
+  ClusterHarness cluster(options, flexiraft::SingleRegionDynamic());
 
   std::vector<std::string> warnings;
   SetLogSink([&warnings](LogLevel level, const std::string& message) {
