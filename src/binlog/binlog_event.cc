@@ -1,7 +1,6 @@
 #include "binlog/binlog_event.h"
 
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace myraft::binlog {
 
@@ -33,55 +32,18 @@ std::string_view EventTypeToString(EventType type) {
   return "?";
 }
 
-void BinlogEvent::EncodeTo(std::string* dst) const {
-  const size_t start = dst->size();
-  PutFixed64(dst, timestamp_micros);
-  dst->push_back(static_cast<char>(type));
-  PutFixed32(dst, server_id);
-  PutFixed16(dst, flags);
-  PutFixed64(dst, opid.term);
-  PutFixed64(dst, opid.index);
-  PutLengthPrefixed(dst, body);
-  const uint32_t crc = crc32c::Value(dst->data() + start, dst->size() - start);
-  PutFixed32(dst, crc);
-}
+void BinlogEvent::EncodeTo(std::string* dst) const { EncodeRecord(*this, dst); }
 
 Result<BinlogEvent> BinlogEvent::DecodeFrom(Slice* input) {
-  const char* start = input->data();
   BinlogEvent e;
-  if (!GetFixed64(input, &e.timestamp_micros)) {
-    return Status::Corruption("event: truncated timestamp");
-  }
-  if (input->empty()) return Status::Corruption("event: truncated type");
-  const uint8_t type = static_cast<uint8_t>((*input)[0]);
-  input->RemovePrefix(1);
-  if (type > static_cast<uint8_t>(EventType::kMetadata)) {
-    return Status::Corruption("event: bad type");
-  }
-  e.type = static_cast<EventType>(type);
-  if (!GetFixed32(input, &e.server_id) || !GetFixed16(input, &e.flags) ||
-      !GetFixed64(input, &e.opid.term) || !GetFixed64(input, &e.opid.index)) {
-    return Status::Corruption("event: truncated header");
-  }
-  Slice body;
-  if (!GetLengthPrefixed(input, &body)) {
-    return Status::Corruption("event: truncated body");
-  }
-  e.body = body.ToString();
-  const size_t covered = static_cast<size_t>(input->data() - start);
-  uint32_t crc;
-  if (!GetFixed32(input, &crc)) {
-    return Status::Corruption("event: truncated crc");
-  }
-  if (crc != crc32c::Value(start, covered)) {
-    return Status::Corruption("event: crc mismatch");
-  }
+  SliceSource source(*input);
+  Fields(source, e);
+  MYRAFT_RETURN_NOT_OK(source.status("event"));
+  *input = source.rest();
   return e;
 }
 
-size_t BinlogEvent::EncodedSize() const {
-  return 8 + 1 + 4 + 2 + 16 + VarintLength(body.size()) + body.size() + 4;
-}
+size_t BinlogEvent::EncodedSize() const { return RecordSize(*this); }
 
 BinlogEvent MakeEvent(EventType type, uint64_t timestamp_micros,
                       uint32_t server_id, OpId opid, std::string body) {
@@ -96,179 +58,63 @@ BinlogEvent MakeEvent(EventType type, uint64_t timestamp_micros,
 
 // --- Typed bodies -----------------------------------------------------------
 
-std::string FormatDescriptionBody::Encode() const {
+namespace {
+
+template <typename Body>
+std::string EncodeBody(const Body& body) {
   std::string out;
-  PutLengthPrefixed(&out, server_version);
-  PutFixed64(&out, created_micros);
+  EncodeRecord(body, &out);
   return out;
 }
+
+}  // namespace
+
+std::string FormatDescriptionBody::Encode() const { return EncodeBody(*this); }
 
 Result<FormatDescriptionBody> FormatDescriptionBody::Decode(Slice body) {
-  FormatDescriptionBody b;
-  Slice version;
-  if (!GetLengthPrefixed(&body, &version) ||
-      !GetFixed64(&body, &b.created_micros) || !body.empty()) {
-    return Status::Corruption("format-description body");
-  }
-  b.server_version = version.ToString();
-  return b;
+  return DecodeRecord<FormatDescriptionBody>(body, "format-description body");
 }
 
-std::string PreviousGtidsBody::Encode() const {
-  std::string out;
-  gtids.EncodeTo(&out);
-  return out;
-}
+std::string PreviousGtidsBody::Encode() const { return EncodeBody(*this); }
 
 Result<PreviousGtidsBody> PreviousGtidsBody::Decode(Slice body) {
-  PreviousGtidsBody b;
-  MYRAFT_ASSIGN_OR_RETURN(b.gtids, GtidSet::Decode(body));
-  return b;
+  return DecodeRecord<PreviousGtidsBody>(body, "previous-gtids body");
 }
 
-std::string GtidBody::Encode() const {
-  std::string out;
-  out.append(reinterpret_cast<const char*>(gtid.server_uuid.bytes().data()),
-             16);
-  PutVarint64(&out, gtid.txn_no);
-  PutVarint64(&out, last_committed);
-  PutVarint64(&out, sequence_number);
-  // Untraced transactions keep the pre-tracing encoding byte-for-byte.
-  if (trace_id != 0 || trace_span_id != 0) {
-    PutVarint64(&out, trace_id);
-    PutVarint64(&out, trace_span_id);
-  }
-  return out;
-}
+std::string GtidBody::Encode() const { return EncodeBody(*this); }
 
 Result<GtidBody> GtidBody::Decode(Slice body) {
-  if (body.size() < 16) return Status::Corruption("gtid body: short uuid");
-  GtidBody out;
-  out.gtid.server_uuid =
-      Uuid::FromBytes(reinterpret_cast<const uint8_t*>(body.data()));
-  body.RemovePrefix(16);
-  if (!GetVarint64(&body, &out.gtid.txn_no)) {
-    return Status::Corruption("gtid body: bad seqno");
-  }
-  // Commit interval stamps are a trailing extension: pre-existing events
-  // end here and decode as 0/0 (forces serial apply — always safe).
-  if (!body.empty()) {
-    if (!GetVarint64(&body, &out.last_committed) ||
-        !GetVarint64(&body, &out.sequence_number)) {
-      return Status::Corruption("gtid body: bad commit interval");
-    }
-  }
-  // Trace context is a second trailing tier; absent = untraced.
-  if (!body.empty()) {
-    if (!GetVarint64(&body, &out.trace_id) ||
-        !GetVarint64(&body, &out.trace_span_id) || !body.empty()) {
-      return Status::Corruption("gtid body: bad trace context");
-    }
-  }
-  return out;
+  return DecodeRecord<GtidBody>(body, "gtid body");
 }
 
-std::string TableMapBody::Encode() const {
-  std::string out;
-  PutVarint64(&out, table_id);
-  PutLengthPrefixed(&out, database);
-  PutLengthPrefixed(&out, table);
-  PutVarint32(&out, column_count);
-  return out;
-}
+std::string TableMapBody::Encode() const { return EncodeBody(*this); }
 
 Result<TableMapBody> TableMapBody::Decode(Slice body) {
-  TableMapBody b;
-  Slice db, table;
-  if (!GetVarint64(&body, &b.table_id) || !GetLengthPrefixed(&body, &db) ||
-      !GetLengthPrefixed(&body, &table) ||
-      !GetVarint32(&body, &b.column_count) || !body.empty()) {
-    return Status::Corruption("table-map body");
-  }
-  b.database = db.ToString();
-  b.table = table.ToString();
-  return b;
+  return DecodeRecord<TableMapBody>(body, "table-map body");
 }
 
-std::string RowsBody::Encode() const {
-  std::string out;
-  PutVarint64(&out, table_id);
-  PutVarint64(&out, rows.size());
-  for (const auto& [before, after] : rows) {
-    PutLengthPrefixed(&out, before);
-    PutLengthPrefixed(&out, after);
-  }
-  return out;
-}
+std::string RowsBody::Encode() const { return EncodeBody(*this); }
 
 Result<RowsBody> RowsBody::Decode(Slice body) {
-  RowsBody b;
-  uint64_t n;
-  if (!GetVarint64(&body, &b.table_id) || !GetVarint64(&body, &n)) {
-    return Status::Corruption("rows body: header");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    Slice before, after;
-    if (!GetLengthPrefixed(&body, &before) ||
-        !GetLengthPrefixed(&body, &after)) {
-      return Status::Corruption("rows body: row images");
-    }
-    b.rows.emplace_back(before.ToString(), after.ToString());
-  }
-  if (!body.empty()) return Status::Corruption("rows body: trailing bytes");
-  return b;
+  return DecodeRecord<RowsBody>(body, "rows body");
 }
 
-std::string XidBody::Encode() const {
-  std::string out;
-  PutFixed64(&out, xid);
-  return out;
-}
+std::string XidBody::Encode() const { return EncodeBody(*this); }
 
 Result<XidBody> XidBody::Decode(Slice body) {
-  XidBody b;
-  if (!GetFixed64(&body, &b.xid) || !body.empty()) {
-    return Status::Corruption("xid body");
-  }
-  return b;
+  return DecodeRecord<XidBody>(body, "xid body");
 }
 
-std::string RotateBody::Encode() const {
-  std::string out;
-  PutLengthPrefixed(&out, next_file);
-  PutFixed64(&out, position);
-  return out;
-}
+std::string RotateBody::Encode() const { return EncodeBody(*this); }
 
 Result<RotateBody> RotateBody::Decode(Slice body) {
-  RotateBody b;
-  Slice next;
-  if (!GetLengthPrefixed(&body, &next) || !GetFixed64(&body, &b.position) ||
-      !body.empty()) {
-    return Status::Corruption("rotate body");
-  }
-  b.next_file = next.ToString();
-  return b;
+  return DecodeRecord<RotateBody>(body, "rotate body");
 }
 
-std::string MetadataBody::Encode() const {
-  std::string out;
-  out.push_back(static_cast<char>(entry_type));
-  PutLengthPrefixed(&out, payload);
-  return out;
-}
+std::string MetadataBody::Encode() const { return EncodeBody(*this); }
 
 Result<MetadataBody> MetadataBody::Decode(Slice body) {
-  if (body.empty()) return Status::Corruption("metadata body: empty");
-  MetadataBody b;
-  b.entry_type = static_cast<uint8_t>(body[0]);
-  body.RemovePrefix(1);
-  Slice payload;
-  if (!GetLengthPrefixed(&body, &payload) || !body.empty()) {
-    return Status::Corruption("metadata body: payload");
-  }
-  b.payload = payload.ToString();
-  return b;
+  return DecodeRecord<MetadataBody>(body, "metadata body");
 }
 
 }  // namespace myraft::binlog

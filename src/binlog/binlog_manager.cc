@@ -126,13 +126,12 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
   BinlogFileReader* reader = reader_or->get();
   files_[number].previous_gtids = reader->previous_gtids();
 
-  // Offset where the current (possibly incomplete) transaction group
-  // started; entries are only committed to the map once whole.
-  bool in_txn = false;
+  // The current (possibly incomplete) transaction group and the offset
+  // where it started; entries are only committed to the map once whole.
+  TransactionGrammar group;
   uint64_t group_start = 0;
   OpId group_opid;
   Gtid group_gtid;
-  uint64_t last_good_offset = reader->body_start();
 
   auto record_entry = [&](uint64_t index, EntryPos pos,
                           const Gtid* gtid) -> Status {
@@ -155,62 +154,33 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
     if (!event.ok()) {
       if (!is_last) return event.status();
       // Torn tail: trim to the last whole event group.
-      const uint64_t cut = in_txn ? group_start : reader->offset();
+      const uint64_t cut = group.open() ? group_start : reader->offset();
       MYRAFT_LOG(Warning) << "trimming torn tail of " << info.name << " at "
                           << cut << ": " << event.status();
       return env_->TruncateFile(PathFor(info.name), cut);
     }
 
     switch (event->type) {
-      case EventType::kGtid: {
-        if (in_txn) return Status::Corruption("nested Gtid event");
-        in_txn = true;
-        group_start = offset;
-        group_opid = event->opid;
-        GtidBody body;
-        MYRAFT_ASSIGN_OR_RETURN(body, GtidBody::Decode(event->body));
-        group_gtid = body.gtid;
-        break;
-      }
-      case EventType::kBegin:
-      case EventType::kTableMap:
-      case EventType::kWriteRows:
-      case EventType::kUpdateRows:
-      case EventType::kDeleteRows: {
-        if (!in_txn) return Status::Corruption("rows outside transaction");
-        break;
-      }
-      case EventType::kXid: {
-        if (!in_txn) return Status::Corruption("Xid outside transaction");
-        in_txn = false;
-        EntryPos pos;
-        pos.term = group_opid.term;
-        pos.type = EntryType::kTransaction;
-        pos.file_number = number;
-        pos.offset = group_start;
-        pos.length = reader->offset() - group_start;
-        pos.crc = PayloadCrc(reader->Bytes(group_start, pos.length));
-        MYRAFT_RETURN_NOT_OK(record_entry(group_opid.index, pos, &group_gtid));
-        last_good_offset = reader->offset();
-        break;
-      }
       case EventType::kMetadata: {
-        if (in_txn) return Status::Corruption("Metadata inside transaction");
+        if (group.open()) {
+          return Status::Corruption("Metadata inside transaction");
+        }
         MetadataBody body;
         MYRAFT_ASSIGN_OR_RETURN(body, MetadataBody::Decode(event->body));
         EntryPos pos;
         pos.term = event->opid.term;
-        pos.type = static_cast<EntryType>(body.entry_type);
+        pos.type = body.entry_type;
         pos.file_number = number;
         pos.offset = offset;
         pos.length = reader->offset() - offset;
         pos.crc = PayloadCrc(body.payload);
         MYRAFT_RETURN_NOT_OK(record_entry(event->opid.index, pos, nullptr));
-        last_good_offset = reader->offset();
         break;
       }
       case EventType::kRotate: {
-        if (in_txn) return Status::Corruption("Rotate inside transaction");
+        if (group.open()) {
+          return Status::Corruption("Rotate inside transaction");
+        }
         if (event->opid.index != 0) {
           EntryPos pos;
           pos.term = event->opid.term;
@@ -221,22 +191,45 @@ Status BinlogManager::ScanFile(uint64_t number, const FileInfo& info,
           pos.crc = PayloadCrc(Slice());
           MYRAFT_RETURN_NOT_OK(record_entry(event->opid.index, pos, nullptr));
         }
-        last_good_offset = reader->offset();
         break;
       }
       case EventType::kFormatDescription:
       case EventType::kPreviousGtids:
         return Status::Corruption("header event in file body");
+      default: {  // an event of a transaction group
+        if (!group.open()) {
+          group.Reset();
+          group_start = offset;
+        }
+        MYRAFT_RETURN_NOT_OK(group.Next(event->type, event->opid));
+        if (event->type == EventType::kGtid) {
+          group_opid = event->opid;
+          GtidBody body;
+          MYRAFT_ASSIGN_OR_RETURN(body, GtidBody::Decode(event->body));
+          group_gtid = body.gtid;
+        }
+        if (group.complete()) {
+          EntryPos pos;
+          pos.term = group_opid.term;
+          pos.type = EntryType::kTransaction;
+          pos.file_number = number;
+          pos.offset = group_start;
+          pos.length = reader->offset() - group_start;
+          pos.crc = PayloadCrc(reader->Bytes(group_start, pos.length));
+          MYRAFT_RETURN_NOT_OK(
+              record_entry(group_opid.index, pos, &group_gtid));
+        }
+        break;
+      }
     }
   }
 
-  if (in_txn) {
+  if (group.open()) {
     if (!is_last) return Status::Corruption("truncated transaction mid-file");
     MYRAFT_LOG(Warning) << "trimming incomplete transaction group in "
                         << info.name << " at " << group_start;
     return env_->TruncateFile(PathFor(info.name), group_start);
   }
-  (void)last_good_offset;
   return Status::OK();
 }
 
@@ -383,7 +376,7 @@ Status BinlogManager::AppendEntry(const LogEntry& entry) {
     }
     case EntryType::kNoOp: {
       MetadataBody body;
-      body.entry_type = static_cast<uint8_t>(entry.type);
+      body.entry_type = entry.type;
       body.payload = entry.payload;
       const BinlogEvent event =
           MakeEvent(EventType::kMetadata, options_.clock->NowMicros(),
@@ -603,8 +596,7 @@ Result<std::vector<BinlogManager::EventSummary>> BinlogManager::DescribeFile(
       case EventType::kMetadata: {
         auto body = MetadataBody::Decode(event->body);
         if (body.ok()) {
-          summary.info = std::string(EntryTypeToString(
-              static_cast<EntryType>(body->entry_type)));
+          summary.info = std::string(EntryTypeToString(body->entry_type));
         }
         break;
       }

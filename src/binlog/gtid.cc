@@ -197,46 +197,22 @@ Result<GtidSet> GtidSet::Parse(const std::string& text) {
   return set;
 }
 
-void GtidSet::EncodeTo(std::string* dst) const {
-  PutVarint64(dst, intervals_.size());
-  for (const auto& [uuid, runs] : intervals_) {
-    dst->append(reinterpret_cast<const char*>(uuid.bytes().data()), 16);
-    PutVarint64(dst, runs.size());
-    for (const Interval& r : runs) {
-      PutVarint64(dst, r.start);
-      PutVarint64(dst, r.end);
-    }
-  }
-}
+void GtidSet::EncodeTo(std::string* dst) const { EncodeRecord(*this, dst); }
 
 Result<GtidSet> GtidSet::Decode(Slice input) {
-  GtidSet set;
-  uint64_t num_uuids;
-  if (!GetVarint64(&input, &num_uuids)) {
-    return Status::Corruption("gtid set: truncated header");
+  return DecodeRecord<GtidSet>(input, "gtid set");
+}
+
+bool GtidSet::IsCanonical(const std::vector<Interval>& runs) {
+  if (runs.empty()) return false;
+  uint64_t prev_end = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const Interval& r = runs[i];
+    if (r.start == 0 || r.end < r.start) return false;
+    if (i > 0 && r.start - 1 <= prev_end) return false;
+    prev_end = r.end;
   }
-  for (uint64_t i = 0; i < num_uuids; ++i) {
-    if (input.size() < 16) return Status::Corruption("gtid set: truncated uuid");
-    const Uuid uuid =
-        Uuid::FromBytes(reinterpret_cast<const uint8_t*>(input.data()));
-    input.RemovePrefix(16);
-    uint64_t num_runs;
-    if (!GetVarint64(&input, &num_runs)) {
-      return Status::Corruption("gtid set: truncated runs");
-    }
-    for (uint64_t j = 0; j < num_runs; ++j) {
-      uint64_t start, end;
-      if (!GetVarint64(&input, &start) || !GetVarint64(&input, &end)) {
-        return Status::Corruption("gtid set: truncated interval");
-      }
-      if (start == 0 || end < start) {
-        return Status::Corruption("gtid set: invalid interval");
-      }
-      set.AddRange(uuid, start, end);
-    }
-  }
-  if (!input.empty()) return Status::Corruption("gtid set: trailing bytes");
-  return set;
+  return true;
 }
 
 }  // namespace myraft::binlog

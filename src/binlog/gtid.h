@@ -68,7 +68,23 @@ class GtidSet {
   std::string ToString() const;
   static Result<GtidSet> Parse(const std::string& text);
 
-  /// Compact binary form for binlog PreviousGtids events and metadata.
+  /// Compact binary form for binlog PreviousGtids events and the engine
+  /// snapshot, written once as a field walk (util/coding.h). Decoding
+  /// rejects a run list that is not canonical (empty, a zero start, an
+  /// interval that ends before it starts, runs out of order, overlapping
+  /// or adjacent) and a uuid listed twice.
+  template <typename Io, typename Set>
+  static void Fields(Io& io, Set& set) {
+    io.Repeat(set.intervals_, [](auto& io, auto& uuid_runs) {
+      io.UuidBytes(uuid_runs.first);
+      io.Repeat(uuid_runs.second, [](auto& io, auto& run) {
+        io.Varint(run.start);
+        io.Varint(run.end);
+      });
+      io.Require([&] { return IsCanonical(uuid_runs.second); },
+                 "invalid interval");
+    });
+  }
   void EncodeTo(std::string* dst) const;
   static Result<GtidSet> Decode(Slice input);
 
@@ -77,6 +93,9 @@ class GtidSet {
   }
 
  private:
+  /// Sorted, disjoint, non-adjacent, non-empty runs of nonzero seqnos.
+  static bool IsCanonical(const std::vector<Interval>& runs);
+
   std::map<Uuid, std::vector<Interval>> intervals_;
 };
 

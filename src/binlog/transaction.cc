@@ -67,109 +67,135 @@ std::string TransactionPayloadBuilder::Finalize(
   return out;
 }
 
+Status TransactionGrammar::Next(EventType type, OpId opid) {
+  auto fail = [](const char* what) {
+    return Status::Corruption(std::string("txn group: ") + what);
+  };
+  if (state_ == State::kComplete) return fail("events after Xid");
+  if (state_ == State::kExpectGtid) {
+    if (type != EventType::kGtid) return fail("does not start with Gtid");
+    opid_ = opid;
+    state_ = State::kExpectBegin;
+    return Status::OK();
+  }
+  if (opid != opid_) return fail("inconsistent OpId stamps");
+  switch (type) {
+    case EventType::kGtid:
+      return fail("nested Gtid event");
+    case EventType::kBegin:
+      if (state_ != State::kExpectBegin) return fail("misplaced Begin event");
+      state_ = State::kAfterBegin;
+      return Status::OK();
+    case EventType::kTableMap:
+      if (state_ != State::kAfterBegin && state_ != State::kAfterRows) {
+        return fail("misplaced TableMap event");
+      }
+      state_ = State::kExpectRows;
+      return Status::OK();
+    case EventType::kWriteRows:
+    case EventType::kUpdateRows:
+    case EventType::kDeleteRows:
+      if (state_ != State::kExpectRows && state_ != State::kAfterRows) {
+        return fail("rows without TableMap");
+      }
+      state_ = State::kAfterRows;
+      return Status::OK();
+    case EventType::kXid:
+      if (state_ != State::kAfterBegin && state_ != State::kAfterRows) {
+        return fail("misplaced Xid event");
+      }
+      state_ = State::kComplete;
+      return Status::OK();
+    default:
+      return fail("non-transaction event inside the group");
+  }
+}
+
+namespace {
+
+/// Decodes every event of `payload`, feeds the grammar, then `visit`; the
+/// payload must hold exactly one whole group.
+template <typename Visit>
+Status ForEachGroupEvent(Slice payload, Visit&& visit) {
+  TransactionGrammar grammar;
+  while (!payload.empty()) {
+    auto event = BinlogEvent::DecodeFrom(&payload);
+    if (!event.ok()) return event.status();
+    MYRAFT_RETURN_NOT_OK(grammar.Next(event->type, event->opid));
+    MYRAFT_RETURN_NOT_OK(visit(*event));
+  }
+  if (!grammar.complete()) {
+    return Status::Corruption("txn group: missing Xid event");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ParsedTransaction> ParseTransactionPayload(Slice payload) {
   ParsedTransaction txn;
-  Slice in = payload;
-
-  auto gtid_event = BinlogEvent::DecodeFrom(&in);
-  if (!gtid_event.ok()) return gtid_event.status();
-  if (gtid_event->type != EventType::kGtid) {
-    return Status::Corruption("txn payload: does not start with Gtid event");
-  }
-  GtidBody gtid_body;
-  MYRAFT_ASSIGN_OR_RETURN(gtid_body, GtidBody::Decode(gtid_event->body));
-  txn.gtid = gtid_body.gtid;
-  txn.last_committed = gtid_body.last_committed;
-  txn.sequence_number = gtid_body.sequence_number;
-  txn.trace_id = gtid_body.trace_id;
-  txn.trace_span_id = gtid_body.trace_span_id;
-  txn.opid = gtid_event->opid;
-
-  auto begin_event = BinlogEvent::DecodeFrom(&in);
-  if (!begin_event.ok()) return begin_event.status();
-  if (begin_event->type != EventType::kBegin) {
-    return Status::Corruption("txn payload: missing Begin event");
-  }
-
-  TableMapBody pending_table;
-  bool have_table = false;
-  bool saw_xid = false;
-  while (!in.empty()) {
-    auto event = BinlogEvent::DecodeFrom(&in);
-    if (!event.ok()) return event.status();
-    if (event->opid != txn.opid) {
-      return Status::Corruption("txn payload: inconsistent OpId stamps");
-    }
-    switch (event->type) {
-      case EventType::kTableMap: {
-        MYRAFT_ASSIGN_OR_RETURN(pending_table,
-                                TableMapBody::Decode(event->body));
-        have_table = true;
-        break;
-      }
-      case EventType::kWriteRows:
-      case EventType::kUpdateRows:
-      case EventType::kDeleteRows: {
-        if (!have_table) {
-          return Status::Corruption("txn payload: rows without TableMap");
+  TableMapBody table;
+  MYRAFT_RETURN_NOT_OK(
+      ForEachGroupEvent(payload, [&](const BinlogEvent& event) -> Status {
+        switch (event.type) {
+          case EventType::kGtid: {
+            GtidBody gtid;
+            MYRAFT_ASSIGN_OR_RETURN(gtid, GtidBody::Decode(event.body));
+            txn.gtid = gtid.gtid;
+            txn.opid = event.opid;
+            txn.last_committed = gtid.last_committed;
+            txn.sequence_number = gtid.sequence_number;
+            txn.trace_id = gtid.trace_id;
+            txn.trace_span_id = gtid.trace_span_id;
+            return Status::OK();
+          }
+          case EventType::kTableMap: {
+            MYRAFT_ASSIGN_OR_RETURN(table, TableMapBody::Decode(event.body));
+            return Status::OK();
+          }
+          case EventType::kWriteRows:
+          case EventType::kUpdateRows:
+          case EventType::kDeleteRows: {
+            RowsBody rows;
+            MYRAFT_ASSIGN_OR_RETURN(rows, RowsBody::Decode(event.body));
+            for (auto& [before, after] : rows.rows) {
+              RowOperation op;
+              op.kind = KindForRowsEvent(event.type);
+              op.database = table.database;
+              op.table = table.table;
+              op.column_count = table.column_count;
+              op.before_image = std::move(before);
+              op.after_image = std::move(after);
+              txn.ops.push_back(std::move(op));
+            }
+            return Status::OK();
+          }
+          case EventType::kXid: {
+            XidBody xid;
+            MYRAFT_ASSIGN_OR_RETURN(xid, XidBody::Decode(event.body));
+            txn.xid = xid.xid;
+            return Status::OK();
+          }
+          default:  // Begin
+            return Status::OK();
         }
-        RowsBody rows;
-        MYRAFT_ASSIGN_OR_RETURN(rows, RowsBody::Decode(event->body));
-        for (const auto& [before, after] : rows.rows) {
-          RowOperation op;
-          op.kind = KindForRowsEvent(event->type);
-          op.database = pending_table.database;
-          op.table = pending_table.table;
-          op.column_count = pending_table.column_count;
-          op.before_image = before;
-          op.after_image = after;
-          txn.ops.push_back(std::move(op));
-        }
-        break;
-      }
-      case EventType::kXid: {
-        XidBody xid;
-        MYRAFT_ASSIGN_OR_RETURN(xid, XidBody::Decode(event->body));
-        txn.xid = xid.xid;
-        saw_xid = true;
-        if (!in.empty()) {
-          return Status::Corruption("txn payload: events after Xid");
-        }
-        break;
-      }
-      default:
-        return Status::Corruption("txn payload: unexpected event type");
-    }
-  }
-  if (!saw_xid) return Status::Corruption("txn payload: missing Xid event");
+      }));
   return txn;
 }
 
 Result<Gtid> ValidateTransactionPayload(Slice payload, OpId expected_opid) {
-  Slice in = payload;
-  bool first = true;
-  bool saw_xid = false;
   Gtid gtid;
-  while (!in.empty()) {
-    auto event = BinlogEvent::DecodeFrom(&in);
-    if (!event.ok()) return event.status();
-    if (event->opid != expected_opid) {
-      return Status::Corruption("txn payload: OpId mismatch");
-    }
-    if (first) {
-      if (event->type != EventType::kGtid) {
-        return Status::Corruption("txn payload: must start with Gtid");
-      }
-      GtidBody body;
-      MYRAFT_ASSIGN_OR_RETURN(body, GtidBody::Decode(event->body));
-      gtid = body.gtid;
-    }
-    first = false;
-    if (saw_xid) return Status::Corruption("txn payload: events after Xid");
-    if (event->type == EventType::kXid) saw_xid = true;
-  }
-  if (first) return Status::Corruption("txn payload: empty");
-  if (!saw_xid) return Status::Corruption("txn payload: missing Xid");
+  MYRAFT_RETURN_NOT_OK(
+      ForEachGroupEvent(payload, [&](const BinlogEvent& event) -> Status {
+        if (event.type != EventType::kGtid) return Status::OK();
+        if (event.opid != expected_opid) {
+          return Status::Corruption("txn group: OpId mismatch");
+        }
+        GtidBody body;
+        MYRAFT_ASSIGN_OR_RETURN(body, GtidBody::Decode(event.body));
+        gtid = body.gtid;
+        return Status::OK();
+      }));
   return gtid;
 }
 

@@ -75,13 +75,46 @@ struct ParsedTransaction {
   std::vector<RowOperation> ops;
 };
 
-/// Parses and validates a payload: event stream structure, matching OpIds
-/// across the group, CRCs.
+/// The one grammar of a transaction group,
+///
+///   Gtid Begin (TableMap Rows+)* Xid
+///
+/// (Rows = WriteRows | UpdateRows | DeleteRows), every event stamped with
+/// the Gtid event's OpId. Append (ValidateTransactionPayload), recovery
+/// (BinlogManager::ScanFile) and the applier (ParseTransactionPayload)
+/// feed it the same event sequence, so a group one of them accepts the
+/// others accept too.
+class TransactionGrammar {
+ public:
+  /// Feeds the next event. Corruption names the first one that cannot
+  /// follow; the grammar is then undefined until Reset.
+  Status Next(EventType type, OpId opid);
+  /// Between a Gtid event and its Xid.
+  bool open() const {
+    return state_ != State::kExpectGtid && state_ != State::kComplete;
+  }
+  /// The Xid that closes the group has been fed.
+  bool complete() const { return state_ == State::kComplete; }
+  void Reset() { state_ = State::kExpectGtid; }
+
+ private:
+  enum class State : uint8_t {
+    kExpectGtid,
+    kExpectBegin,
+    kAfterBegin,     // TableMap or Xid
+    kExpectRows,     // after TableMap
+    kAfterRows,      // Rows, TableMap or Xid
+    kComplete,
+  };
+  State state_ = State::kExpectGtid;
+  OpId opid_;
+};
+
+/// Parses and validates a payload: the group grammar, CRCs, every body.
 Result<ParsedTransaction> ParseTransactionPayload(Slice payload);
 
-/// Cheap structural validation used on the replication hot path (checks
-/// group shape and OpId stamps without materialising row images). Returns
-/// the GTID from the leading Gtid event.
+/// The append-time check: the group grammar, CRCs and the OpId stamp,
+/// without decoding row bodies. Returns the GTID from the Gtid event.
 Result<Gtid> ValidateTransactionPayload(Slice payload, OpId expected_opid);
 
 }  // namespace myraft::binlog

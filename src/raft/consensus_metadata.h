@@ -35,6 +35,28 @@ struct ConsensusMetadata {
   MembershipConfig committed_config;
 
   bool operator==(const ConsensusMetadata&) const = default;
+
+  /// The file's field walk (util/coding.h), under one trailing CRC32C.
+  /// The committed config is an optional trailer, written only when it
+  /// differs from `config`; a file without it loads it as `config`.
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& m) {
+    io.Crc32c([&] {
+      io.Varint(m.current_term);
+      io.LengthPrefixed(m.voted_for);
+      io.LengthPrefixed(m.last_known_leader);
+      io.LengthPrefixed(m.last_leader_region);
+      io.Varint(m.last_leader_term);
+      io.Varint(m.last_vote_term);
+      io.LengthPrefixed(m.last_voted_for);
+      io.LengthPrefixed(m.last_voted_region);
+      io.Nested(m.config);
+      if (!io.Optional(!(m.committed_config == m.config),
+                       [&] { io.Nested(m.committed_config); })) {
+        io.DefaultTo(m.committed_config, m.config);
+      }
+    });
+  }
 };
 
 /// Atomic (write-temp-then-rename) file persistence for the metadata.

@@ -10,12 +10,7 @@ namespace myraft::storage {
 
 namespace {
 
-constexpr uint8_t kWalPrepare = 1;
-constexpr uint8_t kWalCommit = 2;
-constexpr uint8_t kWalRollback = 3;
-
 constexpr char kSnapshotMagic[] = "MYRAFTSNAP1";
-constexpr size_t kSnapshotMagicLen = sizeof(kSnapshotMagic) - 1;
 
 std::string LockKey(const std::string& table, const std::string& key) {
   std::string out = table;
@@ -24,35 +19,30 @@ std::string LockKey(const std::string& table, const std::string& key) {
   return out;
 }
 
-void EncodeWrites(const std::vector<PendingWrite>& writes, std::string* out) {
-  PutVarint64(out, writes.size());
-  for (const PendingWrite& w : writes) {
-    PutLengthPrefixed(out, w.table);
-    PutLengthPrefixed(out, w.key);
-    out->push_back(w.value.has_value() ? 1 : 0);
-    PutLengthPrefixed(out, w.value.value_or(""));
-  }
+/// A WAL frame: [fixed32 crc32c(body)][varint length][body].
+template <typename Io, typename Crc, typename Body>
+void WalFrameFields(Io& io, Crc& crc, Body& body) {
+  io.Fixed32(crc);
+  io.LengthPrefixed(body);
 }
 
-bool DecodeWrites(Slice* in, std::vector<PendingWrite>* writes) {
-  uint64_t n;
-  if (!GetVarint64(in, &n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    PendingWrite w;
-    Slice table, key, value;
-    if (!GetLengthPrefixed(in, &table) || !GetLengthPrefixed(in, &key) ||
-        in->empty()) {
-      return false;
-    }
-    const bool has_value = (*in)[0] != 0;
-    in->RemovePrefix(1);
-    if (!GetLengthPrefixed(in, &value)) return false;
-    w.table = table.ToString();
-    w.key = key.ToString();
-    if (has_value) w.value = value.ToString();
-    writes->push_back(std::move(w));
-  }
-  return true;
+/// The snapshot file: magic, the last applied OpId, the executed GTIDs,
+/// then every table's rows, under one trailing CRC32C.
+template <typename Io, typename Applied, typename Gtids, typename Tables>
+void SnapshotFields(Io& io, Applied& applied, Gtids& gtids, Tables& tables) {
+  io.Crc32c([&] {
+    io.Magic(kSnapshotMagic);
+    io.Fixed64(applied.term);
+    io.Fixed64(applied.index);
+    io.Nested(gtids);
+    io.Repeat(tables, [](auto& io, auto& table) {
+      io.LengthPrefixed(table.first);
+      io.Repeat(table.second, [](auto& io, auto& row) {
+        io.LengthPrefixed(row.first);
+        io.LengthPrefixed(row.second);
+      });
+    });
+  });
 }
 
 }  // namespace
@@ -103,71 +93,44 @@ Status MiniEngine::ReplayWal(const std::string& contents,
                              uint64_t* good_bytes) {
   Slice in(contents);
   *good_bytes = 0;
-  // Write sets of replayed prepares, keyed by xid.
   while (!in.empty()) {
-    Slice record = in;  // attempt; only advance on success
-    uint32_t crc;
+    uint32_t crc = 0;
     Slice body;
-    if (!GetFixed32(&record, &crc) || !GetLengthPrefixed(&record, &body)) {
-      break;  // torn tail
-    }
-    if (crc32c::Value(body.data(), body.size()) != crc) {
+    SliceSource frame(in);
+    WalFrameFields(frame, crc, body);
+    if (!frame.ok() || crc32c::Value(body.data(), body.size()) != crc) {
       break;  // torn/corrupt tail
     }
-    in = record;
+    in = frame.rest();
     *good_bytes = contents.size() - in.size();
 
-    Slice b = body;
-    if (b.empty()) return Status::Corruption("wal: empty record");
-    const uint8_t type = static_cast<uint8_t>(b[0]);
-    b.RemovePrefix(1);
-    switch (type) {
-      case kWalPrepare: {
-        uint64_t xid;
-        std::vector<PendingWrite> writes;
-        if (!GetVarint64(&b, &xid) || !DecodeWrites(&b, &writes)) {
-          return Status::Corruption("wal: bad prepare record");
-        }
+    WalRecord record;
+    MYRAFT_ASSIGN_OR_RETURN(record, DecodeRecord<WalRecord>(body, "wal"));
+    switch (record.type) {
+      case WalRecord::Type::kPrepare: {
         const TxnId txn_id = next_txn_id_++;
         ActiveTxn txn;
-        txn.writes = std::move(writes);
+        txn.writes = std::move(record.writes);
         txn.prepared = true;
-        txn.xid = xid;
+        txn.xid = record.xid;
         active_[txn_id] = std::move(txn);
-        prepared_by_xid_[xid] = txn_id;
+        prepared_by_xid_[record.xid] = txn_id;
         break;
       }
-      case kWalCommit: {
-        uint64_t xid;
-        OpId opid;
-        if (!GetVarint64(&b, &xid) || !GetFixed64(&b, &opid.term) ||
-            !GetFixed64(&b, &opid.index) || b.size() < 16) {
-          return Status::Corruption("wal: bad commit record");
-        }
-        binlog::Gtid gtid;
-        gtid.server_uuid =
-            Uuid::FromBytes(reinterpret_cast<const uint8_t*>(b.data()));
-        b.RemovePrefix(16);
-        if (!GetVarint64(&b, &gtid.txn_no)) {
-          return Status::Corruption("wal: bad commit gtid");
-        }
-        auto it = prepared_by_xid_.find(xid);
+      case WalRecord::Type::kCommit: {
+        auto it = prepared_by_xid_.find(record.xid);
         if (it == prepared_by_xid_.end()) {
           return Status::Corruption("wal: commit of unknown xid");
         }
         ApplyWrites(active_[it->second].writes);
         active_.erase(it->second);
         prepared_by_xid_.erase(it);
-        last_applied_ = opid;
-        executed_gtids_.Add(gtid);
+        last_applied_ = record.opid;
+        executed_gtids_.Add(record.gtid);
         break;
       }
-      case kWalRollback: {
-        uint64_t xid;
-        if (!GetVarint64(&b, &xid)) {
-          return Status::Corruption("wal: bad rollback record");
-        }
-        auto it = prepared_by_xid_.find(xid);
+      case WalRecord::Type::kRollback: {
+        auto it = prepared_by_xid_.find(record.xid);
         if (it == prepared_by_xid_.end()) {
           return Status::Corruption("wal: rollback of unknown xid");
         }
@@ -175,8 +138,6 @@ Status MiniEngine::ReplayWal(const std::string& contents,
         prepared_by_xid_.erase(it);
         break;
       }
-      default:
-        return Status::Corruption("wal: unknown record type");
     }
   }
   return Status::OK();
@@ -186,53 +147,18 @@ Status MiniEngine::LoadSnapshot() {
   if (!env_->FileExists(SnapshotPath())) return Status::OK();
   auto contents = env_->ReadFileToString(SnapshotPath());
   if (!contents.ok()) return contents.status();
-  if (contents->size() < kSnapshotMagicLen + 4 ||
-      memcmp(contents->data(), kSnapshotMagic, kSnapshotMagicLen) != 0) {
-    return Status::Corruption("snapshot: bad magic");
-  }
-  const size_t body_len = contents->size() - 4;
-  const uint32_t crc = DecodeFixed32(contents->data() + body_len);
-  if (crc != crc32c::Value(contents->data(), body_len)) {
-    return Status::Corruption("snapshot: crc mismatch");
-  }
-  Slice in(contents->data() + kSnapshotMagicLen,
-           body_len - kSnapshotMagicLen);
-  if (!GetFixed64(&in, &last_applied_.term) ||
-      !GetFixed64(&in, &last_applied_.index)) {
-    return Status::Corruption("snapshot: truncated opid");
-  }
-  Slice gtids;
-  if (!GetLengthPrefixed(&in, &gtids)) {
-    return Status::Corruption("snapshot: truncated gtids");
-  }
-  MYRAFT_ASSIGN_OR_RETURN(executed_gtids_, binlog::GtidSet::Decode(gtids));
-  uint64_t n_tables;
-  if (!GetVarint64(&in, &n_tables)) {
-    return Status::Corruption("snapshot: truncated tables");
-  }
-  for (uint64_t t = 0; t < n_tables; ++t) {
-    Slice name;
-    uint64_t n_rows;
-    if (!GetLengthPrefixed(&in, &name) || !GetVarint64(&in, &n_rows)) {
-      return Status::Corruption("snapshot: truncated table header");
-    }
-    auto& table = tables_[name.ToString()];
-    for (uint64_t r = 0; r < n_rows; ++r) {
-      Slice key, value;
-      if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value)) {
-        return Status::Corruption("snapshot: truncated row");
-      }
-      table[key.ToString()] = value.ToString();
-    }
-  }
-  if (!in.empty()) return Status::Corruption("snapshot: trailing bytes");
-  return Status::OK();
+  SliceSource source(*contents);
+  SnapshotFields(source, last_applied_, executed_gtids_, tables_);
+  return source.Finish("snapshot");
 }
 
-Status MiniEngine::AppendWalRecord(const std::string& body) {
+Status MiniEngine::AppendWalRecord(const WalRecord& record) {
+  std::string body;
+  EncodeRecord(record, &body);
+  const uint32_t crc = crc32c::Value(body.data(), body.size());
   std::string framed;
-  PutFixed32(&framed, crc32c::Value(body.data(), body.size()));
-  PutLengthPrefixed(&framed, body);
+  StringSink sink(&framed);
+  WalFrameFields(sink, crc, body);
   return wal_->Append(framed);
 }
 
@@ -309,11 +235,14 @@ Status MiniEngine::Prepare(TxnId txn, uint64_t xid) {
   if (prepared_by_xid_.count(xid) > 0) {
     return Status::AlreadyPresent("xid already in use");
   }
-  std::string body;
-  body.push_back(static_cast<char>(kWalPrepare));
-  PutVarint64(&body, xid);
-  EncodeWrites(it->second.writes, &body);
-  MYRAFT_RETURN_NOT_OK(AppendWalRecord(body));
+  WalRecord record;
+  record.type = WalRecord::Type::kPrepare;
+  record.xid = xid;
+  // The record borrows the write set for the encode and hands it back.
+  record.writes = std::move(it->second.writes);
+  const Status appended = AppendWalRecord(record);
+  it->second.writes = std::move(record.writes);
+  MYRAFT_RETURN_NOT_OK(appended);
   it->second.prepared = true;
   it->second.xid = xid;
   prepared_by_xid_[xid] = txn;
@@ -326,15 +255,12 @@ Status MiniEngine::CommitPrepared(uint64_t xid, OpId opid,
   if (it == prepared_by_xid_.end()) {
     return Status::NotFound("no prepared transaction with xid");
   }
-  std::string body;
-  body.push_back(static_cast<char>(kWalCommit));
-  PutVarint64(&body, xid);
-  PutFixed64(&body, opid.term);
-  PutFixed64(&body, opid.index);
-  body.append(reinterpret_cast<const char*>(gtid.server_uuid.bytes().data()),
-              16);
-  PutVarint64(&body, gtid.txn_no);
-  MYRAFT_RETURN_NOT_OK(AppendWalRecord(body));
+  WalRecord record;
+  record.type = WalRecord::Type::kCommit;
+  record.xid = xid;
+  record.opid = opid;
+  record.gtid = gtid;
+  MYRAFT_RETURN_NOT_OK(AppendWalRecord(record));
 
   ActiveTxn& txn = active_[it->second];
   ApplyWrites(txn.writes);
@@ -351,10 +277,10 @@ Status MiniEngine::RollbackPrepared(uint64_t xid) {
   if (it == prepared_by_xid_.end()) {
     return Status::NotFound("no prepared transaction with xid");
   }
-  std::string body;
-  body.push_back(static_cast<char>(kWalRollback));
-  PutVarint64(&body, xid);
-  MYRAFT_RETURN_NOT_OK(AppendWalRecord(body));
+  WalRecord record;
+  record.type = WalRecord::Type::kRollback;
+  record.xid = xid;
+  MYRAFT_RETURN_NOT_OK(AppendWalRecord(record));
 
   ActiveTxn& txn = active_[it->second];
   ReleaseLocks(txn.writes);
@@ -437,22 +363,8 @@ Status MiniEngine::Checkpoint() {
         "cannot checkpoint with prepared transactions in flight");
   }
   std::string out;
-  out.append(kSnapshotMagic, kSnapshotMagicLen);
-  PutFixed64(&out, last_applied_.term);
-  PutFixed64(&out, last_applied_.index);
-  std::string gtids;
-  executed_gtids_.EncodeTo(&gtids);
-  PutLengthPrefixed(&out, gtids);
-  PutVarint64(&out, tables_.size());
-  for (const auto& [table, rows] : tables_) {
-    PutLengthPrefixed(&out, table);
-    PutVarint64(&out, rows.size());
-    for (const auto& [key, value] : rows) {
-      PutLengthPrefixed(&out, key);
-      PutLengthPrefixed(&out, value);
-    }
-  }
-  PutFixed32(&out, crc32c::Value(out.data(), out.size()));
+  StringSink sink(&out);
+  SnapshotFields(sink, last_applied_, executed_gtids_, tables_);
 
   const std::string tmp = SnapshotPath() + ".tmp";
   MYRAFT_RETURN_NOT_OK(env_->WriteStringToFile(out, tmp, /*sync=*/true));

@@ -47,6 +47,47 @@ struct PendingWrite {
   bool operator==(const PendingWrite&) const = default;
 };
 
+/// One engine WAL record. On disk each body is framed as
+/// [fixed32 crc32c(body)][varint length][body]; a frame that is short or
+/// fails its CRC is a torn tail and is trimmed at recovery, while a body
+/// that passes its CRC and still does not decode is corruption.
+struct WalRecord {
+  enum class Type : uint8_t { kPrepare = 1, kCommit = 2, kRollback = 3 };
+
+  Type type = Type::kPrepare;
+  uint64_t xid = 0;
+  std::vector<PendingWrite> writes;  // kPrepare: the write set
+  OpId opid;                         // kCommit
+  binlog::Gtid gtid;                 // kCommit
+
+  bool operator==(const WalRecord&) const = default;
+
+  /// The body's field walk (util/coding.h): type, xid, then the type's
+  /// own fields.
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& r) {
+    io.Enum(r.type, Type::kRollback, Type::kPrepare);
+    io.Varint(r.xid);
+    switch (r.type) {
+      case Type::kPrepare:
+        io.Repeat(r.writes, [](auto& io, auto& w) {
+          io.LengthPrefixed(w.table);
+          io.LengthPrefixed(w.key);
+          io.MaybeLengthPrefixed(w.value);
+        });
+        break;
+      case Type::kCommit:
+        io.Fixed64(r.opid.term);
+        io.Fixed64(r.opid.index);
+        io.UuidBytes(r.gtid.server_uuid);
+        io.Varint(r.gtid.txn_no);
+        break;
+      case Type::kRollback:
+        break;
+    }
+  }
+};
+
 /// The row-image rule every writer and applier shares: a row operation
 /// targets table "database.table", under the key its after image holds up
 /// to the first '=' ("key=value"); a delete's before image is the key.
@@ -145,7 +186,7 @@ class MiniEngine {
   Status Recover();
   Status ReplayWal(const std::string& contents, uint64_t* good_bytes);
   Status LoadSnapshot();
-  Status AppendWalRecord(const std::string& body);
+  Status AppendWalRecord(const WalRecord& record);
   Status Write(TxnId txn, const std::string& table, const std::string& key,
                std::optional<std::string> value);
   void ApplyWrites(const std::vector<PendingWrite>& writes);

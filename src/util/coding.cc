@@ -2,17 +2,6 @@
 
 namespace myraft {
 
-void PutVarint32(std::string* dst, uint32_t value) {
-  unsigned char buf[5];
-  int n = 0;
-  while (value >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(value | 0x80);
-    value >>= 7;
-  }
-  buf[n++] = static_cast<unsigned char>(value);
-  dst->append(reinterpret_cast<char*>(buf), n);
-}
-
 void PutVarint64(std::string* dst, uint64_t value) {
   unsigned char buf[10];
   int n = 0;
@@ -42,13 +31,6 @@ bool GetFixed64(Slice* input, uint64_t* value) {
   if (input->size() < 8) return false;
   *value = DecodeFixed64(input->data());
   input->RemovePrefix(8);
-  return true;
-}
-
-bool GetVarint32(Slice* input, uint32_t* value) {
-  uint64_t v;
-  if (!GetVarint64(input, &v) || v > UINT32_MAX) return false;
-  *value = static_cast<uint32_t>(v);
   return true;
 }
 

@@ -57,23 +57,27 @@ struct LogEntry {
 
   /// Wire/disk encoding (appended to *dst).
   void EncodeTo(std::string* dst) const;
-  /// The encoding's field sequence, into a util/coding.h field sink.
-  template <typename Sink>
-  void EncodeFields(Sink* sink) const {
-    sink->Varint(id.term);
-    sink->Varint(id.index);
-    sink->Byte(static_cast<uint8_t>(type));
-    sink->Fixed32(checksum);
-    sink->LengthPrefixed(payload_bytes());
+  /// The field walk (util/coding.h). Encoders read payload_bytes();
+  /// decoders always fill the owned `payload`.
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& e) {
+    OpId::Fields(io, e.id);
+    io.Enum(e.type, EntryType::kRotate);
+    io.Fixed32(e.checksum);
+    io.LengthPrefixed(PayloadField(e));
   }
   /// Consumes one entry from the front of `input`.
   static Result<LogEntry> DecodeFrom(Slice* input);
 
   size_t ByteSize() const { return payload_bytes().size() + 32; }
+
+ private:
+  static Slice PayloadField(const LogEntry& e) { return e.payload_bytes(); }
+  static std::string& PayloadField(LogEntry& e) { return e.payload; }
 };
 
-/// Membership config codec: consensus metadata and the AppendEntries
-/// `config_payload`.
+/// Membership config codec (MembershipConfig::Fields): consensus metadata
+/// and the AppendEntries `config_payload`.
 void EncodeMembershipConfig(const MembershipConfig& config, std::string* dst);
 Result<MembershipConfig> DecodeMembershipConfig(Slice input);
 

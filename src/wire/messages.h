@@ -2,9 +2,9 @@
 // Proxying extension's PROXY_OP form, §4.2), RequestVote (with pre-vote
 // and Mock Election extensions, §4.3) and TransferLeadership. Every
 // message serialises to a tagged envelope so the transport layer can stay
-// payload-agnostic. Each message has one fixed layout: every field is
-// encoded, in declaration order, and a decoder rejects both truncated input
-// and trailing bytes.
+// payload-agnostic. Each message has one fixed layout, written once as a
+// field walk (util/coding.h): every field is encoded, in declaration order,
+// and a decoder rejects both truncated input and trailing bytes.
 
 #ifndef MYRAFT_WIRE_MESSAGES_H_
 #define MYRAFT_WIRE_MESSAGES_H_
@@ -19,14 +19,6 @@
 #include "wire/types.h"
 
 namespace myraft {
-
-enum class MessageType : uint8_t {
-  kAppendEntriesRequest = 0,
-  kAppendEntriesResponse = 1,
-  kVoteRequest = 2,
-  kVoteResponse = 3,
-  kStartElectionRequest = 4,
-};
 
 /// Log replication / heartbeat RPC. Also the vehicle for the commit
 /// marker (§3.4: "Raft will piggyback the commit marker ... to followers
@@ -69,6 +61,22 @@ struct AppendEntriesRequest {
 
   bool IsHeartbeat() const { return entries.empty(); }
 
+  /// The field walk (util/coding.h).
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& m) {
+    io.LengthPrefixed(m.leader);
+    io.LengthPrefixed(m.dest);
+    io.Repeat(m.route, [](auto& io, auto& hop) { io.LengthPrefixed(hop); });
+    io.Varint(m.term);
+    OpId::Fields(io, m.prev);
+    OpId::Fields(io, m.commit_marker);
+    io.Flags(m.proxy_payload_omitted, m.entries_compressed);
+    io.Repeat(m.entries, [](auto& io, auto& e) { LogEntry::Fields(io, e); });
+    io.Varint(m.trace_id);
+    io.Varint(m.trace_span_id);
+    io.Varint(m.lease_sent_micros);
+    io.LengthPrefixed(m.config_payload);
+  }
   void EncodeTo(std::string* dst) const;
   static Result<AppendEntriesRequest> DecodeFrom(Slice input);
 
@@ -110,6 +118,23 @@ struct AppendEntriesResponse {
 
   bool operator==(const AppendEntriesResponse&) const = default;
 
+  /// The field walk (util/coding.h).
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& m) {
+    io.LengthPrefixed(m.from);
+    io.LengthPrefixed(m.dest);
+    io.Repeat(m.route, [](auto& io, auto& hop) { io.LengthPrefixed(hop); });
+    io.Varint(m.term);
+    io.Flags(m.success);
+    OpId::Fields(io, m.last_received);
+    io.Varint(m.last_durable_index);
+    io.Varint(m.request_prev_index);
+    io.Varint(m.trace_id);
+    io.Varint(m.trace_span_id);
+    io.Varint(m.lease_granted_micros);
+    io.Varint(m.config_term);
+    io.Varint(m.config_version);
+  }
   void EncodeTo(std::string* dst) const;
   static Result<AppendEntriesResponse> DecodeFrom(Slice input);
 };
@@ -138,6 +163,19 @@ struct VoteRequest {
 
   bool operator==(const VoteRequest&) const = default;
 
+  /// The field walk (util/coding.h).
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& m) {
+    io.LengthPrefixed(m.candidate);
+    io.LengthPrefixed(m.dest);
+    io.Varint(m.term);
+    OpId::Fields(io, m.last_log);
+    io.LengthPrefixed(m.candidate_region);
+    io.Flags(m.pre_vote, m.mock_election);
+    OpId::Fields(io, m.leader_cursor_snapshot);
+    io.Varint(m.config_term);
+    io.Varint(m.config_version);
+  }
   void EncodeTo(std::string* dst) const;
   static Result<VoteRequest> DecodeFrom(Slice input);
 };
@@ -163,6 +201,18 @@ struct VoteResponse {
 
   bool operator==(const VoteResponse&) const = default;
 
+  /// The field walk (util/coding.h).
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& m) {
+    io.LengthPrefixed(m.from);
+    io.LengthPrefixed(m.dest);
+    io.Varint(m.term);
+    io.Flags(m.granted, m.pre_vote, m.mock_election);
+    io.LengthPrefixed(m.reason);
+    io.LengthPrefixed(m.voter_region);
+    io.Varint(m.last_leader_term);
+    io.LengthPrefixed(m.last_leader_region);
+  }
   void EncodeTo(std::string* dst) const;
   static Result<VoteResponse> DecodeFrom(Slice input);
 };
@@ -180,6 +230,15 @@ struct StartElectionRequest {
 
   bool operator==(const StartElectionRequest&) const = default;
 
+  /// The field walk (util/coding.h).
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& m) {
+    io.LengthPrefixed(m.from);
+    io.LengthPrefixed(m.dest);
+    io.Varint(m.term);
+    io.Flags(m.mock);
+    OpId::Fields(io, m.leader_cursor_snapshot);
+  }
   void EncodeTo(std::string* dst) const;
   static Result<StartElectionRequest> DecodeFrom(Slice input);
 };
@@ -189,7 +248,8 @@ using Message =
     std::variant<AppendEntriesRequest, AppendEntriesResponse, VoteRequest,
                  VoteResponse, StartElectionRequest>;
 
-/// Tagged envelope: 1 type byte + message body.
+/// Tagged envelope: 1 type byte, the variant index of the message, then
+/// the message body.
 void EncodeMessage(const Message& msg, std::string* dst);
 Result<Message> DecodeMessage(Slice input);
 

@@ -34,6 +34,13 @@ struct OpId {
 
   bool IsZero() const { return term == 0 && index == 0; }
 
+  /// The wire field walk (util/coding.h): two varints.
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& id) {
+    io.Varint(id.term);
+    io.Varint(id.index);
+  }
+
   /// Appends "term.index".
   void AppendTo(std::string* dst) const {
     AppendDecimal(dst, term);
@@ -127,6 +134,21 @@ struct MembershipConfig {
   bool SameIdAs(const MembershipConfig& other) const {
     return config_term == other.config_term &&
            config_version == other.config_version;
+  }
+
+  /// The wire field walk (util/coding.h), shared by the consensus
+  /// metadata and the AppendEntries `config_payload`.
+  template <typename Io, typename Self>
+  static void Fields(Io& io, Self& config) {
+    io.Repeat(config.members, [](auto& io, auto& m) {
+      io.LengthPrefixed(m.id);
+      io.LengthPrefixed(m.region);
+      io.Enum(m.kind, MemberKind::kLogtailer);
+      io.Enum(m.type, RaftMemberType::kNonVoter);
+    });
+    io.Varint(config.config_term);
+    io.Varint(config.config_version);
+    io.LengthPrefixed(config.quorum_spec);
   }
 
   const MemberInfo* Find(const MemberId& id) const;

@@ -1,12 +1,15 @@
 // Direct BinlogFileWriter/Reader tests (header handling, corruption) and
-// the SHOW BINLOG EVENTS surface, plus decode-robustness fuzzing for the
-// wire and GTID parsers: malformed input must error, never crash.
+// the SHOW BINLOG EVENTS surface, plus decode-robustness fuzzing for every
+// binary record decoder: malformed input must error, never crash.
 
 #include <gtest/gtest.h>
 
 #include "binlog/binlog_file.h"
 #include "binlog/binlog_manager.h"
 #include "binlog/transaction.h"
+#include "raft/consensus_metadata.h"
+#include "storage/engine.h"
+#include "util/coding.h"
 #include "util/random.h"
 #include "wire/messages.h"
 
@@ -128,6 +131,12 @@ class DecodeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DecodeFuzzTest, RandomBytesNeverCrashDecoders) {
   Random rng(GetParam());
+  auto env = NewMemEnv();
+  ManualClock clock;
+  storage::EngineOptions engine_options;
+  engine_options.dir = "/engine";
+  engine_options.clock = &clock;
+  ASSERT_TRUE(env->CreateDirIfMissing("/engine").ok());
   for (int i = 0; i < 2000; ++i) {
     std::string bytes(rng.Uniform(400), '\0');
     for (char& c : bytes) c = static_cast<char>(rng.Next());
@@ -140,7 +149,20 @@ TEST_P(DecodeFuzzTest, RandomBytesNeverCrashDecoders) {
     Slice event_in(bytes);
     (void)BinlogEvent::DecodeFrom(&event_in);
     (void)ParseTransactionPayload(bytes);
+    (void)ValidateTransactionPayload(bytes, OpId{1, 1});
     (void)DecodeMembershipConfig(bytes);
+    (void)FormatDescriptionBody::Decode(bytes);
+    (void)PreviousGtidsBody::Decode(bytes);
+    (void)GtidBody::Decode(bytes);
+    (void)TableMapBody::Decode(bytes);
+    (void)RowsBody::Decode(bytes);
+    (void)XidBody::Decode(bytes);
+    (void)RotateBody::Decode(bytes);
+    (void)MetadataBody::Decode(bytes);
+    (void)DecodeRecord<storage::WalRecord>(bytes, "wal");
+    (void)DecodeRecord<raft::ConsensusMetadata>(bytes, "cmeta");
+    ASSERT_TRUE(env->WriteStringToFile(bytes, "/engine/engine.snap").ok());
+    (void)storage::MiniEngine::Open(env.get(), engine_options);
   }
 }
 

@@ -107,6 +107,28 @@ TEST_F(BinlogManagerTest, AppendRejectsMalformedTransaction) {
   EXPECT_FALSE(manager_->AppendEntry(mismatched).ok());
 }
 
+TEST_F(BinlogManagerTest, AppendRefusesGroupThatRecoveryWouldReject) {
+  // [Gtid, Gtid, Xid]: every event is whole and carries the entry's OpId,
+  // but it is no transaction group. Append must refuse it, or the member
+  // cannot reopen its own log.
+  const OpId opid{1, 1};
+  const std::string gtid = GtidBody{Gtid{U(1), 1}}.Encode();
+  std::string payload;
+  MakeEvent(EventType::kGtid, 0, 7, opid, gtid).EncodeTo(&payload);
+  MakeEvent(EventType::kGtid, 0, 7, opid, gtid).EncodeTo(&payload);
+  MakeEvent(EventType::kXid, 0, 7, opid, XidBody{1}.Encode())
+      .EncodeTo(&payload);
+  EXPECT_TRUE(
+      manager_
+          ->AppendEntry(LogEntry::Make(opid, EntryType::kTransaction, payload))
+          .IsCorruption());
+  EXPECT_FALSE(ParseTransactionPayload(payload).ok());
+
+  ASSERT_TRUE(manager_->AppendEntry(Txn(opid, 1)).ok());
+  Reopen();
+  EXPECT_EQ(manager_->LastOpId(), opid);
+}
+
 TEST_F(BinlogManagerTest, ReadEntriesHonoursLimits) {
   for (uint64_t i = 1; i <= 10; ++i) {
     ASSERT_TRUE(manager_->AppendEntry(Txn({1, i}, i)).ok());

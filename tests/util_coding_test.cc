@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "util/random.h"
 
 namespace myraft {
@@ -74,9 +77,77 @@ TEST(CodingTest, VarintLengthMatchesEncoding) {
 TEST(CodingTest, Varint32RejectsOverflow) {
   std::string s;
   PutVarint64(&s, uint64_t{UINT32_MAX} + 1);
-  Slice in(s);
-  uint32_t out;
-  EXPECT_FALSE(GetVarint32(&in, &out));
+  SliceSource source{Slice(s)};
+  uint32_t out = 0;
+  source.Varint(out);
+  EXPECT_TRUE(source.status("v").IsCorruption());
+}
+
+enum class Color : uint8_t { kRed = 1, kGreen = 2, kBlue = 3 };
+
+/// Runs one field of a walk over `bytes` and reports whether it decoded.
+template <typename Fn>
+bool Reads(const std::string& bytes, Fn&& fn) {
+  SliceSource source{Slice(bytes)};
+  fn(source);
+  return source.ok();
+}
+
+TEST(CodingTest, SliceSourceRejectsWhatNoEncoderWrites) {
+  Color color;
+  EXPECT_TRUE(Reads("\x02", [&](auto& io) {
+    io.Enum(color, Color::kBlue, Color::kRed);
+  }));
+  EXPECT_EQ(color, Color::kGreen);
+  for (const char* bad : {"\x00", "\x04"}) {
+    EXPECT_FALSE(Reads(std::string(bad, 1), [&](auto& io) {
+      io.Enum(color, Color::kBlue, Color::kRed);
+    }));
+  }
+
+  bool a = false, b = false;
+  EXPECT_TRUE(Reads("\x02", [&](auto& io) { io.Flags(a, b); }));
+  EXPECT_TRUE(!a && b);
+  EXPECT_FALSE(Reads("\x04", [&](auto& io) { io.Flags(a, b); }));
+
+  // A count no input could hold is refused before any item is read.
+  std::vector<uint64_t> items;
+  EXPECT_FALSE(Reads("\x05\x01\x02", [&](auto& io) {
+    io.Repeat(items, [](auto& io, auto& item) { io.Varint(item); });
+  }));
+  std::map<uint64_t, uint64_t> map;
+  EXPECT_FALSE(Reads("\x02\x01\x07\x01\x08", [&](auto& io) {
+    io.Repeat(map, [](auto& io, auto& kv) {
+      io.Varint(kv.first);
+      io.Varint(kv.second);
+    });
+  }));
+
+  std::string crc_record;
+  StringSink sink(&crc_record);
+  uint64_t value = 77;
+  sink.Crc32c([&] { sink.Varint(value); });
+  EXPECT_TRUE(Reads(crc_record,
+                    [&](auto& io) { io.Crc32c([&] { io.Varint(value); }); }));
+  crc_record[0] ^= 1;
+  EXPECT_FALSE(Reads(crc_record,
+                     [&](auto& io) { io.Crc32c([&] { io.Varint(value); }); }));
+}
+
+TEST(CodingTest, SliceSourceKeepsTheFirstFailure) {
+  std::string s;
+  PutVarint64(&s, 3);
+  SliceSource source{Slice(s)};
+  Color color;
+  uint64_t after = 99;
+  source.Enum(color, Color::kRed, Color::kRed);
+  source.Varint(after);  // the failure dropped the input: truncated
+  EXPECT_EQ(after, 99u);
+  EXPECT_EQ(source.status("c").ToString(),
+            Status::Corruption("c: enum out of range").ToString());
+  SliceSource longer{Slice("\x01\x00", 2)};
+  longer.Enum(color, Color::kRed, Color::kRed);
+  EXPECT_FALSE(longer.Finish("c").ok());  // trailing bytes
 }
 
 TEST(CodingTest, TruncatedVarintFails) {

@@ -1,13 +1,21 @@
-// Wire-format tests: OpId ordering, membership helpers, entry and message
-// round-trips, corruption rejection, and computed wire sizes.
+// Codec tests: OpId ordering, membership helpers, entry and message
+// round-trips, computed wire sizes, and one table that checks every binary
+// record format (wire, binlog, engine, consensus metadata) the same way.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 
+#include "binlog/transaction.h"
+#include "raft/consensus_metadata.h"
+#include "storage/engine.h"
+#include "util/clock.h"
 #include "util/coding.h"
+#include "util/env.h"
 #include "wire/messages.h"
 
 namespace myraft {
@@ -95,14 +103,6 @@ TEST(MembershipTest, ConfigCodecRoundTrip) {
   auto decoded = DecodeMembershipConfig(buf);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(*decoded, config);
-}
-
-TEST(MembershipTest, ConfigCodecRejectsTruncation) {
-  std::string buf;
-  EncodeMembershipConfig(PaperTopology(), &buf);
-  for (size_t len = 0; len < buf.size(); len += 3) {
-    EXPECT_FALSE(DecodeMembershipConfig(Slice(buf.data(), len)).ok());
-  }
 }
 
 TEST(MembershipTest, VersionedConfigCodecRoundTrip) {
@@ -433,9 +433,65 @@ TEST(MessagesTest, DecodeRejectsGarbage) {
   // Truncated bodies: EveryStrictPrefixIsRejected.
 }
 
-TEST(MessagesTest, EveryStrictPrefixIsRejected) {
-  // Every field populated: each message has one fixed layout, so no strict
-  // prefix of an encoding may decode (silently dropping its tail fields).
+// --- Every record format: one table -----------------------------------------
+
+/// What a decoder made of some input.
+struct Decoded {
+  bool ok = false;
+  bool equal = false;   // the value equals the row's instance
+  size_t consumed = 0;  // bytes taken from the front of the input
+};
+
+/// One fixed instance of a format, every field populated, with the
+/// format's encoding, its size-sink count (where the format has one) and
+/// its decoder as production code calls it.
+struct FormatCase {
+  std::string name;
+  std::string encoded;
+  std::optional<uint64_t> size;
+  /// Reads one record from the front of a stream: trailing bytes belong
+  /// to the next record. Otherwise the record is the whole buffer.
+  bool stream = false;
+  std::function<Decoded(Slice)> decode;
+  /// Where an optional trailer starts: the prefix that ends there is a
+  /// whole record of its own, with the trailer's fields at their defaults.
+  std::optional<size_t> trailer_at = std::nullopt;
+};
+
+template <typename T, typename Decode>
+FormatCase WholeRow(std::string name, const T& instance, std::string encoded,
+                    std::optional<uint64_t> size, Decode decode) {
+  return FormatCase{std::move(name), std::move(encoded), size, false,
+                    [instance, decode](Slice in) {
+                      auto r = decode(in);
+                      return r.ok() ? Decoded{true, *r == instance, in.size()}
+                                    : Decoded{};
+                    }};
+}
+
+/// A record with EncodeTo, its walk and the streaming DecodeFrom(Slice*).
+template <typename T>
+FormatCase StreamRow(std::string name, const T& instance) {
+  std::string encoded;
+  instance.EncodeTo(&encoded);
+  return FormatCase{std::move(name), std::move(encoded), RecordSize(instance),
+                    true, [instance](Slice in) {
+                      const size_t before = in.size();
+                      auto r = T::DecodeFrom(&in);
+                      return r.ok() ? Decoded{true, *r == instance,
+                                              before - in.size()}
+                                    : Decoded{};
+                    }};
+}
+
+/// A binlog body with Encode() and Decode(Slice).
+template <typename T>
+FormatCase BodyRow(std::string name, const T& instance) {
+  return WholeRow(std::move(name), instance, instance.Encode(),
+                  RecordSize(instance), [](Slice in) { return T::Decode(in); });
+}
+
+std::vector<Message> FullMessages() {
   auto req = MakeAppendRequest();
   req.entries_compressed = true;
   req.trace_id = 0x1234567;
@@ -473,24 +529,252 @@ TEST(MessagesTest, EveryStrictPrefixIsRejected) {
   VoteResponse vote_resp{"lt1b", "db1", 12, true, true, true,
                          "already-voted", "r1", 11, "r0"};
   StartElectionRequest start{"db0", "db1", 7, true, {7, 70}};
+  return {req, resp, vote, vote_resp, start};
+}
 
-  const std::vector<Message> messages = {req, resp, vote, vote_resp, start};
-  for (const auto& msg : messages) {
-    std::string buf;
-    EncodeMessage(msg, &buf);
-    ASSERT_TRUE(DecodeMessage(buf).ok()) << "type " << msg.index();
-    for (size_t len = 0; len < buf.size(); ++len) {
-      EXPECT_FALSE(DecodeMessage(Slice(buf.data(), len)).ok())
-          << "type " << msg.index() << " envelope prefix " << len;
-      if (len == 0) continue;
-      const Slice body(buf.data() + 1, len - 1);  // strip the type byte
-      const bool decoded = std::visit(
-          [&body](const auto& m) {
-            return std::decay_t<decltype(m)>::DecodeFrom(body).ok();
-          },
-          msg);
-      EXPECT_FALSE(decoded) << "type " << msg.index() << " body prefix "
-                            << len - 1;
+binlog::GtidSet SampleGtids() {
+  binlog::GtidSet set;
+  set.AddRange(Uuid::FromIndex(1), 1, 1000000);
+  set.AddRange(Uuid::FromIndex(1), 1000002, 1000009);
+  set.AddRange(Uuid::FromIndex(3), 10, 20);
+  return set;
+}
+
+raft::ConsensusMetadata SampleMetadata() {
+  raft::ConsensusMetadata meta;
+  meta.current_term = 12;
+  meta.voted_for = "db1";
+  meta.last_known_leader = "db0";
+  meta.last_leader_region = "r0";
+  meta.last_leader_term = 11;
+  meta.last_vote_term = 12;
+  meta.last_voted_for = "db1";
+  meta.last_voted_region = "r1";
+  meta.config = PaperTopology();
+  meta.config.quorum_spec = "multi:2";
+  meta.committed_config = meta.config;
+  return meta;
+}
+
+/// The consensus metadata file, written and read through its store.
+FormatCase MetadataRow(std::string name, const raft::ConsensusMetadata& meta) {
+  auto env = std::shared_ptr<Env>(NewMemEnv());
+  EXPECT_TRUE(raft::ConsensusMetadataStore(env.get(), "/cmeta").Save(meta).ok());
+  auto file = env->ReadFileToString("/cmeta");
+  EXPECT_TRUE(file.ok());
+  return WholeRow(std::move(name), meta, *file, RecordSize(meta),
+                  [env](Slice in) {
+                    EXPECT_TRUE(env->WriteStringToFile(in, "/cmeta").ok());
+                    return raft::ConsensusMetadataStore(env.get(), "/cmeta")
+                        .Load();
+                  });
+}
+
+/// The engine snapshot file, written by Checkpoint and read by Open.
+FormatCase SnapshotRow() {
+  ManualClock clock;
+  auto open = [&clock](Env* env) {
+    storage::EngineOptions options;
+    options.dir = "/engine";
+    options.clock = &clock;
+    return storage::MiniEngine::Open(env, options);
+  };
+  auto env = NewMemEnv();
+  auto engine = open(env.get());
+  EXPECT_TRUE(engine.ok());
+  for (uint64_t xid = 1; xid <= 3; ++xid) {
+    const storage::TxnId txn = (*engine)->Begin();
+    const std::string key = "k" + std::to_string(xid);
+    EXPECT_TRUE((*engine)->Put(txn, xid == 3 ? "db.b" : "db.a", key, key + "=v")
+                    .ok());
+    EXPECT_TRUE((*engine)->Prepare(txn, xid).ok());
+    EXPECT_TRUE((*engine)
+                    ->CommitPrepared(xid, {2, 10 + xid},
+                                     binlog::Gtid{Uuid::FromIndex(4), xid})
+                    .ok());
+  }
+  EXPECT_TRUE((*engine)->Checkpoint().ok());
+  auto file = env->ReadFileToString("/engine/engine.snap");
+  EXPECT_TRUE(file.ok());
+  const OpId applied = (*engine)->LastAppliedOpId();
+  const binlog::GtidSet gtids = (*engine)->ExecutedGtids();
+  const uint64_t checksum = (*engine)->StateChecksum();
+  return FormatCase{
+      "engine snapshot", *file, std::nullopt, false,
+      [open, applied, gtids, checksum](Slice in) {
+        auto fresh = NewMemEnv();
+        EXPECT_TRUE(fresh->CreateDirIfMissing("/engine").ok());
+        EXPECT_TRUE(fresh->WriteStringToFile(in, "/engine/engine.snap").ok());
+        auto reopened = open(fresh.get());
+        if (!reopened.ok()) return Decoded{};
+        return Decoded{true,
+                       (*reopened)->LastAppliedOpId() == applied &&
+                           (*reopened)->ExecutedGtids() == gtids &&
+                           (*reopened)->StateChecksum() == checksum,
+                       in.size()};
+      }};
+}
+
+/// A transaction group, built by Finalize; append validates it and the
+/// applier parses it, and every check below holds for both.
+FormatCase TransactionRow() {
+  binlog::TransactionPayloadBuilder builder;
+  binlog::RowOperation op;
+  op.database = "db";
+  op.table = "kv";
+  op.column_count = 2;
+  op.kind = binlog::RowOperation::Kind::kUpdate;
+  op.before_image = "k=a";
+  op.after_image = "k=b";
+  builder.AddOperation(op);
+  op.kind = binlog::RowOperation::Kind::kDelete;
+  op.after_image.clear();
+  builder.AddOperation(op);
+  const binlog::Gtid gtid{Uuid::FromIndex(5), 88};
+  const OpId opid{4, 1234};
+  return FormatCase{
+      "transaction group",
+      builder.Finalize(gtid, opid, 999, 111, 7, 80, 81, 6, 7), std::nullopt,
+      false, [gtid, opid](Slice in) {
+        auto parsed = binlog::ParseTransactionPayload(in);
+        auto validated = binlog::ValidateTransactionPayload(in, opid);
+        Decoded out;
+        out.ok = parsed.ok() || validated.ok();
+        out.equal = parsed.ok() && validated.ok() && *validated == gtid &&
+                    parsed->gtid == gtid && parsed->opid == opid &&
+                    parsed->xid == 999 && parsed->last_committed == 80 &&
+                    parsed->sequence_number == 81 && parsed->trace_id == 6 &&
+                    parsed->trace_span_id == 7 && parsed->ops.size() == 2 &&
+                    parsed->ops[1].before_image == "k=a";
+        out.consumed = in.size();
+        return out;
+      }};
+}
+
+std::vector<FormatCase> AllFormats() {
+  std::vector<FormatCase> rows;
+  for (const Message& msg : FullMessages()) {
+    const std::string index = std::to_string(msg.index());
+    std::string encoded;
+    EncodeMessage(msg, &encoded);
+    rows.push_back(WholeRow("envelope " + index, msg, encoded,
+                            MessageWireBytes(msg),
+                            [](Slice in) { return DecodeMessage(in); }));
+    std::visit(
+        [&](const auto& m) {
+          using T = std::decay_t<decltype(m)>;
+          std::string body;
+          m.EncodeTo(&body);
+          rows.push_back(WholeRow("message " + index, m, body, RecordSize(m),
+                                  [](Slice in) { return T::DecodeFrom(in); }));
+        },
+        msg);
+  }
+  rows.push_back(StreamRow(
+      "log entry", LogEntry::Make({9, 42}, EntryType::kTransaction, "pay")));
+  MembershipConfig config = PaperTopology();
+  config.config_term = 7;
+  config.quorum_spec = "multi:2";
+  std::string config_bytes;
+  EncodeMembershipConfig(config, &config_bytes);
+  rows.push_back(WholeRow("membership config", config, config_bytes,
+                          RecordSize(config), DecodeMembershipConfig));
+  rows.push_back(StreamRow(
+      "binlog event", binlog::MakeEvent(binlog::EventType::kXid, 123456789, 42,
+                                        {7, 99}, binlog::XidBody{5}.Encode())));
+  {
+    using namespace binlog;
+    rows.push_back(BodyRow("format-description body",
+                           FormatDescriptionBody{"myraft-1.0", 555}));
+    rows.push_back(
+        BodyRow("previous-gtids body", PreviousGtidsBody{SampleGtids()}));
+    GtidBody gtid{Gtid{Uuid::FromIndex(2), 33}, 30, 31};
+    rows.push_back(BodyRow("gtid body, untraced", gtid));
+    const size_t untraced_size = gtid.Encode().size();
+    gtid.trace_id = 1 << 20;
+    gtid.trace_span_id = 3;
+    rows.push_back(BodyRow("gtid body, traced", gtid));
+    rows.back().trailer_at = untraced_size;
+    rows.push_back(BodyRow("table-map body", TableMapBody{17, "db", "kv", 5}));
+    RowsBody rows_body;
+    rows_body.table_id = 17;
+    rows_body.rows.emplace_back("before-img", "after-img");
+    rows_body.rows.emplace_back("", "insert-only");
+    rows.push_back(BodyRow("rows body", rows_body));
+    rows.push_back(BodyRow("xid body", XidBody{0xDEADBEEFCAFEull}));
+    rows.push_back(BodyRow("rotate body", RotateBody{"binlog.000002", 4096}));
+    rows.push_back(
+        BodyRow("metadata body", MetadataBody{EntryType::kNoOp, "noop"}));
+  }
+  const binlog::GtidSet gtids = SampleGtids();
+  std::string gtid_bytes;
+  gtids.EncodeTo(&gtid_bytes);
+  rows.push_back(WholeRow("gtid set", gtids, gtid_bytes, RecordSize(gtids),
+                          binlog::GtidSet::Decode));
+  rows.push_back(TransactionRow());
+  storage::WalRecord wal;
+  wal.type = storage::WalRecord::Type::kPrepare;
+  wal.xid = 17;
+  wal.writes = {{"db.kv", "k", "k=b"}, {"db.kv", "j", std::nullopt}};
+  for (const auto type :
+       {storage::WalRecord::Type::kPrepare, storage::WalRecord::Type::kCommit,
+        storage::WalRecord::Type::kRollback}) {
+    storage::WalRecord record;
+    record.type = type;
+    record.xid = 17;
+    if (type == storage::WalRecord::Type::kPrepare) record.writes = wal.writes;
+    if (type == storage::WalRecord::Type::kCommit) {
+      record.opid = {3, 8};
+      record.gtid = binlog::Gtid{Uuid::FromIndex(7), 42};
+    }
+    std::string encoded;
+    EncodeRecord(record, &encoded);
+    rows.push_back(WholeRow(
+        "wal record " + std::to_string(static_cast<int>(type)), record,
+        encoded, RecordSize(record), [](Slice in) {
+          return DecodeRecord<storage::WalRecord>(in, "wal");
+        }));
+  }
+  raft::ConsensusMetadata meta = SampleMetadata();
+  rows.push_back(MetadataRow("consensus metadata", meta));
+  meta.committed_config.config_version = 1;
+  meta.committed_config.members.pop_back();
+  rows.push_back(
+      MetadataRow("consensus metadata, committed config trailer", meta));
+  rows.push_back(SnapshotRow());
+  return rows;
+}
+
+TEST(CodecTableTest, EveryFormatRoundTripsAndRejectsDamage) {
+  for (const FormatCase& c : AllFormats()) {
+    SCOPED_TRACE(c.name);
+    // Round trip.
+    const Decoded whole = c.decode(c.encoded);
+    EXPECT_TRUE(whole.ok && whole.equal);
+    EXPECT_EQ(whole.consumed, c.encoded.size());
+    // Every strict prefix is rejected: one fixed layout per format, so no
+    // prefix may decode (silently dropping its tail fields). The one
+    // exception is a prefix that ends where an optional trailer starts.
+    for (size_t len = 0; len < c.encoded.size(); ++len) {
+      const Decoded prefix = c.decode(Slice(c.encoded.data(), len));
+      if (len == c.trailer_at) {
+        EXPECT_TRUE(prefix.ok && !prefix.equal) << len;
+      } else {
+        EXPECT_FALSE(prefix.ok) << len;
+      }
+    }
+    // One trailing byte: corrupt for a whole-buffer record, left for the
+    // next record by a stream decoder.
+    const Decoded longer = c.decode(c.encoded + '\0');
+    if (c.stream) {
+      EXPECT_TRUE(longer.ok && longer.equal);
+      EXPECT_EQ(longer.consumed, c.encoded.size());
+    } else {
+      EXPECT_FALSE(longer.ok);
+    }
+    // The size sink runs the same walk as the encoder.
+    if (c.size.has_value()) {
+      EXPECT_EQ(*c.size, c.encoded.size());
     }
   }
 }
