@@ -31,21 +31,8 @@ Result<uint64_t> SerialReplayChecksum(binlog::BinlogManager* log,
     if (entry->type != EntryType::kTransaction) continue;
     auto txn = binlog::ParseTransactionPayload(entry->payload);
     MYRAFT_RETURN_NOT_OK(txn.status());
-    const storage::TxnId engine_txn = (*engine)->Begin();
-    for (const binlog::RowOperation& op : txn->ops) {
-      const std::string table = op.database + "." + op.table;
-      Status s;
-      if (op.kind == binlog::RowOperation::Kind::kDelete) {
-        s = (*engine)->Delete(engine_txn, table, op.before_image);
-      } else {
-        // Same key derivation as the applier: the row key is the
-        // after-image up to the first '='.
-        const std::string& image = op.after_image;
-        s = (*engine)->Put(engine_txn, table,
-                           image.substr(0, image.find('=')), image);
-      }
-      MYRAFT_RETURN_NOT_OK(s);
-    }
+    storage::TxnId engine_txn;
+    MYRAFT_ASSIGN_OR_RETURN(engine_txn, (*engine)->Execute(txn->ops));
     MYRAFT_RETURN_NOT_OK((*engine)->Prepare(engine_txn, txn->xid));
     MYRAFT_RETURN_NOT_OK(
         (*engine)->CommitPrepared(txn->xid, entry->id, txn->gtid));

@@ -132,9 +132,9 @@ const MetricInfo kCatalog[] = {
     {"server.applier_concurrency", "histogram", "server",
      "Concurrently applied transactions per applier round"},
     {"server.applier_conflict_stalls", "counter", "server",
-     "Applier stalls on write-set conflicts"},
+     "Applier dispatch passes stalled on an engine row lock"},
     {"server.applier_dependency_stalls", "counter", "server",
-     "Applier stalls on commit-order dependencies"},
+     "Applier dispatch passes stalled on commit-order dependencies"},
     {"server.applier_lag_entries", "gauge", "server",
      "Entries between the commit marker and the applied index"},
     {"server.applier_lag_hist", "histogram", "server",

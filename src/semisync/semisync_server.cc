@@ -33,9 +33,10 @@ Status SemiSyncServer::Init(metrics::MetricRegistry* metrics) {
   writes_committed_ = metrics->GetCounter("server.writes_committed");
   commits_degraded_to_async_ =
       metrics->GetCounter("semisync.commits_degraded_to_async");
-  applier_transactions_applied_ =
-      metrics->GetCounter("server.applier_transactions_applied");
   healed_transactions_ = metrics->GetCounter("semisync.healed_transactions");
+  // A logtailer applies nothing but reports it; databases' appliers below
+  // register the rest of the "server.applier_*" metrics.
+  metrics->GetCounter("server.applier_transactions_applied");
   MYRAFT_RETURN_NOT_OK(env_->CreateDirIfMissing(options_.data_dir));
   binlog::BinlogManagerOptions binlog_options;
   binlog_options.dir = options_.data_dir + "/log";
@@ -54,7 +55,10 @@ Status SemiSyncServer::Init(metrics::MetricRegistry* metrics) {
     auto engine = storage::MiniEngine::Open(env_, engine_options);
     if (!engine.ok()) return engine.status();
     engine_ = std::move(*engine);
-    next_apply_index_ = engine_->LastAppliedOpId().index + 1;
+    applier_ = std::make_unique<server::Applier>(
+        options_.id, binlog_.get(), engine_.get(), clock_,
+        server::kDefaultApplierWorkers, server::kDefaultApplierTxnCostMicros,
+        metrics, /*tracer=*/nullptr);
   }
   return Status::OK();
 }
@@ -134,18 +138,14 @@ void SemiSyncServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
     return;
   }
 
-  const storage::TxnId txn = engine_->Begin();
-  binlog::TransactionPayloadBuilder builder;
-  for (binlog::RowOperation& op : ops) {
-    Status s = engine_->ApplyRow(txn, op);
-    if (!s.ok()) {
-      Status rollback = engine_->Rollback(txn);
-      (void)rollback;
-      fail(std::move(s));
-      return;
-    }
-    builder.AddOperation(std::move(op));
+  Result<storage::TxnId> executed = engine_->Execute(ops);
+  if (!executed.ok()) {
+    fail(executed.status());
+    return;
   }
+  const storage::TxnId txn = *executed;
+  binlog::TransactionPayloadBuilder builder;
+  for (binlog::RowOperation& op : ops) builder.AddOperation(std::move(op));
 
   const OpId opid{generation_, binlog_->LastIndex() + 1};
   const uint64_t xid = opid.index;
@@ -295,8 +295,12 @@ void SemiSyncServer::HandleAppendEntries(const AppendEntriesRequest& request) {
         // replicaset does not. Flag for rebuild.
         engine_diverged_ = true;
       }
-      if (next_apply_index_ > entry.id.index) {
-        next_apply_index_ = entry.id.index;
+      // Rewind the applier to the truncation point, even past an engine
+      // that applied the lost write: this index holds a new transaction.
+      if (applier_ != nullptr &&
+          applier_->next_dispatch_index() > entry.id.index) {
+        applier_->Reset(
+            std::min(applier_->next_apply_index(), entry.id.index));
       }
     }
     Status s = binlog_->AppendEntry(entry);
@@ -319,8 +323,9 @@ void SemiSyncServer::HandleAppendEntries(const AppendEntriesRequest& request) {
   response.last_durable_index = response.last_received.index;
   send_(std::move(response));
 
-  // Replicas apply immediately — there is no consensus-commit marker.
-  ApplyFromRelayLog();
+  // Replicas apply everything logged at once — there is no
+  // consensus-commit marker.
+  if (applier_ != nullptr) applier_->Run(binlog_->LastIndex());
 }
 
 void SemiSyncServer::HandleAppendEntriesResponse(
@@ -372,50 +377,9 @@ void SemiSyncServer::Tick() {
       pending_.erase(pending_.begin());
       CompletePending(std::move(pending), /*degraded=*/true);
     }
-  } else {
-    ApplyFromRelayLog();
+  } else if (applier_ != nullptr) {
+    applier_->Run(binlog_->LastIndex());  // replicas apply what is logged
   }
-}
-
-// --- Applier --------------------------------------------------------------------
-
-void SemiSyncServer::ApplyFromRelayLog() {
-  if (engine_ == nullptr || is_primary_) return;
-  const uint64_t first = binlog_->FirstIndex();
-  if (first > 0 && next_apply_index_ < first &&
-      engine_->LastAppliedOpId().index + 1 >= first) {
-    next_apply_index_ = std::max(next_apply_index_, first);
-  }
-  while (next_apply_index_ <= binlog_->LastIndex()) {
-    auto entry = binlog_->ReadEntry(next_apply_index_);
-    if (!entry.ok()) break;
-    if (entry->type == EntryType::kTransaction) {
-      Status s = ApplyOneTransaction(*entry);
-      if (!s.ok()) {
-        MYRAFT_LOG(Error) << options_.id << ": apply: " << s;
-        break;
-      }
-      applier_transactions_applied_->Increment();
-    }
-    ++next_apply_index_;
-  }
-}
-
-Status SemiSyncServer::ApplyOneTransaction(const LogEntry& entry) {
-  auto txn = binlog::ParseTransactionPayload(entry.payload);
-  if (!txn.ok()) return txn.status();
-  if (engine_->ExecutedGtids().Contains(txn->gtid)) return Status::OK();
-  const storage::TxnId engine_txn = engine_->Begin();
-  for (const binlog::RowOperation& op : txn->ops) {
-    Status s = engine_->ApplyRow(engine_txn, op);
-    if (!s.ok()) {
-      Status rollback = engine_->Rollback(engine_txn);
-      (void)rollback;
-      return s;
-    }
-  }
-  MYRAFT_RETURN_NOT_OK(engine_->Prepare(engine_txn, txn->xid));
-  return engine_->CommitPrepared(txn->xid, entry.id, txn->gtid);
 }
 
 std::optional<std::string> SemiSyncServer::Read(const std::string& table,

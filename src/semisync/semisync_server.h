@@ -8,13 +8,17 @@
 //    degrading to asynchronous commit after kSemiSyncAckTimeoutMicros
 //    exactly like rpl_semi_sync_master_timeout;
 //  * replicas append into their relay log and apply immediately (no
-//    consensus-commit marker — the well-known semi-sync caveat);
+//    consensus-commit marker — the well-known semi-sync caveat) through
+//    the same applier a MyRaft replica runs (server/applier.h), with its
+//    default worker slots and apply cost. Semi-sync writes carry no
+//    dependency stamp, so that applier runs them serially;
 //  * there are no elections: MakePrimary / MakeReplica / SetReadOnly are
 //    invoked by the external automation (src/semisync/automation.h), and a
 //    monotonically increasing generation number stamped into entries
 //    fences deposed primaries;
 //  * on re-pointing, a diverged local tail is truncated ("log healing" by
-//    automation), with the lost transactions counted.
+//    automation), with the lost transactions counted, and the applier
+//    rewinds to the truncation point.
 //
 // The wire format reuses AppendEntriesRequest/Response (term carries the
 // generation); votes and elections are never used.
@@ -29,6 +33,7 @@
 #include <set>
 
 #include "binlog/binlog_manager.h"
+#include "server/applier.h"
 #include "storage/engine.h"
 #include "util/clock.h"
 #include "util/metrics.h"
@@ -69,8 +74,9 @@ class SemiSyncServer {
 
   using SendFn = std::function<void(Message)>;
 
-  /// `metrics` (required, caller-owned) takes the member's "server.*",
-  /// "semisync.*" and "binlog.*" counters.
+  /// `metrics` (required, caller-owned) takes the member's "server.*"
+  /// (the applier's included, database members only), "semisync.*" and
+  /// "binlog.*" metrics.
   static Result<std::unique_ptr<SemiSyncServer>> Create(
       Env* env, SemiSyncOptions options, Clock* clock,
       metrics::MetricRegistry* metrics, SendFn send);
@@ -150,8 +156,6 @@ class SemiSyncServer {
   void HandleAppendEntriesResponse(const AppendEntriesResponse& response);
   void ShipTo(const MemberId& receiver_id);
   void CompletePending(PendingCommit pending, bool degraded);
-  void ApplyFromRelayLog();
-  Status ApplyOneTransaction(const LogEntry& entry);
 
   Env* env_;
   SemiSyncOptions options_;
@@ -159,6 +163,7 @@ class SemiSyncServer {
   SendFn send_;
   std::unique_ptr<binlog::BinlogManager> binlog_;
   std::unique_ptr<storage::MiniEngine> engine_;
+  std::unique_ptr<server::Applier> applier_;  // null for logtailers
 
   bool is_primary_ = false;
   bool read_only_ = true;
@@ -168,11 +173,9 @@ class SemiSyncServer {
   std::set<MemberId> ackers_;
   std::map<uint64_t, PendingCommit> pending_;  // by index
   uint64_t next_txn_no_ = 1;
-  uint64_t next_apply_index_ = 1;
   bool engine_diverged_ = false;
   metrics::Counter* writes_committed_ = nullptr;
   metrics::Counter* commits_degraded_to_async_ = nullptr;
-  metrics::Counter* applier_transactions_applied_ = nullptr;
   metrics::Counter* healed_transactions_ = nullptr;
 };
 

@@ -50,12 +50,6 @@ Status MySqlServer::Init(const raft::QuorumEngine* quorum, Random* rng,
   m_.writes_committed = metrics_->GetCounter("server.writes_committed");
   m_.writes_aborted_on_demotion =
       metrics_->GetCounter("server.writes_aborted_on_demotion");
-  m_.applier_transactions_applied =
-      metrics_->GetCounter("server.applier_transactions_applied");
-  m_.applier_dependency_stalls =
-      metrics_->GetCounter("server.applier_dependency_stalls");
-  m_.applier_conflict_stalls =
-      metrics_->GetCounter("server.applier_conflict_stalls");
   m_.promotions_completed =
       metrics_->GetCounter("server.promotions_completed");
   m_.demotions = metrics_->GetCounter("server.demotions");
@@ -68,14 +62,9 @@ Status MySqlServer::Init(const raft::QuorumEngine* quorum, Random* rng,
       metrics_->GetHistogram("server.commit_stage_engine_commit_us");
   m_.promotion_latency_us =
       metrics_->GetHistogram("server.promotion_latency_us");
-  m_.applier_lag_entries = metrics_->GetGauge("server.applier_lag_entries");
-  m_.applier_lag_hist = metrics_->GetHistogram("server.applier_lag_hist");
-  m_.applier_concurrency =
-      metrics_->GetHistogram("server.applier_concurrency");
   m_.reads_served = metrics_->GetCounter("server.reads_served");
   m_.reads_gated = metrics_->GetCounter("server.reads_gated");
   m_.read_wait_us = metrics_->GetHistogram("server.read_wait_us");
-  applier_free_at_.assign(std::max<uint32_t>(1, options_.applier_workers), 0);
 
   binlog::BinlogManagerOptions binlog_options;
   binlog_options.dir = options_.data_dir + "/log";
@@ -97,11 +86,11 @@ Status MySqlServer::Init(const raft::QuorumEngine* quorum, Random* rng,
     auto engine = storage::MiniEngine::Open(env_, engine_options);
     if (!engine.ok()) return engine.status().WithPrefix("opening engine");
     engine_ = std::move(*engine);
-    // §3.3 demotion step 5 / §A.2: the applier cursor starts right after
-    // the last transaction committed in the engine.
-    next_apply_index_ = engine_->LastAppliedOpId().index + 1;
-    next_dispatch_index_ = next_apply_index_;
   }
+  applier_ = std::make_unique<Applier>(
+      options_.id, binlog_.get(), engine_.get(), clock_,
+      options_.applier_workers, options_.applier_txn_cost_micros, metrics_,
+      options_.tracer);
 
   log_adapter_ = std::make_unique<BinlogLogAdapter>(
       binlog_.get(),
@@ -127,7 +116,7 @@ Status MySqlServer::Start() { return consensus_->Start(); }
 void MySqlServer::Tick() {
   consensus_->Tick();
   // Retire apply-window tasks whose modelled worker time has elapsed.
-  if (!apply_window_.empty()) RunApplier();
+  if (applier_->window_size() > 0) RunApplier();
   if (witness_handoff_pending_) MaybeWitnessHandoff();
   if (promotion_.has_value()) MaybeCompletePromotion();
   // Periodic engine checkpointing bounds WAL replay at restart. Skipped
@@ -146,7 +135,7 @@ uint64_t MySqlServer::NextTickDueMicros() const {
   // Every step of Tick() after the consensus tick acts as soon as its
   // guard holds. A checkpoint held back by prepared transactions keeps
   // the gate open: it only opens early, never late.
-  if (!apply_window_.empty() || witness_handoff_pending_ ||
+  if (applier_->window_size() > 0 || witness_handoff_pending_ ||
       promotion_.has_value() || CheckpointDue()) {
     return 0;
   }
@@ -207,23 +196,17 @@ void MySqlServer::SubmitWrite(std::vector<binlog::RowOperation> ops,
     tracer->EndSpan(total_span, why);
   };
 
-  // Execute: prepare the transaction in the engine under row locks.
-  const storage::TxnId txn = engine_->Begin();
-  binlog::TransactionPayloadBuilder builder;
-  for (binlog::RowOperation& op : ops) {
-    Status s = engine_->ApplyRow(txn, op);
-    if (!s.ok()) {
-      m_.writes_rejected_conflict->Increment();
-      Status rollback = engine_->Rollback(txn);
-      if (!rollback.ok()) {
-        MYRAFT_LOG(Error) << options_.id << ": rollback failed: " << rollback;
-      }
-      end_spans_failed("conflict");
-      fail(std::move(s));
-      return;
-    }
-    builder.AddOperation(std::move(op));
+  // Execute: buffer the rows in the engine under row locks.
+  Result<storage::TxnId> executed = engine_->Execute(ops);
+  if (!executed.ok()) {
+    m_.writes_rejected_conflict->Increment();
+    end_spans_failed("conflict");
+    fail(executed.status());
+    return;
   }
+  const storage::TxnId txn = *executed;
+  binlog::TransactionPayloadBuilder builder;
+  for (binlog::RowOperation& op : ops) builder.AddOperation(std::move(op));
 
   // Commit: assign identity (GTID then OpId, §3.4), prepare, flush via
   // Raft. Planned OpId and Replicate run in the same event-loop turn, so
@@ -291,12 +274,12 @@ std::optional<std::string> MySqlServer::Read(const std::string& table,
 
 uint64_t MySqlServer::AppliedIndex() const {
   if (engine_ == nullptr) return 0;
-  // next_apply_index_ is the replica low-water mark; on the primary the
+  // The applier's low-water mark is the replica cursor; on the primary the
   // pipeline bypasses the applier, so the engine's own cursor (advanced by
   // CommitPrepared in stage 3) is authoritative there. No-op/config
   // entries never touch the engine, hence the primary floor on top.
-  return std::max({next_apply_index_ - 1, engine_->LastAppliedOpId().index,
-                   primary_applied_floor_});
+  return std::max({applier_->next_apply_index() - 1,
+                   engine_->LastAppliedOpId().index, primary_applied_floor_});
 }
 
 void MySqlServer::SubmitRead(const std::string& table, const std::string& key,
@@ -416,204 +399,10 @@ void MySqlServer::OnEntryAppended(const LogEntry& entry) {
   RunApplier();
 }
 
-uint64_t MySqlServer::NextApplierDeadlineMicros() const {
-  if (apply_window_.empty()) return 0;
-  const auto& front = *apply_window_.begin();
-  if (front.first != next_apply_index_) return 0;
-  // A deadline in the past means the last pump stalled on something other
-  // than a busy slot (e.g. a commit failure); leave retries to the
-  // periodic tick instead of hot-looping the host.
-  return front.second.ready_at_micros > clock_->NowMicros()
-             ? front.second.ready_at_micros
-             : 0;
-}
-
 void MySqlServer::RunApplier() {
-  if (engine_ == nullptr) return;
   if (writes_enabled_) return;  // primaries commit through the pipeline
-  const OpId marker = consensus_->commit_marker();
-  // A freshly provisioned member may have an engine ahead of a purged log
-  // prefix.
-  const uint64_t first = binlog_->FirstIndex();
-  if (first > 0 && next_apply_index_ < first && apply_window_.empty() &&
-      engine_->LastAppliedOpId().index + 1 >= first) {
-    next_apply_index_ = std::max(next_apply_index_, first);
-    next_dispatch_index_ = std::max(next_dispatch_index_, next_apply_index_);
-  }
-  const uint64_t now = clock_->NowMicros();
-  // The window cap keeps a dispatch backlog ready for the worker slots
-  // without letting prepared-but-unretired state grow unboundedly.
-  const size_t window_cap = applier_free_at_.size() * 2 + 2;
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-
-    // Retire pass: engine commits strictly in index order (the low-water
-    // mark), so LastAppliedOpId/GTID advancement match the serial applier
-    // and recovery restarts from a prefix-consistent cursor.
-    while (!apply_window_.empty() &&
-           apply_window_.begin()->first == next_apply_index_) {
-      ApplyTask& task = apply_window_.begin()->second;
-      if (task.ready_at_micros > now) break;  // worker still busy
-      if (task.is_txn && !task.skip) {
-        Status s = engine_->CommitPrepared(task.xid, task.opid, task.gtid);
-        if (!s.ok()) {
-          MYRAFT_LOG(Error) << options_.id << ": applier commit failed at "
-                            << task.opid.ToString() << ": " << s;
-          break;
-        }
-        m_.applier_transactions_applied->Increment();
-      }
-      if (options_.tracer != nullptr && task.trace_span != 0) {
-        options_.tracer->EndSpan(task.trace_span);
-      }
-      for (const std::string& key : task.writeset) {
-        applier_inflight_writes_.erase(key);
-      }
-      apply_window_.erase(apply_window_.begin());
-      ++next_apply_index_;
-      progress = true;
-    }
-
-    // Dispatch pass: admit committed entries in index order while their
-    // dependency interval proves independence from everything still in
-    // the window. Engine Begin/Put/Prepare happen here (the parallel
-    // part); only the ordered commit above is deferred.
-    while (next_dispatch_index_ <= marker.index &&
-           apply_window_.size() < window_cap) {
-      if (!binlog_->HasEntry(next_dispatch_index_)) break;  // not received
-      if (!dispatch_head_.has_value() ||
-          dispatch_head_->index != next_dispatch_index_) {
-        dispatch_head_.reset();
-        auto entry = binlog_->ReadEntry(next_dispatch_index_);
-        if (!entry.ok()) {
-          MYRAFT_LOG(Error) << options_.id
-                            << ": applier read failed: " << entry.status();
-          break;
-        }
-        if (entry->type != EntryType::kTransaction) {
-          // No-ops, config changes and rotate events advance the cursor
-          // only.
-          ApplyTask task;
-          task.opid = entry->id;
-          apply_window_.emplace(next_dispatch_index_, std::move(task));
-          ++next_dispatch_index_;
-          progress = true;
-          continue;
-        }
-        auto parsed = binlog::ParseTransactionPayload(entry->payload);
-        if (!parsed.ok()) {
-          MYRAFT_LOG(Error) << options_.id << ": apply parse failed at "
-                            << entry->id.ToString() << ": " << parsed.status();
-          break;
-        }
-        dispatch_head_ =
-            DispatchHead{next_dispatch_index_, entry->id, std::move(*parsed)};
-      }
-      const OpId& opid = dispatch_head_->opid;
-      const binlog::ParsedTransaction* txn = &dispatch_head_->txn;
-      ApplyTask task;
-      task.opid = opid;
-      // Dependency gate: schedulable once everything up to last_committed
-      // has engine-committed. Unstamped transactions (pre-dependency
-      // writers) depend on their immediate predecessor — serial order.
-      const uint64_t dep = txn->sequence_number == 0
-                               ? opid.index - 1
-                               : txn->last_committed;
-      if (next_apply_index_ <= dep) {
-        m_.applier_dependency_stalls->Increment();
-        break;
-      }
-      // Row-level writeset check against in-window tasks: a safety net in
-      // case the stamped interval is ever too optimistic.
-      bool conflict = false;
-      for (const binlog::RowOperation& op : txn->ops) {
-        const std::string qualified =
-            storage::RowTable(op) + "/" + storage::RowKey(op);
-        if (applier_inflight_writes_.count(qualified) > 0) conflict = true;
-        task.writeset.push_back(qualified);
-      }
-      if (conflict) {
-        m_.applier_conflict_stalls->Increment();
-        break;
-      }
-      task.is_txn = true;
-      task.xid = txn->xid;
-      task.gtid = txn->gtid;
-      // Idempotence: skip transactions the engine already has (e.g.
-      // replayed after the crash-recovery rollback of §A.2 case 3).
-      if (engine_->ExecutedGtids().Contains(txn->gtid)) {
-        task.skip = true;
-        task.writeset.clear();
-      } else {
-        const storage::TxnId engine_txn = engine_->Begin();
-        Status s;
-        for (const binlog::RowOperation& op : txn->ops) {
-          s = engine_->ApplyRow(engine_txn, op);
-          if (!s.ok()) break;
-        }
-        if (s.ok()) s = engine_->Prepare(engine_txn, txn->xid);
-        if (!s.ok()) {
-          MYRAFT_LOG(Error) << options_.id << ": apply failed at "
-                            << opid.ToString() << ": " << s;
-          Status rollback = engine_->Rollback(engine_txn);
-          (void)rollback;
-          break;  // cursor not advanced: retried on the next pump
-        }
-        // Charge the modelled apply cost to the least-busy virtual slot.
-        auto slot = std::min_element(applier_free_at_.begin(),
-                                     applier_free_at_.end());
-        const uint64_t start = std::max(now, *slot);
-        *slot = start + options_.applier_txn_cost_micros;
-        task.ready_at_micros = *slot;
-        if (options_.tracer != nullptr && txn->trace_id != 0) {
-          // Stitch to the originating commit via the GTID-body context.
-          task.trace_span = options_.tracer->BeginSpan(
-              "applier", "apply", txn->trace_id, txn->trace_span_id,
-              "opid", opid, "slot", slot - applier_free_at_.begin());
-        }
-        m_.applier_concurrency->Record((int64_t)std::count_if(
-            applier_free_at_.begin(), applier_free_at_.end(),
-            [now](uint64_t t) { return t > now; }));
-        for (const std::string& key : task.writeset) {
-          applier_inflight_writes_.insert(key);
-        }
-      }
-      apply_window_.emplace(next_dispatch_index_, std::move(task));
-      dispatch_head_.reset();
-      ++next_dispatch_index_;
-      progress = true;
-    }
-  }
-
-  const uint64_t lag = marker.index >= next_apply_index_
-                           ? marker.index - next_apply_index_ + 1
-                           : 0;
-  m_.applier_lag_entries->Set((int64_t)lag);
-  m_.applier_lag_hist->Record((int64_t)lag);
+  applier_->Run(consensus_->commit_marker().index);
   MaybeServeReads();
-}
-
-void MySqlServer::ResetApplier() {
-  for (auto& [index, task] : apply_window_) {
-    if (task.is_txn && !task.skip) {
-      Status s = engine_->RollbackPrepared(task.xid);
-      if (!s.ok()) {
-        MYRAFT_LOG(Error) << options_.id
-                          << ": applier reset rollback: " << s;
-      }
-    }
-    if (options_.tracer != nullptr && task.trace_span != 0) {
-      options_.tracer->EndSpan(task.trace_span, "cancelled");
-    }
-  }
-  apply_window_.clear();
-  dispatch_head_.reset();
-  applier_inflight_writes_.clear();
-  std::fill(applier_free_at_.begin(), applier_free_at_.end(), 0);
-  next_apply_index_ = engine_->LastAppliedOpId().index + 1;
-  next_dispatch_index_ = next_apply_index_;
 }
 
 // --- Promotion (§3.3) --------------------------------------------------------------
@@ -657,13 +446,13 @@ void MySqlServer::MaybeCompletePromotion() {
   // window; requiring the window empty keeps no prepared applier state
   // alive when writes are enabled.
   if (!consensus->IsCommitted(promotion_->noop)) return;
-  if (next_apply_index_ <= promotion_->noop.index ||
-      !apply_window_.empty()) {
+  auto caught_up = [&] {
+    return applier_->next_apply_index() > promotion_->noop.index &&
+           applier_->window_size() == 0;
+  };
+  if (!caught_up()) {
     RunApplier();
-    if (next_apply_index_ <= promotion_->noop.index ||
-        !apply_window_.empty()) {
-      return;
-    }
+    if (!caught_up()) return;
   }
   // Steps 3-5 take real orchestration time in production; model it with
   // a +-50% spread (host load, discovery round trips).
@@ -782,7 +571,7 @@ void MySqlServer::OnLeadershipLost(uint64_t term) {
   // when the new leader's log conflicts; see OnGtidsTruncated.
   // Step 5: the applier resumes from the engine's recovered cursor
   // (rolling back any window tasks prepared but not yet retired).
-  ResetApplier();
+  applier_->Reset(engine_->LastAppliedOpId().index + 1);
   SetDbRole(DbRole::kReplica);
   if (discovery_ != nullptr) {
     discovery_->WithdrawPrimary(options_.replicaset, options_.id, term);
@@ -797,9 +586,8 @@ void MySqlServer::OnGtidsTruncated(const binlog::GtidSet& removed) {
   // their entries no longer exist, so roll the window back to the
   // engine's committed prefix (committed entries are never truncated).
   const uint64_t last = binlog_->LastIndex();
-  if (engine_ != nullptr &&
-      (next_dispatch_index_ > last + 1 || next_apply_index_ > last + 1)) {
-    ResetApplier();
+  if (engine_ != nullptr && applier_->next_dispatch_index() > last + 1) {
+    applier_->Reset(engine_->LastAppliedOpId().index + 1);
   }
 }
 
@@ -841,10 +629,10 @@ ReplicaStatus MySqlServer::ShowReplicaStatus() const {
   status.last_applied =
       engine_ != nullptr ? engine_->LastAppliedOpId() : OpId{};
   status.commit_marker = consensus_->commit_marker();
-  status.lag_entries =
-      status.commit_marker.index >= next_apply_index_
-          ? status.commit_marker.index - next_apply_index_ + 1
-          : 0;
+  const uint64_t next_apply = applier_->next_apply_index();
+  status.lag_entries = status.commit_marker.index >= next_apply
+                           ? status.commit_marker.index - next_apply + 1
+                           : 0;
   status.primary = consensus_->leader();
   return status;
 }
@@ -917,8 +705,8 @@ MySqlServer::DebugStatusSnapshot MySqlServer::DebugStatus() const {
   s.writes_enabled = writes_enabled_;
   s.db_role = db_role();
   s.applied_index = AppliedIndex();
-  s.next_apply_index = next_apply_index_;
-  s.apply_window = apply_window_.size();
+  s.next_apply_index = applier_->next_apply_index();
+  s.apply_window = applier_->window_size();
   s.pending_commits = pending_.size();
   s.parked_reads = parked_reads_.size();
   s.primary_applied_floor = primary_applied_floor_;

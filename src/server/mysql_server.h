@@ -12,8 +12,8 @@
 //   3. Storage-engine commit: CommitPrepared releases row locks and the
 //      client callback fires.
 //
-// §3.5 — on replicas the applier consumes committed entries from the
-// relay log and drives them through the same prepare/commit path.
+// §3.5 — on replicas the applier both arms share (server/applier.h) drives
+// committed relay-log entries through the same prepare/commit path.
 //
 // §3.1/§3.3 — the server is Raft's callback API (StateMachineListener):
 // it owns the consensus instance, its durable metadata and the binlog
@@ -30,13 +30,13 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "binlog/transaction.h"
 #include "raft/consensus.h"
 #include "raft/consensus_metadata.h"
+#include "server/applier.h"
 #include "server/binlog_log_adapter.h"
 #include "server/service_discovery.h"
 #include "storage/engine.h"
@@ -59,12 +59,12 @@ struct MySqlServerOptions {
   /// Parallel applier worker slots (§3.5). Transactions whose commit
   /// intervals prove independence dispatch to free slots; engine commits
   /// still happen in log order (commit-order-preserving). 1 = serial.
-  uint32_t applier_workers = 4;
+  uint32_t applier_workers = kDefaultApplierWorkers;
   /// Modelled per-transaction apply cost charged to a worker slot. The
   /// sim is single-threaded; parallelism shows up as overlapping busy
   /// windows on the virtual slots. 0 keeps the applier synchronous
   /// (existing tests, and real wall-clock work stays off the hot path).
-  uint64_t applier_txn_cost_micros = 0;
+  uint64_t applier_txn_cost_micros = kDefaultApplierTxnCostMicros;
   /// Destination for this member's metrics ("server.*" plus the nested
   /// raft/log_cache/binlog families). Null means a private per-instance
   /// registry (unit-test isolation).
@@ -188,10 +188,12 @@ class MySqlServer final : public raft::StateMachineListener {
   /// pending or it is already retirable). Hosts schedule a PumpApplier()
   /// at this deadline so modelled apply costs shorter than the periodic
   /// tick interval still translate into applier throughput.
-  uint64_t NextApplierDeadlineMicros() const;
+  uint64_t NextApplierDeadlineMicros() const {
+    return applier_->NextDeadlineMicros();
+  }
   /// Retire/dispatch pump outside the periodic tick (see above).
   void PumpApplier() {
-    if (!apply_window_.empty()) RunApplier();
+    if (applier_->window_size() > 0) RunApplier();
   }
 
   // --- Client surface ----------------------------------------------------------
@@ -322,36 +324,6 @@ class MySqlServer final : public raft::StateMachineListener {
     uint64_t trace_span = 0;
   };
 
-  /// One committed entry admitted to the parallel-apply window. Engine
-  /// work (Begin/Put/Prepare) happens at dispatch; CommitPrepared happens
-  /// strictly in index order as the low-water mark reaches the task, so
-  /// `engine_->LastAppliedOpId()` stays a correct recovery cursor.
-  struct ApplyTask {
-    OpId opid;
-    bool is_txn = false;
-    bool skip = false;  // GTID already executed (idempotent replay)
-    uint64_t xid = 0;
-    binlog::Gtid gtid;
-    /// Virtual worker slot finishes the modelled apply work at this time.
-    uint64_t ready_at_micros = 0;
-    /// Open "applier.apply" span, parented under the originating commit
-    /// via the GTID-body trace context (0 when untraced).
-    uint64_t trace_span = 0;
-    /// Qualified row keys locked by this task ("db.table/key").
-    std::vector<std::string> writeset;
-  };
-
-  /// The committed entry at the dispatch cursor, read and parsed by a
-  /// pass that then stalled on it (dependency or writeset gate). Later
-  /// passes resume from it instead of reading and parsing it again; a
-  /// committed entry never changes, so it stays valid until dispatched or
-  /// the applier resets.
-  struct DispatchHead {
-    uint64_t index = 0;
-    OpId opid;
-    binlog::ParsedTransaction txn;
-  };
-
   /// Resolved registry-backed metric handles.
   struct Metrics {
     metrics::Counter* writes_accepted;
@@ -359,9 +331,6 @@ class MySqlServer final : public raft::StateMachineListener {
     metrics::Counter* writes_rejected_conflict;
     metrics::Counter* writes_committed;
     metrics::Counter* writes_aborted_on_demotion;
-    metrics::Counter* applier_transactions_applied;
-    metrics::Counter* applier_dependency_stalls;
-    metrics::Counter* applier_conflict_stalls;
     metrics::Counter* promotions_completed;
     metrics::Counter* demotions;
     metrics::Counter* engine_checkpoints;
@@ -370,12 +339,6 @@ class MySqlServer final : public raft::StateMachineListener {
     metrics::HistogramMetric* commit_stage_consensus_wait_us;
     metrics::HistogramMetric* commit_stage_engine_commit_us;
     metrics::HistogramMetric* promotion_latency_us;
-    /// Entries between the consensus commit marker and the applier cursor.
-    metrics::Gauge* applier_lag_entries;
-    /// Same lag, recorded as a distribution each applier pump.
-    metrics::HistogramMetric* applier_lag_hist;
-    /// Busy worker slots at each dispatch.
-    metrics::HistogramMetric* applier_concurrency;
     /// Gated-read path (§13): reads served (immediately or after a
     /// wait), reads that had to park for the applier, and the wait time.
     metrics::Counter* reads_served;
@@ -394,12 +357,8 @@ class MySqlServer final : public raft::StateMachineListener {
   Status Init(const raft::QuorumEngine* quorum, Random* rng,
               raft::RaftOutbox* outbox, ServiceDiscovery* discovery);
 
-  /// Applies committed entries from the log to the engine (§3.5):
-  /// dependency-tracked parallel dispatch, commit-order-preserving retire.
+  /// Applies committed entries (up to the commit marker) on replicas.
   void RunApplier();
-  /// Rolls back window tasks and resets both cursors to the engine's
-  /// recovered position (demotion, truncation through the window).
-  void ResetApplier();
   /// The engine WAL is over engine_checkpoint_wal_bytes (Tick() also
   /// waits for prepared transactions to drain before checkpointing).
   bool CheckpointDue() const;
@@ -435,17 +394,8 @@ class MySqlServer final : public raft::StateMachineListener {
   /// Needed because the engine cursor alone never advances past no-ops —
   /// a read fenced at a commit-barrier no-op (§13.2) would park forever.
   uint64_t primary_applied_floor_ = 0;
-  /// Low-water mark: everything below is engine-committed in log order.
-  uint64_t next_apply_index_ = 1;
-  /// Next entry to admit to the apply window (>= next_apply_index_).
-  uint64_t next_dispatch_index_ = 1;
-  /// Dispatched-but-not-retired tasks, keyed by raft index.
-  std::map<uint64_t, ApplyTask> apply_window_;
-  std::optional<DispatchHead> dispatch_head_;
-  /// Row keys locked by in-window tasks (writeset conflict safety net).
-  std::set<std::string> applier_inflight_writes_;
-  /// Busy-until timestamps of the virtual applier worker slots.
-  std::vector<uint64_t> applier_free_at_;
+  /// The §3.5 applier (idle on primaries and logtailers).
+  std::unique_ptr<Applier> applier_;
   /// Highest engine-committed index when the last write was stamped —
   /// the MySQL-style `last_committed` for dependency intervals.
   uint64_t group_commit_last_committed_ = 0;

@@ -209,6 +209,20 @@ Status MiniEngine::ApplyRow(TxnId txn, const binlog::RowOperation& op) {
   return Put(txn, RowTable(op), RowKey(op), op.after_image);
 }
 
+Result<TxnId> MiniEngine::Execute(
+    const std::vector<binlog::RowOperation>& ops) {
+  const TxnId txn = Begin();
+  for (const binlog::RowOperation& op : ops) {
+    Status s = ApplyRow(txn, op);
+    if (!s.ok()) {
+      Status rollback = Rollback(txn);
+      (void)rollback;
+      return s;
+    }
+  }
+  return txn;
+}
+
 Status MiniEngine::Put(TxnId txn, const std::string& table,
                        const std::string& key, const std::string& value) {
   return Write(txn, table, key, value);

@@ -116,6 +116,10 @@ class MiniEngine {
   Status Delete(TxnId txn, const std::string& table, const std::string& key);
   /// Buffers `op` under the row-image rule: Delete or Put(after image).
   Status ApplyRow(TxnId txn, const binlog::RowOperation& op);
+  /// Begin, then ApplyRow for each of `ops`. On the first failing row the
+  /// transaction is rolled back and that row's status returned (Aborted:
+  /// another transaction holds the row lock).
+  Result<TxnId> Execute(const std::vector<binlog::RowOperation>& ops);
 
   /// Reads the latest committed value (uncommitted writes invisible).
   std::optional<std::string> Get(const std::string& table,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "binlog/transaction.h"
 #include "metric_value.h"
 #include "obs/catalog.h"
 #include "raft/quorum.h"
@@ -167,6 +168,7 @@ TEST(SemiSyncClusterTest, DivergedTailIsHealedOnRejoin) {
   }
   auto lost = cluster.SyncWrite("lost", "v", 3 * kSecond);
   EXPECT_TRUE(lost.status.ok());  // degraded commit "succeeded"!
+  const OpId lost_opid = cluster.server("db0")->LastLogged();
   cluster.Crash("db0");
   for (const MemberId& id : cluster.ids()) {
     if (id != "db0") cluster.network()->SetLinkCut("db0", id, false);
@@ -179,6 +181,17 @@ TEST(SemiSyncClusterTest, DivergedTailIsHealedOnRejoin) {
   ASSERT_FALSE(new_primary.empty());
   EXPECT_EQ(cluster.server(new_primary)->Read("bench.kv", "lost"),
             std::nullopt);
+  // The new primary's first write after failover takes the index the
+  // lost write had, under the new generation.
+  auto first_after =
+      cluster.server(new_primary)->binlog_manager()->ReadEntry(
+          lost_opid.index);
+  ASSERT_TRUE(first_after.ok()) << first_after.status();
+  EXPECT_GT(first_after->id.term, lost_opid.term);
+  auto first_txn = binlog::ParseTransactionPayload(first_after->payload);
+  ASSERT_TRUE(first_txn.ok()) << first_txn.status();
+  ASSERT_EQ(first_txn->ops.size(), 1u);
+  const binlog::RowOperation first_row = first_txn->ops[0];
 
   // db0 rejoins; automation re-points it, its diverged binlog tail is
   // healed away, and the engine divergence (an acknowledged-but-lost
@@ -197,6 +210,12 @@ TEST(SemiSyncClusterTest, DivergedTailIsHealedOnRejoin) {
   EXPECT_FALSE(cluster.server("db0")->binlog_manager()->gtids_in_log().Count() ==
                0);
   EXPECT_EQ(cluster.server("db0")->Read("bench.kv", "newer"), "newer=v");
+  // Healing rewinds db0's applier to the truncation point although its
+  // engine had already applied past it (the lost write), so db0 applies
+  // the new primary's entry at that index too.
+  EXPECT_EQ(cluster.server("db0")->Read(storage::RowTable(first_row),
+                                        storage::RowKey(first_row)),
+            first_row.after_image);
 }
 
 TEST(SemiSyncClusterTest, CatalogCoversEveryRegisteredMetric) {
